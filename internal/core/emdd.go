@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"milret/internal/mat"
 	"milret/internal/mil"
@@ -40,35 +39,23 @@ func TrainEMDD(ds *mil.Dataset, cfg Config) (*Concept, error) {
 		}
 	}
 
-	nBags := len(ds.Positive)
-	useBags := cfg.StartBags
-	if useBags <= 0 || useBags > nBags {
-		useBags = nBags
-	}
-	var starts []mat.Vector
-	for _, b := range ds.Positive[:useBags] {
-		starts = append(starts, b.Instances...)
-	}
+	starts := startInstances(ds, cfg.StartBags)
 
+	ex := packExamples(ds)
 	type outcome struct {
 		theta mat.Vector
 		f     float64
 		evals int
 	}
 	results := make([]outcome, len(starts))
-	sem := make(chan struct{}, cfg.Parallelism)
-	var wg sync.WaitGroup
-	for i, inst := range starts {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, inst mat.Vector) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			theta, f, evals := emddFromStart(ds, cfg, inst)
+	forEachStart(len(starts), cfg.Parallelism, func() func(int) {
+		full := newObjective(ex, cfg.Mode, cfg.Alpha)
+		sub := newSingleInstanceObjective(dim, ex.nPos, len(ex.bagEnd), cfg.Mode, cfg.Alpha)
+		return func(i int) {
+			theta, f, evals := emddFromStart(full, sub, cfg, starts[i])
 			results[i] = outcome{theta: theta, f: f, evals: evals}
-		}(i, inst)
-	}
-	wg.Wait()
+		}
+	})
 
 	best := 0
 	totalEvals := 0
@@ -80,67 +67,27 @@ func TrainEMDD(ds *mil.Dataset, cfg Config) (*Concept, error) {
 	}
 	win := results[best]
 	emddEvalCount.Add(int64(totalEvals))
-	concept := &Concept{
-		NegLogDD: win.f,
-		Mode:     cfg.Mode,
-		Starts:   len(starts),
-		Evals:    totalEvals,
-	}
-	concept.Point = win.theta[:dim].Clone()
-	switch cfg.Mode {
-	case Identical:
-		concept.Weights = mat.Ones(dim)
-	case SumConstraint:
-		concept.Weights = win.theta[dim:].Clone()
-	default:
-		w := win.theta[dim:]
-		eff := mat.NewVector(dim)
-		for k, v := range w {
-			eff[k] = v * v
-		}
-		concept.Weights = eff
-	}
-	return concept, nil
+	return newConcept(cfg.Mode, dim, win.theta, win.f, len(starts), totalEvals), nil
 }
 
 // emddFromStart runs the EM loop from one starting instance and returns the
 // final packed θ, the noisy-or objective value at θ (so EM-DD results are
-// comparable with Train's), and the evaluation count.
-func emddFromStart(ds *mil.Dataset, cfg Config, inst mat.Vector) (mat.Vector, float64, int) {
-	dim := ds.Dim()
-	full := newObjective(ds, cfg.Mode, cfg.Alpha)
+// comparable with Train's), and the evaluation count. full and sub are the
+// calling worker's scratch objectives.
+func emddFromStart(full *objective, sub *singleInstanceObjective, cfg Config, inst mat.Vector) (mat.Vector, float64, int) {
+	dim := full.dim
 	theta := mat.NewVector(full.thetaDim())
-	copy(theta[:dim], inst)
-	if cfg.Mode != Identical {
-		theta[dim:].Fill(1)
-	}
+	initTheta(theta, inst, dim)
 
 	evals := 0
 	prev := math.Inf(1)
 	const maxEM = 20
 	for em := 0; em < maxEM; em++ {
 		// E-step: pick each bag's representative under the current θ.
-		reps := selectRepresentatives(ds, full, theta)
+		full.representatives(theta, sub.rows)
 
 		// M-step: optimize the single-instance objective.
-		sub := &singleInstanceObjective{
-			pos:   reps[:len(ds.Positive)],
-			neg:   reps[len(ds.Positive):],
-			dim:   dim,
-			mode:  cfg.Mode,
-			alpha: cfg.Alpha,
-		}
-		var res optimize.Result
-		switch cfg.Mode {
-		case SumConstraint:
-			con := optimize.BoxSum{Lo: 0, Hi: 1, MinSum: cfg.Beta * float64(dim)}
-			project := func(th mat.Vector) { con.Project(th[dim:]) }
-			res = optimize.ProjectedGradient(sub.Eval, project, theta, cfg.Opt)
-		case AlphaHack:
-			res = optimize.GradientDescent(sub.Eval, theta, cfg.Opt)
-		default:
-			res = optimize.LBFGS(sub.Eval, theta, cfg.Opt)
-		}
+		res := minimize(sub.Eval, cfg, dim, theta)
 		evals += res.Evals
 
 		// Convergence is judged on the true noisy-or objective so EM
@@ -156,119 +103,85 @@ func emddFromStart(ds *mil.Dataset, cfg Config, inst mat.Vector) (mat.Vector, fl
 	return theta, prev, evals
 }
 
-// selectRepresentatives returns, for every bag (positives then negatives),
-// the instance closest to the current concept under the mode's weighted
-// distance. For negative bags the closest instance is the binding one: it
-// carries the largest −log(1 − p) penalty.
-func selectRepresentatives(ds *mil.Dataset, obj *objective, theta mat.Vector) []mat.Vector {
-	t, w := obj.split(theta)
-	W := obj.distWeights(w, obj.wbuf)
-	var reps []mat.Vector
-	pick := func(b *mil.Bag) mat.Vector {
-		best := 0
+// representatives copies, for every bag (positives then negatives), the
+// instance closest to the current concept under the mode's weighted
+// distance into reps, one row per bag; ties keep the earliest instance.
+// For negative bags the closest instance is the binding one: it carries
+// the largest −log(1 − p) penalty. The distances are the forward pass's,
+// so when θ is the point the noisy-or objective was just judged at — every
+// EM round after the first — they are not computed again.
+func (o *objective) representatives(theta mat.Vector, reps []float64) {
+	o.forward(theta)
+	lo := 0
+	for i, hi := range o.ex.bagEnd {
+		best := lo
 		bestD := math.Inf(1)
-		for j, inst := range b.Instances {
-			d := mat.WeightedSqDist(t, inst, W)
-			if d < bestD {
-				bestD, best = d, j
+		for r := lo; r < hi; r++ {
+			if d := o.dists[r]; d < bestD {
+				bestD, best = d, r
 			}
 		}
-		return b.Instances[best]
+		copy(reps[i*o.dim:(i+1)*o.dim], o.ex.rows[best*o.dim:(best+1)*o.dim])
+		lo = hi
 	}
-	for _, b := range ds.Positive {
-		reps = append(reps, pick(b))
-	}
-	for _, b := range ds.Negative {
-		reps = append(reps, pick(b))
-	}
-	return reps
 }
 
 // singleInstanceObjective is the M-step objective: every bag reduced to one
 // representative instance.
 type singleInstanceObjective struct {
-	pos, neg []mat.Vector
-	dim      int
-	mode     WeightMode
-	alpha    float64
+	rows  []float64 // one representative per bag, positives first, row-major
+	nPos  int
+	dim   int
+	mode  WeightMode
+	alpha float64
 
-	// wbuf holds the effective distance weights, reused across Evals so the
-	// optimizer's inner loop stays allocation-free (lazily sized on first
-	// Eval; the objective is not safe for concurrent use).
-	wbuf mat.Vector
+	// Scratch, sized at construction so the optimizer's inner loop stays
+	// allocation-free; the objective is not safe for concurrent use.
+	dists, coefs []float64
+	wbuf, ones   mat.Vector
 }
 
-func (o *singleInstanceObjective) split(theta mat.Vector) (t, w mat.Vector) {
-	if o.mode == Identical {
-		return theta, nil
+func newSingleInstanceObjective(dim, nPos, nBags int, mode WeightMode, alpha float64) *singleInstanceObjective {
+	return &singleInstanceObjective{
+		rows:  make([]float64, nBags*dim),
+		nPos:  nPos,
+		dim:   dim,
+		mode:  mode,
+		alpha: alpha,
+		dists: make([]float64, nBags),
+		coefs: make([]float64, nBags),
+		wbuf:  mat.NewVector(dim),
+		ones:  mat.Ones(dim),
 	}
-	return theta[:o.dim], theta[o.dim:]
 }
 
 // Eval computes −Σ⁺ log p − Σ⁻ log(1−p) and its gradient.
 func (o *singleInstanceObjective) Eval(theta, grad mat.Vector) float64 {
-	t, w := o.split(theta)
-	if o.wbuf == nil {
-		o.wbuf = mat.NewVector(o.dim)
-	}
-	W := o.wbuf
-	switch o.mode {
-	case Identical:
-		W.Fill(1)
-	case SumConstraint:
-		copy(W, w)
-	default:
-		for k, v := range w {
-			W[k] = v * v
-		}
-	}
-	if grad != nil {
-		grad.Fill(0)
-	}
+	t, w := splitTheta(o.mode, o.dim, theta)
+	distWeights(o.mode, w, o.wbuf)
+	mat.WeightedSqDistRows(t, o.wbuf, o.rows, o.dists)
 	var f float64
-	accumulate := func(x mat.Vector, positive bool) {
-		d := mat.WeightedSqDist(t, x, W)
-		var coef float64
-		if positive {
+	for j, d := range o.dists {
+		if j < o.nPos {
 			// −log p = d: gradient coefficient is exactly 1.
 			f += d
-			coef = 1
-		} else {
-			p := math.Exp(-d)
-			if p > pMax {
-				p = pMax
-			}
-			q := 1 - p
-			f -= math.Log(q)
-			coef = -p / q
+			o.coefs[j] = 1
+			continue
 		}
-		if grad == nil {
-			return
+		p := math.Exp(-d)
+		if p > pMax {
+			p = pMax
 		}
-		gt := grad[:o.dim]
-		var gw mat.Vector
-		if o.mode != Identical {
-			gw = grad[o.dim:]
-		}
-		for k, tk := range t {
-			diff := tk - x[k]
-			gt[k] += coef * 2 * W[k] * diff
-			switch o.mode {
-			case Identical:
-			case SumConstraint:
-				gw[k] += coef * diff * diff
-			default:
-				gw[k] += coef * 2 * w[k] * diff * diff
-			}
-		}
+		q := 1 - p
+		f -= math.Log(q)
+		o.coefs[j] = -p / q
 	}
-	for _, x := range o.pos {
-		accumulate(x, true)
+	if grad == nil {
+		return f
 	}
-	for _, x := range o.neg {
-		accumulate(x, false)
-	}
-	if grad != nil && o.mode == AlphaHack && o.alpha > 0 {
+	grad.Fill(0)
+	chainRule(o.mode, grad, t, w, o.wbuf, o.ones, o.rows, o.coefs)
+	if o.mode == AlphaHack && o.alpha > 0 {
 		grad[o.dim:].Scale(1 / o.alpha)
 	}
 	return f

@@ -110,18 +110,9 @@ func TestSingleInstanceObjectiveGradient(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for _, mode := range []WeightMode{Original, Identical, SumConstraint} {
 		dim := 3
-		o := &singleInstanceObjective{dim: dim, mode: mode, alpha: 0}
-		for i := 0; i < 3; i++ {
-			v := mat.NewVector(dim)
-			for k := range v {
-				v[k] = r.NormFloat64() * 0.7
-			}
-			o.pos = append(o.pos, v)
-			u := mat.NewVector(dim)
-			for k := range u {
-				u[k] = r.NormFloat64() * 0.7
-			}
-			o.neg = append(o.neg, u)
+		o := newSingleInstanceObjective(dim, 3, 6, mode, 0)
+		for i := range o.rows {
+			o.rows[i] = r.NormFloat64() * 0.7
 		}
 		n := dim
 		if mode != Identical {

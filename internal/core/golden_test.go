@@ -1,0 +1,146 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
+	"testing"
+
+	"milret/internal/feature"
+	"milret/internal/gray"
+	"milret/internal/mil"
+	"milret/internal/optimize"
+	"milret/internal/synth"
+)
+
+// sceneDataset featurizes a fixed synthetic scene set into the paper's
+// geometry (40 instances × 100 dims per bag): three positives of the first
+// scene category, one negative from each of the next two.
+func sceneDataset(t testing.TB) *mil.Dataset {
+	t.Helper()
+	items := synth.ScenesN(7, 3) // category-major: 3 images per category
+	bag := func(i int) *mil.Bag {
+		b, err := feature.BagFromImage(items[i].ID, gray.FromImage(items[i].Image), feature.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	return &mil.Dataset{
+		Positive: []*mil.Bag{bag(0), bag(1), bag(2)},
+		Negative: []*mil.Bag{bag(3), bag(6)},
+	}
+}
+
+// conceptDigest hashes everything a training run reports: the bits of the
+// concept point, the effective weights and the objective, plus the start
+// and evaluation counts. Two runs with equal digests followed the same
+// trajectory to the same concept.
+func conceptDigest(c *Concept) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(u uint64) {
+		binary.LittleEndian.PutUint64(buf[:], u)
+		h.Write(buf[:])
+	}
+	for _, v := range c.Point {
+		put(math.Float64bits(v))
+	}
+	for _, v := range c.Weights {
+		put(math.Float64bits(v))
+	}
+	put(math.Float64bits(c.NegLogDD))
+	put(uint64(c.Starts))
+	put(uint64(c.Evals))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// goldenDigests were captured on the commit before the training fast path
+// (SIMD gradient kernel, probe→gradient reuse, packed example set) landed.
+// They must never change: the fast path is an implementation detail, and
+// the concept cache, the distributed ≡ local spine and the benchmark's
+// oracle all assume a training run is a pure function of its inputs.
+var goldenDigests = map[string]string{
+	"bench32/original":        "a2ff663de296029f4603cc5aab650e357abd813c90c625494f91e2c941cc4eeb",
+	"bench32/identical":       "4d7f005d2b819cd4c0c065fdf065117a673d59d6bbe98faba3ebdbf436113b37",
+	"bench32/alphahack":       "fa9285f01a293fc47e7dc0777bc1f562f95702a7e277c8cd5bc5dbf221c37264",
+	"bench32/sum-b0":          "9a2f1fabff5c059cd636c7b12f69accee29012bfdec4d3a529ca16a7060cdcb8",
+	"bench32/sum-b0.5":        "50ad1686b395a94040223d9c668fdc1245e224f938ceaf0898636c6c890edaa6",
+	"bench32/emdd-original":   "a4a9479e4db3ffded7e4678590c6165b7786c6cac4880e237893c6bbf935b78f",
+	"bench32/emdd-sum-b0.5":   "e4c51d46e1953c86d5e85e7adfe2630efcddc6c9af1d6d39695acbdc8d05d907",
+	"bench32/sum-b0-defaults": "8a36d1de1f56a532fa5e2fff7f7514c753013d75d5290f505c55feeb5b58e8de",
+	"scenes/original":         "36782430075fcdfa374fc8b00ff85b6d59ab4ddf5adb19c61c0677ded75b1c00",
+	"scenes/identical":        "e8da7805c41c937d18a7dfaa9ffc7c0603ad0a904f9e861239dc36d911c5bf23",
+	"scenes/alphahack":        "cea61c70bdaa7f13db397c9e7b27ba9b027cf5951c576bac7b59fcec570a1b5a",
+	"scenes/sum-b0":           "6881add34162e1be9e9bff43cdd99646d35aafe4d602af07655b0b3a01e54ece",
+	"scenes/sum-b0.5":         "f34a4b41dce0e3dbec3db18ec718927c2cdbcd444d961f0fcaa1c59be89f5705",
+	"scenes/emdd-original":    "e3131ec50edf076fc8bdc7cbfb98352763bc8dc822b0a5b433a9416b4150058e",
+	"scenes/emdd-sum-b0.5":    "392bdca883de131cacb8a69cc4aa55e6d1252457f505232fe5ecfd8085c04ca9",
+	"scenes/sum-b0-defaults":  "f0edc0ce8265605cd5d8e0627ae02f2ff02ebeb389a53cd84514dafb122b39bc",
+}
+
+// TestGoldenBitIdentity pins training output, bit for bit, across kernels
+// (run it with -tags purego too: the digests are the same) and across
+// Parallelism settings.
+func TestGoldenBitIdentity(t *testing.T) {
+	sets := []struct {
+		name string
+		ds   *mil.Dataset
+	}{
+		{"bench32", benchDataset(3, 2)},
+		{"scenes", sceneDataset(t)},
+	}
+	// A shortened schedule keeps the full matrix affordable under -race;
+	// the cold-query shape (server defaults) runs at full length below.
+	short := optimize.Options{MaxIter: 30}
+	cases := []struct {
+		name string
+		emdd bool
+		cfg  Config
+	}{
+		{"original", false, Config{Mode: Original, StartBags: 1, Opt: short}},
+		{"identical", false, Config{Mode: Identical, StartBags: 1, Opt: short}},
+		{"alphahack", false, Config{Mode: AlphaHack, StartBags: 1, Opt: short}},
+		{"sum-b0", false, Config{Mode: SumConstraint, StartBags: 1, Opt: short}},
+		{"sum-b0.5", false, Config{Mode: SumConstraint, Beta: 0.5, StartBags: 1, Opt: short}},
+		{"emdd-original", true, Config{Mode: Original, StartBags: 1, Opt: short}},
+		{"emdd-sum-b0.5", true, Config{Mode: SumConstraint, Beta: 0.5, StartBags: 1, Opt: short}},
+		{"sum-b0-defaults", false, Config{Mode: SumConstraint}},
+	}
+	for _, set := range sets {
+		for _, tc := range cases {
+			name := set.name + "/" + tc.name
+			if testing.Short() && tc.name == "sum-b0-defaults" {
+				continue
+			}
+			t.Run(name, func(t *testing.T) {
+				var digests [2]string
+				for i, par := range []int{1, runtime.NumCPU()} {
+					cfg := tc.cfg
+					cfg.Parallelism = par
+					train := Train
+					if tc.emdd {
+						train = TrainEMDD
+					}
+					c, err := train(set.ds, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					digests[i] = conceptDigest(c)
+				}
+				if digests[0] != digests[1] {
+					t.Fatalf("Parallelism 1 vs %d digests differ: %s vs %s", runtime.NumCPU(), digests[0], digests[1])
+				}
+				want, ok := goldenDigests[name]
+				if !ok {
+					t.Fatalf("no golden digest; captured %q: %q,", name, digests[0])
+				}
+				if digests[0] != want {
+					t.Fatalf("training output changed: digest %s, golden %s", digests[0], want)
+				}
+			})
+		}
+	}
+}

@@ -66,48 +66,76 @@ const pMax = 1 - 1e-10
 // 1 − p rounds to 1 in float64).
 const logTiny = -30.0
 
-// objective captures one DD training problem: the bags, the weight mode and
-// the layout of the optimization variable θ.
+// exampleSet is a training problem's example set packed for the hot loop:
+// every instance of every bag (positives first, each group in dataset order)
+// as one contiguous row-major block. It is built once per training run and
+// shared, read-only, by every optimization start, so one batched kernel call
+// scores the whole set and the rows stream from one allocation instead of
+// one heap object per instance.
+type exampleSet struct {
+	dim    int
+	rows   []float64  // all instances, row-major
+	nRows  int        // len(rows) / dim
+	bagEnd []int      // bagEnd[i] = index one past bag i's last row
+	nPos   int        // bags [0, nPos) are positive
+	ones   mat.Vector // all-ones, the gradient kernel's b for direct weights
+}
+
+func packExamples(ds *mil.Dataset) *exampleSet {
+	ex := &exampleSet{dim: ds.Dim(), nPos: len(ds.Positive)}
+	ex.rows = make([]float64, 0, ds.NumInstances()*ex.dim)
+	for _, bags := range [][]*mil.Bag{ds.Positive, ds.Negative} {
+		for _, b := range bags {
+			for _, inst := range b.Instances {
+				ex.rows = append(ex.rows, inst...)
+			}
+			ex.nRows += len(b.Instances)
+			ex.bagEnd = append(ex.bagEnd, ex.nRows)
+		}
+	}
+	ex.ones = mat.Ones(ex.dim)
+	return ex
+}
+
+// objective captures one DD training problem: the packed example set, the
+// weight mode and the layout of the optimization variable θ.
 //
 // Layouts: Identical packs θ = t (dim n); all other modes pack θ = [t; w]
 // (dim 2n). Original and AlphaHack interpret w through w² in the distance;
 // SumConstraint uses w directly (its projection keeps w ∈ [0,1]).
+//
+// An evaluation is two passes. The forward pass computes every instance
+// distance, every bag's likelihood term and the coefficients ∂f/∂d_ij; the
+// gradient pass folds those coefficients through the chain rule. The
+// forward results are remembered together with the θ that produced them,
+// so a call at a bitwise-equal θ skips straight to the gradient pass. That
+// is exactly the call every minimizer in internal/optimize issues after an
+// accepted line-search probe — f(x+t·d, nil) then f(x+t·d, g) — and the
+// remembered values are the ones the second call would recompute, so the
+// result is the same to the bit.
 type objective struct {
-	pos, neg []*mil.Bag
-	dim      int
-	mode     WeightMode
-	alpha    float64
+	ex    *exampleSet
+	dim   int
+	mode  WeightMode
+	alpha float64
 
-	// scratch buffers, sized at construction; objective is not safe for
-	// concurrent use — each optimization start owns its own copy.
-	dists [][]float64 // per bag (pos then neg), per instance: d_ij
-	coefs []float64   // per instance of the current bag: ∂f/∂d_ij
-	wbuf  mat.Vector  // effective distance weights W, rebuilt per Eval
+	// Scratch and memo, sized at construction; objective is not safe for
+	// concurrent use — each training worker owns its own (forEachStart).
+	dists []float64  // per instance: d_ij at memoTheta
+	coefs []float64  // per instance: ∂f/∂d_ij at memoTheta
+	wbuf  mat.Vector // effective distance weights W at memoTheta
+	memoF float64    // f(memoTheta)
+
+	memoTheta mat.Vector // θ of the last forward pass
+	memoValid bool
 }
 
-func newObjective(ds *mil.Dataset, mode WeightMode, alpha float64) *objective {
-	o := &objective{
-		pos:   ds.Positive,
-		neg:   ds.Negative,
-		dim:   ds.Dim(),
-		mode:  mode,
-		alpha: alpha,
-	}
-	maxInst := 0
-	for _, b := range ds.Positive {
-		o.dists = append(o.dists, make([]float64, len(b.Instances)))
-		if len(b.Instances) > maxInst {
-			maxInst = len(b.Instances)
-		}
-	}
-	for _, b := range ds.Negative {
-		o.dists = append(o.dists, make([]float64, len(b.Instances)))
-		if len(b.Instances) > maxInst {
-			maxInst = len(b.Instances)
-		}
-	}
-	o.coefs = make([]float64, maxInst)
+func newObjective(ex *exampleSet, mode WeightMode, alpha float64) *objective {
+	o := &objective{ex: ex, dim: ex.dim, mode: mode, alpha: alpha}
+	o.dists = make([]float64, ex.nRows)
+	o.coefs = make([]float64, ex.nRows)
 	o.wbuf = mat.NewVector(o.dim)
+	o.memoTheta = mat.NewVector(o.thetaDim())
 	return o
 }
 
@@ -119,53 +147,93 @@ func (o *objective) thetaDim() int {
 	return 2 * o.dim
 }
 
-// split returns the t and w views of θ. For Identical, w is nil (all-ones
-// semantics).
-func (o *objective) split(theta mat.Vector) (t, w mat.Vector) {
-	if o.mode == Identical {
+// splitTheta returns the t and w views of θ. For Identical, w is nil
+// (all-ones semantics).
+func splitTheta(mode WeightMode, dim int, theta mat.Vector) (t, w mat.Vector) {
+	if mode == Identical {
 		return theta, nil
 	}
-	return theta[:o.dim], theta[o.dim:]
+	return theta[:dim], theta[dim:]
 }
 
-// distWeights returns the effective distance weights W_k for the packed w
-// (W = w² for Original/AlphaHack, W = w for SumConstraint, all-ones for
-// Identical). The result aliases buf.
-func (o *objective) distWeights(w, buf mat.Vector) mat.Vector {
-	switch o.mode {
+// distWeights fills buf with the effective distance weights W_k for the
+// packed w (W = w² for Original/AlphaHack, W = w for SumConstraint, all-ones
+// for Identical).
+func distWeights(mode WeightMode, w, buf mat.Vector) {
+	switch mode {
 	case Identical:
-		return buf.Fill(1)
+		buf.Fill(1)
 	case SumConstraint:
 		copy(buf, w)
-		return buf
 	default: // Original, AlphaHack
 		for k, v := range w {
 			buf[k] = v * v
 		}
-		return buf
 	}
+}
+
+// chainRule folds per-instance coefficients ∂f/∂d through the distance's
+// partial derivatives into grad, in row order:
+// ∂d/∂t_k = 2 W_k (t_k − x_k); Original/AlphaHack ∂d/∂w_k = 2 w_k (t_k − x_k)²;
+// SumConstraint ∂d/∂w_k = (t_k − x_k)²; Identical has no weight part. The
+// per-dimension loop itself lives in mat.GradAccumRows.
+func chainRule(mode WeightMode, grad, t, w, W, ones mat.Vector, rows, coefs []float64) {
+	dim := len(t)
+	switch mode {
+	case Identical:
+		mat.GradAccumRows(grad, nil, t, W, nil, rows, coefs, 2, 0)
+	case SumConstraint:
+		mat.GradAccumRows(grad[:dim], grad[dim:], t, W, ones, rows, coefs, 2, 1)
+	default: // Original, AlphaHack
+		mat.GradAccumRows(grad[:dim], grad[dim:], t, W, w, rows, coefs, 2, 2)
+	}
+}
+
+// sameBits reports whether a and b hold identical float64 bit patterns.
+func sameBits(a, b mat.Vector) bool {
+	for i, x := range a {
+		if math.Float64bits(x) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// forward makes dists, coefs, wbuf and memoF current for theta, reusing
+// the last pass when theta is bitwise the θ it ran at.
+func (o *objective) forward(theta mat.Vector) {
+	if o.memoValid && sameBits(theta, o.memoTheta) {
+		return
+	}
+	t, w := splitTheta(o.mode, o.dim, theta)
+	distWeights(o.mode, w, o.wbuf)
+	mat.WeightedSqDistRows(t, o.wbuf, o.ex.rows, o.dists)
+	var f float64
+	lo := 0
+	for i, hi := range o.ex.bagEnd {
+		if i < o.ex.nPos {
+			f += posBagNLL(o.dists[lo:hi], o.coefs[lo:hi])
+		} else {
+			f += negBagNLL(o.dists[lo:hi], o.coefs[lo:hi])
+		}
+		lo = hi
+	}
+	o.memoF = f
+	copy(o.memoTheta, theta)
+	o.memoValid = true
 }
 
 // Eval computes f(θ) = −log DD and, when grad is non-nil, its gradient.
 // This is the optimize.Func the minimizers consume.
 func (o *objective) Eval(theta, grad mat.Vector) float64 {
-	t, w := o.split(theta)
-	W := o.distWeights(w, o.wbuf)
-
-	if grad != nil {
-		grad.Fill(0)
+	o.forward(theta)
+	if grad == nil {
+		return o.memoF
 	}
-	var f float64
-	bagIdx := 0
-	for _, b := range o.pos {
-		f += o.evalBag(b, true, t, w, W, o.dists[bagIdx], grad)
-		bagIdx++
-	}
-	for _, b := range o.neg {
-		f += o.evalBag(b, false, t, w, W, o.dists[bagIdx], grad)
-		bagIdx++
-	}
-	if grad != nil && o.mode == AlphaHack && o.alpha > 0 {
+	grad.Fill(0)
+	t, w := splitTheta(o.mode, o.dim, theta)
+	chainRule(o.mode, grad, t, w, o.wbuf, o.ex.ones, o.ex.rows, o.coefs)
+	if o.mode == AlphaHack && o.alpha > 0 {
 		// §3.6.2: scale the w-part of the gradient by 1/α, making the
 		// ascent reluctant to move weights. This is a quasi-gradient — no
 		// objective has these partial derivatives — which is why AlphaHack
@@ -173,64 +241,7 @@ func (o *objective) Eval(theta, grad mat.Vector) float64 {
 		gw := grad[o.dim:]
 		gw.Scale(1 / o.alpha)
 	}
-	return f
-}
-
-// evalBag adds one bag's −log probability to the objective and, when grad is
-// non-nil, accumulates its gradient contribution.
-func (o *objective) evalBag(b *mil.Bag, positive bool, t, w, W mat.Vector, dists []float64, grad mat.Vector) float64 {
-	n := len(b.Instances)
-	// Pass 1: distances d_ij = Σ_k W_k (t_k − x_k)², through the shared
-	// blocked kernel — the same accumulation order as the retrieval scan.
-	for j, inst := range b.Instances {
-		dists[j] = mat.WeightedSqDist(t, inst, W)
-	}
-
-	coefs := o.coefs[:n]
-	var f float64
-	if positive {
-		f = posBagNLL(dists, coefs)
-	} else {
-		f = negBagNLL(dists, coefs)
-	}
-	if grad == nil {
-		return f
-	}
-
-	// Pass 2: chain rule. ∂d_ij/∂t_k = 2 W_k (t_k − x_k);
-	// Original/AlphaHack: ∂d/∂w_k = 2 w_k (t_k − x_k)²;
-	// SumConstraint:      ∂d/∂w_k = (t_k − x_k)².
-	gt := grad[:o.dim]
-	var gw mat.Vector
-	if o.mode != Identical {
-		gw = grad[o.dim:]
-	}
-	for j, inst := range b.Instances {
-		c := coefs[j]
-		if c == 0 {
-			continue
-		}
-		switch o.mode {
-		case Identical:
-			for k, tk := range t {
-				diff := tk - inst[k]
-				gt[k] += c * 2 * diff // W_k == 1
-			}
-		case SumConstraint:
-			for k, tk := range t {
-				diff := tk - inst[k]
-				gt[k] += c * 2 * W[k] * diff
-				gw[k] += c * diff * diff
-			}
-		default: // Original, AlphaHack
-			for k, tk := range t {
-				diff := tk - inst[k]
-				gt[k] += c * 2 * W[k] * diff
-				gw[k] += c * 2 * w[k] * diff * diff
-			}
-		}
-	}
-	return f
+	return o.memoF
 }
 
 // posBagNLL returns −log Pr(t|B⁺) = −log(1 − Π_j (1 − p_j)) for p_j =
@@ -239,9 +250,11 @@ func (o *objective) evalBag(b *mil.Bag, positive bool, t, w, W mat.Vector, dists
 // Two regimes keep the computation stable. When every p_j is tiny
 // (max −d_j < logTiny), 1 − p_j rounds to 1 in float64, so P is computed as
 // Σ p_j via log-sum-exp and the coefficients reduce to a softmax over −d_j.
-// Otherwise the noisy-or is computed directly with p clamped below one and
-// leave-one-out products handled through zero counting.
+// Otherwise the noisy-or is computed directly with p clamped below one: the
+// clamp keeps every 1 − p_j ≥ 1e-10, so the leave-one-out products are
+// plain quotients Π/(1 − p_j).
 func posBagNLL(dists, coefs []float64) float64 {
+	coefs = coefs[:len(dists)]
 	maxA := math.Inf(-1)
 	for _, d := range dists {
 		if a := -d; a > maxA {
@@ -261,48 +274,23 @@ func posBagNLL(dists, coefs []float64) float64 {
 		return -logP
 	}
 
-	// Direct evaluation with clamping.
-	zeroCount := 0
-	zeroAt := -1
-	prod := 1.0 // product of non-zero q_j
+	// Direct evaluation with clamping; coefs holds p_j between the passes
+	// so each exp is taken once.
+	prod := 1.0
 	for j, d := range dists {
 		p := math.Exp(-d)
 		if p > pMax {
 			p = pMax
 		}
-		q := 1 - p
-		if q == 0 { // cannot happen with pMax clamp, kept for safety
-			zeroCount++
-			zeroAt = j
-			continue
-		}
-		prod *= q
+		coefs[j] = p
+		prod *= 1 - p
 	}
-	var P float64
-	switch zeroCount {
-	case 0:
-		P = 1 - prod
-	default:
-		P = 1 // some q == 0 ⇒ Π q == 0
-	}
+	P := 1 - prod
 	if P < 1e-300 {
 		P = 1e-300
 	}
-	for j, d := range dists {
-		p := math.Exp(-d)
-		if p > pMax {
-			p = pMax
-		}
-		q := 1 - p
-		var loo float64 // Π_{l≠j} q_l
-		switch {
-		case zeroCount == 0:
-			loo = prod / q
-		case zeroCount == 1 && j == zeroAt:
-			loo = prod
-		default:
-			loo = 0
-		}
+	for j, p := range coefs {
+		loo := prod / (1 - p) // Π_{l≠j} (1 − p_l)
 		coefs[j] = p * loo / P
 	}
 	return -math.Log(P)

@@ -34,23 +34,36 @@ func benchDataset(nPos, nNeg int) *mil.Dataset {
 	return ds
 }
 
+// benchThetas returns two distinct feasible θ for the mode. The objective
+// remembers the forward pass of the last θ it saw, so a benchmark that
+// re-evaluates one fixed θ would time the gradient pass alone; alternating
+// between two makes every iteration a full evaluation.
+func benchThetas(ds *mil.Dataset, o *objective) [2]mat.Vector {
+	var thetas [2]mat.Vector
+	for i := range thetas {
+		theta := mat.NewVector(o.thetaDim())
+		copy(theta[:o.dim], ds.Positive[0].Instances[i])
+		if o.mode != Identical {
+			theta[o.dim:].Fill(1)
+		}
+		thetas[i] = theta
+	}
+	return thetas
+}
+
 // benchObjectiveEval measures one full objective+gradient evaluation — the
 // innermost unit of training cost. The scratch buffers threaded through the
 // objective must keep this at zero allocations per evaluation.
 func benchObjectiveEval(b *testing.B, mode WeightMode) {
 	b.Helper()
 	ds := benchDataset(5, 5)
-	o := newObjective(ds, mode, 50)
-	theta := mat.NewVector(o.thetaDim())
-	copy(theta[:o.dim], ds.Positive[0].Instances[0])
-	if mode != Identical {
-		theta[o.dim:].Fill(1)
-	}
+	o := newObjective(packExamples(ds), mode, 50)
+	thetas := benchThetas(ds, o)
 	grad := mat.NewVector(o.thetaDim())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Eval(theta, grad)
+		o.Eval(thetas[i&1], grad)
 	}
 }
 
@@ -58,20 +71,42 @@ func BenchmarkObjectiveEval(b *testing.B)            { benchObjectiveEval(b, Ori
 func BenchmarkObjectiveEvalIdentical(b *testing.B)   { benchObjectiveEval(b, Identical) }
 func BenchmarkObjectiveEvalConstrained(b *testing.B) { benchObjectiveEval(b, SumConstraint) }
 
+// BenchmarkObjectiveProbeThenGrad is the optimizers' real call pattern after
+// an accepted line-search probe: a value-only evaluation, then value+gradient
+// at the same θ, which reuses the probe's forward pass.
+func BenchmarkObjectiveProbeThenGrad(b *testing.B) {
+	ds := benchDataset(5, 5)
+	o := newObjective(packExamples(ds), SumConstraint, 50)
+	thetas := benchThetas(ds, o)
+	grad := mat.NewVector(o.thetaDim())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Eval(thetas[i&1], nil)
+		o.Eval(thetas[i&1], grad)
+	}
+}
+
+// BenchmarkTrainColdShape is one whole cache-miss training in the shape the
+// server runs it: 3 positive + 2 negative bags of 40 × 100, server-default
+// constrained weights (β = 0), a start from every positive instance.
+func BenchmarkTrainColdShape(b *testing.B) {
+	ds := benchDataset(3, 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(ds, Config{Mode: SumConstraint}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSingleInstanceEval is the EM-DD M-step counterpart.
 func BenchmarkSingleInstanceEval(b *testing.B) {
 	ds := benchDataset(5, 5)
-	full := newObjective(ds, Original, 50)
-	theta := mat.NewVector(full.thetaDim())
-	copy(theta[:full.dim], ds.Positive[0].Instances[0])
-	theta[full.dim:].Fill(1)
-	reps := selectRepresentatives(ds, full, theta)
-	sub := &singleInstanceObjective{
-		pos:  reps[:len(ds.Positive)],
-		neg:  reps[len(ds.Positive):],
-		dim:  full.dim,
-		mode: Original,
-	}
+	full := newObjective(packExamples(ds), Original, 50)
+	theta := benchThetas(ds, full)[0]
+	sub := newSingleInstanceObjective(full.dim, len(ds.Positive), len(ds.Positive)+len(ds.Negative), Original, 50)
+	full.representatives(theta, sub.rows)
 	grad := mat.NewVector(full.thetaDim())
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -54,7 +54,7 @@ func TestGradientFiniteDiffOriginal(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
 		ds := randDataset(r, 3, 2, 2, 3)
-		obj := newObjective(ds, Original, 0)
+		obj := newObjective(packExamples(ds), Original, 0)
 		theta := mat.NewVector(obj.thetaDim())
 		for i := range theta {
 			theta[i] = r.NormFloat64() * 0.5
@@ -71,7 +71,7 @@ func TestGradientFiniteDiffIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		ds := randDataset(r, 4, 2, 2, 3)
-		obj := newObjective(ds, Identical, 0)
+		obj := newObjective(packExamples(ds), Identical, 0)
 		theta := mat.NewVector(obj.thetaDim())
 		for i := range theta {
 			theta[i] = r.NormFloat64() * 0.5
@@ -84,7 +84,7 @@ func TestGradientFiniteDiffSumConstraint(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		ds := randDataset(r, 3, 2, 2, 3)
-		obj := newObjective(ds, SumConstraint, 0)
+		obj := newObjective(packExamples(ds), SumConstraint, 0)
 		theta := mat.NewVector(obj.thetaDim())
 		for i := 0; i < 3; i++ {
 			theta[i] = r.NormFloat64() * 0.5
@@ -102,7 +102,7 @@ func TestGradientFiniteDiffTinyBranch(t *testing.T) {
 	// matching finite differences.
 	r := rand.New(rand.NewSource(4))
 	ds := randDataset(r, 3, 2, 1, 3)
-	obj := newObjective(ds, Identical, 0)
+	obj := newObjective(packExamples(ds), Identical, 0)
 	theta := mat.Vector{9, -9, 9} // distance² >> 30 from all instances
 	fdCheck(t, obj, theta, 1e-3)
 }
@@ -111,8 +111,8 @@ func TestAlphaHackScalesOnlyWeightGradient(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	ds := randDataset(r, 3, 2, 2, 3)
 	alpha := 50.0
-	orig := newObjective(ds, Original, 0)
-	hack := newObjective(ds, AlphaHack, alpha)
+	orig := newObjective(packExamples(ds), Original, 0)
+	hack := newObjective(packExamples(ds), AlphaHack, alpha)
 	theta := mat.NewVector(orig.thetaDim())
 	for i := range theta {
 		theta[i] = r.NormFloat64()*0.3 + 0.5
@@ -215,11 +215,156 @@ func TestQuickObjectiveFavorsSharedPositives(t *testing.T) {
 			near[1] += r.NormFloat64() * 0.05
 			ds.Positive = append(ds.Positive, &mil.Bag{ID: "p", Instances: []mat.Vector{near, noise}})
 		}
-		obj := newObjective(ds, Identical, 0)
+		obj := newObjective(packExamples(ds), Identical, 0)
 		far := mat.Vector{-4, 4}
 		return obj.Eval(target, nil) < obj.Eval(far, nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPosBagNLLEdgeDistancesPinned pins posBagNLL on the inputs the deleted
+// leave-one-out zero-counting claimed to guard: d = 0 (p clamps to pMax, so
+// 1 − p stays ≥ 1e-10 and the quotient form is exact), d = +Inf (p = 0) and
+// d = NaN (poisons the bag, as it always did). The bits are the ones the
+// zero-counting implementation produced; it never took its special branch.
+func TestPosBagNLLEdgeDistancesPinned(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		dists []float64
+		f     uint64 // 0 ⇒ NaN expected
+		coefs []uint64
+	}{
+		{[]float64{0, 1.5, 3}, 0x3dd44a9000033778, []uint64{0x3fe79f4457b7ed01, 0x3db74fdd9eb8e0ec, 0x3d9102c39c8e905d}},
+		{[]float64{0, 0}, 0x8000000000000000, []uint64{0x3ddb7cdffff431af, 0x3ddb7cdffff431af}},
+		{[]float64{inf, 1.5, 3}, 0x3ff57139c48a8f72, []uint64{0x0, 0x3fe9ea28a3a9e3dc, 0x3fc2e8f5a447c5a6}},
+		{[]float64{nan, 1.5, 3}, 0, []uint64{0, 0, 0}},
+		{[]float64{0, nan, inf}, 0, []uint64{0, 0, 0}},
+		{[]float64{inf, inf}, 0, []uint64{0, 0}},
+	}
+	for _, tc := range cases {
+		coefs := make([]float64, len(tc.dists))
+		f := posBagNLL(tc.dists, coefs)
+		if tc.f == 0 {
+			if !math.IsNaN(f) {
+				t.Fatalf("posBagNLL(%v) = %v, want NaN", tc.dists, f)
+			}
+			for j, c := range coefs {
+				if !math.IsNaN(c) {
+					t.Fatalf("posBagNLL(%v) coefs[%d] = %v, want NaN", tc.dists, j, c)
+				}
+			}
+			continue
+		}
+		if math.Float64bits(f) != tc.f {
+			t.Fatalf("posBagNLL(%v) = %#x, pinned %#x", tc.dists, math.Float64bits(f), tc.f)
+		}
+		for j, c := range coefs {
+			if math.Float64bits(c) != tc.coefs[j] {
+				t.Fatalf("posBagNLL(%v) coefs[%d] = %#x, pinned %#x", tc.dists, j, math.Float64bits(c), tc.coefs[j])
+			}
+		}
+	}
+}
+
+// evalBits runs Eval into a fresh gradient and returns the bits of f and of
+// every gradient entry.
+func evalBits(o *objective, theta mat.Vector) []uint64 {
+	g := mat.NewVector(len(theta))
+	f := o.Eval(theta, g)
+	bits := []uint64{math.Float64bits(f)}
+	for _, v := range g {
+		bits = append(bits, math.Float64bits(v))
+	}
+	return bits
+}
+
+// TestProbeThenGradientReusesForwardPass: a value-only call followed by a
+// value+gradient call at an equal θ — the optimizers' pattern after an
+// accepted probe — must return the bits of a cold Eval(θ, grad), and a
+// different θ in between must invalidate what was remembered.
+func TestProbeThenGradientReusesForwardPass(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	ds := randDataset(r, 7, 3, 2, 5)
+	ex := packExamples(ds)
+	for _, mode := range []WeightMode{Original, Identical, AlphaHack, SumConstraint} {
+		mk := func() mat.Vector {
+			theta := mat.NewVector(newObjective(ex, mode, 50).thetaDim())
+			for i := range theta {
+				theta[i] = 0.2 + 0.6*r.Float64()
+			}
+			return theta
+		}
+		a, b := mk(), mk()
+		coldA := evalBits(newObjective(ex, mode, 50), a)
+		coldB := evalBits(newObjective(ex, mode, 50), b)
+
+		o := newObjective(ex, mode, 50)
+		fa := o.Eval(a, nil)
+		if math.Float64bits(fa) != coldA[0] {
+			t.Fatalf("%v: probe value %x, cold %x", mode, math.Float64bits(fa), coldA[0])
+		}
+		// Equal bits in a different slice: the memo keys on values, not on
+		// the slice handed in.
+		if got := evalBits(o, a.Clone()); !equalBits(got, coldA) {
+			t.Fatalf("%v: probe→gradient at equal θ differs from a cold evaluation", mode)
+		}
+		// A different θ in between invalidates: b must not be answered from
+		// a's forward pass, nor a from b's afterwards.
+		o.Eval(a, nil)
+		if got := evalBits(o, b); !equalBits(got, coldB) {
+			t.Fatalf("%v: evaluation after a θ change reused a stale forward pass", mode)
+		}
+		if got := evalBits(o, a); !equalBits(got, coldA) {
+			t.Fatalf("%v: returning to the earlier θ reused a stale forward pass", mode)
+		}
+		// One flipped low bit is a different θ.
+		a2 := a.Clone()
+		a2[0] = math.Float64frombits(math.Float64bits(a2[0]) ^ 1)
+		o.Eval(a, nil)
+		if got := evalBits(o, a2); !equalBits(got, evalBits(newObjective(ex, mode, 50), a2)) {
+			t.Fatalf("%v: a one-ulp θ change was answered from the memo", mode)
+		}
+	}
+}
+
+func equalBits(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRepresentativesPicksNearestInstance: EM-DD's E-step selection reads
+// the forward pass's distances; it must agree with a direct per-instance
+// scan, ties to the earliest instance.
+func TestRepresentativesPicksNearestInstance(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	ds := randDataset(r, 6, 2, 2, 4)
+	ds.Positive[1].Instances[3] = ds.Positive[1].Instances[1].Clone() // an exact tie
+	ex := packExamples(ds)
+	o := newObjective(ex, SumConstraint, 0)
+	theta := mat.NewVector(o.thetaDim())
+	copy(theta[:o.dim], ds.Positive[1].Instances[1])
+	theta[o.dim:].Fill(0.5)
+	reps := make([]float64, 4*o.dim)
+	o.representatives(theta, reps)
+	bags := append(append([]*mil.Bag{}, ds.Positive...), ds.Negative...)
+	for i, b := range bags {
+		best, bestD := 0, math.Inf(1)
+		for j, inst := range b.Instances {
+			if d := mat.WeightedSqDist(theta[:o.dim], inst, theta[o.dim:]); d < bestD {
+				best, bestD = j, d
+			}
+		}
+		if !mat.Equal(reps[i*o.dim:(i+1)*o.dim], b.Instances[best], 0) {
+			t.Fatalf("bag %d: representative is not instance %d", i, best)
+		}
 	}
 }

@@ -15,9 +15,14 @@ import (
 // Cumulative objective-evaluation counters, one per trainer. They exist so
 // tooling (cmd/experiments) can report evals/sec — the hardware-independent
 // training-cost proxy — without threading counters through every caller.
+// The start counters beside them say how Train's multi-start spends those
+// evaluations: how many minimizations ran, and how many of them stopped on
+// the iteration cap rather than on a tolerance.
 var (
-	ddEvalCount   atomic.Int64
-	emddEvalCount atomic.Int64
+	ddEvalCount    atomic.Int64
+	emddEvalCount  atomic.Int64
+	ddStartCount   atomic.Int64
+	ddStartsCapped atomic.Int64
 )
 
 // TrainerEvals returns the process-cumulative objective evaluation counts
@@ -25,6 +30,14 @@ var (
 // two readings to attribute evaluations to a span of work.
 func TrainerEvals() (dd, emdd int64) {
 	return ddEvalCount.Load(), emddEvalCount.Load()
+}
+
+// TrainerStarts returns the process-cumulative number of optimization
+// starts Train has run and how many of them ended on the iteration cap
+// (Config.Opt.MaxIter) instead of converging. A capped share near one means
+// the cap, not the tolerance, decides training cost.
+func TrainerStarts() (starts, capped int64) {
+	return ddStartCount.Load(), ddStartsCapped.Load()
 }
 
 // Config controls a Diverse Density training run.
@@ -159,90 +172,119 @@ func Train(ds *mil.Dataset, cfg Config) (*Concept, error) {
 		}
 	}
 
-	// Collect starting instances from the selected subset of positive bags
-	// (§4.3). Bags are taken in dataset order for determinism.
-	nBags := len(ds.Positive)
-	useBags := cfg.StartBags
-	if useBags <= 0 || useBags > nBags {
-		useBags = nBags
-	}
-	var starts []mat.Vector
-	for _, b := range ds.Positive[:useBags] {
-		starts = append(starts, b.Instances...)
-	}
+	starts := startInstances(ds, cfg.StartBags)
 	if len(starts) == 0 {
-		return nil, fmt.Errorf("core: no starting instances in first %d positive bags", useBags)
+		return nil, fmt.Errorf("core: no starting instances in the selected positive bags")
 	}
 
-	type outcome struct {
-		res optimize.Result
-		idx int
-	}
-	results := make([]outcome, len(starts))
-	sem := make(chan struct{}, cfg.Parallelism)
-	var wg sync.WaitGroup
-	for i, inst := range starts {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, inst mat.Vector) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Each start owns its objective: the scratch buffers inside are
-			// not safe to share.
-			obj := newObjective(ds, cfg.Mode, cfg.Alpha)
-			theta := mat.NewVector(obj.thetaDim())
-			copy(theta[:dim], inst)
-			if cfg.Mode != Identical {
-				theta[dim:].Fill(1)
-			}
-			var res optimize.Result
-			switch cfg.Mode {
-			case SumConstraint:
-				con := optimize.BoxSum{Lo: 0, Hi: 1, MinSum: cfg.Beta * float64(dim)}
-				project := func(th mat.Vector) { con.Project(th[dim:]) }
-				res = optimize.ProjectedGradient(obj.Eval, project, theta, cfg.Opt)
-			case AlphaHack:
-				res = optimize.GradientDescent(obj.Eval, theta, cfg.Opt)
-			default: // Original, Identical
-				res = optimize.LBFGS(obj.Eval, theta, cfg.Opt)
-			}
-			results[i] = outcome{res: res, idx: i}
-		}(i, inst)
-	}
-	wg.Wait()
+	ex := packExamples(ds)
+	results := make([]optimize.Result, len(starts))
+	forEachStart(len(starts), cfg.Parallelism, func() func(int) {
+		obj := newObjective(ex, cfg.Mode, cfg.Alpha)
+		theta := mat.NewVector(obj.thetaDim())
+		return func(i int) {
+			initTheta(theta, starts[i], dim)
+			results[i] = minimize(obj.Eval, cfg, dim, theta)
+		}
+	})
 
 	best := -1
 	totalEvals := 0
-	for i, oc := range results {
-		totalEvals += oc.res.Evals
-		if best < 0 || oc.res.F < results[best].res.F {
+	capped := 0
+	for i, res := range results {
+		totalEvals += res.Evals
+		if !res.Converged {
+			capped++
+		}
+		if best < 0 || res.F < results[best].F {
 			best = i
 		}
 	}
-	win := results[best].res
+	win := results[best]
 	ddEvalCount.Add(int64(totalEvals))
+	ddStartCount.Add(int64(len(starts)))
+	ddStartsCapped.Add(int64(capped))
 
-	concept := &Concept{
-		NegLogDD: win.F,
-		Mode:     cfg.Mode,
-		Starts:   len(starts),
-		Evals:    totalEvals,
+	return newConcept(cfg.Mode, dim, win.X, win.F, len(starts), totalEvals), nil
+}
+
+// startInstances collects the starting points of the multi-start: every
+// instance of the first startBags positive bags (§4.3; 0 or out of range
+// means all of them), in dataset order for determinism.
+func startInstances(ds *mil.Dataset, startBags int) []mat.Vector {
+	if startBags <= 0 || startBags > len(ds.Positive) {
+		startBags = len(ds.Positive)
 	}
-	concept.Point = win.X[:dim].Clone()
+	var starts []mat.Vector
+	for _, b := range ds.Positive[:startBags] {
+		starts = append(starts, b.Instances...)
+	}
+	return starts
+}
+
+// newConcept unpacks a winning θ into a Concept: the point, and the
+// effective distance weights the mode's parametrization implies.
+func newConcept(mode WeightMode, dim int, theta mat.Vector, f float64, starts, evals int) *Concept {
+	t, w := splitTheta(mode, dim, theta)
+	c := &Concept{
+		Point:    t.Clone(),
+		Weights:  mat.NewVector(dim),
+		NegLogDD: f,
+		Mode:     mode,
+		Starts:   starts,
+		Evals:    evals,
+	}
+	distWeights(mode, w, c.Weights)
+	return c
+}
+
+// forEachStart runs work items 0..n−1 on at most par goroutines. Each
+// goroutine calls newWorker once for a closure that owns that goroutine's
+// scratch (an objective is not safe to share, and allocating one per start
+// is most of a training run's garbage), then feeds it indices until none
+// are left. Starts are independent, so which worker runs which start
+// affects nothing they compute.
+func forEachStart(n, par int, newWorker func() func(i int)) {
+	if par > n {
+		par = n
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run := newWorker()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				run(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// initTheta packs a start into θ: the concept point on the instance, every
+// weight (when the layout has weights) at one.
+func initTheta(theta, inst mat.Vector, dim int) {
+	copy(theta[:dim], inst)
+	theta[dim:].Fill(1)
+}
+
+// minimize runs the mode's minimizer on f from theta: projected gradient
+// under the §3.6.3 box-and-sum constraint, plain gradient descent for the
+// α-hack's quasi-gradient (§3.6.2), L-BFGS for the unconstrained modes.
+// The minimizers copy theta; the caller may reuse it.
+func minimize(f optimize.Func, cfg Config, dim int, theta mat.Vector) optimize.Result {
 	switch cfg.Mode {
-	case Identical:
-		concept.Weights = mat.Ones(dim)
 	case SumConstraint:
-		concept.Weights = win.X[dim:].Clone()
-	default: // Original, AlphaHack: effective weights are w²
-		w := win.X[dim:]
-		eff := mat.NewVector(dim)
-		for k, v := range w {
-			eff[k] = v * v
-		}
-		concept.Weights = eff
+		con := optimize.BoxSum{Lo: 0, Hi: 1, MinSum: cfg.Beta * float64(dim)}
+		project := func(th mat.Vector) { con.Project(th[dim:]) }
+		return optimize.ProjectedGradient(f, project, theta, cfg.Opt)
+	case AlphaHack:
+		return optimize.GradientDescent(f, theta, cfg.Opt)
+	default: // Original, Identical
+		return optimize.LBFGS(f, theta, cfg.Opt)
 	}
-	return concept, nil
 }
 
 // NegLogDDAt evaluates −log DD at an arbitrary (t, W) pair, where W are
@@ -250,7 +292,7 @@ func Train(ds *mil.Dataset, cfg Config) (*Concept, error) {
 // weight parametrization differences between modes are bypassed by treating
 // W as SumConstraint-style direct weights.
 func NegLogDDAt(ds *mil.Dataset, t, weights mat.Vector) float64 {
-	obj := newObjective(ds, SumConstraint, 0)
+	obj := newObjective(packExamples(ds), SumConstraint, 0)
 	theta := mat.NewVector(2 * len(t))
 	copy(theta[:len(t)], t)
 	copy(theta[len(t):], weights)

@@ -7,6 +7,7 @@ import (
 
 	"milret/internal/mat"
 	"milret/internal/mil"
+	"milret/internal/optimize"
 )
 
 // plantedDataset reproduces the Figure 1-2 situation: positive bags each
@@ -235,5 +236,27 @@ func TestWeightModeString(t *testing.T) {
 		if m.String() != want {
 			t.Errorf("WeightMode(%d).String() = %q, want %q", m, m.String(), want)
 		}
+	}
+}
+
+// TestTrainerStartsCountsCappedStarts: the process-cumulative start counters
+// advance by one per optimization start, and a start that runs out of
+// iterations counts as capped while one that meets its tolerance does not.
+func TestTrainerStartsCountsCappedStarts(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	ds := randDataset(r, 5, 2, 1, 3)
+	run := func(opt optimize.Options) (starts, capped int64) {
+		s0, c0 := TrainerStarts()
+		if _, err := Train(ds, Config{Mode: SumConstraint, Opt: opt, Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+		s1, c1 := TrainerStarts()
+		return s1 - s0, c1 - c0
+	}
+	if starts, capped := run(optimize.Options{MaxIter: 1}); starts != 6 || capped != 6 {
+		t.Fatalf("MaxIter 1: %d starts, %d capped; want 6 and 6", starts, capped)
+	}
+	if starts, capped := run(optimize.Options{MaxIter: 5000, StepTol: 1e-3}); starts != 6 || capped != 0 {
+		t.Fatalf("loose tolerance: %d starts, %d capped; want 6 and 0", starts, capped)
 	}
 }

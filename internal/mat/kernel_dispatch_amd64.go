@@ -89,3 +89,17 @@ func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool
 //
 //go:noescape
 func firstBlockAVX2(pblk, wblk, row, thrs, out *float64, nq int) uint64
+
+// distRowsAVX2 is the WeightedSqDistRows row loop: the full blocked
+// distance from p to each of nRows rows, stored to out. Requires dim ≥ 1
+// and nRows ≥ 1.
+//
+//go:noescape
+func distRowsAVX2(p, w, rows *float64, dim, nRows int, out *float64)
+
+// gradRowsAVX2 is gradAccumRows: the chain-rule gradient accumulation over
+// nRows rows, lane-wise with no cross-lane fold. gw (with b) may be nil to
+// accumulate the point part only. Requires dim ≥ 1 and nRows ≥ 1.
+//
+//go:noescape
+func gradRowsAVX2(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw float64)

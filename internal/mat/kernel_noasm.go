@@ -31,3 +31,11 @@ func firstBlockAVX2(pblk, wblk, row, thrs, out *float64, nq int) uint64 {
 func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool {
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
+
+func distRowsAVX2(p, w, rows *float64, dim, nRows int, out *float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func gradRowsAVX2(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}

@@ -72,7 +72,7 @@ func LBFGS(f Func, x0 mat.Vector, opt Options) Result {
 				t0 = math.Min(1, opt.InitStep/ma)
 			}
 		}
-		t, ft, ev := armijo(f, x, d, fx, slope, t0, opt.StepTol, xt)
+		t, ev := armijo(f, x, d, fx, slope, t0, opt.StepTol, xt)
 		res.Evals += ev
 		if t == 0 {
 			res.Converged = true
@@ -84,7 +84,6 @@ func LBFGS(f Func, x0 mat.Vector, opt Options) Result {
 		x.AddScaled(t, d)
 		fx = f(x, g)
 		res.Evals++
-		_ = ft
 
 		// Store the curvature pair if it is numerically useful.
 		s := x.Clone().Sub(xPrev)

@@ -80,29 +80,34 @@ type Result struct {
 
 // armijo backtracks from step t0 along direction d until the sufficient
 // decrease condition f(x+t·d) ≤ f0 + 1e-4·t·slope holds, where slope is the
-// (estimated) directional derivative at x. It returns the accepted step, the
-// new value, and the number of evaluations; step 0 means failure. The probe
-// vector xt is scratch storage supplied by the caller to avoid per-iteration
-// allocation.
-func armijo(f Func, x, d mat.Vector, f0, slope, t0, stepTol float64, xt mat.Vector) (t, ft float64, evals int) {
+// (estimated) directional derivative at x. It returns the accepted step and
+// the number of evaluations; step 0 means failure. The probe vector xt is
+// scratch storage supplied by the caller to avoid per-iteration allocation.
+//
+// The accepted value is not returned: callers move x by the same
+// x.AddScaled(t, d) the accepted probe was built with — the same bits — and
+// then ask for value and gradient there, so a Func that remembers its last
+// evaluation point (core's objective does) answers from the probe's work
+// and runs only its gradient pass.
+func armijo(f Func, x, d mat.Vector, f0, slope, t0, stepTol float64, xt mat.Vector) (t float64, evals int) {
 	const c1 = 1e-4
 	if slope >= 0 {
 		// Not a descent direction: the caller handed us a quasi-gradient
 		// (§3.6.2) that points uphill, or we are at a stationary point.
-		return 0, f0, 0
+		return 0, 0
 	}
 	t = t0
 	for t > stepTol {
 		copy(xt, x)
 		xt.AddScaled(t, d)
-		ft = f(xt, nil)
+		ft := f(xt, nil)
 		evals++
 		if !math.IsNaN(ft) && ft <= f0+c1*t*slope {
-			return t, ft, evals
+			return t, evals
 		}
 		t *= 0.5
 	}
-	return 0, f0, evals
+	return 0, evals
 }
 
 // GradientDescent minimizes f from x0 with steepest descent and Armijo
@@ -131,14 +136,13 @@ func GradientDescent(f Func, x0 mat.Vector, opt Options) Result {
 		copy(d, g)
 		d.Scale(-1)
 		slope := g.Dot(d)
-		t, ft, ev := armijo(f, x, d, fx, slope, step, opt.StepTol, xt)
+		t, ev := armijo(f, x, d, fx, slope, step, opt.StepTol, xt)
 		res.Evals += ev
 		if t == 0 {
 			res.Converged = true
 			break
 		}
 		x.AddScaled(t, d)
-		fx = ft
 		// Warm-start the next line search near the accepted step.
 		step = math.Min(opt.InitStep, t*2)
 		fx = f(x, g)

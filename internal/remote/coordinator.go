@@ -308,6 +308,8 @@ func (c *Coordinator) Stats() milret.Stats {
 		}
 		st.Partitions = append(st.Partitions, row)
 	}
+	// Training runs here, on the coordinator; the partitions only scan.
+	st.Train = milret.ProcessTrainStats()
 	if c.cache != nil {
 		cs := c.cache.Stats()
 		st.Cache = &milret.CacheStats{

@@ -133,7 +133,7 @@ var routeTable = []routeSpec{
 		func(s *Server) http.HandlerFunc { return s.handleQuery }},
 	{Route{"/v1/retrieve/batch", []string{"POST"}, "rank several concept geometries and/or queries in one scan"},
 		func(s *Server) http.HandlerFunc { return s.handleRetrieveBatch }},
-	{Route{"/v1/stats", []string{"GET"}, "index, mutation, cache, prune and partition metrics"},
+	{Route{"/v1/stats", []string{"GET"}, "index, mutation, cache, training, prune and partition metrics"},
 		func(s *Server) http.HandlerFunc { return s.handleStats }},
 }
 

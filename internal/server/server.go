@@ -11,8 +11,8 @@
 //	POST   /v1/query             → train on examples and rank
 //	POST   /v1/retrieve/batch    → rank several concept geometries and/or
 //	                               example-based queries in one scan
-//	GET    /v1/stats             → scoring-index, mutation-lifecycle and
-//	                               concept-cache metrics
+//	GET    /v1/stats             → scoring-index, mutation-lifecycle,
+//	                               concept-cache and training metrics
 //	GET    /v1/healthz           → liveness probe + data verification state
 //
 // The query request body:
@@ -250,6 +250,17 @@ type CacheStatsResponse struct {
 	WarmLoaded    int64 `json:"warm_loaded,omitempty"`
 }
 
+// TrainStatsResponse is the training block of /v1/stats: this process's
+// cumulative Diverse Density work — objective evaluations, optimization
+// starts, and how many starts stopped on the iteration cap rather than a
+// tolerance. evals/starts is the cost of one start; starts_capped/starts
+// near one says the cap, not convergence, sets training latency.
+type TrainStatsResponse struct {
+	Evals        int64 `json:"evals"`
+	Starts       int64 `json:"starts"`
+	StartsCapped int64 `json:"starts_capped"`
+}
+
 // PruneStatsResponse is the candidate-pruning block of /v1/stats: how many
 // bags the sketch tier screened since startup and how the screen split
 // (Screened = Admitted + Rejected). Rejected bags skipped the exact kernel
@@ -263,8 +274,9 @@ type PruneStatsResponse struct {
 // StatsResponse is the /v1/stats reply: the size of the flat columnar
 // scoring indexes every query scans, plus the mutation-lifecycle counters
 // (tombstoned dead weight and journal depth), in total and per shard, the
-// concept cache's counters when one is configured, and the candidate-filter
-// counters once any pruned scan has run.
+// concept cache's counters when one is configured, the training counters
+// once anything has trained, and the candidate-filter counters once any
+// pruned scan has run.
 type StatsResponse struct {
 	Images           int                  `json:"images"`
 	Instances        int                  `json:"instances"`
@@ -276,6 +288,7 @@ type StatsResponse struct {
 	WALMutations     int                  `json:"wal_mutations,omitempty"`
 	Shards           []ShardStatsResponse `json:"shards"`
 	Cache            *CacheStatsResponse  `json:"cache,omitempty"`
+	Train            *TrainStatsResponse  `json:"train,omitempty"`
 	Prune            *PruneStatsResponse  `json:"prune,omitempty"`
 	// Partitions, PartialPolicy and DegradedQueries appear when the
 	// server fronts a distribution coordinator: per-partition health as
@@ -335,6 +348,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Bypassed:      st.Cache.Bypassed,
 			Evictions:     st.Cache.Evictions,
 			WarmLoaded:    st.Cache.WarmLoaded,
+		}
+	}
+	if st.Train.Starts > 0 {
+		resp.Train = &TrainStatsResponse{
+			Evals:        st.Train.Evals,
+			Starts:       st.Train.Starts,
+			StartsCapped: st.Train.StartsCapped,
 		}
 	}
 	if st.Prune.Screened > 0 {

@@ -158,6 +158,43 @@ func TestQueryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStatsTrainBlock: once a query has trained, /v1/stats carries the
+// process-cumulative training counters, and a query advances them by one
+// start per positive instance (at most 40 regions an image).
+func TestStatsTrainBlock(t *testing.T) {
+	s, _ := testServer(t)
+	readTrain := func() TrainStatsResponse {
+		rec, body := doJSON(t, s, http.MethodGet, "/v1/stats", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, body)
+		}
+		var resp StatsResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Train == nil {
+			return TrainStatsResponse{}
+		}
+		return *resp.Train
+	}
+	before := readTrain()
+	req := QueryRequest{Positives: []string{"object-car-00", "object-car-01"}, K: 3}
+	if rec, body := doJSON(t, s, http.MethodPost, "/v1/query", req); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, body)
+	}
+	after := readTrain()
+	starts := after.Starts - before.Starts
+	if starts < int64(len(req.Positives)) || starts > 40*int64(len(req.Positives)) {
+		t.Fatalf("query added %d starts for %d positives", starts, len(req.Positives))
+	}
+	if after.Evals-before.Evals < starts {
+		t.Fatalf("evals advanced by %d over %d starts", after.Evals-before.Evals, starts)
+	}
+	if capped := after.StartsCapped - before.StartsCapped; capped < 0 || capped > starts {
+		t.Fatalf("query added %d capped starts of %d", capped, starts)
+	}
+}
+
 // TestRetrieveBatchEndToEnd drives the train-once/replay pattern: train via
 // /v1/query with return_concept, then replay the geometry (twice) through
 // /v1/retrieve/batch and check both rankings equal the training query's.

@@ -1497,6 +1497,9 @@ type Stats struct {
 	// across every pruned retrieval (Options.Recall, WithRecall,
 	// QuerySpec.Recall); all zero while no pruned scan has run.
 	Prune PruneStats
+	// Train reports this process's cumulative Diverse Density training
+	// work (see ProcessTrainStats); all zero until something trains.
+	Train TrainStats
 	// Partitions describes the partitions behind a distribution
 	// coordinator (internal/remote), in topology order; nil for a
 	// directly opened database.
@@ -1509,6 +1512,26 @@ type Stats struct {
 	// DegradedQueries counts queries answered without one or more
 	// unreachable partitions under the "degrade" policy.
 	DegradedQueries int64
+}
+
+// TrainStats counts Diverse Density training work since process start:
+// Evals objective evaluations spent in Starts optimization starts (the
+// paper's §4.3 multi-start runs one per positive instance), of which
+// StartsCapped stopped on the iteration cap instead of converging. The
+// counters are process-wide, not per database: every trainer in the
+// process — cache misses, uncached Train calls, a coordinator's own
+// training — feeds them.
+type TrainStats struct {
+	Evals        int64
+	Starts       int64
+	StartsCapped int64
+}
+
+// ProcessTrainStats snapshots the process-cumulative training counters.
+func ProcessTrainStats() TrainStats {
+	evals, _ := core.TrainerEvals()
+	starts, capped := core.TrainerStarts()
+	return TrainStats{Evals: evals, Starts: starts, StartsCapped: capped}
 }
 
 // PruneStats counts the candidate-pruning filter's admission decisions:
@@ -1583,6 +1606,7 @@ func (d *Database) Stats() Stats {
 		Admitted: s.PruneAdmitted,
 		Rejected: s.PruneRejected,
 	}
+	st.Train = ProcessTrainStats()
 	if d.cache != nil {
 		cs := d.cache.Stats()
 		st.Cache = &CacheStats{
