@@ -345,18 +345,6 @@ func benchFlatTopK(b *testing.B, n, inst, dim, k int) {
 	}
 }
 
-// benchFlatTopKPruned is benchFlatTopK through the candidate-pruning tier
-// at the conservative (bit-identical) setting — the pair with the exact
-// bench of the same shape measures the sketch filter's win.
-func benchFlatTopKPruned(b *testing.B, n, inst, dim, k int) {
-	db, concept := benchCorpusDB(n, inst, dim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		retrieval.TopK(db, concept, k, retrieval.Options{Recall: 1})
-	}
-}
-
 func BenchmarkRank1k(b *testing.B)  { benchFlatRank(b, 1_000, 40, 100) }
 func BenchmarkRank10k(b *testing.B) { benchFlatRank(b, 10_000, 10, 100) }
 func BenchmarkRank50k(b *testing.B) { benchFlatRank(b, 50_000, 4, 64) }
@@ -365,13 +353,15 @@ func BenchmarkTopK1k(b *testing.B)  { benchFlatTopK(b, 1_000, 40, 100, 20) }
 func BenchmarkTopK10k(b *testing.B) { benchFlatTopK(b, 10_000, 10, 100, 20) }
 func BenchmarkTopK50k(b *testing.B) { benchFlatTopK(b, 50_000, 4, 64, 20) }
 
-func BenchmarkTopKPruned10k(b *testing.B) { benchFlatTopKPruned(b, 10_000, 10, 100, 20) }
+// Small corpora, where a scan's fixed costs (cutoff seeding, heap fill)
+// are a visible share: 500 bags, and the 2k-bag shape of one partition of a
+// distributed deployment.
+func BenchmarkTopK500x10(b *testing.B) { benchFlatTopK(b, 500, 10, 100, 20) }
+func BenchmarkTopK2kx10(b *testing.B)  { benchFlatTopK(b, 2_000, 10, 100, 20) }
 
-// The ≥100k pair the pruning tier's acceptance criterion is judged on:
-// identical corpus and query, exact vs filtered, at the same bag shape the
-// 1k/10k benches use (10 regions per image, 100 features).
-func BenchmarkTopK100k(b *testing.B)       { benchFlatTopK(b, 100_000, 10, 100, 20) }
-func BenchmarkTopKPruned100k(b *testing.B) { benchFlatTopKPruned(b, 100_000, 10, 100, 20) }
+// The same bag shape as the 1k/10k benches (10 regions per image, 100
+// features) at the size where the box screen rejects nearly every bag.
+func BenchmarkTopK100k(b *testing.B) { benchFlatTopK(b, 100_000, 10, 100, 20) }
 
 // Delete-heavy workload: the same 10k corpus with 30% of the bags
 // tombstoned (below the auto-compaction threshold shape: deletes spread

@@ -107,7 +107,7 @@ func cmdLoadtest(args []string) error {
 	addr := fs.String("addr", "", "drive an already-running server at this address instead of starting one in-process (restart phases are skipped)")
 	synthN := fs.Int("synth", 3, "images per category of the synthetic corpus built when -db is empty")
 	imagesN := fs.Int("images", 0, "total synthetic corpus size when -db is empty (overrides -synth): images are generated and ingested one at a time, so large corpora build without holding the corpus in memory")
-	recall := fs.Float64("recall", 0, "candidate-pruning tier for query scans (see serve -recall): 0 leaves the server's default, 1.0 the bit-identical filter, (0,1) calibrated; sent per request, so it also applies to an external -addr server")
+	recall := fs.Float64("recall", 0, "candidate-pruning tier for query scans (see serve -recall): 0 leaves the server's default, 1.0 the exact scan, (0,1) calibrated; sent per request, so it also applies to an external -addr server")
 	duration := fs.Duration("duration", 10*time.Second, "steady-phase length")
 	concurrency := fs.Int("concurrency", 4, "closed-loop worker count")
 	rate := fs.Float64("rate", 0, "open-loop target ops/sec across all workers (0 = closed loop, as fast as the server allows)")
@@ -368,7 +368,7 @@ func fetchLabeled(base string) (map[string][]string, error) {
 }
 
 // fetchPrune reads the server's cumulative candidate-filter counters from
-// /v1/stats; nil when the server has not run a pruned scan (the stats block
+// /v1/stats; nil when the server has not run a top-k scan (the stats block
 // is omitted) or the endpoint is unreachable.
 func fetchPrune(base string) *server.PruneStatsResponse {
 	resp, err := http.Get(base + "/v1/stats")
@@ -384,8 +384,8 @@ func fetchPrune(base string) *server.PruneStatsResponse {
 }
 
 // measureAchievedRecall replays each query fingerprint twice — once through
-// the filter at the requested recall, once with pruning forced off — and
-// returns the fraction of exact top-k results the pruned scan kept. ok is
+// the filter at the requested recall, once at the exact tier — and
+// returns the fraction of exact top-k results the calibrated scan kept. ok is
 // false when no comparison could be made.
 func measureAchievedRecall(g *ltGen, specs []ltSpec, recall float64) (float64, bool) {
 	exact := -1.0

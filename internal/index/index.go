@@ -5,7 +5,12 @@
 // bagOffsets/ids/labels slices mapping bags onto row ranges. A query scan is
 // then a single linear walk over cache-resident memory.
 //
-// Two further optimizations are fused into the scan itself:
+// Three optimizations are fused into the top-k scan itself:
+//
+//   - The candidate filter (prune.go): every bag carries a bounding-box
+//     sketch, and a bag whose box lower bound already exceeds the current
+//     k-th best distance is skipped without reading a row. The bound never
+//     exceeds the exact distance, so the filter too is exact.
 //
 //   - Early abandonment: the weighted squared distance of an instance is
 //     accumulated in small blocks of dimensions, and the partial sum is
@@ -55,13 +60,6 @@ type Index struct {
 	bagOffsets []int
 	ids        []string
 	labels     []string
-	// rowBlk packs each row's first kernel block (KernelBlock floats,
-	// exact bit copies of the row's leading dims) into one contiguous
-	// array: row r's block is rowBlk[r*KernelBlock:(r+1)*KernelBlock].
-	// Pruned scans stream this array to decide first-block abandonment
-	// sequentially instead of touching one scattered cache line per row
-	// (mat.MinWeightedSqDistRowsHead). Empty when dim < KernelBlock.
-	rowBlk []float64
 	// boxes packs each bag's axis-aligned instance bounding box (float32,
 	// lo/hi interleaved per dimension — mat.PackBagSketch) over the bag's
 	// leading boxDims(dim) dimensions: bag i's box is
@@ -71,9 +69,9 @@ type Index struct {
 	// terms are non-negative), and in practice rejection decides within the
 	// first few kernel blocks. reps packs each bag's float32 centroid
 	// representative over all dims: reps[i*dim : (i+1)*dim]. Both are
-	// maintained on every build path exactly like rowBlk — Append, FromFlat
-	// (so a zero-copy open and a compaction rebuild them for free) — and
-	// consumed by the opt-in candidate-pruning tier (prune.go).
+	// maintained on every build path — Append, FromFlat (so a zero-copy open
+	// and a compaction rebuild them for free) — and consumed by the candidate
+	// filter every top-k scan runs behind (prune.go).
 	boxes []float32
 	reps  []float32
 	// dead is a tombstone bitmask over bags (bit i set = bag i deleted).
@@ -93,7 +91,7 @@ type Index struct {
 }
 
 // ScreenBoxDims caps how many leading dimensions a bag's screen box covers.
-// The candidate filter streams every live bag's box on each pruned scan, so
+// The candidate filter streams every live bag's box on each top-k scan, so
 // box bytes are the screen's cost floor; measured crossing points (the
 // dimension at which a rejected bag's bound passes the cutoff) sit in the
 // first few kernel blocks, so dimensions past the cap almost never decide a
@@ -148,11 +146,6 @@ func (x *Index) Append(id, label string, instances []mat.Vector) error {
 	for _, inst := range instances {
 		x.data = append(x.data, inst...)
 	}
-	if dim >= mat.KernelBlock {
-		for _, inst := range instances {
-			x.rowBlk = append(x.rowBlk, inst[:mat.KernelBlock]...)
-		}
-	}
 	bi := len(x.ids)
 	bd := boxDims(dim)
 	x.boxes = append(x.boxes, make([]float32, mat.BoxStride*bd)...)
@@ -197,7 +190,6 @@ func FromFlat(dim int, data []float64, counts []int, ids, labels []string) (*Ind
 	}
 	if len(counts) > 0 {
 		x.dim = dim
-		x.rowBlk = packRowBlocks(dim, data)
 		x.boxes, x.reps = packSketches(dim, data, offsets)
 	}
 	return x, nil
@@ -205,9 +197,9 @@ func FromFlat(dim int, data []float64, counts []int, ids, labels []string) (*Ind
 
 // packSketches builds every bag's bounding box and representative from a
 // row-major data block (mat.PackBagSketch per bag) — the FromFlat
-// counterpart of the incremental sketch maintenance in Append. Like
-// packRowBlocks this is one sequential pass at open time; the sketches are
-// what the candidate-pruning tier screens bags with, and rebuilding them
+// counterpart of the incremental sketch maintenance in Append. This is one
+// sequential pass at open time; the sketches are what the candidate filter
+// screens bags with, and rebuilding them
 // here is why the store format needs no sketch record: a zero-copy open or
 // a compaction regenerates them from the rows.
 func packSketches(dim int, data []float64, offsets []int) (boxes, reps []float32) {
@@ -220,24 +212,6 @@ func packSketches(dim int, data []float64, offsets []int) (boxes, reps []float32
 			boxes[i*mat.BoxStride*bd:(i+1)*mat.BoxStride*bd], reps[i*dim:])
 	}
 	return boxes, reps
-}
-
-// packRowBlocks copies each row's first kernel block out of a row-major
-// data block into the packed side array pruned scans stream (see the
-// rowBlk field). One sequential pass over ~KernelBlock/dim of the block;
-// on a memory-mapped open this faults the block's pages once, trading a
-// fraction of the file read at open time for halved scan traffic. Returns
-// nil when dim < KernelBlock (no full first block to pack).
-func packRowBlocks(dim int, data []float64) []float64 {
-	if dim < mat.KernelBlock || len(data) == 0 {
-		return nil
-	}
-	rows := len(data) / dim
-	blk := make([]float64, rows*mat.KernelBlock)
-	for r := 0; r < rows; r++ {
-		copy(blk[r*mat.KernelBlock:(r+1)*mat.KernelBlock], data[r*dim:])
-	}
-	return blk
 }
 
 // Delete tombstones bag i: its rows stay in the flat block but every scan
@@ -314,10 +288,6 @@ func (x *Index) Snapshot() Snapshot {
 		dead = append(dead, x.dead...)
 	}
 	x.labelsShared.Store(true)
-	var blk []float64
-	if n := x.bagOffsets[len(x.ids)] * mat.KernelBlock; n > 0 && len(x.rowBlk) >= n {
-		blk = x.rowBlk[:n:n]
-	}
 	var boxes, reps []float32
 	if n := len(x.ids) * mat.BoxStride * boxDims(x.dim); n > 0 && len(x.boxes) >= n {
 		boxes = x.boxes[:n:n]
@@ -328,7 +298,6 @@ func (x *Index) Snapshot() Snapshot {
 	return Snapshot{
 		dim:        x.dim,
 		data:       x.data[:len(x.data):len(x.data)],
-		rowBlk:     blk,
 		boxes:      boxes,
 		reps:       reps,
 		bagOffsets: x.bagOffsets[:len(x.ids)+1],
@@ -348,7 +317,6 @@ func (x *Index) Instances() int { return x.bagOffsets[len(x.bagOffsets)-1] }
 type Snapshot struct {
 	dim        int
 	data       []float64
-	rowBlk     []float64 // packed per-row first blocks; see Index.rowBlk
 	boxes      []float32 // per-bag bounding boxes; see Index.boxes
 	reps       []float32 // per-bag representatives; see Index.reps
 	bagOffsets []int
@@ -452,25 +420,21 @@ func sortResults(rs []Result) {
 // bag either way.
 func (s Snapshot) bagDist(q Query, bi int, cutoff float64, prune bool) float64 {
 	lo, hi := s.bagOffsets[bi], s.bagOffsets[bi+1]
-	rows := s.data[lo*s.dim : hi*s.dim]
-	if prune && len(s.rowBlk) > 0 {
-		// Pruned scans stream the packed first-block array instead of
-		// touching one scattered cache line per abandoned row; the packed
-		// values are bit copies of the rows, so the result is identical.
-		heads := s.rowBlk[lo*mat.KernelBlock : hi*mat.KernelBlock]
-		return mat.MinWeightedSqDistRowsHead(q.Point, q.Weights, rows, heads, cutoff, prune)
-	}
-	return mat.MinWeightedSqDistRows(q.Point, q.Weights, rows, cutoff, prune)
+	return mat.MinWeightedSqDistRows(q.Point, q.Weights, s.data[lo*s.dim:hi*s.dim], cutoff, prune)
 }
 
-// Rank scores every non-excluded bag exactly and returns the full ascending
-// ranking with ties broken by ID. Distances are bit-identical to a naive
-// per-bag scan: within a bag, early abandonment only prunes against the
-// bag's own running best, which cannot change the minimum.
+// Rank, TopK and MultiTopK scan the snapshot as a Sharded of one: a single
+// block is the one-shard case of the same pipeline, not a second one.
 func (s Snapshot) Rank(q Query, exclude map[string]bool, par int) []Result {
-	results := scanRankCandidates([]Snapshot{s}, q, exclude, resolvePar(par))
-	sortResults(results)
-	return normalizeEmpty(results)
+	return Sharded{s}.Rank(q, exclude, par)
+}
+
+func (s Snapshot) TopK(q Query, k int, exclude map[string]bool, par int) []Result {
+	return Sharded{s}.TopK(q, k, exclude, par)
+}
+
+func (s Snapshot) MultiTopK(qs []Query, k int, exclude map[string]bool, par int) [][]Result {
+	return Sharded{s}.MultiTopK(qs, k, exclude, par)
 }
 
 // normalizeEmpty canonicalizes "no results" to an empty non-nil slice: an
@@ -515,97 +479,6 @@ func (c *sharedCutoff) tighten(d float64) {
 			return
 		}
 	}
-}
-
-// TopK returns the k best non-excluded bags in ascending order without ever
-// materializing the full distance slice: each worker keeps a size-k max-heap
-// while scanning its bag range and prunes instance scans against the
-// tightest k-th best any worker has published so far, and the per-worker
-// heaps are merged at the end. The output is exact and deterministic (see
-// sharedCutoff and bagDist for why pruning cannot disturb the ranking or
-// the reported distances of survivors). For k ≥ the number of candidates it
-// equals Rank.
-func (s Snapshot) TopK(q Query, k int, exclude map[string]bool, par int) []Result {
-	if k <= 0 {
-		return nil
-	}
-	n := s.Len()
-	if n == 0 {
-		return normalizeEmpty(nil)
-	}
-	if k >= n {
-		return s.Rank(q, exclude, par)
-	}
-	merged := scanTopKCandidates([]Snapshot{s}, q, k, exclude, resolvePar(par), newSharedCutoff(), nil)
-	sortResults(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return normalizeEmpty(merged)
-}
-
-// MultiTopK scores B queries against the snapshot in one pass over the
-// instance block and returns, per query, exactly the results TopK would
-// return for it. Scanning all queries bag by bag amortizes memory traffic:
-// a bag's rows are pulled into cache once and scored against every concept
-// while they are resident, instead of streaming the whole block from memory
-// B times — the win false-positive mining (several candidate concepts per
-// training round) and multi-user serving both need.
-//
-// Exactness: every query keeps its own per-worker heaps and its own shared
-// k-th-best cutoff, so its pruning decisions and reported distances are
-// governed by the same invariants as a standalone TopK scan (see
-// sharedCutoff and bagDist); the queries never influence each other's
-// results, only their memory locality.
-func (s Snapshot) MultiTopK(qs []Query, k int, exclude map[string]bool, par int) [][]Result {
-	nq := len(qs)
-	if nq == 0 {
-		return nil
-	}
-	outs := make([][]Result, nq)
-	if k <= 0 {
-		return outs
-	}
-	n := s.Len()
-	if n == 0 {
-		for qi := range outs {
-			outs[qi] = normalizeEmpty(nil)
-		}
-		return outs
-	}
-	if k >= n {
-		// Degenerate: every candidate survives, so batching buys nothing;
-		// match TopK's exact behavior per query.
-		for qi, q := range qs {
-			outs[qi] = s.Rank(q, exclude, par)
-		}
-		return outs
-	}
-	if nq > mat.ScreenMaxConcepts {
-		// The fused screen reports survivors in a uint64 mask; larger
-		// batches run as chunks, each still amortizing the block walk.
-		for lo := 0; lo < nq; lo += mat.ScreenMaxConcepts {
-			hi := lo + mat.ScreenMaxConcepts
-			if hi > nq {
-				hi = nq
-			}
-			copy(outs[lo:hi], s.MultiTopK(qs[lo:hi], k, exclude, par))
-		}
-		return outs
-	}
-	shared := make([]*sharedCutoff, nq)
-	for qi := range shared {
-		shared[qi] = newSharedCutoff()
-	}
-	cands := scanMultiTopKCandidates([]Snapshot{s}, qs, k, exclude, resolvePar(par), shared, nil)
-	for qi, merged := range cands {
-		sortResults(merged)
-		if len(merged) > k {
-			merged = merged[:k]
-		}
-		outs[qi] = normalizeEmpty(merged)
-	}
-	return outs
 }
 
 // resultMaxHeap keeps the worst of the current best-k at the root. It is a

@@ -1,14 +1,16 @@
-// The candidate-pruning tier: an opt-in coarse filter in front of the exact
-// scan. Every bag carries a compact sketch (a float32 bounding box over its
-// instances plus a centroid representative — Index.boxes/Index.reps, built
-// on Append and FromFlat exactly like rowBlk), and a pruned top-k scan
-// screens each bag's box against the current k-th-best cutoff before
-// touching any instance row: mat.BoxBoundExceeds lower-bounds the bag's
-// exact min-instance distance, so a bag whose bound already exceeds the
-// cutoff provably cannot enter the top-k and is skipped without reading its
-// rows. Surviving bags run through the unchanged exact blocked kernel.
+// The candidate filter every top-k scan runs behind. Every bag carries a
+// compact sketch (a float32 bounding box over its instances plus a centroid
+// representative — Index.boxes/Index.reps, built on Append and FromFlat),
+// and a top-k scan screens each bag's box against the current k-th-best
+// cutoff before touching any instance row: mat.BoxBoundExceeds lower-bounds
+// the bag's exact min-instance distance, so a bag whose bound already
+// exceeds the cutoff provably cannot enter the top-k and is skipped without
+// reading its rows. Surviving bags run through the exact blocked kernel. A
+// bag therefore passes three screens: the seeded cutoff, its box bound, and
+// the kernel's per-block early abandon.
 //
-// Correctness at Recall ≥ 1 (rho = 1) is unconditional, not probabilistic:
+// Correctness at the default tier (rho = 1; Recall ≤ 0 and Recall ≥ 1 are
+// the same mechanism) is unconditional, not probabilistic:
 //
 //   - The bound never exceeds the exact distance (outward-rounded box +
 //     mirrored accumulation order — see mat/sketch.go), so for a true top-k
@@ -19,18 +21,24 @@
 //     best and cannot appear in the output even via ID tie-breaks.
 //   - Skipping such a bag is semantically identical to tombstoning it:
 //     cutoffs only ever tighten from bags that produce results, so
-//     survivors' distances and order carry the exact scan's bits.
+//     survivors' distances and order carry the unfiltered scan's bits.
 //
-// Recall < 1 trades that guarantee for speed: rejection tightens to
+// Recall in (0, 1) trades that guarantee for speed: rejection tightens to
 // bound > rho·cutoff with rho the Recall-quantile of sampled bound/exact
 // ratios, so the probability that a uniformly sampled true member is
 // wrongly rejected is ≈ 1−Recall (quantified in prune_test.go).
 //
-// Pruned single-query scans additionally seed the shared cutoff before the
-// scan starts: a strided sample of bags is ordered by representative
-// distance, the best k are scored exactly, and their worst distance — an
-// upper bound on the global k-th best by the same subset argument — primes
-// the filter so rejection starts at bag 0 instead of after the heaps fill.
+// The filter cannot arm for a query with a negative weight (the bound's
+// monotonicity argument needs non-negative terms) or when k covers every
+// bag (nothing to reject); those scans run the plain loop or Rank and are
+// counted as PruneStats.Unarmed.
+//
+// Single-query scans over a large enough corpus additionally seed the
+// shared cutoff before the scan starts: a strided sample of bags is ordered
+// by representative distance, the best k are scored exactly, and their
+// worst distance — an upper bound on the global k-th best by the same
+// subset argument — primes the filter so rejection starts at bag 0 instead
+// of after the heaps fill.
 package index
 
 import (
@@ -41,24 +49,22 @@ import (
 	"milret/internal/mat"
 )
 
-// PruneOpts configures the candidate filter for one query. The zero value
-// disables it (the scan is the plain exact scan).
+// PruneOpts tunes the candidate filter for one query. The zero value is the
+// default exact scan: the conservative filter, private cutoff, no stats.
 type PruneOpts struct {
-	// Recall selects the filter tier: ≤ 0 disables the filter; ≥ 1 enables
-	// the conservative bound (results bit-identical to the exact scan);
-	// values in (0, 1) additionally tighten the bound by a
-	// quantile-calibrated slack so that an expected ≥ Recall fraction of
-	// true top-k members survive.
+	// Recall selects the filter tier. Values in (0, 1) tighten the box bound
+	// by a quantile-calibrated slack so that an expected ≥ Recall fraction of
+	// true top-k members survive; every other value (≤ 0 as much as ≥ 1) is
+	// the conservative bound, whose results are bit-identical to Rank(...)[:k].
 	Recall float64
-	// Stats, when non-nil, accumulates the filter's admission counters
+	// Stats, when non-nil, accumulates the scan and admission counters
 	// (flushed once per scan worker, not per bag).
 	Stats *PruneStats
 	// Shared, when non-nil, replaces the scan's private cutoff with an
 	// externally owned one, so several partitions of one logical query —
 	// possibly in different processes — tighten a single bound. Values
 	// already published to it prune this scan; roots this scan publishes
-	// prune its peers. Independent of Recall: it applies to the plain
-	// exact scan too (early-abandon uses the same bound).
+	// prune its peers.
 	Shared *Cutoff
 	// CutoffSeed, when positive and finite, pre-tightens the cutoff before
 	// the scan starts. The caller asserts it is an upper bound on the
@@ -69,30 +75,40 @@ type PruneOpts struct {
 	CutoffSeed float64
 }
 
-// external reports whether the scan participates in a cross-partition
-// cutoff protocol, which forces the filtered scan path even when the
-// sketch filter itself is off.
-func (o PruneOpts) external() bool {
-	return o.Shared != nil || (o.CutoffSeed > 0 && !math.IsInf(o.CutoffSeed, 1))
-}
-
-// PruneStats counts candidate-filter admission decisions. Screened is the
-// number of bags that reached an armed filter (a finite cutoff existed);
-// every screened bag is either Admitted (scored exactly) or Rejected
-// (skipped on its box bound alone). Bags scanned while the cutoff was still
-// +Inf are not counted — the filter cannot act without a cutoff.
+// PruneStats counts top-k scans and the candidate filter's admission
+// decisions. Scans is every top-k scan (one per query of a batch); Unarmed
+// the subset that ran without the filter — a negative weight, or k covering
+// every bag. Screened is the number of bags that reached an armed filter (a
+// finite cutoff existed); every screened bag is either Admitted (scored
+// exactly) or Rejected (skipped on its box bound alone). Bags scanned while
+// the cutoff was still +Inf are not counted — the filter cannot act without
+// a cutoff.
 type PruneStats struct {
+	Scans    atomic.Int64
+	Unarmed  atomic.Int64
 	Screened atomic.Int64
 	Admitted atomic.Int64
 	Rejected atomic.Int64
 }
 
-func (st *PruneStats) add(screened, admitted, rejected int64) {
+// scan counts one top-k scan.
+func (st *PruneStats) scan(armed bool) {
+	if st == nil {
+		return
+	}
+	st.Scans.Add(1)
+	if !armed {
+		st.Unarmed.Add(1)
+	}
+}
+
+// add flushes one worker's screen counts; the rest were admitted.
+func (st *PruneStats) add(screened, rejected int64) {
 	if st == nil || screened == 0 {
 		return
 	}
 	st.Screened.Add(screened)
-	st.Admitted.Add(admitted)
+	st.Admitted.Add(screened - rejected)
 	st.Rejected.Add(rejected)
 }
 
@@ -124,23 +140,26 @@ func (f *pruneFilter) reject(s *Snapshot, i int, cutoff float64) bool {
 const calibrationSample = 64
 
 // seedSample is the number of bags whose representatives are probed to
-// seed the shared cutoff before a pruned single-query scan.
-const seedSample = 256
+// seed the shared cutoff before a single-query scan, and seedMinBags the
+// corpus size below which seeding is skipped: probing seedSample
+// representatives and scoring k bags unabandoned is a fixed cost, and on a
+// corpus only a few samples wide it exceeds what the earlier rejections
+// save — the per-worker heaps arm the filter within the first k bags
+// anyway, as the batched scan always does.
+const (
+	seedSample  = 256
+	seedMinBags = 8 * seedSample
+)
 
-// newPruneFilter arms the filter for q, or returns nil when it is off or
-// cannot apply: Recall ≤ 0 (disabled), negative weights (the bound's
-// monotonicity argument needs non-negative terms), or missing sketches.
+// newPruneFilter arms the filter for q, or returns nil when it cannot
+// apply: with a negative weight the bound's (and early abandonment's)
+// monotonicity argument fails, and the scan must score every row in full.
 func newPruneFilter(q Query, opts PruneOpts, shards []Snapshot) *pruneFilter {
-	if opts.Recall <= 0 || !q.prunable() {
+	if !q.prunable() {
 		return nil
 	}
-	for _, s := range shards {
-		if s.Len() > 0 && len(s.boxes) < s.Len()*mat.BoxStride*boxDims(s.dim) {
-			return nil
-		}
-	}
 	rho := 1.0
-	if opts.Recall < 1 {
+	if opts.Recall > 0 && opts.Recall < 1 {
 		rho = calibrateRho(shards, q, opts.Recall)
 	}
 	return &pruneFilter{q: q, rho: rho, stats: opts.Stats}
@@ -193,8 +212,8 @@ func calibrateRho(shards []Snapshot, q Query, recall float64) float64 {
 	return ratios[idx]
 }
 
-// seedCutoff primes the shared cutoff before a pruned single-query scan: a
-// strided sample of live, non-excluded bags is ordered by (cheap, float32)
+// seedCutoff primes the shared cutoff before a single-query scan: a strided
+// sample of live, non-excluded bags is probed by (cheap, float32)
 // representative distance, the k most promising are scored exactly, and the
 // worst of those k exact distances is published. That maximum is an upper
 // bound on the global k-th best — the k-th smallest over all candidates
@@ -202,16 +221,17 @@ func calibrateRho(shards []Snapshot, q Query, recall float64) float64 {
 // safe as any worker-published root, and the filter starts rejecting from
 // the first bag instead of idling until k bags have been scored.
 func seedCutoff(shards []Snapshot, q Query, k int, exclude map[string]bool, shared *sharedCutoff) {
-	type seed struct {
-		si, i int
-		repD  float64
-	}
 	total := 0
 	for _, s := range shards {
 		total += s.Len()
 	}
+	if total < seedMinBags {
+		return
+	}
 	stride := total/seedSample + 1
-	cands := make([]seed, 0, seedSample)
+	// near keeps the k nearest representatives seen so far, worst at the
+	// root: a bounded max-heap, so picking k of the sample costs no sort.
+	near := make(seedHeap, 0, k)
 	for si := range shards {
 		s := &shards[si]
 		for i := 0; i < s.Len(); i += stride {
@@ -222,17 +242,15 @@ func seedCutoff(shards []Snapshot, q Query, k int, exclude map[string]bool, shar
 			if math.IsNaN(d) {
 				d = math.Inf(1) // order NaN reps last; they stay candidates
 			}
-			cands = append(cands, seed{si: si, i: i, repD: d})
+			near.offer(seed{si: si, i: i, repD: d}, k)
 		}
 	}
-	if len(cands) < k {
+	if len(near) < k {
 		return
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].repD < cands[b].repD })
 	worst := 0.0
-	for _, c := range cands[:k] {
-		s := &shards[c.si]
-		d := s.bagDist(q, c.i, math.Inf(1), true)
+	for _, c := range near {
+		d := shards[c.si].bagDist(q, c.i, math.Inf(1), true)
 		if math.IsNaN(d) {
 			return // a NaN exact distance has no usable ordering; skip seeding
 		}
@@ -243,45 +261,71 @@ func seedCutoff(shards []Snapshot, q Query, k int, exclude map[string]bool, shar
 	shared.tighten(worst)
 }
 
-// TopKPruned is TopK behind the candidate filter: identical signature
-// semantics plus PruneOpts. With opts.Recall ≥ 1 (or a zero opts, where the
-// filter stays off) the output is bit-identical to TopK; Recall in (0, 1)
-// trades a quantified fraction of recall for speed.
-func (s Snapshot) TopKPruned(q Query, k int, exclude map[string]bool, par int, opts PruneOpts) []Result {
-	if k <= 0 {
-		return nil
-	}
-	n := s.Len()
-	if n == 0 {
-		return normalizeEmpty(nil)
-	}
-	if k >= n {
-		return s.Rank(q, exclude, par)
-	}
-	return topKFiltered([]Snapshot{s}, q, k, exclude, resolvePar(par), opts)
+// seed is one sampled bag and its representative's distance.
+type seed struct {
+	si, i int
+	repD  float64
 }
 
-// TopKPruned is the sharded counterpart of Snapshot.TopKPruned: Sharded.TopK
-// behind the candidate filter, one filter and one seeded cutoff spanning
-// every shard.
+// seedHeap is a max-heap on repD bounded by offer's k.
+type seedHeap []seed
+
+func (h *seedHeap) offer(c seed, k int) {
+	hs := *h
+	if len(hs) < k {
+		hs = append(hs, c)
+		for i := len(hs) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if hs[i].repD <= hs[parent].repD {
+				break
+			}
+			hs[i], hs[parent] = hs[parent], hs[i]
+			i = parent
+		}
+		*h = hs
+		return
+	}
+	if c.repD >= hs[0].repD {
+		return
+	}
+	hs[0] = c
+	for i, n := 0, len(hs); ; {
+		l, r, top := 2*i+1, 2*i+2, i
+		if l < n && hs[l].repD > hs[top].repD {
+			top = l
+		}
+		if r < n && hs[r].repD > hs[top].repD {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		hs[i], hs[top] = hs[top], hs[i]
+		i = top
+	}
+}
+
+// TopKPruned is the single-query top-k scan: every live, non-excluded bag of
+// every shard behind one filter and one (seeded) cutoff, the per-worker
+// candidate heaps merged by sort-and-truncate. At the conservative tier the
+// output is bit-identical to Rank(q, exclude, par)[:k] for any shard split,
+// worker count and claim interleaving (see the file comment and sched.go);
+// Recall in (0, 1) trades a quantified fraction of recall for speed.
 func (sh Sharded) TopKPruned(q Query, k int, exclude map[string]bool, par int, opts PruneOpts) []Result {
 	if k <= 0 {
 		return nil
 	}
-	if len(sh) == 0 {
+	n := sh.Bags()
+	if n == 0 {
 		return normalizeEmpty(nil)
 	}
-	if len(sh) == 1 {
-		return sh[0].TopKPruned(q, k, exclude, par, opts)
+	if k >= n {
+		// Every candidate survives: there is no cutoff to prune against.
+		opts.Stats.scan(false)
+		return sh.Rank(q, exclude, par)
 	}
-	if sh.Bags() == 0 {
-		return normalizeEmpty(nil)
-	}
-	return topKFiltered(sh, q, k, exclude, resolvePar(par), opts)
-}
-
-func topKFiltered(shards []Snapshot, q Query, k int, exclude map[string]bool, par int, opts PruneOpts) []Result {
-	filt := newPruneFilter(q, opts, shards)
+	filt := newPruneFilter(q, opts, sh)
+	opts.Stats.scan(filt != nil)
 	shared := newSharedCutoff()
 	if opts.Shared != nil {
 		shared = &opts.Shared.c
@@ -290,33 +334,21 @@ func topKFiltered(shards []Snapshot, q Query, k int, exclude map[string]bool, pa
 		shared.tighten(opts.CutoffSeed)
 	}
 	if filt != nil {
-		seedCutoff(shards, q, k, exclude, shared)
+		seedCutoff(sh, q, k, exclude, shared)
 	}
-	merged := scanTopKCandidates(shards, q, k, exclude, par, shared, filt)
-	sortResults(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return normalizeEmpty(merged)
+	return bestK(scanTopKCandidates(sh, q, k, exclude, resolvePar(par), shared, filt), k)
 }
 
-// MultiTopKPruned is MultiTopK behind the candidate filter: every query gets
-// its own filter (armed independently — a query with negative weights scans
-// unfiltered while its batch-mates prune). Cutoffs are not pre-seeded; the
-// batched scan's heaps arm the filters within the first k bags.
-func (s Snapshot) MultiTopKPruned(qs []Query, k int, exclude map[string]bool, par int, opts PruneOpts) [][]Result {
-	return multiTopKFiltered([]Snapshot{s}, s.Len(), qs, k, exclude, par, opts)
-}
-
-// MultiTopKPruned is the sharded counterpart of Snapshot.MultiTopKPruned.
+// MultiTopKPruned scores B queries in one batched pass over the shards and
+// returns, per query, exactly what TopKPruned returns for it. Every query
+// gets its own filter (armed independently — a query with negative weights
+// scans unfiltered while its batch-mates prune), its own per-worker heaps
+// and its own shared cutoff, so the queries never influence each other's
+// results, only their memory locality: a bag's rows are pulled into cache
+// once and scored against every concept that still wants them. Cutoffs are
+// not pre-seeded; the heaps arm the filters within the first k bags.
+// opts.Shared and opts.CutoffSeed are single-query protocol and ignored.
 func (sh Sharded) MultiTopKPruned(qs []Query, k int, exclude map[string]bool, par int, opts PruneOpts) [][]Result {
-	if len(sh) == 1 {
-		return sh[0].MultiTopKPruned(qs, k, exclude, par, opts)
-	}
-	return multiTopKFiltered(sh, sh.Bags(), qs, k, exclude, par, opts)
-}
-
-func multiTopKFiltered(shards []Snapshot, n int, qs []Query, k int, exclude map[string]bool, par int, opts PruneOpts) [][]Result {
 	nq := len(qs)
 	if nq == 0 {
 		return nil
@@ -325,6 +357,7 @@ func multiTopKFiltered(shards []Snapshot, n int, qs []Query, k int, exclude map[
 	if k <= 0 {
 		return outs
 	}
+	n := sh.Bags()
 	if n == 0 {
 		for qi := range outs {
 			outs[qi] = normalizeEmpty(nil)
@@ -332,41 +365,43 @@ func multiTopKFiltered(shards []Snapshot, n int, qs []Query, k int, exclude map[
 		return outs
 	}
 	if k >= n {
-		// Degenerate: every candidate survives, so there is nothing to
-		// filter; match MultiTopK's exact behavior per query.
+		// Degenerate: every candidate survives, so batching buys nothing.
 		for qi, q := range qs {
-			outs[qi] = Sharded(shards).Rank(q, exclude, par)
+			opts.Stats.scan(false)
+			outs[qi] = sh.Rank(q, exclude, par)
 		}
 		return outs
 	}
 	if nq > mat.ScreenMaxConcepts {
+		// The fused screen reports survivors in a uint64 mask; larger
+		// batches run as chunks, each still amortizing the block walk.
 		for lo := 0; lo < nq; lo += mat.ScreenMaxConcepts {
 			hi := lo + mat.ScreenMaxConcepts
 			if hi > nq {
 				hi = nq
 			}
-			copy(outs[lo:hi], multiTopKFiltered(shards, n, qs[lo:hi], k, exclude, par, opts))
+			copy(outs[lo:hi], sh.MultiTopKPruned(qs[lo:hi], k, exclude, par, opts))
 		}
 		return outs
 	}
 	shared := make([]*sharedCutoff, nq)
 	filts := make([]*pruneFilter, nq)
-	armed := false
-	for qi := range shared {
+	for qi := range qs {
 		shared[qi] = newSharedCutoff()
-		filts[qi] = newPruneFilter(qs[qi], opts, shards)
-		armed = armed || filts[qi] != nil
+		filts[qi] = newPruneFilter(qs[qi], opts, sh)
+		opts.Stats.scan(filts[qi] != nil)
 	}
-	if !armed {
-		filts = nil
-	}
-	cands := scanMultiTopKCandidates(shards, qs, k, exclude, resolvePar(par), shared, filts)
-	for qi, merged := range cands {
-		sortResults(merged)
-		if len(merged) > k {
-			merged = merged[:k]
-		}
-		outs[qi] = normalizeEmpty(merged)
+	for qi, merged := range scanMultiTopKCandidates(sh, qs, k, exclude, resolvePar(par), shared, filts) {
+		outs[qi] = bestK(merged, k)
 	}
 	return outs
+}
+
+// bestK sorts the merged worker candidates and keeps the k best.
+func bestK(merged []Result, k int) []Result {
+	sortResults(merged)
+	if len(merged) > k {
+		merged = merged[:k]
+	}
+	return normalizeEmpty(merged)
 }

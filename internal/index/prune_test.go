@@ -2,8 +2,10 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,14 +13,32 @@ import (
 	"milret/internal/mat"
 )
 
-// exactOpts is the conservative tier: every result must be bit-identical to
-// the unfiltered scan.
-var exactOpts = PruneOpts{Recall: 1}
+// Every top-k scan runs behind the sketch filter, so comparing TopKPruned
+// with TopK would compare the pipeline with itself. The references here
+// share nothing with it: rankHead is the head of the exhaustive Rank — no
+// cutoff, no heap, no seed, no box — which TestRankMatchesNaive ties to the
+// naive per-bag scorer, and the tests that own their raw bags compare with
+// naiveRank directly.
 
-// The tentpole acceptance property: at Recall 1 the filtered scans are
-// bit-identical — distances, labels, ID tie-breaks — to the exact TopK and
-// MultiTopK, across random shard counts, tombstones, exclusions, k and
-// parallelism.
+// rankHead returns the first k entries of the exhaustive ranking.
+func rankHead(view Sharded, q Query, k int, exclude map[string]bool) []Result {
+	full := view.Rank(q, exclude, 1)
+	if k < len(full) {
+		full = full[:k]
+	}
+	return full
+}
+
+// exactTiers are the Recall settings that must all be the same exact
+// answer by the same mechanism: omitted, the historical "on", and beyond.
+var exactTiers = []float64{0, 1, 2.5, -1}
+
+// The tentpole acceptance property: at every exact tier the top-k scans are
+// bit-identical — distances, labels, ID tie-breaks — to the head of the
+// exhaustive ranking, single query and batched (single ≡ batch[i]), across
+// random shard counts (1..N), tombstones, exclusions, k (through k ≥ n),
+// dim (through dim < KernelBlock), parallelism, and negative-weight queries
+// that disarm the filter.
 func TestQuickPrunedMatchesExact(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -27,8 +47,10 @@ func TestQuickPrunedMatchesExact(t *testing.T) {
 		nShards := 1 + r.Intn(5)
 		single, sharded := buildShardedPair(t, r, n, dim, 3, nShards, r.Intn(2) == 0)
 
-		q := randQueryFor(r, dim)
-		q2 := randQueryFor(r, dim)
+		qs := []Query{randQueryFor(r, dim), randQueryFor(r, dim), randQueryFor(r, dim)}
+		if r.Intn(3) == 0 {
+			qs[1].Weights[r.Intn(dim)] *= -1 // disarms this query's filter only
+		}
 		exclude := map[string]bool{}
 		for i := 0; i < n; i++ {
 			if r.Intn(6) == 0 {
@@ -40,27 +62,23 @@ func TestQuickPrunedMatchesExact(t *testing.T) {
 			if k < 1 {
 				k = 1
 			}
-			if !reflect.DeepEqual(single.TopKPruned(q, k, exclude, par, exactOpts), single.TopK(q, k, exclude, par)) {
-				t.Logf("single-block TopKPruned(%d) diverged", k)
-				return false
+			for _, view := range []Sharded{{single}, sharded} {
+				opts := PruneOpts{Recall: exactTiers[r.Intn(len(exactTiers))]}
+				batch := view.MultiTopKPruned(qs, k, exclude, par, opts)
+				for qi, q := range qs {
+					want := rankHead(Sharded{single}, q, k, exclude)
+					if got := view.TopKPruned(q, k, exclude, par, opts); !reflect.DeepEqual(got, want) {
+						t.Logf("seed %d: %d-shard TopKPruned(k=%d, recall=%v) query %d diverged\n got %v\nwant %v",
+							seed, len(view), k, opts.Recall, qi, got, want)
+						return false
+					}
+					if !reflect.DeepEqual(batch[qi], want) {
+						t.Logf("seed %d: %d-shard MultiTopKPruned(k=%d, recall=%v)[%d] diverged",
+							seed, len(view), k, opts.Recall, qi)
+						return false
+					}
+				}
 			}
-			if !reflect.DeepEqual(sharded.TopKPruned(q, k, exclude, par, exactOpts), sharded.TopK(q, k, exclude, par)) {
-				t.Logf("sharded TopKPruned(%d) diverged", k)
-				return false
-			}
-		}
-		k := 1 + r.Intn(n)
-		if !reflect.DeepEqual(
-			single.MultiTopKPruned([]Query{q, q2}, k, exclude, par, exactOpts),
-			single.MultiTopK([]Query{q, q2}, k, exclude, par)) {
-			t.Logf("single-block MultiTopKPruned(%d) diverged", k)
-			return false
-		}
-		if !reflect.DeepEqual(
-			sharded.MultiTopKPruned([]Query{q, q2}, k, exclude, par, exactOpts),
-			sharded.MultiTopK([]Query{q, q2}, k, exclude, par)) {
-			t.Logf("sharded MultiTopKPruned(%d) diverged", k)
-			return false
 		}
 		return true
 	}
@@ -69,8 +87,8 @@ func TestQuickPrunedMatchesExact(t *testing.T) {
 	}
 }
 
-// Cross-shard ties at the k-th boundary must break by ID through the filter
-// too: identical bags across shards, pruned scan vs exact single-block scan.
+// Cross-shard ties at the k-th boundary must break by ID through the filter:
+// identical bags across shards against the exhaustive single-block ranking.
 func TestPrunedCrossShardTieBreaks(t *testing.T) {
 	ids := []string{"d", "a", "c", "b", "f", "e"}
 	single := New()
@@ -87,17 +105,20 @@ func TestPrunedCrossShardTieBreaks(t *testing.T) {
 	view := Sharded{sharded[0].Snapshot(), sharded[1].Snapshot()}
 	q := Query{Point: []float64{0, 0}, Weights: []float64{1, 1}}
 	for k := 1; k <= len(ids)+1; k++ {
-		got := view.TopKPruned(q, k, nil, 3, exactOpts)
-		want := single.Snapshot().TopK(q, k, nil, 3)
-		if !reflect.DeepEqual(got, want) {
+		want := rankHead(Sharded{single.Snapshot()}, q, k, nil)
+		if got := view.TopK(q, k, nil, 3); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: got %+v want %+v", k, got, want)
+		}
+		if got := view.MultiTopK([]Query{q}, k, nil, 3)[0]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d batched: got %+v want %+v", k, got, want)
 		}
 	}
 }
 
 // A block adopted via FromFlat (the compaction / load path) must carry
-// sketches equivalent to the Append-built ones: pruned scans over both
-// stay bit-identical to the exact scan after deletes and further appends.
+// sketches equivalent to the Append-built ones: scans over both stay
+// bit-identical to the naive ranking of the live bags after deletes and
+// further appends.
 func TestPrunedFromFlatAndMutation(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	dim, n := 6, 40
@@ -105,6 +126,8 @@ func TestPrunedFromFlatAndMutation(t *testing.T) {
 	var counts []int
 	var ids, labels []string
 	x := New()
+	bags := map[string][]mat.Vector{}
+	lbs := map[string]string{}
 	for i := 0; i < n; i++ {
 		nInst := 1 + r.Intn(3)
 		insts := make([]mat.Vector, nInst)
@@ -120,6 +143,7 @@ func TestPrunedFromFlatAndMutation(t *testing.T) {
 		ids = append(ids, id)
 		labels = append(labels, "l")
 		counts = append(counts, nInst)
+		bags[id], lbs[id] = insts, "l"
 		if err := x.Append(id, "l", insts); err != nil {
 			t.Fatal(err)
 		}
@@ -129,6 +153,17 @@ func TestPrunedFromFlatAndMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutate both the same way: tombstone a third, append two more bags.
+	for i := 0; i < n; i += 3 {
+		delete(bags, ids[i])
+	}
+	for i := 0; i < 2; i++ {
+		v := make(mat.Vector, dim)
+		for k := range v {
+			v[k] = float64(i*dim + k)
+		}
+		id := fmt.Sprintf("extra%d", i)
+		bags[id], lbs[id] = []mat.Vector{v}, "l"
+	}
 	for _, idx := range []*Index{x, adopted} {
 		for i := 0; i < n; i += 3 {
 			if err := idx.Delete(i); err != nil {
@@ -136,11 +171,8 @@ func TestPrunedFromFlatAndMutation(t *testing.T) {
 			}
 		}
 		for i := 0; i < 2; i++ {
-			v := make(mat.Vector, dim)
-			for k := range v {
-				v[k] = float64(i*dim + k)
-			}
-			if err := idx.Append(fmt.Sprintf("extra%d", i), "l", []mat.Vector{v}); err != nil {
+			id := fmt.Sprintf("extra%d", i)
+			if err := idx.Append(id, "l", bags[id]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -148,19 +180,22 @@ func TestPrunedFromFlatAndMutation(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := randQueryFor(r, dim)
 		k := 1 + r.Intn(n)
-		want := x.Snapshot().TopK(q, k, nil, 4)
+		want := naiveRank(bags, lbs, q, nil)
+		if k < len(want) {
+			want = want[:k]
+		}
 		for name, s := range map[string]Snapshot{"append": x.Snapshot(), "fromflat": adopted.Snapshot()} {
-			if got := s.TopKPruned(q, k, nil, 4, exactOpts); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d (%s): pruned diverged\n got %+v\nwant %+v", trial, name, got, want)
+			if got := s.TopK(q, k, nil, 4); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (%s): top-k diverged\n got %+v\nwant %+v", trial, name, got, want)
 			}
 		}
 	}
 }
 
-// Pruned scans against immutable snapshots must stay bit-identical to exact
-// scans while the owning index mutates concurrently — the -race build of
-// this test is the concurrency half of the tentpole acceptance. Index is
-// not itself goroutine-safe; as in the retrieval layer, mutations and
+// Scans against immutable snapshots must stay bit-identical to the
+// exhaustive ranking while the owning index mutates concurrently — the
+// -race build of this test is the concurrency half of the acceptance. Index
+// is not itself goroutine-safe; as in the retrieval layer, mutations and
 // Snapshot() serialize on a lock while the snapshot scans run lock-free.
 func TestPrunedConcurrentMutations(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
@@ -219,10 +254,8 @@ func TestPrunedConcurrentMutations(t *testing.T) {
 				mu.Unlock()
 				q := randQueryFor(sr, dim)
 				k := 1 + sr.Intn(10)
-				got := s.TopKPruned(q, k, nil, 2, exactOpts)
-				want := s.TopK(q, k, nil, 2)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("worker %d trial %d: pruned diverged under mutation", w, trial)
+				if got, want := s.TopK(q, k, nil, 2), rankHead(Sharded{s}, q, k, nil); !reflect.DeepEqual(got, want) {
+					t.Errorf("worker %d trial %d: top-k diverged under mutation", w, trial)
 					return
 				}
 			}
@@ -233,7 +266,163 @@ func TestPrunedConcurrentMutations(t *testing.T) {
 	mut.Wait()
 }
 
-// At Recall r < 1 the calibrated tier may drop true members, but the
+// seededCorpus builds a corpus past seedMinBags, so single-query scans seed
+// their cutoff, split round-robin over nShards. Every seventh bag carries a
+// poisoned dimension — two instances at 1e308, whose centroid overflows to
+// +Inf — which the returned query weights by zero: the exact distance
+// ignores the dimension while the representative's distance is 0·Inf = NaN.
+// A third of the bags are tombstoned.
+func seededCorpus(t *testing.T, r *rand.Rand, nShards int) (Sharded, int, Query) {
+	t.Helper()
+	const dim = 6
+	n := seedMinBags + 100 + r.Intn(400)
+	shards := make([]*Index, nShards)
+	for i := range shards {
+		shards[i] = New()
+	}
+	for i := 0; i < n; i++ {
+		insts := make([]mat.Vector, 1+r.Intn(3))
+		if i%7 == 0 {
+			insts = make([]mat.Vector, 2)
+		}
+		for j := range insts {
+			v := make(mat.Vector, dim)
+			for k := range v {
+				v[k] = float64(i%5) + r.NormFloat64()*0.3
+			}
+			if i%7 == 0 {
+				v[dim-1] = 1e308
+			}
+			insts[j] = v
+		}
+		sh := shards[i%nShards]
+		if err := sh.Append(fmt.Sprintf("img-%05d", i), "l", insts); err != nil {
+			t.Fatal(err)
+		}
+		if r.Intn(3) == 0 {
+			if err := sh.Delete(sh.Len() - 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	view := make(Sharded, nShards)
+	for i, sh := range shards {
+		view[i] = sh.Snapshot()
+	}
+	q := randQueryFor(r, dim)
+	q.Weights[dim-1] = 0
+	return view, n, q
+}
+
+// The seeded scan — corpus past seedMinBags, NaN representative distances
+// in the sample, tombstones, exclusions, 1..N shards — against the
+// exhaustive ranking.
+func TestSeededScanMatchesRank(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		view, n, q := seededCorpus(t, r, 1+int(seed)%4)
+		if d := mat.RepSqDist(q.Point, q.Weights, view[0].reps[:view[0].dim], math.Inf(1)); !math.IsNaN(d) {
+			t.Fatalf("seed %d: poisoned bag's representative distance = %v, want NaN", seed, d)
+		}
+		exclude := map[string]bool{}
+		for i := 0; i < n; i += 11 {
+			exclude[fmt.Sprintf("img-%05d", i)] = true
+		}
+		for _, k := range []int{1, 10, 40} {
+			want := rankHead(view, q, k, exclude)
+			for _, par := range []int{1, 3} {
+				if got := view.TopK(q, k, exclude, par); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d k=%d par=%d: seeded top-k diverged\n got %v\nwant %v", seed, k, par, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Seeding is decided by corpus size alone. On one worker the counters show
+// it: a seeded scan's filter is armed from bag 0, so every candidate is
+// screened; an unseeded one arms when the heap fills, after k candidates.
+func TestSeedingRule(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	const dim, k = 4, 5
+	build := func(n int) (Snapshot, Query) {
+		x := New()
+		for i := 0; i < n; i++ {
+			v := make(mat.Vector, dim)
+			for d := range v {
+				v[d] = r.NormFloat64()
+			}
+			if err := x.Append(fmt.Sprintf("bag%05d", i), "l", []mat.Vector{v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return x.Snapshot(), randQueryFor(r, dim)
+	}
+	for _, tc := range []struct {
+		n      int
+		seeded bool
+	}{{seedMinBags - 1, false}, {seedMinBags, true}} {
+		s, q := build(tc.n)
+		var st PruneStats
+		Sharded{s}.TopKPruned(q, k, nil, 1, PruneOpts{Stats: &st})
+		want := int64(tc.n - k)
+		if tc.seeded {
+			want = int64(tc.n)
+		}
+		if got := st.Screened.Load(); got != want {
+			t.Fatalf("n=%d: screened %d bags, want %d (seeded=%v)", tc.n, got, want, tc.seeded)
+		}
+	}
+}
+
+// The cross-partition cutoff protocol rides the same pipeline: partitions
+// of one logical query sharing a Cutoff, or seeded with a peer's bound,
+// each return candidates whose merge is the head of the whole corpus's
+// exhaustive ranking — and a tight seed really is used (fewer bags
+// admitted than without it).
+func TestExternalCutoffPartitions(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	view, _, q := seededCorpus(t, r, 4)
+	const k = 10
+	want := rankHead(view, q, k, nil)
+	merge := func(lists ...[]Result) []Result {
+		var all []Result
+		for _, l := range lists {
+			all = append(all, l...)
+		}
+		sort.Slice(all, func(i, j int) bool { return worse(all[j], all[i]) })
+		return all[:k]
+	}
+	a, b := view[:2], view[2:]
+
+	shared := NewCutoff()
+	la := a.TopKPruned(q, k, nil, 2, PruneOpts{Shared: shared})
+	lb := b.TopKPruned(q, k, nil, 2, PruneOpts{Shared: shared})
+	if got := merge(la, lb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("shared-cutoff partitions diverged\n got %v\nwant %v", got, want)
+	}
+	if bound := shared.Load(); bound < want[k-1].Dist {
+		t.Fatalf("shared cutoff %v tightened below the global k-th best %v", bound, want[k-1].Dist)
+	}
+
+	// The global k-th best is the tightest valid seed: ties at it survive.
+	var seeded, unseeded PruneStats
+	lb = b.TopKPruned(q, k, nil, 1, PruneOpts{CutoffSeed: want[k-1].Dist, Stats: &seeded})
+	if got := merge(la, lb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("seeded partition diverged\n got %v\nwant %v", got, want)
+	}
+	b.TopKPruned(q, k, nil, 1, PruneOpts{Stats: &unseeded})
+	if s, u := seeded.Admitted.Load(), unseeded.Admitted.Load(); s > u {
+		t.Fatalf("a tight external seed admitted more bags (%d) than none (%d)", s, u)
+	}
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if got := view.TopKPruned(q, k, nil, 2, PruneOpts{CutoffSeed: bad}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("CutoffSeed %v changed the answer", bad)
+		}
+	}
+}
+
+// At Recall r in (0, 1) the calibrated tier may drop true members, but the
 // achieved recall over many queries must stay near the dial: clustered
 // corpora keep the bound tight, so wrong rejections are the calibrated
 // minority, not the norm. The floor is deliberately loose (r − 0.15) — this
@@ -257,14 +446,14 @@ func TestQuantifiedRecallBelowOne(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := x.Snapshot()
+	view := Sharded{x.Snapshot()}
 	const recall = 0.9
 	kept, total := 0, 0
 	var stats PruneStats
 	for trial := 0; trial < 50; trial++ {
 		q := randQueryFor(r, dim)
-		exact := s.TopK(q, k, nil, 4)
-		pruned := s.TopKPruned(q, k, nil, 4, PruneOpts{Recall: recall, Stats: &stats})
+		exact := rankHead(view, q, k, nil)
+		pruned := view.TopKPruned(q, k, nil, 4, PruneOpts{Recall: recall, Stats: &stats})
 		got := map[string]bool{}
 		for _, res := range pruned {
 			got[res.ID] = true
@@ -287,9 +476,10 @@ func TestQuantifiedRecallBelowOne(t *testing.T) {
 	}
 }
 
-// PruneStats must account every screened bag exactly once
-// (Screened = Admitted + Rejected) and only accumulate when a filter is
-// armed; Recall ≤ 0 never screens.
+// PruneStats must count every top-k scan once (one per query of a batch),
+// mark the ones that could not arm the filter — a negative weight, k
+// covering every bag — as Unarmed, and account every screened bag exactly
+// once (Screened = Admitted + Rejected). Recall 0 screens like Recall 1.
 func TestPruneStatsAccounting(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	dim := 4
@@ -303,15 +493,34 @@ func TestPruneStatsAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := x.Snapshot()
-	var stats PruneStats
+	view := Sharded{x.Snapshot()}
 	q := randQueryFor(r, dim)
-	s.TopKPruned(q, 5, nil, 4, PruneOpts{Recall: 0, Stats: &stats})
-	if stats.Screened.Load() != 0 {
-		t.Fatalf("Recall 0 screened %d bags", stats.Screened.Load())
+	neg := randQueryFor(r, dim)
+	neg.Weights[1] = -0.5
+
+	var zero, one PruneStats
+	view.TopKPruned(q, 5, nil, 1, PruneOpts{Recall: 0, Stats: &zero})
+	view.TopKPruned(q, 5, nil, 1, PruneOpts{Recall: 1, Stats: &one})
+	if zero.Screened.Load() == 0 || zero.Screened.Load() != one.Screened.Load() || zero.Rejected.Load() != one.Rejected.Load() {
+		t.Fatalf("Recall 0 screened %d/rejected %d, Recall 1 screened %d/rejected %d: want the same mechanism",
+			zero.Screened.Load(), zero.Rejected.Load(), one.Screened.Load(), one.Rejected.Load())
 	}
-	s.TopKPruned(q, 5, nil, 4, PruneOpts{Recall: 1, Stats: &stats})
-	s.MultiTopKPruned([]Query{q, randQueryFor(r, dim)}, 5, nil, 4, PruneOpts{Recall: 1, Stats: &stats})
+
+	var stats PruneStats
+	opts := PruneOpts{Stats: &stats}
+	view.TopKPruned(q, 5, nil, 4, opts)                    // armed
+	view.MultiTopKPruned([]Query{q, neg}, 5, nil, 4, opts) // one armed, one not
+	view.TopKPruned(neg, 5, nil, 4, opts)                  // negative weight
+	view.TopKPruned(q, 200, nil, 4, opts)                  // k ≥ n
+	view.MultiTopKPruned([]Query{q, q}, 500, nil, 4, opts) // k ≥ n, per query
+	view.TopKPruned(q, 0, nil, 4, opts)                    // k ≤ 0: no scan
+	Sharded{}.TopKPruned(q, 5, nil, 4, opts)               // nothing to scan
+	if got, want := stats.Scans.Load(), int64(7); got != want {
+		t.Fatalf("Scans = %d, want %d", got, want)
+	}
+	if got, want := stats.Unarmed.Load(), int64(5); got != want {
+		t.Fatalf("Unarmed = %d, want %d", got, want)
+	}
 	sc, ad, rj := stats.Screened.Load(), stats.Admitted.Load(), stats.Rejected.Load()
 	if sc == 0 {
 		t.Fatal("armed filter screened nothing")
@@ -321,15 +530,15 @@ func TestPruneStatsAccounting(t *testing.T) {
 	}
 }
 
-// Filtered-scan edge cases mirror the exact scan's: k ≤ 0 is nil, empty
-// views return empty non-nil slices, k ≥ n falls back to the full ranking.
+// Edge cases: k ≤ 0 is nil, empty views return empty non-nil slices, k ≥ n
+// is the full ranking.
 func TestPrunedEdgeCases(t *testing.T) {
 	q := Query{Point: []float64{0}, Weights: []float64{1}}
 	empty := Sharded{New().Snapshot(), New().Snapshot()}
-	if got := empty.TopKPruned(q, 3, nil, 2, exactOpts); got == nil || len(got) != 0 {
+	if got := empty.TopKPruned(q, 3, nil, 2, PruneOpts{}); got == nil || len(got) != 0 {
 		t.Fatalf("TopKPruned over empty shards = %+v", got)
 	}
-	if got := New().Snapshot().TopKPruned(q, 0, nil, 1, exactOpts); got != nil {
+	if got := (Sharded{New().Snapshot()}).TopKPruned(q, 0, nil, 1, PruneOpts{}); got != nil {
 		t.Fatalf("k=0 = %+v, want nil", got)
 	}
 	x := New()
@@ -338,11 +547,11 @@ func TestPrunedEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := x.Snapshot()
-	if !reflect.DeepEqual(s.TopKPruned(q, 10, nil, 2, exactOpts), s.TopK(q, 10, nil, 2)) {
-		t.Fatal("k >= n pruned diverged from exact")
+	view := Sharded{x.Snapshot()}
+	if !reflect.DeepEqual(view.TopKPruned(q, 10, nil, 2, PruneOpts{}), view.Rank(q, nil, 2)) {
+		t.Fatal("k >= n diverged from Rank")
 	}
-	outs := empty.MultiTopKPruned([]Query{q}, 3, nil, 2, exactOpts)
+	outs := empty.MultiTopKPruned([]Query{q}, 3, nil, 2, PruneOpts{})
 	if len(outs) != 1 || outs[0] == nil || len(outs[0]) != 0 {
 		t.Fatalf("MultiTopKPruned over empty shards = %+v", outs)
 	}

@@ -208,141 +208,17 @@ func scanRankCandidates(shards []Snapshot, q Query, exclude map[string]bool, par
 
 // scanTopKCandidates runs the chunk-claiming top-k scan over the shards and
 // returns the merged (unsorted) contents of the per-worker heaps. Workers'
-// heaps span shards; the shared cutoff spans everything, exactly as the
-// per-shard worker crews shared it before. The caller sorts and truncates.
-// scanTopKChunkScreened scans bags [c.lo, c.hi) of one shard through the
-// packed first-block screen. Windows of up to mat.HeadScreenMaxRows rows
-// spanning whole live bags are screened in one call against a cutoff
-// snapshot — sums and survivors computed from the sequential heads stream,
-// survivor rows prefetched by the screen itself — and the canonical
-// per-bag decision sequence is then replayed exactly: each survivor's
-// block-0 sum is re-checked against the evolving min(best-in-bag, cutoff)
-// before the remaining dimensions resume through the shared kernel, so
-// every bag distance carries the same bits Snapshot.bagDist produces. The
-// screen's cutoff snapshot is merely a stale (hence looser) read of the
-// shared cutoff — exactly what a worker that refreshed less often would
-// use — so the scan's exactness argument is unchanged.
-func scanTopKChunkScreened(s *Snapshot, c chunkSpan, q Query, k int, exclude map[string]bool, shared *sharedCutoff, h *resultMaxHeap) {
-	// A screened window: bags [start, end) covering rows [r0, r0+m), the
-	// cutoff snapshot the screen ran against, and the survivor mask. m == 0
-	// marks a single bag wider than the screen's mask that is scored
-	// directly. Two windows are kept in flight — screen window W+1, then
-	// resume window W's survivors — so the row prefetches the screen
-	// issues get a full extra window of shadow before the resume pass
-	// demands the lines.
-	type window struct {
-		start, end int
-		r0, m      int
-		cutoff     float64
-		mask       uint64
-	}
-	dim := s.dim
-	var sums [2][mat.HeadScreenMaxRows]float64
-	var pend window
-	pendBuf, pendValid := 0, false
-
-	// resume replays the canonical per-bag decision sequence over one
-	// screened window: survivor block-0 sums re-checked against the exact
-	// evolving min(best-in-bag, cutoff), remaining dimensions through the
-	// shared kernel, so each bag distance carries Snapshot.bagDist's bits.
-	resume := func(win window, buf int) {
-		if win.m == 0 {
-			d := s.bagDist(q, win.start, win.cutoff, true)
-			if len(*h) != k || !(d > (*h)[0].Dist) {
-				h.offer(Result{ID: s.ids[win.start], Label: s.labels[win.start], Dist: d}, k, shared)
-			}
-			return
-		}
-		for b := win.start; b < win.end; b++ {
-			lo, hi := s.bagOffsets[b], s.bagOffsets[b+1]
-			// Only survivor bits are walked: a screened-out row's block-0
-			// sum exceeds the cutoff snapshot ≥ every exact threshold, the
-			// same abandon the canonical loop takes at block 0 — and on a
-			// warm scan that is nearly every row of nearly every bag.
-			bagMask := win.mask >> uint(lo-win.r0)
-			if n := hi - lo; n < 64 {
-				bagMask &= uint64(1)<<uint(n) - 1
-			}
-			best := math.Inf(1)
-			for bagMask != 0 {
-				j := bits.TrailingZeros64(bagMask)
-				bagMask &= bagMask - 1
-				r := lo + j
-				thr := best
-				if win.cutoff < thr {
-					thr = win.cutoff
-				}
-				sum := sums[buf][r-win.r0]
-				if sum > thr {
-					continue
-				}
-				got, abandoned := mat.WeightedSqDistResume(q.Point, s.data[r*dim:(r+1)*dim], q.Weights,
-					mat.KernelBlock, sum, thr)
-				if abandoned {
-					continue
-				}
-				if got < best {
-					best = got
-				}
-			}
-			if len(*h) == k && best > (*h)[0].Dist {
-				// Same fast-path as the plain loop: strictly worse than
-				// this worker's k-th best, offer would reject it.
-				continue
-			}
-			h.offer(Result{ID: s.ids[b], Label: s.labels[b], Dist: best}, k, shared)
-		}
-	}
-
-	for bi := c.lo; ; {
-		// Gather the next window of consecutive live bags, capped at the
-		// screen's mask width.
-		for bi < c.hi && s.skip(bi, exclude) {
-			bi++
-		}
-		if bi >= c.hi {
-			break
-		}
-		cutoff := shared.load()
-		if len(*h) == k && (*h)[0].Dist < cutoff {
-			cutoff = (*h)[0].Dist
-		}
-		win := window{start: bi, r0: s.bagOffsets[bi], cutoff: cutoff}
-		for bi < c.hi && !s.skip(bi, exclude) {
-			n := s.bagOffsets[bi+1] - s.bagOffsets[bi]
-			if win.m+n > mat.HeadScreenMaxRows {
-				break
-			}
-			win.m += n
-			bi++
-		}
-		if win.m == 0 {
-			bi++ // single oversized bag; resume scores it via bagDist
-		}
-		win.end = bi
-		buf := 1 - pendBuf
-		if win.m > 0 {
-			win.mask = mat.HeadScreen(q.Point, q.Weights,
-				s.rowBlk[win.r0*mat.KernelBlock:(win.r0+win.m)*mat.KernelBlock],
-				s.data[win.r0*dim:(win.r0+win.m)*dim], cutoff, sums[buf][:win.m])
-		}
-		if pendValid {
-			resume(pend, pendBuf)
-		}
-		pend, pendBuf, pendValid = win, buf, true
-	}
-	if pendValid {
-		resume(pend, pendBuf)
-	}
-}
-
+// heaps span shards; the shared cutoff spans everything. The caller sorts
+// and truncates. filt is the query's armed candidate filter, or nil when it
+// cannot arm (a negative weight): then no bag is box-screened and no row is
+// abandoned, and the loop is the plain exhaustive reference.
 func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bool, par int, shared *sharedCutoff, filt *pruneFilter) []Result {
 	for _, s := range shards {
 		if s.Len() > 0 {
 			q.check(s.dim)
 		}
 	}
-	prune := q.prunable()
+	prune := filt != nil
 	chunks := scanChunks(shards, par)
 	if len(chunks) == 0 {
 		return nil
@@ -354,23 +230,13 @@ func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bo
 	heaps := make([]resultMaxHeap, nw)
 	runChunked(par, chunks, func(w int, claim func() (chunkSpan, bool)) {
 		h := make(resultMaxHeap, 0, k)
-		var screened, admitted, rejected int64
+		var screened, rejected int64
 		for {
 			c, ok := claim()
 			if !ok {
 				break
 			}
 			s := shards[c.si]
-			if filt == nil && prune && len(s.rowBlk) > 0 {
-				// Pruned scans over a block with packed first blocks go
-				// through the batched screen: sequential heads traffic for
-				// the abandoned majority, scattered row reads only for
-				// block-0 survivors. Filtered scans take the plain loop
-				// instead — the box test already skips the majority of bags
-				// before any row (or head) is read.
-				scanTopKChunkScreened(&s, c, q, k, exclude, shared, &h)
-				continue
-			}
 			for i := c.lo; i < c.hi; i++ {
 				if s.skip(i, exclude) {
 					continue
@@ -384,7 +250,7 @@ func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bo
 				if len(h) == k && h[0].Dist < cutoff {
 					cutoff = h[0].Dist
 				}
-				if filt != nil && !math.IsInf(cutoff, 1) {
+				if prune && !math.IsInf(cutoff, 1) {
 					// Box screen: skip the bag without touching its rows when
 					// its lower bound proves (rho = 1) or predicts (rho < 1)
 					// it cannot beat the cutoff. Unarmed until a cutoff
@@ -394,21 +260,20 @@ func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bo
 						rejected++
 						continue
 					}
-					admitted++
 				}
 				d := s.bagDist(q, i, cutoff, prune)
 				if len(h) == k && d > h[0].Dist {
 					// Strictly worse than this worker's k-th best: offer
 					// would reject it (ties still go through offer for the
 					// ID tie-break), so skip the call and the Result build —
-					// on a warm scan that is nearly every bag.
+					// on a warm scan that is nearly every admitted bag.
 					continue
 				}
 				h.offer(Result{ID: s.ids[i], Label: s.labels[i], Dist: d}, k, shared)
 			}
 		}
-		if filt != nil {
-			filt.stats.add(screened, admitted, rejected)
+		if prune {
+			filt.stats.add(screened, rejected)
 		}
 		heaps[w] = h
 	})
@@ -425,12 +290,13 @@ func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bo
 // size-k heap spanning shards; per query, a shared cutoff spanning
 // everything. len(qs) must not exceed mat.ScreenMaxConcepts (callers
 // chunk). The caller sorts and truncates each query's merged candidates.
-// When filts is non-nil, filts[qi] (possibly nil per query) is qi's armed
-// candidate filter: a rejected (bag, query) pair is dropped from the fused
-// screen by forcing its abandon threshold to -Inf — no row of the bag can
-// survive the first-block screen for that query, and the final offer is
-// skipped — so a rejected pair costs a box test instead of a row walk,
-// while batch-mates keep scoring the bag normally.
+// filts[qi] is qi's armed candidate filter, or nil when it cannot arm (a
+// negative weight; that query then abandons nothing either). A rejected
+// (bag, query) pair is dropped from the fused screen by forcing its abandon
+// threshold to -Inf — no row of the bag can survive the first-block screen
+// for that query, and the final offer is skipped — so a rejected pair costs
+// a box test instead of a row walk, while batch-mates keep scoring the bag
+// normally.
 func scanMultiTopKCandidates(shards []Snapshot, qs []Query, k int, exclude map[string]bool, par int, shared []*sharedCutoff, filts []*pruneFilter) [][]Result {
 	nq := len(qs)
 	dim := 0
@@ -451,7 +317,7 @@ func scanMultiTopKCandidates(shards []Snapshot, qs []Query, k int, exclude map[s
 	points := make([][]float64, nq)
 	weights := make([][]float64, nq)
 	for qi, q := range qs {
-		prune[qi] = q.prunable()
+		prune[qi] = filts[qi] != nil
 		points[qi] = q.Point
 		weights[qi] = q.Weights
 	}
@@ -473,12 +339,8 @@ func scanMultiTopKCandidates(shards []Snapshot, qs []Query, k int, exclude map[s
 		bests := make([]float64, nq)
 		cutoffs := make([]float64, nq)
 		thrs := make([]float64, nq)
-		var screenedN, admittedN, rejectedN []int64
-		if filts != nil {
-			screenedN = make([]int64, nq)
-			admittedN = make([]int64, nq)
-			rejectedN = make([]int64, nq)
-		}
+		screenedN := make([]int64, nq)
+		rejectedN := make([]int64, nq)
 		inf := math.Inf(1)
 		exact := dim <= mat.KernelBlock
 		for {
@@ -511,7 +373,7 @@ func scanMultiTopKCandidates(shards []Snapshot, qs []Query, k int, exclude map[s
 					} else {
 						thrs[qi] = inf
 					}
-					if filts != nil && filts[qi] != nil && !math.IsInf(cu, 1) {
+					if prune[qi] && !math.IsInf(cu, 1) {
 						screenedN[qi]++
 						if filts[qi].reject(&s, i, cu) {
 							// Dropped from the fused screen: -Inf survives no
@@ -520,8 +382,6 @@ func scanMultiTopKCandidates(shards []Snapshot, qs []Query, k int, exclude map[s
 							rej |= 1 << uint(qi)
 							nRej++
 							rejectedN[qi]++
-						} else {
-							admittedN[qi]++
 						}
 					}
 				}
@@ -570,8 +430,8 @@ func scanMultiTopKCandidates(shards []Snapshot, qs []Query, k int, exclude map[s
 			}
 		}
 		for qi := range qs {
-			if filts != nil && filts[qi] != nil {
-				filts[qi].stats.add(screenedN[qi], admittedN[qi], rejectedN[qi])
+			if prune[qi] {
+				filts[qi].stats.add(screenedN[qi], rejectedN[qi])
 			}
 		}
 		heaps[w] = hs

@@ -25,11 +25,7 @@
 // NUMA nodes or machines later.
 package index
 
-import (
-	"runtime"
-
-	"milret/internal/mat"
-)
+import "runtime"
 
 // Sharded is a consistent scan view over the shards of a sharded database:
 // element i is shard i's Snapshot. Scans schedule chunks of every shard
@@ -81,76 +77,16 @@ func (sh Sharded) Rank(q Query, exclude map[string]bool, par int) []Result {
 }
 
 // TopK returns the k best live, non-excluded bags across all shards in
-// ascending order, bit-identical to Snapshot.TopK over a single block: all
-// workers share one atomic k-th-best cutoff (see the package comment for
-// why cross-shard pruning is exact) and the per-worker candidate heaps are
-// merged by the same sort-and-truncate a single-block scan applies.
+// ascending order: TopKPruned at the default tier, the conservative sketch
+// filter every exact scan runs behind. For k ≥ the number of bags it
+// equals Rank.
 func (sh Sharded) TopK(q Query, k int, exclude map[string]bool, par int) []Result {
-	if k <= 0 {
-		return nil
-	}
-	if len(sh) == 0 {
-		return normalizeEmpty(nil)
-	}
-	if len(sh) == 1 {
-		return sh[0].TopK(q, k, exclude, par)
-	}
-	if sh.Bags() == 0 {
-		return normalizeEmpty(nil)
-	}
-	merged := scanTopKCandidates(sh, q, k, exclude, resolvePar(par), newSharedCutoff(), nil)
-	sortResults(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return normalizeEmpty(merged)
+	return sh.TopKPruned(q, k, exclude, par, PruneOpts{})
 }
 
 // MultiTopK scores B queries against every shard in one batched
 // chunk-claiming pass and returns, per query, exactly the results TopK
-// would return for it. Each query keeps one shared cutoff spanning all
-// shards, so the batched scan prunes as tightly as the single-block one.
+// would return for it: MultiTopKPruned at the default tier.
 func (sh Sharded) MultiTopK(qs []Query, k int, exclude map[string]bool, par int) [][]Result {
-	nq := len(qs)
-	if nq == 0 {
-		return nil
-	}
-	if len(sh) == 1 {
-		return sh[0].MultiTopK(qs, k, exclude, par)
-	}
-	outs := make([][]Result, nq)
-	if k <= 0 {
-		return outs
-	}
-	if len(sh) == 0 || sh.Bags() == 0 {
-		for qi := range outs {
-			outs[qi] = normalizeEmpty(nil)
-		}
-		return outs
-	}
-	if nq > mat.ScreenMaxConcepts {
-		// Same chunking as the single-block batched scan: the fused screen
-		// reports survivors in a uint64 mask.
-		for lo := 0; lo < nq; lo += mat.ScreenMaxConcepts {
-			hi := lo + mat.ScreenMaxConcepts
-			if hi > nq {
-				hi = nq
-			}
-			copy(outs[lo:hi], sh.MultiTopK(qs[lo:hi], k, exclude, par))
-		}
-		return outs
-	}
-	shared := make([]*sharedCutoff, nq)
-	for qi := range shared {
-		shared[qi] = newSharedCutoff()
-	}
-	cands := scanMultiTopKCandidates(sh, qs, k, exclude, resolvePar(par), shared, nil)
-	for qi, merged := range cands {
-		sortResults(merged)
-		if len(merged) > k {
-			merged = merged[:k]
-		}
-		outs[qi] = normalizeEmpty(merged)
-	}
-	return outs
+	return sh.MultiTopKPruned(qs, k, exclude, par, PruneOpts{})
 }

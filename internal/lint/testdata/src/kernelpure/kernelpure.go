@@ -62,11 +62,11 @@ func badMapReduce(m map[int]float64) float64 {
 	return sum
 }
 
-// headScreen keeps a deliberate NaN-true survivor check with a
+// nanSurvives keeps a deliberate NaN-true survivor check with a
 // justified suppression: clean.
 //
 // milret:kernel
-func headScreen(sum, thr float64) bool {
+func nanSurvives(sum, thr float64) bool {
 	//lint:ignore kernelpure NaN sums must survive screening, by design
 	return !(sum > thr)
 }
@@ -82,6 +82,6 @@ var (
 	_ = badMin
 	_ = badCompares
 	_ = badMapReduce
-	_ = headScreen
+	_ = nanSurvives
 	_ = notAKernel
 )

@@ -57,7 +57,6 @@ package mat
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // KernelBlock is the number of dimensions accumulated between partial-sum
@@ -447,211 +446,6 @@ rowLoop:
 		}
 		var sum float64
 		i := 0
-		for ; i+KernelBlock <= dim; i += KernelBlock {
-			// Exact copy of the canonical block body in
-			// weightedSqDistPartial — keep in lockstep.
-			vb := (*[KernelBlock]float64)(p[i:])
-			ub := (*[KernelBlock]float64)(row[i:])
-			wb := (*[KernelBlock]float64)(w[i:])
-			d0 := vb[0] - ub[0]
-			d1 := vb[1] - ub[1]
-			d2 := vb[2] - ub[2]
-			d3 := vb[3] - ub[3]
-			s0 := wb[0]*d0*d0 + wb[2]*d2*d2
-			s1 := wb[1]*d1*d1 + wb[3]*d3*d3
-			sum += s0 + s1
-			if sum > thr {
-				continue rowLoop
-			}
-		}
-		if i < dim {
-			sum += tailSqDist(p[i:], row[i:], w[i:])
-			if sum > thr {
-				continue rowLoop
-			}
-		}
-		if sum < best {
-			best = sum
-		}
-	}
-	return best
-}
-
-// HeadScreenMaxRows is the largest row count one HeadScreen call accepts:
-// the survivor mask is a uint64.
-const HeadScreenMaxRows = 64
-
-// HeadScreen computes every row's first-block sum from the packed heads
-// array (heads[r*KernelBlock+j] bit-equal to rows[r*dim+j], as in
-// MinWeightedSqDistRowsHead) into sums[r], and returns a survivor mask
-// with bit r set when the row is NOT abandoned at block 0 against thr —
-// !(sum > thr), the exact complement of the canonical loop's abandon test,
-// so a NaN sum survives. The sums carry the scalar kernel's block-0 bits,
-// so a survivor can be continued with WeightedSqDistResume(…, KernelBlock,
-// sums[r], …) and land on the canonical loop's exact result.
-//
-// This is the batch-screening half of a screened pruned scan: thr is a
-// threshold snapshot (typically the scan cutoff), deliberately free of any
-// cross-row dependency so the screen pipelines at the heads stream's
-// throughput; callers re-check each survivor's sum against their exact,
-// evolving threshold before resuming, which replays the canonical
-// decision sequence bit-for-bit. The rows themselves are not read — the
-// AVX2 screen only prefetches a survivor's leading lines so the caller's
-// resume pass runs in the prefetch shadow of the remaining screen.
-// Requires dim ≥ KernelBlock and 1 ≤ rows ≤ HeadScreenMaxRows.
-// milret:kernel
-func HeadScreen(p, w, heads, rows []float64, thr float64, sums []float64) uint64 {
-	dim := len(p)
-	mustSameLen(dim, len(w))
-	if dim < KernelBlock {
-		panic(fmt.Sprintf("mat: head screen needs dim >= %d, got %d", KernelBlock, dim))
-	}
-	n := len(heads) / KernelBlock
-	if n == 0 || n > HeadScreenMaxRows || len(heads) != n*KernelBlock {
-		panic(fmt.Sprintf("mat: head screen over %d packed floats, want 1..%d full blocks",
-			len(heads), HeadScreenMaxRows))
-	}
-	if len(rows) != n*dim {
-		panic(fmt.Sprintf("mat: head screen rows length %d, want %d rows of dim %d", len(rows), n, dim))
-	}
-	if len(sums) < n {
-		panic(fmt.Sprintf("mat: head screen sums length %d for %d rows", len(sums), n))
-	}
-	if useAVX2.Load() {
-		return headScreenAVX2(&p[0], &w[0], &heads[0], &rows[0], n, dim*8, thr, &sums[0])
-	}
-	vb := (*[KernelBlock]float64)(p)
-	wb := (*[KernelBlock]float64)(w)
-	var mask uint64
-	for r := 0; r < n; r++ {
-		// Canonical block body on the packed head — keep in lockstep with
-		// weightedSqDistPartial, including the 0 + (s0+s1) start.
-		hb := (*[KernelBlock]float64)(heads[r*KernelBlock:])
-		d0 := vb[0] - hb[0]
-		d1 := vb[1] - hb[1]
-		d2 := vb[2] - hb[2]
-		d3 := vb[3] - hb[3]
-		s0 := wb[0]*d0*d0 + wb[2]*d2*d2
-		s1 := wb[1]*d1*d1 + wb[3]*d3*d3
-		var sum float64
-		sum += s0 + s1
-		sums[r] = sum
-		//lint:ignore kernelpure survivor mask needs the exact complement of the abandon test: a NaN sum must survive screening so the full kernel reproduces it
-		if !(sum > thr) {
-			mask |= 1 << uint(r)
-		}
-	}
-	return mask
-}
-
-// MinWeightedSqDistRowsHead is MinWeightedSqDistRows with the rows' first
-// kernel blocks additionally supplied as a packed side array: heads must
-// hold nRows × KernelBlock floats with heads[r*KernelBlock+j] carrying the
-// same bits as rows[r*dim+j]. Because the packed values are exact copies,
-// the result is bit-identical to MinWeightedSqDistRows for any cutoff —
-// same block sums, same abandon points, same minimum.
-//
-// The packed detour exists for memory traffic: a warm pruned scan abandons
-// almost every row at its first block, and streaming 32 contiguous bytes
-// per abandoned row replaces one scattered cache-line read per row — the
-// full row is only touched for rows that survive block 0. With pruning off
-// every row is read in full anyway, so the heads stream would be pure
-// overhead and the call delegates to the plain row scan. Requires
-// dim ≥ KernelBlock.
-// milret:kernel
-func MinWeightedSqDistRowsHead(p, w, rows, heads []float64, cutoff float64, prune bool) float64 {
-	dim := len(p)
-	mustSameLen(dim, len(w))
-	if dim < KernelBlock {
-		panic(fmt.Sprintf("mat: head scan needs dim >= %d, got %d", KernelBlock, dim))
-	}
-	if len(rows)%dim != 0 {
-		panic(fmt.Sprintf("mat: rows length %d not a multiple of dim %d", len(rows), dim))
-	}
-	n := len(rows) / dim
-	if len(heads) != n*KernelBlock {
-		panic(fmt.Sprintf("mat: heads length %d for %d rows, want %d", len(heads), n, n*KernelBlock))
-	}
-	if !prune {
-		return MinWeightedSqDistRows(p, w, rows, cutoff, prune)
-	}
-	if n == 0 {
-		return math.Inf(1)
-	}
-	p = p[:dim:dim]
-	w = w[:dim:dim]
-	if useAVX2.Load() {
-		// Screen-then-resume, in 64-row chunks. The screen computes every
-		// row's first-block sum from the packed heads stream against a
-		// threshold snapshot taken at chunk entry — thresholds only
-		// tighten, so the surviving set is a superset of the rows the
-		// canonical loop evaluates past block 0, with no cross-row
-		// dependency to serialize on. The resume pass then replays the
-		// canonical decisions exactly: each survivor's block-0 sum is
-		// re-checked against the evolving min(best, cutoff) before the
-		// remaining dimensions run through the shared kernel loop, so
-		// abandon points, surviving sums and the returned minimum carry
-		// the scalar loop's bits.
-		var sums [64]float64
-		best := math.Inf(1)
-		for base := 0; base < n; base += 64 {
-			m := n - base
-			if m > 64 {
-				m = 64
-			}
-			thr0 := best
-			if cutoff < thr0 {
-				thr0 = cutoff
-			}
-			mask := headScreenAVX2(&p[0], &w[0], &heads[base*KernelBlock], &rows[base*dim], m, dim*8, thr0, &sums[0])
-			for mask != 0 {
-				r := bits.TrailingZeros64(mask)
-				mask &= mask - 1
-				thr := best
-				if cutoff < thr {
-					thr = cutoff
-				}
-				sum := sums[r]
-				if sum > thr {
-					continue
-				}
-				row := rows[(base+r)*dim : (base+r+1)*dim : (base+r+1)*dim]
-				got, abandoned := kernResume(p, row, w, KernelBlock, sum, thr)
-				if abandoned {
-					continue
-				}
-				if got < best {
-					best = got
-				}
-			}
-		}
-		return best
-	}
-	best := math.Inf(1)
-rowLoop:
-	for r := 0; r < n; r++ {
-		row := rows[r*dim : (r+1)*dim : (r+1)*dim]
-		thr := best
-		if cutoff < thr {
-			thr = cutoff
-		}
-		// Block 0 from the packed heads array — the same bits as the row's
-		// leading block, accumulated exactly like the canonical loop.
-		hb := (*[KernelBlock]float64)(heads[r*KernelBlock:])
-		vb := (*[KernelBlock]float64)(p)
-		wb := (*[KernelBlock]float64)(w)
-		d0 := vb[0] - hb[0]
-		d1 := vb[1] - hb[1]
-		d2 := vb[2] - hb[2]
-		d3 := vb[3] - hb[3]
-		s0 := wb[0]*d0*d0 + wb[2]*d2*d2
-		s1 := wb[1]*d1*d1 + wb[3]*d3*d3
-		var sum float64
-		sum += s0 + s1
-		if sum > thr {
-			continue rowLoop
-		}
-		i := KernelBlock
 		for ; i+KernelBlock <= dim; i += KernelBlock {
 			// Exact copy of the canonical block body in
 			// weightedSqDistPartial — keep in lockstep.

@@ -240,67 +240,6 @@ rowNext:
 	VZEROUPPER
 	RET
 
-// func headScreenAVX2(p, w, heads, rows *float64, nRows, rowStride int, thr float64, sums *float64) uint64
-//
-// Block-0 screen over packed row heads: for each of nRows rows (nRows in
-// [1,64]) the first-block sum is computed from the sequential heads stream
-// with the canonical block body — bit-identical to the scalar kernel's
-// block 0 — and stored in sums[r]. Bit r of the returned mask is set when
-// the row survives (!(sum > thr), NaN surviving, the exact complement of
-// the scalar abandon test), and a survivor's row data is prefetched the
-// moment it is found so the caller's resume pass runs in the prefetch
-// shadow of the remaining screen. There is no cross-row dependency — thr
-// is a snapshot the caller re-checks exactly before resuming — so the
-// loop pipelines at heads-stream throughput instead of serializing on a
-// per-row best/threshold chain.
-TEXT ·headScreenAVX2(SB), NOSPLIT, $0-72
-	MOVQ p+0(FP), SI
-	MOVQ w+8(FP), DI
-	MOVQ heads+16(FP), R8
-	MOVQ rows+24(FP), DX
-	MOVQ nRows+32(FP), R9
-	MOVQ rowStride+40(FP), CX
-	VMOVSD thr+48(FP), X9
-	MOVQ sums+56(FP), R10
-	VMOVUPD (SI), Y12 // p[0:4]
-	VMOVUPD (DI), Y13 // w[0:4]
-	XORQ R11, R11 // survivor mask
-	XORQ R12, R12 // row bit index
-
-screenLoop:
-	// Canonical block body on the packed head, folded (s0,s1) exactly like
-	// the scalar loop, including the 0 + (s0+s1) accumulation start.
-	VMOVUPD (R8), Y1
-	VSUBPD  Y1, Y12, Y0
-	VMULPD  Y0, Y13, Y2
-	VMULPD  Y0, Y2, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD  X1, X0, X0
-	VUNPCKHPD X0, X0, X1
-	VADDSD  X1, X0, X0
-	VXORPD  X8, X8, X8
-	VADDSD  X0, X8, X8
-	VMOVSD  X8, (R10)
-	VUCOMISD X9, X8 // sum > thr? (unordered: survive)
-	JA      screenNoBit
-	BTSQ    R12, R11
-	// Pull the survivor's leading lines now; by the time the caller's
-	// resume pass reaches this row the screen has walked the rest of the
-	// chunk, hiding most of the scattered-line latency.
-	PREFETCHT0 (DX)
-	PREFETCHT0 64(DX)
-
-screenNoBit:
-	ADDQ $32, R8
-	ADDQ $8, R10
-	ADDQ CX, DX
-	INCQ R12
-	DECQ R9
-	JNZ  screenLoop
-	MOVQ R11, ret+64(FP)
-	VZEROUPPER
-	RET
-
 // func firstBlockAVX2(pblk, wblk, row, thrs, out *float64, nq int) uint64
 //
 // Multi-concept screen: the dim >= KernelBlock arm of

@@ -66,14 +66,6 @@ func wsqResumeAVX2(v, u, w *float64, n, start int, sum, thr float64) (out float6
 //go:noescape
 func minRowsAVX2(p, w, rows *float64, dim, nRows int, cutoff float64, prune bool) float64
 
-// headScreenAVX2 is MinWeightedSqDistRowsHead's block-0 screen: first-block
-// sums for nRows rows (1..64) from the packed heads stream into sums, the
-// survivor mask (!(sum > thr)) returned, each survivor's row data
-// prefetched as it is found. Requires nRows in [1, 64].
-//
-//go:noescape
-func headScreenAVX2(p, w, heads, rows *float64, nRows, rowStride int, thr float64, sums *float64) uint64
-
 // boxBoundExceedsAVX2 is BoxBoundExceeds: the blocked box lower-bound
 // screen over one bag's interleaved float32 lo/hi box, per-block threshold
 // check and tail association mirroring the scalar oracle in sketch.go.

@@ -20,10 +20,6 @@ func minRowsAVX2(p, w, rows *float64, dim, nRows int, cutoff float64, prune bool
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
 
-func headScreenAVX2(p, w, heads, rows *float64, nRows, rowStride int, thr float64, sums *float64) uint64 {
-	panic("mat: SIMD kernel dispatched in a build without assembly")
-}
-
 func firstBlockAVX2(pblk, wblk, row, thrs, out *float64, nq int) uint64 {
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }

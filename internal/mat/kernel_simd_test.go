@@ -148,28 +148,6 @@ func compareAllEntryPoints(t *testing.T, p, w []float64, vecs []Vector, thr, cut
 			cutoff, prune, math.Float64bits(sMin), math.Float64bits(aMin), p, w, rows)
 	}
 
-	// The packed-heads variant must match plain MinRows bit-for-bit in both
-	// implementations: heads are exact copies of the rows' first blocks, so
-	// every block sum, abandon point and the final minimum carry the same
-	// bits.
-	if dim >= KernelBlock {
-		heads := make([]float64, 0, len(vecs)*KernelBlock)
-		for r := 0; r < len(rows); r += dim {
-			heads = append(heads, rows[r:r+KernelBlock]...)
-		}
-		var sHead, aHead float64
-		withKernel(false, func() { sHead = MinWeightedSqDistRowsHead(p, w, rows, heads, cutoff, prune) })
-		withKernel(true, func() { aHead = MinWeightedSqDistRowsHead(p, w, rows, heads, cutoff, prune) })
-		if !eqBits(sHead, sMin) {
-			t.Fatalf("MinRowsHead scalar (cutoff=%v,prune=%v) diverged from MinRows: %x vs %x\np=%v\nw=%v\nrows=%v",
-				cutoff, prune, math.Float64bits(sHead), math.Float64bits(sMin), p, w, rows)
-		}
-		if !eqBits(aHead, sMin) {
-			t.Fatalf("MinRowsHead avx2 (cutoff=%v,prune=%v) diverged from MinRows: %x vs %x\np=%v\nw=%v\nrows=%v",
-				cutoff, prune, math.Float64bits(aHead), math.Float64bits(sMin), p, w, rows)
-		}
-	}
-
 	var sVMin, aVMin float64
 	var sVI, aVI int
 	withKernel(false, func() { sVMin, sVI = MinWeightedSqDistVecs(p, w, vecs, cutoff, prune) })

@@ -302,6 +302,8 @@ func (c *Coordinator) Stats() milret.Stats {
 			st.PendingMutations += ps.PendingMutations
 			st.WALMutations += ps.WALMutations
 			st.Shards = append(st.Shards, ps.Shards...)
+			st.Prune.Scans += ps.Prune.Scans
+			st.Prune.Unarmed += ps.Prune.Unarmed
 			st.Prune.Screened += ps.Prune.Screened
 			st.Prune.Admitted += ps.Prune.Admitted
 			st.Prune.Rejected += ps.Prune.Rejected
@@ -458,11 +460,7 @@ func (c *Coordinator) Flush() error {
 // policy — training on a partial example set would silently learn a
 // different concept.
 func (c *Coordinator) TrainCachedContext(ctx context.Context, positives, negatives []string, opts milret.TrainOptions) (*milret.Concept, milret.CacheOutcome, error) {
-	pos, err := c.fetchBags(ctx, positives)
-	if err != nil {
-		return nil, milret.CacheDisabled, err
-	}
-	neg, err := c.fetchBags(ctx, negatives)
+	pos, neg, err := c.fetchBags(ctx, positives, negatives)
 	if err != nil {
 		return nil, milret.CacheDisabled, err
 	}
@@ -484,46 +482,83 @@ func (c *Coordinator) TrainManyContext(ctx context.Context, specs []milret.Query
 	return concepts, outcomes, nil
 }
 
-// fetchBags resolves example IDs to their bags, grouping the lookups by
-// owning partition (one Fetch RPC per remote owner, not per ID) and
-// restoring input order.
-func (c *Coordinator) fetchBags(ctx context.Context, ids []string) ([]milret.ExampleBag, error) {
-	if len(ids) == 0 {
-		return nil, nil
+// fetchBags resolves a query's positive and negative example IDs to their
+// bags in one concurrent round: the lookups of both lists are grouped by
+// owning partition, every remote owner is asked once (one Fetch RPC per
+// owner, all in flight together) while local owners are read inline, and
+// the bags are handed back in input order. When several owners fail, the
+// error of the first one in partition order is reported, so a failure
+// reads the same on every run.
+func (c *Coordinator) fetchBags(ctx context.Context, positives, negatives []string) (pos, neg []milret.ExampleBag, err error) {
+	groups := make([][]string, len(c.parts))
+	for _, ids := range [][]string{positives, negatives} {
+		for _, id := range ids {
+			pi := retrieval.ShardIndexFor(id, len(c.parts))
+			groups[pi] = append(groups[pi], id)
+		}
 	}
-	byOwner := make(map[*partition][]string)
-	for _, id := range ids {
-		p := c.owner(id)
-		byOwner[p] = append(byOwner[p], id)
-	}
-	found := make(map[string]milret.ExampleBag, len(ids))
-	for p, group := range byOwner {
-		if !p.remote() {
-			for _, id := range group {
-				eb, ok := p.db.ExampleBag(id)
-				if !ok {
-					return nil, fmt.Errorf("milret: unknown example image %q", id)
-				}
-				found[id] = eb
-			}
+	fetched := make([][]milret.ExampleBag, len(c.parts))
+	errs := make([]error, len(c.parts))
+	var wg sync.WaitGroup
+	for pi, group := range groups {
+		if len(group) == 0 {
 			continue
 		}
-		bags, err := p.cli.Fetch(ctx, group)
-		if err != nil {
-			p.note(false, err)
-			return nil, err
+		p := c.parts[pi]
+		if p.remote() {
+			wg.Add(1)
+			go func(pi int, p *partition, group []string) {
+				defer wg.Done()
+				fetched[pi], errs[pi] = p.fetch(ctx, group)
+			}(pi, p, group)
+			continue
 		}
-		p.note(true, nil)
-		for _, b := range bags {
-			if !b.Found {
-				return nil, fmt.Errorf("milret: unknown example image %q", b.ID)
+		for _, id := range group {
+			eb, ok := p.db.ExampleBag(id)
+			if !ok {
+				errs[pi] = fmt.Errorf("milret: unknown example image %q", id)
+				break
 			}
-			found[b.ID] = milret.ExampleBag{ID: b.ID, Instances: b.Instances}
+			fetched[pi] = append(fetched[pi], eb)
 		}
 	}
-	out := make([]milret.ExampleBag, len(ids))
-	for i, id := range ids {
-		out[i] = found[id]
+	wg.Wait()
+	found := make(map[string]milret.ExampleBag, len(positives)+len(negatives))
+	for pi, bags := range fetched {
+		if errs[pi] != nil {
+			return nil, nil, errs[pi]
+		}
+		for _, eb := range bags {
+			found[eb.ID] = eb
+		}
+	}
+	inOrder := func(ids []string) []milret.ExampleBag {
+		if len(ids) == 0 {
+			return nil
+		}
+		out := make([]milret.ExampleBag, len(ids))
+		for i, id := range ids {
+			out[i] = found[id]
+		}
+		return out
+	}
+	return inOrder(positives), inOrder(negatives), nil
+}
+
+// fetch asks a remote partition for the bags of the IDs it owns.
+func (p *partition) fetch(ctx context.Context, ids []string) ([]milret.ExampleBag, error) {
+	bags, err := p.cli.Fetch(ctx, ids)
+	if err != nil {
+		p.note(false, err)
+		return nil, err
+	}
+	p.note(true, nil)
+	out := make([]milret.ExampleBag, len(bags))
+	for i, b := range bags {
+		if !b.Found {
+			return nil, fmt.Errorf("milret: unknown example image %q", b.ID)
+		}
+		out[i] = milret.ExampleBag{ID: b.ID, Instances: b.Instances}
 	}
 	return out, nil
 }

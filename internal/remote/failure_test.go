@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -368,4 +369,53 @@ func TestKillAndRestartUnderTraffic(t *testing.T) {
 		t.Fatalf("after restart: %v", err)
 	}
 	wantIdentical(t, "post-restart topk", got, want)
+}
+
+// TestFetchErrorDeterministic takes both remote owners of a query's
+// examples down. The example fetch asks every owner in one concurrent
+// round and reports the first failure in partition order — not in input
+// order, and not in whatever order a map happens to iterate — so the
+// error names the same partition on every run, and it is ErrUnavailable
+// whatever the partial-result policy.
+func TestFetchErrorDeterministic(t *testing.T) {
+	cl := startCluster(t, PartialDegrade)
+	owned := map[int]string{} // partition → one example it owns
+	for _, id := range cl.ids {
+		pi := retrieval.ShardIndexFor(id, 4)
+		if _, ok := owned[pi]; !ok {
+			owned[pi] = id
+		}
+	}
+	for pi := 0; pi < 4; pi++ {
+		if owned[pi] == "" {
+			t.Fatalf("no example hashes to partition %d", pi)
+		}
+	}
+	// Input order runs against partition order: p3's example first.
+	pos := []string{owned[3], owned[0]}
+	neg := []string{owned[2], owned[1]}
+	if _, _, err := cl.coord.TrainCachedContext(context.Background(), pos, neg, milret.TrainOptions{}); err != nil {
+		t.Fatalf("training with every owner up: %v", err)
+	}
+	p2 := cl.servers[0].URL
+	cl.servers[0].Close()
+	cl.servers[1].Close()
+	cl.servers[0], cl.servers[1] = nil, nil
+	var first string
+	for run := 0; run < 20; run++ {
+		// A fresh example set each run would be a cache miss; the same set
+		// must fail too — the fetch precedes the cache lookup.
+		_, _, err := cl.coord.TrainCachedContext(context.Background(), pos, neg, milret.TrainOptions{})
+		if !errors.Is(err, milret.ErrUnavailable) {
+			t.Fatalf("run %d: err = %v, want ErrUnavailable", run, err)
+		}
+		if !strings.Contains(err.Error(), strings.TrimPrefix(p2, "http://")) {
+			t.Fatalf("run %d: error %q does not name the first failed partition %s", run, err, p2)
+		}
+		if run == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("run %d: error %q, run 0 said %q", run, err, first)
+		}
+	}
 }

@@ -5,63 +5,78 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"milret/internal/mat"
 )
 
-// Property: Options.Recall = 1 routes the flat path through the sketch
-// filter and stays bit-identical to the exact scan — TopK and TopKMany,
-// single-block and sharded, with exclusions, across k. Fallback scorers
-// (no geometry) ignore Recall entirely.
+// Property: every flat-path top-k scan runs behind the sketch filter, so
+// the reference is the naive per-bag Scorer scan, which shares no code with
+// it — Rank(naive)[:k]. Options.Recall 0, 1 and beyond are the same exact
+// answer: TopK and TopKMany, single-block and sharded, through tombstones
+// and compaction, with exclusions, across k. Fallback scorers (no geometry)
+// ignore Recall entirely.
 func TestQuickRecallOneMatchesExact(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(30)
 		n := 1 + r.Intn(50)
-		var db *Database
-		if r.Intn(2) == 0 {
-			db = randWeightedDB(t, r, n, dim, 4)
-		} else {
-			db = NewDatabaseSharded(1 + r.Intn(4))
-			fill := randWeightedDB(t, r, n, dim, 4)
-			for _, it := range fill.Items() {
-				if err := db.Add(it); err != nil {
+		db := NewDatabaseSharded(1 + r.Intn(4))
+		for _, it := range randWeightedDB(t, r, n, dim, 4).Items() {
+			if err := db.Add(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, it := range db.Items() {
+			if r.Intn(4) == 0 && db.Len() > 1 {
+				if err := db.Delete(it.ID); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
+		if r.Intn(2) == 0 {
+			db.Compact()
+		}
 		naive, flat := randScorerPair(r, dim)
 		exclude := map[string]bool{}
-		for i := 0; i < db.Len(); i++ {
+		for _, it := range db.Items() {
 			if r.Intn(6) == 0 {
-				exclude[db.Get(i).ID] = true
+				exclude[it.ID] = true
 			}
 		}
-		exact := Options{Exclude: exclude, Parallelism: 1 + r.Intn(8)}
-		pruned := exact
-		pruned.Recall = 1
-		for _, k := range []int{1, n / 2, n + 5} {
-			if k < 1 {
-				k = 1
+		full := Rank(db, naive, Options{Exclude: exclude})
+		for _, recall := range []float64{0, 1, 3} {
+			opts := Options{Exclude: exclude, Parallelism: 1 + r.Intn(8), Recall: recall}
+			for _, k := range []int{1, n / 2, n + 5} {
+				if k < 1 {
+					k = 1
+				}
+				want := full
+				if k < len(want) {
+					want = want[:k]
+				}
+				if got := TopK(db, flat, k, opts); !reflect.DeepEqual(got, want) {
+					t.Logf("seed %d: TopK(k=%d, recall=%v) diverged from the naive ranking\n got %v\nwant %v", seed, k, recall, got, want)
+					return false
+				}
+				// Geometry-free scorers take the fallback scan; Recall is inert.
+				if got := TopK(db, naive, k, opts); !reflect.DeepEqual(got, want) {
+					t.Logf("seed %d: fallback TopK(k=%d) changed under Recall %v", seed, k, recall)
+					return false
+				}
+				for i, got := range TopKMany(db, []Scorer{flat, flat}, k, opts) {
+					if !reflect.DeepEqual(got, want) {
+						t.Logf("seed %d: TopKMany(k=%d, recall=%v)[%d] diverged from the naive ranking", seed, k, recall, i)
+						return false
+					}
+				}
+				// A mixed batch falls back for everyone.
+				for i, got := range TopKMany(db, []Scorer{flat, naive}, k, opts) {
+					if !reflect.DeepEqual(got, want) {
+						t.Logf("seed %d: mixed-batch TopKMany(k=%d)[%d] diverged", seed, k, i)
+						return false
+					}
+				}
 			}
-			if !reflect.DeepEqual(TopK(db, flat, k, pruned), TopK(db, flat, k, exact)) {
-				t.Logf("seed %d: pruned TopK(%d) diverged", seed, k)
-				return false
-			}
-			// Geometry-free scorers take the fallback scan; Recall is inert.
-			if !reflect.DeepEqual(TopK(db, naive, k, pruned), TopK(db, naive, k, exact)) {
-				t.Logf("seed %d: fallback TopK(%d) changed under Recall", seed, k)
-				return false
-			}
-		}
-		k := 1 + r.Intn(n)
-		scorers := []Scorer{flat, flat, naive}
-		if !reflect.DeepEqual(TopKMany(db, scorers[:2], k, pruned), TopKMany(db, scorers[:2], k, exact)) {
-			t.Logf("seed %d: pruned TopKMany diverged", seed)
-			return false
-		}
-		// A mixed batch falls back for everyone; Recall must stay inert there.
-		if !reflect.DeepEqual(TopKMany(db, scorers, k, pruned), TopKMany(db, scorers, k, exact)) {
-			t.Logf("seed %d: mixed-batch TopKMany changed under Recall", seed)
-			return false
 		}
 		return true
 	}
@@ -70,23 +85,38 @@ func TestQuickRecallOneMatchesExact(t *testing.T) {
 	}
 }
 
-// Stats must expose the filter counters with the accounting invariant
-// (Screened = Admitted + Rejected), zero until a pruned scan runs.
+// Stats must expose the scan and filter counters with the accounting
+// invariant (Screened = Admitted + Rejected), zero until a top-k scan runs,
+// and cover every flat-path top-k scan whatever its Recall — with the ones
+// that could not arm the filter counted as unarmed.
 func TestPruneCountersInStats(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	db := randWeightedDB(t, r, 120, 8, 3)
-	_, flat := randScorerPair(r, 8)
-	if st := db.Stats(); st.PruneScreened != 0 {
-		t.Fatalf("counters nonzero before any pruned scan: %+v", st)
+	naive, flat := randScorerPair(r, 8)
+	Rank(db, flat, Options{})
+	TopK(db, naive, 5, Options{}) // fallback scan: not the index's pipeline
+	if st := db.Stats(); st.PruneScans != 0 || st.PruneScreened != 0 {
+		t.Fatalf("counters nonzero before any flat top-k scan: %+v", st)
 	}
-	TopK(db, flat, 5, Options{Recall: 1})
+	TopK(db, flat, 5, Options{})
 	TopKMany(db, []Scorer{flat, flat}, 5, Options{Recall: 1})
 	st := db.Stats()
+	if st.PruneScans != 3 || st.PruneUnarmed != 0 {
+		t.Fatalf("scans %d unarmed %d, want 3 and 0", st.PruneScans, st.PruneUnarmed)
+	}
 	if st.PruneScreened == 0 {
-		t.Fatal("pruned scans screened nothing")
+		t.Fatal("top-k scans screened nothing")
 	}
 	if st.PruneAdmitted+st.PruneRejected != st.PruneScreened {
 		t.Fatalf("screened %d != admitted %d + rejected %d",
 			st.PruneScreened, st.PruneAdmitted, st.PruneRejected)
+	}
+	neg := flat
+	neg.w = append(mat.Vector(nil), flat.w...)
+	neg.w[2] = -1
+	TopK(db, neg, 5, Options{})    // negative weight: filter cannot arm
+	TopK(db, flat, 500, Options{}) // k ≥ n: nothing to reject
+	if st := db.Stats(); st.PruneScans != 5 || st.PruneUnarmed != 2 {
+		t.Fatalf("scans %d unarmed %d, want 5 and 2", st.PruneScans, st.PruneUnarmed)
 	}
 }

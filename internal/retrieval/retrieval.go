@@ -108,8 +108,8 @@ type Database struct {
 	// seq numbers insertions globally so Items/Get present one insertion
 	// order across shards.
 	seq atomic.Uint64
-	// prune accumulates the candidate filter's admission counters across
-	// every pruned scan against this database (internally atomic; scan
+	// prune accumulates the scan and candidate-filter counters across every
+	// flat-path top-k scan against this database (internally atomic; scan
 	// workers flush into it without any shard lock).
 	prune index.PruneStats
 }
@@ -619,10 +619,15 @@ type Stats struct {
 	// Shards breaks the same counters down per shard; the totals above are
 	// exactly the column sums.
 	Shards []ShardStats
-	// PruneScreened, PruneAdmitted and PruneRejected are the candidate
-	// filter's cumulative admission counters across every pruned scan
-	// (Options.Recall > 0): bags that reached an armed filter, and how the
-	// box test split them. Screened = Admitted + Rejected.
+	// PruneScans counts every flat-path top-k scan (one per scorer of a
+	// TopKMany batch) and PruneUnarmed the ones that ran without the
+	// candidate filter — a negative weight, or k covering every bag.
+	// PruneScreened, PruneAdmitted and PruneRejected are the filter's
+	// cumulative admission counters across those scans: bags that reached
+	// an armed filter, and how the box test split them.
+	// Screened = Admitted + Rejected.
+	PruneScans    int64
+	PruneUnarmed  int64
 	PruneScreened int64
 	PruneAdmitted int64
 	PruneRejected int64
@@ -650,6 +655,8 @@ func (db *Database) Stats() Stats {
 		st.DeadItems += ss.DeadItems
 		st.DeadInstances += ss.DeadInstances
 	}
+	st.PruneScans = db.prune.Scans.Load()
+	st.PruneUnarmed = db.prune.Unarmed.Load()
 	st.PruneScreened = db.prune.Screened.Load()
 	st.PruneAdmitted = db.prune.Admitted.Load()
 	st.PruneRejected = db.prune.Rejected.Load()
@@ -669,12 +676,12 @@ type Options struct {
 	Exclude map[string]bool
 	// Parallelism bounds scan goroutines; 0 means runtime.NumCPU().
 	Parallelism int
-	// Recall enables the candidate-pruning tier for top-k scans on the flat
-	// path (index.Sharded.TopKPruned): 0 disables it, ≥ 1 screens bags with
-	// the conservative box bound (results bit-identical to the exact scan),
-	// values in (0, 1) tighten the bound by a calibrated slack for extra
-	// speed at a quantified recall. Rank and the fallback (non-flat) scan
-	// ignore it.
+	// Recall selects the candidate filter's tier for top-k scans on the flat
+	// path (index.Sharded.TopKPruned). Every such scan screens bags with the
+	// conservative box bound, whose results are bit-identical to
+	// Rank(...)[:k]; only values in (0, 1) change anything, tightening the
+	// bound by a calibrated slack for extra speed at a quantified recall.
+	// Rank and the fallback (non-flat) scan ignore it.
 	Recall float64
 	// Cutoff, when non-nil, shares one top-k bound across several
 	// partitions of the same logical query (possibly in other processes):
@@ -725,20 +732,12 @@ func TopK(db *Database, s Scorer, k int, opts Options) []Result {
 		return nil
 	}
 	if q, ok := query(db, s); ok {
-		popts := index.PruneOpts{
+		return db.snapshot().TopKPruned(q, k, opts.Exclude, opts.Parallelism, index.PruneOpts{
 			Recall:     opts.Recall,
+			Stats:      &db.prune,
 			Shared:     opts.Cutoff,
 			CutoffSeed: opts.CutoffSeed,
-		}
-		if opts.Recall > 0 {
-			popts.Stats = &db.prune
-		}
-		if opts.Recall > 0 || popts.Shared != nil || popts.CutoffSeed > 0 {
-			// TopKPruned with Recall ≤ 0 arms no sketch filter; it is the
-			// plain exact scan plus the externally shared/seeded cutoff.
-			return db.snapshot().TopKPruned(q, k, opts.Exclude, opts.Parallelism, popts)
-		}
-		return db.snapshot().TopK(q, k, opts.Exclude, opts.Parallelism)
+		})
 	}
 	views := db.views()
 	total := 0
@@ -831,11 +830,8 @@ func TopKMany(db *Database, scorers []Scorer, k int, opts Options) [][]Result {
 		qs[i] = q
 	}
 	if allFlat {
-		if opts.Recall > 0 {
-			return db.snapshot().MultiTopKPruned(qs, k, opts.Exclude, opts.Parallelism,
-				index.PruneOpts{Recall: opts.Recall, Stats: &db.prune})
-		}
-		return db.snapshot().MultiTopK(qs, k, opts.Exclude, opts.Parallelism)
+		return db.snapshot().MultiTopKPruned(qs, k, opts.Exclude, opts.Parallelism,
+			index.PruneOpts{Recall: opts.Recall, Stats: &db.prune})
 	}
 	out := make([][]Result, len(scorers))
 	for i, s := range scorers {

@@ -112,25 +112,38 @@ func TestQuickShardedMatchesSingleShard(t *testing.T) {
 			t.Log("sharded naive Rank diverged")
 			return false
 		}
+		// Top-k on either database is the head of the single-shard naive
+		// ranking — a reference no cutoff, heap, seed or box has touched.
+		head := func(full []Result, k int) []Result {
+			if k < len(full) {
+				return full[:k]
+			}
+			return full
+		}
+		full := Rank(p.single, naive, opts)
 		for _, k := range []int{1, n / 2, n + 5} {
 			if k < 1 {
 				k = 1
 			}
-			if !reflect.DeepEqual(TopK(p.sharded, flat, k, opts), TopK(p.single, flat, k, opts)) {
-				t.Logf("sharded flat TopK(%d) diverged", k)
-				return false
+			for name, db := range map[string]*Database{"single": p.single, "sharded": p.sharded} {
+				if !reflect.DeepEqual(TopK(db, flat, k, opts), head(full, k)) {
+					t.Logf("%s flat TopK(%d) diverged from the naive ranking", name, k)
+					return false
+				}
 			}
 			if !reflect.DeepEqual(TopK(p.sharded, naive, k, opts), TopK(p.single, naive, k, opts)) {
 				t.Logf("sharded naive TopK(%d) diverged", k)
 				return false
 			}
 		}
-		_, flat2 := randScorerPair(r, dim)
-		scorers := []Scorer{flat, flat2}
+		naive2, flat2 := randScorerPair(r, dim)
 		k := 1 + r.Intn(n)
-		if !reflect.DeepEqual(TopKMany(p.sharded, scorers, k, opts), TopKMany(p.single, scorers, k, opts)) {
-			t.Logf("sharded TopKMany(%d) diverged", k)
-			return false
+		want := [][]Result{head(full, k), head(Rank(p.single, naive2, opts), k)}
+		for name, db := range map[string]*Database{"single": p.single, "sharded": p.sharded} {
+			if !reflect.DeepEqual(TopKMany(db, []Scorer{flat, flat2}, k, opts), want) {
+				t.Logf("%s TopKMany(%d) diverged from the naive rankings", name, k)
+				return false
+			}
 		}
 		// Metadata views agree too: same live items in the same insertion
 		// order, regardless of which shard each landed in.

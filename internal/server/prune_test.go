@@ -72,7 +72,7 @@ func TestQueryRecallRoundTrip(t *testing.T) {
 		t.Fatalf("calibrated disposition %q, want filtered@0.9", got)
 	}
 
-	// A database with pruning off accepts a per-request opt-in.
+	// A database at the default recall echoes a per-request recall too.
 	s2, _ := testServer(t)
 	req2 := QueryRequest{Positives: []string{"object-car-00", "object-car-01"}, K: 4, Mode: "identical"}
 	r2 := query2(t, s2, req2)
@@ -141,10 +141,12 @@ func TestRetrieveBatchRecall(t *testing.T) {
 	}
 }
 
-// /v1/stats exposes the filter counters once a pruned scan has run — absent
-// before, consistent (screened = admitted + rejected) after.
+// /v1/stats exposes the top-k scan counters once any query has run, with
+// recall left at its default: absent before, consistent (screened =
+// admitted + rejected) after, and a scan that could not arm the filter —
+// here k covering the whole database — shows up as unarmed.
 func TestStatsPruneCounters(t *testing.T) {
-	s, _ := testServerRecall(t, 1)
+	s, db := testServer(t)
 	stats := func() *PruneStatsResponse {
 		t.Helper()
 		rec, body := doJSON(t, s, http.MethodGet, "/v1/stats", nil)
@@ -158,7 +160,7 @@ func TestStatsPruneCounters(t *testing.T) {
 		return st.Prune
 	}
 	if pr := stats(); pr != nil {
-		t.Fatalf("prune block present before any pruned scan: %+v", pr)
+		t.Fatalf("prune block present before any top-k scan: %+v", pr)
 	}
 	req := QueryRequest{Positives: []string{"object-car-00", "object-car-01"}, K: 4, Mode: "identical"}
 	if rec, body := doJSON(t, s, http.MethodPost, "/v1/query", req); rec.Code != http.StatusOK {
@@ -166,9 +168,16 @@ func TestStatsPruneCounters(t *testing.T) {
 	}
 	pr := stats()
 	if pr == nil {
-		t.Fatal("prune block absent after a pruned scan")
+		t.Fatal("prune block absent after a top-k scan")
 	}
-	if pr.Screened == 0 || pr.Admitted+pr.Rejected != pr.Screened {
+	if pr.Scans != 1 || pr.Unarmed != 0 || pr.Screened == 0 || pr.Admitted+pr.Rejected != pr.Screened {
 		t.Fatalf("inconsistent counters: %+v", pr)
+	}
+	req.K = db.Len()
+	if rec, body := doJSON(t, s, http.MethodPost, "/v1/query", req); rec.Code != http.StatusOK {
+		t.Fatalf("query status %d: %s", rec.Code, body)
+	}
+	if pr := stats(); pr.Scans != 2 || pr.Unarmed != 1 {
+		t.Fatalf("k = database size: %+v, want 2 scans, 1 unarmed", pr)
 	}
 }

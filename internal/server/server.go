@@ -116,9 +116,9 @@ type QueryRequest struct {
 	// database has no cache.
 	CacheBypass bool `json:"cache_bypass"`
 	// Recall overrides the server database's default candidate-pruning tier
-	// for this query's scan: ≤ 0 forces the plain exact scan, 1 the
-	// conservative (bit-identical) filter, values in (0, 1) the calibrated
-	// probabilistic one. Absent inherits the serve-time -recall default.
+	// for this query's scan: values in (0, 1) select the calibrated
+	// probabilistic filter, every other value the conservative
+	// (bit-identical) one. Absent inherits the serve-time -recall default.
 	Recall *float64 `json:"recall"`
 }
 
@@ -145,10 +145,11 @@ type QueryResponse struct {
 	TrainMS  int64            `json:"train_ms"`
 	Concept  *ConceptGeometry `json:"concept,omitempty"`
 	Cache    string           `json:"cache,omitempty"`
-	// Prune is the scan's candidate-filter disposition: "filtered" (the
-	// conservative, bit-identical tier), "filtered@<r>" (the calibrated
-	// tier at recall r), or omitted when the query ran the plain exact
-	// scan.
+	// Prune is the tier the request asked for: omitted when recall was
+	// left at 0, "filtered" for recall ≥ 1, "filtered@<r>" for the
+	// calibrated tier at recall r. Omitted and "filtered" are the same
+	// exact answer by the same scan; the field echoes the request, it does
+	// not distinguish mechanisms.
 	Prune string `json:"prune,omitempty"`
 }
 
@@ -261,11 +262,16 @@ type TrainStatsResponse struct {
 	StartsCapped int64 `json:"starts_capped"`
 }
 
-// PruneStatsResponse is the candidate-pruning block of /v1/stats: how many
-// bags the sketch tier screened since startup and how the screen split
-// (Screened = Admitted + Rejected). Rejected bags skipped the exact kernel
-// entirely — the filter's whole win.
+// PruneStatsResponse is the top-k scan block of /v1/stats. Scans counts
+// every top-k scan since startup (one per concept of a batch) and Unarmed
+// the ones that ran without the sketch filter — a concept with a negative
+// weight, or k covering the whole database — which is what a slow scan
+// looks like from here. Screened is how many bags the filter screened and
+// Admitted/Rejected how the screen split (Screened = Admitted + Rejected);
+// rejected bags skipped the exact kernel entirely — the filter's whole win.
 type PruneStatsResponse struct {
+	Scans    int64 `json:"scans"`
+	Unarmed  int64 `json:"unarmed"`
 	Screened int64 `json:"screened"`
 	Admitted int64 `json:"admitted"`
 	Rejected int64 `json:"rejected"`
@@ -275,8 +281,8 @@ type PruneStatsResponse struct {
 // scoring indexes every query scans, plus the mutation-lifecycle counters
 // (tombstoned dead weight and journal depth), in total and per shard, the
 // concept cache's counters when one is configured, the training counters
-// once anything has trained, and the candidate-filter counters once any
-// pruned scan has run.
+// once anything has trained, and the top-k scan counters once any top-k
+// scan has run.
 type StatsResponse struct {
 	Images           int                  `json:"images"`
 	Instances        int                  `json:"instances"`
@@ -357,8 +363,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			StartsCapped: st.Train.StartsCapped,
 		}
 	}
-	if st.Prune.Screened > 0 {
+	if st.Prune.Scans > 0 {
 		resp.Prune = &PruneStatsResponse{
+			Scans:    st.Prune.Scans,
+			Unarmed:  st.Prune.Unarmed,
 			Screened: st.Prune.Screened,
 			Admitted: st.Prune.Admitted,
 			Rejected: st.Prune.Rejected,
@@ -714,10 +722,10 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// pruneDisposition renders the effective recall as the wire-visible filter
-// disposition: "" (plain exact scan) for recall ≤ 0, "filtered" for the
-// conservative bit-identical tier (recall ≥ 1), "filtered@<r>" for the
-// calibrated probabilistic tier.
+// pruneDisposition renders the effective recall as the wire-visible tier
+// the request asked for: "" for recall ≤ 0 and "filtered" for recall ≥ 1
+// (the same conservative, bit-identical scan either way), "filtered@<r>"
+// for the calibrated probabilistic tier.
 func pruneDisposition(recall float64) string {
 	switch {
 	case recall <= 0:

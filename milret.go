@@ -157,13 +157,14 @@ type Options struct {
 	// ConceptCacheMB is 0. See store.WriteCacheSidecar for the format.
 	ConceptCacheFile string
 	// Recall sets the database's default candidate-pruning tier for
-	// retrievals (see README "Candidate pruning"): 0 disables the filter
-	// (every retrieval is the plain exact scan), 1 screens bags with a
-	// conservative per-bag bounding-box bound — results stay bit-identical
-	// to the exact scan while bags that provably cannot enter the top-k are
-	// skipped without reading their rows — and values in (0, 1) tighten the
-	// bound by a calibrated slack for extra speed at a quantified recall.
-	// Overridable per call (WithRecall) and per query (QuerySpec.Recall).
+	// retrievals (see README "Candidate pruning"). Every retrieval screens
+	// bags with a conservative per-bag bounding-box bound — results are
+	// bit-identical to the exhaustive ranking while bags that provably
+	// cannot enter the top-k are skipped without reading their rows — so 0
+	// and 1 are the same exact answer by the same scan. Only values in
+	// (0, 1) change anything: they tighten the bound by a calibrated slack
+	// for extra speed at a quantified recall. Overridable per call
+	// (WithRecall) and per query (QuerySpec.Recall).
 	Recall float64
 }
 
@@ -428,7 +429,7 @@ func NewDatabase(opts Options) (*Database, error) {
 func (d *Database) ShardCount() int { return d.db.ShardCount() }
 
 // Recall returns the database's default candidate-pruning tier
-// (Options.Recall); 0 means the filter is off by default.
+// (Options.Recall); 0 and ≥ 1 are both the exact tier.
 func (d *Database) Recall() float64 { return d.recall }
 
 // AddImage preprocesses img (any stdlib image; color is converted to gray
@@ -811,9 +812,9 @@ type retrieveConfig struct {
 }
 
 // WithRecall overrides the database's default candidate-pruning tier
-// (Options.Recall) for one retrieval: r ≤ 0 forces the plain exact scan,
-// r ≥ 1 the conservative (bit-identical) filter, r in (0, 1) the calibrated
-// probabilistic one.
+// (Options.Recall) for one retrieval: r in (0, 1) selects the calibrated
+// probabilistic filter, every other r the conservative (bit-identical)
+// one.
 func WithRecall(r float64) RetrieveOption {
 	return func(c *retrieveConfig) { c.recall = r }
 }
@@ -944,8 +945,8 @@ type QuerySpec struct {
 	Opts      TrainOptions
 	// Recall overrides the database's default candidate-pruning tier for
 	// this query's retrieval (see Options.Recall): 0 inherits the default,
-	// a negative value forces the plain exact scan, positive values select
-	// the tier directly (≥ 1 conservative, (0, 1) calibrated). Recall never
+	// a negative value forces the exact tier, positive values select the
+	// tier directly (≥ 1 exact, (0, 1) calibrated). Recall never
 	// enters the cache fingerprint — it changes how the scan runs, not what
 	// the trained concept is.
 	Recall float64
@@ -1493,9 +1494,9 @@ type Stats struct {
 	// Cache reports the concept cache's occupancy and traffic counters;
 	// nil when the cache is disabled (Options.ConceptCacheMB 0).
 	Cache *CacheStats
-	// Prune reports the candidate filter's cumulative admission counters
-	// across every pruned retrieval (Options.Recall, WithRecall,
-	// QuerySpec.Recall); all zero while no pruned scan has run.
+	// Prune reports the top-k scan and candidate-filter counters across
+	// every retrieval, whatever its recall; all zero while no top-k scan
+	// has run.
 	Prune PruneStats
 	// Train reports this process's cumulative Diverse Density training
 	// work (see ProcessTrainStats); all zero until something trains.
@@ -1534,11 +1535,16 @@ func ProcessTrainStats() TrainStats {
 	return TrainStats{Evals: evals, Starts: starts, StartsCapped: capped}
 }
 
-// PruneStats counts the candidate-pruning filter's admission decisions:
-// Screened bags reached an armed filter (a top-k cutoff existed), and each
-// was either Admitted to the exact scan or Rejected on its bounding-box
-// bound alone. Screened = Admitted + Rejected.
+// PruneStats counts top-k scans and the candidate filter's admission
+// decisions. Scans is every top-k scan (one per concept of a batch) and
+// Unarmed the ones that ran without the filter — a concept with a negative
+// weight, or k covering the whole database — so a slow unfiltered scan is
+// visible as such. Screened bags reached an armed filter (a top-k cutoff
+// existed), and each was either Admitted to the exact scan or Rejected on
+// its bounding-box bound alone. Screened = Admitted + Rejected.
 type PruneStats struct {
+	Scans    int64
+	Unarmed  int64
 	Screened int64
 	Admitted int64
 	Rejected int64
@@ -1602,6 +1608,8 @@ func (d *Database) Stats() Stats {
 		st.WALMutations += row.WALMutations
 	}
 	st.Prune = PruneStats{
+		Scans:    s.PruneScans,
+		Unarmed:  s.PruneUnarmed,
 		Screened: s.PruneScreened,
 		Admitted: s.PruneAdmitted,
 		Rejected: s.PruneRejected,

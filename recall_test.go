@@ -7,8 +7,8 @@ import (
 	"milret/internal/synth"
 )
 
-// recallDB builds a database with the pruning default set, plus one exact
-// twin holding the identical corpus.
+// recallDB builds a database with the pruning default set, plus a twin at
+// the default recall holding the identical corpus.
 func recallDB(t *testing.T, recall float64) (*Database, *Database) {
 	t.Helper()
 	pruned, err := NewDatabase(Options{Recall: recall})
@@ -28,10 +28,11 @@ func recallDB(t *testing.T, recall float64) (*Database, *Database) {
 	return pruned, exact
 }
 
-// The conservative tier must be invisible end to end: a database with
-// Options.Recall 1 retrieves bit-identically to an exact one, through
-// Retrieve, RetrieveMany and QueryMany, and WithRecall/QuerySpec.Recall
-// overrides resolve as documented.
+// The conservative tier must be invisible end to end: Options.Recall 0 and
+// 1 are the same scan, so the reference is the head of the exhaustive
+// RankAll, which no top-k machinery touches. Retrieve, RetrieveMany and
+// QueryMany must match it on both databases, and WithRecall/
+// QuerySpec.Recall overrides resolve as documented.
 func TestRecallOneEndToEndIdentical(t *testing.T) {
 	pruned, exact := recallDB(t, 1)
 	if pruned.Recall() != 1 {
@@ -48,12 +49,15 @@ func TestRecallOneEndToEndIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := 7
-	want := exact.Retrieve(ce, k)
+	want := exact.RankAll(ce)[:k]
+	if got := exact.Retrieve(ce, k); !reflect.DeepEqual(got, want) {
+		t.Fatalf("default-recall Retrieve diverged from RankAll:\n got %+v\nwant %+v", got, want)
+	}
 	if got := pruned.Retrieve(cp, k); !reflect.DeepEqual(got, want) {
 		t.Fatalf("pruned Retrieve diverged:\n got %+v\nwant %+v", got, want)
 	}
-	// Per-call override: pruning forced off retrieves the same results too
-	// (bit-identity means the override is also invisible in the output).
+	// Per-call override: a negative recall retrieves the same results too
+	// (bit-identity means the override is invisible in the output).
 	if got := pruned.Retrieve(cp, k, WithRecall(-1)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("WithRecall(-1) diverged:\n got %+v\nwant %+v", got, want)
 	}
@@ -89,8 +93,12 @@ func TestRecallOneEndToEndIdentical(t *testing.T) {
 		}
 	}
 
-	// Counters flowed: the pruned database screened bags, the invariant holds.
+	// Counters flowed: every retrieval above was a counted, armed scan that
+	// screened bags, and the invariant holds.
 	st := pruned.Stats()
+	if st.Prune.Scans != 7 || st.Prune.Unarmed != 0 {
+		t.Fatalf("scans %d unarmed %d, want 7 and 0", st.Prune.Scans, st.Prune.Unarmed)
+	}
 	if st.Prune.Screened == 0 {
 		t.Fatal("pruned database screened nothing")
 	}
@@ -98,15 +106,14 @@ func TestRecallOneEndToEndIdentical(t *testing.T) {
 		t.Fatalf("stats invariant: screened %d != admitted %d + rejected %d",
 			st.Prune.Screened, st.Prune.Admitted, st.Prune.Rejected)
 	}
-	if got := exact.Stats().Prune.Screened; got == 0 {
-		// exact db ran one pruned scan via WithRecall(1) above
-		t.Fatalf("WithRecall(1) scan did not screen: %d", got)
+	if st := exact.Stats().Prune; st.Scans != 2 || st.Screened == 0 {
+		t.Fatalf("default-recall database: %+v, want 2 screened scans", st)
 	}
 }
 
 // A database saved and reloaded keeps pruning working: sketches are rebuilt
-// from the flat block on load (no format change), so a loaded database with
-// Recall 1 still matches its exact twin bit for bit.
+// from the flat block on load (no format change), so a loaded database
+// still matches the exhaustive ranking of its never-saved twin bit for bit.
 func TestRecallSurvivesReload(t *testing.T) {
 	pruned, exact := recallDB(t, 1)
 	dir := t.TempDir()
@@ -131,7 +138,7 @@ func TestRecallSurvivesReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := exact.Retrieve(ce, 6)
+	want := exact.RankAll(ce)[:6]
 	if got := loaded.Retrieve(cl, 6); !reflect.DeepEqual(got, want) {
 		t.Fatalf("loaded pruned Retrieve diverged:\n got %+v\nwant %+v", got, want)
 	}
