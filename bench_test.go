@@ -216,17 +216,7 @@ func BenchmarkTopK20(b *testing.B) {
 //
 // Synthetic corpora at three scales exercise the flat scan: 1k items at the
 // paper's full geometry (40 instances × 100 dims), 10k and 50k at reduced
-// per-item footprints so the blocks stay memory-friendly. The *Naive
-// variants force the per-bag fallback scan by hiding the concept's
-// point/weight geometry — the flat-vs-naive pairs at equal corpus measure
-// the engine's speedup at identical results (the equivalence tests in
-// internal/retrieval prove the rankings bit-identical).
-
-// naiveOnlyScorer adapts a concept to a plain BagDist-only Scorer, forcing
-// the naive scan path.
-type naiveOnlyScorer struct{ c *core.Concept }
-
-func (s naiveOnlyScorer) BagDist(b *mil.Bag) float64 { return s.c.BagDist(b) }
+// per-item footprints so the blocks stay memory-friendly.
 
 // benchCorpusDB builds a deterministic synthetic database of n bags with
 // inst instances of dim dimensions each, plus a concept near one category.
@@ -477,36 +467,15 @@ func BenchmarkShardChurn10k(b *testing.B) {
 	}
 }
 
-// Naive-path comparators at the same corpora (the ≥2× acceptance pair is
-// BenchmarkTopK10k vs BenchmarkTopKNaive10k).
-func BenchmarkRankNaive10k(b *testing.B) {
-	db, concept := benchCorpusDB(10_000, 10, 100)
-	s := naiveOnlyScorer{concept}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		retrieval.Rank(db, s, retrieval.Options{})
-	}
-}
-
-func BenchmarkTopKNaive10k(b *testing.B) {
-	db, concept := benchCorpusDB(10_000, 10, 100)
-	s := naiveOnlyScorer{concept}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		retrieval.TopK(db, s, 20, retrieval.Options{})
-	}
-}
-
 // --- Batched multi-concept scans (index.MultiTopK via retrieval.TopKMany) ---
 //
 // benchCorpusConcepts builds one trained-looking concept per category,
-// reusing the corpus's cluster centers. Scoring all of them against the
-// block in one pass is the false-positive-mining / multi-user workload; the
-// Sequential variant is the same work as B independent TopK calls, so the
-// pair measures the batching win at identical results (the property tests
-// prove MultiTopK ≡ per-concept TopK).
+// reusing the corpus's cluster centers. Scoring all of them against one
+// pinned snapshot is the false-positive-mining / multi-user workload; the
+// Sequential variant is the same B single scans issued one after another,
+// each split across every core, so the pair measures what scheduling whole
+// queries onto cores buys at identical results (the property tests prove
+// MultiTopK ≡ per-concept TopK). On one core the two are the same work.
 func benchCorpusConcepts(nc, dim int) []retrieval.Scorer {
 	r := rand.New(rand.NewSource(42))
 	centers := benchCenters(r, dim, benchCorpusCats)
@@ -539,8 +508,8 @@ func benchMultiTopK(b *testing.B, n, inst, dim, nc, k int, sequential bool) {
 	}
 }
 
-// The ≥3× aggregate-throughput acceptance pair: 8 concepts in one batched
-// pass vs 8 sequential TopK scans over the same 10k corpus.
+// The snapshot pair: 8 concepts as one batch vs 8 sequential TopK scans over
+// the same 10k corpus.
 func BenchmarkMultiTopK10kx8(b *testing.B)      { benchMultiTopK(b, 10_000, 10, 100, 8, 20, false) }
 func BenchmarkSequentialTopK10kx8(b *testing.B) { benchMultiTopK(b, 10_000, 10, 100, 8, 20, true) }
 

@@ -234,9 +234,9 @@ func TestQueryManyPipeline(t *testing.T) {
 }
 
 // TestConcurrentMutationsVsCachedQueries interleaves cached queries (hits,
-// misses and coalesced flights) with Add/Delete/Update mutations; the
-// -race run is the assertion, plus every query must keep returning a
-// usable concept.
+// misses and coalesced flights), single and batched retrievals with
+// Add/Delete/Update/Compact mutations; the -race run is the assertion, plus
+// every query must keep returning a usable concept.
 func TestConcurrentMutationsVsCachedQueries(t *testing.T) {
 	db := cacheTestDB(t, 4, 3, "car", "lamp")
 	pos := idsOf(db, "car", 2)
@@ -259,6 +259,11 @@ func TestConcurrentMutationsVsCachedQueries(t *testing.T) {
 					t.Error("empty retrieval")
 					return
 				}
+				many, err := db.RetrieveMany([]*Concept{c, c, c}, 3, nil)
+				if err != nil || len(many) != 3 || len(many[2]) == 0 {
+					t.Errorf("batched retrieval = %v, %v", many, err)
+					return
+				}
 			}
 		}()
 	}
@@ -275,6 +280,10 @@ func TestConcurrentMutationsVsCachedQueries(t *testing.T) {
 				return
 			}
 			if err := db.DeleteImage("churn"); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := db.Compact(); err != nil {
 				t.Error(err)
 				return
 			}

@@ -122,7 +122,7 @@ func (c *Concept) SqDistTo(x mat.Vector) float64 {
 }
 
 // PointWeights exposes the concept geometry for the flat columnar scan
-// (retrieval.PointWeightScorer). The returned slices alias the concept's
+// (retrieval.Scorer). The returned slices alias the concept's
 // own vectors and must not be mutated.
 func (c *Concept) PointWeights() (point, weights []float64) {
 	return c.Point, c.Weights
@@ -143,10 +143,10 @@ func (c *Concept) BagDist(b *mil.Bag) float64 {
 //
 // The whole bag is scored in one batched kernel call
 // (mat.MinWeightedSqDistVecs) with within-bag early abandonment when the
-// weights permit it, instead of a full kernel evaluation per instance —
-// this is the naive fallback scan's hot loop, and the batched path keeps it
-// bit-identical to the flat columnar scan by sharing the kernel's block
-// order and pruning contract.
+// weights permit it, instead of a full kernel evaluation per instance. It
+// is what Explain reports and what the tests' naive reference ranks by; it
+// stays bit-identical to the flat columnar scan by sharing the kernel's
+// block order and pruning contract.
 func (c *Concept) BestInstance(b *mil.Bag) (dist float64, index int) {
 	return mat.MinWeightedSqDistVecs(c.Point, c.Weights, b.Instances, math.Inf(1), c.Weights.AllNonNegative())
 }

@@ -328,14 +328,10 @@ type Snapshot struct {
 // Len returns the number of bags in the snapshot, tombstoned ones included.
 func (s Snapshot) Len() int { return len(s.ids) }
 
-// IsDead reports whether bag i is tombstoned in this snapshot. Skipping a
+// isDead reports whether bag i is tombstoned in this snapshot. Skipping a
 // dead bag is exactly like excluding it: pruning cutoffs only ever tighten
 // from bags that produce results, so dropping a bag can never disturb the
-// distances or order of the survivors. Exported so the owner's fallback
-// (per-bag) scan shares the snapshot's tombstone view instead of copying
-// the live items per query.
-func (s Snapshot) IsDead(i int) bool { return s.isDead(i) }
-
+// distances or order of the survivors.
 func (s *Snapshot) isDead(i int) bool {
 	w := i >> 6
 	return w < len(s.dead) && s.dead[w]&(1<<uint(i&63)) != 0
@@ -393,7 +389,7 @@ type Result struct {
 }
 
 // worse reports whether a ranks strictly after b (greater distance, ID tie
-// break) — the same ordering the naive scan uses.
+// break) — the one result order of the scan path.
 func worse(a, b Result) bool {
 	if a.Dist != b.Dist {
 		return a.Dist > b.Dist
@@ -441,8 +437,8 @@ func (s Snapshot) MultiTopK(qs []Query, k int, exclude map[string]bool, par int)
 // all-tombstoned or fully excluded snapshot must rank exactly like an
 // index that never held the bags, down to the representation (the
 // tombstone≡rebuild and flat≡naive property tests compare with
-// reflect.DeepEqual, where nil and an empty slice differ, and the naive
-// reference scans produce empty non-nil lists).
+// reflect.DeepEqual, where nil and an empty slice differ, and the tests'
+// naive reference produces empty non-nil lists).
 func normalizeEmpty(rs []Result) []Result {
 	if len(rs) == 0 {
 		return []Result{}
@@ -487,9 +483,7 @@ func (c *sharedCutoff) tighten(d float64) {
 type resultMaxHeap []Result
 
 // offer folds one scored bag into a worker's best-k heap and publishes the
-// tightened k-th best to the shared cutoff. Both the single-query and the
-// batched scan loops route through this one implementation, so tie-breaking
-// and cutoff tightening cannot diverge between them.
+// tightened k-th best to the shared cutoff.
 func (h *resultMaxHeap) offer(r Result, k int, shared *sharedCutoff) {
 	if len(*h) < k {
 		h.push(r)

@@ -122,17 +122,33 @@ func TestEmptySnapshot(t *testing.T) {
 	}
 }
 
+// A dim-mismatched query must panic on the caller's goroutine — recoverable
+// here — at every entry point, a batch included: were the check left to a
+// scan or query worker, the panic would take the process down instead.
 func TestQueryDimMismatchPanics(t *testing.T) {
 	x := New()
-	if err := x.Append("a", "l", []mat.Vector{{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("dim-mismatched query did not panic")
+	for _, id := range []string{"a", "b", "c"} {
+		if err := x.Append(id, "l", []mat.Vector{{1, 2, 3}}); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	x.Snapshot().Rank(Query{Point: []float64{0}, Weights: []float64{1}}, nil, 1)
+	}
+	s := x.Snapshot()
+	good := Query{Point: []float64{0, 0, 0}, Weights: []float64{1, 1, 1}}
+	bad := Query{Point: []float64{0}, Weights: []float64{1}}
+	for name, scan := range map[string]func(){
+		"Rank":      func() { s.Rank(bad, nil, 1) },
+		"TopK":      func() { s.TopK(bad, 2, nil, 4) },
+		"MultiTopK": func() { s.MultiTopK([]Query{good, good, bad}, 2, nil, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: dim-mismatched query did not panic", name)
+				}
+			}()
+			scan()
+		}()
+	}
 }
 
 // TestRankMatchesNaive: distances and ordering must be bit-identical to the

@@ -33,9 +33,9 @@
 // bag (nothing to reject); those scans run the plain loop or Rank and are
 // counted as PruneStats.Unarmed.
 //
-// Single-query scans over a large enough corpus additionally seed the
-// shared cutoff before the scan starts: a strided sample of bags is ordered
-// by representative distance, the best k are scored exactly, and their
+// Scans over a large enough corpus additionally seed the shared cutoff
+// before the scan starts: a strided sample of bags is ordered by
+// representative distance, the best k are scored exactly, and their
 // worst distance — an upper bound on the global k-th best by the same
 // subset argument — primes the filter so rejection starts at bag 0 instead
 // of after the heaps fill.
@@ -44,6 +44,7 @@ package index
 import (
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"milret/internal/mat"
@@ -140,12 +141,11 @@ func (f *pruneFilter) reject(s *Snapshot, i int, cutoff float64) bool {
 const calibrationSample = 64
 
 // seedSample is the number of bags whose representatives are probed to
-// seed the shared cutoff before a single-query scan, and seedMinBags the
-// corpus size below which seeding is skipped: probing seedSample
-// representatives and scoring k bags unabandoned is a fixed cost, and on a
-// corpus only a few samples wide it exceeds what the earlier rejections
-// save — the per-worker heaps arm the filter within the first k bags
-// anyway, as the batched scan always does.
+// seed the shared cutoff before a scan, and seedMinBags the corpus size
+// below which seeding is skipped: probing seedSample representatives and
+// scoring k bags unabandoned is a fixed cost, and on a corpus only a few
+// samples wide it exceeds what the earlier rejections save — the per-worker
+// heaps arm the filter within the first k bags anyway.
 const (
 	seedSample  = 256
 	seedMinBags = 8 * seedSample
@@ -212,7 +212,7 @@ func calibrateRho(shards []Snapshot, q Query, recall float64) float64 {
 	return ratios[idx]
 }
 
-// seedCutoff primes the shared cutoff before a single-query scan: a strided
+// seedCutoff primes the shared cutoff before a scan: a strided
 // sample of live, non-excluded bags is probed by (cheap, float32)
 // representative distance, the k most promising are scored exactly, and the
 // worst of those k exact distances is published. That maximum is an upper
@@ -324,6 +324,7 @@ func (sh Sharded) TopKPruned(q Query, k int, exclude map[string]bool, par int, o
 		opts.Stats.scan(false)
 		return sh.Rank(q, exclude, par)
 	}
+	sh.check(q)
 	filt := newPruneFilter(q, opts, sh)
 	opts.Stats.scan(filt != nil)
 	shared := newSharedCutoff()
@@ -339,61 +340,50 @@ func (sh Sharded) TopKPruned(q Query, k int, exclude map[string]bool, par int, o
 	return bestK(scanTopKCandidates(sh, q, k, exclude, resolvePar(par), shared, filt), k)
 }
 
-// MultiTopKPruned scores B queries in one batched pass over the shards and
-// returns, per query, exactly what TopKPruned returns for it. Every query
-// gets its own filter (armed independently — a query with negative weights
-// scans unfiltered while its batch-mates prune), its own per-worker heaps
-// and its own shared cutoff, so the queries never influence each other's
-// results, only their memory locality: a bag's rows are pulled into cache
-// once and scored against every concept that still wants them. Cutoffs are
-// not pre-seeded; the heaps arm the filters within the first k bags.
-// opts.Shared and opts.CutoffSeed are single-query protocol and ignored.
+// MultiTopKPruned answers B queries over one pinned view: element i is
+// exactly TopKPruned(qs[i], ...) because it is that call. Parallelism is
+// spent across queries before it is spent inside them — min(par, B) query
+// workers claim queries off a shared cursor and each runs the single-query
+// scan on par/workers scan workers — since a whole query per core wastes
+// nothing, while splitting one short scan over every core does. Live scan
+// workers never exceed par. Every query's dimension is checked here, on the
+// caller's goroutine, so a malformed query panics where the caller can
+// recover it. opts.Shared and opts.CutoffSeed are single-query protocol and
+// ignored.
 func (sh Sharded) MultiTopKPruned(qs []Query, k int, exclude map[string]bool, par int, opts PruneOpts) [][]Result {
-	nq := len(qs)
-	if nq == 0 {
+	if len(qs) == 0 {
 		return nil
 	}
-	outs := make([][]Result, nq)
+	outs := make([][]Result, len(qs))
 	if k <= 0 {
 		return outs
 	}
-	n := sh.Bags()
-	if n == 0 {
-		for qi := range outs {
-			outs[qi] = normalizeEmpty(nil)
-		}
-		return outs
+	for _, q := range qs {
+		sh.check(q)
 	}
-	if k >= n {
-		// Degenerate: every candidate survives, so batching buys nothing.
-		for qi, q := range qs {
-			opts.Stats.scan(false)
-			outs[qi] = sh.Rank(q, exclude, par)
-		}
-		return outs
-	}
-	if nq > mat.ScreenMaxConcepts {
-		// The fused screen reports survivors in a uint64 mask; larger
-		// batches run as chunks, each still amortizing the block walk.
-		for lo := 0; lo < nq; lo += mat.ScreenMaxConcepts {
-			hi := lo + mat.ScreenMaxConcepts
-			if hi > nq {
-				hi = nq
+	opts.Shared, opts.CutoffSeed = nil, 0
+	par = resolvePar(par)
+	workers := min(par, len(qs))
+	var next atomic.Int64
+	worker := func() {
+		for {
+			qi := int(next.Add(1)) - 1
+			if qi >= len(qs) {
+				return
 			}
-			copy(outs[lo:hi], sh.MultiTopKPruned(qs[lo:hi], k, exclude, par, opts))
+			outs[qi] = sh.TopKPruned(qs[qi], k, exclude, par/workers, opts)
 		}
-		return outs
 	}
-	shared := make([]*sharedCutoff, nq)
-	filts := make([]*pruneFilter, nq)
-	for qi := range qs {
-		shared[qi] = newSharedCutoff()
-		filts[qi] = newPruneFilter(qs[qi], opts, sh)
-		opts.Stats.scan(filts[qi] != nil)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker()
+		}()
 	}
-	for qi, merged := range scanMultiTopKCandidates(sh, qs, k, exclude, resolvePar(par), shared, filts) {
-		outs[qi] = bestK(merged, k)
-	}
+	worker()
+	wg.Wait()
 	return outs
 }
 

@@ -37,9 +37,14 @@ var exactTiers = []float64{0, 1, 2.5, -1}
 // bit-identical — distances, labels, ID tie-breaks — to the head of the
 // exhaustive ranking, single query and batched (single ≡ batch[i]), across
 // random shard counts (1..N), tombstones, exclusions, k (through k ≥ n),
-// dim (through dim < KernelBlock), parallelism, and negative-weight queries
-// that disarm the filter.
+// dim (through dim < KernelBlock), and negative-weight queries that disarm
+// the filter beside armed batch-mates. Batch size × parallelism walks the
+// whole grid below — batches smaller than, equal to and larger than the
+// worker budget, and one past the 64 queries a batch was once chunked at.
 func TestQuickPrunedMatchesExact(t *testing.T) {
+	batchSizes := []int{1, 2, 5, 9, 70}
+	pars := []int{1, 2, 3, 8}
+	iter := 0
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(20)
@@ -47,9 +52,14 @@ func TestQuickPrunedMatchesExact(t *testing.T) {
 		nShards := 1 + r.Intn(5)
 		single, sharded := buildShardedPair(t, r, n, dim, 3, nShards, r.Intn(2) == 0)
 
-		qs := []Query{randQueryFor(r, dim), randQueryFor(r, dim), randQueryFor(r, dim)}
+		qs := make([]Query, batchSizes[iter%len(batchSizes)])
+		par := pars[iter/len(batchSizes)%len(pars)]
+		iter++
+		for qi := range qs {
+			qs[qi] = randQueryFor(r, dim)
+		}
 		if r.Intn(3) == 0 {
-			qs[1].Weights[r.Intn(dim)] *= -1 // disarms this query's filter only
+			qs[r.Intn(len(qs))].Weights[r.Intn(dim)] *= -1 // disarms this query's filter only
 		}
 		exclude := map[string]bool{}
 		for i := 0; i < n; i++ {
@@ -57,7 +67,6 @@ func TestQuickPrunedMatchesExact(t *testing.T) {
 				exclude[fmt.Sprintf("img-%04d", i)] = true
 			}
 		}
-		par := 1 + r.Intn(8)
 		for _, k := range []int{1, n / 2, n, n + 7} {
 			if k < 1 {
 				k = 1

@@ -1,8 +1,8 @@
 // The work-stealing scan scheduler. Every scan — single snapshot or
-// sharded, exhaustive or top-k, one query or a batch — runs on the same
-// core: the bag ranges of all non-empty shards are cut into chunks, the
-// chunks go into one global list, and min(par, len(chunks)) workers claim
-// chunks off a shared atomic cursor until the list is empty.
+// sharded, exhaustive or top-k, alone or as one query of a batch — runs on
+// the same core: the bag ranges of all non-empty shards are cut into chunks,
+// the chunks go into one global list, and min(par, len(chunks)) workers
+// claim chunks off a shared atomic cursor until the list is empty.
 //
 // This replaces the old static split (each shard granted par/N workers,
 // each worker granted an n/par range). The static budget stranded cores
@@ -29,11 +29,8 @@ package index
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
-
-	"milret/internal/mat"
 )
 
 // chunkSpan is one unit of claimable scan work: bags [lo, hi) of shard si.
@@ -151,11 +148,6 @@ func runChunked(par int, chunks []chunkSpan, worker func(w int, claim func() (ch
 // per-shard slices (excluded/tombstoned bags get +Inf). Chunks touch
 // disjoint ranges, so workers write without coordination.
 func scanRankDists(shards []Snapshot, q Query, exclude map[string]bool, par int) [][]float64 {
-	for _, s := range shards {
-		if s.Len() > 0 {
-			q.check(s.dim)
-		}
-	}
 	prune := q.prunable()
 	dists := make([][]float64, len(shards))
 	for si, s := range shards {
@@ -213,11 +205,6 @@ func scanRankCandidates(shards []Snapshot, q Query, exclude map[string]bool, par
 // cannot arm (a negative weight): then no bag is box-screened and no row is
 // abandoned, and the loop is the plain exhaustive reference.
 func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bool, par int, shared *sharedCutoff, filt *pruneFilter) []Result {
-	for _, s := range shards {
-		if s.Len() > 0 {
-			q.check(s.dim)
-		}
-	}
 	prune := filt != nil
 	chunks := scanChunks(shards, par)
 	if len(chunks) == 0 {
@@ -282,168 +269,4 @@ func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bo
 		merged = append(merged, h...)
 	}
 	return merged
-}
-
-// scanMultiTopKCandidates is the batched (multi-query) counterpart: one
-// chunk-claiming pass in which every bag row is screened against all
-// queries' first blocks while it is cache-hot. Per worker, per query, a
-// size-k heap spanning shards; per query, a shared cutoff spanning
-// everything. len(qs) must not exceed mat.ScreenMaxConcepts (callers
-// chunk). The caller sorts and truncates each query's merged candidates.
-// filts[qi] is qi's armed candidate filter, or nil when it cannot arm (a
-// negative weight; that query then abandons nothing either). A rejected
-// (bag, query) pair is dropped from the fused screen by forcing its abandon
-// threshold to -Inf — no row of the bag can survive the first-block screen
-// for that query, and the final offer is skipped — so a rejected pair costs
-// a box test instead of a row walk, while batch-mates keep scoring the bag
-// normally.
-func scanMultiTopKCandidates(shards []Snapshot, qs []Query, k int, exclude map[string]bool, par int, shared []*sharedCutoff, filts []*pruneFilter) [][]Result {
-	nq := len(qs)
-	dim := 0
-	for _, s := range shards {
-		if s.Len() > 0 {
-			for _, q := range qs {
-				q.check(s.dim)
-			}
-			dim = s.dim
-		}
-	}
-	outs := make([][]Result, nq)
-	chunks := scanChunks(shards, par)
-	if len(chunks) == 0 {
-		return outs
-	}
-	prune := make([]bool, nq)
-	points := make([][]float64, nq)
-	weights := make([][]float64, nq)
-	for qi, q := range qs {
-		prune[qi] = filts[qi] != nil
-		points[qi] = q.Point
-		weights[qi] = q.Weights
-	}
-	// Pack the concepts' first blocks compactly for the fused screening
-	// kernel; built once, read-only across workers.
-	pblk, wblk := mat.ScreenBlocks(points, weights)
-	nw := par
-	if nw > len(chunks) {
-		nw = len(chunks)
-	}
-	// heaps[w][qi] is worker w's current best-k for query qi.
-	heaps := make([][]resultMaxHeap, nw)
-	runChunked(par, chunks, func(w int, claim func() (chunkSpan, bool)) {
-		hs := make([]resultMaxHeap, nq)
-		for qi := range hs {
-			hs[qi] = make(resultMaxHeap, 0, k)
-		}
-		screen := make([]float64, nq)
-		bests := make([]float64, nq)
-		cutoffs := make([]float64, nq)
-		thrs := make([]float64, nq)
-		screenedN := make([]int64, nq)
-		rejectedN := make([]int64, nq)
-		inf := math.Inf(1)
-		exact := dim <= mat.KernelBlock
-		for {
-			c, ok := claim()
-			if !ok {
-				break
-			}
-			s := shards[c.si]
-			for i := c.lo; i < c.hi; i++ {
-				if s.skip(i, exclude) {
-					continue
-				}
-				// Per-concept cutoffs are loaded once per bag, exactly as a
-				// standalone TopK worker passes its cutoff into bagDist.
-				// thrs caches min(bag best, cutoff) — the abandon threshold
-				// the kernel compares against — and is refreshed only when a
-				// concept's bag best improves. Non-prunable concepts keep
-				// thr = +Inf so no row is ever abandoned for them.
-				var rej uint64
-				nRej := 0
-				for qi := range qs {
-					cu := shared[qi].load()
-					if h := hs[qi]; len(h) == k && h[0].Dist < cu {
-						cu = h[0].Dist
-					}
-					cutoffs[qi] = cu
-					bests[qi] = inf
-					if prune[qi] {
-						thrs[qi] = cu
-					} else {
-						thrs[qi] = inf
-					}
-					if prune[qi] && !math.IsInf(cu, 1) {
-						screenedN[qi]++
-						if filts[qi].reject(&s, i, cu) {
-							// Dropped from the fused screen: -Inf survives no
-							// first-block sum, and the offer below is skipped.
-							thrs[qi] = math.Inf(-1)
-							rej |= 1 << uint(qi)
-							nRej++
-							rejectedN[qi]++
-						}
-					}
-				}
-				if nRej == nq {
-					continue // every query rejected this bag: skip its rows
-				}
-				// One pass per row: the fused kernel screens every concept's
-				// first block while the row is register/L1-hot and reports
-				// survivors in a bitmask, so a row no concept wants costs
-				// one call and one branch. Survivors pay for a full
-				// (bit-identical) kernel evaluation. The decisions and
-				// values reproduce bagDist exactly: same thresholds, same
-				// block boundaries, same accumulation.
-				lo2, hi2 := s.bagOffsets[i], s.bagOffsets[i+1]
-				for r := lo2; r < hi2; r++ {
-					row := s.data[r*dim : (r+1)*dim]
-					m := mat.WeightedSqDistFirstBlock(pblk, wblk, nq, row, thrs, screen)
-					for ; m != 0; m &= m - 1 {
-						qi := bits.TrailingZeros64(m)
-						d := screen[qi]
-						if !exact {
-							// Resume the kernel after the screened first
-							// block — bit-identical to evaluating the row
-							// from scratch.
-							var abandoned bool
-							d, abandoned = mat.WeightedSqDistResume(
-								qs[qi].Point, row, qs[qi].Weights, mat.KernelBlock, d, thrs[qi])
-							if abandoned {
-								continue
-							}
-						}
-						if d < bests[qi] {
-							bests[qi] = d
-							if prune[qi] && cutoffs[qi] > d {
-								thrs[qi] = d
-							}
-						}
-					}
-				}
-				for qi := range qs {
-					if rej&(1<<uint(qi)) != 0 {
-						continue
-					}
-					hs[qi].offer(Result{ID: s.ids[i], Label: s.labels[i], Dist: bests[qi]}, k, shared[qi])
-				}
-			}
-		}
-		for qi := range qs {
-			if prune[qi] {
-				filts[qi].stats.add(screenedN[qi], rejectedN[qi])
-			}
-		}
-		heaps[w] = hs
-	})
-	for qi := range qs {
-		merged := make([]Result, 0, nw*k)
-		for _, hs := range heaps {
-			if hs != nil {
-				merged = append(merged, hs[qi]...)
-			}
-		}
-		outs[qi] = merged
-	}
-	return outs
 }

@@ -57,7 +57,16 @@ func TestScanWorkerBudget(t *testing.T) {
 			resetScanWorkerPeak()
 			view.Rank(q, nil, tc.par)
 			view.TopK(q, 5, nil, tc.par)
-			view.MultiTopK([]Query{q, randQueryFor(r, 8)}, 5, nil, tc.par)
+			// A batch splits the same budget across queries first: query
+			// workers × scan workers each must stay within par for every
+			// batch size below, at and above it.
+			for _, nq := range []int{1, 2, 5, 9} {
+				qs := make([]Query, nq)
+				for i := range qs {
+					qs[i] = randQueryFor(r, 8)
+				}
+				view.MultiTopK(qs, 5, nil, tc.par)
+			}
 			if peak := peakScanWorkers.Load(); peak > int64(tc.par) {
 				t.Fatalf("peak scan workers = %d, budget par = %d", peak, tc.par)
 			}

@@ -52,6 +52,17 @@ func (sh Sharded) Instances() int {
 	return n
 }
 
+// check panics unless q has the dimensionality of every non-empty shard.
+// Every scan entry point calls it before starting a worker, so a malformed
+// query fails on the caller's goroutine, where the caller can recover it.
+func (sh Sharded) check(q Query) {
+	for _, s := range sh {
+		if s.Len() > 0 {
+			q.check(s.dim)
+		}
+	}
+}
+
 // resolvePar resolves a requested scan parallelism (0 = NumCPU) once, so
 // every scan core works with one concrete worker budget.
 func resolvePar(par int) int {
@@ -71,6 +82,7 @@ func (sh Sharded) Rank(q Query, exclude map[string]bool, par int) []Result {
 	if len(sh) == 0 {
 		return normalizeEmpty(nil)
 	}
+	sh.check(q)
 	merged := scanRankCandidates(sh, q, exclude, resolvePar(par))
 	sortResults(merged)
 	return normalizeEmpty(merged)
@@ -84,9 +96,9 @@ func (sh Sharded) TopK(q Query, k int, exclude map[string]bool, par int) []Resul
 	return sh.TopKPruned(q, k, exclude, par, PruneOpts{})
 }
 
-// MultiTopK scores B queries against every shard in one batched
-// chunk-claiming pass and returns, per query, exactly the results TopK
-// would return for it: MultiTopKPruned at the default tier.
+// MultiTopK answers B queries as B single scans over this one view, so
+// element i is exactly what TopK returns for qs[i]: MultiTopKPruned at the
+// default tier.
 func (sh Sharded) MultiTopK(qs []Query, k int, exclude map[string]bool, par int) [][]Result {
 	return sh.MultiTopKPruned(qs, k, exclude, par, PruneOpts{})
 }

@@ -126,7 +126,7 @@ func TestSnapshotIsolatedFromDelete(t *testing.T) {
 	if got := len(after.Rank(q, nil, 1)); got != 2 {
 		t.Fatalf("post-delete snapshot sees %d bags, want 2", got)
 	}
-	if before.IsDead(1) || !after.IsDead(1) {
+	if before.isDead(1) || !after.isDead(1) {
 		t.Fatal("tombstone mask leaked across snapshots")
 	}
 }

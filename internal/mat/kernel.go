@@ -24,8 +24,8 @@
 // The block body appears three times below — in the single-vector loop
 // (weightedSqDistPartial), in the flat row-scanning loop
 // (MinWeightedSqDistRows), and in the vector-of-slices loop
-// (MinWeightedSqDistVecs, the naive per-bag fallback). The duplication is
-// deliberate: the body is too large for the inliner, and a call per block of
+// (MinWeightedSqDistVecs, behind core.Concept.BagDist: Explain and the
+// tests' naive reference). The duplication is deliberate: the body is too large for the inliner, and a call per block of
 // dimensions would cost more than the unroll buys. The copies MUST stay
 // textually identical — same expressions, same fold order — and
 // kernel_test.go enforces bit-identical results across every entry point, so
@@ -110,29 +110,11 @@ func WeightedSqDistPartial(v, u, w []float64, thr float64) (sum float64, abandon
 	return kernResume(v, u, w, 0, 0, thr)
 }
 
-// WeightedSqDistResume continues the canonical kernel loop from dimension
-// offset start — which must be a multiple of KernelBlock at most len(v) —
-// with the partial sum accumulated so far. Because it runs the very same
-// loop from that offset, Resume(v, u, w, KernelBlock, firstBlockSum, thr)
-// is bit-identical to WeightedSqDistPartial(v, u, w, thr) whenever
-// firstBlockSum is the kernel's own first-block sum (e.g. from
-// WeightedSqDistFirstBlock) — this is how the batched scan picks up a
-// screened row without redoing its first block.
-// milret:kernel
-func WeightedSqDistResume(v, u, w []float64, start int, sum, thr float64) (float64, bool) {
-	mustSameLen(len(v), len(u))
-	mustSameLen(len(v), len(w))
-	if start%KernelBlock != 0 || start < 0 || start > len(v) {
-		panic(fmt.Sprintf("mat: resume offset %d not a block boundary of dim %d", start, len(v)))
-	}
-	return kernResume(v, u, w, start, sum, thr)
-}
-
 // kernResume is the dispatch point behind every single-vector entry: the
 // AVX2 loop when the runtime selected it, the canonical scalar loop
 // otherwise. Validation stays in the public wrappers; both implementations
-// assume equal-length slices. An empty vector (or a resume at the very end)
-// never reaches the assembly so the pointer derefs below stay in bounds.
+// assume equal-length slices. An empty vector never reaches the assembly so
+// the pointer derefs below stay in bounds.
 // milret:kernel
 func kernResume(v, u, w []float64, start int, sum, thr float64) (float64, bool) {
 	if useAVX2.Load() && start < len(v) {
@@ -149,8 +131,9 @@ func weightedSqDistPartial(v, u, w []float64, thr float64) (float64, bool) {
 	return weightedSqDistResume(v, u, w, 0, 0, thr)
 }
 
-// weightedSqDistResume is the shared single-vector loop body behind both
-// WeightedSqDistPartial (start 0) and WeightedSqDistResume.
+// weightedSqDistResume is the single-vector loop body: the canonical kernel
+// loop from dimension offset start (a multiple of KernelBlock) with the
+// partial sum accumulated so far.
 // milret:kernel
 func weightedSqDistResume(v, u, w []float64, start int, sum float64, thr float64) (float64, bool) {
 	n := len(v)
@@ -181,104 +164,6 @@ func weightedSqDistResume(v, u, w []float64, start int, sum float64, thr float64
 		}
 	}
 	return sum, false
-}
-
-// ScreenMaxConcepts bounds how many concepts one WeightedSqDistFirstBlock
-// call can screen: survivors are reported in a uint64 bitmask.
-const ScreenMaxConcepts = 64
-
-// ScreenBlocks packs the first kernel block of every concept into two
-// compact arrays for WeightedSqDistFirstBlock: pblk/wblk hold, for each
-// concept c, its point and weight values for dimensions
-// [0, min(dim, KernelBlock)), contiguously. Compacting keeps the whole
-// screen working set in a handful of cache lines regardless of dim.
-// milret:kernel
-func ScreenBlocks(points, weights [][]float64) (pblk, wblk []float64) {
-	if len(points) == 0 {
-		return nil, nil
-	}
-	stride := len(points[0])
-	if stride > KernelBlock {
-		stride = KernelBlock
-	}
-	pblk = make([]float64, 0, len(points)*stride)
-	wblk = make([]float64, 0, len(points)*stride)
-	for c := range points {
-		pblk = append(pblk, points[c][:stride]...)
-		wblk = append(wblk, weights[c][:stride]...)
-	}
-	return pblk, wblk
-}
-
-// WeightedSqDistFirstBlock computes, for each of nq ≤ ScreenMaxConcepts
-// concepts whose first blocks are packed in pblk/wblk (see ScreenBlocks;
-// concept c occupies [c*stride : (c+1)*stride] with
-// stride = min(len(row), KernelBlock)), the kernel's partial sum for this
-// row after the first block: out[c] is bit-identical to the sum
-// WeightedSqDistPartial(pc, row, wc, ·) holds at its first threshold check
-// (equivalently, to its sum result with thr = −Inf). When
-// len(row) ≤ KernelBlock that first check happens after the sequential
-// tail, so out[c] is the exact full distance. The returned mask has bit c
-// set iff out[c] ≤ thrs[c] — the concepts for which the row survives its
-// first abandon check (strict >, matching the partial kernel, so ties
-// survive).
-//
-// This is the screening primitive of the batched multi-concept scan: the
-// row is loaded once, every concept's first block is evaluated as
-// straight-line code, and the comparisons are folded into the same pass, so
-// the common case — every concept abandons the row immediately — costs one
-// kernel call and a single mask==0 branch in the caller. The block
-// expressions are an exact copy of the canonical body (v→p, u→row); keep
-// them in lockstep, kernel_test.go enforces the bit-identity.
-// milret:kernel
-func WeightedSqDistFirstBlock(pblk, wblk []float64, nq int, row, thrs, out []float64) uint64 {
-	dim := len(row)
-	if nq > ScreenMaxConcepts {
-		panic(fmt.Sprintf("mat: %d concepts exceeds screen limit %d", nq, ScreenMaxConcepts))
-	}
-	stride := dim
-	if stride > KernelBlock {
-		stride = KernelBlock
-	}
-	mustSameLen(len(pblk), nq*stride)
-	mustSameLen(len(pblk), len(wblk))
-	if len(out) < nq || len(thrs) < nq {
-		panic(fmt.Sprintf("mat: screen buffers %d/%d for %d concepts", len(out), len(thrs), nq))
-	}
-	var mask uint64
-	if dim >= KernelBlock {
-		if useAVX2.Load() && nq > 0 {
-			return firstBlockAVX2(&pblk[0], &wblk[0], &row[0], &thrs[0], &out[0], nq)
-		}
-		rb := (*[KernelBlock]float64)(row)
-		x0, x1, x2, x3 := rb[0], rb[1], rb[2], rb[3]
-		for c := 0; c < nq; c++ {
-			base := c * KernelBlock
-			vb := (*[KernelBlock]float64)(pblk[base:])
-			wb := (*[KernelBlock]float64)(wblk[base:])
-			d0 := vb[0] - x0
-			d1 := vb[1] - x1
-			d2 := vb[2] - x2
-			d3 := vb[3] - x3
-			s0 := wb[0]*d0*d0 + wb[2]*d2*d2
-			s1 := wb[1]*d1*d1 + wb[3]*d3*d3
-			sum := s0 + s1
-			out[c] = sum
-			if sum <= thrs[c] {
-				mask |= 1 << uint(c)
-			}
-		}
-		return mask
-	}
-	for c := 0; c < nq; c++ {
-		base := c * stride
-		sum := tailSqDist(pblk[base:base+stride], row, wblk[base:base+stride])
-		out[c] = sum
-		if sum <= thrs[c] {
-			mask |= 1 << uint(c)
-		}
-	}
-	return mask
 }
 
 // MinWeightedSqDistVecs is MinWeightedSqDistRows for a bag whose instances

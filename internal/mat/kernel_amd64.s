@@ -240,51 +240,6 @@ rowNext:
 	VZEROUPPER
 	RET
 
-// func firstBlockAVX2(pblk, wblk, row, thrs, out *float64, nq int) uint64
-//
-// Multi-concept screen: the dim >= KernelBlock arm of
-// WeightedSqDistFirstBlock. One row block held in Y3 across all concepts;
-// per concept one block evaluation, out[c] store, and a survivors-mask
-// bit when sum <= thrs[c]. Caller guarantees nq >= 1.
-TEXT ·firstBlockAVX2(SB), NOSPLIT, $0-56
-	MOVQ pblk+0(FP), SI
-	MOVQ wblk+8(FP), DI
-	MOVQ row+16(FP), DX
-	MOVQ thrs+24(FP), R9
-	MOVQ out+32(FP), R10
-	MOVQ nq+40(FP), CX
-	VMOVUPD (DX), Y3 // row[0:4]
-	XORQ R11, R11    // mask
-	XORQ R8, R8      // concept index
-
-conceptLoop:
-	VMOVUPD (SI), Y0 // concept point block
-	VMOVUPD (DI), Y2 // concept weight block
-	VSUBPD  Y3, Y0, Y0 // d = p - row
-	VMULPD  Y0, Y2, Y2
-	VMULPD  Y0, Y2, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD  X1, X0, X0
-	VUNPCKHPD X0, X0, X1
-	VADDSD  X1, X0, X0 // sum = s0 + s1
-	VMOVSD  X0, (R10)  // out[c] = sum
-	VMOVSD  (R9), X2
-	VUCOMISD X0, X2 // thrs[c] >= sum? (unordered: no bit)
-	JB      noBit
-	BTSQ    R8, R11 // mask |= 1 << c
-
-noBit:
-	ADDQ $32, SI
-	ADDQ $32, DI
-	ADDQ $8, R9
-	ADDQ $8, R10
-	INCQ R8
-	CMPQ R8, CX
-	JL   conceptLoop
-	MOVQ R11, ret+48(FP)
-	VZEROUPPER
-	RET
-
 // func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool
 //
 // Box lower-bound screen: BoxBoundExceeds. Per 4-dimension block the

@@ -74,14 +74,6 @@ func minRowsAVX2(p, w, rows *float64, dim, nRows int, cutoff float64, prune bool
 //go:noescape
 func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool
 
-// firstBlockAVX2 is the dim ≥ KernelBlock arm of WeightedSqDistFirstBlock:
-// every concept's first-block sum against one row, survivors ≤ thrs[c]
-// reported in the mask. Requires nq ≥ 1 and a row of at least KernelBlock
-// dimensions.
-//
-//go:noescape
-func firstBlockAVX2(pblk, wblk, row, thrs, out *float64, nq int) uint64
-
 // distRowsAVX2 is the WeightedSqDistRows row loop: the full blocked
 // distance from p to each of nRows rows, stored to out. Requires dim ≥ 1
 // and nRows ≥ 1.

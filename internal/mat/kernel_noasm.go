@@ -20,10 +20,6 @@ func minRowsAVX2(p, w, rows *float64, dim, nRows int, cutoff float64, prune bool
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
 
-func firstBlockAVX2(pblk, wblk, row, thrs, out *float64, nq int) uint64 {
-	panic("mat: SIMD kernel dispatched in a build without assembly")
-}
-
 func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool {
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }

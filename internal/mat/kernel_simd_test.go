@@ -123,23 +123,6 @@ func compareAllEntryPoints(t *testing.T, p, w []float64, vecs []Vector, thr, cut
 			math.Float64bits(sFull), math.Float64bits(aFull), p, u, w)
 	}
 
-	// Resume from every block boundary, with the oracle's own partial sum
-	// as the carried-in value.
-	for start := 0; start <= dim; start += KernelBlock {
-		carried := 0.0
-		if start > 0 {
-			carried, _ = weightedSqDistResume(p[:start], u[:start], w[:start], 0, 0, math.Inf(1))
-		}
-		var sR, aR float64
-		var sRA, aRA bool
-		withKernel(false, func() { sR, sRA = WeightedSqDistResume(p, u, w, start, carried, thr) })
-		withKernel(true, func() { aR, aRA = WeightedSqDistResume(p, u, w, start, carried, thr) })
-		if !eqBits(sR, aR) || sRA != aRA {
-			t.Fatalf("Resume(start=%d,thr=%v) diverged: scalar (%x,%v) avx2 (%x,%v)\np=%v\nu=%v\nw=%v",
-				start, thr, math.Float64bits(sR), sRA, math.Float64bits(aR), aRA, p, u, w)
-		}
-	}
-
 	var sMin, aMin float64
 	withKernel(false, func() { sMin = MinWeightedSqDistRows(p, w, rows, cutoff, prune) })
 	withKernel(true, func() { aMin = MinWeightedSqDistRows(p, w, rows, cutoff, prune) })
@@ -155,47 +138,6 @@ func compareAllEntryPoints(t *testing.T, p, w []float64, vecs []Vector, thr, cut
 	if !eqBits(sVMin, aVMin) || sVI != aVI {
 		t.Fatalf("MinVecs(cutoff=%v,prune=%v) diverged: scalar (%x,%d) avx2 (%x,%d)\np=%v\nw=%v\nvecs=%v",
 			cutoff, prune, math.Float64bits(sVMin), sVI, math.Float64bits(aVMin), aVI, p, w, vecs)
-	}
-
-	// The multi-concept screen: this row against a handful of concepts
-	// built from the vectors (point = vec, weights = w), thresholds mixing
-	// the scalar first-block sums (tie → survive) with thr.
-	if dim > 0 {
-		nq := len(vecs)
-		if nq > ScreenMaxConcepts {
-			nq = ScreenMaxConcepts
-		}
-		points := make([][]float64, nq)
-		weights := make([][]float64, nq)
-		for c := range points {
-			points[c], weights[c] = vecs[c], w
-		}
-		pblk, wblk := ScreenBlocks(points, weights)
-		thrs := make([]float64, nq)
-		sOut := make([]float64, nq)
-		aOut := make([]float64, nq)
-		withKernel(false, func() {
-			_ = WeightedSqDistFirstBlock(pblk, wblk, nq, p, make([]float64, nq), sOut)
-		})
-		for c := range thrs {
-			if c%2 == 0 {
-				thrs[c] = sOut[c] // exact tie: bit c must stay set
-			} else {
-				thrs[c] = thr
-			}
-		}
-		var sMask, aMask uint64
-		withKernel(false, func() { sMask = WeightedSqDistFirstBlock(pblk, wblk, nq, p, thrs, sOut) })
-		withKernel(true, func() { aMask = WeightedSqDistFirstBlock(pblk, wblk, nq, p, thrs, aOut) })
-		if sMask != aMask {
-			t.Fatalf("FirstBlock mask diverged: scalar %b avx2 %b\nrow=%v", sMask, aMask, p)
-		}
-		for c := 0; c < nq; c++ {
-			if !eqBits(sOut[c], aOut[c]) {
-				t.Fatalf("FirstBlock out[%d] diverged: scalar %x avx2 %x\nrow=%v\npoint=%v",
-					c, math.Float64bits(sOut[c]), math.Float64bits(aOut[c]), p, vecs[c])
-			}
-		}
 	}
 }
 
@@ -236,7 +178,7 @@ func TestKernelSIMDBitIdentity(t *testing.T) {
 
 // TestKernelSIMDEmptyAndTiny pins the degenerate shapes around the
 // dispatch guards: empty vectors never reach the assembly, dim < KernelBlock
-// runs tail-only, start == len(v) resumes into nothing.
+// runs tail-only.
 func TestKernelSIMDEmptyAndTiny(t *testing.T) {
 	needAVX2(t)
 	withKernel(true, func() {
@@ -245,10 +187,6 @@ func TestKernelSIMDEmptyAndTiny(t *testing.T) {
 		}
 		if got, ab := WeightedSqDistPartial(nil, nil, nil, -1); got != 0 || ab {
 			t.Fatalf("empty Partial = %v,%v, want 0,false", got, ab)
-		}
-		v, u, w := []float64{1, 2, 3, 4}, []float64{0, 0, 0, 0}, []float64{1, 1, 1, 1}
-		if got, ab := WeightedSqDistResume(v, u, w, 4, 9.5, 1); got != 9.5 || ab {
-			t.Fatalf("end-resume = %v,%v, want 9.5,false", got, ab)
 		}
 		if got := MinWeightedSqDistRows(nil, nil, nil, 0, true); !math.IsInf(got, 1) {
 			t.Fatalf("empty MinRows = %v, want +Inf", got)

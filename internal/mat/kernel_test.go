@@ -192,110 +192,6 @@ func TestMinRowsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestFirstBlockMatchesPartialKernel: the batched screening pass must
-// reproduce, bit for bit, the sum the single-vector partial kernel holds at
-// its first threshold check — which is exactly what WeightedSqDistPartial
-// returns with thr = −Inf (it abandons at the first opportunity).
-func TestFirstBlockMatchesPartialKernel(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		dim := 1 + r.Intn(20) // crosses the KernelBlock boundary both ways
-		nq := 1 + r.Intn(6)
-		row := make([]float64, dim)
-		for i := range row {
-			row[i] = r.NormFloat64()
-		}
-		points := make([][]float64, nq)
-		weights := make([][]float64, nq)
-		for c := range points {
-			points[c] = make([]float64, dim)
-			weights[c] = make([]float64, dim)
-			for i := range points[c] {
-				points[c][i] = r.NormFloat64()
-				weights[c][i] = r.Float64() * 2
-				if r.Intn(5) == 0 {
-					weights[c][i] = -weights[c][i]
-				}
-			}
-		}
-		pblk, wblk := ScreenBlocks(points, weights)
-		thrs := make([]float64, nq)
-		for c := range thrs {
-			// Thresholds spanning always-survive, never-survive and ties.
-			switch r.Intn(3) {
-			case 0:
-				thrs[c] = math.Inf(1)
-			case 1:
-				thrs[c] = math.Inf(-1)
-			default:
-				thrs[c] = r.NormFloat64()
-			}
-		}
-		out := make([]float64, nq)
-		mask := WeightedSqDistFirstBlock(pblk, wblk, nq, row, thrs, out)
-		for c := 0; c < nq; c++ {
-			want, _ := WeightedSqDistPartial(points[c], row, weights[c], math.Inf(-1))
-			if out[c] != want {
-				t.Logf("seed %d dim %d concept %d: screen %v, kernel first check %v", seed, dim, c, out[c], want)
-				return false
-			}
-			survived := mask&(1<<uint(c)) != 0
-			if survived != (out[c] <= thrs[c]) {
-				t.Logf("seed %d concept %d: mask bit %v for sum %v thr %v", seed, c, survived, out[c], thrs[c])
-				return false
-			}
-			// Resuming after the screened first block must reproduce the
-			// full kernel bits (the batched scan's survivor path).
-			if dim > KernelBlock {
-				fullWant, wantAb := WeightedSqDistPartial(points[c], row, weights[c], thrs[c])
-				got, gotAb := WeightedSqDistResume(points[c], row, weights[c], KernelBlock, out[c], thrs[c])
-				// Only comparable when the first block itself survived:
-				// Partial may abandon earlier than Resume can.
-				if out[c] <= thrs[c] && (got != fullWant || gotAb != wantAb) {
-					t.Logf("seed %d concept %d: resume (%v,%v) vs partial (%v,%v)", seed, c, got, gotAb, fullWant, wantAb)
-					return false
-				}
-			}
-		}
-		// A tie with the threshold must survive (strict-> abandon).
-		thrs[0] = out[0]
-		mask = WeightedSqDistFirstBlock(pblk, wblk, nq, row, thrs, out)
-		if mask&1 == 0 {
-			t.Logf("seed %d: threshold tie did not survive", seed)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFirstBlockValidation(t *testing.T) {
-	one := []float64{1}
-	for _, fn := range []func(){
-		func() { WeightedSqDistFirstBlock(one, []float64{1, 2}, 1, one, one, one) },
-		func() { WeightedSqDistFirstBlock([]float64{1, 2}, []float64{1, 2}, 1, one, one, one) },
-		func() { WeightedSqDistFirstBlock(one, one, 1, one, one, nil) },
-		func() { WeightedSqDistFirstBlock(one, one, 1, one, nil, one) },
-		func() {
-			big := make([]float64, (ScreenMaxConcepts+1)*1)
-			WeightedSqDistFirstBlock(big, big, ScreenMaxConcepts+1, one, big, big)
-		},
-		func() { WeightedSqDistResume(one, one, one, 3, 0, 0) }, // not a block boundary
-		func() { WeightedSqDistResume(one, one, one, KernelBlock*2, 0, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("invalid screen geometry did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestKernelDimMismatchPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { WeightedSqDistBlocked([]float64{1}, []float64{1, 2}, []float64{1}) },

@@ -81,8 +81,9 @@ type Coordinator struct {
 
 	degraded atomic.Int64
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	stop     chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
 }
 
 var _ server.Backend = (*Coordinator)(nil)
@@ -123,9 +124,10 @@ func NewCoordinator(topo *Topology, opts CoordinatorOptions) (*Coordinator, erro
 	return c, nil
 }
 
-// Close stops the probe loop and flushes local partitions.
+// Close stops the probe loop and flushes local partitions. Like
+// milret.Database.Close it tolerates a second and a concurrent call.
 func (c *Coordinator) Close() error {
-	close(c.stop)
+	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
 	return c.closePartitions()
 }

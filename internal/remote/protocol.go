@@ -377,9 +377,10 @@ func decodeTopKResponse(body []byte) (TopKResponse, error) {
 	return p, r.done()
 }
 
-// MultiTopKRequest is the batched form: B concepts, one shard pass.
-// No live cutoff piggybacks (the batched scan arms per-query cutoffs
-// from its own heaps, exactly like the in-process MultiTopK).
+// MultiTopKRequest is the batched form: B concepts, one round trip, B
+// single scans over one pinned snapshot of the shard. No live cutoff
+// piggybacks (a cutoff belongs to one query; each scan of the batch seeds
+// and tightens its own, exactly like the in-process MultiTopK).
 type MultiTopKRequest struct {
 	K        int
 	Recall   float64

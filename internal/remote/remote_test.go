@@ -2,12 +2,14 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"milret"
@@ -393,6 +395,57 @@ func TestSharedCutoffValues(t *testing.T) {
 	}
 	if !math.IsInf(short.Cutoff, 1) {
 		t.Errorf("short list cutoff %v, want +Inf", short.Cutoff)
+	}
+}
+
+// TestWrongDimGeometryIsBadRequest: geometry on a topk or rank frame is
+// outside input, so a dimensionality the partition does not have must come
+// back as a bad-request verdict — and the shard must keep serving. (Such a
+// frame used to reach a scan worker goroutine and panic there, out of reach
+// of net/http's per-request recover: one malformed frame killed the shard.)
+func TestWrongDimGeometryIsBadRequest(t *testing.T) {
+	cl := startCluster(t, PartialFail)
+	ctx := context.Background()
+	cli := NewClient(cl.servers[0].URL, 0, 0, 0)
+	bad := Geometry{Point: []float64{0, 0, 0}, Weights: []float64{1, 1, 1}}
+
+	wantBadRequest := func(op string, err error) {
+		t.Helper()
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != ErrCodeBadRequest {
+			t.Fatalf("%s with 3-dim geometry: err = %v, want a bad-request RemoteError", op, err)
+		}
+	}
+	_, err := cli.TopK(ctx, TopKRequest{K: 5, Concept: bad})
+	wantBadRequest("topk", err)
+	_, err = cli.Rank(ctx, RankRequest{Concept: bad})
+	wantBadRequest("rank", err)
+
+	concept, _, _ := trainRef(t, cl, 1)
+	got, err := cli.TopK(ctx, TopKRequest{K: 5, Concept: Geometry{Point: concept.Point(), Weights: concept.Weights()}})
+	if err != nil {
+		t.Fatalf("well-formed topk after the malformed frames: %v", err)
+	}
+	wantIdentical(t, "topk after malformed frames", got.Results, cl.shardDBs[0].Retrieve(concept, 5))
+}
+
+// TestCoordinatorCloseTwice: Close tolerates a concurrent and a repeated
+// call, like milret.Database.Close (it used to close its stop channel twice).
+func TestCoordinatorCloseTwice(t *testing.T) {
+	cl := startCluster(t, PartialFail)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := cl.coord.Close(); err != nil {
+				t.Errorf("concurrent Close: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := cl.coord.Close(); err != nil {
+		t.Fatalf("repeated Close: %v", err)
 	}
 }
 

@@ -48,6 +48,17 @@ func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// concept rebuilds a request's geometry and checks it against this
+// partition's dimensionality, so a malformed frame is answered as a bad
+// request and never reaches a scan.
+func (s *ShardServer) concept(g Geometry) (*milret.Concept, error) {
+	c, err := milret.NewConcept(g.Point, g.Weights)
+	if err != nil {
+		return nil, err
+	}
+	return c, s.db.CheckConcept(c)
+}
+
 // dispatch evaluates one request and returns the response frame's op
 // and body.
 func (s *ShardServer) dispatch(op byte, body []byte) (byte, []byte) {
@@ -74,7 +85,7 @@ func (s *ShardServer) dispatch(op byte, body []byte) (byte, []byte) {
 		if err != nil {
 			return fail(ErrCodeBadRequest, "%v", err)
 		}
-		c, err := milret.NewConcept(q.Concept.Point, q.Concept.Weights)
+		c, err := s.concept(q.Concept)
 		if err != nil {
 			return fail(ErrCodeBadRequest, "%v", err)
 		}
@@ -110,7 +121,7 @@ func (s *ShardServer) dispatch(op byte, body []byte) (byte, []byte) {
 		if err != nil {
 			return fail(ErrCodeBadRequest, "%v", err)
 		}
-		c, err := milret.NewConcept(q.Concept.Point, q.Concept.Weights)
+		c, err := s.concept(q.Concept)
 		if err != nil {
 			return fail(ErrCodeBadRequest, "%v", err)
 		}

@@ -9,12 +9,11 @@ import (
 	"milret/internal/mat"
 )
 
-// Property: every flat-path top-k scan runs behind the sketch filter, so
-// the reference is the naive per-bag Scorer scan, which shares no code with
-// it — Rank(naive)[:k]. Options.Recall 0, 1 and beyond are the same exact
+// Property: every top-k scan runs behind the sketch filter, so the
+// reference is the tests' naive per-bag ranking, which shares no code with
+// it — naiveRank[:k]. Options.Recall 0, 1 and beyond are the same exact
 // answer: TopK and TopKMany, single-block and sharded, through tombstones
-// and compaction, with exclusions, across k. Fallback scorers (no geometry)
-// ignore Recall entirely.
+// and compaction, with exclusions, across k.
 func TestQuickRecallOneMatchesExact(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -43,7 +42,7 @@ func TestQuickRecallOneMatchesExact(t *testing.T) {
 				exclude[it.ID] = true
 			}
 		}
-		full := Rank(db, naive, Options{Exclude: exclude})
+		full := naiveRank(db, naive, Options{Exclude: exclude})
 		for _, recall := range []float64{0, 1, 3} {
 			opts := Options{Exclude: exclude, Parallelism: 1 + r.Intn(8), Recall: recall}
 			for _, k := range []int{1, n / 2, n + 5} {
@@ -58,21 +57,9 @@ func TestQuickRecallOneMatchesExact(t *testing.T) {
 					t.Logf("seed %d: TopK(k=%d, recall=%v) diverged from the naive ranking\n got %v\nwant %v", seed, k, recall, got, want)
 					return false
 				}
-				// Geometry-free scorers take the fallback scan; Recall is inert.
-				if got := TopK(db, naive, k, opts); !reflect.DeepEqual(got, want) {
-					t.Logf("seed %d: fallback TopK(k=%d) changed under Recall %v", seed, k, recall)
-					return false
-				}
 				for i, got := range TopKMany(db, []Scorer{flat, flat}, k, opts) {
 					if !reflect.DeepEqual(got, want) {
 						t.Logf("seed %d: TopKMany(k=%d, recall=%v)[%d] diverged from the naive ranking", seed, k, recall, i)
-						return false
-					}
-				}
-				// A mixed batch falls back for everyone.
-				for i, got := range TopKMany(db, []Scorer{flat, naive}, k, opts) {
-					if !reflect.DeepEqual(got, want) {
-						t.Logf("seed %d: mixed-batch TopKMany(k=%d)[%d] diverged", seed, k, i)
 						return false
 					}
 				}
@@ -87,16 +74,15 @@ func TestQuickRecallOneMatchesExact(t *testing.T) {
 
 // Stats must expose the scan and filter counters with the accounting
 // invariant (Screened = Admitted + Rejected), zero until a top-k scan runs,
-// and cover every flat-path top-k scan whatever its Recall — with the ones
-// that could not arm the filter counted as unarmed.
+// and cover every top-k scan whatever its Recall — with the ones that could
+// not arm the filter counted as unarmed.
 func TestPruneCountersInStats(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	db := randWeightedDB(t, r, 120, 8, 3)
-	naive, flat := randScorerPair(r, 8)
+	_, flat := randScorerPair(r, 8)
 	Rank(db, flat, Options{})
-	TopK(db, naive, 5, Options{}) // fallback scan: not the index's pipeline
 	if st := db.Stats(); st.PruneScans != 0 || st.PruneScreened != 0 {
-		t.Fatalf("counters nonzero before any flat top-k scan: %+v", st)
+		t.Fatalf("counters nonzero before any top-k scan: %+v", st)
 	}
 	TopK(db, flat, 5, Options{})
 	TopKMany(db, []Scorer{flat, flat}, 5, Options{Recall: 1})

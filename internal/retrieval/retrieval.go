@@ -3,13 +3,11 @@
 // the weighted Euclidean distance to the concept point, and images are
 // retrieved in ascending distance order.
 //
-// The hot path is the flat columnar engine in internal/index: Add maintains
+// The scan engine is the flat columnar one in internal/index: Add maintains
 // a contiguous row-major block of all bag instances alongside the item
-// slice, and any Scorer that exposes its point/weight geometry (see
-// PointWeightScorer — core.Concept does) is scanned against that block with
-// early abandonment and fused per-worker top-k heaps. Scorers that only
-// implement BagDist fall back to the naive per-bag scan; both paths produce
-// bit-identical rankings (distances and ID tie-breaks).
+// slice, and every Rank/TopK/TopKMany is "take the Scorer's point/weight
+// geometry, snapshot the shards, scan the snapshot there". This package owns
+// the items, the sharding and the mutation lifecycle, not a scan of its own.
 //
 // The database is sharded: it holds N independent shards (N fixed at
 // construction, 1 by default), each owning its own flat block, tombstone
@@ -30,11 +28,8 @@
 package retrieval
 
 import (
-	"container/heap"
 	"fmt"
 	"hash/fnv"
-	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,18 +38,11 @@ import (
 	"milret/internal/mil"
 )
 
-// Scorer measures how far a bag is from a learned concept; lower is a
-// better match. core.Concept implements it.
+// Scorer is a learned concept's geometry: the point and per-dimension weights
+// of the weighted squared distance dist(x) = Σ_k w_k (p_k − x_k)², minimized
+// over a bag's instances; lower is a better match. core.Concept implements
+// it.
 type Scorer interface {
-	BagDist(b *mil.Bag) float64
-}
-
-// PointWeightScorer is a Scorer that can expose the point and weights of the
-// weighted squared distance it computes, unlocking the flat columnar scan.
-// The weights apply per dimension: dist(x) = Σ_k w_k (p_k − x_k)², minimized
-// over a bag's instances.
-type PointWeightScorer interface {
-	Scorer
 	// PointWeights returns the concept point and per-dimension weights.
 	// The returned slices are read-only aliases; callers must not mutate.
 	PointWeights() (point, weights []float64)
@@ -83,12 +71,6 @@ type shard struct {
 	byID map[string]int
 	// milret:guarded-by mu
 	idx *index.Index
-	// itemsShared marks items as aliased by a fallback-scan view, so an
-	// in-place label swap must clone the slice first (copy-on-write, same
-	// discipline as the index's label column). Atomic because views are
-	// taken under the shard's read lock, where several snapshotters may set
-	// it concurrently; UpdateLabel inspects it under the write lock.
-	itemsShared atomic.Bool
 }
 
 // Database is a collection of items sharded across N independently locked
@@ -109,7 +91,7 @@ type Database struct {
 	// order across shards.
 	seq atomic.Uint64
 	// prune accumulates the scan and candidate-filter counters across every
-	// flat-path top-k scan against this database (internally atomic; scan
+	// top-k scan against this database (internally atomic; scan
 	// workers flush into it without any shard lock).
 	prune index.PruneStats
 }
@@ -361,11 +343,11 @@ func (db *Database) Update(item Item) error {
 // the metadata-only counterpart of Update: no instance rows move, no
 // tombstone accumulates, no compaction debt, and the storage cost is
 // constant (a label-only journal record). Queries issued after UpdateLabel
-// returns report the new label; in-flight queries report the old one — both
-// the index's label column and the item slots are copy-on-write against
-// live scan views, so the first label update after a query re-clones the
-// shard's label column and item slots (O(bags in shard) header copies,
-// amortized to O(1) across a batch of updates between queries).
+// returns report the new label; in-flight queries report the old one — the
+// index's label column is copy-on-write against live scan views, so the
+// first label update after a query re-clones the shard's label column
+// (O(bags in shard) header copies, amortized to O(1) across a batch of
+// updates between queries).
 func (db *Database) UpdateLabel(id, label string) error {
 	sh := db.shardFor(id)
 	sh.mu.Lock()
@@ -376,10 +358,6 @@ func (db *Database) UpdateLabel(id, label string) error {
 	}
 	if err := sh.idx.UpdateLabel(i, label); err != nil {
 		return err
-	}
-	if sh.itemsShared.Load() {
-		sh.items = append([]Item(nil), sh.items...)
-		sh.itemsShared.Store(false)
 	}
 	sh.items[i].Label = label
 	return nil
@@ -445,7 +423,6 @@ func (sh *shard) compactLocked() {
 	sh.seqs = seqs
 	sh.byID = byID
 	sh.idx = idx
-	sh.itemsShared.Store(false)
 }
 
 // Len returns the number of live items.
@@ -562,31 +539,6 @@ func (db *Database) snapshot() index.Sharded {
 	return view
 }
 
-// shardView is one shard's zero-copy view for the fallback per-bag path: the
-// raw item slots (dead ones included) plus an index snapshot whose tombstone
-// mask says which slots to skip.
-type shardView struct {
-	items []Item
-	snap  index.Snapshot
-}
-
-// views returns the fallback scan views of every shard. Aliasing sh.items is
-// safe for the same reason the flat snapshot is: Add/Update only append
-// slots, Delete only flips mask bits (copied into the snapshot), and
-// UpdateLabel clones the slice before mutating a label (itemsShared). This
-// keeps the fallback scan from copying the whole item slice on every query.
-func (db *Database) views() []shardView {
-	out := make([]shardView, len(db.shards))
-	for i, sh := range db.shards {
-		sh.mu.RLock()
-		n := len(sh.items)
-		out[i] = shardView{items: sh.items[:n:n], snap: sh.idx.Snapshot()}
-		sh.itemsShared.Store(true)
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
 // ShardStats summarizes one shard's flat scoring index.
 type ShardStats struct {
 	// Items is the shard's live bag count; Instances its live instance rows.
@@ -619,7 +571,7 @@ type Stats struct {
 	// Shards breaks the same counters down per shard; the totals above are
 	// exactly the column sums.
 	Shards []ShardStats
-	// PruneScans counts every flat-path top-k scan (one per scorer of a
+	// PruneScans counts every top-k scan (one per scorer of a
 	// TopKMany batch) and PruneUnarmed the ones that ran without the
 	// candidate filter — a negative weight, or k covering every bag.
 	// PruneScreened, PruneAdmitted and PruneRejected are the filter's
@@ -665,7 +617,7 @@ func (db *Database) Stats() Stats {
 
 // Result is one ranked database entry: the item's ID and label plus Dist,
 // the bag-to-concept distance (weighted, squared). It is an alias of
-// index.Result so flat-path scans return their results without a per-query
+// index.Result so scans return their results without a per-query
 // O(n) conversion copy.
 type Result = index.Result
 
@@ -676,274 +628,63 @@ type Options struct {
 	Exclude map[string]bool
 	// Parallelism bounds scan goroutines; 0 means runtime.NumCPU().
 	Parallelism int
-	// Recall selects the candidate filter's tier for top-k scans on the flat
-	// path (index.Sharded.TopKPruned). Every such scan screens bags with the
+	// Recall selects the candidate filter's tier for top-k scans
+	// (index.Sharded.TopKPruned). Every such scan screens bags with the
 	// conservative box bound, whose results are bit-identical to
 	// Rank(...)[:k]; only values in (0, 1) change anything, tightening the
 	// bound by a calibrated slack for extra speed at a quantified recall.
-	// Rank and the fallback (non-flat) scan ignore it.
+	// Rank ignores it.
 	Recall float64
 	// Cutoff, when non-nil, shares one top-k bound across several
 	// partitions of the same logical query (possibly in other processes):
 	// bounds published by peers prune this scan, and roots this scan
-	// publishes prune its peers. Flat-path TopK only; Rank, TopKMany and
-	// the fallback scan ignore it (their merges need every partition's
-	// candidates regardless).
+	// publishes prune its peers. TopK only; Rank and TopKMany ignore it
+	// (their merges need every partition's candidates regardless).
 	Cutoff *index.Cutoff
 	// CutoffSeed, when positive, pre-tightens the top-k cutoff before the
 	// scan starts. The caller asserts it upper-bounds the global k-th best
 	// distance of the whole logical query; a stale (too-loose) seed only
-	// weakens pruning. Flat-path TopK only.
+	// weakens pruning. TopK only.
 	CutoffSeed float64
 }
 
-// query extracts the flat-scan geometry from a scorer, if it offers one with
-// a dimensionality matching the database.
-func query(db *Database, s Scorer) (index.Query, bool) {
-	pw, ok := s.(PointWeightScorer)
-	if !ok {
-		return index.Query{}, false
-	}
-	p, w := pw.PointWeights()
-	if len(p) != db.Dim() || len(w) != len(p) {
-		return index.Query{}, false
-	}
-	return index.Query{Point: p, Weights: w}, true
+// query extracts the scan geometry from a scorer. Its dimensionality is the
+// caller's to validate at whatever edge the concept arrived through; a
+// mismatch that gets this far panics in internal/index on the caller's own
+// goroutine, before any scan worker starts.
+func query(s Scorer) index.Query {
+	p, w := s.PointWeights()
+	return index.Query{Point: p, Weights: w}
 }
 
 // Rank scores every non-excluded item and returns the full ascending
 // ranking. Ties are broken by ID so rankings are deterministic.
 func Rank(db *Database, s Scorer, opts Options) []Result {
-	if q, ok := query(db, s); ok {
-		return db.snapshot().Rank(q, opts.Exclude, opts.Parallelism)
-	}
-	results := scan(db, s, opts)
-	sortResults(results)
-	return results
+	return db.snapshot().Rank(query(s), opts.Exclude, opts.Parallelism)
 }
 
 // TopK returns the k best matches in ascending distance order without
-// sorting the whole database. On the flat path the shards fan out sharing
-// one atomic cutoff (index.Sharded); on the fallback path each shard's scan
-// workers fuse size-k max-heaps, so the full distance slice is never
-// materialized either way. For k ≥ database size it equals Rank.
+// sorting the whole database: the shards' scan workers share one atomic
+// cutoff and fuse size-k heaps (index.Sharded), so the full distance slice
+// is never materialized. For k ≥ database size it equals Rank.
 func TopK(db *Database, s Scorer, k int, opts Options) []Result {
-	if k <= 0 {
-		return nil
-	}
-	if q, ok := query(db, s); ok {
-		return db.snapshot().TopKPruned(q, k, opts.Exclude, opts.Parallelism, index.PruneOpts{
-			Recall:     opts.Recall,
-			Stats:      &db.prune,
-			Shared:     opts.Cutoff,
-			CutoffSeed: opts.CutoffSeed,
-		})
-	}
-	views := db.views()
-	total := 0
-	for _, v := range views {
-		total += len(v.items)
-	}
-	if k >= total {
-		results := scanViews(views, s, opts)
-		sortResults(results)
-		return results
-	}
-	merged := make([]Result, 0, (len(views)+1)*k)
-	for _, v := range views {
-		merged = append(merged, fallbackTopKShard(v, s, k, opts)...)
-	}
-	sortResults(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
-}
-
-// fallbackTopKShard runs the per-bag fallback top-k over one shard view with
-// per-worker heaps and returns the merged (unsorted) worker candidates.
-func fallbackTopKShard(v shardView, s Scorer, k int, opts Options) []Result {
-	if len(v.items) == 0 {
-		return nil
-	}
-	par := workerCount(opts.Parallelism, len(v.items))
-	heaps := make([]*resultMaxHeap, par)
-	var wg sync.WaitGroup
-	chunk := (len(v.items) + par - 1) / par
-	for w := 0; w < par; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(v.items))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			h := make(resultMaxHeap, 0, min(k, hi-lo))
-			heaps[w] = &h
-			for i := lo; i < hi; i++ {
-				if v.snap.IsDead(i) || opts.Exclude[v.items[i].ID] {
-					continue
-				}
-				r := Result{ID: v.items[i].ID, Label: v.items[i].Label, Dist: s.BagDist(v.items[i].Bag)}
-				if h.Len() < k {
-					heap.Push(&h, r)
-					continue
-				}
-				if worse(r, h[0]) {
-					continue
-				}
-				h[0] = r
-				heap.Fix(&h, 0)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	merged := make([]Result, 0, par*k)
-	for _, h := range heaps {
-		if h != nil {
-			merged = append(merged, *h...)
-		}
-	}
-	return merged
-}
-
-// TopKMany returns, for each scorer, its k best matches in ascending
-// distance order — element i equals TopK(db, scorers[i], k, opts) exactly.
-// When every scorer exposes point/weight geometry the flat shards are
-// scanned once for the whole batch (index.Sharded.MultiTopK), loading each
-// instance row into cache one time for all concepts instead of streaming the
-// blocks once per concept; otherwise each scorer falls back to its own scan.
-func TopKMany(db *Database, scorers []Scorer, k int, opts Options) [][]Result {
-	if len(scorers) == 0 {
-		return nil
-	}
-	qs := make([]index.Query, len(scorers))
-	allFlat := true
-	for i, s := range scorers {
-		q, ok := query(db, s)
-		if !ok {
-			allFlat = false
-			break
-		}
-		qs[i] = q
-	}
-	if allFlat {
-		return db.snapshot().MultiTopKPruned(qs, k, opts.Exclude, opts.Parallelism,
-			index.PruneOpts{Recall: opts.Recall, Stats: &db.prune})
-	}
-	out := make([][]Result, len(scorers))
-	for i, s := range scorers {
-		out[i] = TopK(db, s, k, opts)
-	}
-	return out
-}
-
-func sortResults(results []Result) {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Dist != results[j].Dist {
-			return results[i].Dist < results[j].Dist
-		}
-		return results[i].ID < results[j].ID
+	return db.snapshot().TopKPruned(query(s), k, opts.Exclude, opts.Parallelism, index.PruneOpts{
+		Recall:     opts.Recall,
+		Stats:      &db.prune,
+		Shared:     opts.Cutoff,
+		CutoffSeed: opts.CutoffSeed,
 	})
 }
 
-// workerCount clamps the requested scan parallelism to [1, n].
-func workerCount(requested, n int) int {
-	par := requested
-	if par <= 0 {
-		par = runtime.NumCPU()
+// TopKMany returns, for each scorer, its k best matches in ascending
+// distance order. Element i equals TopK(db, scorers[i], k, opts) exactly: a
+// batch is single scans over one pinned snapshot set, scheduled across
+// queries before within them (index.Sharded.MultiTopKPruned).
+func TopKMany(db *Database, scorers []Scorer, k int, opts Options) [][]Result {
+	qs := make([]index.Query, len(scorers))
+	for i, s := range scorers {
+		qs[i] = query(s)
 	}
-	if par > n {
-		par = n
-	}
-	if par < 1 {
-		par = 1
-	}
-	return par
-}
-
-// scan computes distances for all live, non-excluded items via the generic
-// per-bag Scorer interface. It is the fallback for scorers that cannot
-// expose point/weight geometry; it iterates the item slots zero-copy (see
-// views) so a query costs no O(n) item copy.
-func scan(db *Database, s Scorer, opts Options) []Result {
-	return scanViews(db.views(), s, opts)
-}
-
-func scanViews(views []shardView, s Scorer, opts Options) []Result {
-	total := 0
-	for _, v := range views {
-		total += len(v.items)
-	}
-	results := make([]Result, 0, total)
-	for _, v := range views {
-		results = append(results, scanShard(v, s, opts)...)
-	}
-	return results
-}
-
-// scanShard scores one shard's live, non-excluded items, splitting the shard
-// across workers.
-func scanShard(v shardView, s Scorer, opts Options) []Result {
-	if len(v.items) == 0 {
-		return nil
-	}
-	par := workerCount(opts.Parallelism, len(v.items))
-	dists := make([]float64, len(v.items))
-	var wg sync.WaitGroup
-	chunk := (len(v.items) + par - 1) / par
-	for w := 0; w < par; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(v.items))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if v.snap.IsDead(i) || opts.Exclude[v.items[i].ID] {
-					dists[i] = math.Inf(1)
-					continue
-				}
-				dists[i] = s.BagDist(v.items[i].Bag)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	results := make([]Result, 0, len(v.items))
-	for i, item := range v.items {
-		if v.snap.IsDead(i) || opts.Exclude[item.ID] {
-			continue
-		}
-		results = append(results, Result{ID: item.ID, Label: item.Label, Dist: dists[i]})
-	}
-	return results
-}
-
-// worse reports whether a ranks strictly after b (greater distance, ID tie
-// break).
-func worse(a, b Result) bool {
-	if a.Dist != b.Dist {
-		return a.Dist > b.Dist
-	}
-	return a.ID > b.ID
-}
-
-// resultMaxHeap keeps the worst of the current best-k at the root.
-type resultMaxHeap []Result
-
-func (h resultMaxHeap) Len() int            { return len(h) }
-func (h resultMaxHeap) Less(i, j int) bool  { return worse(h[i], h[j]) }
-func (h resultMaxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultMaxHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultMaxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	return db.snapshot().MultiTopKPruned(qs, k, opts.Exclude, opts.Parallelism,
+		index.PruneOpts{Recall: opts.Recall, Stats: &db.prune})
 }

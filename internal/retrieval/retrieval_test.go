@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -13,18 +14,43 @@ import (
 	"milret/internal/mil"
 )
 
-// pointScorer scores a bag by the plain min distance to a point.
+// pointScorer scores a bag by the plain min distance to a point: unit
+// weights.
 type pointScorer struct{ p mat.Vector }
 
-func (s pointScorer) BagDist(b *mil.Bag) float64 {
-	best := 0.0
-	for j, inst := range b.Instances {
-		d := mat.SqDist(s.p, inst)
-		if j == 0 || d < best {
-			best = d
+func (s pointScorer) PointWeights() (point, weights []float64) {
+	return s.p, mat.NewVector(len(s.p)).Fill(1)
+}
+
+// bagDister is what the naive reference ranks by; it is not a Scorer.
+type bagDister interface{ BagDist(*mil.Bag) float64 }
+
+// naiveRank is the tests' reference ranking and shares nothing with the scan
+// engine: every live, non-excluded item scored one after another through
+// BagDist, then sorted by (Dist, ID). No flat block, heap, cutoff or worker.
+func naiveRank(db *Database, s bagDister, opts Options) []Result {
+	out := []Result{}
+	for _, it := range db.Items() {
+		if !opts.Exclude[it.ID] {
+			out = append(out, Result{ID: it.ID, Label: it.Label, Dist: s.BagDist(it.Bag)})
 		}
 	}
-	return best
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dist != out[j].Dist {
+			return out[i].Dist < out[j].Dist
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// naiveTopK is the head of naiveRank.
+func naiveTopK(db *Database, s bagDister, k int, opts Options) []Result {
+	full := naiveRank(db, s, opts)
+	if k < len(full) {
+		full = full[:k]
+	}
+	return full
 }
 
 func item(id, label string, vecs ...mat.Vector) Item {
@@ -212,9 +238,8 @@ func TestQuickRankMonotone(t *testing.T) {
 	}
 }
 
-// weightedScorer is a naive-only Scorer (no PointWeights): full weighted
-// squared distance per instance, min over the bag. It forces the fallback
-// per-bag scan path.
+// weightedScorer is the naive reference's scorer (BagDist only, not a
+// Scorer): full weighted squared distance per instance, min over the bag.
 type weightedScorer struct{ p, w mat.Vector }
 
 func (s weightedScorer) BagDist(b *mil.Bag) float64 {
@@ -228,13 +253,12 @@ func (s weightedScorer) BagDist(b *mil.Bag) float64 {
 	return best
 }
 
-// flatScorer is the same geometry exposed as a PointWeightScorer, unlocking
-// the columnar fast path.
+// flatScorer is the same geometry exposed as a Scorer, for the engine.
 type flatScorer struct{ weightedScorer }
 
 func (s flatScorer) PointWeights() (point, weights []float64) { return s.p, s.w }
 
-var _ PointWeightScorer = flatScorer{}
+var _ Scorer = flatScorer{}
 
 func randWeightedDB(t testing.TB, r *rand.Rand, n, dim, maxInst int) *Database {
 	db := NewDatabase()
@@ -269,8 +293,8 @@ func randScorerPair(r *rand.Rand, dim int) (weightedScorer, flatScorer) {
 	return naive, flatScorer{naive}
 }
 
-// Property: the flat columnar path produces bit-identical rankings
-// (distances and ID tie-breaks) to the naive per-bag Scorer scan across
+// Property: the flat columnar engine produces bit-identical rankings
+// (distances and ID tie-breaks) to the naive per-bag reference across
 // random databases, random weights, and random exclusions.
 func TestQuickFlatRankMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
@@ -285,7 +309,7 @@ func TestQuickFlatRankMatchesNaive(t *testing.T) {
 			}
 		}
 		opts := Options{Exclude: exclude, Parallelism: 1 + r.Intn(8)}
-		return reflect.DeepEqual(Rank(db, flat, opts), Rank(db, naive, opts))
+		return reflect.DeepEqual(Rank(db, flat, opts), naiveRank(db, naive, opts))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -312,7 +336,7 @@ func TestQuickFlatTopKMatchesNaive(t *testing.T) {
 			if k < 1 {
 				k = 1
 			}
-			if !reflect.DeepEqual(TopK(db, flat, k, opts), TopK(db, naive, k, opts)) {
+			if !reflect.DeepEqual(TopK(db, flat, k, opts), naiveTopK(db, naive, k, opts)) {
 				return false
 			}
 		}
@@ -344,10 +368,10 @@ func TestNewDatabaseFromFlat(t *testing.T) {
 	}
 	naive, flat := randScorerPair(r, dim)
 	if !reflect.DeepEqual(Rank(adopted, flat, Options{}), Rank(added, flat, Options{})) {
-		t.Fatal("adopted database ranks differently (flat path)")
+		t.Fatal("adopted database ranks differently")
 	}
-	if !reflect.DeepEqual(Rank(adopted, naive, Options{}), Rank(added, naive, Options{})) {
-		t.Fatal("adopted database ranks differently (fallback path)")
+	if !reflect.DeepEqual(Rank(adopted, flat, Options{}), naiveRank(adopted, naive, Options{})) {
+		t.Fatal("adopted database diverged from the naive reference over its own items")
 	}
 
 	if err := adopted.Add(item("post-load", "l", make(mat.Vector, dim))); err != nil {
@@ -375,10 +399,9 @@ func TestNewDatabaseFromFlat(t *testing.T) {
 	}
 }
 
-// Property: TopKMany equals per-scorer TopK — on the batched flat path
-// when every scorer exposes geometry, and on the fallback path when any
-// scorer hides it (a mixed batch must fall back for everyone rather than
-// reorder results).
+// Property: TopKMany equals per-scorer TopK, element by element — armed
+// scorers and the occasional negative-weight one that cannot arm its filter
+// side by side.
 func TestQuickTopKManyMatchesTopK(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -388,12 +411,11 @@ func TestQuickTopKManyMatchesTopK(t *testing.T) {
 		nq := 1 + r.Intn(5)
 		scorers := make([]Scorer, nq)
 		for i := range scorers {
-			naive, flat := randScorerPair(r, dim)
+			_, flat := randScorerPair(r, dim)
 			if r.Intn(4) == 0 {
-				scorers[i] = naive // geometry hidden: whole batch falls back
-			} else {
-				scorers[i] = flat
+				flat.w[r.Intn(dim)] *= -1
 			}
+			scorers[i] = flat
 		}
 		exclude := map[string]bool{}
 		for i := 0; i < db.Len(); i++ {
@@ -439,31 +461,53 @@ func TestFlatTieBreaksMatchNaive(t *testing.T) {
 	naive := weightedScorer{p: mat.Vector{0, 0}, w: mat.Vector{1, 1}}
 	flat := flatScorer{naive}
 	got := TopK(db, flat, 2, Options{})
-	want := TopK(db, naive, 2, Options{})
+	want := naiveTopK(db, naive, 2, Options{})
 	if !reflect.DeepEqual(got, want) || got[0].ID != "a" || got[1].ID != "b" {
 		t.Fatalf("tie break mismatch: got %+v want %+v", got, want)
 	}
 }
 
 // lyingScorer reports point/weight geometry whose dimensionality does not
-// match the database, but has a well-defined BagDist. The flat path must
-// reject it on the dim check and route it to the fallback scan.
+// match the database.
 type lyingScorer struct{}
 
-func (lyingScorer) BagDist(b *mil.Bag) float64     { return b.Instances[0][0] }
 func (lyingScorer) PointWeights() (p, w []float64) { return []float64{0}, []float64{1} }
 
-// A scorer whose geometry does not match the database dimensionality must
-// not be routed onto the flat path (the index would panic on the dim
-// mismatch); the generic fallback handles it.
+// A scorer whose geometry does not match the database dimensionality is
+// rejected up front: every scan panics on the caller's own goroutine —
+// recoverable here — before a worker starts, a batch with well-formed
+// batch-mates included. There is no second engine to "accept" it. An empty
+// database has no dimensionality to mismatch and ranks empty.
 func TestFlatPathRequiresMatchingDim(t *testing.T) {
 	db := buildDB(t,
 		item("a", "l", mat.Vector{2, 9}),
 		item("b", "l", mat.Vector{1, 9}),
+		item("c", "l", mat.Vector{3, 9}),
 	)
-	res := Rank(db, lyingScorer{}, Options{})
-	if len(res) != 2 || res[0].ID != "b" || res[0].Dist != 1 {
-		t.Fatalf("fallback not used for mismatched geometry: %+v", res)
+	ok := pointScorer{mat.Vector{0, 0}}
+	for name, scan := range map[string]func(){
+		"Rank":     func() { Rank(db, lyingScorer{}, Options{}) },
+		"TopK":     func() { TopK(db, lyingScorer{}, 2, Options{Parallelism: 4}) },
+		"TopKMany": func() { TopKMany(db, []Scorer{ok, ok, lyingScorer{}}, 2, Options{Parallelism: 4}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted mismatched geometry", name)
+				}
+			}()
+			scan()
+		}()
+	}
+	empty := NewDatabase()
+	if res := Rank(empty, lyingScorer{}, Options{}); res == nil || len(res) != 0 {
+		t.Fatalf("empty Rank = %v", res)
+	}
+	if res := TopK(empty, lyingScorer{}, 3, Options{}); res == nil || len(res) != 0 {
+		t.Fatalf("empty TopK = %v", res)
+	}
+	if res := TopKMany(empty, []Scorer{ok, lyingScorer{}}, 3, Options{}); len(res) != 2 || res[1] == nil || len(res[1]) != 0 {
+		t.Fatalf("empty TopKMany = %v", res)
 	}
 }
 
@@ -477,8 +521,7 @@ func TestConcurrentAddVersusQueries(t *testing.T) {
 		dim       = 12
 	)
 	r := rand.New(rand.NewSource(21))
-	naive, flat := randScorerPair(r, dim)
-	_ = naive
+	_, flat := randScorerPair(r, dim)
 	db := NewDatabase()
 	if err := db.Add(item("seed-0", "l", mat.NewVector(dim).Fill(5))); err != nil {
 		t.Fatal(err)

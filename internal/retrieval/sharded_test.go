@@ -42,10 +42,16 @@ func randMirror(t testing.TB, r *rand.Rand, n, dim, maxInst, nShards int) mirror
 }
 
 // The tentpole acceptance property: an N-shard database ranks bit-identically
-// to a 1-shard database over the same bags — Rank, TopK and TopKMany, flat
-// and naive paths — through random interleavings of adds, deletes, updates
-// and label swaps, and after compacting random individual shards.
+// to a 1-shard database over the same bags, and both to the naive reference
+// — Rank, TopK and TopKMany — through random interleavings of adds, deletes,
+// updates and label swaps, and after compacting random individual shards.
+// The TopKMany leg walks batch size × parallelism over the whole grid below:
+// batches smaller than, equal to and larger than the worker budget, and one
+// past the 64 scorers a batch was once chunked at.
 func TestQuickShardedMatchesSingleShard(t *testing.T) {
+	batchSizes := []int{1, 2, 5, 9, 70}
+	pars := []int{1, 2, 3, 8}
+	iter := 0
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(24)
@@ -103,45 +109,43 @@ func TestQuickShardedMatchesSingleShard(t *testing.T) {
 				exclude[it.ID] = true
 			}
 		}
-		opts := Options{Exclude: exclude, Parallelism: 1 + r.Intn(8)}
-		if !reflect.DeepEqual(Rank(p.sharded, flat, opts), Rank(p.single, flat, opts)) {
-			t.Log("sharded flat Rank diverged")
-			return false
-		}
-		if !reflect.DeepEqual(Rank(p.sharded, naive, opts), Rank(p.single, naive, opts)) {
-			t.Log("sharded naive Rank diverged")
-			return false
-		}
-		// Top-k on either database is the head of the single-shard naive
-		// ranking — a reference no cutoff, heap, seed or box has touched.
-		head := func(full []Result, k int) []Result {
-			if k < len(full) {
-				return full[:k]
+		opts := Options{Exclude: exclude, Parallelism: pars[iter/len(batchSizes)%len(pars)]}
+		nq := batchSizes[iter%len(batchSizes)]
+		iter++
+		// The naive ranking — a reference no cutoff, heap, seed or box has
+		// touched — is the same over either database: Items() agree below.
+		full := naiveRank(p.single, naive, opts)
+		for name, db := range map[string]*Database{"single": p.single, "sharded": p.sharded} {
+			if !reflect.DeepEqual(Rank(db, flat, opts), full) {
+				t.Logf("%s Rank diverged from the naive ranking", name)
+				return false
 			}
-			return full
-		}
-		full := Rank(p.single, naive, opts)
-		for _, k := range []int{1, n / 2, n + 5} {
-			if k < 1 {
-				k = 1
-			}
-			for name, db := range map[string]*Database{"single": p.single, "sharded": p.sharded} {
-				if !reflect.DeepEqual(TopK(db, flat, k, opts), head(full, k)) {
-					t.Logf("%s flat TopK(%d) diverged from the naive ranking", name, k)
+			for _, k := range []int{1, n / 2, n + 5} {
+				if k < 1 {
+					k = 1
+				}
+				if !reflect.DeepEqual(TopK(db, flat, k, opts), naiveTopK(p.single, naive, k, opts)) {
+					t.Logf("%s TopK(%d) diverged from the naive ranking", name, k)
 					return false
 				}
 			}
-			if !reflect.DeepEqual(TopK(p.sharded, naive, k, opts), TopK(p.single, naive, k, opts)) {
-				t.Logf("sharded naive TopK(%d) diverged", k)
-				return false
-			}
 		}
-		naive2, flat2 := randScorerPair(r, dim)
-		k := 1 + r.Intn(n)
-		want := [][]Result{head(full, k), head(Rank(p.single, naive2, opts), k)}
+		// A batch: element i is scorer i's own naive top-k, one
+		// negative-weight scorer (its filter cannot arm) among armed mates.
+		scorers := make([]Scorer, nq)
+		want := make([][]Result, nq)
+		k := 1 + r.Intn(n+4) // through k ≥ n
+		unarmed := r.Intn(nq)
+		for i := range scorers {
+			ni, fi := randScorerPair(r, dim)
+			if i == unarmed {
+				ni.w[r.Intn(dim)] *= -1
+			}
+			scorers[i], want[i] = fi, naiveTopK(p.single, ni, k, opts)
+		}
 		for name, db := range map[string]*Database{"single": p.single, "sharded": p.sharded} {
-			if !reflect.DeepEqual(TopKMany(db, []Scorer{flat, flat2}, k, opts), want) {
-				t.Logf("%s TopKMany(%d) diverged from the naive rankings", name, k)
+			if !reflect.DeepEqual(TopKMany(db, scorers, k, opts), want) {
+				t.Logf("%s TopKMany(%d scorers, k=%d) diverged from the naive rankings", name, nq, k)
 				return false
 			}
 		}
@@ -330,10 +334,14 @@ func TestConcurrentLabelUpdatesVersusQueries(t *testing.T) {
 					return
 				default:
 				}
-				for _, res := range Rank(db, flat, Options{Parallelism: 1 + g}) {
-					if len(res.Label) < 2 || res.Label[0] != 'v' {
-						t.Errorf("torn label %q", res.Label)
-						return
+				lists := append(TopKMany(db, []Scorer{flat, flat, flat}, 5, Options{Parallelism: 1 + g}),
+					Rank(db, flat, Options{Parallelism: 1 + g}))
+				for _, list := range lists {
+					for _, res := range list {
+						if len(res.Label) < 2 || res.Label[0] != 'v' {
+							t.Errorf("torn label %q", res.Label)
+							return
+						}
 					}
 				}
 				_ = db.Items()

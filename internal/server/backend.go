@@ -47,7 +47,8 @@ type Backend interface {
 	// Retrieve returns the k best matches for the concept at the given
 	// recall (≤ 0 forces the exact scan).
 	Retrieve(ctx context.Context, c *milret.Concept, k int, exclude []string, recall float64) ([]milret.Result, error)
-	// RetrieveBatch ranks several concepts in one batched pass.
+	// RetrieveBatch ranks several concepts as one batch: element i is
+	// exactly what Retrieve returns for concept i.
 	RetrieveBatch(ctx context.Context, concepts []*milret.Concept, k int, exclude []string, recall float64) ([][]milret.Result, error)
 	// Flush makes acknowledged mutations durable (the mutation ack
 	// barrier).
@@ -131,7 +132,7 @@ var routeTable = []routeSpec{
 		func(s *Server) http.HandlerFunc { return s.handleImage }},
 	{Route{"/v1/query", []string{"POST"}, "train on examples (through the concept cache) and rank"},
 		func(s *Server) http.HandlerFunc { return s.handleQuery }},
-	{Route{"/v1/retrieve/batch", []string{"POST"}, "rank several concept geometries and/or queries in one scan"},
+	{Route{"/v1/retrieve/batch", []string{"POST"}, "rank several concept geometries and/or queries as one batch"},
 		func(s *Server) http.HandlerFunc { return s.handleRetrieveBatch }},
 	{Route{"/v1/stats", []string{"GET"}, "index, mutation, cache, training, prune and partition metrics"},
 		func(s *Server) http.HandlerFunc { return s.handleStats }},

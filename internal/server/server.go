@@ -10,7 +10,7 @@
 //	DELETE /v1/images/{id}       → remove an image
 //	POST   /v1/query             → train on examples and rank
 //	POST   /v1/retrieve/batch    → rank several concept geometries and/or
-//	                               example-based queries in one scan
+//	                               example-based queries as one batch
 //	GET    /v1/stats             → scoring-index, mutation-lifecycle,
 //	                               concept-cache and training metrics
 //	GET    /v1/healthz           → liveness probe + data verification state
@@ -166,11 +166,11 @@ type BatchQuery struct {
 }
 
 // BatchRetrieveRequest is the /v1/retrieve/batch body: pre-trained concept
-// geometries and/or example-based queries to rank against the database in
-// one batched scan. Queries go through the concept cache, so a batch of
-// repeat or duplicate queries pays for at most the distinct training runs
-// before the single shared scan — the coalesced query pipeline. The
-// exclude list applies to every entry.
+// geometries and/or example-based queries to rank against the database as
+// one batch. Queries go through the concept cache, so a batch of repeat or
+// duplicate queries pays for at most the distinct training runs before its
+// scans — the coalesced query pipeline. The exclude list applies to every
+// entry.
 type BatchRetrieveRequest struct {
 	Concepts []ConceptGeometry `json:"concepts"`
 	Queries  []BatchQuery      `json:"queries"`
@@ -594,12 +594,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRetrieveBatch ranks several pre-trained concept geometries and/or
-// example-based queries in one batched pass over the scoring index
-// (Database.RetrieveMany). Geometries are the serving-side half of
+// example-based queries as one batch over one pinned snapshot of the
+// scoring index (Database.RetrieveMany). Geometries are the serving-side half of
 // train-once/replay-anywhere: clients obtain them from /v1/query with
 // return_concept, or train offline. Queries are trained server-side
 // through the concept cache, so a repeat-heavy batch pays only for its
-// distinct training runs before the shared scan.
+// distinct training runs before the scans.
 func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{"POST only"})
@@ -643,7 +643,7 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 	// The example-based entries of the pipeline: each trained through the
 	// concept cache (repeat queries hit, duplicates within the batch pay
 	// once — milret.TrainMany), then every concept — replayed and freshly
-	// trained alike — shares the one batched scan below.
+	// trained alike — is ranked in the one batch below.
 	var queryCache []string
 	var trainMS int64
 	if len(req.Queries) > 0 {

@@ -894,12 +894,27 @@ func (d *Database) RankAllExcluding(c *Concept, exclude []string) []Result {
 	return convertResults(retrieval.Rank(d.db, c.c, retrieval.Options{Exclude: ex}))
 }
 
+// CheckConcept reports whether c can be scanned against this database: a nil
+// concept, or one whose dimensionality differs from a non-empty database's,
+// is an error. Retrieve, RetrieveExcluding and RankAll trust their caller
+// and panic on a mismatch, so every edge that accepts concept geometry from
+// outside the process (RetrieveMany, the shard RPC's scan ops) checks it
+// here first and answers the sender with an error instead.
+func (d *Database) CheckConcept(c *Concept) error {
+	if c == nil {
+		return fmt.Errorf("milret: nil concept")
+	}
+	if dim := d.db.Dim(); dim != 0 && len(c.c.Point) != dim {
+		return fmt.Errorf("milret: concept has dim %d, database dim %d", len(c.c.Point), dim)
+	}
+	return nil
+}
+
 // RetrieveMany returns the k best matches for each of several concepts,
-// nearest first, scoring all of them in one batched pass over the scoring
-// index: each instance block is loaded into cache once and scored against
-// every concept, so B concepts cost far less than B sequential Retrieve
-// calls on a memory-resident database. Element i equals
-// RetrieveExcluding(concepts[i], k, exclude) exactly.
+// nearest first. A batch is single scans over one pinned snapshot of the
+// scoring index: element i is exactly RetrieveExcluding(concepts[i], k,
+// exclude) against that snapshot, and the scan workers are handed whole
+// concepts before any one scan is split among them.
 //
 // Every concept's dimensionality must match the database's; a nil concept
 // is an error. An empty database yields one empty ranking per concept.
@@ -911,15 +926,10 @@ func (d *Database) retrieveMany(concepts []*Concept, k int, exclude []string, re
 	if len(concepts) == 0 {
 		return nil, nil
 	}
-	dim := d.db.Dim()
 	scorers := make([]retrieval.Scorer, len(concepts))
 	for i, c := range concepts {
-		if c == nil {
-			return nil, fmt.Errorf("milret: nil concept at index %d", i)
-		}
-		if dim != 0 && len(c.c.Point) != dim {
-			return nil, fmt.Errorf("milret: concept %d has dim %d, database dim %d",
-				i, len(c.c.Point), dim)
+		if err := d.CheckConcept(c); err != nil {
+			return nil, fmt.Errorf("concept %d: %w", i, err)
 		}
 		scorers[i] = c.c
 	}
@@ -967,11 +977,12 @@ func (d *Database) specRecall(sp QuerySpec) float64 {
 // QueryMany is the coalesced query pipeline: each spec's concept is
 // obtained through the concept cache (repeat specs hit, identical specs
 // in flight elsewhere coalesce, fresh ones train), and every concept is
-// then ranked in one batched pass over the scoring index — B queries cost
-// at most the distinct training runs plus a single scan. Element i of the
-// rankings equals RetrieveExcluding(Train(specs[i]...), k, exclude)
-// exactly; the parallel outcomes slice reports each spec's cache
-// disposition. The exclude list applies to every spec.
+// then ranked as one batch over one pinned snapshot of the scoring index
+// (RetrieveMany) — B queries cost at most the distinct training runs plus
+// their scans. Element i of the rankings equals
+// RetrieveExcluding(Train(specs[i]...), k, exclude) exactly; the parallel
+// outcomes slice reports each spec's cache disposition. The exclude list
+// applies to every spec.
 func (d *Database) QueryMany(specs []QuerySpec, k int, exclude []string) ([][]Result, []CacheOutcome, error) {
 	if len(specs) == 0 {
 		return nil, nil, nil
@@ -980,9 +991,8 @@ func (d *Database) QueryMany(specs []QuerySpec, k int, exclude []string) ([][]Re
 	if err != nil {
 		return nil, nil, err
 	}
-	// Group specs by effective recall so each group still shares one batched
-	// scan; in the common case (no per-spec override) this is one group and
-	// one scan, exactly as before.
+	// Group specs by effective recall so each group is still one batch; in
+	// the common case (no per-spec override) this is one group.
 	rankings := make([][]Result, len(specs))
 	var order []float64
 	groups := make(map[float64][]int)
