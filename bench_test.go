@@ -548,13 +548,13 @@ var benchCacheOpts = TrainOptions{Mode: IdenticalWeights, MaxIters: 15, StartBag
 
 func BenchmarkQueryCacheHit(b *testing.B) {
 	d, pos, neg := benchCachedDB()
-	if _, out, err := d.TrainCached(pos, neg, benchCacheOpts); err != nil || out != CacheMiss {
+	if _, out, err := d.TrainCachedContext(bg, pos, neg, benchCacheOpts); err != nil || out != CacheMiss {
 		b.Fatalf("warm-up: %v, %v", out, err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, out, err := d.TrainCached(pos, neg, benchCacheOpts)
+		_, out, err := d.TrainCachedContext(bg, pos, neg, benchCacheOpts)
 		if err != nil || out != CacheHit {
 			b.Fatalf("outcome %v, err %v", out, err)
 		}
@@ -567,7 +567,7 @@ func BenchmarkQueryCacheMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.cache.Purge() // keep every iteration cold; purge cost is noise
-		_, out, err := d.TrainCached(pos, neg, benchCacheOpts)
+		_, out, err := d.TrainCachedContext(bg, pos, neg, benchCacheOpts)
 		if err != nil || out != CacheMiss {
 			b.Fatalf("outcome %v, err %v", out, err)
 		}
@@ -588,7 +588,7 @@ func BenchmarkQueryCacheCoalesced10(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, _, err := d.TrainCached(pos, neg, benchCacheOpts); err != nil {
+				if _, _, err := d.TrainCachedContext(bg, pos, neg, benchCacheOpts); err != nil {
 					b.Error(err)
 				}
 			}()

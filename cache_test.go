@@ -1,7 +1,9 @@
 package milret
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -33,6 +35,9 @@ func cacheTestDB(t *testing.T, mb, perCat int, cats ...string) *Database {
 
 var cacheTestOpts = TrainOptions{Mode: IdenticalWeights, MaxIters: 10, StartBags: 1}
 
+// bg is the context of every test call that has no wait to bound.
+var bg = context.Background()
+
 // ddEvals reads the process-cumulative trainer-call counter; tests diff two
 // readings to prove whether a call invoked the optimizer.
 func ddEvals() int64 {
@@ -46,7 +51,7 @@ func TestTrainCachedOutcomes(t *testing.T) {
 	neg := idsOf(db, "lamp", 1)
 
 	before := ddEvals()
-	c1, out, err := db.TrainCached(pos, neg, cacheTestOpts)
+	c1, out, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts)
 	if err != nil || out != CacheMiss {
 		t.Fatalf("first call: outcome %v, err %v; want miss", out, err)
 	}
@@ -55,7 +60,7 @@ func TestTrainCachedOutcomes(t *testing.T) {
 	}
 
 	before = ddEvals()
-	c2, out, err := db.TrainCached(pos, neg, cacheTestOpts)
+	c2, out, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts)
 	if err != nil || out != CacheHit {
 		t.Fatalf("repeat call: outcome %v, err %v; want hit", out, err)
 	}
@@ -69,7 +74,7 @@ func TestTrainCachedOutcomes(t *testing.T) {
 	before = ddEvals()
 	opts := cacheTestOpts
 	opts.BypassCache = true
-	if _, out, err := db.TrainCached(pos, neg, opts); err != nil || out != CacheBypassed {
+	if _, out, err := db.TrainCachedContext(bg, pos, neg, opts); err != nil || out != CacheBypassed {
 		t.Fatalf("bypass call: outcome %v, err %v", out, err)
 	}
 	if ddEvals() == before {
@@ -91,7 +96,7 @@ func TestTrainCachedOutcomes(t *testing.T) {
 func TestCacheDisabledOutcome(t *testing.T) {
 	db := testDB(t, 2, "car")
 	pos := idsOf(db, "car", 1)
-	if _, out, err := db.TrainCached(pos, nil, cacheTestOpts); err != nil || out != CacheDisabled {
+	if _, out, err := db.TrainCachedContext(bg, pos, nil, cacheTestOpts); err != nil || out != CacheDisabled {
 		t.Fatalf("outcome %v, err %v; want disabled", out, err)
 	}
 	if db.Stats().Cache != nil {
@@ -108,16 +113,16 @@ func TestCacheHitRankingsBitIdentical(t *testing.T) {
 	neg := idsOf(db, "lamp", 2)
 	exclude := append(append([]string{}, pos...), neg...)
 
-	if _, out, err := db.TrainCached(pos, neg, cacheTestOpts); err != nil || out != CacheMiss {
+	if _, out, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts); err != nil || out != CacheMiss {
 		t.Fatalf("warm-up: %v, %v", out, err)
 	}
-	hitConcept, out, err := db.TrainCached(pos, neg, cacheTestOpts)
+	hitConcept, out, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts)
 	if err != nil || out != CacheHit {
 		t.Fatalf("hit: %v, %v", out, err)
 	}
 	fresh := cacheTestOpts
 	fresh.BypassCache = true
-	freshConcept, _, err := db.TrainCached(pos, neg, fresh)
+	freshConcept, _, err := db.TrainCachedContext(bg, pos, neg, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +155,12 @@ func TestCachePermutationAndMutation(t *testing.T) {
 	// because these trainings are only cache-key probes.
 	opts := TrainOptions{Mode: IdenticalWeights, MaxIters: 5, StartBags: 2}
 
-	if _, out, err := db.TrainCached(pos, neg, opts); err != nil || out != CacheMiss {
+	if _, out, err := db.TrainCachedContext(bg, pos, neg, opts); err != nil || out != CacheMiss {
 		t.Fatalf("warm-up: %v, %v", out, err)
 	}
 	permPos := []string{pos[1], pos[0]}
 	permNeg := []string{neg[1], neg[0]}
-	if _, out, err := db.TrainCached(permPos, permNeg, opts); err != nil || out != CacheHit {
+	if _, out, err := db.TrainCachedContext(bg, permPos, permNeg, opts); err != nil || out != CacheHit {
 		t.Fatalf("permuted examples: outcome %v, err %v; want hit", out, err)
 	}
 
@@ -163,13 +168,13 @@ func TestCachePermutationAndMutation(t *testing.T) {
 	// of the key: the permutation selects different optimization starts.
 	capped := opts
 	capped.StartBags = 1
-	if _, out, err := db.TrainCached(pos, neg, capped); err != nil || out != CacheMiss {
+	if _, out, err := db.TrainCachedContext(bg, pos, neg, capped); err != nil || out != CacheMiss {
 		t.Fatalf("capped warm-up: %v, %v", out, err)
 	}
-	if _, out, err := db.TrainCached(permPos, neg, capped); err != nil || out != CacheMiss {
+	if _, out, err := db.TrainCachedContext(bg, permPos, neg, capped); err != nil || out != CacheMiss {
 		t.Fatalf("capped permuted positives: outcome %v, err %v; want miss", out, err)
 	}
-	if _, out, err := db.TrainCached(pos, permNeg, capped); err != nil || out != CacheHit {
+	if _, out, err := db.TrainCachedContext(bg, pos, permNeg, capped); err != nil || out != CacheHit {
 		t.Fatalf("capped permuted negatives: outcome %v, err %v; want hit", out, err)
 	}
 
@@ -177,7 +182,7 @@ func TestCachePermutationAndMutation(t *testing.T) {
 	if err := db.UpdateImage(pos[0], "car-relabelled", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, out, err := db.TrainCached(pos, neg, opts); err != nil || out != CacheHit {
+	if _, out, err := db.TrainCachedContext(bg, pos, neg, opts); err != nil || out != CacheHit {
 		t.Fatalf("after label-only update: outcome %v, err %v; want hit", out, err)
 	}
 
@@ -186,14 +191,15 @@ func TestCachePermutationAndMutation(t *testing.T) {
 	if err := db.UpdateImage(pos[0], "car", repl.Image); err != nil {
 		t.Fatal(err)
 	}
-	if _, out, err := db.TrainCached(pos, neg, opts); err != nil || out != CacheMiss {
+	if _, out, err := db.TrainCachedContext(bg, pos, neg, opts); err != nil || out != CacheMiss {
 		t.Fatalf("after image update: outcome %v, err %v; want miss", out, err)
 	}
 }
 
-// TestQueryManyPipeline: duplicate specs in one batch pay for one training
-// run, and each ranking equals the single-query path exactly.
-func TestQueryManyPipeline(t *testing.T) {
+// TestBatchTrainThenRetrieve: duplicate specs in one batch pay for one
+// training run, and each ranking of the batch equals the single-query path
+// exactly.
+func TestBatchTrainThenRetrieve(t *testing.T) {
 	db := cacheTestDB(t, 8, 3, "car", "lamp", "pants")
 	carPos := idsOf(db, "car", 2)
 	carNeg := idsOf(db, "lamp", 1)
@@ -204,32 +210,41 @@ func TestQueryManyPipeline(t *testing.T) {
 		{Positives: pantsPos, Opts: cacheTestOpts},
 		{Positives: carPos, Negatives: carNeg, Opts: cacheTestOpts}, // duplicate of 0
 	}
-	rankings, outcomes, err := db.QueryMany(specs, 5, nil)
+	concepts, outcomes, err := db.TrainManyContext(bg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rankings) != 3 || len(outcomes) != 3 {
-		t.Fatalf("got %d rankings, %d outcomes", len(rankings), len(outcomes))
+	if len(concepts) != 3 || len(outcomes) != 3 {
+		t.Fatalf("got %d concepts, %d outcomes", len(concepts), len(outcomes))
 	}
 	if outcomes[0] != CacheMiss || outcomes[1] != CacheMiss || outcomes[2] != CacheHit {
 		t.Fatalf("outcomes = %v, want [miss miss hit]", outcomes)
+	}
+	rankings, err := db.RetrieveMany(concepts, 5, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rankings[0], rankings[2]) {
 		t.Fatal("duplicate specs ranked differently")
 	}
 	// Element-wise equivalence with the single-query path.
 	for i, sp := range specs {
-		c, _, err := db.TrainCached(sp.Positives, sp.Negatives, sp.Opts)
+		c, _, err := db.TrainCachedContext(bg, sp.Positives, sp.Negatives, sp.Opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := db.RetrieveExcluding(c, 5, nil)
 		if !reflect.DeepEqual(rankings[i], want) {
-			t.Fatalf("spec %d: pipeline ranking differs from single-query path", i)
+			t.Fatalf("spec %d: batch ranking differs from single-query path", i)
 		}
 	}
-	if _, _, err := db.QueryMany(nil, 5, nil); err != nil {
-		t.Fatalf("empty QueryMany: %v", err)
+	if cs, _, err := db.TrainManyContext(bg, nil); err != nil || len(cs) != 0 {
+		t.Fatalf("empty batch: %d concepts, %v", len(cs), err)
+	}
+	// A failing spec is named by its index.
+	specs[1].Positives = []string{"no-such-image"}
+	if _, _, err := db.TrainManyContext(bg, specs); err == nil || !strings.Contains(err.Error(), "query 1") {
+		t.Fatalf("failing spec not identified: %v", err)
 	}
 }
 
@@ -250,7 +265,7 @@ func TestConcurrentMutationsVsCachedQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				c, _, err := db.TrainCached(pos, neg, cacheTestOpts)
+				c, _, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts)
 				if err != nil {
 					t.Error(err)
 					return
@@ -292,7 +307,7 @@ func TestConcurrentMutationsVsCachedQueries(t *testing.T) {
 	wg.Wait()
 
 	// The cache must still serve after the churn settles.
-	if _, out, err := db.TrainCached(pos, neg, cacheTestOpts); err != nil || out != CacheHit {
+	if _, out, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts); err != nil || out != CacheHit {
 		t.Fatalf("post-churn: outcome %v, err %v", out, err)
 	}
 }

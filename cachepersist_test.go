@@ -58,7 +58,7 @@ func TestWarmRestartServesWithoutTraining(t *testing.T) {
 	pos := idsOf(db, "car", 2)
 	neg := idsOf(db, "lamp", 1)
 
-	c1, out, err := db.TrainCached(pos, neg, cacheTestOpts)
+	c1, out, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts)
 	if err != nil || out != CacheMiss {
 		t.Fatalf("first train: %v, %v", out, err)
 	}
@@ -79,7 +79,7 @@ func TestWarmRestartServesWithoutTraining(t *testing.T) {
 		t.Fatalf("warm open cache stats = %+v", st.Cache)
 	}
 	before := ddEvals()
-	c2, out, err := warm.TrainCached(pos, neg, cacheTestOpts)
+	c2, out, err := warm.TrainCachedContext(bg, pos, neg, cacheTestOpts)
 	if err != nil || out != CacheHit {
 		t.Fatalf("post-restart train: %v, %v; want hit", out, err)
 	}
@@ -98,7 +98,7 @@ func TestCloseWritesSidecar(t *testing.T) {
 	ccFile := filepath.Join(t.TempDir(), "db.ccache")
 	db, path := persistTestDB(t, ccFile)
 	pos := idsOf(db, "car", 1)
-	if _, _, err := db.TrainCached(pos, nil, cacheTestOpts); err != nil {
+	if _, _, err := db.TrainCachedContext(bg, pos, nil, cacheTestOpts); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -118,7 +118,7 @@ func TestSidecarSkippedWhenUnchanged(t *testing.T) {
 	db, _ := persistTestDB(t, ccFile)
 	defer db.Close()
 	pos := idsOf(db, "car", 1)
-	if _, _, err := db.TrainCached(pos, nil, cacheTestOpts); err != nil {
+	if _, _, err := db.TrainCachedContext(bg, pos, nil, cacheTestOpts); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -135,7 +135,7 @@ func TestSidecarSkippedWhenUnchanged(t *testing.T) {
 		t.Fatalf("unchanged flush rewrote the sidecar (stat err %v)", err)
 	}
 	// A repeat query is recency-only traffic — still no rewrite.
-	if _, out, err := db.TrainCached(pos, nil, cacheTestOpts); err != nil || out != CacheHit {
+	if _, out, err := db.TrainCachedContext(bg, pos, nil, cacheTestOpts); err != nil || out != CacheHit {
 		t.Fatalf("repeat: %v, %v", out, err)
 	}
 	if err := db.Flush(); err != nil {
@@ -146,7 +146,7 @@ func TestSidecarSkippedWhenUnchanged(t *testing.T) {
 	}
 	// Fresh training changes the content; the next flush writes.
 	neg := idsOf(db, "lamp", 1)
-	if _, out, err := db.TrainCached(pos, neg, cacheTestOpts); err != nil || out != CacheMiss {
+	if _, out, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts); err != nil || out != CacheMiss {
 		t.Fatalf("fresh train: %v, %v", out, err)
 	}
 	if err := db.Flush(); err != nil {
@@ -166,10 +166,10 @@ func TestSidecarTornTailWarmLoad(t *testing.T) {
 	pos := idsOf(db, "car", 2)
 	neg := idsOf(db, "lamp", 1)
 	// Two distinct cached queries → two sidecar records.
-	if _, _, err := db.TrainCached(pos, neg, cacheTestOpts); err != nil {
+	if _, _, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.TrainCached(pos[:1], nil, cacheTestOpts); err != nil {
+	if _, _, err := db.TrainCachedContext(bg, pos[:1], nil, cacheTestOpts); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -191,7 +191,7 @@ func TestSidecarTornTailWarmLoad(t *testing.T) {
 	}
 	// The surviving (hotter) entry serves without training.
 	before := ddEvals()
-	if _, out, err := warm.TrainCached(pos[:1], nil, cacheTestOpts); err != nil || out != CacheHit {
+	if _, out, err := warm.TrainCachedContext(bg, pos[:1], nil, cacheTestOpts); err != nil || out != CacheHit {
 		t.Fatalf("surviving entry: %v, %v", out, err)
 	}
 	if ddEvals() != before {
@@ -205,10 +205,10 @@ func TestSidecarCorruptionIgnored(t *testing.T) {
 	ccFile := filepath.Join(t.TempDir(), "db.ccache")
 	db, path := persistTestDB(t, ccFile)
 	pos := idsOf(db, "car", 2)
-	if _, _, err := db.TrainCached(pos, nil, cacheTestOpts); err != nil {
+	if _, _, err := db.TrainCachedContext(bg, pos, nil, cacheTestOpts); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.TrainCached(pos[:1], nil, cacheTestOpts); err != nil {
+	if _, _, err := db.TrainCachedContext(bg, pos[:1], nil, cacheTestOpts); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err != nil {
@@ -229,7 +229,7 @@ func TestSidecarCorruptionIgnored(t *testing.T) {
 	if st.Cache.WarmLoaded != 0 || st.Cache.Entries != 0 {
 		t.Fatalf("corrupt sidecar warm-loaded entries: %+v", st.Cache)
 	}
-	if _, out, err := warm.TrainCached(pos, nil, cacheTestOpts); err != nil || out != CacheMiss {
+	if _, out, err := warm.TrainCachedContext(bg, pos, nil, cacheTestOpts); err != nil || out != CacheMiss {
 		t.Fatalf("cold query after corrupt sidecar: %v, %v", out, err)
 	}
 }

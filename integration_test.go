@@ -124,8 +124,8 @@ func TestIntegrationCorruptStoreRejected(t *testing.T) {
 	}
 
 	// A flip inside the instance-float block: the default zero-copy open
-	// adopts the block without reading it, so only VerifyOnLoad (or
-	// store.ReadAnyFile) pays the checksum pass that catches it.
+	// adopts the block without reading it, so only VerifyOnLoad (or the
+	// background pass behind Verification) pays the checksum that catches it.
 	data := append([]byte{}, good...)
 	data[len(data)/2] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {

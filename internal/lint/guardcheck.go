@@ -15,7 +15,7 @@ import (
 // The tracker walks each function body sequentially, counting
 // Lock/RLock and Unlock/RUnlock calls on sync.Mutex / sync.RWMutex
 // expressions. The lock key is the printed receiver expression
-// ("s.mu", "d.pmu"), so a guarded access `s.items` checks the key
+// ("s.mu", "j.mu"), so a guarded access `s.items` checks the key
 // "s.mu" — aliasing through a different variable is deliberately not
 // tracked and reads as unguarded. Conservative rules that matter:
 //

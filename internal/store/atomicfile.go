@@ -1,12 +1,15 @@
 package store
 
-import "os"
+import (
+	"os"
+	"path/filepath"
+)
 
 // atomicWriteFile publishes a data file atomically and durably: write
 // into a temp file in path's directory, fsync the temp file, rename it
 // onto path, then fsync the directory so the rename itself survives a
-// crash. Every on-disk artifact this package owns — flat snapshots,
-// manifests, cache sidecars, full-store files — goes through here.
+// crash. Every file this package replaces wholesale — flat snapshots,
+// manifests, cache sidecars — goes through here.
 //
 // This is the one audited copy of the sequence: the durably analyzer
 // (internal/lint) verifies both fsyncs inside this function and flags
@@ -16,7 +19,7 @@ import "os"
 //
 // milret:atomic-rename
 func atomicWriteFile(path, pattern string, write func(*os.File) error) error {
-	tmp, err := os.CreateTemp(pathDir(path), pattern)
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,8 @@
-// Flat store format: the columnar counterpart of the V1 record stream. All
-// instance vectors of all records are serialized as one contiguous
-// little-endian float64 block, mirroring the in-memory layout of the
-// internal/index scoring engine, so a database opens by adopting the data
-// block instead of decoding one small payload per vector.
+// Flat store format: a shard's snapshot. All instance vectors of all
+// records are serialized as one contiguous little-endian float64 block,
+// mirroring the in-memory layout of the internal/index scoring engine, so a
+// database opens by adopting the data block instead of decoding one small
+// payload per vector.
 //
 // File layout (all integers little-endian):
 //
@@ -271,7 +271,7 @@ func hostLittleEndian() bool {
 // place. Open cost is O(items) meta decoding plus O(instances) slice
 // headers; the instance floats are not touched — call VerifyData to pay one
 // checksum pass when end-to-end integrity matters more than open latency
-// (ReadFlatFile and ReadAnyFile do this).
+// (ReadFlatFile does this).
 //
 // milret:unguarded construction: the FlatDB is not shared until this
 // returns.
@@ -533,74 +533,4 @@ func decodeFlatMeta(meta []byte, nItems int, nInstances uint64) ([]Record, []int
 		return nil, nil, fmt.Errorf("%w: meta instance total %d, header says %d", ErrCorrupt, total, nInstances)
 	}
 	return recs, counts, nil
-}
-
-// ReadAnyFile loads a store written in either the V1 record-stream format or
-// the flat columnar format, dispatching on the file magic. Both paths
-// perform full integrity checking; use OpenAnyFile for the fast flat open.
-func ReadAnyFile(path string) ([]Record, error) {
-	recs, fdb, err := loadAny(path, false)
-	if err != nil {
-		return nil, err
-	}
-	if fdb != nil {
-		if err := fdb.VerifyData(); err != nil {
-			return nil, err
-		}
-	}
-	return recs, nil
-}
-
-// OpenAnyFile opens a store in either format. Flat files open zero-copy
-// (memory mapped where the platform allows) and return a non-nil FlatDB
-// whose Data backs the records' instances, with the data checksum deferred
-// to FlatDB.VerifyData; legacy stream files decode every record and return
-// a nil FlatDB.
-func OpenAnyFile(path string) ([]Record, *FlatDB, error) {
-	return loadAny(path, true)
-}
-
-func loadAny(path string, useMmap bool) ([]Record, *FlatDB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("store: reading magic: %w", err)
-	}
-	switch string(magic) {
-	case FlatMagic:
-		f.Close()
-		var fdb *FlatDB
-		if useMmap {
-			fdb, err = OpenFlatFile(path)
-		} else {
-			var raw []byte
-			if raw, err = os.ReadFile(path); err == nil {
-				fdb, err = parseFlat(raw)
-			}
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return fdb.Records, fdb, nil
-	case Magic:
-		defer f.Close()
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, nil, err
-		}
-		r, err := NewReader(bufio.NewReaderSize(f, 1<<20))
-		if err != nil {
-			return nil, nil, err
-		}
-		recs, err := readAll(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		return recs, nil, nil
-	}
-	f.Close()
-	return nil, nil, fmt.Errorf("store: bad magic %q", magic)
 }

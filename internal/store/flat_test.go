@@ -191,42 +191,6 @@ func TestFlatDataCorruptionWrapsErrCorrupt(t *testing.T) {
 	}
 }
 
-// ReadAnyFile must transparently read both the flat format and the legacy
-// V1 record stream.
-func TestReadAnyFileBothFormats(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	recs := []Record{randRecord(r, "a", "x", 4, 2), randRecord(r, "b", "y", 4, 3)}
-	recs[0].Bag.Names = []string{"r1", "r2"}
-
-	flatPath := writeFlatTemp(t, 4, recs)
-	legacyPath := filepath.Join(t.TempDir(), "legacy.milret")
-	if err := WriteFile(legacyPath, 4, recs); err != nil {
-		t.Fatal(err)
-	}
-
-	gotFlat, err := ReadAnyFile(flatPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsBitEqual(t, gotFlat, recs)
-
-	gotLegacy, err := ReadAnyFile(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsBitEqual(t, gotLegacy, recs)
-}
-
-func TestReadAnyFileBadMagic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "junk")
-	if err := os.WriteFile(path, []byte("NOTASTOREATALL"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadAnyFile(path); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
 // TestOpenFlatFileZeroCopy: the fast open must adopt the file's data block
 // in place (on little-endian unix this means bit-exact records with zero
 // float decoding), defer the data checksum to VerifyData, and release its
@@ -324,37 +288,6 @@ func TestFlatV1StillReadable(t *testing.T) {
 	}
 	defer fdb.Close()
 	recordsBitEqual(t, fdb.Records, recs)
-}
-
-// TestOpenAnyFile: flat files come back with a FlatDB handle, legacy
-// streams with a nil one; contents agree either way.
-func TestOpenAnyFile(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	recs := []Record{randRecord(r, "a", "x", 4, 2)}
-	flatPath := writeFlatTemp(t, 4, recs)
-	legacyPath := filepath.Join(t.TempDir(), "legacy.milret")
-	if err := WriteFile(legacyPath, 4, recs); err != nil {
-		t.Fatal(err)
-	}
-
-	got, fdb, err := OpenAnyFile(flatPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fdb == nil {
-		t.Fatal("flat open returned no FlatDB")
-	}
-	defer fdb.Close()
-	recordsBitEqual(t, got, recs)
-
-	got, fdb2, err := OpenAnyFile(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fdb2 != nil {
-		t.Fatal("legacy open returned a FlatDB")
-	}
-	recordsBitEqual(t, got, recs)
 }
 
 // The open benchmarks back the README's O(bags) open claim: ReadFlatFile

@@ -7,93 +7,172 @@ import (
 	"testing"
 )
 
-// fuzzSeedFiles builds one valid file per format plus characteristic
-// mutations, so the fuzzer starts from structurally interesting inputs.
-func fuzzSeedFiles(f *testing.F) {
+// fuzzSeedFiles builds valid store files plus characteristic mutations, so
+// the fuzzer starts from structurally interesting inputs. It also returns a
+// log bound to the first seed (a flat file of two records), holding one
+// mutation of each kind the snapshot accepts.
+func fuzzSeedFiles(f *testing.F) (seeds [][]byte, boundLog []byte) {
 	f.Helper()
 	r := rand.New(rand.NewSource(99))
 	recs := []Record{randRecord(r, "img-a", "sunset", 4, 3), randRecord(r, "img-b", "", 4, 1)}
 	recs[0].Bag.Names = []string{"c-quad-tl", "c-quad-tr", "c-quad-bl"}
 	dir := f.TempDir()
+	read := func(path string) []byte {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
 
 	flatPath := filepath.Join(dir, "flat")
 	if err := WriteFlatFile(flatPath, 4, recs); err != nil {
 		f.Fatal(err)
 	}
-	flat, err := os.ReadFile(flatPath)
+	flat := read(flatPath)
+	fp, err := SnapshotFingerprint(flatPath)
 	if err != nil {
+		f.Fatal(err)
+	}
+	w, err := CreateWAL(WALPath(flatPath), 4, fp)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, op := range []WALRecord{
+		{Op: WALAdd, Rec: randRecord(r, "img-c", "dusk", 4, 2)},
+		{Op: WALLabel, Rec: Record{ID: "img-a", Label: "dawn"}},
+		{Op: WALDelete, Rec: Record{ID: "img-b"}},
+	} {
+		if err := w.Append(op); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
 
-	streamPath := filepath.Join(dir, "stream")
-	if err := WriteFile(streamPath, 4, recs); err != nil {
-		f.Fatal(err)
-	}
-	stream, err := os.ReadFile(streamPath)
+	// The retired record-stream generation: magic, version, dim, then
+	// length-prefixed payloads. Only the magic matters to today's readers.
+	stream := []byte(retiredStreamMagic + "\x01\x00\x00\x00\x04\x00\x00\x00")
+	payload, err := encodeRecordPayload(recs[1], 4)
 	if err != nil {
 		f.Fatal(err)
 	}
+	stream = append(stream, byte(len(payload)), 0, 0, 0)
+	stream = append(stream, payload...)
 
 	emptyPath := filepath.Join(dir, "empty")
 	if err := WriteFlatFile(emptyPath, 2, nil); err != nil {
 		f.Fatal(err)
 	}
-	empty, err := os.ReadFile(emptyPath)
-	if err != nil {
-		f.Fatal(err)
-	}
 
-	f.Add(flat)
-	f.Add(stream)
-	f.Add(empty)
-	f.Add(flat[:len(flat)/2])     // truncated flat
-	f.Add(stream[:len(stream)/3]) // truncated stream
-	f.Add([]byte{})
-	f.Add([]byte("MILRETX1"))
-	f.Add([]byte("MILRETF1"))
-	f.Add([]byte("NOTASTORE"))
 	corrupt := append([]byte{}, flat...)
 	corrupt[len(corrupt)/2] ^= 0xA5
-	f.Add(corrupt)
 	huge := append([]byte{}, flat...)
 	for i := len(FlatMagic); i < len(FlatMagic)+20 && i < len(huge); i++ {
 		huge[i] = 0xFF // implausible header counts
 	}
-	f.Add(huge)
+	return [][]byte{
+		flat,
+		stream,
+		read(emptyPath),
+		flat[:len(flat)/2],     // truncated flat
+		stream[:len(stream)/3], // truncated stream
+		{},
+		[]byte(FlatMagic),
+		[]byte(retiredStreamMagic),
+		[]byte("NOTASTORE"),
+		corrupt,
+		huge,
+	}, read(WALPath(flatPath))
 }
 
-// FuzzReadAnyFile: arbitrary bytes — both formats, truncations, bit flips,
-// hostile headers — must either load cleanly or return an error. Panics and
-// runaway allocations are failures; the corruption backstops in both
-// readers are what this exercises.
+// checkFuzzRecord asserts what every successfully loaded record must
+// satisfy, whichever file it came out of.
+func checkFuzzRecord(t *testing.T, rec Record, dim int) {
+	t.Helper()
+	if rec.Bag == nil {
+		t.Fatalf("loaded record %q with nil bag", rec.ID)
+	}
+	if len(rec.Bag.Instances) == 0 {
+		t.Fatalf("loaded record %q with no instances", rec.ID)
+	}
+	for _, inst := range rec.Bag.Instances {
+		if len(inst) != dim {
+			t.Fatalf("loaded record %q with a %d-dim instance in a dim-%d store", rec.ID, len(inst), dim)
+		}
+	}
+	if rec.Bag.Names != nil && len(rec.Bag.Names) != len(rec.Bag.Instances) {
+		t.Fatalf("loaded record %q with mismatched names", rec.ID)
+	}
+}
+
+// FuzzReadAnyFile fuzzes Open, the store's one way in: arbitrary bytes at
+// the store path — flat, manifest, retired and unknown magics, truncations,
+// bit flips, hostile headers — with arbitrary bytes in the log beside it
+// must either open consistently or return an error. Panics and runaway
+// allocations are failures; the corruption backstops of every reader Open
+// drives are what this exercises. (The name is that of the function Open
+// replaced. It stays because the target's seeds and corpus entries are
+// tier-1 tests by name.)
 func FuzzReadAnyFile(f *testing.F) {
-	fuzzSeedFiles(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	seeds, boundLog := fuzzSeedFiles(f)
+	flipped := append([]byte{}, boundLog...)
+	flipped[walHeaderLen+9] ^= 0xA5
+	logs := [][]byte{
+		boundLog,
+		boundLog[:len(boundLog)-3], // torn tail
+		{},                         // no log at all
+		flipped,                    // mid-log damage
+		[]byte(WALMagic),
+	}
+	for i, seed := range seeds {
+		f.Add(seed, logs[i%len(logs)])
+	}
+	f.Add(seeds[0], boundLog[:walHeaderLen])
+	// A manifest is outside input too. This one names the fuzzed file itself
+	// and a file that cannot exist; neither may get past Open.
+	manifestPath := filepath.Join(f.TempDir(), "manifest")
+	if err := WriteManifest(manifestPath, []string{"fuzz-store", "fuzz-store.shard1"}); err != nil {
+		f.Fatal(err)
+	}
+	manifest, err := os.ReadFile(manifestPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(manifest, boundLog)
+
+	f.Fuzz(func(t *testing.T, data, wal []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz-store")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		recs, err := ReadAnyFile(path)
+		if len(wal) > 0 {
+			if err := os.WriteFile(WALPath(path), wal, 0o644); err != nil {
+				t.Skip()
+			}
+		}
+		j, shards, err := Open(path)
 		if err != nil {
 			return
 		}
-		// Successful loads must be internally consistent.
-		for _, rec := range recs {
-			if rec.Bag == nil {
-				t.Fatalf("loaded record %q with nil bag", rec.ID)
+		// Successful opens must be internally consistent.
+		for _, sh := range shards {
+			if sh.Flat.Dim != j.Dim() {
+				t.Fatalf("shard dim %d in a dim-%d store", sh.Flat.Dim, j.Dim())
 			}
-			if len(rec.Bag.Instances) == 0 {
-				t.Fatalf("loaded record %q with no instances", rec.ID)
+			for _, rec := range sh.Flat.Records {
+				checkFuzzRecord(t, rec, j.Dim())
 			}
-			dim := rec.Bag.Dim()
-			for _, inst := range rec.Bag.Instances {
-				if len(inst) != dim {
-					t.Fatalf("loaded record %q with ragged instances", rec.ID)
+			for _, wr := range sh.Log {
+				if wr.Op == WALAdd || wr.Op == WALUpdate {
+					checkFuzzRecord(t, wr.Rec, j.Dim())
 				}
 			}
-			if rec.Bag.Names != nil && len(rec.Bag.Names) != len(rec.Bag.Instances) {
-				t.Fatalf("loaded record %q with mismatched names", rec.ID)
-			}
+		}
+		_ = j.VerifyData()
+		if err := j.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
 	})
 }
@@ -197,7 +276,10 @@ func FuzzReadWAL(f *testing.F) {
 // same hostile inputs: no panics, mappings released on every error path,
 // and VerifyData never panics on whatever parsed.
 func FuzzOpenFlatFile(f *testing.F) {
-	fuzzSeedFiles(f)
+	seeds, _ := fuzzSeedFiles(f)
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz-flat")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -112,7 +112,7 @@ func ReadManifest(path string) ([]string, error) {
 	if nShards <= 0 || nShards > maxManifestShards {
 		return nil, fmt.Errorf("%w: implausible manifest shard count %d", ErrCorrupt, nShards)
 	}
-	dir := pathDir(path)
+	dir := filepath.Dir(path)
 	paths := make([]string, nShards)
 	off := 8
 	for i := 0; i < nShards; i++ {
@@ -140,15 +140,6 @@ func ReadManifest(path string) ([]string, error) {
 // IsManifest reports whether the file at path starts with the sharded-store
 // manifest magic.
 func IsManifest(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	magic := make([]byte, len(ManifestMagic))
-	n, err := f.Read(magic)
-	if err != nil || n < len(magic) {
-		return false, nil // too short to be a manifest; let the store readers report
-	}
-	return string(magic) == ManifestMagic, nil
+	magic, err := readMagic(path)
+	return magic == ManifestMagic, err
 }

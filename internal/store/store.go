@@ -1,40 +1,32 @@
-// Package store persists preprocessed image bags in a versioned binary
-// format, so a database is featurized once and queried many times — the
-// paper's system likewise preprocesses every image up front (§3.5).
+// Package store is the on-disk form of a database: preprocessed image bags
+// persisted once and queried many times — the paper's system likewise
+// preprocesses every image up front (§3.5).
 //
-// File layout (all integers little-endian):
+// A store is made of four file kinds, one generation each (all integers
+// little-endian, every section CRC-32 checksummed):
 //
-//	header:  magic "MILRETF1" | uint32 version | uint32 dim
-//	record:  uint32 payloadLen | payload | uint32 crc32(payload)
-//	payload: uint16 idLen | id | uint16 labelLen | label |
-//	         uint32 nInst |
-//	         nInst × (uint16 nameLen | name) |   instance (region) names
-//	         nInst × dim × float64
+//	MILRETX1  flat columnar snapshot of one shard             flat.go
+//	MILRETW1  mutation log beside a snapshot ("<snap>.wal")   wal.go
+//	MILRETS1  manifest naming a sharded store's snapshots     manifest.go
+//	MILRETC1  advisory concept-cache sidecar                  cachesidecar.go
 //
-// Every record carries its own CRC-32 (IEEE) so torn writes and bit rot are
-// detected on read; a reader stops with a descriptive error rather than
-// returning silently corrupted feature vectors.
+// Journal (journal.go) is the one owner of a store: the only code that
+// knows which files make one up, the order they change in, how a log is
+// bound to its snapshot, when a shard folds, and what an acknowledged
+// commit means. Everything else in the package is a byte format.
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"milret/internal/mat"
 	"milret/internal/mil"
 )
-
-// Magic identifies store files; the trailing digit is the format generation.
-const Magic = "MILRETF1"
-
-// Version is the current record-format version.
-const Version = 1
 
 // maxInstances bounds a record's instance count as a corruption backstop:
 // no legitimate bag generated by this system exceeds a few hundred
@@ -54,34 +46,9 @@ type Record struct {
 	Bag *mil.Bag
 }
 
-// Writer appends records to a store stream.
-type Writer struct {
-	w   *bufio.Writer
-	dim int
-	n   int
-}
-
-// NewWriter writes the store header for bags of dimensionality dim.
-func NewWriter(w io.Writer, dim int) (*Writer, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("store: non-positive dimension %d", dim)
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(Version)); err != nil {
-		return nil, err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(dim)); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw, dim: dim}, nil
-}
-
-// encodeRecordPayload serializes one record into the stream-payload layout
-// (id, label, instance count, per-instance names, instance floats). It is
-// shared by the V1 record stream and the WAL's add/update frames.
+// encodeRecordPayload serializes one record into the payload layout of the
+// log's add/update frames (id, label, instance count, per-instance names,
+// instance floats; spec in wal.go).
 func encodeRecordPayload(rec Record, dim int) ([]byte, error) {
 	if rec.Bag == nil {
 		return nil, fmt.Errorf("store: record %q has nil bag", rec.ID)
@@ -121,96 +88,7 @@ func encodeRecordPayload(rec Record, dim int) ([]byte, error) {
 	return payload, nil
 }
 
-// Write appends one record. The record's bag must match the writer's
-// dimensionality.
-func (w *Writer) Write(rec Record) error {
-	payload, err := encodeRecordPayload(rec, w.dim)
-	if err != nil {
-		return err
-	}
-	if err := binary.Write(w.w, binary.LittleEndian, uint32(len(payload))); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(payload); err != nil {
-		return err
-	}
-	if err := binary.Write(w.w, binary.LittleEndian, crc32.ChecksumIEEE(payload)); err != nil {
-		return err
-	}
-	w.n++
-	return nil
-}
-
-// Count returns the number of records written so far.
-func (w *Writer) Count() int { return w.n }
-
-// Flush drains buffered bytes to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
-// Reader decodes a store stream sequentially.
-type Reader struct {
-	r   *bufio.Reader
-	dim int
-}
-
-// NewReader validates the header and prepares to stream records.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("store: reading magic: %w", err)
-	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("store: bad magic %q", magic)
-	}
-	var version, dim uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("store: reading version: %w", err)
-	}
-	if version != Version {
-		return nil, fmt.Errorf("store: unsupported version %d (want %d)", version, Version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &dim); err != nil {
-		return nil, fmt.Errorf("store: reading dim: %w", err)
-	}
-	if dim == 0 || dim > 1<<20 {
-		return nil, fmt.Errorf("store: implausible dimension %d", dim)
-	}
-	return &Reader{r: br, dim: int(dim)}, nil
-}
-
-// Dim returns the feature dimensionality declared by the header.
-func (r *Reader) Dim() int { return r.dim }
-
-// Next returns the next record, or io.EOF when the stream is cleanly
-// exhausted. Integrity failures wrap ErrCorrupt.
-func (r *Reader) Next() (Record, error) {
-	var plen uint32
-	if err := binary.Read(r.r, binary.LittleEndian, &plen); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, fmt.Errorf("%w: reading length: %v", ErrCorrupt, err)
-	}
-	if plen < 8 || plen > 1<<30 {
-		return Record{}, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, plen)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r.r, payload); err != nil {
-		return Record{}, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
-	}
-	var sum uint32
-	if err := binary.Read(r.r, binary.LittleEndian, &sum); err != nil {
-		return Record{}, fmt.Errorf("%w: missing checksum: %v", ErrCorrupt, err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return Record{}, fmt.Errorf("%w: checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, sum)
-	}
-	return decodeRecordPayload(payload, r.dim)
-}
-
-// decodeRecordPayload parses a stream-payload record (see
-// encodeRecordPayload); shared by the V1 stream reader and the WAL replay.
+// decodeRecordPayload parses one record payload (see encodeRecordPayload).
 func decodeRecordPayload(payload []byte, dim int) (Record, error) {
 	off := 0
 	need := func(n int) error {
@@ -283,68 +161,13 @@ func decodeRecordPayload(payload []byte, dim int) (Record, error) {
 	return Record{ID: id, Label: label, Bag: bag}, nil
 }
 
-// WriteFile writes all records to path atomically and durably (write to a
-// temp file in the same directory, fsync, rename, fsync the directory).
-func WriteFile(path string, dim int, recs []Record) error {
-	return atomicWriteFile(path, ".milret-store-*", func(tmp *os.File) error {
-		w, err := NewWriter(tmp, dim)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			if err := w.Write(rec); err != nil {
-				return err
-			}
-		}
-		return w.Flush()
-	})
-}
-
-// ReadFile loads every record from path.
-func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	return readAll(r)
-}
-
-// readAll drains a record stream until clean EOF.
-func readAll(r *Reader) ([]Record, error) {
-	var recs []Record
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-}
-
-func pathDir(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == os.PathSeparator {
-			return path[:i]
-		}
-	}
-	return "."
-}
-
 // syncDir flushes a directory's entry table so a just-created, renamed or
 // removed file name survives power loss — the second half of the
 // write-fsync-rename-fsync durability dance. Best effort: some platforms
 // (notably Windows) cannot fsync a directory, and the file-content sync is
 // the hard requirement.
 func syncDir(path string) {
-	if d, err := os.Open(pathDir(path)); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		_ = d.Sync()
 		d.Close()
 	}

@@ -1,11 +1,10 @@
 package store
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -26,39 +25,54 @@ func randRecord(r *rand.Rand, id, label string, dim, nInst int) Record {
 	return Record{ID: id, Label: label, Bag: b}
 }
 
+// roundTrip pushes records through the record payload codec — the layout
+// the log's add/update frames carry.
 func roundTrip(t *testing.T, recs []Record, dim int) []Record {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Dim() != dim {
-		t.Fatalf("reader dim %d, want %d", r.Dim(), dim)
-	}
-	var out []Record
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return out
-		}
+	out := make([]Record, len(recs))
+	for i, rec := range recs {
+		payload, err := encodeRecordPayload(rec, dim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, rec)
+		if out[i], err = decodeRecordPayload(payload, dim); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return out
+}
+
+// writeTwoRecordLog writes a log of two add records and returns its bytes
+// and the byte offset at which the second (final) record starts. Damage
+// before that offset is mid-log damage; damage after it can also read as a
+// torn tail.
+func writeTwoRecordLog(t *testing.T, r *rand.Rand, dim int) (raw []byte, ops []WALRecord, lastAt int) {
+	t.Helper()
+	ops = []WALRecord{
+		{Op: WALAdd, Rec: randRecord(r, "img", "lbl", dim, 3)},
+		{Op: WALAdd, Rec: randRecord(r, "img2", "lbl", dim, 1)},
+	}
+	path := filepath.Join(t.TempDir(), "two.wal")
+	writeWAL(t, path, dim, ops)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := encodeRecordPayload(ops[1].Rec, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw, ops, len(raw) - (4 + 1 + len(last) + 4)
+}
+
+func readLogBytes(t *testing.T, data []byte) ([]WALRecord, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "damaged.wal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, recs, err := ReadWAL(path)
+	return recs, err
 }
 
 func TestRoundTripExact(t *testing.T) {
@@ -75,9 +89,6 @@ func TestRoundTripExact(t *testing.T) {
 	recs[0].Bag.Instances[0][3] = math.MaxFloat64
 
 	got := roundTrip(t, recs, 5)
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(got), len(recs))
-	}
 	for i, rec := range recs {
 		if got[i].ID != rec.ID || got[i].Label != rec.Label {
 			t.Fatalf("record %d metadata mismatch: %+v", i, got[i])
@@ -97,127 +108,134 @@ func TestRoundTripExact(t *testing.T) {
 	}
 }
 
+// A store created with no records reopens as an empty shard that still
+// knows its dimensionality: the snapshot header carries it.
 func TestEmptyStore(t *testing.T) {
-	got := roundTrip(t, nil, 4)
-	if len(got) != 0 {
-		t.Fatalf("empty store yielded %d records", len(got))
+	path := filepath.Join(t.TempDir(), "empty.milret")
+	if err := Create(path, 4, [][]Record{nil}); err != nil {
+		t.Fatal(err)
+	}
+	j, shards, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(shards) != 1 || len(shards[0].Flat.Records) != 0 || len(shards[0].Log) != 0 {
+		t.Fatalf("empty store yielded %+v", shards)
+	}
+	if j.Dim() != 4 {
+		t.Fatalf("empty store dim %d, want 4", j.Dim())
 	}
 }
 
 func TestWriterRejects(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := NewWriter(&buf, 0); err == nil {
+	path := filepath.Join(t.TempDir(), "w.wal")
+	if _, err := CreateWAL(path, 0, WALFingerprint{}); err == nil {
 		t.Fatalf("zero dim accepted")
 	}
-	w, err := NewWriter(&buf, 3)
+	w, err := CreateWAL(path, 3, WALFingerprint{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write(Record{ID: "x"}); err == nil {
+	defer w.Close()
+	if err := w.Append(WALRecord{Op: WALAdd, Rec: Record{ID: "x"}}); err == nil {
 		t.Fatalf("nil bag accepted")
 	}
 	bad := Record{ID: "x", Bag: &mil.Bag{ID: "x", Instances: []mat.Vector{{1, 2}}}}
-	if err := w.Write(bad); err == nil {
+	if err := w.Append(WALRecord{Op: WALAdd, Rec: bad}); err == nil {
 		t.Fatalf("dimension mismatch accepted")
 	}
 	empty := Record{ID: "x", Bag: &mil.Bag{ID: "x"}}
-	if err := w.Write(empty); err == nil {
+	if err := w.Append(WALRecord{Op: WALUpdate, Rec: empty}); err == nil {
 		t.Fatalf("empty bag accepted")
 	}
+	if w.Count() != 0 {
+		t.Fatalf("rejected records were counted: %d", w.Count())
+	}
 }
 
+// Whatever sits at the store path, a header Open cannot vouch for is an
+// error — and the retired record-stream magic is refused by name.
 func TestReaderHeaderFailures(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 3)
-	_ = w.Write(randRecord(r, "a", "l", 3, 2))
-	_ = w.Flush()
-	good := buf.Bytes()
-
+	good, err := os.ReadFile(writeFlatTemp(t, 3, []Record{randRecord(r, "a", "l", 3, 2)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := func(at int, b ...byte) []byte {
+		out := append([]byte{}, good...)
+		copy(out[at:], b)
+		return out
+	}
 	cases := map[string][]byte{
-		"empty":       {},
-		"short magic": good[:4],
-		"bad magic":   append([]byte("XXXXXXXX"), good[8:]...),
-		"bad version": func() []byte {
-			b := append([]byte{}, good...)
-			b[8] = 99
-			return b
-		}(),
-		"zero dim": func() []byte {
-			b := append([]byte{}, good...)
-			b[12], b[13], b[14], b[15] = 0, 0, 0, 0
-			return b
-		}(),
+		"empty":         {},
+		"short magic":   good[:4],
+		"bad magic":     patched(0, []byte("XXXXXXXX")...),
+		"retired magic": patched(0, []byte(retiredStreamMagic)...),
+		"bad version":   patched(len(FlatMagic), 99),
+		"zero dim":      patched(len(FlatMagic)+4, 0, 0, 0, 0),
 	}
 	for name, data := range cases {
-		if _, err := NewReader(bytes.NewReader(data)); err == nil {
+		path := filepath.Join(t.TempDir(), "store")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, _, err := Open(path)
+		if err == nil {
+			j.Close()
 			t.Errorf("%s: header accepted", name)
+		}
+		if name == "retired magic" && !errors.Is(err, ErrRetiredFormat) {
+			t.Errorf("retired magic: got %v, want ErrRetiredFormat", err)
 		}
 	}
 }
 
+// Flip one byte in every position after the log header. No flip may hand
+// back a record that differs from what was written: damage to the first
+// record is mid-log damage and must fail the read; damage to the final
+// record may also read as a torn tail, which drops it.
 func TestCorruptionDetected(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 4)
-	_ = w.Write(randRecord(r, "img", "lbl", 4, 3))
-	_ = w.Flush()
-	good := buf.Bytes()
-
-	// Flip one byte in every position after the header; every flip must
-	// either be detected as corruption or (for length prefix bytes) as
-	// truncation. No flip may return a clean record with wrong data
-	// silently — we detect that by comparing contents on nil error.
-	headerLen := len(Magic) + 8
-	for pos := headerLen; pos < len(good); pos++ {
+	good, ops, lastAt := writeTwoRecordLog(t, r, 4)
+	for pos := walHeaderLen; pos < len(good); pos++ {
 		data := append([]byte{}, good...)
 		data[pos] ^= 0xFF
-		rd, err := NewReader(bytes.NewReader(data))
+		recs, err := readLogBytes(t, data)
 		if err != nil {
-			continue // header untouched, cannot fail here
+			continue
 		}
-		rec, err := rd.Next()
-		if err == nil {
-			t.Errorf("flip at %d: corruption not detected (got record %q)", pos, rec.ID)
+		if pos >= walHeaderLen+4 && pos < lastAt {
+			// Inside the first record's frame or CRC. (A damaged length
+			// prefix may instead claim bytes past the end of the file, which
+			// reads as a torn tail.)
+			t.Errorf("flip at %d: mid-log corruption not detected", pos)
 		}
+		if len(recs) > len(ops) {
+			t.Fatalf("flip at %d: read %d records of %d", pos, len(recs), len(ops))
+		}
+		sameOps(t, recs, ops[:len(recs)])
 	}
 }
 
 func TestTruncationDetected(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 4)
-	_ = w.Write(randRecord(r, "img", "lbl", 4, 3))
-	_ = w.Flush()
-	good := buf.Bytes()
-	headerLen := len(Magic) + 8
-
-	for cut := headerLen + 1; cut < len(good); cut += 7 {
-		rd, err := NewReader(bytes.NewReader(good[:cut]))
-		if err != nil {
-			t.Fatalf("header should parse: %v", err)
-		}
-		if _, err := rd.Next(); err == nil {
-			t.Errorf("truncation at %d not detected", cut)
-		} else if !errors.Is(err, ErrCorrupt) && err != io.EOF {
-			t.Errorf("truncation at %d: unexpected error type %v", cut, err)
+	good, err := encodeRecordPayload(randRecord(r, "img", "lbl", 4, 3), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(good); cut += 7 {
+		if _, err := decodeRecordPayload(good[:cut], 4); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("truncation at %d: got %v, want ErrCorrupt", cut, err)
 		}
 	}
 }
 
 func TestCorruptErrorsWrapErrCorrupt(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 2)
-	_ = w.Write(randRecord(r, "a", "l", 2, 1))
-	_ = w.Flush()
-	data := buf.Bytes()
-	data[len(data)-1] ^= 0xFF // corrupt the CRC itself
-	rd, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rd.Next(); !errors.Is(err, ErrCorrupt) {
+	data, _, lastAt := writeTwoRecordLog(t, r, 2)
+	data[lastAt-1] ^= 0xFF // corrupt the first record's CRC itself
+	if _, err := readLogBytes(t, data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 }
@@ -230,85 +248,68 @@ func TestFileRoundTripAtomic(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		recs = append(recs, randRecord(r, "img", "cat", 6, 4))
 	}
-	if err := WriteFile(path, 6, recs); err != nil {
+	if err := Create(path, 6, [][]Record{recs}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	j, shards, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 10 {
-		t.Fatalf("read %d records, want 10", len(got))
-	}
+	defer j.Close()
+	recordsBitEqual(t, shards[0].Flat.Records, recs)
 	// No temp files may linger.
-	matches, _ := filepath.Glob(filepath.Join(dir, ".milret-store-*"))
+	matches, _ := filepath.Glob(filepath.Join(dir, ".milret-*"))
 	if len(matches) != 0 {
 		t.Fatalf("temp files left behind: %v", matches)
 	}
 }
 
 func TestReadFileMissing(t *testing.T) {
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "nope")); err == nil {
+	if _, _, err := Open(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatalf("missing file accepted")
 	}
 }
 
 func TestWriterCount(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 2)
+	w, err := CreateWAL(filepath.Join(t.TempDir(), "c.wal"), 2, WALFingerprint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
 	for i := 0; i < 3; i++ {
-		if err := w.Write(randRecord(r, "x", "", 2, 1)); err != nil {
+		if err := w.Append(WALRecord{Op: WALAdd, Rec: randRecord(r, "x", "", 2, 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != 3 {
-		t.Fatalf("Count = %d", w.Count())
+	if w.Count() != 3 || w.AppendSeq() != 3 {
+		t.Fatalf("Count = %d, AppendSeq = %d", w.Count(), w.AppendSeq())
 	}
 }
 
-// Property: any set of finite random records survives a round trip
-// unchanged.
+// Property: any finite random record survives the payload codec unchanged.
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(8)
-		n := 1 + r.Intn(5)
-		var recs []Record
-		for i := 0; i < n; i++ {
-			recs = append(recs, randRecord(r, "id", "lb", dim, 1+r.Intn(4)))
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, dim)
-		if err != nil {
-			return false
-		}
-		for _, rec := range recs {
-			if err := w.Write(rec); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		rd, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		for i := 0; ; i++ {
-			rec, err := rd.Next()
-			if err == io.EOF {
-				return i == len(recs)
-			}
+		for i := 0; i < 1+r.Intn(5); i++ {
+			rec := randRecord(r, "id", "lb", dim, 1+r.Intn(4))
+			payload, err := encodeRecordPayload(rec, dim)
 			if err != nil {
 				return false
 			}
+			got, err := decodeRecordPayload(payload, dim)
+			if err != nil || got.ID != rec.ID || got.Label != rec.Label ||
+				len(got.Bag.Instances) != len(rec.Bag.Instances) {
+				return false
+			}
 			for j := range rec.Bag.Instances {
-				if !mat.Equal(rec.Bag.Instances[j], recs[i].Bag.Instances[j], 0) {
+				if !mat.Equal(got.Bag.Instances[j], rec.Bag.Instances[j], 0) {
 					return false
 				}
 			}
 		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -319,20 +320,7 @@ func TestRoundTripInstanceNames(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	rec := randRecord(r, "img", "cat", 3, 2)
 	rec.Bag.Names = []string{"a-whole", "c-quad-tl-lr"}
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 3)
-	if err := w.Write(rec); err != nil {
-		t.Fatal(err)
-	}
-	_ = w.Flush()
-	rd, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rd.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, []Record{rec}, 3)[0]
 	if len(got.Bag.Names) != 2 || got.Bag.Names[0] != "a-whole" || got.Bag.Names[1] != "c-quad-tl-lr" {
 		t.Fatalf("names lost in round trip: %v", got.Bag.Names)
 	}
@@ -340,18 +328,7 @@ func TestRoundTripInstanceNames(t *testing.T) {
 
 func TestRoundTripNoNamesStaysNil(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	rec := randRecord(r, "img", "cat", 3, 2)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 3)
-	if err := w.Write(rec); err != nil {
-		t.Fatal(err)
-	}
-	_ = w.Flush()
-	rd, _ := NewReader(&buf)
-	got, err := rd.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTrip(t, []Record{randRecord(r, "img", "cat", 3, 2)}, 3)[0]
 	if got.Bag.Names != nil {
 		t.Fatalf("nameless bag gained names: %v", got.Bag.Names)
 	}

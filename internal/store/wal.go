@@ -16,7 +16,7 @@
 //	        op 2 (delete) body: uint16 idLen | id
 //	        op 3 (update) body: record payload
 //	        op 4 (label)  body: uint16 idLen | id | uint16 labelLen | label
-//	record payload (shared with the V1 stream format):
+//	record payload:
 //	        uint16 idLen | id | uint16 labelLen | label | uint32 nInst |
 //	        nInst × (uint16 nameLen | name) | nInst × dim × float64
 //
@@ -406,8 +406,8 @@ func (w *WALWriter) SyncTo(seq uint64) error {
 }
 
 // Close flushes, syncs and closes the log file. It must not race in-flight
-// Syncs: callers serialize Close behind their own commits (milret holds its
-// persistence lock and generation counter for this).
+// Syncs: callers serialize Close behind their own commits (Journal holds its
+// lock and the shard's generation for this).
 func (w *WALWriter) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -33,8 +33,6 @@ import (
 	"fmt"
 	"image"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -129,8 +127,8 @@ type Options struct {
 	// mutation log, so scans fan out across shards, compaction rewrites one
 	// shard at a time, and persistence touches only the shards that
 	// changed. Rankings are independent of the shard count. The count is
-	// fixed at construction; LoadDatabase takes it from the stored file
-	// (a MILRETS1 manifest carries its shard count, single-file stores open
+	// fixed at construction; LoadDatabase takes it from the store (a
+	// MILRETS1 manifest carries its shard count, a single flat file opens
 	// as one shard) and ignores this field.
 	Shards int
 	// ConceptCacheMB enables the concept cache: an in-memory LRU of
@@ -138,7 +136,7 @@ type Options struct {
 	// canonical fingerprint of (positive bags, negative bags, training
 	// configuration). With the cache on, Train serves repeat queries
 	// without re-running the optimizer, and concurrent identical queries
-	// coalesce onto one training run (see TrainCached). 0 disables the
+	// coalesce onto one training run (see TrainCachedContext). 0 disables the
 	// cache. Consistency with mutations is automatic: the fingerprint
 	// hashes the examples' actual instance vectors, so a query whose
 	// example images changed retrains, and entries for the old content age
@@ -164,7 +162,7 @@ type Options struct {
 	// and 1 are the same exact answer by the same scan. Only values in
 	// (0, 1) change anything: they tighten the bound by a calibrated slack
 	// for extra speed at a quantified recall. Overridable per call
-	// (WithRecall) and per query (QuerySpec.Recall).
+	// (WithRecall).
 	Recall float64
 }
 
@@ -217,65 +215,12 @@ type Database struct {
 	// recall is the default candidate-pruning tier for retrievals
 	// (Options.Recall); immutable after construction.
 	recall float64
-	// flats retains the zero-copy stores backing this database when it was
-	// opened by LoadDatabase from flat files (one per adopted shard), so
-	// Close can release the memory mappings.
-	//
-	// milret:guarded-by pmu
-	flats []*store.FlatDB
-
-	// pmu guards the persistence journal: mutators append the op they just
-	// applied to their shard's pending list, Save/Flush drain the lists to
-	// the shard WALs or fold oversized shards into fresh snapshots. Holding
-	// pmu across the retrieval op keeps journal order identical to database
-	// order per shard, so a replay reconstructs the same state.
-	pmu sync.Mutex
-	// basePath is the store path this database was loaded from or last
-	// fully saved to; "" for a purely in-memory database. With a basePath
-	// set, mutations are journaled in pending until flushed. For a
-	// single-shard database basePath is the flat file itself; for a sharded
-	// one it is the manifest, with shard i's snapshot at shardPaths[i].
-	//
-	// milret:guarded-by pmu
-	basePath string
-	// shardPaths[i] is shard i's snapshot file. Saves to a fresh path use
-	// the canonical store.ShardPath names, but a database loaded from a
-	// manifest keeps the paths the manifest actually resolved to — the
-	// manifest accepts arbitrary bare names (e.g. after the manifest file
-	// was renamed), and folding through recomputed canonical names would
-	// write mutations to orphan files the manifest never references.
-	//
-	// milret:guarded-by pmu
-	shardPaths []string
-	// walCounts[i] is the number of mutation records already durable in
-	// shard i's log; -1 marks a shard whose log state is unknown (a failed
-	// sync), forcing a fold on the next flush.
-	//
-	// milret:guarded-by pmu
-	walCounts []int
-	// pending[i] holds shard i's mutations applied in memory but not yet
-	// persisted.
-	//
-	// milret:guarded-by pmu
-	pending [][]store.WALRecord
-	// wals[i] is the open log writer for shard i, held across flushes so a
-	// flush costs buffered appends plus one (group-committed) fsync per
-	// touched shard; nil until the shard's first flush and after every
-	// fold.
-	//
-	// milret:guarded-by pmu
-	wals []*store.WALWriter
-	// walGens[i] is shard i's log generation: a fresh value (drawn from
-	// genSeq, which never repeats) every time a fold or rewrite supersedes
-	// the shard's log. A flusher that staged records under one generation
-	// and then lost its fsync checks the shard's generation: if it moved,
-	// a fold — which snapshots the full in-memory state, records included —
-	// covered those records and the flush is retroactively durable.
-	//
-	// milret:guarded-by pmu
-	walGens []uint64
-	// milret:guarded-by pmu
-	genSeq uint64
+	// j owns the database's on-disk store — which files make it up, the
+	// order they change in, when a shard folds, what an acknowledged Save
+	// means — and the one lock that keeps each shard's journal in apply
+	// order (see store.Journal). Unbound until LoadDatabase or a first Save
+	// gives it a path; immutable after construction.
+	j *store.Journal
 
 	// vmu guards the background data-verification outcome (see
 	// VerifyStatus).
@@ -302,12 +247,6 @@ type Database struct {
 	// milret:guarded-by cmu
 	cacheGenSaved uint64
 }
-
-// Persistence-folding policy: an oversized mutation log makes reopening
-// slow (every record is replayed), so Save and Flush fold the log into a
-// fresh flat snapshot once it outgrows half the live database (but never
-// for trivially small logs).
-const walFoldMinOps = 64
 
 // VerifyStatus reports how far data-integrity verification of a loaded
 // store has progressed.
@@ -340,9 +279,8 @@ func (s VerifyStatus) String() string {
 // database opened with the fast (non-verifying) load starts as
 // VerifyPending while a background goroutine checksums the adopted block;
 // it settles to VerifyVerified or VerifyCorrupt (with the checksum error).
-// Databases built in memory, loaded with VerifyOnLoad, or loaded from the
-// legacy per-record format (which verifies on read) are VerifyVerified from
-// the start.
+// Databases built in memory or loaded with VerifyOnLoad are VerifyVerified
+// from the start.
 func (d *Database) Verification() (VerifyStatus, error) {
 	d.vmu.Lock()
 	defer d.vmu.Unlock()
@@ -350,21 +288,16 @@ func (d *Database) Verification() (VerifyStatus, error) {
 }
 
 // verifyInBackground checksums the adopted blocks off the critical path and
-// records the outcome. A concurrent Close is safe: FlatDB serializes
-// VerifyData against Close and returns store.ErrClosed afterwards, in which
-// case the verdict stays pending (the mapping is gone, there is nothing
-// left to attest).
-func (d *Database) verifyInBackground(flats []*store.FlatDB) {
+// records the outcome. A concurrent Close is safe: the store serializes the
+// pass against it and answers store.ErrClosed afterwards, in which case the
+// verdict stays pending (the mapping is gone, there is nothing left to
+// attest).
+func (d *Database) verifyInBackground() {
 	d.vmu.Lock()
 	d.verifyStat = VerifyPending
 	d.vmu.Unlock()
 	go func() {
-		var err error
-		for _, flat := range flats {
-			if err = flat.VerifyData(); err != nil {
-				break
-			}
-		}
+		err := d.j.VerifyData()
 		d.vmu.Lock()
 		defer d.vmu.Unlock()
 		switch {
@@ -390,17 +323,8 @@ func (d *Database) verifyInBackground(flats []*store.FlatDB) {
 // (they are read-only and page-cache backed).
 func (d *Database) Close() error {
 	err := d.persistConceptCache()
-	d.pmu.Lock()
-	d.closeWALsLocked()
-	// Take ownership of the flat stores under pmu: a concurrent Close must
-	// not see (and double-release) the same slice.
-	flats := d.flats
-	d.flats = nil
-	d.pmu.Unlock()
-	for _, f := range flats {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := d.j.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -417,6 +341,7 @@ func NewDatabase(opts Options) (*Database, error) {
 		}
 	}
 	d := &Database{opts: fo, db: retrieval.NewDatabaseSharded(opts.Shards), recall: opts.Recall}
+	d.j = store.NewJournal(fo.Dim(), d.db.ShardCount())
 	if opts.ConceptCacheMB > 0 {
 		d.cache = qcache.New(int64(opts.ConceptCacheMB) << 20)
 		d.cacheFile = opts.ConceptCacheFile
@@ -445,13 +370,7 @@ func (d *Database) AddImage(id, label string, img image.Image) error {
 	if err != nil {
 		return err
 	}
-	d.pmu.Lock()
-	defer d.pmu.Unlock()
-	if err := d.db.Add(retrieval.Item{ID: id, Label: label, Bag: bag}); err != nil {
-		return err
-	}
-	d.journalLocked(store.WALRecord{Op: store.WALAdd, Rec: store.Record{ID: id, Label: label, Bag: bag}})
-	return nil
+	return d.mutate(store.WALRecord{Op: store.WALAdd, Rec: store.Record{ID: id, Label: label, Bag: bag}})
 }
 
 // DeleteImage removes the image with the given id. Queries issued after
@@ -461,13 +380,7 @@ func (d *Database) AddImage(id, label string, img image.Image) error {
 // rankings afterwards are bit-identical to a database that never contained
 // the image.
 func (d *Database) DeleteImage(id string) error {
-	d.pmu.Lock()
-	defer d.pmu.Unlock()
-	if err := d.db.Delete(id); err != nil {
-		return err
-	}
-	d.journalLocked(store.WALRecord{Op: store.WALDelete, Rec: store.Record{ID: id}})
-	return nil
+	return d.mutate(store.WALRecord{Op: store.WALDelete, Rec: store.Record{ID: id}})
 }
 
 // UpdateImage replaces the stored image under id: the new img is
@@ -485,38 +398,37 @@ func (d *Database) UpdateImage(id, label string, img image.Image) error {
 		return fmt.Errorf("milret: empty image ID")
 	}
 	if img == nil {
-		d.pmu.Lock()
-		defer d.pmu.Unlock()
-		if err := d.db.UpdateLabel(id, label); err != nil {
-			return err
-		}
-		d.journalLocked(store.WALRecord{Op: store.WALLabel, Rec: store.Record{ID: id, Label: label}})
-		return nil
+		return d.mutate(store.WALRecord{Op: store.WALLabel, Rec: store.Record{ID: id, Label: label}})
 	}
 	g := gray.FromImage(img)
 	bag, err := feature.BagFromImage(id, g, d.opts)
 	if err != nil {
 		return err
 	}
-	d.pmu.Lock()
-	defer d.pmu.Unlock()
-	if err := d.db.Update(retrieval.Item{ID: id, Label: label, Bag: bag}); err != nil {
-		return err
-	}
-	d.journalLocked(store.WALRecord{Op: store.WALUpdate, Rec: store.Record{ID: id, Label: label, Bag: bag}})
-	return nil
+	return d.mutate(store.WALRecord{Op: store.WALUpdate, Rec: store.Record{ID: id, Label: label, Bag: bag}})
 }
 
-// journalLocked records one applied mutation for the next Save/Flush,
-// routed to the pending list of the shard that holds the mutated image.
-// In-memory databases (no basePath yet) skip the journal: their first Save
-// writes full snapshots anyway.
-func (d *Database) journalLocked(rec store.WALRecord) {
-	if d.basePath == "" {
-		return
+// mutate applies one mutation to the scoring database and journals it for
+// the next Save/Flush, as one step under the journal's lock.
+func (d *Database) mutate(wr store.WALRecord) error {
+	return d.j.Apply(d.db.ShardFor(wr.Rec.ID), wr, func() error { return d.apply(wr) })
+}
+
+// apply executes one journal record against the scoring database — a fresh
+// mutation on its way into the journal, or a replayed one on its way out.
+func (d *Database) apply(wr store.WALRecord) error {
+	item := retrieval.Item{ID: wr.Rec.ID, Label: wr.Rec.Label, Bag: wr.Rec.Bag}
+	switch wr.Op {
+	case store.WALAdd:
+		return d.db.Add(item)
+	case store.WALDelete:
+		return d.db.Delete(item.ID)
+	case store.WALUpdate:
+		return d.db.Update(item)
+	case store.WALLabel:
+		return d.db.UpdateLabel(item.ID, item.Label)
 	}
-	si := d.db.ShardFor(rec.Rec.ID)
-	d.pending[si] = append(d.pending[si], rec)
+	return fmt.Errorf("unknown op %v", wr.Op)
 }
 
 // Len returns the number of stored images.
@@ -583,14 +495,14 @@ func (c *Concept) Point() []float64 {
 // it before running the optimizer: a query whose examples and training
 // configuration fingerprint to a cached concept is served without
 // training, and concurrent identical queries share one training run. Use
-// TrainCached to observe the disposition, TrainOptions.BypassCache to
-// force a fresh run.
+// TrainCachedContext to observe the disposition, TrainOptions.BypassCache
+// to force a fresh run.
 func (d *Database) Train(positiveIDs, negativeIDs []string, opts TrainOptions) (*Concept, error) {
-	c, _, err := d.TrainCached(positiveIDs, negativeIDs, opts)
+	c, _, err := d.TrainCachedContext(context.Background(), positiveIDs, negativeIDs, opts)
 	return c, err
 }
 
-// CacheOutcome reports how a TrainCached call was satisfied.
+// CacheOutcome reports how a TrainCachedContext call was satisfied.
 type CacheOutcome int
 
 const (
@@ -625,10 +537,10 @@ func (o CacheOutcome) String() string {
 	return "unknown"
 }
 
-// TrainCached is Train plus the concept-cache disposition of the call. A
-// cache hit returns the very concept the original training run produced,
-// so for a repeat of the same request rankings are bit-identical to a
-// fresh run with the same examples and options (training is
+// TrainCachedContext is Train plus the concept-cache disposition of the
+// call. A cache hit returns the very concept the original training run
+// produced, so for a repeat of the same request rankings are bit-identical
+// to a fresh run with the same examples and options (training is
 // deterministic; the equivalence is property-tested). A request that
 // permutes the example order within a side is served the same cached
 // concept — bags are unordered collections (§2.1.2), so the canonical
@@ -637,17 +549,14 @@ func (o CacheOutcome) String() string {
 // rounding of the optimizer trajectory. When a StartBags cap makes
 // positive order genuinely select different optimization starts, order
 // is part of the key and no such sharing happens.
-func (d *Database) TrainCached(positiveIDs, negativeIDs []string, opts TrainOptions) (*Concept, CacheOutcome, error) {
-	return d.TrainCachedContext(context.Background(), positiveIDs, negativeIDs, opts)
-}
-
-// TrainCachedContext is TrainCached with a caller-scoped wait bound: a
-// call that coalesces onto another caller's in-flight training run stops
-// waiting when ctx is done and returns ctx.Err(). The flight leader is
-// never cancelled — it trains to completion and caches the result for
-// future callers. This is what lets a server drain cleanly under load: a
-// force-closed request context releases its handler immediately instead
-// of stranding it behind someone else's training run.
+//
+// ctx bounds only the caller's wait: a call that coalesces onto another
+// caller's in-flight training run stops waiting when ctx is done and
+// returns ctx.Err(). The flight leader is never cancelled — it trains to
+// completion and caches the result for future callers. This is what lets a
+// server drain cleanly under load: a force-closed request context releases
+// its handler immediately instead of stranding it behind someone else's
+// training run.
 func (d *Database) TrainCachedContext(ctx context.Context, positiveIDs, negativeIDs []string, opts TrainOptions) (*Concept, CacheOutcome, error) {
 	ds, err := d.dataset(positiveIDs, negativeIDs)
 	if err != nil {
@@ -846,12 +755,6 @@ func (d *Database) resolveRetrieve(ropts []RetrieveOption) retrieveConfig {
 	return cfg
 }
 
-// retrieveRecall resolves one call's effective recall: the database default
-// unless an option overrides it.
-func (d *Database) retrieveRecall(ropts []RetrieveOption) float64 {
-	return d.resolveRetrieve(ropts).recall
-}
-
 // Retrieve returns the k best matches for the concept, nearest first.
 func (d *Database) Retrieve(c *Concept, k int, ropts ...RetrieveOption) []Result {
 	return d.RetrieveExcluding(c, k, nil, ropts...)
@@ -919,10 +822,6 @@ func (d *Database) CheckConcept(c *Concept) error {
 // Every concept's dimensionality must match the database's; a nil concept
 // is an error. An empty database yields one empty ranking per concept.
 func (d *Database) RetrieveMany(concepts []*Concept, k int, exclude []string, ropts ...RetrieveOption) ([][]Result, error) {
-	return d.retrieveMany(concepts, k, exclude, d.retrieveRecall(ropts))
-}
-
-func (d *Database) retrieveMany(concepts []*Concept, k int, exclude []string, recall float64) ([][]Result, error) {
 	if len(concepts) == 0 {
 		return nil, nil
 	}
@@ -941,98 +840,28 @@ func (d *Database) retrieveMany(concepts []*Concept, k int, exclude []string, re
 	for _, id := range exclude {
 		ex[id] = true
 	}
+	recall := d.resolveRetrieve(ropts).recall
 	for i, rs := range retrieval.TopKMany(d.db, scorers, k, retrieval.Options{Exclude: ex, Recall: recall}) {
 		out[i] = convertResults(rs)
 	}
 	return out, nil
 }
 
-// QuerySpec is one example-based query of a batched pipeline: the inputs
-// of Train, carried through QueryMany.
+// QuerySpec is one example-based query of a batch: the inputs of Train,
+// carried through TrainManyContext.
 type QuerySpec struct {
 	Positives []string
 	Negatives []string
 	Opts      TrainOptions
-	// Recall overrides the database's default candidate-pruning tier for
-	// this query's retrieval (see Options.Recall): 0 inherits the default,
-	// a negative value forces the exact tier, positive values select the
-	// tier directly (≥ 1 exact, (0, 1) calibrated). Recall never
-	// enters the cache fingerprint — it changes how the scan runs, not what
-	// the trained concept is.
-	Recall float64
 }
 
-// specRecall resolves one spec's effective recall against the database
-// default.
-func (d *Database) specRecall(sp QuerySpec) float64 {
-	switch {
-	case sp.Recall < 0:
-		return 0
-	case sp.Recall > 0:
-		return sp.Recall
-	}
-	return d.recall
-}
-
-// QueryMany is the coalesced query pipeline: each spec's concept is
-// obtained through the concept cache (repeat specs hit, identical specs
-// in flight elsewhere coalesce, fresh ones train), and every concept is
-// then ranked as one batch over one pinned snapshot of the scoring index
-// (RetrieveMany) — B queries cost at most the distinct training runs plus
-// their scans. Element i of the rankings equals
-// RetrieveExcluding(Train(specs[i]...), k, exclude) exactly; the parallel
-// outcomes slice reports each spec's cache disposition. The exclude list
-// applies to every spec.
-func (d *Database) QueryMany(specs []QuerySpec, k int, exclude []string) ([][]Result, []CacheOutcome, error) {
-	if len(specs) == 0 {
-		return nil, nil, nil
-	}
-	concepts, outcomes, err := d.TrainMany(specs)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Group specs by effective recall so each group is still one batch; in
-	// the common case (no per-spec override) this is one group.
-	rankings := make([][]Result, len(specs))
-	var order []float64
-	groups := make(map[float64][]int)
-	for i := range specs {
-		r := d.specRecall(specs[i])
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], i)
-	}
-	for _, r := range order {
-		idxs := groups[r]
-		cs := make([]*Concept, len(idxs))
-		for j, i := range idxs {
-			cs[j] = concepts[i]
-		}
-		rs, err := d.retrieveMany(cs, k, exclude, r)
-		if err != nil {
-			return nil, nil, err
-		}
-		for j, i := range idxs {
-			rankings[i] = rs[j]
-		}
-	}
-	return rankings, outcomes, nil
-}
-
-// TrainMany obtains one concept per spec through the concept cache —
-// the training half of QueryMany, exported so callers that mix trained
-// queries with pre-built concepts (the server's batch endpoint) can
-// share one scan across all of them. Repeat specs within the batch pay
-// for one training run (the first misses, the rest hit); the outcomes
-// slice is parallel to specs. An error identifies the failing spec by
-// index.
-func (d *Database) TrainMany(specs []QuerySpec) ([]*Concept, []CacheOutcome, error) {
-	return d.TrainManyContext(context.Background(), specs)
-}
-
-// TrainManyContext is TrainMany with a caller-scoped wait bound per spec;
-// see TrainCachedContext.
+// TrainManyContext obtains one concept per spec through the concept cache,
+// so callers that mix trained queries with pre-built concepts (the
+// server's batch endpoint) can rank all of them as one RetrieveMany batch.
+// Repeat specs within the batch pay for one training run (the first
+// misses, the rest hit); the outcomes slice is parallel to specs. An error
+// identifies the failing spec by index. ctx bounds each spec's wait as in
+// TrainCachedContext.
 func (d *Database) TrainManyContext(ctx context.Context, specs []QuerySpec) ([]*Concept, []CacheOutcome, error) {
 	concepts := make([]*Concept, len(specs))
 	outcomes := make([]CacheOutcome, len(specs))
@@ -1071,7 +900,8 @@ func convertResults(rs []retrieval.Result) []Result {
 //
 // Concurrent Saves and Flushes group-commit: their log appends are
 // serialized, but the fsyncs that acknowledge them are shared (one fsync
-// per batch per touched shard, not one per caller — see store.WALWriter).
+// per batch per touched shard, not one per caller). The protocol is
+// store.Journal's; see there for the order files change in.
 func (d *Database) Save(path string) error {
 	if path == "" {
 		return fmt.Errorf("milret: empty store path")
@@ -1083,93 +913,46 @@ func (d *Database) Save(path string) error {
 // Save to the bound path. It is a no-op (and returns nil) for a database
 // not yet bound by LoadDatabase or Save.
 func (d *Database) Flush() error {
-	// The empty path means "whatever the database is bound to when the
-	// stage runs": stageLocked resolves it under the journal lock, so a
+	// The empty path is the journal's spelling of "whatever the database is
+	// bound to when the commit is staged", resolved under its lock, so a
 	// concurrent Save to a new path can never race Flush into rewriting
 	// (and re-binding to) the old one.
 	return d.persist("")
 }
 
-// Compact rewrites every shard's scoring index without its tombstones and,
-// when the database is bound to a store path, folds all mutation logs into
-// fresh snapshots (removing the logs). Rankings are unaffected. Shards
-// whose dead rows crossed the auto-compaction threshold have already been
-// compacted individually on the way here; Compact is the explicit
-// everything-now variant.
-func (d *Database) Compact() error {
-	d.db.Compact()
-	d.pmu.Lock()
-	defer d.pmu.Unlock()
-	if d.basePath == "" {
-		return nil
-	}
-	return d.rewriteLocked(d.basePath)
-}
-
-// syncTarget is one shard's staged-but-unsynced flush: the writer and the
-// append sequence that must be covered by an fsync before the flush may be
-// acknowledged, plus the shard's log generation at stage time (to tell a
-// genuinely lost fsync apart from one a later fold made moot).
-type syncTarget struct {
-	shard int
-	w     *store.WALWriter
-	seq   uint64
-	gen   uint64
-}
-
-// persist implements Save/Flush: stage under the journal lock (append
-// pending records to shard logs, folding any shard that is oversized or
-// whose log cannot be trusted), then sync the touched logs outside the
-// lock so concurrent persists share fsyncs (group commit). Every staged
-// target is synced even when staging stopped early on an error — a shard
-// whose pending list was drained into its log must get its fsync, or a
-// later, otherwise-clean persist would acknowledge durability the records
-// never had.
 func (d *Database) persist(path string) error {
-	d.pmu.Lock()
-	targets, stageErr := d.stageLocked(path)
-	d.pmu.Unlock()
-	var syncErr error
-	var failed []syncTarget
-	for _, tg := range targets {
-		if serr := tg.w.SyncTo(tg.seq); serr != nil {
-			failed = append(failed, tg)
-			if syncErr == nil {
-				syncErr = serr
-			}
-		}
-	}
-	if syncErr != nil {
-		d.pmu.Lock()
-		lost := false
-		for _, tg := range failed {
-			if d.walGens[tg.shard] != tg.gen {
-				// This shard's log was superseded by a fold or rewrite,
-				// which snapshotted the full in-memory state — these
-				// records included — atomically and durably; the lost
-				// fsync is moot for this shard.
-				continue
-			}
-			// The shard's log state on disk is unknown; distrust it so the
-			// next flush folds the shard into a fresh snapshot.
-			lost = true
-			if d.wals[tg.shard] == tg.w {
-				d.closeShardWALLocked(tg.shard)
-			}
-			d.walCounts[tg.shard] = -1
-		}
-		d.pmu.Unlock()
-		if !lost {
-			syncErr = nil
-		}
-	}
-	if stageErr != nil {
-		return stageErr
-	}
-	if syncErr != nil {
-		return syncErr
+	if err := d.j.Save(path, liveShards{d.db}); err != nil {
+		return err
 	}
 	return d.persistConceptCache()
+}
+
+// Compact rewrites every shard's scoring index without its tombstones and,
+// when the database is bound to a store path, folds every shard's mutation
+// log into a fresh snapshot (removing the log), one shard at a time: should
+// a shard fail to write, the shards before it are folded, the rest are as
+// they were, and every one of them keeps accepting Flushes. Rankings are
+// unaffected. Shards whose dead rows crossed the auto-compaction threshold
+// have already been compacted individually on the way here; Compact is the
+// explicit everything-now variant.
+func (d *Database) Compact() error {
+	d.db.Compact()
+	return d.j.Compact(liveShards{d.db})
+}
+
+// liveShards is the journal's view of the scoring database: what a shard's
+// next snapshot would hold, and how large it is for the fold policy.
+type liveShards struct{ db *retrieval.Database }
+
+func (l liveShards) Count(shard int) int { return l.db.Stats().Shards[shard].Items }
+
+func (l liveShards) Records(shard int) []store.Record {
+	items := l.db.ShardItems(shard)
+	recs := make([]store.Record, len(items))
+	for i, it := range items {
+		recs[i] = store.Record{ID: it.ID, Label: it.Label, Bag: it.Bag}
+	}
+	return recs
 }
 
 // persistConceptCache captures the concept cache into its sidecar file,
@@ -1251,208 +1034,6 @@ func (d *Database) warmConceptCache() {
 	d.cmu.Lock()
 	d.cacheGenSaved = d.cache.Gen()
 	d.cmu.Unlock()
-}
-
-// stageLocked routes Save(path): a save to a foreign path is a full rewrite
-// and rebind; a save to the bound path (which the empty path resolves to —
-// Flush's spelling, resolved under the lock) flushes each shard's pending
-// records into its log — folding the shard instead when the log would
-// outgrow half the shard's live items (or cannot be trusted) — and returns
-// the logs that must be fsynced. On error the targets staged so far are
-// still returned; the caller must sync them.
-func (d *Database) stageLocked(path string) ([]syncTarget, error) {
-	if path == "" {
-		if d.basePath == "" {
-			return nil, nil
-		}
-		path = d.basePath
-	}
-	if path != d.basePath {
-		return nil, d.rewriteLocked(path)
-	}
-	st := d.db.Stats()
-	var targets []syncTarget
-	for si := range d.pending {
-		if len(d.pending[si]) == 0 {
-			continue
-		}
-		total := d.walCounts[si] + len(d.pending[si])
-		if d.walCounts[si] >= 0 && total > walFoldMinOps && total > st.Shards[si].Items/2 {
-			if err := d.foldShardLocked(si); err != nil {
-				return targets, err
-			}
-			continue
-		}
-		tg, err := d.flushShardLocked(si)
-		if err != nil {
-			return targets, err
-		}
-		if tg != nil {
-			targets = append(targets, *tg)
-		}
-	}
-	return targets, nil
-}
-
-// canonicalShardPaths returns the snapshot files a fresh save to path
-// writes: the file itself for a single-shard database, the canonical
-// manifest shard names otherwise. A database bound by LoadDatabase keeps
-// the manifest's own resolved paths instead (see shardPaths).
-func (d *Database) canonicalShardPaths(path string) []string {
-	n := d.db.ShardCount()
-	if n == 1 {
-		return []string{path}
-	}
-	paths := make([]string, n)
-	for si := range paths {
-		paths[si] = store.ShardPath(path, si)
-	}
-	return paths
-}
-
-// rewriteLocked writes full flat snapshots of every shard's live items to
-// path (each atomically and durably: temp file + fsync + rename; sharded
-// databases write all shard files first and the manifest last), removes any
-// mutation logs alongside them, and rebinds the journal to the fresh
-// snapshots. Should a log removal be lost to a crash, the leftover log
-// fails its snapshot-fingerprint check on the next open and is ignored —
-// never replayed over a snapshot that already contains its mutations.
-func (d *Database) rewriteLocked(path string) error {
-	paths := d.canonicalShardPaths(path)
-	if path == d.basePath && d.shardPaths != nil {
-		// Rewriting in place (Compact, fold-everything): keep serving the
-		// files the bound manifest actually references.
-		paths = d.shardPaths
-	}
-	n := d.db.ShardCount()
-	for si := 0; si < n; si++ {
-		items := d.db.ShardItems(si)
-		recs := make([]store.Record, len(items))
-		for i, it := range items {
-			recs[i] = store.Record{ID: it.ID, Label: it.Label, Bag: it.Bag}
-		}
-		if err := store.WriteFlatFile(paths[si], d.opts.Dim(), recs); err != nil {
-			return err
-		}
-	}
-	if n > 1 {
-		names := make([]string, n)
-		for si := range names {
-			names[si] = filepath.Base(paths[si])
-		}
-		if err := store.WriteManifest(path, names); err != nil {
-			return err
-		}
-	}
-	d.closeWALsLocked()
-	for si := 0; si < n; si++ {
-		if err := store.RemoveWAL(paths[si]); err != nil {
-			return err
-		}
-	}
-	d.bindLocked(path, paths)
-	return nil
-}
-
-// foldShardLocked folds one shard — and only that shard — into a fresh
-// snapshot: its live items are rewritten atomically, its log removed, its
-// journal reset. The other shards' snapshots, logs and pending records are
-// untouched, so a fold costs one pass over one shard.
-func (d *Database) foldShardLocked(si int) error {
-	items := d.db.ShardItems(si)
-	recs := make([]store.Record, len(items))
-	for i, it := range items {
-		recs[i] = store.Record{ID: it.ID, Label: it.Label, Bag: it.Bag}
-	}
-	p := d.shardPaths[si]
-	if err := store.WriteFlatFile(p, d.opts.Dim(), recs); err != nil {
-		return err
-	}
-	d.closeShardWALLocked(si)
-	if err := store.RemoveWAL(p); err != nil {
-		return err
-	}
-	d.walCounts[si] = 0
-	d.pending[si] = nil
-	d.genSeq++
-	d.walGens[si] = d.genSeq
-	return nil
-}
-
-// bindLocked points the journal at the given shard snapshots under path.
-// Every shard gets a fresh, never-repeating log generation so in-flight
-// flushes staged against the previous binding cannot mistake the new logs
-// for their own.
-func (d *Database) bindLocked(path string, shardPaths []string) {
-	n := d.db.ShardCount()
-	d.basePath = path
-	d.shardPaths = shardPaths
-	d.walCounts = make([]int, n)
-	d.pending = make([][]store.WALRecord, n)
-	d.wals = make([]*store.WALWriter, n)
-	d.walGens = make([]uint64, n)
-	for si := range d.walGens {
-		d.genSeq++
-		d.walGens[si] = d.genSeq
-	}
-}
-
-func (d *Database) closeShardWALLocked(si int) {
-	if d.wals[si] != nil {
-		d.wals[si].Close()
-		d.wals[si] = nil
-	}
-}
-
-func (d *Database) closeWALsLocked() {
-	for si := range d.wals {
-		d.closeShardWALLocked(si)
-	}
-}
-
-// flushShardLocked appends shard si's pending mutations to its log and
-// returns the sync target the caller must fsync (nil when the shard was
-// folded instead) — with the writer held open across flushes, the
-// steady-state cost is the appended bytes plus one group-committed fsync.
-// The shard's first flush opens (or creates) its log, validating it against
-// the snapshot's fingerprint and the journal's record count; a log that is
-// corrupt, stale, or out of sync cannot be trusted, so the shard is folded
-// into a fresh snapshot instead.
-func (d *Database) flushShardLocked(si int) (*syncTarget, error) {
-	p := d.shardPaths[si]
-	if d.wals[si] == nil {
-		if d.walCounts[si] < 0 {
-			// A failed sync left the log state unknown; start the shard over.
-			return nil, d.foldShardLocked(si)
-		}
-		fp, err := store.SnapshotFingerprint(p)
-		if err != nil {
-			return nil, err
-		}
-		w, err := store.OpenWAL(store.WALPath(p), d.opts.Dim(), fp)
-		if errors.Is(err, store.ErrCorrupt) || errors.Is(err, store.ErrStaleWAL) {
-			return nil, d.foldShardLocked(si)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if w.Count() != d.walCounts[si] {
-			w.Close()
-			return nil, d.foldShardLocked(si)
-		}
-		d.wals[si] = w
-	}
-	for _, rec := range d.pending[si] {
-		if err := d.wals[si].Append(rec); err != nil {
-			// The log now holds an unknown prefix of this batch; distrust it.
-			d.closeShardWALLocked(si)
-			d.walCounts[si] = -1
-			return nil, err
-		}
-	}
-	d.walCounts[si] += len(d.pending[si])
-	d.pending[si] = nil
-	return &syncTarget{shard: si, w: d.wals[si], seq: d.wals[si].AppendSeq(), gen: d.walGens[si]}, nil
 }
 
 // ShardStats summarizes one shard's flat scoring index and journal.
@@ -1590,24 +1171,19 @@ type CacheStats struct {
 func (d *Database) Stats() Stats {
 	s := d.db.Stats()
 	st := Stats{Dim: s.Dim, Shards: make([]ShardStats, len(s.Shards))}
-	d.pmu.Lock()
 	for i, ss := range s.Shards {
-		row := ShardStats{
+		st.Shards[i] = ShardStats{
 			Images:        ss.Items,
 			Instances:     ss.Instances,
 			IndexBytes:    ss.IndexBytes,
 			DeadImages:    ss.DeadItems,
 			DeadInstances: ss.DeadInstances,
 		}
-		if d.basePath != "" {
-			row.PendingMutations = len(d.pending[i])
-			if d.walCounts[i] > 0 {
-				row.WALMutations = d.walCounts[i]
-			}
-		}
-		st.Shards[i] = row
 	}
-	d.pmu.Unlock()
+	for i, depth := range d.j.Depth() {
+		st.Shards[i].PendingMutations = depth.Pending
+		st.Shards[i].WALMutations = max(depth.Durable, 0)
+	}
 	for _, row := range st.Shards {
 		st.Images += row.Images
 		st.Instances += row.Instances
@@ -1642,22 +1218,25 @@ func (d *Database) Stats() Stats {
 	return st
 }
 
-// LoadDatabase reads a database saved by Save — a MILRETS1 sharded
-// manifest, the flat columnar format, or the legacy per-record stream.
-// Manifests reopen with their saved shard count, one snapshot (and mutation
-// log) per shard; single-file stores open as one shard. Flat stores open
-// zero-copy: each instance block is adopted (memory-mapped where the
-// platform allows) straight into its shard's scoring index without decoding
-// or copying a single float, so open is O(images); see Options.VerifyOnLoad
-// for the integrity trade-off (without it, a background goroutine checksums
-// the adopted blocks after the load — see Verification). If a mutation log
-// sits alongside a shard snapshot ("<snapshot>.wal", written by incremental
-// Save), its records are replayed over that shard, so a reopened database
-// carries every acknowledged mutation. If opts.Resolution is unset, the
-// sampling resolution is inferred from the stored feature dimensionality
-// (h²), so stores built at any resolution reopen without extra
-// configuration; an explicitly set resolution must match the file, so
-// images added later remain comparable.
+// LoadDatabase reads a database saved by Save: a MILRETS1 sharded manifest
+// or a single flat columnar file. Manifests reopen with their saved shard
+// count, one snapshot (and mutation log) per shard; a single file opens as
+// one shard. Snapshots open zero-copy: each instance block is adopted
+// (memory-mapped where the platform allows) straight into its shard's
+// scoring index without decoding or copying a single float, so open is
+// O(images); see Options.VerifyOnLoad for the integrity trade-off (without
+// it, a background goroutine checksums the adopted blocks after the load —
+// see Verification). If a mutation log sits alongside a shard snapshot
+// ("<snapshot>.wal", written by incremental Save), its records are replayed
+// over that shard, so a reopened database carries every acknowledged
+// mutation. Replay is strict: a record the database rejects (duplicate add,
+// delete of an unknown ID) means snapshot and log are inconsistent, and the
+// load fails rather than guessing. The feature dimensionality is the one
+// the snapshot headers declare — also for a store whose images all arrived
+// through its logs. If opts.Resolution is unset, the sampling resolution is
+// inferred from it (h²), so stores built at any resolution reopen without
+// extra configuration; an explicitly set resolution must match the store,
+// so images added later remain comparable.
 //
 // Enumeration order: a reloaded sharded database lists images (IDs, Items)
 // grouped by shard — per-shard insertion order is preserved, but the
@@ -1666,174 +1245,61 @@ func (d *Database) Stats() Stats {
 // their insertion order exactly. Rankings are unaffected either way
 // (results order by distance with ID tie-breaks).
 func LoadDatabase(path string, opts Options) (*Database, error) {
-	isManifest, err := store.IsManifest(path)
+	j, shards, err := store.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	shardPaths := []string{path}
-	if isManifest {
-		if shardPaths, err = store.ReadManifest(path); err != nil {
-			return nil, err
-		}
-	}
-	return loadShards(path, shardPaths, opts)
-}
-
-// loadShards opens one store file per shard and assembles the database:
-// every shard's records and (for flat files) adopted block, a scoring index
-// per shard, and each shard's replayed mutation log.
-//
-// milret:unguarded construction: the Database is not shared until this returns.
-func loadShards(basePath string, shardPaths []string, opts Options) (*Database, error) {
-	n := len(shardPaths)
-	recsPer := make([][]store.Record, n)
-	flatPer := make([]*store.FlatDB, n)
-	var flats []*store.FlatDB
-	// Any error below must release the flat stores' memory mappings; on
-	// success the mappings back the database for the process lifetime.
+	// Any error below must release the snapshots' memory mappings; on
+	// success they back the database for the process lifetime.
 	fail := func(err error) (*Database, error) {
-		for _, f := range flats {
-			f.Close()
-		}
+		j.Close()
 		return nil, err
 	}
-	for i, p := range shardPaths {
-		recs, flat, err := store.OpenAnyFile(p)
-		if err != nil {
+	if opts.VerifyOnLoad {
+		if err := j.VerifyData(); err != nil {
 			return fail(err)
 		}
-		recsPer[i] = recs
-		flatPer[i] = flat
-		if flat != nil {
-			flats = append(flats, flat)
-			if opts.VerifyOnLoad {
-				if err := flat.VerifyData(); err != nil {
-					return fail(err)
-				}
-			}
-		}
 	}
+	dim := j.Dim()
 	if opts.Resolution == 0 {
-		for _, recs := range recsPer {
-			if len(recs) > 0 {
-				dim := recs[0].Bag.Dim()
-				h := int(math.Sqrt(float64(dim)))
-				if h*h == dim {
-					opts.Resolution = h
-				}
-				break
-			}
+		if h := int(math.Sqrt(float64(dim))); h*h == dim {
+			opts.Resolution = h
 		}
 	}
-	opts.Shards = n
+	opts.Shards = len(shards)
 	d, err := NewDatabase(opts)
 	if err != nil {
 		return fail(err)
 	}
-	flatShards := make([]retrieval.FlatShard, n)
-	for i, recs := range recsPer {
-		items := make([]retrieval.Item, len(recs))
-		for j, rec := range recs {
-			if rec.Bag.Dim() != d.opts.Dim() {
-				return fail(fmt.Errorf("milret: stored dim %d does not match options dim %d",
-					rec.Bag.Dim(), d.opts.Dim()))
-			}
-			items[j] = retrieval.Item{ID: rec.ID, Label: rec.Label, Bag: rec.Bag}
-		}
-		flatShards[i].Items = items
-		if flat := flatPer[i]; flat != nil {
-			if len(recs) > 0 && flat.Dim != d.opts.Dim() {
-				return fail(fmt.Errorf("milret: stored dim %d does not match options dim %d",
-					flat.Dim, d.opts.Dim()))
-			}
-			flatShards[i].Data = flat.Data
-		} else {
-			// Legacy stream records own their instances individually; pack
-			// an equal-valued block for the scoring index to adopt.
-			var data []float64
-			for _, it := range items {
-				for _, inst := range it.Bag.Instances {
-					data = append(data, inst...)
-				}
-			}
-			flatShards[i].Data = data
-		}
+	if dim != d.opts.Dim() {
+		return fail(fmt.Errorf("milret: stored dim %d does not match options dim %d", dim, d.opts.Dim()))
 	}
-	db, err := retrieval.NewDatabaseFromFlats(flatShards, d.opts.Dim())
-	if err != nil {
+	flatShards := make([]retrieval.FlatShard, len(shards))
+	for i, sh := range shards {
+		items := make([]retrieval.Item, len(sh.Flat.Records))
+		for k, rec := range sh.Flat.Records {
+			items[k] = retrieval.Item{ID: rec.ID, Label: rec.Label, Bag: rec.Bag}
+		}
+		flatShards[i] = retrieval.FlatShard{Items: items, Data: sh.Flat.Data}
+	}
+	if d.db, err = retrieval.NewDatabaseFromFlats(flatShards, dim); err != nil {
 		return fail(err)
 	}
-	d.db = db
-	d.flats = flats
-	walCounts := make([]int, n)
-	for i, p := range shardPaths {
-		count, err := d.replayShardWAL(p)
-		if err != nil {
-			return fail(err)
+	d.j = j
+	for _, sh := range shards {
+		for i, wr := range sh.Log {
+			if err := d.apply(wr); err != nil {
+				return fail(fmt.Errorf("milret: replaying WAL record %d (%v %q): %w", i, wr.Op, wr.Rec.ID, err))
+			}
 		}
-		walCounts[i] = count
 	}
-	// Construction-time: nothing else holds pmu yet. The resolved shard
-	// paths — not recomputed canonical names — become the fold/flush
-	// targets, so a renamed manifest keeps updating the files it references.
-	d.bindLocked(basePath, shardPaths)
-	d.walCounts = walCounts
 	if d.cache != nil && d.cacheFile != "" {
 		d.warmConceptCache()
 	}
-	if len(flats) > 0 && !opts.VerifyOnLoad {
-		d.verifyInBackground(flats)
+	if !opts.VerifyOnLoad {
+		d.verifyInBackground()
 	}
 	return d, nil
-}
-
-// replayShardWAL applies the mutation log alongside one shard snapshot, if
-// one exists, and returns the number of records replayed. A log bound to a
-// different snapshot generation (its fingerprint does not match the file at
-// path) is stale — a fold crashed after renaming the new snapshot but
-// before removing the log, whose mutations the snapshot therefore already
-// contains — and is skipped entirely; the next Save folds it away. For a
-// log that does match, replay is strict: a record the database rejects
-// (duplicate add, delete of an unknown ID, dimension mismatch) means the
-// pair is inconsistent and the load fails rather than guessing.
-func (d *Database) replayShardWAL(path string) (int, error) {
-	walPath := store.WALPath(path)
-	if _, err := os.Stat(walPath); errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	dim, fp, wrecs, err := store.ReadWAL(walPath)
-	if err != nil {
-		return 0, err
-	}
-	snapFP, err := store.SnapshotFingerprint(path)
-	if err != nil {
-		return 0, err
-	}
-	if fp != snapFP {
-		return 0, nil // stale log from an interrupted fold; already folded in
-	}
-	if len(wrecs) > 0 && dim != d.opts.Dim() {
-		return 0, fmt.Errorf("milret: WAL dim %d does not match store dim %d", dim, d.opts.Dim())
-	}
-	for i, wr := range wrecs {
-		var err error
-		switch wr.Op {
-		case store.WALAdd:
-			err = d.db.Add(retrieval.Item{ID: wr.Rec.ID, Label: wr.Rec.Label, Bag: wr.Rec.Bag})
-		case store.WALDelete:
-			err = d.db.Delete(wr.Rec.ID)
-		case store.WALUpdate:
-			err = d.db.Update(retrieval.Item{ID: wr.Rec.ID, Label: wr.Rec.Label, Bag: wr.Rec.Bag})
-		case store.WALLabel:
-			err = d.db.UpdateLabel(wr.Rec.ID, wr.Rec.Label)
-		default:
-			err = fmt.Errorf("unknown op %v", wr.Op)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("milret: replaying WAL record %d (%v %q): %w", i, wr.Op, wr.Rec.ID, err)
-		}
-	}
-	return len(wrecs), nil
 }
 
 // Explanation describes why an image matched a concept: the sub-region

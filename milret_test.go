@@ -1,8 +1,10 @@
 package milret
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -311,36 +313,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// Databases saved by older versions in the per-record V1 format must keep
-// loading now that Save writes the flat columnar format.
+// The per-record stream format of the first store generation was retired:
+// such a file is refused with an error that says so, never misread.
 func TestLoadLegacyStoreFormat(t *testing.T) {
-	db := testDB(t, 3, "car", "pants")
-	items := db.db.Items()
-	recs := make([]store.Record, len(items))
-	for i, it := range items {
-		recs[i] = store.Record{ID: it.ID, Label: it.Label, Bag: it.Bag}
-	}
 	path := filepath.Join(t.TempDir(), "legacy.milret")
-	if err := store.WriteFile(path, db.opts.Dim(), recs); err != nil {
+	header := "MILRETF1\x01\x00\x00\x00\x64\x00\x00\x00" // magic, version 1, dim 100
+	if err := os.WriteFile(path, []byte(header), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadDatabase(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != db.Len() {
-		t.Fatalf("loaded %d of %d from legacy format", back.Len(), db.Len())
-	}
-	concept, err := db.Train(idsOf(db, "car", 2), idsOf(db, "pants", 2),
-		TrainOptions{Mode: IdenticalWeights, MaxIters: 15, StartBags: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := db.RankAll(concept), back.RankAll(concept)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("legacy-loaded ranking diverges at %d: %+v vs %+v", i, a[i], b[i])
-		}
+	_, err := LoadDatabase(path, Options{})
+	if !errors.Is(err, store.ErrRetiredFormat) {
+		t.Fatalf("record-stream store: got %v, want store.ErrRetiredFormat", err)
 	}
 }
 
@@ -363,6 +346,51 @@ func TestLoadDatabaseDimMismatch(t *testing.T) {
 	}
 	if _, err := LoadDatabase(path, Options{Resolution: 6}); err == nil {
 		t.Fatalf("dim mismatch accepted")
+	}
+}
+
+// The store's dimensionality comes from its snapshot header, not from
+// whichever record happens to be first: a store saved empty and populated
+// entirely through its log reopens without configuration, an explicitly
+// wrong resolution is still refused, and so are shard headers that disagree.
+func TestLoadDatabaseDimFromHeader(t *testing.T) {
+	db, err := NewDatabase(Options{Resolution: 6, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "db.milret")
+	if err := db.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range synth.ObjectsN(5, 1)[:3] {
+		if err := db.AddImage(it.ID, it.Label, it.Image); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	back, err := LoadDatabase(path, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if back.Len() != 3 || back.Stats().Dim != 36 {
+		t.Fatalf("reopened %d images at dim %d, want 3 at 36", back.Len(), back.Stats().Dim)
+	}
+	back.Close()
+
+	if _, err := LoadDatabase(path, Options{Resolution: 10}); err == nil {
+		t.Fatal("explicitly wrong resolution accepted")
+	}
+
+	// Rewrite one shard's snapshot at another dimensionality. Its log no
+	// longer matches it and is skipped; only the header gives it away.
+	if err := store.Create(store.ShardPath(path, 1), 100, [][]store.Record{nil}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadDatabase(path, Options{}); err == nil {
+		t.Fatal("shard headers that disagree on dim accepted")
 	}
 }
 
@@ -488,11 +516,10 @@ func TestDatabaseClose(t *testing.T) {
 	}
 }
 
-// Regression test: Close must take ownership of the adopted flat stores
-// while holding pmu. An earlier version read and cleared d.flats outside
-// the lock, so two overlapping Close calls raced on the slice (and could
-// release the same memory mappings twice); the race detector sees the
-// unsynchronized read/write pair.
+// Overlapping Close calls must be safe: the journal retires its log writers
+// under its lock and every adopted snapshot serializes its own release, so
+// no mapping is released twice and nothing is raced on. The race detector
+// is the assertion.
 func TestCloseConcurrent(t *testing.T) {
 	db := testDB(t, 2, "car")
 	path := filepath.Join(t.TempDir(), "db.milret")

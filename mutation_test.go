@@ -291,8 +291,8 @@ func TestSaveFoldsOversizedWAL(t *testing.T) {
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	// walFoldMinOps label-only updates on one image blow past the threshold.
-	for i := 0; i <= walFoldMinOps; i++ {
+	// store.FoldMinOps label-only updates on one image blow past the threshold.
+	for i := 0; i <= store.FoldMinOps; i++ {
 		if err := db.UpdateImage("object-car-00", fmt.Sprintf("car-%d", i), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestSaveFoldsOversizedWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if lb, _ := back.Label("object-car-00"); lb != fmt.Sprintf("car-%d", walFoldMinOps) {
+	if lb, _ := back.Label("object-car-00"); lb != fmt.Sprintf("car-%d", store.FoldMinOps) {
 		t.Fatalf("folded label: %q", lb)
 	}
 }

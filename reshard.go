@@ -2,7 +2,6 @@ package milret
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"milret/internal/retrieval"
@@ -16,7 +15,9 @@ import (
 // shards > 1 (a single shard writes one flat file, loadable directly).
 // The source is opened read-only through the normal load path, so
 // pending mutation logs are replayed and tombstones dropped — the
-// output is born compact, with no WALs. Scan results are preserved
+// output is born compact, with no WALs: a log an earlier store left
+// beside an overwritten destination snapshot is removed, and failing to
+// remove it fails the reshard. Scan results are preserved
 // bit-for-bit: instance floats are copied as raw bits, rankings order
 // by (distance, ID) independent of placement, and per-shard insertion
 // order follows global insertion order (property-tested in
@@ -52,31 +53,8 @@ func Reshard(srcPath, dstPath string, shards int) error {
 		si := retrieval.ShardIndexFor(it.ID, shards)
 		groups[si] = append(groups[si], store.Record{ID: it.ID, Label: it.Label, Bag: it.Bag})
 	}
-	if shards == 1 {
-		if err := store.WriteFlatFile(dstPath, dim, groups[0]); err != nil {
-			return fmt.Errorf("milret: reshard: write shard: %w", err)
-		}
-		removeStaleWAL(dstPath)
-		return nil
-	}
-	names := make([]string, shards)
-	for i, recs := range groups {
-		p := store.ShardPath(dstPath, i)
-		if err := store.WriteFlatFile(p, dim, recs); err != nil {
-			return fmt.Errorf("milret: reshard: write shard %d: %w", i, err)
-		}
-		removeStaleWAL(p)
-		names[i] = filepath.Base(p)
-	}
-	if err := store.WriteManifest(dstPath, names); err != nil {
-		return fmt.Errorf("milret: reshard: write manifest: %w", err)
+	if err := store.Create(dstPath, dim, groups); err != nil {
+		return fmt.Errorf("milret: reshard: %w", err)
 	}
 	return nil
-}
-
-// removeStaleWAL drops a mutation log left beside an overwritten shard
-// snapshot by an earlier store at the same path: replaying another
-// generation's log over a fresh snapshot would corrupt it.
-func removeStaleWAL(shardPath string) {
-	os.Remove(store.WALPath(shardPath))
 }

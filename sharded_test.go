@@ -279,7 +279,7 @@ func TestShardedFoldTouchesOneShard(t *testing.T) {
 		}
 		snapSizes[i] = st.Size()
 	}
-	for i := 0; i <= walFoldMinOps; i++ {
+	for i := 0; i <= store.FoldMinOps; i++ {
 		if err := db.UpdateImage(victim, fmt.Sprintf("v%d", i), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestShardedFoldTouchesOneShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if lb, _ := back.Label(victim); lb != fmt.Sprintf("v%d", walFoldMinOps) {
+	if lb, _ := back.Label(victim); lb != fmt.Sprintf("v%d", store.FoldMinOps) {
 		t.Fatalf("folded label: %q", lb)
 	}
 }
@@ -331,7 +331,7 @@ func TestRenamedManifestFoldsIntoReferencedShards(t *testing.T) {
 	}
 	victim := loaded.IDs()[0]
 	// Enough mutations to cross the per-shard fold threshold.
-	for i := 0; i <= walFoldMinOps; i++ {
+	for i := 0; i <= store.FoldMinOps; i++ {
 		if err := loaded.UpdateImage(victim, fmt.Sprintf("v%d", i), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -351,8 +351,90 @@ func TestRenamedManifestFoldsIntoReferencedShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if lb, _ := back.Label(victim); lb != fmt.Sprintf("v%d", walFoldMinOps) {
+	if lb, _ := back.Label(victim); lb != fmt.Sprintf("v%d", store.FoldMinOps) {
 		t.Fatalf("acknowledged mutations lost through renamed manifest: label %q", lb)
+	}
+}
+
+// A Compact that fails part-way must not strand acknowledged mutations.
+// Every shard it did fold is completely folded — snapshot, writer, log,
+// counts, generation — before the next is touched, so a later Flush on such
+// a shard starts a log bound to the new snapshot instead of appending to a
+// stale one that the next open would (rightly) ignore.
+func TestPartialCompactKeepsAcknowledgedMutations(t *testing.T) {
+	db := testDBSharded(t, 3, 3, "car", "lamp")
+	path := filepath.Join(t.TempDir(), "db.milret")
+	if err := db.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	var victim string
+	for _, id := range db.IDs() {
+		if shardOf(db, id) == 0 {
+			victim = id
+			break
+		}
+	}
+	if victim == "" {
+		t.Fatal("no image hashed to shard 0")
+	}
+	if err := db.UpdateImage(victim, "first", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Make shard 2 unwritable: a non-empty directory cannot be renamed over.
+	shard2 := store.ShardPath(path, 2)
+	aside := shard2 + ".aside"
+	if err := os.Rename(shard2, aside); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(shard2, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Compact(); err == nil {
+		t.Fatal("Compact succeeded over an unwritable shard")
+	}
+	if err := os.RemoveAll(shard2); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(aside, shard2); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := db.UpdateImage(victim, "acked", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Kill and reopen: no Close, no Save.
+	back, err := LoadDatabase(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb, _ := back.Label(victim); lb != "acked" {
+		t.Fatalf("acknowledged label lost after partial Compact: got %q", lb)
+	}
+	back.Close()
+
+	// With the shard writable again, Compact goes through and leaves no log.
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := os.Stat(store.WALPath(store.ShardPath(path, i))); !os.IsNotExist(err) {
+			t.Fatalf("Compact left shard %d's log behind: %v", i, err)
+		}
+	}
+	final, err := LoadDatabase(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer final.Close()
+	if lb, _ := final.Label(victim); lb != "acked" {
+		t.Fatalf("label after the second Compact: %q", lb)
 	}
 }
 
