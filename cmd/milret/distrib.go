@@ -60,25 +60,14 @@ func cmdShardServe(args []string) error {
 	return serveHandlerUntilSignal(mux, ln, sig, db.Flush, db.Close)
 }
 
-// serveTuning carries the serve flags that apply in coordinator mode.
-type serveTuning struct {
-	cacheMB  int
-	recall   float64
-	fastLoad bool
-}
-
 // serveTopology runs `milret serve -topology`: one coordinator fronting
-// the topology's partitions behind the ordinary JSON surface.
-func serveTopology(topoPath, addr string, readOnly bool, tune serveTuning) error {
+// the topology's shard servers behind the ordinary JSON surface.
+func serveTopology(topoPath, addr string, readOnly bool, opts remote.CoordinatorOptions) error {
 	topo, err := remote.LoadTopology(topoPath)
 	if err != nil {
 		return err
 	}
-	coord, err := remote.NewCoordinator(topo, remote.CoordinatorOptions{
-		ConceptCacheMB: tune.cacheMB,
-		Recall:         tune.recall,
-		Local:          milret.Options{VerifyOnLoad: !tune.fastLoad},
-	})
+	coord, err := remote.NewCoordinator(topo, opts)
 	if err != nil {
 		return err
 	}
@@ -94,11 +83,7 @@ func serveTopology(topoPath, addr string, readOnly bool, tune serveTuning) error
 	h := server.NewBackend(coord)
 	h.ReadOnly = readOnly
 	for _, p := range topo.Partitions {
-		where := p.Path
-		if p.Remote() {
-			where = p.Addr
-		}
-		fmt.Printf("partition %-12s %s\n", p.Name, where)
+		fmt.Printf("partition %-12s %s\n", p.Name, p.Addr)
 	}
 	fmt.Printf("coordinating %d partitions (%d images, partial=%s) on http://%s\n",
 		len(topo.Partitions), coord.Len(), topo.PartialPolicy(), ln.Addr())

@@ -97,11 +97,10 @@ func postQuery(t *testing.T, base string, req server.QueryRequest) (server.Query
 }
 
 // TestDistributedEndToEnd runs the full distributed deployment as real
-// OS processes: two shard servers (shards 2 and 3) plus a coordinator
-// fronting them and two coordinator-local shards, checked bit-identical
-// against an in-process scan over the un-sharded source, then kept
-// under mixed loadtest traffic while one shard process is killed and
-// restarted.
+// OS processes: four shard servers plus a coordinator fronting them,
+// checked bit-identical against an in-process scan over the un-sharded
+// source, then kept under mixed loadtest traffic while one shard process
+// is killed and restarted.
 func TestDistributedEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e; skipped in -short")
@@ -136,32 +135,29 @@ func TestDistributedEndToEnd(t *testing.T) {
 	}
 	defer ref.Close()
 
-	// Shards 2 and 3 as separate shard-serve processes.
-	shardAddrs := make([]string, 2)
-	shardCmds := make([]*exec.Cmd, 2)
-	shardArgs := make([][]string, 2)
-	for i := 0; i < 2; i++ {
+	// One shard-serve process per shard.
+	shardAddrs := make([]string, 4)
+	shardCmds := make([]*exec.Cmd, 4)
+	shardArgs := make([][]string, 4)
+	partitions := make([]map[string]string, 4)
+	for i := range shardAddrs {
 		port := freePort(t)
 		shardAddrs[i] = fmt.Sprintf("127.0.0.1:%d", port)
 		shardArgs[i] = []string{
 			"shard-serve",
-			"-db", store.ShardPath(dst, 2+i),
+			"-db", store.ShardPath(dst, i),
 			"-addr", shardAddrs[i],
 		}
 		shardCmds[i] = startProc(t, bin, shardArgs[i]...)
+		partitions[i] = map[string]string{"name": fmt.Sprintf("p%d", i), "addr": "http://" + shardAddrs[i]}
 	}
 	for _, addr := range shardAddrs {
 		waitHealthy(t, "http://"+addr)
 	}
 
-	// Coordinator process over 2 local + 2 remote partitions.
+	// Coordinator process over the four partitions.
 	topo := map[string]any{
-		"partitions": []map[string]string{
-			{"name": "p0", "path": store.ShardPath(dst, 0)},
-			{"name": "p1", "path": store.ShardPath(dst, 1)},
-			{"name": "p2", "addr": "http://" + shardAddrs[0]},
-			{"name": "p3", "addr": "http://" + shardAddrs[1]},
-		},
+		"partitions":         partitions,
 		"partial":            "degrade",
 		"rpc_timeout_ms":     1000,
 		"health_interval_ms": 200,
@@ -223,12 +219,11 @@ func TestDistributedEndToEnd(t *testing.T) {
 		})
 	}()
 	time.Sleep(500 * time.Millisecond)
-	shardCmds[1].Process.Kill()
-	shardCmds[1].Wait()
+	shardCmds[3].Process.Kill()
+	shardCmds[3].Wait()
 	time.Sleep(500 * time.Millisecond)
-	restarted := startProc(t, bin, shardArgs[1]...)
-	_ = restarted
-	waitHealthy(t, "http://"+shardAddrs[1])
+	startProc(t, bin, shardArgs[3]...)
+	waitHealthy(t, "http://"+shardAddrs[3])
 	if err := <-ltDone; err != nil {
 		t.Fatalf("loadtest against the coordinator: %v", err)
 	}

@@ -29,6 +29,7 @@ import (
 
 	"milret"
 	"milret/internal/mat"
+	"milret/internal/remote"
 	"milret/internal/server"
 	"milret/internal/store"
 	"milret/internal/synth"
@@ -96,7 +97,7 @@ func cmdServe(args []string) error {
 	cacheMB := fs.Int("concept-cache-mb", 64, "memory bound of the trained-concept LRU cache in MB; repeat /v1/query requests skip training and concurrent identical ones coalesce (0 disables)")
 	cacheFile := fs.String("concept-cache-file", "", `concept-cache sidecar path: hot trained concepts are persisted there on flush/shutdown and loaded on start, so a restarted replica answers repeat queries without retraining; "" defaults to <db>.ccache when the cache is enabled, "off" disables persistence`)
 	recall := fs.Float64("recall", 0, "default candidate-pruning tier for query scans: 0 and 1.0 are the same exact scan behind the conservative sketch filter, values in (0,1) trade that fraction of recall for more pruning; per-request \"recall\" overrides")
-	topology := fs.String("topology", "", "coordinator mode: serve a topology file's partitions (local store paths and/or remote shard-serve addresses) as one database; -db is ignored")
+	topology := fs.String("topology", "", "coordinator mode: serve a topology file's partitions (shard-serve addresses) as one database; -db, -fast-load and -concept-cache-file are ignored")
 	applyKernel := kernelFlag(fs)
 	fs.Parse(args)
 
@@ -104,8 +105,8 @@ func cmdServe(args []string) error {
 		return err
 	}
 	if *topology != "" {
-		return serveTopology(*topology, *addr, *readOnly, serveTuning{
-			cacheMB: *cacheMB, recall: *recall, fastLoad: *fastLoad,
+		return serveTopology(*topology, *addr, *readOnly, remote.CoordinatorOptions{
+			ConceptCacheMB: *cacheMB, Recall: *recall,
 		})
 	}
 	ccFile := resolveCacheFile(*cacheFile, *dbPath, *cacheMB)

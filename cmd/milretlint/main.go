@@ -2,21 +2,12 @@
 // (internal/lint): guardcheck, durably, kernelpure, atomicfield,
 // pkgdoc.
 //
-// It runs in two modes:
-//
 //	go vet -vettool=$(command -v milretlint) ./...
 //
-// speaks cmd/go's vet unit-checker protocol (the single *.cfg
+// It speaks cmd/go's vet unit-checker protocol (the single *.cfg
 // argument), analyzing each package — test files included — with the
-// export data cmd/go already compiled. This is the blocking CI mode.
-//
-//	milretlint ./...
-//
-// is the standalone mode: package patterns are resolved through
-// `go list -e -deps -export -json`, so it needs a go toolchain on
-// PATH but no precompiled anything. Convenient locally; note it
-// analyzes non-test files only (go list does not expand test
-// variants) — the vet mode is authoritative.
+// export data cmd/go already compiled. This is the blocking CI mode
+// and the only one: any other argument list prints the usage line.
 //
 // Exit status: 0 clean, 1 internal error, 2 diagnostics reported.
 package main
@@ -52,11 +43,8 @@ func run(args []string) int {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		return runUnitChecker(args[0])
 	}
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: milretlint <packages>   (or via go vet -vettool)")
-		return 1
-	}
-	return runStandalone(args)
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(command -v milretlint) <packages>")
+	return 1
 }
 
 // printVersion emits "<name> version devel buildID=<sha256-of-binary>"

@@ -94,15 +94,13 @@ func TrainBags(ctx context.Context, cache *qcache.Cache, positives, negatives []
 type PartitionStats struct {
 	// Name is the partition's name from the topology file.
 	Name string
-	// Addr is the remote partition's base URL; empty for a partition the
-	// coordinator serves from a local store path.
+	// Addr is the base URL of the shard server that owns the partition.
 	Addr string
-	// Healthy reports the last health probe's verdict (local partitions
-	// are always healthy — their failures are load failures, not
-	// reachability).
+	// Healthy reports whether the last probe or RPC reached the shard
+	// server; a request the shard refused still counts as reaching it.
 	Healthy bool
-	// LastError is the most recent probe or RPC failure, kept after
-	// recovery for postmortems; empty if the partition never failed.
+	// LastError is the most recent transport failure, kept after recovery
+	// for postmortems; empty if the partition never failed.
 	LastError string
 	// Images is the partition's live image count at the last successful
 	// probe or stats merge.

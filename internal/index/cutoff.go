@@ -2,16 +2,14 @@ package index
 
 import "math"
 
-// Cutoff is the exported handle to the shared top-k pruning bound used by
-// every scan worker (see sharedCutoff for the correctness argument). It
-// exists so a scan can be split across processes: a distribution
-// coordinator creates one Cutoff per query, threads it through the local
-// partitions' scans via PruneOpts.Shared, sends the current bound to
-// remote partitions as PruneOpts.CutoffSeed, and tightens it with the
-// bound each remote response reports. Because the bound only ever
-// tightens toward the true global k-th best — and every published value
-// is an upper bound on it — a stale or missing remote contribution only
-// weakens pruning, never correctness.
+// Cutoff is the scan workers' tightening top-k bound (see sharedCutoff for
+// the correctness argument) as an accumulator for a scan split across
+// processes: a distribution coordinator creates one Cutoff per query, sends
+// its current value to each partition as PruneOpts.CutoffSeed, and tightens
+// it with the k-th-best bound each partition's response reports. Because
+// the bound only ever tightens toward the true global k-th best — and every
+// published value is an upper bound on it — a stale or missing contribution
+// only weakens pruning, never correctness.
 type Cutoff struct{ c sharedCutoff }
 
 // NewCutoff returns a fresh bound at +Inf (nothing pruned yet).

@@ -51,7 +51,7 @@ import (
 )
 
 // PruneOpts tunes the candidate filter for one query. The zero value is the
-// default exact scan: the conservative filter, private cutoff, no stats.
+// default exact scan: the conservative filter, no stats, no seed.
 type PruneOpts struct {
 	// Recall selects the filter tier. Values in (0, 1) tighten the box bound
 	// by a quantile-calibrated slack so that an expected ≥ Recall fraction of
@@ -61,12 +61,6 @@ type PruneOpts struct {
 	// Stats, when non-nil, accumulates the scan and admission counters
 	// (flushed once per scan worker, not per bag).
 	Stats *PruneStats
-	// Shared, when non-nil, replaces the scan's private cutoff with an
-	// externally owned one, so several partitions of one logical query —
-	// possibly in different processes — tighten a single bound. Values
-	// already published to it prune this scan; roots this scan publishes
-	// prune its peers.
-	Shared *Cutoff
 	// CutoffSeed, when positive and finite, pre-tightens the cutoff before
 	// the scan starts. The caller asserts it is an upper bound on the
 	// global k-th best distance of the *whole* logical query (e.g. a bound
@@ -328,9 +322,6 @@ func (sh Sharded) TopKPruned(q Query, k int, exclude map[string]bool, par int, o
 	filt := newPruneFilter(q, opts, sh)
 	opts.Stats.scan(filt != nil)
 	shared := newSharedCutoff()
-	if opts.Shared != nil {
-		shared = &opts.Shared.c
-	}
 	if opts.CutoffSeed > 0 && !math.IsNaN(opts.CutoffSeed) {
 		shared.tighten(opts.CutoffSeed)
 	}
@@ -348,8 +339,7 @@ func (sh Sharded) TopKPruned(q Query, k int, exclude map[string]bool, par int, o
 // nothing, while splitting one short scan over every core does. Live scan
 // workers never exceed par. Every query's dimension is checked here, on the
 // caller's goroutine, so a malformed query panics where the caller can
-// recover it. opts.Shared and opts.CutoffSeed are single-query protocol and
-// ignored.
+// recover it. opts.CutoffSeed is single-query protocol and ignored.
 func (sh Sharded) MultiTopKPruned(qs []Query, k int, exclude map[string]bool, par int, opts PruneOpts) [][]Result {
 	if len(qs) == 0 {
 		return nil
@@ -361,7 +351,7 @@ func (sh Sharded) MultiTopKPruned(qs []Query, k int, exclude map[string]bool, pa
 	for _, q := range qs {
 		sh.check(q)
 	}
-	opts.Shared, opts.CutoffSeed = nil, 0
+	opts.CutoffSeed = 0
 	par = resolvePar(par)
 	workers := min(par, len(qs))
 	var next atomic.Int64

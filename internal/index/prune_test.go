@@ -385,8 +385,8 @@ func TestSeedingRule(t *testing.T) {
 }
 
 // The cross-partition cutoff protocol rides the same pipeline: partitions
-// of one logical query sharing a Cutoff, or seeded with a peer's bound,
-// each return candidates whose merge is the head of the whole corpus's
+// of one logical query, each seeded with the bound its peers have reported
+// so far, return candidates whose merge is the head of the whole corpus's
 // exhaustive ranking — and a tight seed really is used (fewer bags
 // admitted than without it).
 func TestExternalCutoffPartitions(t *testing.T) {
@@ -404,14 +404,18 @@ func TestExternalCutoffPartitions(t *testing.T) {
 	}
 	a, b := view[:2], view[2:]
 
-	shared := NewCutoff()
-	la := a.TopKPruned(q, k, nil, 2, PruneOpts{Shared: shared})
-	lb := b.TopKPruned(q, k, nil, 2, PruneOpts{Shared: shared})
+	// The seed chain a coordinator runs: a's k-th best is the bound b
+	// starts from, and the accumulated bound never undercuts the truth.
+	chain := NewCutoff()
+	la := a.TopKPruned(q, k, nil, 2, PruneOpts{CutoffSeed: chain.Load()})
+	chain.Tighten(la[k-1].Dist)
+	lb := b.TopKPruned(q, k, nil, 2, PruneOpts{CutoffSeed: chain.Load()})
+	chain.Tighten(lb[k-1].Dist)
 	if got := merge(la, lb); !reflect.DeepEqual(got, want) {
-		t.Fatalf("shared-cutoff partitions diverged\n got %v\nwant %v", got, want)
+		t.Fatalf("seed-chained partitions diverged\n got %v\nwant %v", got, want)
 	}
-	if bound := shared.Load(); bound < want[k-1].Dist {
-		t.Fatalf("shared cutoff %v tightened below the global k-th best %v", bound, want[k-1].Dist)
+	if bound := chain.Load(); bound < want[k-1].Dist || bound > la[k-1].Dist {
+		t.Fatalf("chained cutoff %v outside [global k-th best %v, a's k-th best %v]", bound, want[k-1].Dist, la[k-1].Dist)
 	}
 
 	// The global k-th best is the tightest valid seed: ties at it survive.

@@ -5,8 +5,7 @@
 // of importing the x/tools framework we define the minimal surface the
 // milret analyzers need: an Analyzer runs over one type-checked package
 // and reports position-tagged diagnostics. cmd/milretlint adapts this
-// interface to the `go vet -vettool` protocol and to a standalone
-// `go list -export` driver.
+// interface to the `go vet -vettool` protocol.
 //
 // Suppression: a diagnostic is dropped when the source carries an
 // ignore directive of the form

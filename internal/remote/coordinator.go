@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"image"
 	"sort"
@@ -16,13 +17,11 @@ import (
 	"milret/internal/server"
 )
 
-// partition is one topology slot at runtime: either a locally opened
-// database or a client to a remote shard server, plus the health state
-// the probe loop maintains.
+// partition is one topology slot at runtime: the client to its shard
+// server plus the health row that every call through it maintains.
 type partition struct {
 	spec PartitionSpec
-	db   *milret.Database // local partitions; nil when remote
-	cli  *Client          // remote partitions; nil when local
+	cli  *Client
 
 	mu sync.Mutex
 	// milret:guarded-by mu
@@ -35,16 +34,24 @@ type partition struct {
 	verify milret.VerifyStatus
 }
 
-func (p *partition) remote() bool { return p.cli != nil }
-
-// note records a probe or RPC outcome. A recovery keeps the previous
-// error string for postmortems; only a new failure overwrites it.
-func (p *partition) note(healthy bool, err error) {
+// note records a call's outcome. Only a transport failure marks the
+// partition down: a shard-side verdict (*RemoteError) means the peer
+// answered, so it counts as reachable like a success does. A recovery
+// keeps the previous error string for postmortems; only a new failure
+// overwrites it.
+func (p *partition) note(err error) {
+	down := errors.Is(err, milret.ErrUnavailable)
 	p.mu.Lock()
-	p.healthy = healthy
-	if err != nil {
+	p.healthy = !down
+	if down {
 		p.lastErr = err.Error()
 	}
+	p.mu.Unlock()
+}
+
+func (p *partition) setImages(n int) {
+	p.mu.Lock()
+	p.images = n
 	p.mu.Unlock()
 }
 
@@ -52,6 +59,31 @@ func (p *partition) snapshot() (healthy bool, lastErr string, images int, verify
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.healthy, p.lastErr, p.images, p.verify
+}
+
+// call is the one path an RPC takes to a partition: run fn against its
+// client and fold the outcome into its health row.
+func call[T any](p *partition, fn func(*Client) (T, error)) (T, error) {
+	v, err := fn(p.cli)
+	p.note(err)
+	return v, err
+}
+
+// fanOut calls fn on every listed partition concurrently and returns the
+// answers and errors parallel to parts; fn's int indexes parts.
+func fanOut[T any](parts []*partition, fn func(int, *Client) (T, error)) ([]T, []error) {
+	out := make([]T, len(parts))
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = call(p, func(cli *Client) (T, error) { return fn(i, cli) })
+		}()
+	}
+	wg.Wait()
+	return out, errs
 }
 
 // CoordinatorOptions tunes a coordinator beyond what the topology file
@@ -65,14 +97,12 @@ type CoordinatorOptions struct {
 	// not set one (forwarded to every partition; see milret
 	// Options.Recall).
 	Recall float64
-	// Local configures how local (path-backed) partitions are opened.
-	Local milret.Options
 }
 
-// Coordinator fans queries across a topology of partitions and merges
-// their answers so the /v1 surface behaves like one database. It
-// implements server.Backend; see the package comment for the merge
-// protocol's correctness argument.
+// Coordinator fans queries across a topology of shard servers and merges
+// their answers so the /v1 surface behaves like one database. It holds
+// clients, not data, and implements server.Backend; see the package
+// comment for the merge protocol's correctness argument.
 type Coordinator struct {
 	topo   *Topology
 	parts  []*partition
@@ -88,10 +118,10 @@ type Coordinator struct {
 
 var _ server.Backend = (*Coordinator)(nil)
 
-// NewCoordinator opens every local partition, builds clients for the
-// remote ones, runs one synchronous health probe (so the first query
-// sees real health state, not optimistic defaults), and starts the
-// background probe loop. Call Close when done.
+// NewCoordinator builds a client per partition, runs one synchronous
+// health probe (so the first query sees real health state, not
+// optimistic defaults), and starts the background probe loop. Call Close
+// when done.
 func NewCoordinator(topo *Topology, opts CoordinatorOptions) (*Coordinator, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
@@ -105,43 +135,24 @@ func NewCoordinator(topo *Topology, opts CoordinatorOptions) (*Coordinator, erro
 		c.cache = qcache.New(int64(opts.ConceptCacheMB) << 20)
 	}
 	for _, spec := range topo.Partitions {
-		p := &partition{spec: spec, healthy: true}
-		if spec.Remote() {
-			p.cli = NewClient(spec.Addr, topo.RPCTimeout(), topo.Retries, topo.Backoff())
-		} else {
-			db, err := milret.LoadDatabase(spec.Path, opts.Local)
-			if err != nil {
-				c.closePartitions()
-				return nil, fmt.Errorf("remote: open partition %q: %w", spec.Name, err)
-			}
-			p.db = db
-		}
-		c.parts = append(c.parts, p)
+		c.parts = append(c.parts, &partition{
+			spec:    spec,
+			cli:     NewClient(spec.Addr, topo.RPCTimeout(), topo.Retries, topo.Backoff()),
+			healthy: true,
+		})
 	}
-	c.probeAll(context.Background())
+	c.probeAll()
 	c.wg.Add(1)
 	go c.healthLoop()
 	return c, nil
 }
 
-// Close stops the probe loop and flushes local partitions. Like
-// milret.Database.Close it tolerates a second and a concurrent call.
+// Close stops the probe loop. Like a database's Close it tolerates a
+// second and a concurrent call.
 func (c *Coordinator) Close() error {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
-	return c.closePartitions()
-}
-
-func (c *Coordinator) closePartitions() error {
-	var first error
-	for _, p := range c.parts {
-		if p.db != nil {
-			if err := p.db.Flush(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
+	return nil
 }
 
 // healthLoop probes every partition at the topology's configured
@@ -155,46 +166,25 @@ func (c *Coordinator) healthLoop() {
 		case <-c.stop:
 			return
 		case <-t.C:
-			c.probeAll(context.Background())
+			c.probeAll()
 		}
 	}
 }
 
 // probeAll refreshes each partition's health, image count and
-// verification state. Local partitions never fail a probe — their
-// failures are load failures, caught before the coordinator exists.
-func (c *Coordinator) probeAll(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, p := range c.parts {
-		wg.Add(1)
-		go func(p *partition) {
-			defer wg.Done()
-			c.probe(ctx, p)
-		}(p)
+// verification state.
+func (c *Coordinator) probeAll() {
+	pongs, errs := fanOut(c.parts, func(_ int, cli *Client) (PingResponse, error) {
+		return cli.Ping(context.Background())
+	})
+	for i, p := range c.parts {
+		if errs[i] == nil {
+			p.mu.Lock()
+			p.images = int(pongs[i].Images)
+			p.verify = milret.VerifyStatus(pongs[i].Verify)
+			p.mu.Unlock()
+		}
 	}
-	wg.Wait()
-}
-
-func (c *Coordinator) probe(ctx context.Context, p *partition) {
-	if !p.remote() {
-		status, _ := p.db.Verification()
-		p.mu.Lock()
-		p.healthy = true
-		p.images = p.db.Len()
-		p.verify = status
-		p.mu.Unlock()
-		return
-	}
-	pong, err := p.cli.Ping(ctx)
-	if err != nil {
-		p.note(false, err)
-		return
-	}
-	p.mu.Lock()
-	p.healthy = true
-	p.images = int(pong.Images)
-	p.verify = milret.VerifyStatus(pong.Verify)
-	p.mu.Unlock()
 }
 
 // owner returns the partition that placement assigns id to.
@@ -202,10 +192,40 @@ func (c *Coordinator) owner(id string) *partition {
 	return c.parts[retrieval.ShardIndexFor(id, len(c.parts))]
 }
 
-// unavailable wraps a partition failure for the partial-result policy
-// and the HTTP 503 mapping. Client errors already carry the sentinel;
-// this is for coordinator-side verdicts (e.g. a down partition skipped
-// without even issuing an RPC).
+// rpcContext bounds the Backend calls that arrive without a context of
+// their own (stats, listing, label lookup, mutations) by one RPC timeout
+// whatever the client's retry budget.
+func (c *Coordinator) rpcContext() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), c.topo.RPCTimeout())
+}
+
+// partial applies the partial-result policy to a fan-out's failures. A
+// shard's verdict on the request is returned as is under either policy
+// — the request is wrong, not the fleet. Outages are absorbed (and
+// counted) under "degrade", so the caller answers with what arrived, and
+// refused under "fail". Of each kind the first in partition order is
+// reported, so a failure reads the same on every run.
+func (c *Coordinator) partial(errs []error) error {
+	var outage error
+	for _, err := range errs {
+		switch {
+		case err == nil:
+		case !errors.Is(err, milret.ErrUnavailable):
+			return err
+		case outage == nil:
+			outage = err
+		}
+	}
+	if outage != nil && c.topo.PartialPolicy() == PartialDegrade {
+		c.degraded.Add(1)
+		return nil
+	}
+	return outage
+}
+
+// unavailable tags a verdict the coordinator reaches without issuing an
+// RPC (a partition the prober found down) with the sentinel behind the
+// HTTP 503 mapping. Client errors already carry it.
 func unavailable(p *partition, err error) error {
 	return fmt.Errorf("remote: partition %q: %v: %w", p.spec.Name, err, milret.ErrUnavailable)
 }
@@ -262,37 +282,18 @@ func (c *Coordinator) Recall() float64 { return c.recall }
 // partition health block. Stats never fails: an unreachable partition
 // contributes only its health row.
 func (c *Coordinator) Stats() milret.Stats {
-	ctx, cancel := context.WithTimeout(context.Background(), c.topo.RPCTimeout())
+	ctx, cancel := c.rpcContext()
 	defer cancel()
+	trees, errs := fanOut(c.parts, func(_ int, cli *Client) (milret.Stats, error) {
+		return cli.Stats(ctx)
+	})
 	var st milret.Stats
 	st.PartialPolicy = c.topo.PartialPolicy()
 	st.DegradedQueries = c.degraded.Load()
-	for _, p := range c.parts {
-		var (
-			ps  milret.Stats
-			err error
-		)
-		if p.remote() {
-			ps, err = p.cli.Stats(ctx)
-		} else {
-			ps = p.db.Stats()
-		}
-		healthy, lastErr, images, _ := p.snapshot()
-		row := milret.PartitionStats{
-			Name:      p.spec.Name,
-			Addr:      p.spec.Addr,
-			Healthy:   healthy && err == nil,
-			LastError: lastErr,
-			Images:    images,
-		}
-		if err != nil {
-			row.LastError = err.Error()
-			p.note(false, err)
-		} else {
-			row.Images = ps.Images
-			p.mu.Lock()
-			p.images = ps.Images
-			p.mu.Unlock()
+	for i, p := range c.parts {
+		ps := trees[i]
+		if errs[i] == nil {
+			p.setImages(ps.Images)
 			st.Images += ps.Images
 			st.Instances += ps.Instances
 			if ps.Dim > 0 {
@@ -310,7 +311,14 @@ func (c *Coordinator) Stats() milret.Stats {
 			st.Prune.Admitted += ps.Prune.Admitted
 			st.Prune.Rejected += ps.Prune.Rejected
 		}
-		st.Partitions = append(st.Partitions, row)
+		healthy, lastErr, images, _ := p.snapshot()
+		st.Partitions = append(st.Partitions, milret.PartitionStats{
+			Name:      p.spec.Name,
+			Addr:      p.spec.Addr,
+			Healthy:   healthy,
+			LastError: lastErr,
+			Images:    images,
+		})
 	}
 	// Training runs here, on the coordinator; the partitions only scan.
 	st.Train = milret.ProcessTrainStats()
@@ -335,28 +343,19 @@ func (c *Coordinator) Stats() milret.Stats {
 
 // Images enumerates live images across all partitions, concatenated in
 // topology order. Under "fail" an unreachable partition errors the
-// listing; under "degrade" its images are silently absent.
+// listing; under "degrade" its images are absent and the listing counts
+// as a degraded answer.
 func (c *Coordinator) Images() ([]server.ImageInfo, error) {
+	ctx, cancel := c.rpcContext()
+	defer cancel()
+	listings, errs := fanOut(c.parts, func(_ int, cli *Client) ([]ListEntry, error) {
+		return cli.List(ctx)
+	})
+	if err := c.partial(errs); err != nil {
+		return nil, err
+	}
 	infos := []server.ImageInfo{}
-	for _, p := range c.parts {
-		if !p.remote() {
-			for _, id := range p.db.IDs() {
-				label, _ := p.db.Label(id)
-				infos = append(infos, server.ImageInfo{ID: id, Label: label})
-			}
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.topo.RPCTimeout())
-		entries, err := p.cli.List(ctx)
-		cancel()
-		if err != nil {
-			p.note(false, err)
-			if c.topo.PartialPolicy() == PartialFail {
-				return nil, err
-			}
-			continue
-		}
-		p.note(true, nil)
+	for _, entries := range listings {
 		for _, e := range entries {
 			infos = append(infos, server.ImageInfo{ID: e.ID, Label: e.Label})
 		}
@@ -366,30 +365,20 @@ func (c *Coordinator) Images() ([]server.ImageInfo, error) {
 
 // Label resolves one image's metadata from its owning partition.
 func (c *Coordinator) Label(id string) (string, bool, error) {
-	p := c.owner(id)
-	if !p.remote() {
-		label, ok := p.db.Label(id)
-		return label, ok, nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.topo.RPCTimeout())
+	ctx, cancel := c.rpcContext()
 	defer cancel()
-	resp, err := p.cli.Get(ctx, id)
-	if err != nil {
-		p.note(false, err)
-		return "", false, err
-	}
-	p.note(true, nil)
-	return resp.Label, resp.Found, nil
+	resp, err := call(c.owner(id), func(cli *Client) (GetResponse, error) {
+		return cli.Get(ctx, id)
+	})
+	return resp.Label, resp.Found, err
 }
 
 // --- server.Backend: mutations ---------------------------------------
 
-// DeleteImage routes the delete to the image's owning partition. Remote
-// acks mean the mutation is durable (the shard flushes before
-// answering); local durability is the caller's Flush, exactly like a
-// directly opened database.
+// DeleteImage routes the delete to the image's owning partition. An ack
+// means the mutation is durable: the shard flushes before answering.
 func (c *Coordinator) DeleteImage(id string) error {
-	return c.mutate(id, MutateRequest{Kind: MutDelete, ID: id})
+	return c.mutate(MutateRequest{Kind: MutDelete, ID: id})
 }
 
 // UpdateImage routes a relabel to the image's owning partition.
@@ -400,56 +389,25 @@ func (c *Coordinator) UpdateImage(id, label string, img image.Image) error {
 	if img != nil {
 		return fmt.Errorf("remote: pixel updates are not supported through a coordinator; PUT to the owning shard directly")
 	}
-	return c.mutate(id, MutateRequest{Kind: MutLabel, ID: id, Label: label})
+	return c.mutate(MutateRequest{Kind: MutLabel, ID: id, Label: label})
 }
 
-func (c *Coordinator) mutate(id string, req MutateRequest) error {
-	p := c.owner(id)
-	if !p.remote() {
-		var err error
-		switch req.Kind {
-		case MutDelete:
-			err = p.db.DeleteImage(id)
-		case MutLabel:
-			err = p.db.UpdateImage(id, req.Label, nil)
-		}
-		if err == nil {
-			p.mu.Lock()
-			p.images = p.db.Len()
-			p.mu.Unlock()
-		}
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.topo.RPCTimeout())
+func (c *Coordinator) mutate(req MutateRequest) error {
+	ctx, cancel := c.rpcContext()
 	defer cancel()
-	resp, err := p.cli.Mutate(ctx, req)
-	if err != nil {
-		if !IsNotFound(err) {
-			p.note(false, err)
-		}
-		return err
+	p := c.owner(req.ID)
+	resp, err := call(p, func(cli *Client) (MutateResponse, error) {
+		return cli.Mutate(ctx, req)
+	})
+	if err == nil {
+		p.setImages(int(resp.Images))
 	}
-	p.mu.Lock()
-	p.healthy = true
-	p.images = int(resp.Images)
-	p.mu.Unlock()
-	return nil
+	return err
 }
 
-// Flush makes local partitions' acknowledged mutations durable. Remote
-// partitions flushed before acking their mutations, so there is nothing
-// left to wait for.
-func (c *Coordinator) Flush() error {
-	var first error
-	for _, p := range c.parts {
-		if p.db != nil {
-			if err := p.db.Flush(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
+// Flush has nothing to wait for: every partition flushed before acking
+// its mutations.
+func (c *Coordinator) Flush() error { return nil }
 
 // --- server.Backend: training ----------------------------------------
 
@@ -486,11 +444,10 @@ func (c *Coordinator) TrainManyContext(ctx context.Context, specs []milret.Query
 
 // fetchBags resolves a query's positive and negative example IDs to their
 // bags in one concurrent round: the lookups of both lists are grouped by
-// owning partition, every remote owner is asked once (one Fetch RPC per
-// owner, all in flight together) while local owners are read inline, and
-// the bags are handed back in input order. When several owners fail, the
-// error of the first one in partition order is reported, so a failure
-// reads the same on every run.
+// owning partition, every owner is asked once (one Fetch RPC per owner,
+// all in flight together), and the bags are handed back in input order.
+// When several owners fail, the error of the first one in partition order
+// is reported, so a failure reads the same on every run.
 func (c *Coordinator) fetchBags(ctx context.Context, positives, negatives []string) (pos, neg []milret.ExampleBag, err error) {
 	groups := make([][]string, len(c.parts))
 	for _, ids := range [][]string{positives, negatives} {
@@ -499,39 +456,27 @@ func (c *Coordinator) fetchBags(ctx context.Context, positives, negatives []stri
 			groups[pi] = append(groups[pi], id)
 		}
 	}
-	fetched := make([][]milret.ExampleBag, len(c.parts))
-	errs := make([]error, len(c.parts))
-	var wg sync.WaitGroup
+	var owners []*partition
+	var asked [][]string
 	for pi, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		p := c.parts[pi]
-		if p.remote() {
-			wg.Add(1)
-			go func(pi int, p *partition, group []string) {
-				defer wg.Done()
-				fetched[pi], errs[pi] = p.fetch(ctx, group)
-			}(pi, p, group)
-			continue
-		}
-		for _, id := range group {
-			eb, ok := p.db.ExampleBag(id)
-			if !ok {
-				errs[pi] = fmt.Errorf("milret: unknown example image %q", id)
-				break
-			}
-			fetched[pi] = append(fetched[pi], eb)
+		if len(group) > 0 {
+			owners = append(owners, c.parts[pi])
+			asked = append(asked, group)
 		}
 	}
-	wg.Wait()
+	fetched, errs := fanOut(owners, func(i int, cli *Client) ([]FetchedBag, error) {
+		return cli.Fetch(ctx, asked[i])
+	})
 	found := make(map[string]milret.ExampleBag, len(positives)+len(negatives))
-	for pi, bags := range fetched {
-		if errs[pi] != nil {
-			return nil, nil, errs[pi]
+	for i, bags := range fetched {
+		if errs[i] != nil {
+			return nil, nil, errs[i]
 		}
-		for _, eb := range bags {
-			found[eb.ID] = eb
+		for _, b := range bags {
+			if !b.Found {
+				return nil, nil, fmt.Errorf("milret: unknown example image %q", b.ID)
+			}
+			found[b.ID] = milret.ExampleBag{ID: b.ID, Instances: b.Instances}
 		}
 	}
 	inOrder := func(ids []string) []milret.ExampleBag {
@@ -547,44 +492,10 @@ func (c *Coordinator) fetchBags(ctx context.Context, positives, negatives []stri
 	return inOrder(positives), inOrder(negatives), nil
 }
 
-// fetch asks a remote partition for the bags of the IDs it owns.
-func (p *partition) fetch(ctx context.Context, ids []string) ([]milret.ExampleBag, error) {
-	bags, err := p.cli.Fetch(ctx, ids)
-	if err != nil {
-		p.note(false, err)
-		return nil, err
-	}
-	p.note(true, nil)
-	out := make([]milret.ExampleBag, len(bags))
-	for i, b := range bags {
-		if !b.Found {
-			return nil, fmt.Errorf("milret: unknown example image %q", b.ID)
-		}
-		out[i] = milret.ExampleBag{ID: b.ID, Instances: b.Instances}
-	}
-	return out, nil
-}
-
 // --- server.Backend: retrieval ---------------------------------------
 
-// partialAnswer applies the partial-result policy to a fan-out's
-// failures: nil error means answer with what arrived (counting the
-// degradation), non-nil means refuse.
-func (c *Coordinator) partialAnswer(errs []error) error {
-	var firstErr error
-	for _, err := range errs {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr == nil {
-		return nil
-	}
-	if c.topo.PartialPolicy() == PartialDegrade {
-		c.degraded.Add(1)
-		return nil
-	}
-	return firstErr
+func geometry(c *milret.Concept) Geometry {
+	return Geometry{Point: c.Point(), Weights: c.Weights()}
 }
 
 // mergeTopK concatenates per-partition result lists and keeps the
@@ -609,45 +520,29 @@ func mergeTopK(lists [][]milret.Result, k int) []milret.Result {
 }
 
 // Retrieve fans a top-k scan to every partition concurrently and merges
-// the global k best. A shared cutoff links the scans: local partitions
-// hold the live handle, remote requests carry its current value as a
-// seed, and every remote response's k-th-best distance tightens it for
-// whichever scans are still running. Staleness only weakens pruning —
-// see the package comment for why this never changes the answer.
+// the global k best. A cutoff links the scans: each request carries its
+// current value as a seed, and every response's k-th-best distance
+// tightens it for whichever requests have yet to leave. Staleness only
+// weakens pruning — see the package comment for why this never changes
+// the answer.
 func (c *Coordinator) Retrieve(ctx context.Context, concept *milret.Concept, k int, exclude []string, recall float64) ([]milret.Result, error) {
-	shared := index.NewCutoff()
-	geo := Geometry{Point: concept.Point(), Weights: concept.Weights()}
-	lists := make([][]milret.Result, len(c.parts))
-	errs := make([]error, len(c.parts))
-	var wg sync.WaitGroup
-	for i, p := range c.parts {
-		wg.Add(1)
-		go func(i int, p *partition) {
-			defer wg.Done()
-			if !p.remote() {
-				lists[i] = p.db.RetrieveExcluding(concept, k, exclude,
-					milret.WithRecall(recall), milret.WithSharedCutoff(shared))
-				return
-			}
-			resp, err := p.cli.TopK(ctx, TopKRequest{
-				K:       k,
-				Recall:  recall,
-				Seed:    shared.Load(),
-				Concept: geo,
-				Exclude: exclude,
-			})
-			if err != nil {
-				p.note(false, err)
-				errs[i] = err
-				return
-			}
-			p.note(true, nil)
-			shared.Tighten(resp.Cutoff)
-			lists[i] = resp.Results
-		}(i, p)
-	}
-	wg.Wait()
-	if err := c.partialAnswer(errs); err != nil {
+	cutoff := index.NewCutoff()
+	geo := geometry(concept)
+	lists, errs := fanOut(c.parts, func(_ int, cli *Client) ([]milret.Result, error) {
+		resp, err := cli.TopK(ctx, TopKRequest{
+			K:       k,
+			Recall:  recall,
+			Seed:    cutoff.Load(),
+			Concept: geo,
+			Exclude: exclude,
+		})
+		if err != nil {
+			return nil, err
+		}
+		cutoff.Tighten(resp.Cutoff)
+		return resp.Results, nil
+	})
+	if err := c.partial(errs); err != nil {
 		return nil, err
 	}
 	return mergeTopK(lists, k), nil
@@ -659,51 +554,22 @@ func (c *Coordinator) RetrieveBatch(ctx context.Context, concepts []*milret.Conc
 	if len(concepts) == 0 {
 		return nil, nil
 	}
-	geos := make([]Geometry, len(concepts))
+	req := MultiTopKRequest{K: k, Recall: recall, Concepts: make([]Geometry, len(concepts)), Exclude: exclude}
 	for i, concept := range concepts {
-		geos[i] = Geometry{Point: concept.Point(), Weights: concept.Weights()}
+		req.Concepts[i] = geometry(concept)
 	}
-	perPart := make([][][]milret.Result, len(c.parts))
-	errs := make([]error, len(c.parts))
-	var wg sync.WaitGroup
-	for i, p := range c.parts {
-		wg.Add(1)
-		go func(i int, p *partition) {
-			defer wg.Done()
-			if !p.remote() {
-				lists, err := p.db.RetrieveMany(concepts, k, exclude, milret.WithRecall(recall))
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				perPart[i] = lists
-				return
-			}
-			resp, err := p.cli.MultiTopK(ctx, MultiTopKRequest{
-				K:        k,
-				Recall:   recall,
-				Concepts: geos,
-				Exclude:  exclude,
-			})
-			if err != nil {
-				p.note(false, err)
-				errs[i] = err
-				return
-			}
-			p.note(true, nil)
-			perPart[i] = resp.Lists
-		}(i, p)
-	}
-	wg.Wait()
-	if err := c.partialAnswer(errs); err != nil {
+	perPart, errs := fanOut(c.parts, func(_ int, cli *Client) (MultiTopKResponse, error) {
+		return cli.MultiTopK(ctx, req)
+	})
+	if err := c.partial(errs); err != nil {
 		return nil, err
 	}
 	out := make([][]milret.Result, len(concepts))
 	for ci := range concepts {
 		lists := make([][]milret.Result, 0, len(c.parts))
-		for pi := range c.parts {
-			if perPart[pi] != nil && ci < len(perPart[pi]) {
-				lists = append(lists, perPart[pi][ci])
+		for _, resp := range perPart {
+			if ci < len(resp.Lists) {
+				lists = append(lists, resp.Lists[ci])
 			}
 		}
 		out[ci] = mergeTopK(lists, k)
@@ -716,30 +582,11 @@ func (c *Coordinator) RetrieveBatch(ctx context.Context, concepts []*milret.Conc
 // Unlike Retrieve there is no cutoff to share — every partition scores
 // everything — so the merge is a plain ordered concatenation.
 func (c *Coordinator) RankAll(ctx context.Context, concept *milret.Concept, exclude []string) ([]milret.Result, error) {
-	geo := Geometry{Point: concept.Point(), Weights: concept.Weights()}
-	lists := make([][]milret.Result, len(c.parts))
-	errs := make([]error, len(c.parts))
-	var wg sync.WaitGroup
-	for i, p := range c.parts {
-		wg.Add(1)
-		go func(i int, p *partition) {
-			defer wg.Done()
-			if !p.remote() {
-				lists[i] = p.db.RankAllExcluding(concept, exclude)
-				return
-			}
-			results, err := p.cli.Rank(ctx, RankRequest{Concept: geo, Exclude: exclude})
-			if err != nil {
-				p.note(false, err)
-				errs[i] = err
-				return
-			}
-			p.note(true, nil)
-			lists[i] = results
-		}(i, p)
-	}
-	wg.Wait()
-	if err := c.partialAnswer(errs); err != nil {
+	req := RankRequest{Concept: geometry(concept), Exclude: exclude}
+	lists, errs := fanOut(c.parts, func(_ int, cli *Client) ([]milret.Result, error) {
+		return cli.Rank(ctx, req)
+	})
+	if err := c.partial(errs); err != nil {
 		return nil, err
 	}
 	return mergeTopK(lists, -1), nil

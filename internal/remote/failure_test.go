@@ -3,12 +3,14 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,15 +32,7 @@ func twoShardFixture(t *testing.T) (ref, s0, s1 *milret.Database, ids []string) 
 	if err := milret.Reshard(src, dst, 2); err != nil {
 		t.Fatal(err)
 	}
-	open := func(p string) *milret.Database {
-		db, err := milret.LoadDatabase(p, milret.Options{VerifyOnLoad: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { db.Close() })
-		return db
-	}
-	return open(src), open(store.ShardPath(dst, 0)), open(store.ShardPath(dst, 1)), ids
+	return openVerified(t, src), openVerified(t, store.ShardPath(dst, 0)), openVerified(t, store.ShardPath(dst, 1)), ids
 }
 
 // TestPartialPolicyOnTimeout hangs one partition past the RPC deadline
@@ -91,6 +85,17 @@ func TestPartialPolicyOnTimeout(t *testing.T) {
 		if !errors.Is(err, milret.ErrUnavailable) {
 			t.Fatalf("Retrieve with a hung partition: %v, want ErrUnavailable", err)
 		}
+		_, err = coord.RetrieveBatch(context.Background(), []*milret.Concept{concept}, 5, nil, 0)
+		if !errors.Is(err, milret.ErrUnavailable) {
+			t.Fatalf("RetrieveBatch with a hung partition: %v, want ErrUnavailable", err)
+		}
+		_, err = coord.RankAll(context.Background(), concept, nil)
+		if !errors.Is(err, milret.ErrUnavailable) {
+			t.Fatalf("RankAll with a hung partition: %v, want ErrUnavailable", err)
+		}
+		if _, err = coord.Images(); !errors.Is(err, milret.ErrUnavailable) {
+			t.Fatalf("Images with a hung partition: %v, want ErrUnavailable", err)
+		}
 		if n := coord.degraded.Load(); n != 0 {
 			t.Errorf("fail policy counted %d degraded queries", n)
 		}
@@ -131,7 +136,113 @@ func TestPartialPolicyOnTimeout(t *testing.T) {
 		if down == nil || down.Healthy || down.LastError == "" {
 			t.Errorf("down partition row = %+v, want unhealthy with an error", down)
 		}
+		// The batched and the exhaustive scan degrade to the same answer.
+		batch, err := coord.RetrieveBatch(context.Background(), []*milret.Concept{concept}, ref.Len(), nil, 0)
+		if err != nil {
+			t.Fatalf("degrade policy refused a batch: %v", err)
+		}
+		wantIdentical(t, "degraded batch", batch[0], want)
+		all, err := coord.RankAll(context.Background(), concept, nil)
+		if err != nil {
+			t.Fatalf("degrade policy refused a ranking: %v", err)
+		}
+		wantIdentical(t, "degraded rank", all, want)
+		infos, err := coord.Images()
+		if err != nil || len(infos) != len(want) {
+			t.Fatalf("degraded listing: %d images, %v; want the reachable partition's %d", len(infos), err, len(want))
+		}
+		if n := coord.degraded.Load(); n != 4 {
+			t.Errorf("degraded counter = %d after four degraded answers", n)
+		}
 	})
+}
+
+// TestShardVerdictIsNotAnOutage: a shard that answers "no" is up. A
+// wrong-dimension batch and a mutation routed to a read-only shard must
+// come back as the shard's own *RemoteError under either partial policy —
+// never absorbed into an empty 200, never counted as a degraded answer —
+// and must leave every partition's health row untouched.
+func TestShardVerdictIsNotAnOutage(t *testing.T) {
+	_, s0, s1, ids := twoShardFixture(t)
+	var addrs []string
+	for _, db := range []*milret.Database{s0, s1} {
+		rpc := NewShardServer(db)
+		rpc.ReadOnly = true
+		mux := http.NewServeMux()
+		mux.Handle(RPCPath, rpc)
+		srv := httptest.NewServer(mux)
+		defer srv.Close()
+		addrs = append(addrs, srv.URL)
+	}
+	bad, err := milret.NewConcept([]float64{0, 0, 0}, []float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{PartialFail, PartialDegrade} {
+		t.Run(policy, func(t *testing.T) {
+			coord, err := NewCoordinator(&Topology{
+				Partitions: []PartitionSpec{{Name: "p0", Addr: addrs[0]}, {Name: "p1", Addr: addrs[1]}},
+				Partial:    policy,
+			}, CoordinatorOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			wantVerdict := func(what string, err error) {
+				t.Helper()
+				var re *RemoteError
+				if !errors.As(err, &re) || re.Code != ErrCodeBadRequest || errors.Is(err, milret.ErrUnavailable) {
+					t.Fatalf("%s: err = %v, want the shard's bad-request verdict", what, err)
+				}
+			}
+			lists, err := coord.RetrieveBatch(context.Background(), []*milret.Concept{bad}, 5, nil, 0)
+			wantVerdict("3-dim batch", err)
+			if lists != nil {
+				t.Errorf("3-dim batch answered %v next to its error", lists)
+			}
+			wantVerdict("delete on a read-only shard", coord.DeleteImage(ids[0]))
+			wantVerdict("relabel on a read-only shard", coord.UpdateImage(ids[1], "x", nil))
+
+			st := coord.Stats()
+			if st.DegradedQueries != 0 {
+				t.Errorf("degraded_queries = %d after shard verdicts", st.DegradedQueries)
+			}
+			for _, p := range st.Partitions {
+				if !p.Healthy || p.LastError != "" {
+					t.Errorf("partition %s: healthy=%v last_error=%q after shard verdicts", p.Name, p.Healthy, p.LastError)
+				}
+			}
+			if status, err := coord.Verification(); status != milret.VerifyVerified || err != nil {
+				t.Errorf("Verification = %v, %v after shard verdicts", status, err)
+			}
+		})
+	}
+}
+
+// TestOversizedRequestFrameIsRefusedUnread: a request frame's buffer is
+// allocated from its 13-byte header alone, so the shard must refuse a
+// length above the request bound before allocating it (it used to accept
+// anything up to the 256 MB response bound).
+func TestOversizedRequestFrameIsRefusedUnread(t *testing.T) {
+	_, s0, _, _ := twoShardFixture(t)
+	hdr := append([]byte(Magic), opFetch)
+	hdr = binary.LittleEndian.AppendUint32(hdr, maxFrameBody)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	NewShardServer(s0).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, RPCPath, bytes.NewReader(hdr)))
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversized request frame: HTTP %d, want 400", rec.Code)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("refusing a 13-byte header allocated %d bytes", grew)
+	}
+	// The bound itself is still admitted (and here fails on the missing body).
+	hdr = binary.LittleEndian.AppendUint32(hdr[:len(Magic)+1], maxRequestBody)
+	if _, _, err := readFrame(bytes.NewReader(hdr), maxRequestBody); err == nil || !strings.Contains(err.Error(), "torn frame body") {
+		t.Fatalf("frame at the request bound: %v, want a torn-body error", err)
+	}
 }
 
 // truncatingProxy forwards shard RPCs to target, tearing exactly one
@@ -371,8 +482,8 @@ func TestKillAndRestartUnderTraffic(t *testing.T) {
 	wantIdentical(t, "post-restart topk", got, want)
 }
 
-// TestFetchErrorDeterministic takes both remote owners of a query's
-// examples down. The example fetch asks every owner in one concurrent
+// TestFetchErrorDeterministic takes two owners of a query's examples
+// down. The example fetch asks every owner in one concurrent
 // round and reports the first failure in partition order — not in input
 // order, and not in whatever order a map happens to iterate — so the
 // error names the same partition on every run, and it is ErrUnavailable
@@ -397,10 +508,10 @@ func TestFetchErrorDeterministic(t *testing.T) {
 	if _, _, err := cl.coord.TrainCachedContext(context.Background(), pos, neg, milret.TrainOptions{}); err != nil {
 		t.Fatalf("training with every owner up: %v", err)
 	}
-	p2 := cl.servers[0].URL
-	cl.servers[0].Close()
-	cl.servers[1].Close()
-	cl.servers[0], cl.servers[1] = nil, nil
+	p2 := cl.servers[2].URL
+	cl.servers[2].Close()
+	cl.servers[3].Close()
+	cl.servers[2], cl.servers[3] = nil, nil
 	var first string
 	for run := 0; run < 20; run++ {
 		// A fresh example set each run would be a cache miss; the same set

@@ -1,16 +1,17 @@
 // Package remote is the distribution tier: it serves one shard's scans
 // behind a binary RPC (ShardServer), speaks that RPC with
-// timeout/retry/backoff (Client), and merges a topology of local and
-// remote partitions back into one logical database (Coordinator, which
-// implements the HTTP server's Backend).
+// timeout/retry/backoff (Client), and merges a topology of shard servers
+// back into one logical database (Coordinator, which holds one Client
+// per partition, no data of its own, and implements the HTTP server's
+// Backend).
 //
 // The merge protocol is the in-process one, stretched across processes.
 // Every scan worker's published k-th-best root is an upper bound on the
 // global k-th best (it is the k-th best of a candidate subset), so the
-// shared cutoff stays an upper bound no matter how partitions join: the
-// coordinator seeds each remote request with the bound known at send
-// time, every response carries the partition's own final bound back,
-// and a stale or missing contribution only weakens pruning — never
+// cutoff stays an upper bound no matter how partitions join: the
+// coordinator seeds each request with the bound known at send time,
+// every response carries the partition's own final bound back, and a
+// stale or missing contribution only weakens pruning — never
 // correctness. Concatenating per-partition top-k lists and re-sorting
 // by (distance, ID) is therefore bit-identical to scanning the union
 // in one process (property-tested in remote_test.go).
@@ -24,7 +25,8 @@
 // a response echoes the request op on success or carries opError with a
 // machine-readable code. A torn or bit-flipped frame fails the CRC and
 // surfaces as a transport error, which the client retries (idempotent
-// ops only) and the coordinator's partial-result policy absorbs.
+// ops only) and the coordinator's partial-result policy absorbs; an
+// opError verdict is the shard's answer and is neither.
 package remote
 
 import (
@@ -59,7 +61,14 @@ const (
 
 // maxFrameBody bounds a frame body so a corrupt length field cannot ask
 // the receiver to allocate unbounded memory before the CRC is checked.
-const maxFrameBody = 1 << 28
+// maxRequestBody is the tighter bound a shard server reads request frames
+// under — they come from outside, and the buffer is allocated from the
+// header alone. It is the JSON batch edge's body limit, so whatever the
+// /v1 surface admits still fits its binary form.
+const (
+	maxFrameBody   = 1 << 28
+	maxRequestBody = 8 << 20
+)
 
 // Remote error codes carried by opError frames.
 const (
@@ -116,6 +125,11 @@ func WriteFrame(w io.Writer, op byte, body []byte) error {
 // wrong magic, oversized body, truncation, CRC mismatch — is an error;
 // the caller treats it as a transport failure, not a protocol answer.
 func ReadFrame(r io.Reader) (op byte, body []byte, err error) {
+	return readFrame(r, maxFrameBody)
+}
+
+// readFrame is ReadFrame under the caller's bound on the body length.
+func readFrame(r io.Reader, limit uint32) (op byte, body []byte, err error) {
 	hdr := make([]byte, len(Magic)+5)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, fmt.Errorf("remote: short frame header: %w", err)
@@ -125,8 +139,8 @@ func ReadFrame(r io.Reader) (op byte, body []byte, err error) {
 	}
 	op = hdr[len(Magic)]
 	n := binary.LittleEndian.Uint32(hdr[len(Magic)+1:])
-	if n > maxFrameBody {
-		return 0, nil, fmt.Errorf("remote: frame body %d bytes exceeds limit %d", n, maxFrameBody)
+	if n > limit {
+		return 0, nil, fmt.Errorf("remote: frame body %d bytes exceeds limit %d", n, limit)
 	}
 	body = make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {

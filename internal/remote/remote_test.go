@@ -46,12 +46,26 @@ func buildStore(t *testing.T, dir string) (string, []string) {
 	return src, ids
 }
 
-// cluster is a 4-partition topology over a resharded copy of one store:
-// two partitions opened locally by the coordinator, two served by real
-// shard servers over HTTP, plus an in-process reference database holding
-// the identical data.
+// openVerified opens a store with its checksum verified, closed again
+// when the test ends.
+func openVerified(t *testing.T, path string) *milret.Database {
+	t.Helper()
+	db, err := milret.LoadDatabase(path, milret.Options{VerifyOnLoad: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return db
+}
+
+// cluster is a 4-partition topology over a resharded copy of one store,
+// each partition served by a real shard server over loopback HTTP, plus
+// two in-process references holding the identical data: the un-sharded
+// source (ref) and a second 4-way reshard of it opened as one database
+// (sharded).
 type cluster struct {
 	ref      *milret.Database
+	sharded  *milret.Database
 	coord    *Coordinator
 	topo     *Topology
 	shardDBs []*milret.Database
@@ -59,6 +73,8 @@ type cluster struct {
 	ids      []string
 }
 
+// close stops the coordinator and the shard servers; the databases
+// behind them close after it (openVerified registered them earlier).
 func (cl *cluster) close() {
 	cl.coord.Close()
 	for _, s := range cl.servers {
@@ -66,40 +82,29 @@ func (cl *cluster) close() {
 			s.Close()
 		}
 	}
-	for _, db := range cl.shardDBs {
-		db.Close()
-	}
-	cl.ref.Close()
 }
 
-// startCluster builds the store, reshards it 4 ways and wires the
-// topology: partitions 0-1 local paths, partitions 2-3 remote servers.
+// startCluster builds the store, reshards it 4 ways (twice: one copy for
+// the shard servers, one for the in-process 4-shard reference, so their
+// journals stay apart) and wires the topology.
 func startCluster(t *testing.T, partial string) *cluster {
 	t.Helper()
 	dir := t.TempDir()
 	src, ids := buildStore(t, dir)
-	dst := filepath.Join(dir, "sharded.milret")
-	if err := milret.Reshard(src, dst, 4); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := milret.LoadDatabase(src, milret.Options{VerifyOnLoad: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := &cluster{ref: ref, ids: ids}
-	t.Cleanup(cl.close)
-
-	parts := make([]PartitionSpec, 4)
-	for i := 0; i < 4; i++ {
-		p := store.ShardPath(dst, i)
-		if i < 2 {
-			parts[i] = PartitionSpec{Name: names4[i], Path: p}
-			continue
-		}
-		sdb, err := milret.LoadDatabase(p, milret.Options{VerifyOnLoad: true})
-		if err != nil {
+	dst, inproc := filepath.Join(dir, "sharded.milret"), filepath.Join(dir, "inproc.milret")
+	for _, p := range []string{dst, inproc} {
+		if err := milret.Reshard(src, p, 4); err != nil {
 			t.Fatal(err)
 		}
+	}
+	cl := &cluster{ref: openVerified(t, src), sharded: openVerified(t, inproc), ids: ids}
+	if n := cl.sharded.ShardCount(); n != 4 {
+		t.Fatalf("in-process sharded reference has %d shards", n)
+	}
+
+	parts := make([]PartitionSpec, 4)
+	for i := range parts {
+		sdb := openVerified(t, store.ShardPath(dst, i))
 		cl.shardDBs = append(cl.shardDBs, sdb)
 		mux := http.NewServeMux()
 		mux.Handle(RPCPath, NewShardServer(sdb))
@@ -108,13 +113,12 @@ func startCluster(t *testing.T, partial string) *cluster {
 		parts[i] = PartitionSpec{Name: names4[i], Addr: srv.URL}
 	}
 	cl.topo = &Topology{Partitions: parts, Partial: partial}
-	cl.coord, err = NewCoordinator(cl.topo, CoordinatorOptions{
-		ConceptCacheMB: 8,
-		Local:          milret.Options{VerifyOnLoad: true},
-	})
+	var err error
+	cl.coord, err = NewCoordinator(cl.topo, CoordinatorOptions{ConceptCacheMB: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(cl.close)
 	return cl
 }
 
@@ -157,10 +161,10 @@ func wantIdentical(t *testing.T, what string, got, want []milret.Result) {
 }
 
 // TestCoordinatorTopKBitIdentical is the tentpole property: a 4-way
-// distributed top-k (mixed local/remote partitions, live shared cutoff)
-// returns the exact result list — IDs, labels and float bits — of a
-// single-process scan over the same data, across concepts, depths and
-// pruning tiers.
+// distributed top-k (seeded cutoffs piggybacking on the RPC) returns the
+// exact result list — IDs, labels and float bits — of a single-process
+// scan over the same data, one shard or four, across concepts, depths
+// (k ≥ n included) and pruning tiers.
 func TestCoordinatorTopKBitIdentical(t *testing.T) {
 	cl := startCluster(t, PartialFail)
 	ctx := context.Background()
@@ -175,6 +179,7 @@ func TestCoordinatorTopKBitIdentical(t *testing.T) {
 				}
 				want := cl.ref.RetrieveExcluding(concept, k, exclude, milret.WithRecall(recall))
 				wantIdentical(t, "topk", got, want)
+				wantIdentical(t, "4-shard in-process topk", cl.sharded.RetrieveExcluding(concept, k, exclude, milret.WithRecall(recall)), want)
 			}
 		}
 	}
@@ -191,6 +196,7 @@ func TestCoordinatorRankBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIdentical(t, "rank", got, cl.ref.RankAllExcluding(concept, exclude))
+	wantIdentical(t, "4-shard in-process rank", cl.sharded.RankAllExcluding(concept, exclude), got)
 	if len(got) != cl.ref.Len()-len(exclude) {
 		t.Fatalf("ranking covers %d images, want %d", len(got), cl.ref.Len()-len(exclude))
 	}
@@ -216,11 +222,16 @@ func TestCoordinatorBatchBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("batch answered %d lists, want %d", len(got), len(want))
+	inproc, err := cl.sharded.RetrieveMany(concepts, 9, exclude)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(inproc) != len(want) {
+		t.Fatalf("batch answered %d lists, 4-shard in-process %d, want %d", len(got), len(inproc), len(want))
 	}
 	for i := range want {
 		wantIdentical(t, "batch list", got[i], want[i])
+		wantIdentical(t, "4-shard in-process batch list", inproc[i], want[i])
 	}
 }
 
@@ -284,8 +295,10 @@ func TestCoordinatorMutations(t *testing.T) {
 		if err := cl.coord.DeleteImage(id); err != nil {
 			t.Fatalf("delete %s: %v", id, err)
 		}
-		if err := cl.ref.DeleteImage(id); err != nil {
-			t.Fatalf("reference delete %s: %v", id, err)
+		for _, ref := range []*milret.Database{cl.ref, cl.sharded} {
+			if err := ref.DeleteImage(id); err != nil {
+				t.Fatalf("reference delete %s: %v", id, err)
+			}
 		}
 		deleted++
 	}
@@ -298,8 +311,10 @@ func TestCoordinatorMutations(t *testing.T) {
 	if err := cl.coord.UpdateImage(target, "relabelled", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.ref.UpdateImage(target, "relabelled", nil); err != nil {
-		t.Fatal(err)
+	for _, ref := range []*milret.Database{cl.ref, cl.sharded} {
+		if err := ref.UpdateImage(target, "relabelled", nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if label, ok, err := cl.coord.Label(target); err != nil || !ok || label != "relabelled" {
 		t.Fatalf("Label(%s) = %q, %v, %v", target, label, ok, err)
@@ -312,16 +327,30 @@ func TestCoordinatorMutations(t *testing.T) {
 	// failure.
 	if err := cl.coord.DeleteImage(cl.ids[0]); err == nil {
 		t.Fatal("double delete succeeded")
-	} else if ok := IsNotFound(err); !ok && cl.coord.owner(cl.ids[0]).remote() {
-		t.Fatalf("double delete on remote partition: %v (want not-found verdict)", err)
+	} else if !IsNotFound(err) {
+		t.Fatalf("double delete: %v (want not-found verdict)", err)
 	}
 
-	// Post-mutation scans stay bit-identical, tombstones and all.
-	got, err := cl.coord.Retrieve(ctx, concept, 10, exclude, 0)
-	if err != nil {
-		t.Fatal(err)
+	// Post-mutation scans stay bit-identical, tombstones, the relabelled
+	// positive (not excluded here) and all.
+	for _, ex := range [][]string{exclude, nil} {
+		got, err := cl.coord.Retrieve(ctx, concept, 10, ex, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIdentical(t, "post-mutation topk", got, cl.ref.RetrieveExcluding(concept, 10, ex))
+		wantIdentical(t, "4-shard in-process post-mutation topk", cl.sharded.RetrieveExcluding(concept, 10, ex), got)
+		batch, err := cl.coord.RetrieveBatch(ctx, []*milret.Concept{concept}, 10, ex, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIdentical(t, "post-mutation batch", batch[0], got)
+		all, err := cl.coord.RankAll(ctx, concept, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIdentical(t, "post-mutation rank", all, cl.ref.RankAllExcluding(concept, ex))
 	}
-	wantIdentical(t, "post-mutation topk", got, cl.ref.RetrieveExcluding(concept, 10, exclude))
 
 	// The image listing covers exactly the live set.
 	infos, err := cl.coord.Images()

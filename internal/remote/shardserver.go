@@ -31,7 +31,7 @@ func (s *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "shard RPC requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	op, body, err := ReadFrame(r.Body)
+	op, body, err := readFrame(r.Body, maxRequestBody)
 	if err != nil {
 		// The request frame never parsed; there is no protocol state to
 		// answer within. Plain 400 — the client reports it as transport.

@@ -20,17 +20,13 @@ const (
 	PartialDegrade = "degrade"
 )
 
-// PartitionSpec names one partition of a topology: exactly one of Path
-// (a store path the coordinator opens itself) or Addr (a shard server's
-// base URL) must be set.
+// PartitionSpec names one partition of a topology: the base URL of the
+// `milret shard-serve` process that owns it (a bare "host:port" is taken
+// as http).
 type PartitionSpec struct {
 	Name string `json:"name"`
-	Path string `json:"path,omitempty"`
-	Addr string `json:"addr,omitempty"`
+	Addr string `json:"addr"`
 }
-
-// Remote reports whether the partition is served over the RPC.
-func (p PartitionSpec) Remote() bool { return p.Addr != "" }
 
 // Topology is the coordinator's configuration file (milret serve
 // -topology): the ordered partition list plus fleet-wide tuning. The
@@ -95,8 +91,8 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("remote: duplicate partition name %q", p.Name)
 		}
 		seen[p.Name] = true
-		if (p.Path == "") == (p.Addr == "") {
-			return fmt.Errorf("remote: partition %q must set exactly one of path or addr", p.Name)
+		if p.Addr == "" {
+			return fmt.Errorf("remote: partition %q has no addr", p.Name)
 		}
 	}
 	switch t.Partial {
@@ -120,6 +116,21 @@ func LoadTopology(path string) (*Topology, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("remote: read topology: %w", err)
+	}
+	// Topologies written before partitions were always shard servers may
+	// carry a store path; name the way out instead of "unknown field".
+	var retired struct {
+		Partitions []struct {
+			Name string
+			Path *string
+		}
+	}
+	if json.Unmarshal(b, &retired) == nil {
+		for _, p := range retired.Partitions {
+			if p.Path != nil {
+				return nil, fmt.Errorf(`remote: partition %q: path partitions were retired; run "milret shard-serve -db <path>" and list its addr (in %s)`, p.Name, path)
+			}
+		}
 	}
 	var t Topology
 	dec := json.NewDecoder(bytes.NewReader(b))

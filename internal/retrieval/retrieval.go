@@ -635,12 +635,6 @@ type Options struct {
 	// bound by a calibrated slack for extra speed at a quantified recall.
 	// Rank ignores it.
 	Recall float64
-	// Cutoff, when non-nil, shares one top-k bound across several
-	// partitions of the same logical query (possibly in other processes):
-	// bounds published by peers prune this scan, and roots this scan
-	// publishes prune its peers. TopK only; Rank and TopKMany ignore it
-	// (their merges need every partition's candidates regardless).
-	Cutoff *index.Cutoff
 	// CutoffSeed, when positive, pre-tightens the top-k cutoff before the
 	// scan starts. The caller asserts it upper-bounds the global k-th best
 	// distance of the whole logical query; a stale (too-loose) seed only
@@ -671,7 +665,6 @@ func TopK(db *Database, s Scorer, k int, opts Options) []Result {
 	return db.snapshot().TopKPruned(query(s), k, opts.Exclude, opts.Parallelism, index.PruneOpts{
 		Recall:     opts.Recall,
 		Stats:      &db.prune,
-		Shared:     opts.Cutoff,
 		CutoffSeed: opts.CutoffSeed,
 	})
 }

@@ -40,7 +40,6 @@ import (
 	"milret/internal/eval"
 	"milret/internal/feature"
 	"milret/internal/gray"
-	"milret/internal/index"
 	"milret/internal/mat"
 	"milret/internal/mil"
 	"milret/internal/optimize"
@@ -716,7 +715,6 @@ type RetrieveOption func(*retrieveConfig)
 
 type retrieveConfig struct {
 	recall float64
-	cutoff *index.Cutoff
 	seed   float64
 }
 
@@ -726,15 +724,6 @@ type retrieveConfig struct {
 // one.
 func WithRecall(r float64) RetrieveOption {
 	return func(c *retrieveConfig) { c.recall = r }
-}
-
-// WithSharedCutoff threads an externally owned top-k bound through one
-// retrieval, so several partitions of the same logical query — this
-// database among them — tighten a single cutoff (see index.Cutoff). Used
-// by the distribution coordinator for its local partitions; bounds
-// published by remote partitions prune this scan and vice versa.
-func WithSharedCutoff(c *index.Cutoff) RetrieveOption {
-	return func(cfg *retrieveConfig) { cfg.cutoff = c }
 }
 
 // WithCutoffSeed pre-tightens the top-k cutoff before the scan starts.
@@ -771,7 +760,6 @@ func (d *Database) RetrieveExcluding(c *Concept, k int, exclude []string, ropts 
 	top := retrieval.TopK(d.db, c.c, k, retrieval.Options{
 		Exclude:    ex,
 		Recall:     cfg.recall,
-		Cutoff:     cfg.cutoff,
 		CutoffSeed: cfg.seed,
 	})
 	return convertResults(top)
