@@ -1,25 +1,19 @@
-// The loadtest subcommand: a measured load harness for the serving stack.
+// The loadtest subcommand: a load driver for a live deployment.
 //
-//	milret loadtest -duration 10s -concurrency 8
-//	milret loadtest -db scenes.milret -duration 30s -rate 200 -out report.json
-//	milret loadtest -addr 127.0.0.1:8080 -duration 10s
+//	milret loadtest -addr 127.0.0.1:8080 -duration 10s -concurrency 8
+//	milret loadtest -addr 127.0.0.1:8080 -duration 30s -rate 200 -out report.json
 //
 // It drives mixed traffic — single queries, batched retrievals and
-// label-mutation PUTs — against a live serve process (an external one via
-// -addr, or an in-process server over a synthetic corpus by default),
-// reporting p50/p99/p999 latency per traffic class. Queries rotate
-// through a fixed set of distinct example combinations, so steady-state
-// traffic exercises the concept cache the way repeat-heavy production
-// traffic does (first arrival trains, repeats hit, concurrent duplicates
-// coalesce).
+// label-mutation PUTs — against a running serve process (a single node or
+// a coordinator), reporting p50/p99/p999 latency per traffic class.
+// Queries rotate through a fixed set of distinct example combinations, so
+// steady-state traffic exercises the concept cache the way repeat-heavy
+// production traffic does (first arrival trains, repeats hit, concurrent
+// duplicates coalesce).
 //
-// After the steady phase, the in-process harness measures the restart
-// storm the concept-cache sidecar exists to fix: it restarts the server
-// twice — once warm (flush, reopen with the sidecar) and once cold
-// (reopen without it) — and replays the same repeat queries against each,
-// reporting the two latency profiles side by side. A warm restart answers
-// every repeat from the sidecar-loaded cache without invoking the
-// trainer; a cold restart retrains every one of them.
+// It owns no server and no corpus: the self-contained measurement —
+// generated corpora, oracle and restart checks, per-layer metrics — is
+// bench/ (bash bench/run.sh, see bench/README.md).
 package main
 
 import (
@@ -29,19 +23,19 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"milret"
 	"milret/internal/server"
-	"milret/internal/synth"
 )
+
+// ltRequestTimeout bounds every request the driver makes: a server that
+// accepts and never answers costs an "error" sample, not a hung driver.
+const ltRequestTimeout = 30 * time.Second
 
 // ltSpec is one distinct query the generator rotates through.
 type ltSpec struct {
@@ -65,10 +59,12 @@ type ltLatency struct {
 	MaxMS  float64 `json:"max_ms"`
 }
 
-// ltPhase is one phase's per-class latency table.
+// ltPhase is one phase's per-class latency table. Dropped counts the
+// open-loop ticks no worker could take (offered load the server never saw).
 type ltPhase struct {
 	Ops     int                   `json:"ops"`
 	Errors  int                   `json:"errors"`
+	Dropped int                   `json:"dropped,omitempty"`
 	Seconds float64               `json:"seconds"`
 	Classes map[string]*ltLatency `json:"classes"`
 }
@@ -93,21 +89,12 @@ type ltReport struct {
 	Recall      float64  `json:"recall,omitempty"`
 	Prune       *ltPrune `json:"prune,omitempty"`
 	Steady      *ltPhase `json:"steady"`
-	WarmRestart *ltPhase `json:"warm_restart,omitempty"`
-	ColdRestart *ltPhase `json:"cold_restart,omitempty"`
-	// WarmServedWithoutTraining is true when every repeat query after the
-	// warm restart was answered from the sidecar-loaded cache (no cache
-	// misses) — the property the sidecar exists to provide.
-	WarmServedWithoutTraining bool `json:"warm_served_without_training,omitempty"`
 }
 
 func cmdLoadtest(args []string) error {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
-	dbPath := fs.String("db", "", "existing database to serve in-process (default: build a synthetic corpus)")
-	addr := fs.String("addr", "", "drive an already-running server at this address instead of starting one in-process (restart phases are skipped)")
-	synthN := fs.Int("synth", 3, "images per category of the synthetic corpus built when -db is empty")
-	imagesN := fs.Int("images", 0, "total synthetic corpus size when -db is empty (overrides -synth): images are generated and ingested one at a time, so large corpora build without holding the corpus in memory")
-	recall := fs.Float64("recall", 0, "candidate-pruning tier for query scans (see serve -recall): 0 leaves the server's default, 1.0 the exact scan, (0,1) calibrated; sent per request, so it also applies to an external -addr server")
+	addr := fs.String("addr", "", "address of the running server (serve, or a coordinator) to drive; required")
+	recall := fs.Float64("recall", 0, "candidate-pruning tier for query scans (see serve -recall): 0 leaves the server's default, 1.0 the exact scan, (0,1) calibrated; sent per request")
 	duration := fs.Duration("duration", 10*time.Second, "steady-phase length")
 	concurrency := fs.Int("concurrency", 4, "closed-loop worker count")
 	rate := fs.Float64("rate", 0, "open-loop target ops/sec across all workers (0 = closed loop, as fast as the server allows)")
@@ -115,99 +102,54 @@ func cmdLoadtest(args []string) error {
 	k := fs.Int("k", 5, "results per query")
 	mutEvery := fs.Int("mutate-every", 11, "every Nth op is a label-mutation PUT (0 disables mutations)")
 	batchEvery := fs.Int("batch-every", 7, "every Nth op is a 3-query batched retrieval (0 disables batches)")
-	cacheMB := fs.Int("concept-cache-mb", 64, "concept-cache size for the in-process server")
-	repeats := fs.Int("restart-repeats", 20, "repeat queries replayed against each restarted server")
 	out := fs.String("out", "", "also write the report as JSON to this path")
-	applyKernel := kernelFlag(fs)
 	fs.Parse(args)
 
-	if err := applyKernel(); err != nil {
-		return err
+	if *addr == "" {
+		return errors.New("loadtest: -addr is required (the address of a running milret serve); for a self-contained run use bash bench/run.sh")
 	}
-	rep := &ltReport{Concurrency: *concurrency, RatePerSec: *rate, Recall: *recall}
-	var base string
-	var h *ltHarness
-	if *addr != "" {
-		base = "http://" + *addr
-		rep.Target = base
-	} else {
-		var err error
-		h, err = startHarness(*dbPath, *synthN, *imagesN, *cacheMB, *recall)
-		if err != nil {
-			return err
-		}
-		defer h.stop()
-		base = h.base()
-		rep.Target = base + " (in-process)"
-	}
-
-	specs, images, err := buildSpecs(base, *queries)
-	if err != nil {
-		return err
-	}
-	rep.Images = images
-	fmt.Printf("loadtest: %s — %d images, %d distinct queries, %d workers, %v steady phase\n",
-		rep.Target, images, len(specs), *concurrency, *duration)
-
 	gen := &ltGen{
-		base: base, specs: specs, k: *k,
+		base: "http://" + *addr, k: *k,
 		mutEvery: *mutEvery, batchEvery: *batchEvery,
+		client: http.Client{Timeout: ltRequestTimeout},
 	}
 	if *recall != 0 {
 		gen.recall = recall
 	}
-	if gen.mutEvery > 0 {
-		if gen.mutIDs, err = fetchIDs(base); err != nil {
-			return err
-		}
+	rep := &ltReport{Target: gen.base, Concurrency: *concurrency, RatePerSec: *rate, Recall: *recall}
+
+	byLabel, err := gen.fetchLabeled()
+	if err != nil {
+		return err
 	}
+	if gen.specs, rep.Images, err = buildSpecs(byLabel, *queries); err != nil {
+		return err
+	}
+	if gen.mutEvery > 0 {
+		for _, group := range byLabel {
+			gen.mutIDs = append(gen.mutIDs, group...)
+		}
+		sort.Strings(gen.mutIDs)
+	}
+	fmt.Printf("loadtest: %s — %d images, %d distinct queries, %d workers, %v steady phase\n",
+		rep.Target, rep.Images, len(gen.specs), *concurrency, *duration)
+
 	rep.Steady = runPhase(gen, *concurrency, *rate, *duration)
 	printPhase("steady", rep.Steady)
 
-	if pr := fetchPrune(base); pr != nil {
+	if pr := gen.fetchPrune(); pr != nil {
 		rep.Prune = &ltPrune{Screened: pr.Screened, Admitted: pr.Admitted, Rejected: pr.Rejected}
-		line := fmt.Sprintf("prune: screened %d, admitted %d, rejected %d (%.1f%%)",
-			pr.Screened, pr.Admitted, pr.Rejected, 100*float64(pr.Rejected)/float64(pr.Screened))
+		line := fmt.Sprintf("prune: screened %d, admitted %d, rejected %d", pr.Screened, pr.Admitted, pr.Rejected)
+		if pr.Screened > 0 {
+			line += fmt.Sprintf(" (%.1f%%)", 100*float64(pr.Rejected)/float64(pr.Screened))
+		}
 		if *recall > 0 {
-			if ar, ok := measureAchievedRecall(gen, specs, *recall); ok {
+			if ar, ok := measureAchievedRecall(gen, *recall); ok {
 				rep.Prune.AchievedRecall = ar
 				line += fmt.Sprintf(", achieved recall %.4f", ar)
 			}
 		}
 		fmt.Println(line)
-	}
-
-	if h != nil {
-		// Warm restart: capture the sidecar, reopen with it, replay.
-		if err := h.restart(true); err != nil {
-			return fmt.Errorf("warm restart: %w", err)
-		}
-		gen.base = h.base()
-		rep.WarmRestart = replayRepeats(gen, specs, *repeats)
-		printPhase("warm-restart", rep.WarmRestart)
-		misses := 0
-		for cl, lat := range rep.WarmRestart.Classes {
-			if cl != "query-hit" {
-				misses += lat.Count
-			}
-		}
-		rep.WarmServedWithoutTraining = misses == 0 && rep.WarmRestart.Errors == 0
-
-		// Cold restart: reopen without the sidecar, replay the same
-		// repeats — every one retrains.
-		if err := h.restart(false); err != nil {
-			return fmt.Errorf("cold restart: %w", err)
-		}
-		gen.base = h.base()
-		rep.ColdRestart = replayRepeats(gen, specs, *repeats)
-		printPhase("cold-restart", rep.ColdRestart)
-
-		warmP99 := phaseP99(rep.WarmRestart)
-		coldP99 := phaseP99(rep.ColdRestart)
-		if warmP99 > 0 {
-			fmt.Printf("restart comparison: warm p99 %.2fms vs cold p99 %.2fms (%.0f× colder), warm served without training: %v\n",
-				warmP99, coldP99, coldP99/warmP99, rep.WarmServedWithoutTraining)
-		}
 	}
 
 	if *out != "" {
@@ -223,141 +165,10 @@ func cmdLoadtest(args []string) error {
 	return nil
 }
 
-// ltHarness is the in-process server under test: a real TCP listener and
-// http.Server over a database the harness owns, restartable warm (with
-// the concept-cache sidecar) or cold (without).
-type ltHarness struct {
-	dbPath  string
-	ccFile  string
-	cacheMB int
-	recall  float64
-	db      *milret.Database
-	srv     *http.Server
-	ln      net.Listener
-	done    chan error
-}
-
-// errCorpusReady stops the streaming corpus generator once the -images
-// target is reached.
-var errCorpusReady = errors.New("corpus target reached")
-
-// startHarness builds (or opens) the store and starts serving it on an
-// ephemeral local port. A synthetic corpus is generated item by item
-// (synth.ObjectsEach) and ingested as it streams, so the harness never
-// holds more than one decoded image — -images can exceed RAM-sized
-// corpora without the builder itself becoming the bottleneck.
-func startHarness(dbPath string, synthN, images, cacheMB int, recall float64) (*ltHarness, error) {
-	h := &ltHarness{cacheMB: cacheMB, recall: recall}
-	if dbPath == "" {
-		dir, err := os.MkdirTemp("", "milret-loadtest-*")
-		if err != nil {
-			return nil, err
-		}
-		dbPath = filepath.Join(dir, "loadtest.milret")
-		db, err := milret.NewDatabase(milret.Options{Resolution: 6, Regions: 9})
-		if err != nil {
-			return nil, err
-		}
-		perCat, target := synthN, 0
-		if images > 0 {
-			nCats := len(synth.ObjectCategories)
-			perCat = (images + nCats - 1) / nCats
-			target = images
-		}
-		added := 0
-		err = synth.ObjectsEach(41, perCat, func(it synth.Item) error {
-			if target > 0 && added >= target {
-				return errCorpusReady
-			}
-			if err := db.AddImage(it.ID, it.Label, it.Image); err != nil {
-				return err
-			}
-			added++
-			return nil
-		})
-		if err != nil && err != errCorpusReady {
-			return nil, err
-		}
-		if err := db.Save(dbPath); err != nil {
-			return nil, err
-		}
-		db.Close()
-	}
-	h.dbPath = dbPath
-	h.ccFile = dbPath + ".ccache"
-	if err := h.open(true); err != nil {
-		return nil, err
-	}
-	return h, h.serve()
-}
-
-// open loads the database, warm (sidecar) or cold (no sidecar path).
-func (h *ltHarness) open(warm bool) error {
-	ccFile := h.ccFile
-	if !warm {
-		ccFile = ""
-	}
-	db, err := milret.LoadDatabase(h.dbPath, milret.Options{
-		ConceptCacheMB: h.cacheMB, ConceptCacheFile: ccFile, Recall: h.recall,
-	})
-	if err != nil {
-		return err
-	}
-	h.db = db
-	return nil
-}
-
-func (h *ltHarness) serve() error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	h.ln = ln
-	h.srv = &http.Server{Handler: server.New(h.db)}
-	h.done = make(chan error, 1)
-	go func() { h.done <- h.srv.Serve(ln) }()
-	return nil
-}
-
-func (h *ltHarness) base() string { return "http://" + h.ln.Addr().String() }
-
-// restart tears the server down the way a deploy does — close listener,
-// flush (capturing the sidecar), release the store — and brings it back
-// up, loading the sidecar (warm) or ignoring it (cold).
-func (h *ltHarness) restart(warm bool) error {
-	h.srv.Close()
-	<-h.done
-	if err := h.db.Flush(); err != nil {
-		return err
-	}
-	if err := h.db.Close(); err != nil {
-		return err
-	}
-	if err := h.open(warm); err != nil {
-		return err
-	}
-	return h.serve()
-}
-
-func (h *ltHarness) stop() {
-	if h.srv != nil {
-		h.srv.Close()
-		<-h.done
-	}
-	if h.db != nil {
-		h.db.Close()
-	}
-}
-
 // fetchLabeled lists the served image IDs grouped by label.
-func fetchLabeled(base string) (map[string][]string, error) {
-	resp, err := http.Get(base + "/v1/images")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
+func (g *ltGen) fetchLabeled() (map[string][]string, error) {
 	var infos []server.ImageInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+	if err := g.get("/v1/images", &infos); err != nil {
 		return nil, err
 	}
 	byLabel := map[string][]string{}
@@ -370,14 +181,9 @@ func fetchLabeled(base string) (map[string][]string, error) {
 // fetchPrune reads the server's cumulative candidate-filter counters from
 // /v1/stats; nil when the server has not run a top-k scan (the stats block
 // is omitted) or the endpoint is unreachable.
-func fetchPrune(base string) *server.PruneStatsResponse {
-	resp, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
+func (g *ltGen) fetchPrune() *server.PruneStatsResponse {
 	var st server.StatsResponse
-	if json.NewDecoder(resp.Body).Decode(&st) != nil {
+	if g.get("/v1/stats", &st) != nil {
 		return nil
 	}
 	return st.Prune
@@ -387,10 +193,10 @@ func fetchPrune(base string) *server.PruneStatsResponse {
 // the filter at the requested recall, once at the exact tier — and
 // returns the fraction of exact top-k results the calibrated scan kept. ok is
 // false when no comparison could be made.
-func measureAchievedRecall(g *ltGen, specs []ltSpec, recall float64) (float64, bool) {
+func measureAchievedRecall(g *ltGen, recall float64) (float64, bool) {
 	exact := -1.0
 	total, kept := 0, 0
-	for _, sp := range specs {
+	for _, sp := range g.specs {
 		req := server.QueryRequest{
 			Positives: sp.Positives, Negatives: sp.Negatives, K: g.k, Mode: "identical",
 			Recall: &recall,
@@ -420,28 +226,11 @@ func measureAchievedRecall(g *ltGen, specs []ltSpec, recall float64) (float64, b
 	return float64(kept) / float64(total), true
 }
 
-func fetchIDs(base string) ([]string, error) {
-	byLabel, err := fetchLabeled(base)
-	if err != nil {
-		return nil, err
-	}
-	var ids []string
-	for _, group := range byLabel {
-		ids = append(ids, group...)
-	}
-	sort.Strings(ids)
-	return ids, nil
-}
-
 // buildSpecs derives n distinct example-based queries from the served
 // corpus: rotating positive pairs within a label, negatives from the next
 // label over. Deterministic, so a rerun (or a restarted server) sees the
-// exact same fingerprints.
-func buildSpecs(base string, n int) ([]ltSpec, int, error) {
-	byLabel, err := fetchLabeled(base)
-	if err != nil {
-		return nil, 0, err
-	}
+// exact same fingerprints. It also returns the corpus size.
+func buildSpecs(byLabel map[string][]string, n int) ([]ltSpec, int, error) {
 	labels := make([]string, 0, len(byLabel))
 	images := 0
 	for lb, ids := range byLabel {
@@ -488,10 +277,12 @@ type ltGen struct {
 	client     http.Client
 }
 
-func (g *ltGen) op(seq int) ltSample {
-	start := time.Now()
+// op issues operation seq and times it from due — when the op was
+// scheduled, which for an open-loop tick precedes the moment a worker
+// picked it up — so queue delay is part of the latency.
+func (g *ltGen) op(seq int, due time.Time) ltSample {
 	class, err := g.issue(seq)
-	d := time.Since(start)
+	d := time.Since(due)
 	if err != nil {
 		class = "error"
 	}
@@ -575,39 +366,62 @@ func (g *ltGen) post(path string, body, into any) error {
 	if err != nil {
 		return err
 	}
+	return decodeOK(resp, "POST "+path, into)
+}
+
+func (g *ltGen) get(path string, into any) error {
+	resp, err := g.client.Get(g.base + path)
+	if err != nil {
+		return err
+	}
+	return decodeOK(resp, "GET "+path, into)
+}
+
+func decodeOK(resp *http.Response, what string, into any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return fmt.Errorf("POST %s: status %d: %s", path, resp.StatusCode, msg)
+		return fmt.Errorf("%s: status %d: %s", what, resp.StatusCode, msg)
 	}
 	return json.NewDecoder(resp.Body).Decode(into)
 }
 
 // runPhase drives the generator for the given duration: closed-loop
-// (workers back to back) or open-loop (a shared pacer at rate ops/sec
-// that workers drain, so a slow server accumulates queue delay in the
-// measured latency rather than throttling offered load).
+// (workers back to back) or open-loop (a pacer sends each tick's due time
+// at rate ops/sec and workers time the op from it, so a slow server shows
+// as queue delay in the measured latency; a tick that finds every worker
+// busy and the queue full is counted as dropped, not queued forever).
 func runPhase(gen *ltGen, concurrency int, rate float64, duration time.Duration) *ltPhase {
-	deadline := time.Now().Add(duration)
+	start := time.Now()
+	deadline := start.Add(duration)
 	var seq atomic.Int64
 	var mu sync.Mutex
 	var samples []ltSample
+	run := func(due time.Time) {
+		s := gen.op(int(seq.Add(1)-1), due)
+		mu.Lock()
+		samples = append(samples, s)
+		mu.Unlock()
+	}
 
-	var pace chan struct{}
+	var pace chan time.Time
+	dropped := 0 // written by the pacer only; read after close(pace) has released every worker
 	if rate > 0 {
-		pace = make(chan struct{}, concurrency)
-		interval := time.Duration(float64(time.Second) / rate)
+		pace = make(chan time.Time, concurrency)
 		go func() {
-			tick := time.NewTicker(interval)
+			defer close(pace)
+			tick := time.NewTicker(time.Duration(float64(time.Second) / rate))
 			defer tick.Stop()
-			for time.Now().Before(deadline) {
-				<-tick.C
+			for due := range tick.C {
+				if !due.Before(deadline) {
+					return
+				}
 				select {
-				case pace <- struct{}{}:
-				default: // all workers busy: the tick's op is dropped, not queued forever
+				case pace <- due:
+				default:
+					dropped++
 				}
 			}
-			close(pace)
 		}()
 	}
 
@@ -616,37 +430,21 @@ func runPhase(gen *ltGen, concurrency int, rate float64, duration time.Duration)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
-				if pace != nil {
-					if _, ok := <-pace; !ok {
-						return
-					}
+			if pace != nil {
+				for due := range pace {
+					run(due)
 				}
-				s := gen.op(int(seq.Add(1) - 1))
-				mu.Lock()
-				samples = append(samples, s)
-				mu.Unlock()
+				return
+			}
+			for now := time.Now(); now.Before(deadline); now = time.Now() {
+				run(now)
 			}
 		}()
 	}
 	wg.Wait()
-	return summarize(samples, duration)
-}
-
-// replayRepeats issues each spec sequentially, repeats times in rotation —
-// the repeat-query traffic a restarted replica sees first.
-func replayRepeats(gen *ltGen, specs []ltSpec, repeats int) *ltPhase {
-	start := time.Now()
-	var samples []ltSample
-	for i := 0; i < repeats; i++ {
-		startOp := time.Now()
-		class, err := gen.query(i % len(specs))
-		if err != nil {
-			class = "error"
-		}
-		samples = append(samples, ltSample{class: class, d: time.Since(startOp)})
-	}
-	return summarize(samples, time.Since(start))
+	ph := summarize(samples, time.Since(start))
+	ph.Dropped = dropped
+	return ph
 }
 
 func summarize(samples []ltSample, elapsed time.Duration) *ltPhase {
@@ -685,23 +483,8 @@ func pct(sorted []time.Duration, q float64) time.Duration {
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// phaseP99 returns the worst per-class p99 of the query classes — the
-// restart comparison's headline number.
-func phaseP99(ph *ltPhase) float64 {
-	worst := 0.0
-	for cl, lat := range ph.Classes {
-		if cl == "error" {
-			continue
-		}
-		if lat.P99MS > worst {
-			worst = lat.P99MS
-		}
-	}
-	return worst
-}
-
 func printPhase(name string, ph *ltPhase) {
-	fmt.Printf("%-13s %5d ops in %6.2fs (%d errors)\n", name+":", ph.Ops, ph.Seconds, ph.Errors)
+	fmt.Printf("%-13s %5d ops in %6.2fs (%d errors, %d dropped)\n", name+":", ph.Ops, ph.Seconds, ph.Errors, ph.Dropped)
 	classes := make([]string, 0, len(ph.Classes))
 	for cl := range ph.Classes {
 		classes = append(classes, cl)

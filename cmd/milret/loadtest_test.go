@@ -2,37 +2,39 @@ package main
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
+
+	"milret"
+	"milret/internal/server"
 )
 
-// TestLoadtestSmoke runs the whole harness — steady mixed load, warm
-// restart, cold restart — against a tiny corpus and checks the report's
-// deterministic properties: the warm restart serves every repeat from the
-// sidecar-loaded cache (no misses, no training), while the cold restart
-// has to retrain each distinct query at least once.
-func TestLoadtestSmoke(t *testing.T) {
-	dir := t.TempDir()
-	dbPath := filepath.Join(dir, "db.milret")
+// serveTestStore serves a tiny cached database the way `milret serve`
+// does and returns the host:port to hand to -addr.
+func serveTestStore(t *testing.T) string {
+	t.Helper()
+	dbPath := filepath.Join(t.TempDir(), "db.milret")
 	buildTestStore(t, dbPath)
-	outPath := filepath.Join(dir, "report.json")
-
-	err := cmdLoadtest([]string{
-		"-db", dbPath,
-		"-duration", "1500ms",
-		"-concurrency", "2",
-		"-queries", "2",
-		"-restart-repeats", "6",
-		"-mutate-every", "5",
-		"-batch-every", "4",
-		"-out", outPath,
-	})
+	db, err := milret.LoadDatabase(dbPath, milret.Options{ConceptCacheMB: 8})
 	if err != nil {
-		t.Fatalf("loadtest: %v", err)
+		t.Fatal(err)
 	}
+	ts := httptest.NewServer(server.New(db))
+	t.Cleanup(func() {
+		ts.Close()
+		db.Close()
+	})
+	return strings.TrimPrefix(ts.URL, "http://")
+}
 
-	raw, err := os.ReadFile(outPath)
+func readReport(t *testing.T, path string) ltReport {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +42,27 @@ func TestLoadtestSmoke(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
+	return rep
+}
+
+// TestLoadtestSmoke drives steady mixed load against a served tiny corpus
+// and checks the report's deterministic properties: every traffic class
+// shows up, nothing errors, and the JSON report round-trips.
+func TestLoadtestSmoke(t *testing.T) {
+	outPath := filepath.Join(t.TempDir(), "report.json")
+	err := cmdLoadtest([]string{
+		"-addr", serveTestStore(t),
+		"-duration", "1500ms",
+		"-concurrency", "2",
+		"-queries", "2",
+		"-mutate-every", "5",
+		"-batch-every", "4",
+		"-out", outPath,
+	})
+	if err != nil {
+		t.Fatalf("loadtest: %v", err)
+	}
+	rep := readReport(t, outPath)
 
 	if rep.Steady == nil || rep.Steady.Ops == 0 {
 		t.Fatalf("steady phase ran no ops: %+v", rep.Steady)
@@ -52,65 +75,101 @@ func TestLoadtestSmoke(t *testing.T) {
 			t.Fatalf("steady phase missing %q traffic: %v", class, rep.Steady.Classes)
 		}
 	}
-
-	// Warm restart: every repeat answered from the persisted cache.
-	if rep.WarmRestart == nil || rep.WarmRestart.Ops != 6 {
-		t.Fatalf("warm restart phase: %+v", rep.WarmRestart)
-	}
-	if !rep.WarmServedWithoutTraining {
-		t.Fatalf("warm restart trained: classes %v", rep.WarmRestart.Classes)
-	}
-	if hits := rep.WarmRestart.Classes["query-hit"]; hits == nil || hits.Count != 6 {
-		t.Fatalf("warm restart hits: %v", rep.WarmRestart.Classes)
-	}
-
-	// Cold restart: each distinct query retrains once before repeats hit.
-	if rep.ColdRestart == nil || rep.ColdRestart.Errors != 0 {
-		t.Fatalf("cold restart phase: %+v", rep.ColdRestart)
-	}
-	if misses := rep.ColdRestart.Classes["query-miss"]; misses == nil || misses.Count != 2 {
-		t.Fatalf("cold restart misses (want one per distinct query): %v", rep.ColdRestart.Classes)
-	}
-
-	// The sidecar the warm restart loaded is still on disk next to the db.
-	if _, err := os.Stat(dbPath + ".ccache"); err != nil {
-		t.Fatalf("sidecar missing after loadtest: %v", err)
-	}
 }
 
 // TestLoadtestOpenLoop covers the paced (open-loop) generator: a modest
 // rate over a short window still produces ops and a rate echo in the
 // report.
 func TestLoadtestOpenLoop(t *testing.T) {
-	dir := t.TempDir()
-	dbPath := filepath.Join(dir, "db.milret")
-	buildTestStore(t, dbPath)
-	outPath := filepath.Join(dir, "report.json")
-
+	outPath := filepath.Join(t.TempDir(), "report.json")
 	err := cmdLoadtest([]string{
-		"-db", dbPath,
+		"-addr", serveTestStore(t),
 		"-duration", "900ms",
 		"-concurrency", "2",
 		"-rate", "40",
 		"-queries", "1",
-		"-restart-repeats", "2",
 		"-out", outPath,
 	})
 	if err != nil {
 		t.Fatalf("loadtest: %v", err)
 	}
-	raw, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep ltReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
+	rep := readReport(t, outPath)
 	if rep.Steady.Ops == 0 {
 		t.Fatal("open-loop phase ran no ops")
 	}
 	if rep.RatePerSec != 40 {
 		t.Fatalf("rate echo = %v", rep.RatePerSec)
+	}
+}
+
+// TestLoadtestRequiresAddr: the driver owns no server, and says where the
+// self-contained run lives.
+func TestLoadtestRequiresAddr(t *testing.T) {
+	err := cmdLoadtest([]string{"-duration", "100ms"})
+	if err == nil {
+		t.Fatal("loadtest without -addr returned nil")
+	}
+	for _, want := range []string{"-addr", "bash bench/run.sh"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// queryStub answers every /v1/query with an empty hit after running
+// before — a server reduced to its latency.
+func queryStub(t *testing.T, before func(r *http.Request)) *ltGen {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		before(r)
+		json.NewEncoder(w).Encode(server.QueryResponse{Cache: "hit"})
+	}))
+	t.Cleanup(ts.Close)
+	return &ltGen{base: ts.URL, specs: []ltSpec{{Positives: []string{"a", "b"}}}, k: 1}
+}
+
+// TestOpenLoopOverloadShowsQueueDelayAndDrops: at 200 ops/s offered to
+// one worker and a server that takes 50 ms, most ticks find the worker
+// busy. The report must say so (dropped) and the ops that did run must be
+// timed from when they were due, not from when the worker got to them.
+func TestOpenLoopOverloadShowsQueueDelayAndDrops(t *testing.T) {
+	gen := queryStub(t, func(*http.Request) { time.Sleep(50 * time.Millisecond) })
+	ph := runPhase(gen, 1, 200, 600*time.Millisecond)
+	if ph.Errors != 0 || ph.Ops == 0 {
+		t.Fatalf("phase: %+v", ph)
+	}
+	if ph.Dropped == 0 {
+		t.Fatalf("dropped = 0 with %d ops served of ~120 offered", ph.Ops)
+	}
+	// One tick waits in the queue for most of the 50 ms the previous op
+	// holds the worker, so the median is service time plus that wait.
+	if p50 := ph.Classes["query-hit"].P50MS; p50 < 70 {
+		t.Fatalf("p50 = %.1f ms: queue delay is missing from the latency (service time alone is 50 ms)", p50)
+	}
+}
+
+// TestHungServerCostsErrorsNotAHang: a server that accepts and never
+// answers must not hold the workers past the phase; each expired request
+// is an "error" sample.
+func TestHungServerCostsErrorsNotAHang(t *testing.T) {
+	release := make(chan struct{})
+	gen := queryStub(t, func(r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	})
+	defer close(release)
+	gen.client.Timeout = 100 * time.Millisecond
+
+	done := make(chan *ltPhase, 1)
+	go func() { done <- runPhase(gen, 2, 0, 300*time.Millisecond) }()
+	select {
+	case ph := <-done:
+		if ph.Ops == 0 || ph.Errors != ph.Ops {
+			t.Fatalf("want every op an error, got %+v", ph)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("runPhase still blocked 5 s after a 300 ms phase against a hung server")
 	}
 }

@@ -285,9 +285,9 @@ func TestObjectBackgroundsUniform(t *testing.T) {
 	}
 }
 
-// TestEachMatchesN pins the streaming/materialized equivalence the loadtest
-// corpus builder relies on: ScenesEach and ObjectsEach must visit exactly
-// the items ScenesN/ObjectsN return, in order, pixel for pixel.
+// TestEachMatchesN pins the streaming/materialized equivalence: ScenesEach
+// and ObjectsEach, called directly, must visit exactly the items
+// ScenesN/ObjectsN return, in order, pixel for pixel.
 func TestEachMatchesN(t *testing.T) {
 	check := func(name string, batch []Item, each func(int64, int, func(Item) error) error, seed int64, n int) {
 		i := 0
