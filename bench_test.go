@@ -39,7 +39,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// One bench per paper table/figure (DESIGN.md per-experiment index).
+// One bench per paper table/figure (`cmd/experiments -list` is the index).
 
 func BenchmarkTable31(b *testing.B)    { benchExperiment(b, "Table31") }
 func BenchmarkFig33_34(b *testing.B)   { benchExperiment(b, "Fig33_34") }
@@ -61,7 +61,7 @@ func BenchmarkFig419(b *testing.B)     { benchExperiment(b, "Fig419") }
 func BenchmarkFig420_421(b *testing.B) { benchExperiment(b, "Fig420_421") }
 func BenchmarkFig422(b *testing.B)     { benchExperiment(b, "Fig422") }
 
-// --- Component benchmarks and ablations (DESIGN.md extensions) ---
+// --- Component benchmarks and ablations ---
 
 func benchImage(seed int64) *gray.Image {
 	items := synth.ScenesN(seed, 1)

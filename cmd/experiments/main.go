@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's tables and figures as text
 // tables (and optionally CSV files). Each experiment ID corresponds to one
-// table or figure of the paper; see DESIGN.md for the index.
+// table or figure of the paper; `experiments -list` prints the index.
 //
 // Usage:
 //

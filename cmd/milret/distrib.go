@@ -24,17 +24,16 @@ func cmdShardServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8081", "listen address")
 	fastLoad := fs.Bool("fast-load", false, "skip the synchronous data checksum: zero-copy O(images) open, verified in the background (see /v1/healthz)")
 	readOnly := fs.Bool("readonly", false, "refuse mutations on both the RPC and the JSON surface")
-	cacheMB := fs.Int("concept-cache-mb", 0, "memory bound of this shard's own trained-concept LRU cache in MB (coordinator-routed queries train on the coordinator; this cache only serves direct /v1/query traffic)")
-	recall := fs.Float64("recall", 0, "default candidate-pruning tier for direct JSON queries; coordinator RPCs carry their own recall")
 	applyKernel := kernelFlag(fs)
 	fs.Parse(args)
 
 	if err := applyKernel(); err != nil {
 		return err
 	}
-	db, err := milret.LoadDatabase(*dbPath, milret.Options{
-		VerifyOnLoad: !*fastLoad, ConceptCacheMB: *cacheMB, Recall: *recall,
-	})
+	// No concept cache and the exact tier: a coordinator trains on its own
+	// cache and every RPC carries its own recall. The JSON surface below is
+	// for curl /v1/healthz and /v1/stats.
+	db, err := milret.LoadDatabase(*dbPath, milret.Options{VerifyOnLoad: !*fastLoad})
 	if err != nil {
 		return err
 	}

@@ -239,7 +239,7 @@ func TestDistributedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st server.StatsResponse
+	var st milret.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"milret"
 	"milret/internal/server"
 )
 
@@ -74,9 +75,7 @@ type ltPhase struct {
 // recall measured by replaying each query fingerprint pruned and exact and
 // comparing the top-k sets (only measurable against a filtered scan).
 type ltPrune struct {
-	Screened       int64   `json:"screened"`
-	Admitted       int64   `json:"admitted"`
-	Rejected       int64   `json:"rejected"`
+	milret.PruneStats
 	AchievedRecall float64 `json:"achieved_recall,omitempty"`
 }
 
@@ -137,8 +136,8 @@ func cmdLoadtest(args []string) error {
 	rep.Steady = runPhase(gen, *concurrency, *rate, *duration)
 	printPhase("steady", rep.Steady)
 
-	if pr := gen.fetchPrune(); pr != nil {
-		rep.Prune = &ltPrune{Screened: pr.Screened, Admitted: pr.Admitted, Rejected: pr.Rejected}
+	if pr, ok := gen.fetchPrune(); ok {
+		rep.Prune = &ltPrune{PruneStats: pr}
 		line := fmt.Sprintf("prune: screened %d, admitted %d, rejected %d", pr.Screened, pr.Admitted, pr.Rejected)
 		if pr.Screened > 0 {
 			line += fmt.Sprintf(" (%.1f%%)", 100*float64(pr.Rejected)/float64(pr.Screened))
@@ -179,14 +178,14 @@ func (g *ltGen) fetchLabeled() (map[string][]string, error) {
 }
 
 // fetchPrune reads the server's cumulative candidate-filter counters from
-// /v1/stats; nil when the server has not run a top-k scan (the stats block
-// is omitted) or the endpoint is unreachable.
-func (g *ltGen) fetchPrune() *server.PruneStatsResponse {
-	var st server.StatsResponse
+// /v1/stats; ok is false when the server has not run a top-k scan (the stats
+// block is omitted) or the endpoint is unreachable.
+func (g *ltGen) fetchPrune() (pr milret.PruneStats, ok bool) {
+	var st milret.Stats
 	if g.get("/v1/stats", &st) != nil {
-		return nil
+		return pr, false
 	}
-	return st.Prune
+	return st.Prune, st.Prune != milret.PruneStats{}
 }
 
 // measureAchievedRecall replays each query fingerprint twice — once through

@@ -377,7 +377,7 @@ func cmdQuery(args []string) error {
 	if len(posIDs) == 0 {
 		return fmt.Errorf("at least one -pos example is required")
 	}
-	wm, err := parseMode(*mode)
+	wm, err := milret.ParseWeightMode(*mode)
 	if err != nil {
 		return err
 	}
@@ -415,7 +415,7 @@ func cmdEval(args []string) error {
 	if *target == "" {
 		return fmt.Errorf("-target is required; labels present: %v", db.Labels())
 	}
-	wm, err := parseMode(*mode)
+	wm, err := milret.ParseWeightMode(*mode)
 	if err != nil {
 		return err
 	}
@@ -502,20 +502,6 @@ func splitIDs(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseMode(s string) (milret.WeightMode, error) {
-	switch s {
-	case "original":
-		return milret.Original, nil
-	case "identical":
-		return milret.IdenticalWeights, nil
-	case "alpha-hack":
-		return milret.AlphaHackWeights, nil
-	case "constrained":
-		return milret.ConstrainedWeights, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
 }
 
 // shuffledIDs returns the database IDs in a seed-determined order without

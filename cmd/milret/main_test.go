@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"milret"
 	"milret/internal/store"
 )
 
@@ -35,12 +36,12 @@ func TestSplitIDs(t *testing.T) {
 
 func TestParseMode(t *testing.T) {
 	for _, good := range []string{"original", "identical", "alpha-hack", "constrained"} {
-		if _, err := parseMode(good); err != nil {
-			t.Errorf("parseMode(%q): %v", good, err)
+		if m, err := milret.ParseWeightMode(good); err != nil || m.String() != good {
+			t.Errorf("-mode %q parsed to %v, %v", good, m, err)
 		}
 	}
-	if _, err := parseMode("bogus"); err == nil {
-		t.Errorf("parseMode accepted bogus mode")
+	if _, err := milret.ParseWeightMode("bogus"); err == nil {
+		t.Errorf("-mode bogus accepted")
 	}
 }
 

@@ -93,16 +93,16 @@ func TrainBags(ctx context.Context, cache *qcache.Cache, positives, negatives []
 // opened database.
 type PartitionStats struct {
 	// Name is the partition's name from the topology file.
-	Name string
+	Name string `json:"name"`
 	// Addr is the base URL of the shard server that owns the partition.
-	Addr string
+	Addr string `json:"addr,omitempty"`
 	// Healthy reports whether the last probe or RPC reached the shard
 	// server; a request the shard refused still counts as reaching it.
-	Healthy bool
+	Healthy bool `json:"healthy"`
 	// LastError is the most recent transport failure, kept after recovery
 	// for postmortems; empty if the partition never failed.
-	LastError string
+	LastError string `json:"last_error,omitempty"`
 	// Images is the partition's live image count at the last successful
 	// probe or stats merge.
-	Images int
+	Images int `json:"images"`
 }

@@ -32,12 +32,26 @@ func TrainerEvals() (dd, emdd int64) {
 	return ddEvalCount.Load(), emddEvalCount.Load()
 }
 
-// TrainerStarts returns the process-cumulative number of optimization
-// starts Train has run and how many of them ended on the iteration cap
-// (Config.Opt.MaxIter) instead of converging. A capped share near one means
-// the cap, not the tolerance, decides training cost.
-func TrainerStarts() (starts, capped int64) {
-	return ddStartCount.Load(), ddStartsCapped.Load()
+// TrainStats counts classic Diverse Density training work since process
+// start — the "train" block of the stats tree as /v1/stats carries it: Evals
+// objective evaluations spent in Starts optimization starts (the paper's
+// §4.3 multi-start runs one per positive instance), of which StartsCapped
+// ended on the iteration cap (Config.Opt.MaxIter) instead of converging. A
+// capped share near one means the cap, not the tolerance, decides training
+// cost. The counters are process-wide: every Train call feeds them.
+type TrainStats struct {
+	Evals        int64 `json:"evals"`
+	Starts       int64 `json:"starts"`
+	StartsCapped int64 `json:"starts_capped"`
+}
+
+// TrainerStats snapshots Train's process-cumulative counters.
+func TrainerStats() TrainStats {
+	return TrainStats{
+		Evals:        ddEvalCount.Load(),
+		Starts:       ddStartCount.Load(),
+		StartsCapped: ddStartsCapped.Load(),
+	}
 }
 
 // Config controls a Diverse Density training run.

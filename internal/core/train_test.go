@@ -246,12 +246,12 @@ func TestTrainerStartsCountsCappedStarts(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	ds := randDataset(r, 5, 2, 1, 3)
 	run := func(opt optimize.Options) (starts, capped int64) {
-		s0, c0 := TrainerStarts()
+		before := TrainerStats()
 		if _, err := Train(ds, Config{Mode: SumConstraint, Opt: opt, Parallelism: 1}); err != nil {
 			t.Fatal(err)
 		}
-		s1, c1 := TrainerStarts()
-		return s1 - s0, c1 - c0
+		after := TrainerStats()
+		return after.Starts - before.Starts, after.StartsCapped - before.StartsCapped
 	}
 	if starts, capped := run(optimize.Options{MaxIter: 1}); starts != 6 || capped != 6 {
 		t.Fatalf("MaxIter 1: %d starts, %d capped; want 6 and 6", starts, capped)

@@ -2,16 +2,19 @@
 // parses the markdown docs for intra-repo links, generated sections,
 // and CLI flag tables, so tests (and the CI docs job) can fail when a
 // link target disappears, when docs/API.md's route table drifts from
-// server.Routes(), or when a flag table stops matching what the built
+// server.Routes(), when its GET /v1/stats example drifts from the stats
+// tree's json tags, or when a flag table stops matching what the built
 // `milret` binary actually registers. The checkers are pure functions
 // over file contents; the tests in this package apply them to the
 // repo's own docs.
 package docscheck
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"unicode"
@@ -165,6 +168,67 @@ func RouteTable(routes []server.Route) string {
 		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", r.Pattern, strings.Join(r.Methods, ", "), r.Doc)
 	}
 	return strings.TrimSpace(b.String())
+}
+
+// JSONKeys is the set of key paths encoding/json can emit for a value of
+// type t: "dim", "cache.hits", "shards.images" (a slice or pointer adds no
+// path element; an embedded struct's keys are promoted).
+func JSONKeys(t reflect.Type) map[string]bool {
+	keys := map[string]bool{}
+	jsonKeys(t, "", keys)
+	return keys
+}
+
+func jsonKeys(t reflect.Type, prefix string, keys map[string]bool) {
+	for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
+		t = t.Elem()
+	}
+	if t.Kind() != reflect.Struct {
+		return
+	}
+	for i := range t.NumField() {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch {
+		case name == "-":
+		case f.Anonymous && name == "":
+			jsonKeys(f.Type, prefix, keys)
+		case !f.IsExported():
+		default:
+			if name == "" {
+				name = f.Name
+			}
+			keys[prefix+name] = true
+			jsonKeys(f.Type, prefix+name+".", keys)
+		}
+	}
+}
+
+// ExampleKeys is the set of key paths, in JSONKeys' notation, of a JSON
+// example as the docs show it: one document inside a ```json fence.
+func ExampleKeys(fenced string) (map[string]bool, error) {
+	doc := strings.TrimSuffix(strings.TrimPrefix(fenced, "```json"), "```")
+	var v any
+	if err := json.Unmarshal([]byte(doc), &v); err != nil {
+		return nil, err
+	}
+	keys := map[string]bool{}
+	exampleKeys(v, "", keys)
+	return keys, nil
+}
+
+func exampleKeys(v any, prefix string, keys map[string]bool) {
+	switch v := v.(type) {
+	case []any:
+		for _, e := range v {
+			exampleKeys(e, prefix, keys)
+		}
+	case map[string]any:
+		for k, e := range v {
+			keys[prefix+k] = true
+			exampleKeys(e, prefix+k+".", keys)
+		}
+	}
 }
 
 var (

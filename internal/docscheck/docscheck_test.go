@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"milret"
 	"milret/internal/server"
 )
 
@@ -78,6 +79,70 @@ func TestAPIRouteTableMatchesServer(t *testing.T) {
 	want := RouteTable(server.Routes())
 	if got != want {
 		t.Errorf("docs/API.md generated:routes section is stale.\n--- doc ---\n%s\n--- server.Routes() ---\n%s\nRegenerate the section between the markers from the table above.", got, want)
+	}
+}
+
+// TestAPIStatsKeysMatchTree reflects over milret.Stats — the value GET
+// /v1/stats marshals — and requires the example in docs/API.md's
+// generated:stats-example section to name exactly its keys: a counter added
+// to the tree must be documented, and the example cannot keep a key the
+// tree no longer has.
+func TestAPIStatsKeysMatchTree(t *testing.T) {
+	md, err := os.ReadFile(filepath.Join(repoRoot, "docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	example, err := Section(md, "stats-example")
+	if err != nil {
+		t.Fatalf("docs/API.md: %v", err)
+	}
+	documented, err := ExampleKeys(example)
+	if err != nil {
+		t.Fatalf("docs/API.md generated:stats-example: %v", err)
+	}
+	tree := JSONKeys(reflect.TypeOf(milret.Stats{}))
+	for k := range tree {
+		if !documented[k] {
+			t.Errorf("docs/API.md GET /v1/stats: the example lacks %q, a key of milret.Stats", k)
+		}
+	}
+	for k := range documented {
+		if !tree[k] {
+			t.Errorf("docs/API.md GET /v1/stats: the example names %q, which milret.Stats does not have", k)
+		}
+	}
+}
+
+func TestJSONKeys(t *testing.T) {
+	type inner struct {
+		A int `json:"a,omitempty"`
+		b int
+	}
+	type row struct {
+		inner
+		C string `json:"-"`
+		D *inner
+	}
+	type tree struct {
+		inner
+		Rows []row  `json:"rows"`
+		Opt  *inner `json:"opt,omitzero"`
+	}
+	got := JSONKeys(reflect.TypeOf(tree{}))
+	want := map[string]bool{"a": true, "opt": true, "opt.a": true, "rows": true, "rows.D": true, "rows.D.a": true, "rows.a": true}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("JSONKeys = %v, want %v", got, want)
+	}
+}
+
+func TestExampleKeys(t *testing.T) {
+	got, err := ExampleKeys("```json\n{\"a\": 1, \"rows\": [{\"b\": 2}, {\"c\": {\"d\": 3}}]}\n```")
+	want := map[string]bool{"a": true, "rows": true, "rows.b": true, "rows.c": true, "rows.c.d": true}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("ExampleKeys = %v, %v, want %v", got, err, want)
+	}
+	if _, err := ExampleKeys("```json\n{\"a\": 1, ...}\n```"); err == nil {
+		t.Error("ExampleKeys accepted an example that is not JSON")
 	}
 }
 

@@ -2,8 +2,8 @@
 // the paper's evaluation (chapter 4, plus Table 3.1 and the chapter-3
 // illustrations). Each experiment is a pure function from a Config to one
 // or more printable Tables; cmd/experiments prints them and the root
-// bench_test.go benchmarks them. DESIGN.md carries the experiment index;
-// EXPERIMENTS.md records paper-vs-measured shapes.
+// bench_test.go benchmarks them. Registry is the experiment index
+// (`cmd/experiments -list` prints it).
 package experiments
 
 import (
@@ -240,8 +240,8 @@ func summarize(results []retrieval.Result, target string) (ap, window, p10, r50 
 // Runner is an experiment entry point.
 type Runner func(Config) ([]Table, error)
 
-// Registry maps experiment IDs (DESIGN.md per-experiment index) to runners,
-// in presentation order.
+// Registry maps experiment IDs (one per table or figure of the paper) to
+// runners, in presentation order.
 func Registry() []struct {
 	ID  string
 	Run Runner

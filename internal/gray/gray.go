@@ -2,14 +2,13 @@
 // a float64 gray-scale image type with RGB→gray conversion, cropping and
 // mirroring, an integral image (summed-area table) for O(1) block means, the
 // paper's smoothing-and-sampling operator (§3.1.2) and the plain and
-// weighted correlation coefficients (§3.1.1, §3.3). PNG and PGM codecs are
-// provided for interchange with on-disk corpora.
+// weighted correlation coefficients (§3.1.1, §3.3). Images come in as
+// image.Image (FromImage); decoding files is the caller's business.
 package gray
 
 import (
 	"fmt"
 	"image"
-	"math"
 
 	"milret/internal/mat"
 )
@@ -173,19 +172,6 @@ func clampInt(v, lo, hi int) int {
 	}
 	if v > hi {
 		return hi
-	}
-	return v
-}
-
-func clamp255(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
-	}
-	if math.IsNaN(v) {
-		return 0
 	}
 	return v
 }

@@ -97,6 +97,28 @@ func (st *PruneStats) scan(armed bool) {
 	}
 }
 
+// PruneSnapshot is a point-in-time reading of a PruneStats — the "prune"
+// block of the stats tree as /v1/stats and the stats RPC carry it.
+type PruneSnapshot struct {
+	Scans    int64 `json:"scans"`
+	Unarmed  int64 `json:"unarmed"`
+	Screened int64 `json:"screened"`
+	Admitted int64 `json:"admitted"`
+	Rejected int64 `json:"rejected"`
+}
+
+// Snapshot reads the counters. Each is read atomically, the set is not: a
+// scan flushing concurrently may be half counted.
+func (st *PruneStats) Snapshot() PruneSnapshot {
+	return PruneSnapshot{
+		Scans:    st.Scans.Load(),
+		Unarmed:  st.Unarmed.Load(),
+		Screened: st.Screened.Load(),
+		Admitted: st.Admitted.Load(),
+		Rejected: st.Rejected.Load(),
+	}
+}
+
 // add flushes one worker's screen counts; the rest were admitted.
 func (st *PruneStats) add(screened, rejected int64) {
 	if st == nil || screened == 0 {

@@ -79,26 +79,6 @@ func (v Vector) Std() float64 {
 	return math.Sqrt(v.Variance())
 }
 
-// WeightedStd returns the "weighted" standard deviation of v as defined in
-// §3.3 of the paper:
-//
-//	σ'_v = sqrt( (1/n) Σ_k w_k (v_k − mean(v))² )
-//
-// Note that the mean is the plain (unweighted) mean, matching the paper.
-func (v Vector) WeightedStd(w Vector) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	mustSameLen(len(v), len(w))
-	m := v.Mean()
-	var s float64
-	for k, x := range v {
-		d := x - m
-		s += w[k] * d * d
-	}
-	return math.Sqrt(s / float64(len(v)))
-}
-
 // Dot returns the inner product of v and u.
 func (v Vector) Dot(u Vector) float64 {
 	mustSameLen(len(v), len(u))

@@ -43,22 +43,6 @@ func TestVariancePopulationConvention(t *testing.T) {
 	}
 }
 
-func TestWeightedStdAllOnesMatchesStd(t *testing.T) {
-	v := Vector{2, 4, 4, 4, 5, 5, 7, 9}
-	w := Ones(len(v))
-	if got, want := v.WeightedStd(w), v.Std(); !almostEq(got, want, 1e-12) {
-		t.Fatalf("WeightedStd(ones) = %v, want Std = %v", got, want)
-	}
-}
-
-func TestWeightedStdZeroWeights(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := NewVector(3)
-	if got := v.WeightedStd(w); got != 0 {
-		t.Fatalf("WeightedStd(zero weights) = %v, want 0", got)
-	}
-}
-
 func TestDotNormOrthogonal(t *testing.T) {
 	a := Vector{1, 0}
 	b := Vector{0, 1}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestExportImportRoundTrip exports a populated cache and imports it into
-// a fresh one: same entries, same recency order, Loaded counted.
+// a fresh one: same entries, same recency order, WarmLoaded counted.
 func TestExportImportRoundTrip(t *testing.T) {
 	src := New(1 << 20)
 	ccs := make([]*core.Concept, 4)
@@ -42,7 +42,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("imported %d entries, want 4", n)
 	}
 	st := dst.Stats()
-	if st.Entries != 4 || st.Loaded != 4 {
+	if st.Entries != 4 || st.WarmLoaded != 4 {
 		t.Fatalf("after import: %+v", st)
 	}
 	for i := range ccs {
@@ -122,7 +122,7 @@ func TestImportHonorsBudgetAndExisting(t *testing.T) {
 		t.Fatal("oversized entry was installed")
 	}
 	st := c.Stats()
-	if st.Bytes > st.CapacityBytes || st.Loaded != 2 {
+	if st.Bytes > st.CapacityBytes || st.WarmLoaded != 2 {
 		t.Fatalf("after import: %+v", st)
 	}
 

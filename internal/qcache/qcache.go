@@ -54,24 +54,29 @@ func (o Outcome) String() string {
 	return "unknown"
 }
 
-// Stats is a point-in-time snapshot of the cache's counters.
+// Stats is a point-in-time snapshot of the cache's counters — the "cache"
+// block of the stats tree as /v1/stats carries it.
 type Stats struct {
 	// CapacityBytes is the configured memory bound; Bytes the estimated
 	// footprint of the Entries currently cached.
-	CapacityBytes int64
-	Bytes         int64
-	Entries       int
-	// Hits, Misses and Coalesced count Do outcomes; Bypassed counts
-	// NoteBypass calls (requests that skipped the cache on purpose);
-	// Evictions counts entries dropped to stay under the memory bound.
-	Hits      int64
-	Misses    int64
-	Coalesced int64
-	Bypassed  int64
-	Evictions int64
-	// Loaded counts entries installed by Import — concepts warmed from a
-	// persisted snapshot rather than trained by this process.
-	Loaded int64
+	CapacityBytes int64 `json:"capacity_bytes"`
+	Bytes         int64 `json:"bytes"`
+	Entries       int   `json:"entries"`
+	// Hits, Misses and Coalesced count Do outcomes (Coalesced: calls that
+	// waited on an identical in-flight training run instead of starting
+	// their own); Bypassed counts NoteBypass calls (requests that skipped
+	// the cache on purpose); Evictions counts entries dropped to stay under
+	// the memory bound.
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Coalesced int64 `json:"coalesced"`
+	Bypassed  int64 `json:"bypassed,omitempty"`
+	Evictions int64 `json:"evictions,omitempty"`
+	// WarmLoaded counts entries installed by Import — concepts warmed from
+	// a persisted sidecar rather than trained by this process. Right after
+	// a warm open it equals the number of concepts the replica can serve
+	// without ever training.
+	WarmLoaded int64 `json:"warm_loaded,omitempty"`
 }
 
 // entryOverhead approximates the per-entry bookkeeping cost beyond the
@@ -291,7 +296,7 @@ func (c *Cache) Stats() Stats {
 		Coalesced:     c.coalesced,
 		Bypassed:      c.bypassed,
 		Evictions:     c.evictions,
-		Loaded:        c.loaded,
+		WarmLoaded:    c.loaded,
 	}
 }
 

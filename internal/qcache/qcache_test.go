@@ -3,6 +3,7 @@ package qcache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,17 +190,18 @@ func TestCoalescedCallersShareLeaderError(t *testing.T) {
 	const n = 8
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	started := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
 			_, _, errs[i] = c.Do(mkKey(3), train)
 		}(i)
 	}
-	for i := 0; i < n; i++ {
-		<-started
+	// Hold the leader until every caller has joined its flight (the
+	// counters advance under the cache lock at the moment of joining): one
+	// that arrived after the failed flight landed would rightly train again.
+	for st := c.Stats(); st.Misses+st.Coalesced < n; st = c.Stats() {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()

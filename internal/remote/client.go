@@ -34,7 +34,6 @@ const RPCPath = "/rpc"
 // Client tuning defaults, overridable per topology (see Topology).
 const (
 	DefaultRPCTimeout = 5 * time.Second
-	DefaultRetries    = 1
 	DefaultBackoff    = 50 * time.Millisecond
 )
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"milret"
+	"milret/internal/core"
 	"milret/internal/index"
 	"milret/internal/qcache"
 	"milret/internal/retrieval"
@@ -276,40 +277,27 @@ func (c *Coordinator) Len() int {
 // Recall returns the coordinator's default candidate-pruning tier.
 func (c *Coordinator) Recall() float64 { return c.recall }
 
-// Stats merges the reachable partitions' stats trees (shard rows are
-// concatenated in topology order, totals summed), attaches the
-// coordinator's own concept-cache counters, and reports the per-
-// partition health block. Stats never fails: an unreachable partition
-// contributes only its health row.
+// Stats merges the reachable partitions' stats trees (milret.Stats.Merge:
+// shard rows concatenated in topology order, totals and scan counters
+// summed), attaches the coordinator's own concept-cache and training
+// counters — training runs here; the partitions only scan — and reports
+// the per-partition health block. Stats never fails: an unreachable
+// partition contributes only its health row.
 func (c *Coordinator) Stats() milret.Stats {
 	ctx, cancel := c.rpcContext()
 	defer cancel()
 	trees, errs := fanOut(c.parts, func(_ int, cli *Client) (milret.Stats, error) {
 		return cli.Stats(ctx)
 	})
-	var st milret.Stats
-	st.PartialPolicy = c.topo.PartialPolicy()
-	st.DegradedQueries = c.degraded.Load()
+	st := milret.Stats{
+		Train:           core.TrainerStats(),
+		PartialPolicy:   c.topo.PartialPolicy(),
+		DegradedQueries: c.degraded.Load(),
+	}
 	for i, p := range c.parts {
-		ps := trees[i]
 		if errs[i] == nil {
-			p.setImages(ps.Images)
-			st.Images += ps.Images
-			st.Instances += ps.Instances
-			if ps.Dim > 0 {
-				st.Dim = ps.Dim
-			}
-			st.IndexBytes += ps.IndexBytes
-			st.DeadImages += ps.DeadImages
-			st.DeadInstances += ps.DeadInstances
-			st.PendingMutations += ps.PendingMutations
-			st.WALMutations += ps.WALMutations
-			st.Shards = append(st.Shards, ps.Shards...)
-			st.Prune.Scans += ps.Prune.Scans
-			st.Prune.Unarmed += ps.Prune.Unarmed
-			st.Prune.Screened += ps.Prune.Screened
-			st.Prune.Admitted += ps.Prune.Admitted
-			st.Prune.Rejected += ps.Prune.Rejected
+			p.setImages(trees[i].Images)
+			st.Merge(trees[i])
 		}
 		healthy, lastErr, images, _ := p.snapshot()
 		st.Partitions = append(st.Partitions, milret.PartitionStats{
@@ -320,21 +308,9 @@ func (c *Coordinator) Stats() milret.Stats {
 			Images:    images,
 		})
 	}
-	// Training runs here, on the coordinator; the partitions only scan.
-	st.Train = milret.ProcessTrainStats()
 	if c.cache != nil {
 		cs := c.cache.Stats()
-		st.Cache = &milret.CacheStats{
-			CapacityBytes: cs.CapacityBytes,
-			Bytes:         cs.Bytes,
-			Entries:       cs.Entries,
-			Hits:          cs.Hits,
-			Misses:        cs.Misses,
-			Coalesced:     cs.Coalesced,
-			Bypassed:      cs.Bypassed,
-			Evictions:     cs.Evictions,
-			WarmLoaded:    cs.Loaded,
-		}
+		st.Cache = &cs
 	}
 	return st
 }

@@ -397,6 +397,45 @@ func TestCoordinatorStats(t *testing.T) {
 	if status, err := cl.coord.Verification(); status != milret.VerifyVerified || err != nil {
 		t.Errorf("Verification = %v, %v", status, err)
 	}
+
+	// The stats op carries a shard's whole tree under its wire names.
+	got, err := NewClient(cl.servers[0].URL, 0, 0, 0).Stats(context.Background())
+	if want := cl.shardDBs[0].Stats(); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats RPC = %+v, %v\nwant %+v", got, err, want)
+	}
+
+	// One query through the coordinator: the partitions' rows and scan
+	// counters merge, the cache and training counters are its own.
+	scans, train := st.Prune.Scans, st.Train
+	concept, _, err := cl.coord.TrainCachedContext(context.Background(), cl.ids[:2], nil, milret.TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.coord.Retrieve(context.Background(), concept, 3, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	st = cl.coord.Stats()
+	if len(st.Shards) != 4 {
+		t.Fatalf("Shards = %d rows", len(st.Shards))
+	}
+	var rows milret.ShardStats
+	for i, row := range st.Shards {
+		if row.Images != st.Partitions[i].Images {
+			t.Errorf("shard row %d holds %d images, its partition %d", i, row.Images, st.Partitions[i].Images)
+		}
+		rows.Images += row.Images
+		rows.Instances += row.Instances
+		rows.IndexBytes += row.IndexBytes
+	}
+	if rows.Images != st.Images || rows.Instances != st.Instances || rows.IndexBytes != st.IndexBytes {
+		t.Errorf("shard rows sum to %+v, totals %+v", rows, st)
+	}
+	if st.Prune.Scans != scans+4 || st.Prune.Admitted+st.Prune.Rejected != st.Prune.Screened {
+		t.Errorf("merged prune counters after one query on 4 partitions: %+v (scans before: %d)", st.Prune, scans)
+	}
+	if st.Cache.Misses != 1 || st.Train.Starts <= train.Starts {
+		t.Errorf("coordinator's own blocks: cache %+v, train %+v (before: %+v)", *st.Cache, st.Train, train)
+	}
 }
 
 // TestSharedCutoffValues sanity-checks the piggybacked bound the shard

@@ -43,7 +43,7 @@ type Topology struct {
 	// RPCTimeoutMS bounds each RPC attempt (default 5000).
 	RPCTimeoutMS int `json:"rpc_timeout_ms,omitempty"`
 	// Retries re-sends failed idempotent RPCs with exponential backoff
-	// (default 1 retry; mutations never retry).
+	// (default 0: an attempt is not repeated; mutations never retry).
 	Retries int `json:"retries,omitempty"`
 	// BackoffMS is the first retry's delay, doubling per attempt
 	// (default 50).

@@ -43,8 +43,8 @@ func TestDeleteSemantics(t *testing.T) {
 	if len(res) != 2 || res[0].ID != "a" || res[1].ID != "c" {
 		t.Fatalf("rank after delete: %+v", res)
 	}
-	st := db.Stats()
-	if st.Items != 2 || st.DeadItems != 1 || st.DeadInstances != 1 || st.Instances != 2 {
+	st := totals(db)
+	if st.Images != 2 || st.DeadImages != 1 || st.DeadInstances != 1 || st.Instances != 2 {
 		t.Fatalf("stats after delete: %+v", st)
 	}
 
@@ -171,16 +171,16 @@ func TestCompactReclaimsDeadRows(t *testing.T) {
 		}
 	}
 	before := Rank(db, pointScorer{mat.Vector{0, 0}}, Options{})
-	st := db.Stats()
-	if st.DeadItems != 50 || st.DeadInstances != 100 {
+	st := totals(db)
+	if st.DeadImages != 50 || st.DeadInstances != 100 {
 		t.Fatalf("pre-compact stats: %+v", st)
 	}
 	db.Compact()
-	st = db.Stats()
-	if st.DeadItems != 0 || st.DeadInstances != 0 || st.Items != 50 {
+	st = totals(db)
+	if st.DeadImages != 0 || st.DeadInstances != 0 || st.Images != 50 {
 		t.Fatalf("post-compact stats: %+v", st)
 	}
-	if st.IndexBytes != int64(st.Instances*st.Dim*8) {
+	if st.IndexBytes != int64(st.Instances*db.Dim()*8) {
 		t.Fatalf("compacted block still carries dead rows: %+v", st)
 	}
 	after := Rank(db, pointScorer{mat.Vector{0, 0}}, Options{})
@@ -214,14 +214,14 @@ func TestAutoCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := db.Stats()
+	st := totals(db)
 	// Compaction fires as soon as the threshold is crossed, so only the
 	// deletes after the last compact linger as tombstones — far fewer than
 	// were issued, and always below the trigger.
 	if st.DeadInstances >= compactMinDeadRows {
 		t.Fatalf("auto-compaction did not fire: %+v", st)
 	}
-	if st.Items != n-(n/2+2) {
+	if st.Images != n-(n/2+2) {
 		t.Fatalf("live count after auto-compaction: %+v", st)
 	}
 }

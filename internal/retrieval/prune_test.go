@@ -81,28 +81,28 @@ func TestPruneCountersInStats(t *testing.T) {
 	db := randWeightedDB(t, r, 120, 8, 3)
 	_, flat := randScorerPair(r, 8)
 	Rank(db, flat, Options{})
-	if st := db.Stats(); st.PruneScans != 0 || st.PruneScreened != 0 {
+	if st := db.PruneStats(); st.Scans != 0 || st.Screened != 0 {
 		t.Fatalf("counters nonzero before any top-k scan: %+v", st)
 	}
 	TopK(db, flat, 5, Options{})
 	TopKMany(db, []Scorer{flat, flat}, 5, Options{Recall: 1})
-	st := db.Stats()
-	if st.PruneScans != 3 || st.PruneUnarmed != 0 {
-		t.Fatalf("scans %d unarmed %d, want 3 and 0", st.PruneScans, st.PruneUnarmed)
+	st := db.PruneStats()
+	if st.Scans != 3 || st.Unarmed != 0 {
+		t.Fatalf("scans %d unarmed %d, want 3 and 0", st.Scans, st.Unarmed)
 	}
-	if st.PruneScreened == 0 {
+	if st.Screened == 0 {
 		t.Fatal("top-k scans screened nothing")
 	}
-	if st.PruneAdmitted+st.PruneRejected != st.PruneScreened {
+	if st.Admitted+st.Rejected != st.Screened {
 		t.Fatalf("screened %d != admitted %d + rejected %d",
-			st.PruneScreened, st.PruneAdmitted, st.PruneRejected)
+			st.Screened, st.Admitted, st.Rejected)
 	}
 	neg := flat
 	neg.w = append(mat.Vector(nil), flat.w...)
 	neg.w[2] = -1
 	TopK(db, neg, 5, Options{})    // negative weight: filter cannot arm
 	TopK(db, flat, 500, Options{}) // k ≥ n: nothing to reject
-	if st := db.Stats(); st.PruneScans != 5 || st.PruneUnarmed != 2 {
-		t.Fatalf("scans %d unarmed %d, want 5 and 2", st.PruneScans, st.PruneUnarmed)
+	if st := db.PruneStats(); st.Scans != 5 || st.Unarmed != 2 {
+		t.Fatalf("scans %d unarmed %d, want 5 and 2", st.Scans, st.Unarmed)
 	}
 }

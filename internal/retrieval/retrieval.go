@@ -148,13 +148,10 @@ func ShardIndexFor(id string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// shardIndexFor is the internal spelling of ShardIndexFor.
-func shardIndexFor(id string, n int) int { return ShardIndexFor(id, n) }
-
 // ShardFor returns the index of the shard that holds (or would hold) the
 // given item ID — the placement function, exposed so persistence can route
 // per-shard mutation logs the same way the database routes mutations.
-func (db *Database) ShardFor(id string) int { return shardIndexFor(id, len(db.shards)) }
+func (db *Database) ShardFor(id string) int { return ShardIndexFor(id, len(db.shards)) }
 
 func (db *Database) shardFor(id string) *shard { return db.shards[db.ShardFor(id)] }
 
@@ -378,15 +375,6 @@ func (db *Database) Compact() {
 	}
 }
 
-// CompactShard rebuilds a single shard's flat block (no-op when the shard
-// carries no tombstones), leaving the other shards untouched.
-func (db *Database) CompactShard(i int) {
-	sh := db.shards[i]
-	sh.mu.Lock()
-	sh.compactLocked()
-	sh.mu.Unlock()
-}
-
 func (sh *shard) maybeCompactLocked() {
 	deadRows := sh.idx.DeadInstances()
 	if deadRows < compactMinDeadRows {
@@ -539,81 +527,54 @@ func (db *Database) snapshot() index.Sharded {
 	return view
 }
 
-// ShardStats summarizes one shard's flat scoring index.
+// LiveStats counts what a scan ranks: bags not tombstoned and their
+// instance rows.
+type LiveStats struct {
+	Images    int `json:"images"`
+	Instances int `json:"instances"`
+}
+
+// BlockStats weighs a flat instance block: its size in bytes, dead rows
+// included, and the tombstoned bags and rows still occupying it — what the
+// next compaction reclaims.
+type BlockStats struct {
+	IndexBytes    int64 `json:"index_bytes"`
+	DeadImages    int   `json:"dead_images,omitempty"`
+	DeadInstances int   `json:"dead_instances,omitempty"`
+}
+
+// ShardStats is one shard's flat scoring index in the stats tree. It is two
+// halves because /v1/stats reports the same columns as totals with the
+// dimensionality between them.
 type ShardStats struct {
-	// Items is the shard's live bag count; Instances its live instance rows.
-	Items     int
-	Instances int
-	// IndexBytes is the size of the shard's flat instance block in bytes,
-	// dead rows included.
-	IndexBytes int64
-	// DeadItems and DeadInstances count tombstoned bags and their rows still
-	// occupying the shard's block — the weight its next compact reclaims.
-	DeadItems     int
-	DeadInstances int
+	LiveStats
+	BlockStats
 }
 
-// Stats summarizes the flat scoring indexes across all shards.
-type Stats struct {
-	// Items is the number of live bags (images).
-	Items int
-	// Instances is the live instance (region vector) count.
-	Instances int
-	// Dim is the feature dimensionality.
-	Dim int
-	// IndexBytes is the total size of the flat instance blocks in bytes,
-	// dead rows included (they occupy the blocks until compaction).
-	IndexBytes int64
-	// DeadItems and DeadInstances count tombstoned bags and their rows still
-	// occupying the blocks — the weight compaction reclaims.
-	DeadItems     int
-	DeadInstances int
-	// Shards breaks the same counters down per shard; the totals above are
-	// exactly the column sums.
-	Shards []ShardStats
-	// PruneScans counts every top-k scan (one per scorer of a
-	// TopKMany batch) and PruneUnarmed the ones that ran without the
-	// candidate filter — a negative weight, or k covering every bag.
-	// PruneScreened, PruneAdmitted and PruneRejected are the filter's
-	// cumulative admission counters across those scans: bags that reached
-	// an armed filter, and how the box test split them.
-	// Screened = Admitted + Rejected.
-	PruneScans    int64
-	PruneUnarmed  int64
-	PruneScreened int64
-	PruneAdmitted int64
-	PruneRejected int64
-}
-
-// Stats reports the size of the flat scoring indexes, per shard and in
-// total. The totals are computed by summing the per-shard rows, so the
-// sum-equals-total invariant holds by construction.
-func (db *Database) Stats() Stats {
-	st := Stats{Dim: db.Dim(), Shards: make([]ShardStats, len(db.shards))}
+// ShardStats reports the size of every shard's flat scoring index.
+func (db *Database) ShardStats() []ShardStats {
+	rows := make([]ShardStats, len(db.shards))
 	for i, sh := range db.shards {
 		sh.mu.RLock()
-		ss := ShardStats{
-			Items:         sh.idx.Live(),
-			Instances:     sh.idx.Instances() - sh.idx.DeadInstances(),
-			IndexBytes:    sh.idx.Bytes(),
-			DeadItems:     sh.idx.Dead(),
-			DeadInstances: sh.idx.DeadInstances(),
+		rows[i] = ShardStats{
+			LiveStats{
+				Images:    sh.idx.Live(),
+				Instances: sh.idx.Instances() - sh.idx.DeadInstances(),
+			},
+			BlockStats{
+				IndexBytes:    sh.idx.Bytes(),
+				DeadImages:    sh.idx.Dead(),
+				DeadInstances: sh.idx.DeadInstances(),
+			},
 		}
 		sh.mu.RUnlock()
-		st.Shards[i] = ss
-		st.Items += ss.Items
-		st.Instances += ss.Instances
-		st.IndexBytes += ss.IndexBytes
-		st.DeadItems += ss.DeadItems
-		st.DeadInstances += ss.DeadInstances
 	}
-	st.PruneScans = db.prune.Scans.Load()
-	st.PruneUnarmed = db.prune.Unarmed.Load()
-	st.PruneScreened = db.prune.Screened.Load()
-	st.PruneAdmitted = db.prune.Admitted.Load()
-	st.PruneRejected = db.prune.Rejected.Load()
-	return st
+	return rows
 }
+
+// PruneStats snapshots the scan and candidate-filter counters of every
+// top-k scan against this database.
+func (db *Database) PruneStats() index.PruneSnapshot { return db.prune.Snapshot() }
 
 // Result is one ranked database entry: the item's ID and label plus Dist,
 // the bag-to-concept distance (weighted, squared). It is an alias of

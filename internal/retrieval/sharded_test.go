@@ -98,7 +98,7 @@ func TestQuickShardedMatchesSingleShard(t *testing.T) {
 		// proves per-shard compaction is invisible to rankings.
 		for si := 0; si < p.sharded.ShardCount(); si++ {
 			if r.Intn(2) == 0 {
-				p.sharded.CompactShard(si)
+				compactShard(p.sharded, si)
 			}
 		}
 
@@ -162,8 +162,31 @@ func TestQuickShardedMatchesSingleShard(t *testing.T) {
 	}
 }
 
-// Per-shard stats must sum exactly to the database totals — the /v1/stats
-// invariant — across mutations and partial compaction.
+// compactShard rebuilds one shard's flat block the way a delete that crosses
+// the auto-compaction threshold does, leaving the other shards untouched.
+func compactShard(db *Database, i int) {
+	sh := db.shards[i]
+	sh.mu.Lock()
+	sh.compactLocked()
+	sh.mu.Unlock()
+}
+
+// totals sums the per-shard rows, the way the stats tree's totals are made.
+func totals(db *Database) ShardStats {
+	var sum ShardStats
+	for _, row := range db.ShardStats() {
+		sum.Images += row.Images
+		sum.Instances += row.Instances
+		sum.IndexBytes += row.IndexBytes
+		sum.DeadImages += row.DeadImages
+		sum.DeadInstances += row.DeadInstances
+	}
+	return sum
+}
+
+// There is one stats row per shard, the rows account for every live and
+// dead bag — the /v1/stats invariant — and compacting one shard clears
+// only its own tombstone counters.
 func TestShardedStatsSumToTotals(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	db := NewDatabaseSharded(4)
@@ -172,37 +195,34 @@ func TestShardedStatsSumToTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	deleted := 0
 	for i := 0; i < 200; i += 3 {
 		if err := db.Delete(fmt.Sprintf("img-%03d", i)); err != nil {
 			t.Fatal(err)
 		}
+		deleted++
 	}
-	db.CompactShard(1)
-	st := db.Stats()
-	if len(st.Shards) != 4 {
-		t.Fatalf("got %d shard rows", len(st.Shards))
+	before := totals(db)
+	if before.DeadImages != deleted || before.DeadInstances != 2*deleted {
+		t.Fatalf("%d deletes of 2-instance bags left %+v", deleted, before)
 	}
-	var sum ShardStats
-	for _, ss := range st.Shards {
-		sum.Items += ss.Items
-		sum.Instances += ss.Instances
-		sum.IndexBytes += ss.IndexBytes
-		sum.DeadItems += ss.DeadItems
-		sum.DeadInstances += ss.DeadInstances
+	compactShard(db, 1)
+	rows := db.ShardStats()
+	if len(rows) != 4 {
+		t.Fatalf("got %d shard rows", len(rows))
 	}
-	if sum.Items != st.Items || sum.Instances != st.Instances || sum.IndexBytes != st.IndexBytes ||
-		sum.DeadItems != st.DeadItems || sum.DeadInstances != st.DeadInstances {
-		t.Fatalf("per-shard stats do not sum to totals:\nshards sum %+v\ntotals     %+v", sum, st)
+	st := totals(db)
+	if st.Images != db.Len() || st.Instances != 2*db.Len() {
+		t.Fatalf("rows sum to %+v, Len %d", st, db.Len())
 	}
-	// And the totals cross-check against the database's own accessors.
-	if st.Items != db.Len() {
-		t.Fatalf("stats items %d, Len %d", st.Items, db.Len())
+	if st.IndexBytes != int64((st.Instances+st.DeadInstances)*db.Dim()*8) {
+		t.Fatalf("index bytes %d do not cover %d live + %d dead rows", st.IndexBytes, st.Instances, st.DeadInstances)
 	}
-	if st.Shards[1].DeadItems != 0 {
+	if rows[1].DeadImages != 0 {
 		t.Fatal("compacted shard still reports dead items")
 	}
-	if st.DeadItems == 0 {
-		t.Fatal("uncompacted shards lost their tombstone counters")
+	if st.DeadImages == 0 || st.DeadImages >= before.DeadImages {
+		t.Fatalf("dead images %d → %d across a one-shard compact", before.DeadImages, st.DeadImages)
 	}
 }
 
@@ -232,7 +252,7 @@ func TestShardCompactionDoesNotBlockOthers(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				db.CompactShard(i % db.ShardCount())
+				compactShard(db, i%db.ShardCount())
 			}
 		}
 	}()
@@ -368,8 +388,8 @@ func TestConcurrentLabelUpdatesVersusQueries(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	st := db.Stats()
-	if st.DeadItems != 0 || st.DeadInstances != 0 {
+	st := totals(db)
+	if st.DeadImages != 0 || st.DeadInstances != 0 {
 		t.Fatalf("label updates left tombstones: %+v", st)
 	}
 }
@@ -390,8 +410,8 @@ func TestUpdateLabelSemantics(t *testing.T) {
 	if res[0].ID != "b" || res[0].Label != "y2" {
 		t.Fatalf("rank after label update: %+v", res)
 	}
-	st := db.Stats()
-	if st.DeadItems != 0 || st.DeadInstances != 0 || st.Items != 2 {
+	st := totals(db)
+	if st.DeadImages != 0 || st.DeadInstances != 0 || st.Images != 2 {
 		t.Fatalf("label update cost tombstones: %+v", st)
 	}
 	if err := db.Delete("b"); err != nil {
@@ -428,7 +448,7 @@ func TestNewDatabaseFromFlatsPlacement(t *testing.T) {
 	ids := []string{"a", "b", "c", "d", "e", "f", "g"}
 	byShard := [2][]string{}
 	for _, id := range ids {
-		byShard[shardIndexFor(id, 2)] = append(byShard[shardIndexFor(id, 2)], id)
+		byShard[ShardIndexFor(id, 2)] = append(byShard[ShardIndexFor(id, 2)], id)
 	}
 	db, err := NewDatabaseFromFlats([]FlatShard{mk(byShard[0]...), mk(byShard[1]...)}, dim)
 	if err != nil {

@@ -109,7 +109,7 @@ func TestQueryCacheHitSkipsTrainer(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status %d", rec.Code)
 	}
-	var st StatsResponse
+	var st milret.Stats
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}

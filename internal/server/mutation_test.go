@@ -135,7 +135,7 @@ func TestMutationsAcknowledgedDurably(t *testing.T) {
 	if rec, body := doJSON(t, s, http.MethodPut, "/v1/images/object-lamp-00", UpdateImageRequest{Label: "lantern"}); rec.Code != http.StatusOK {
 		t.Fatalf("put status %d: %s", rec.Code, body)
 	}
-	var stats StatsResponse
+	var stats milret.Stats
 	_, sbody := doJSON(t, s, http.MethodGet, "/v1/stats", nil)
 	if err := json.Unmarshal(sbody, &stats); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"reflect"
@@ -147,19 +148,21 @@ func TestRetrieveBatchRecall(t *testing.T) {
 // here k covering the whole database — shows up as unarmed.
 func TestStatsPruneCounters(t *testing.T) {
 	s, db := testServer(t)
-	stats := func() *PruneStatsResponse {
+	present := false
+	stats := func() milret.PruneStats {
 		t.Helper()
 		rec, body := doJSON(t, s, http.MethodGet, "/v1/stats", nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("stats status %d", rec.Code)
 		}
-		var st StatsResponse
+		var st milret.Stats
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatal(err)
 		}
+		present = bytes.Contains(body, []byte(`"prune"`))
 		return st.Prune
 	}
-	if pr := stats(); pr != nil {
+	if pr := stats(); present {
 		t.Fatalf("prune block present before any top-k scan: %+v", pr)
 	}
 	req := QueryRequest{Positives: []string{"object-car-00", "object-car-01"}, K: 4, Mode: "identical"}
@@ -167,7 +170,7 @@ func TestStatsPruneCounters(t *testing.T) {
 		t.Fatalf("query status %d: %s", rec.Code, body)
 	}
 	pr := stats()
-	if pr == nil {
+	if !present {
 		t.Fatal("prune block absent after a top-k scan")
 	}
 	if pr.Scans != 1 || pr.Unarmed != 0 || pr.Screened == 0 || pr.Admitted+pr.Rejected != pr.Screened {

@@ -220,173 +220,21 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, body)
 }
 
-// ShardStatsResponse is one shard's row in the /v1/stats reply: the same
-// live/dead/journal counters as the totals, scoped to that shard's flat
-// block and mutation log. The totals are exactly the column sums — the
-// invariant the stats regression tests pin down.
-type ShardStatsResponse struct {
-	Images           int   `json:"images"`
-	Instances        int   `json:"instances"`
-	IndexBytes       int64 `json:"index_bytes"`
-	DeadImages       int   `json:"dead_images,omitempty"`
-	DeadInstances    int   `json:"dead_instances,omitempty"`
-	PendingMutations int   `json:"pending_mutations,omitempty"`
-	WALMutations     int   `json:"wal_mutations,omitempty"`
-}
-
-// CacheStatsResponse is the concept-cache block of /v1/stats: occupancy
-// against the configured memory bound plus the traffic counters (hits,
-// misses, coalesced waits, deliberate bypasses, evictions) and the
-// warm-start counter (entries loaded from the persisted sidecar rather
-// than trained by this process — nonzero right after a warm restart).
-type CacheStatsResponse struct {
-	CapacityBytes int64 `json:"capacity_bytes"`
-	Bytes         int64 `json:"bytes"`
-	Entries       int   `json:"entries"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Coalesced     int64 `json:"coalesced"`
-	Bypassed      int64 `json:"bypassed,omitempty"`
-	Evictions     int64 `json:"evictions,omitempty"`
-	WarmLoaded    int64 `json:"warm_loaded,omitempty"`
-}
-
-// TrainStatsResponse is the training block of /v1/stats: this process's
-// cumulative Diverse Density work — objective evaluations, optimization
-// starts, and how many starts stopped on the iteration cap rather than a
-// tolerance. evals/starts is the cost of one start; starts_capped/starts
-// near one says the cap, not convergence, sets training latency.
-type TrainStatsResponse struct {
-	Evals        int64 `json:"evals"`
-	Starts       int64 `json:"starts"`
-	StartsCapped int64 `json:"starts_capped"`
-}
-
-// PruneStatsResponse is the top-k scan block of /v1/stats. Scans counts
-// every top-k scan since startup (one per concept of a batch) and Unarmed
-// the ones that ran without the sketch filter — a concept with a negative
-// weight, or k covering the whole database — which is what a slow scan
-// looks like from here. Screened is how many bags the filter screened and
-// Admitted/Rejected how the screen split (Screened = Admitted + Rejected);
-// rejected bags skipped the exact kernel entirely — the filter's whole win.
-type PruneStatsResponse struct {
-	Scans    int64 `json:"scans"`
-	Unarmed  int64 `json:"unarmed"`
-	Screened int64 `json:"screened"`
-	Admitted int64 `json:"admitted"`
-	Rejected int64 `json:"rejected"`
-}
-
-// StatsResponse is the /v1/stats reply: the size of the flat columnar
-// scoring indexes every query scans, plus the mutation-lifecycle counters
-// (tombstoned dead weight and journal depth), in total and per shard, the
-// concept cache's counters when one is configured, the training counters
-// once anything has trained, and the top-k scan counters once any top-k
-// scan has run.
-type StatsResponse struct {
-	Images           int                  `json:"images"`
-	Instances        int                  `json:"instances"`
-	Dim              int                  `json:"dim"`
-	IndexBytes       int64                `json:"index_bytes"`
-	DeadImages       int                  `json:"dead_images,omitempty"`
-	DeadInstances    int                  `json:"dead_instances,omitempty"`
-	PendingMutations int                  `json:"pending_mutations,omitempty"`
-	WALMutations     int                  `json:"wal_mutations,omitempty"`
-	Shards           []ShardStatsResponse `json:"shards"`
-	Cache            *CacheStatsResponse  `json:"cache,omitempty"`
-	Train            *TrainStatsResponse  `json:"train,omitempty"`
-	Prune            *PruneStatsResponse  `json:"prune,omitempty"`
-	// Partitions, PartialPolicy and DegradedQueries appear when the
-	// server fronts a distribution coordinator: per-partition health as
-	// of the last probe, the configured behavior when a partition is
-	// down ("fail" or "degrade"), and how many queries were answered
-	// without an unreachable partition under "degrade".
-	Partitions      []PartitionStatsResponse `json:"partitions,omitempty"`
-	PartialPolicy   string                   `json:"partial_policy,omitempty"`
-	DegradedQueries int64                    `json:"degraded_queries,omitempty"`
-}
-
-// PartitionStatsResponse is one topology partition's row in /v1/stats.
-type PartitionStatsResponse struct {
-	Name      string `json:"name"`
-	Addr      string `json:"addr,omitempty"`
-	Healthy   bool   `json:"healthy"`
-	LastError string `json:"last_error,omitempty"`
-	Images    int    `json:"images"`
-}
-
+// handleStats serves the backend's stats tree as it is declared:
+// json.Marshal(milret.Stats), the same JSON the shard RPC's stats op
+// carries.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{"GET only"})
 		return
 	}
 	st := s.db.Stats()
-	resp := StatsResponse{
-		Images:           st.Images,
-		Instances:        st.Instances,
-		Dim:              st.Dim,
-		IndexBytes:       st.IndexBytes,
-		DeadImages:       st.DeadImages,
-		DeadInstances:    st.DeadInstances,
-		PendingMutations: st.PendingMutations,
-		WALMutations:     st.WALMutations,
-		Shards:           make([]ShardStatsResponse, len(st.Shards)),
+	if st.Shards == nil {
+		// A coordinator with every partition down has no rows; clients
+		// still get an array.
+		st.Shards = []milret.ShardStats{}
 	}
-	for i, row := range st.Shards {
-		resp.Shards[i] = ShardStatsResponse{
-			Images:           row.Images,
-			Instances:        row.Instances,
-			IndexBytes:       row.IndexBytes,
-			DeadImages:       row.DeadImages,
-			DeadInstances:    row.DeadInstances,
-			PendingMutations: row.PendingMutations,
-			WALMutations:     row.WALMutations,
-		}
-	}
-	if st.Cache != nil {
-		resp.Cache = &CacheStatsResponse{
-			CapacityBytes: st.Cache.CapacityBytes,
-			Bytes:         st.Cache.Bytes,
-			Entries:       st.Cache.Entries,
-			Hits:          st.Cache.Hits,
-			Misses:        st.Cache.Misses,
-			Coalesced:     st.Cache.Coalesced,
-			Bypassed:      st.Cache.Bypassed,
-			Evictions:     st.Cache.Evictions,
-			WarmLoaded:    st.Cache.WarmLoaded,
-		}
-	}
-	if st.Train.Starts > 0 {
-		resp.Train = &TrainStatsResponse{
-			Evals:        st.Train.Evals,
-			Starts:       st.Train.Starts,
-			StartsCapped: st.Train.StartsCapped,
-		}
-	}
-	if st.Prune.Scans > 0 {
-		resp.Prune = &PruneStatsResponse{
-			Scans:    st.Prune.Scans,
-			Unarmed:  st.Prune.Unarmed,
-			Screened: st.Prune.Screened,
-			Admitted: st.Prune.Admitted,
-			Rejected: st.Prune.Rejected,
-		}
-	}
-	if len(st.Partitions) > 0 {
-		resp.Partitions = make([]PartitionStatsResponse, len(st.Partitions))
-		for i, p := range st.Partitions {
-			resp.Partitions[i] = PartitionStatsResponse{
-				Name:      p.Name,
-				Addr:      p.Addr,
-				Healthy:   p.Healthy,
-				LastError: p.LastError,
-				Images:    p.Images,
-			}
-		}
-		resp.PartialPolicy = st.PartialPolicy
-		resp.DegradedQueries = st.DegradedQueries
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleImages(w http.ResponseWriter, r *http.Request) {
@@ -539,7 +387,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if k > s.MaxK {
 		k = s.MaxK
 	}
-	mode, err := parseMode(req.Mode)
+	mode, err := weightMode(req.Mode)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
@@ -657,7 +505,7 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 					errorBody{fmt.Sprintf("query %d: at least one positive example required", i)})
 				return
 			}
-			mode, err := parseMode(q.Mode)
+			mode, err := weightMode(q.Mode)
 			if err != nil {
 				writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("query %d: %v", i, err)})
 				return
@@ -737,18 +585,12 @@ func pruneDisposition(recall float64) string {
 	}
 }
 
-func parseMode(s string) (milret.WeightMode, error) {
-	switch s {
-	case "", "constrained":
+// weightMode resolves a request's "mode"; absent means constrained.
+func weightMode(name string) (milret.WeightMode, error) {
+	if name == "" {
 		return milret.ConstrainedWeights, nil
-	case "original":
-		return milret.Original, nil
-	case "identical":
-		return milret.IdenticalWeights, nil
-	case "alpha-hack":
-		return milret.AlphaHackWeights, nil
 	}
-	return 0, fmt.Errorf("unknown mode %q", s)
+	return milret.ParseWeightMode(name)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

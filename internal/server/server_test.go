@@ -69,7 +69,7 @@ func TestStats(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status %d", rec.Code)
 	}
-	var got StatsResponse
+	var got milret.Stats
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
@@ -163,19 +163,16 @@ func TestQueryEndToEnd(t *testing.T) {
 // start per positive instance (at most 40 regions an image).
 func TestStatsTrainBlock(t *testing.T) {
 	s, _ := testServer(t)
-	readTrain := func() TrainStatsResponse {
+	readTrain := func() milret.TrainStats {
 		rec, body := doJSON(t, s, http.MethodGet, "/v1/stats", nil)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rec.Code, body)
 		}
-		var resp StatsResponse
+		var resp milret.Stats
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatal(err)
 		}
-		if resp.Train == nil {
-			return TrainStatsResponse{}
-		}
-		return *resp.Train
+		return resp.Train
 	}
 	before := readTrain()
 	req := QueryRequest{Positives: []string{"object-car-00", "object-car-01"}, K: 3}

@@ -52,14 +52,14 @@ func TestStatsPerShardSumToTotals(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status %d", rec.Code)
 	}
-	var st StatsResponse
+	var st milret.Stats
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Shards) != db.ShardCount() {
 		t.Fatalf("stats carries %d shard rows, database has %d shards", len(st.Shards), db.ShardCount())
 	}
-	var sum ShardStatsResponse
+	var sum milret.ShardStats
 	for _, row := range st.Shards {
 		sum.Images += row.Images
 		sum.Instances += row.Instances
@@ -95,7 +95,7 @@ func TestStatsSingleShardRow(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stats status %d", rec.Code)
 	}
-	var st StatsResponse
+	var st milret.Stats
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 // retrieval algorithm consumes — while carrying heavy per-image jitter and
 // noisy backgrounds; object images have uniform backgrounds and low
 // intra-class variation, the two properties the paper credits for the
-// object-database results. See DESIGN.md for the substitution rationale.
+// object-database results.
 package synth
 
 import (

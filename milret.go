@@ -40,6 +40,7 @@ import (
 	"milret/internal/eval"
 	"milret/internal/feature"
 	"milret/internal/gray"
+	"milret/internal/index"
 	"milret/internal/mat"
 	"milret/internal/mil"
 	"milret/internal/optimize"
@@ -69,18 +70,31 @@ const (
 	ConstrainedWeights
 )
 
+// weightModeNames is the one table of weight-mode names: String and
+// ParseWeightMode read it, and through them the CLI's -mode flag and the
+// server's "mode" field.
+var weightModeNames = [...]string{
+	Original:           "original",
+	IdenticalWeights:   "identical",
+	AlphaHackWeights:   "alpha-hack",
+	ConstrainedWeights: "constrained",
+}
+
 func (m WeightMode) String() string {
-	switch m {
-	case Original:
-		return "original"
-	case IdenticalWeights:
-		return "identical"
-	case AlphaHackWeights:
-		return "alpha-hack"
-	case ConstrainedWeights:
-		return "constrained"
+	if m < 0 || int(m) >= len(weightModeNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return weightModeNames[m]
+}
+
+// ParseWeightMode is the inverse of WeightMode.String.
+func ParseWeightMode(name string) (WeightMode, error) {
+	for m, n := range weightModeNames {
+		if n == name {
+			return WeightMode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", name)
 }
 
 func (m WeightMode) toCore() (core.WeightMode, error) {
@@ -932,7 +946,7 @@ func (d *Database) Compact() error {
 // next snapshot would hold, and how large it is for the fold policy.
 type liveShards struct{ db *retrieval.Database }
 
-func (l liveShards) Count(shard int) int { return l.db.Stats().Shards[shard].Items }
+func (l liveShards) Count(shard int) int { return l.db.ShardStats()[shard].Images }
 
 func (l liveShards) Records(shard int) []store.Record {
 	items := l.db.ShardItems(shard)
@@ -1024,184 +1038,127 @@ func (d *Database) warmConceptCache() {
 	d.cmu.Unlock()
 }
 
-// ShardStats summarizes one shard's flat scoring index and journal.
+// The stats tree. Every block is declared once, with its wire name, by the
+// layer that counts it, and Stats composes them: GET /v1/stats and the shard
+// RPC's stats op are json.Marshal of this value, so a new counter costs one
+// field where it is counted and one increment.
+type (
+	// CacheStats snapshots the concept cache (see Options.ConceptCacheMB).
+	CacheStats = qcache.Stats
+	// PruneStats counts top-k scans and the candidate filter's admission
+	// decisions. Scans is every top-k scan (one per concept of a batch) and
+	// Unarmed the ones that ran without the filter — a concept with a
+	// negative weight, or k covering the whole database — so a slow
+	// unfiltered scan is visible as such. Screened bags reached an armed
+	// filter (a top-k cutoff existed), and each was either Admitted to the
+	// exact scan or Rejected on its bounding-box bound alone.
+	// Screened = Admitted + Rejected.
+	PruneStats = index.PruneSnapshot
+	// TrainStats counts this process's Diverse Density training work; every
+	// trainer in the process — cache misses, uncached Train calls, a
+	// coordinator's own training — feeds it.
+	TrainStats = core.TrainStats
+)
+
+// JournalStats is a mutation journal's depth: PendingMutations applied but
+// not yet persisted (drained by Save/Flush), WALMutations already durable in
+// the mutation log (0 while the log state is being rebuilt). Both are 0 for
+// unbound in-memory databases.
+type JournalStats struct {
+	PendingMutations int `json:"pending_mutations,omitempty"`
+	WALMutations     int `json:"wal_mutations,omitempty"`
+}
+
+// ShardStats is one shard's row: its flat scoring index — live Images and
+// Instances, then IndexBytes, DeadImages and DeadInstances (tombstoned bags
+// and their rows occupy the block until the next compaction) — and its
+// journal.
 type ShardStats struct {
-	// Images and Instances are the shard's live bag and region-vector
-	// counts.
-	Images    int
-	Instances int
-	// IndexBytes is the size of the shard's flat instance block in bytes,
-	// dead rows included.
-	IndexBytes int64
-	// DeadImages and DeadInstances count tombstoned bags and their rows
-	// still occupying the shard's block.
-	DeadImages    int
-	DeadInstances int
-	// PendingMutations is the shard's applied-but-unpersisted mutation
-	// count; WALMutations the count already durable in the shard's log
-	// (0 when the log state is being rebuilt). Both are 0 for unbound
-	// in-memory databases.
-	PendingMutations int
-	WALMutations     int
+	retrieval.ShardStats
+	JournalStats
 }
 
 // Stats summarizes the database's flat scoring indexes and mutation
 // lifecycle, in total and per shard.
 type Stats struct {
-	// Images is the number of live stored images (bags).
-	Images int
-	// Instances is the live region-vector count across all bags.
-	Instances int
-	// Dim is the feature dimensionality.
-	Dim int
-	// IndexBytes is the total size of the flat instance blocks in bytes,
-	// including rows tombstoned by DeleteImage/UpdateImage until the next
-	// compaction.
-	IndexBytes int64
-	// DeadImages and DeadInstances count tombstoned bags and their rows
-	// still occupying the scoring blocks.
-	DeadImages    int
-	DeadInstances int
-	// PendingMutations is the number of applied mutations not yet persisted
-	// (drained by Save/Flush); WALMutations is the number already durable in
-	// the mutation logs. Both are 0 for unbound in-memory databases.
-	PendingMutations int
-	WALMutations     int
-	// Shards breaks every counter down per shard; the totals above are
-	// exactly the column sums.
-	Shards []ShardStats
+	// The totals are the shard row's own columns — exactly the column sums
+	// of Shards — around Dim, the feature dimensionality.
+	retrieval.LiveStats
+	Dim int `json:"dim"`
+	retrieval.BlockStats
+	JournalStats
+	// Shards breaks every total down per shard.
+	Shards []ShardStats `json:"shards"`
 	// Cache reports the concept cache's occupancy and traffic counters;
 	// nil when the cache is disabled (Options.ConceptCacheMB 0).
-	Cache *CacheStats
-	// Prune reports the top-k scan and candidate-filter counters across
-	// every retrieval, whatever its recall; all zero while no top-k scan
-	// has run.
-	Prune PruneStats
-	// Train reports this process's cumulative Diverse Density training
-	// work (see ProcessTrainStats); all zero until something trains.
-	Train TrainStats
+	Cache *CacheStats `json:"cache,omitempty"`
+	// Train and Prune are absent from the JSON while all zero: until
+	// something in the process has trained, and until this database has
+	// run a top-k scan.
+	Train TrainStats `json:"train,omitzero"`
+	Prune PruneStats `json:"prune,omitzero"`
 	// Partitions describes the partitions behind a distribution
 	// coordinator (internal/remote), in topology order; nil for a
 	// directly opened database.
-	Partitions []PartitionStats
+	Partitions []PartitionStats `json:"partitions,omitempty"`
 	// PartialPolicy is the coordinator's configured behavior when a
 	// partition is down: "fail" (queries error) or "degrade" (queries
 	// answer from the reachable partitions). Empty for a directly opened
 	// database.
-	PartialPolicy string
+	PartialPolicy string `json:"partial_policy,omitempty"`
 	// DegradedQueries counts queries answered without one or more
 	// unreachable partitions under the "degrade" policy.
-	DegradedQueries int64
+	DegradedQueries int64 `json:"degraded_queries,omitempty"`
 }
 
-// TrainStats counts Diverse Density training work since process start:
-// Evals objective evaluations spent in Starts optimization starts (the
-// paper's §4.3 multi-start runs one per positive instance), of which
-// StartsCapped stopped on the iteration cap instead of converging. The
-// counters are process-wide, not per database: every trainer in the
-// process — cache misses, uncached Train calls, a coordinator's own
-// training — feeds them.
-type TrainStats struct {
-	Evals        int64
-	Starts       int64
-	StartsCapped int64
+// addShards appends rows to s.Shards and adds every column into the totals.
+// It is the one place a column is summed, for a database over its shards
+// and (through Merge) for a coordinator over its partitions, so the totals
+// match the rows by construction.
+func (s *Stats) addShards(rows []ShardStats) {
+	for _, row := range rows {
+		s.Images += row.Images
+		s.Instances += row.Instances
+		s.IndexBytes += row.IndexBytes
+		s.DeadImages += row.DeadImages
+		s.DeadInstances += row.DeadInstances
+		s.PendingMutations += row.PendingMutations
+		s.WALMutations += row.WALMutations
+	}
+	s.Shards = append(s.Shards, rows...)
 }
 
-// ProcessTrainStats snapshots the process-cumulative training counters.
-func ProcessTrainStats() TrainStats {
-	evals, _ := core.TrainerEvals()
-	starts, capped := core.TrainerStarts()
-	return TrainStats{Evals: evals, Starts: starts, StartsCapped: capped}
-}
-
-// PruneStats counts top-k scans and the candidate filter's admission
-// decisions. Scans is every top-k scan (one per concept of a batch) and
-// Unarmed the ones that ran without the filter — a concept with a negative
-// weight, or k covering the whole database — so a slow unfiltered scan is
-// visible as such. Screened bags reached an armed filter (a top-k cutoff
-// existed), and each was either Admitted to the exact scan or Rejected on
-// its bounding-box bound alone. Screened = Admitted + Rejected.
-type PruneStats struct {
-	Scans    int64
-	Unarmed  int64
-	Screened int64
-	Admitted int64
-	Rejected int64
-}
-
-// CacheStats snapshots the concept cache (see Options.ConceptCacheMB).
-type CacheStats struct {
-	// CapacityBytes is the configured memory bound; Bytes the estimated
-	// footprint of the Entries currently cached.
-	CapacityBytes int64
-	Bytes         int64
-	Entries       int
-	// Hits and Misses count cache-consulting training calls; Coalesced
-	// counts calls that waited on an identical in-flight training run
-	// instead of starting their own; Bypassed counts calls that skipped
-	// the cache on request; Evictions counts entries dropped to stay
-	// under the memory bound.
-	Hits      int64
-	Misses    int64
-	Coalesced int64
-	Bypassed  int64
-	Evictions int64
-	// WarmLoaded counts entries installed from the persisted sidecar
-	// (Options.ConceptCacheFile) rather than trained by this process — the
-	// restart-warming signal: right after a warm open it equals the number
-	// of concepts the replica can serve without ever training.
-	WarmLoaded int64
+// Merge folds one partition's tree into a coordinator's: its shard rows
+// (and with them the totals), its dimensionality and its scan counters.
+// Cache, Train and the partition block describe the process serving a tree,
+// not its data, and are left alone.
+func (s *Stats) Merge(part Stats) {
+	s.addShards(part.Shards)
+	if part.Dim > 0 {
+		s.Dim = part.Dim
+	}
+	s.Prune.Scans += part.Prune.Scans
+	s.Prune.Unarmed += part.Prune.Unarmed
+	s.Prune.Screened += part.Prune.Screened
+	s.Prune.Admitted += part.Prune.Admitted
+	s.Prune.Rejected += part.Prune.Rejected
 }
 
 // Stats reports the size of the underlying flat scoring indexes and the
-// journal depth, per shard and in total. Totals are computed by summing the
-// per-shard rows, so they match by construction.
+// journal depth, per shard and in total.
 func (d *Database) Stats() Stats {
-	s := d.db.Stats()
-	st := Stats{Dim: s.Dim, Shards: make([]ShardStats, len(s.Shards))}
-	for i, ss := range s.Shards {
-		st.Shards[i] = ShardStats{
-			Images:        ss.Items,
-			Instances:     ss.Instances,
-			IndexBytes:    ss.IndexBytes,
-			DeadImages:    ss.DeadItems,
-			DeadInstances: ss.DeadInstances,
-		}
+	rows := make([]ShardStats, d.db.ShardCount())
+	for i, row := range d.db.ShardStats() {
+		rows[i].ShardStats = row
 	}
 	for i, depth := range d.j.Depth() {
-		st.Shards[i].PendingMutations = depth.Pending
-		st.Shards[i].WALMutations = max(depth.Durable, 0)
+		rows[i].JournalStats = JournalStats{PendingMutations: depth.Pending, WALMutations: max(depth.Durable, 0)}
 	}
-	for _, row := range st.Shards {
-		st.Images += row.Images
-		st.Instances += row.Instances
-		st.IndexBytes += row.IndexBytes
-		st.DeadImages += row.DeadImages
-		st.DeadInstances += row.DeadInstances
-		st.PendingMutations += row.PendingMutations
-		st.WALMutations += row.WALMutations
-	}
-	st.Prune = PruneStats{
-		Scans:    s.PruneScans,
-		Unarmed:  s.PruneUnarmed,
-		Screened: s.PruneScreened,
-		Admitted: s.PruneAdmitted,
-		Rejected: s.PruneRejected,
-	}
-	st.Train = ProcessTrainStats()
+	st := Stats{Dim: d.db.Dim(), Train: core.TrainerStats(), Prune: d.db.PruneStats()}
+	st.addShards(rows)
 	if d.cache != nil {
 		cs := d.cache.Stats()
-		st.Cache = &CacheStats{
-			CapacityBytes: cs.CapacityBytes,
-			Bytes:         cs.Bytes,
-			Entries:       cs.Entries,
-			Hits:          cs.Hits,
-			Misses:        cs.Misses,
-			Coalesced:     cs.Coalesced,
-			Bypassed:      cs.Bypassed,
-			Evictions:     cs.Evictions,
-			WarmLoaded:    cs.Loaded,
-		}
+		st.Cache = &cs
 	}
 	return st
 }

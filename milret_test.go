@@ -426,6 +426,20 @@ func TestWeightModeStrings(t *testing.T) {
 	}
 }
 
+// Every mode's name parses back to the mode, and nothing else parses.
+func TestParseWeightModeRoundTrip(t *testing.T) {
+	for _, m := range []WeightMode{Original, IdenticalWeights, AlphaHackWeights, ConstrainedWeights} {
+		if got, err := ParseWeightMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseWeightMode(%q) = %v, %v", m, got, err)
+		}
+	}
+	for _, name := range []string{"", "unknown", "Original", "sum-constraint"} {
+		if m, err := ParseWeightMode(name); err == nil {
+			t.Errorf("ParseWeightMode(%q) = %v, want an error", name, m)
+		}
+	}
+}
+
 func ExampleDatabase_Retrieve() {
 	db, _ := NewDatabase(Options{})
 	for _, it := range synth.ObjectsN(1, 2) {
