@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"milret/internal/core"
+	"milret/internal/optimize"
 	"milret/internal/synth"
 )
 
@@ -90,6 +91,34 @@ func TestTrainCachedOutcomes(t *testing.T) {
 	}
 	if st.Cache.Entries != 1 || st.Cache.Bytes <= 0 || st.Cache.Bytes > st.Cache.CapacityBytes {
 		t.Fatalf("cache occupancy = %+v", *st.Cache)
+	}
+}
+
+// TestExhaustiveTrainerKeysMiss: a cache warmed by the build before the
+// successive-halving race — keys tagged trainer version 1 — must not answer
+// this build's requests: the race may train a different concept for the same
+// examples, and a hit has to be what a retrain would return.
+func TestExhaustiveTrainerKeysMiss(t *testing.T) {
+	db := cacheTestDB(t, 8, 3, "car", "lamp")
+	pos := idsOf(db, "car", 2)
+	neg := idsOf(db, "lamp", 1)
+	ds, err := db.dataset(pos, neg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Mode: core.Identical, StartBags: cacheTestOpts.StartBags, Opt: optimize.Options{MaxIter: cacheTestOpts.MaxIters}}
+	if trainFingerprintAt(trainerVersion, ds, cfg.Mode, cfg) != trainFingerprint(ds, cfg.Mode, cfg) {
+		t.Fatal("trainFingerprint does not tag keys with trainerVersion")
+	}
+	stale := &core.Concept{Point: make([]float64, ds.Dim()), Weights: make([]float64, ds.Dim())}
+	db.cache.Do(trainFingerprintAt(1, ds, cfg.Mode, cfg), func() (*core.Concept, error) { return stale, nil })
+
+	c, out, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts)
+	if err != nil || out != CacheMiss {
+		t.Fatalf("outcome %v, err %v; want a miss beside the version-1 entry", out, err)
+	}
+	if c.c == stale {
+		t.Fatal("served the concept cached under the exhaustive trainer's key")
 	}
 }
 

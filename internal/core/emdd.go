@@ -48,7 +48,7 @@ func TrainEMDD(ds *mil.Dataset, cfg Config) (*Concept, error) {
 		evals int
 	}
 	results := make([]outcome, len(starts))
-	forEachStart(len(starts), cfg.Parallelism, func() func(int) {
+	forEachStart(len(starts), cfg.Parallelism, func(int) func(int) {
 		full := newObjective(ex, cfg.Mode, cfg.Alpha)
 		sub := newSingleInstanceObjective(dim, ex.nPos, len(ex.bagEnd), cfg.Mode, cfg.Alpha)
 		return func(i int) {
@@ -87,7 +87,7 @@ func emddFromStart(full *objective, sub *singleInstanceObjective, cfg Config, in
 		full.representatives(theta, sub.rows)
 
 		// M-step: optimize the single-instance objective.
-		res := minimize(sub.Eval, cfg, dim, theta)
+		res := newStepper(cfg, dim, theta).Minimize(sub.Eval)
 		evals += res.Evals
 
 		// Convergence is judged on the true noisy-or objective so EM

@@ -81,9 +81,34 @@ var goldenDigests = map[string]string{
 	"scenes/sum-b0-defaults":  "f0edc0ce8265605cd5d8e0627ae02f2ff02ebeb389a53cd84514dafb122b39bc",
 }
 
+// racedDigests pin Train itself — the successive-halving race on its default
+// schedule — for the same sets and configurations. They were captured once,
+// on the commit that introduced the race, and are held to the same rule:
+// a change that moves one has changed what training returns. AlphaHack has no
+// rows: it is not raced (rungSchedule), so Train still owes it goldenDigests.
+var racedDigests = map[string]string{
+	"bench32/original":        "6ea80d2fb9fff7a0094249fcabad6a9cf7ee9bbec46afba801fb7c6ed45f7e6f",
+	"bench32/identical":       "4d7f005d2b819cd4c0c065fdf065117a673d59d6bbe98faba3ebdbf436113b37",
+	"bench32/sum-b0":          "3ea4a0eaecd8b80f2aafc5781c6b64c00ab439e878f04026948a25fc0a89b5cf",
+	"bench32/sum-b0.5":        "cd5e58aeb402cc93a6d5b19aece2e7b9f9ae886bb7f94d1d60fde4c26b498178",
+	"bench32/sum-b0-defaults": "1d7a5c0b28d612cf68ebc3a0f6dc1f642f536c951577ff742f9cc41e479a74f6",
+	"scenes/original":         "75ee5d122425bb2d8168e60eac3c43c929d0dc06da8781a57b0d02f544ac8fba",
+	"scenes/identical":        "bd48d27a84244e9bd57f56d6840615580f13c946c40716f58caf38d9df2f051f",
+	"scenes/sum-b0":           "35b422b2574104e4b69434bcc1e49565ca1aa8de12f92d6813d96a1da47175bb",
+	"scenes/sum-b0.5":         "a784ecb9ce6f6596d432ffd99da94ebb67cb42806960a389f40ad8b665120221",
+	"scenes/sum-b0-defaults":  "0a247e58dc21c1591fe918cab1656fa3dd63aa175325e5ad503b477c02a9b13e",
+}
+
+// exhaustive is the race's oracle: the same driver with no barriers, so every
+// start runs to the cap. It is what Train was before the race.
+func exhaustive(ds *mil.Dataset, cfg Config) (*Concept, error) {
+	return train(ds, cfg.withDefaults(), nil)
+}
+
 // TestGoldenBitIdentity pins training output, bit for bit, across kernels
 // (run it with -tags purego too: the digests are the same) and across
-// Parallelism settings.
+// Parallelism settings: the exhaustive multi-start and EM-DD against the
+// digests that predate every fast path, the race against its own.
 func TestGoldenBitIdentity(t *testing.T) {
 	sets := []struct {
 		name string
@@ -109,6 +134,31 @@ func TestGoldenBitIdentity(t *testing.T) {
 		{"emdd-sum-b0.5", true, Config{Mode: SumConstraint, Beta: 0.5, StartBags: 1, Opt: short}},
 		{"sum-b0-defaults", false, Config{Mode: SumConstraint}},
 	}
+	// pinned trains at each Parallelism and holds the one digest to want.
+	pinned := func(t *testing.T, table map[string]string, name string, ds *mil.Dataset, cfg Config,
+		train func(*mil.Dataset, Config) (*Concept, error), pars ...int) {
+		t.Helper()
+		var digest string
+		for _, par := range pars {
+			cfg.Parallelism = par
+			c, err := train(ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := conceptDigest(c); digest == "" {
+				digest = d
+			} else if d != digest {
+				t.Fatalf("Parallelism 1 vs %d digests differ: %s vs %s", par, digest, d)
+			}
+		}
+		want, ok := table[name]
+		if !ok {
+			t.Fatalf("no golden digest; captured %q: %q,", name, digest)
+		}
+		if digest != want {
+			t.Fatalf("training output changed: digest %s, golden %s", digest, want)
+		}
+	}
 	for _, set := range sets {
 		for _, tc := range cases {
 			name := set.name + "/" + tc.name
@@ -116,30 +166,18 @@ func TestGoldenBitIdentity(t *testing.T) {
 				continue
 			}
 			t.Run(name, func(t *testing.T) {
-				var digests [2]string
-				for i, par := range []int{1, runtime.NumCPU()} {
-					cfg := tc.cfg
-					cfg.Parallelism = par
-					train := Train
-					if tc.emdd {
-						train = TrainEMDD
-					}
-					c, err := train(set.ds, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					digests[i] = conceptDigest(c)
+				if tc.emdd {
+					pinned(t, goldenDigests, name, set.ds, tc.cfg, TrainEMDD, 1, runtime.NumCPU())
+					return
 				}
-				if digests[0] != digests[1] {
-					t.Fatalf("Parallelism 1 vs %d digests differ: %s vs %s", runtime.NumCPU(), digests[0], digests[1])
+				pinned(t, goldenDigests, name, set.ds, tc.cfg, exhaustive, 1, runtime.NumCPU())
+				// 2 and 5 leave workers idle in the late rungs (5 survivors,
+				// then fewer) and make them swap starts between rungs.
+				raced := racedDigests
+				if tc.cfg.Mode == AlphaHack {
+					raced = goldenDigests
 				}
-				want, ok := goldenDigests[name]
-				if !ok {
-					t.Fatalf("no golden digest; captured %q: %q,", name, digests[0])
-				}
-				if digests[0] != want {
-					t.Fatalf("training output changed: digest %s, golden %s", digests[0], want)
-				}
+				pinned(t, raced, name, set.ds, tc.cfg, Train, 1, 2, 5, runtime.NumCPU())
 			})
 		}
 	}

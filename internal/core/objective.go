@@ -9,6 +9,16 @@
 //
 // by minimizing −log DD with multi-start gradient optimization: one start
 // per instance of (a subset of) the positive bags (§2.2.2, §4.3).
+//
+// Train runs the starts as a successive-halving race over resumable
+// optimize.Steppers: all of them for a short rung, then at each barrier the
+// best third by objective for a rung three times longer, the last few to the
+// iteration cap. A surviving start computes exactly what it would have
+// computed alone and barriers decide from complete results, so a trained
+// concept is still a pure function of its request on every kernel and at
+// every Parallelism; the schedule is two unexported constants. The driver
+// with no barriers is the exhaustive multi-start, kept for the tests as the
+// race's oracle. TrainEMDD is a separate, exhaustive trainer.
 package core
 
 import (
@@ -140,11 +150,13 @@ func newObjective(ex *exampleSet, mode WeightMode, alpha float64) *objective {
 }
 
 // thetaDim returns the optimization-variable dimension for the mode.
-func (o *objective) thetaDim() int {
-	if o.mode == Identical {
-		return o.dim
+func (o *objective) thetaDim() int { return thetaDim(o.mode, o.dim) }
+
+func thetaDim(mode WeightMode, dim int) int {
+	if mode == Identical {
+		return dim
 	}
-	return 2 * o.dim
+	return 2 * dim
 }
 
 // splitTheta returns the t and w views of θ. For Identical, w is nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,13 +17,15 @@ import (
 // tooling (cmd/experiments) can report evals/sec — the hardware-independent
 // training-cost proxy — without threading counters through every caller.
 // The start counters beside them say how Train's multi-start spends those
-// evaluations: how many minimizations ran, and how many of them stopped on
-// the iteration cap rather than on a tolerance.
+// evaluations: how many minimizations were launched, how many of them ran
+// all the way to the iteration cap, and how many the race dropped at a
+// barrier before that.
 var (
 	ddEvalCount    atomic.Int64
 	emddEvalCount  atomic.Int64
 	ddStartCount   atomic.Int64
 	ddStartsCapped atomic.Int64
+	ddStartsPruned atomic.Int64
 )
 
 // TrainerEvals returns the process-cumulative objective evaluation counts
@@ -35,14 +38,20 @@ func TrainerEvals() (dd, emdd int64) {
 // TrainStats counts classic Diverse Density training work since process
 // start — the "train" block of the stats tree as /v1/stats carries it: Evals
 // objective evaluations spent in Starts optimization starts (the paper's
-// §4.3 multi-start runs one per positive instance), of which StartsCapped
-// ended on the iteration cap (Config.Opt.MaxIter) instead of converging. A
-// capped share near one means the cap, not the tolerance, decides training
-// cost. The counters are process-wide: every Train call feeds them.
+// §4.3 multi-start launches one per positive instance). A start ends one of
+// three ways: StartsPruned were dropped at a rung barrier of the race,
+// StartsCapped survived every barrier and reached the iteration cap
+// (Config.Opt.MaxIter) with no tolerance stop, and the rest stopped on a
+// tolerance. At the server's defaults (SumConstraint, β = 0) no start does
+// the last — projected gradient crawls toward −log DD ≈ 0 with a unit step
+// still far from zero at the cap — so the rung schedule, which fixes how many
+// starts reach which iteration, is what bounds training cost. The counters
+// are process-wide: every Train call feeds them.
 type TrainStats struct {
 	Evals        int64 `json:"evals"`
 	Starts       int64 `json:"starts"`
 	StartsCapped int64 `json:"starts_capped"`
+	StartsPruned int64 `json:"starts_pruned"`
 }
 
 // TrainerStats snapshots Train's process-cumulative counters.
@@ -51,6 +60,7 @@ func TrainerStats() TrainStats {
 		Evals:        ddEvalCount.Load(),
 		Starts:       ddStartCount.Load(),
 		StartsCapped: ddStartsCapped.Load(),
+		StartsPruned: ddStartsPruned.Load(),
 	}
 }
 
@@ -88,7 +98,8 @@ const (
 	// Config.Alpha is unset.
 	DefaultAlpha = 50
 	// DefaultMaxIter bounds optimizer iterations per start when
-	// Config.Opt.MaxIter is unset.
+	// Config.Opt.MaxIter is unset. It is where the race's last survivors
+	// stop; the barriers before it (8, 24, 72) do not move with it.
 	DefaultMaxIter = 120
 )
 
@@ -123,7 +134,8 @@ type Concept struct {
 	NegLogDD float64
 	// Mode records the weight scheme that produced the concept.
 	Mode WeightMode
-	// Starts is the number of optimization starts performed.
+	// Starts is the number of optimization starts launched, whether or not
+	// the race let them run to the end.
 	Starts int
 	// Evals is the total number of objective evaluations across starts.
 	Evals int
@@ -167,11 +179,70 @@ func (c *Concept) BestInstance(b *mil.Bag) (dist float64, index int) {
 
 // Train maximizes Diverse Density over the dataset and returns the best
 // concept found. Following §2.2.2, one minimization of −log DD starts from
-// every instance of every selected positive bag (initial weights all one);
-// starts run concurrently and the lowest final objective wins, with ties
-// broken by start order for determinism.
+// every instance of every selected positive bag (initial weights all one).
+// The starts are run as a successive-halving race (rungSchedule): all of
+// them for a short first rung, then at each barrier only the best third by
+// objective go on to a rung three times longer, and the last survivors run
+// to Config.Opt.MaxIter. The lowest final objective wins, ties broken by
+// start order.
+//
+// A surviving start performs exactly the evaluations it would perform if no
+// start were ever dropped, and every barrier decides from the complete,
+// deterministic results of its rung, so the concept is a pure function of
+// (dataset, Config minus Parallelism). Only which start wins can differ
+// from running every start to the cap.
 func Train(ds *mil.Dataset, cfg Config) (*Concept, error) {
 	cfg = cfg.withDefaults()
+	return train(ds, cfg, rungSchedule(cfg.Mode, cfg.Opt.MaxIter))
+}
+
+// The race's schedule. The first barrier stands after raceFirstRung
+// iterations; raceFactor is both how much longer each rung is than the one
+// before and the share of the field, one in raceFactor, that a barrier lets
+// through. They are constants, not configuration: the pair was chosen once,
+// from the trajectories of trainings on featurized scenes (the eventual
+// winner is inside the best third after 8 iterations often enough that
+// −log DD and precision@10 do not move), TestRaceQuality holds the choice to
+// the unpruned run, and a request that could vary it would have to be part
+// of every concept-cache key.
+//
+// The first rung is a count, not a fraction of the cap. How well an early
+// objective predicts a late one depends on how far the minimizers have come,
+// not on where the caller told them to stop: with the barriers scaled to a
+// cap of 40 (first rung 3 iterations) internal/experiments' Fig43 session
+// lost the eventual winner at the first barrier and its test precision@12
+// fell from 11 to 4.
+const (
+	raceFirstRung = 8
+	raceFactor    = 3
+)
+
+// rungSchedule returns the iteration counts at which the race stops every
+// running start and drops the laggards: 8, 24, 72 for the default cap of
+// 120. A shorter cap has fewer barriers, and a cap of 8 or less none.
+//
+// AlphaHack has none. A barrier is only as good as an early objective is at
+// predicting a late one, and steepest descent on the α-hack's quasi-gradient
+// is still falling by orders of magnitude at the cap: on the same scenes the
+// eventual winner ranked 104th of 120 after 8 iterations and 92nd after 24,
+// and racing it cost precision@10 0.81 → 0.62. Its multi-start stays
+// exhaustive.
+func rungSchedule(mode WeightMode, maxIter int) []int {
+	if mode == AlphaHack {
+		return nil
+	}
+	var rungs []int
+	for r := raceFirstRung; r < maxIter; r *= raceFactor {
+		rungs = append(rungs, r)
+	}
+	return rungs
+}
+
+// train is Train on a defaulted Config with the barriers given: every live
+// start runs to each rung in turn, the field is cut after each, and the
+// survivors run to the cap. With no rungs it is the exhaustive multi-start
+// — every start to the cap — which the tests keep as the race's oracle.
+func train(ds *mil.Dataset, cfg Config, rungs []int) (*Concept, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
@@ -192,34 +263,73 @@ func Train(ds *mil.Dataset, cfg Config) (*Concept, error) {
 	}
 
 	ex := packExamples(ds)
-	results := make([]optimize.Result, len(starts))
-	forEachStart(len(starts), cfg.Parallelism, func() func(int) {
-		obj := newObjective(ex, cfg.Mode, cfg.Alpha)
-		theta := mat.NewVector(obj.thetaDim())
-		return func(i int) {
-			initTheta(theta, starts[i], dim)
-			results[i] = minimize(obj.Eval, cfg, dim, theta)
-		}
-	})
+	theta := mat.NewVector(thetaDim(cfg.Mode, dim))
+	runs := make([]*optimize.Stepper, len(starts))
+	live := make([]int, len(starts))
+	for i, inst := range starts {
+		initTheta(theta, inst, dim)
+		runs[i] = newStepper(cfg, dim, theta)
+		live[i] = i
+	}
 
-	best := -1
-	totalEvals := 0
-	capped := 0
-	for i, res := range results {
-		totalEvals += res.Evals
-		if !res.Converged {
-			capped++
+	// A worker's objective is scratch plus a memo of its last evaluation
+	// point; a start resumed on another worker's misses the memo at most
+	// once, on a probe it would have computed anyway. Workers keep theirs
+	// from rung to rung.
+	objs := make([]*objective, min(cfg.Parallelism, len(starts)))
+	advance := func(upTo int) {
+		forEachStart(len(live), len(objs), func(w int) func(int) {
+			if objs[w] == nil {
+				objs[w] = newObjective(ex, cfg.Mode, cfg.Alpha)
+			}
+			f := objs[w].Eval
+			return func(i int) { runs[live[i]].Run(f, upTo) }
+		})
+	}
+	// ahead orders starts by objective, a NaN counting as +Inf, ties by start
+	// order: the order of the barriers and of the final pick.
+	rank := func(i int) float64 {
+		if f := runs[i].Result().F; !math.IsNaN(f) {
+			return f
 		}
-		if best < 0 || res.F < results[best].F {
+		return math.Inf(1)
+	}
+	ahead := func(a, b int) bool {
+		fa, fb := rank(a), rank(b)
+		return fa < fb || fa == fb && a < b
+	}
+	for _, upTo := range rungs {
+		advance(upTo)
+		sort.Slice(live, func(i, j int) bool { return ahead(live[i], live[j]) })
+		live = live[:(len(live)+raceFactor-1)/raceFactor]
+	}
+	advance(cfg.Opt.MaxIter)
+
+	best := live[0]
+	for _, i := range live[1:] {
+		if ahead(i, best) {
 			best = i
 		}
 	}
-	win := results[best]
-	ddEvalCount.Add(int64(totalEvals))
+	var evals, capped, pruned int64
+	for _, run := range runs {
+		res := run.Result()
+		evals += int64(res.Evals)
+		switch {
+		case res.Converged:
+		case res.Iters < cfg.Opt.MaxIter:
+			pruned++
+		default:
+			capped++
+		}
+	}
+	ddEvalCount.Add(evals)
 	ddStartCount.Add(int64(len(starts)))
-	ddStartsCapped.Add(int64(capped))
+	ddStartsCapped.Add(capped)
+	ddStartsPruned.Add(pruned)
 
-	return newConcept(cfg.Mode, dim, win.X, win.F, len(starts), totalEvals), nil
+	win := runs[best].Result()
+	return newConcept(cfg.Mode, dim, win.X, win.F, len(starts), int(evals)), nil
 }
 
 // startInstances collects the starting points of the multi-start: every
@@ -252,13 +362,13 @@ func newConcept(mode WeightMode, dim int, theta mat.Vector, f float64, starts, e
 	return c
 }
 
-// forEachStart runs work items 0..n−1 on at most par goroutines. Each
-// goroutine calls newWorker once for a closure that owns that goroutine's
-// scratch (an objective is not safe to share, and allocating one per start
-// is most of a training run's garbage), then feeds it indices until none
-// are left. Starts are independent, so which worker runs which start
-// affects nothing they compute.
-func forEachStart(n, par int, newWorker func() func(i int)) {
+// forEachStart runs work items 0..n−1 on at most par goroutines and returns
+// when all are done. Goroutine w (0 ≤ w < par) calls newWorker(w) once for a
+// closure that owns that goroutine's scratch (an objective is not safe to
+// share, and allocating one per start is most of a training run's garbage),
+// then feeds it indices until none are left. Starts are independent, so
+// which worker runs which start affects nothing they compute.
+func forEachStart(n, par int, newWorker func(w int) func(i int)) {
 	if par > n {
 		par = n
 	}
@@ -268,7 +378,7 @@ func forEachStart(n, par int, newWorker func() func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := newWorker()
+			run := newWorker(w)
 			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				run(i)
 			}
@@ -284,20 +394,20 @@ func initTheta(theta, inst mat.Vector, dim int) {
 	theta[dim:].Fill(1)
 }
 
-// minimize runs the mode's minimizer on f from theta: projected gradient
+// newStepper prepares the mode's minimizer at theta: projected gradient
 // under the §3.6.3 box-and-sum constraint, plain gradient descent for the
 // α-hack's quasi-gradient (§3.6.2), L-BFGS for the unconstrained modes.
-// The minimizers copy theta; the caller may reuse it.
-func minimize(f optimize.Func, cfg Config, dim int, theta mat.Vector) optimize.Result {
+// The stepper copies theta; the caller may reuse it.
+func newStepper(cfg Config, dim int, theta mat.Vector) *optimize.Stepper {
 	switch cfg.Mode {
 	case SumConstraint:
 		con := optimize.BoxSum{Lo: 0, Hi: 1, MinSum: cfg.Beta * float64(dim)}
 		project := func(th mat.Vector) { con.Project(th[dim:]) }
-		return optimize.ProjectedGradient(f, project, theta, cfg.Opt)
+		return optimize.NewProjectedGradient(project, theta, cfg.Opt)
 	case AlphaHack:
-		return optimize.GradientDescent(f, theta, cfg.Opt)
+		return optimize.NewGradientDescent(theta, cfg.Opt)
 	default: // Original, Identical
-		return optimize.LBFGS(f, theta, cfg.Opt)
+		return optimize.NewLBFGS(theta, cfg.Opt)
 	}
 }
 

@@ -241,22 +241,24 @@ func TestWeightModeString(t *testing.T) {
 
 // TestTrainerStartsCountsCappedStarts: the process-cumulative start counters
 // advance by one per optimization start, and a start that runs out of
-// iterations counts as capped while one that meets its tolerance does not.
+// iterations counts as capped while one that meets its tolerance counts as
+// neither capped nor pruned. (Pruned starts: TestRaceAccounting.)
 func TestTrainerStartsCountsCappedStarts(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	ds := randDataset(r, 5, 2, 1, 3)
-	run := func(opt optimize.Options) (starts, capped int64) {
-		before := TrainerStats()
-		if _, err := Train(ds, Config{Mode: SumConstraint, Opt: opt, Parallelism: 1}); err != nil {
-			t.Fatal(err)
-		}
-		after := TrainerStats()
-		return after.Starts - before.Starts, after.StartsCapped - before.StartsCapped
+	run := func(opt optimize.Options) TrainStats {
+		st := statsDelta(func() {
+			if _, err := exhaustive(ds, Config{Mode: SumConstraint, Opt: opt, Parallelism: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		st.Evals = 0
+		return st
 	}
-	if starts, capped := run(optimize.Options{MaxIter: 1}); starts != 6 || capped != 6 {
-		t.Fatalf("MaxIter 1: %d starts, %d capped; want 6 and 6", starts, capped)
+	if got, want := run(optimize.Options{MaxIter: 1}), (TrainStats{Starts: 6, StartsCapped: 6}); got != want {
+		t.Fatalf("MaxIter 1: %+v, want %+v", got, want)
 	}
-	if starts, capped := run(optimize.Options{MaxIter: 5000, StepTol: 1e-3}); starts != 6 || capped != 0 {
-		t.Fatalf("loose tolerance: %d starts, %d capped; want 6 and 0", starts, capped)
+	if got, want := run(optimize.Options{MaxIter: 5000, StepTol: 1e-3}), (TrainStats{Starts: 6}); got != want {
+		t.Fatalf("loose tolerance: %+v, want %+v", got, want)
 	}
 }

@@ -6,103 +6,124 @@ import (
 	"milret/internal/mat"
 )
 
-// LBFGS minimizes f from x0 with the limited-memory BFGS method (two-loop
-// recursion, Armijo backtracking). It is the default minimizer for the
-// unconstrained Diverse Density modes (Original and Identical weights),
-// where the high-dimensional (t, w) search of §2.2.2 makes plain gradient
-// descent painfully slow.
+// history is the L-BFGS curvature memory: the last m accepted (s, y) pairs
+// and ρ = 1/sᵀy, oldest first from head, in a ring of m+1 preallocated
+// slots. The slot past the newest pair is always free, so a candidate pair
+// is built in place and either admitted — dropping the oldest when m are
+// held — or left to be overwritten; nothing is copied or allocated.
+type history struct {
+	s, y        []mat.Vector
+	rho         []float64
+	alpha       []float64 // two-loop scratch, indexed oldest first
+	head, count int
+}
+
+func newHistory(m, n int) *history {
+	h := &history{
+		s:     make([]mat.Vector, m+1),
+		y:     make([]mat.Vector, m+1),
+		rho:   make([]float64, m+1),
+		alpha: make([]float64, m),
+	}
+	for i := range h.s {
+		h.s[i] = mat.NewVector(n)
+		h.y[i] = mat.NewVector(n)
+	}
+	return h
+}
+
+// slot maps the i-th held pair, oldest first, to its ring position;
+// slot(count) is the free one.
+func (h *history) slot(i int) int { return (h.head + i) % len(h.s) }
+
+// admit makes the pair in the free slot the newest.
+func (h *history) admit(sy float64) {
+	h.rho[h.slot(h.count)] = 1 / sy
+	if h.count == len(h.alpha) {
+		h.head = h.slot(1)
+	} else {
+		h.count++
+	}
+}
+
+// NewLBFGS prepares a limited-memory BFGS run (two-loop recursion, Armijo
+// backtracking) from x0. It is the default minimizer for the unconstrained
+// Diverse Density modes (Original and Identical weights), where the
+// high-dimensional (t, w) search of §2.2.2 makes plain gradient descent
+// painfully slow.
+func NewLBFGS(x0 mat.Vector, opt Options) *Stepper {
+	s := newStepper(lbfgsStep, x0, opt)
+	s.d = mat.NewVector(len(x0))
+	s.hist = newHistory(s.opt.Memory, len(x0))
+	return s
+}
+
+// LBFGS minimizes f from x0: NewLBFGS run to the cap.
 func LBFGS(f Func, x0 mat.Vector, opt Options) Result {
-	opt = opt.withDefaults()
-	n := len(x0)
-	x := x0.Clone()
-	g := mat.NewVector(n)
-	gPrev := mat.NewVector(n)
-	xPrev := mat.NewVector(n)
-	d := mat.NewVector(n)
-	xt := mat.NewVector(n)
+	return NewLBFGS(x0, opt).Minimize(f)
+}
 
-	// History ring buffers for the two-loop recursion.
-	m := opt.Memory
-	sHist := make([]mat.Vector, 0, m)
-	yHist := make([]mat.Vector, 0, m)
-	rhoHist := make([]float64, 0, m)
-	alpha := make([]float64, m)
+func lbfgsStep(s *Stepper, f Func) bool {
+	h, d := s.hist, s.d
+	if s.g.MaxAbs() < s.opt.GradTol {
+		return false
+	}
 
-	res := Result{}
-	fx := f(x, g)
-	res.Evals++
+	// d = −H·g via two-loop recursion over stored (s, y) pairs.
+	copy(d, s.g)
+	for i := h.count - 1; i >= 0; i-- {
+		k := h.slot(i)
+		h.alpha[i] = h.rho[k] * h.s[k].Dot(d)
+		d.AddScaled(-h.alpha[i], h.y[k])
+	}
+	if h.count > 0 {
+		// Initial Hessian scaling γ = sᵀy / yᵀy.
+		k := h.slot(h.count - 1)
+		d.Scale(h.s[k].Dot(h.y[k]) / h.y[k].Dot(h.y[k]))
+	}
+	for i := 0; i < h.count; i++ {
+		k := h.slot(i)
+		beta := h.rho[k] * h.y[k].Dot(d)
+		d.AddScaled(h.alpha[i]-beta, h.s[k])
+	}
+	d.Scale(-1)
 
-	for it := 0; it < opt.MaxIter; it++ {
-		res.Iters = it + 1
-		if g.MaxAbs() < opt.GradTol {
-			res.Converged = true
-			break
-		}
-
-		// d = −H·g via two-loop recursion over stored (s, y) pairs.
-		copy(d, g)
-		for i := len(sHist) - 1; i >= 0; i-- {
-			alpha[i] = rhoHist[i] * sHist[i].Dot(d)
-			d.AddScaled(-alpha[i], yHist[i])
-		}
-		if k := len(sHist); k > 0 {
-			// Initial Hessian scaling γ = sᵀy / yᵀy.
-			gamma := sHist[k-1].Dot(yHist[k-1]) / yHist[k-1].Dot(yHist[k-1])
-			d.Scale(gamma)
-		}
-		for i := 0; i < len(sHist); i++ {
-			beta := rhoHist[i] * yHist[i].Dot(d)
-			d.AddScaled(alpha[i]-beta, sHist[i])
-		}
+	slope := s.g.Dot(d)
+	if slope >= 0 {
+		// Bad curvature information: fall back to steepest descent.
+		copy(d, s.g)
 		d.Scale(-1)
+		slope = s.g.Dot(d)
+		h.count = 0
+	}
 
-		slope := g.Dot(d)
-		if slope >= 0 {
-			// Bad curvature information: fall back to steepest descent.
-			copy(d, g)
-			d.Scale(-1)
-			slope = g.Dot(d)
-			sHist, yHist, rhoHist = sHist[:0], yHist[:0], rhoHist[:0]
-		}
-
-		t0 := 1.0
-		if len(sHist) == 0 {
-			// First step (or after a reset): scale to a unit-ish move.
-			if ma := d.MaxAbs(); ma > 0 {
-				t0 = math.Min(1, opt.InitStep/ma)
-			}
-		}
-		t, ev := armijo(f, x, d, fx, slope, t0, opt.StepTol, xt)
-		res.Evals += ev
-		if t == 0 {
-			res.Converged = true
-			break
-		}
-
-		copy(xPrev, x)
-		copy(gPrev, g)
-		x.AddScaled(t, d)
-		fx = f(x, g)
-		res.Evals++
-
-		// Store the curvature pair if it is numerically useful.
-		s := x.Clone().Sub(xPrev)
-		y := g.Clone().Sub(gPrev)
-		if sy := s.Dot(y); sy > 1e-10 {
-			if len(sHist) == m {
-				copy(sHist, sHist[1:])
-				copy(yHist, yHist[1:])
-				copy(rhoHist, rhoHist[1:])
-				sHist = sHist[:m-1]
-				yHist = yHist[:m-1]
-				rhoHist = rhoHist[:m-1]
-			}
-			sHist = append(sHist, s)
-			yHist = append(yHist, y)
-			rhoHist = append(rhoHist, 1/sy)
+	t0 := 1.0
+	if h.count == 0 {
+		// First step (or after a reset): scale to a unit-ish move.
+		if ma := d.MaxAbs(); ma > 0 {
+			t0 = math.Min(1, s.opt.InitStep/ma)
 		}
 	}
-	res.X = x
-	res.F = fx
-	return res
+	t := s.armijo(f, slope, t0)
+	if t == 0 {
+		return false
+	}
+
+	// The candidate pair s = x⁺ − x, y = g⁺ − g is built in the free slot,
+	// which holds x and g across the move.
+	free := h.slot(h.count)
+	sv, yv := h.s[free], h.y[free]
+	copy(sv, s.x)
+	copy(yv, s.g)
+	s.x.AddScaled(t, d)
+	s.fx = s.eval(f)
+	for i := range sv {
+		sv[i] = s.x[i] - sv[i]
+		yv[i] = s.g[i] - yv[i]
+	}
+	// Store the curvature pair if it is numerically useful.
+	if sy := sv.Dot(yv); sy > 1e-10 {
+		h.admit(sy)
+	}
+	return true
 }

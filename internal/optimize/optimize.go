@@ -11,6 +11,15 @@
 //     gradient descent, which replaces CFSQP for the paper's single linear
 //     inequality constraint on the weight sum.
 //
+// Every minimizer is a Stepper: a run that owns its whole state (iterate,
+// gradient, objective value, line-search step, L-BFGS history) and advances
+// to an iteration count, so a caller racing many starts can pause each at a
+// barrier, drop the laggards and resume the rest — with any Func that
+// computes the same objective, on any goroutine. A run advanced in pieces
+// performs exactly the evaluations of the same run advanced in one call, and
+// allocates nothing after construction. LBFGS, GradientDescent and
+// ProjectedGradient are the one-call spellings over the same steppers.
+//
 // All minimizers share the Func/Options/Result vocabulary. Minimization is
 // the house convention; Diverse Density is maximized by minimizing
 // −log(DD), exactly as the paper does (§3.6.3 footnote).
@@ -32,11 +41,15 @@ type Func func(x mat.Vector, grad mat.Vector) float64
 type Options struct {
 	// MaxIter bounds the number of outer iterations (default 200).
 	MaxIter int
-	// GradTol stops the run when the max-abs gradient entry (for projected
-	// methods: of the projected step) falls below it (default 1e-6).
+	// GradTol stops LBFGS and GradientDescent when the max-abs gradient
+	// entry falls below it (default 1e-6). ProjectedGradient does not read
+	// it: at a constrained minimum the gradient is not small, and the method
+	// stops on StepTol alone.
 	GradTol float64
 	// StepTol stops the run when the line search cannot make progress
-	// larger than it (default 1e-12).
+	// larger than it (default 1e-12). It is the only tolerance of
+	// ProjectedGradient, which is stationary exactly when no step length
+	// moves the projected point.
 	StepTol float64
 	// InitStep is the first trial step of each line search (default 1.0).
 	InitStep float64
@@ -78,77 +91,138 @@ type Result struct {
 	Converged bool
 }
 
-// armijo backtracks from step t0 along direction d until the sufficient
-// decrease condition f(x+t·d) ≤ f0 + 1e-4·t·slope holds, where slope is the
-// (estimated) directional derivative at x. It returns the accepted step and
-// the number of evaluations; step 0 means failure. The probe vector xt is
-// scratch storage supplied by the caller to avoid per-iteration allocation.
+// Stepper is one minimization run that can stop at an iteration count and be
+// resumed. It owns everything the run carries between iterations, so the
+// Func passed to Run is only an evaluator: successive calls may pass
+// different Func values as long as they compute the same objective, which is
+// what lets a pool of workers, each with its own scratch, take turns on one
+// start. Advancing in several calls performs the same evaluations, in the
+// same order, as one call to the final count; after construction no call
+// allocates. A Stepper is not safe for concurrent use.
+type Stepper struct {
+	// iterate performs one outer iteration from the current state and
+	// reports whether the run goes on; false means a tolerance stopped it.
+	iterate func(s *Stepper, f Func) bool
+
+	opt   Options
+	x, g  mat.Vector // iterate and ∇f(x); g and fx are valid once evals > 0
+	fx    float64
+	d, xt mat.Vector // search direction (nil for projected gradient), probe
+	step  float64    // first trial step of the next line search
+
+	iters, evals int
+	converged    bool
+
+	project func(mat.Vector) // projected gradient only
+	hist    *history         // L-BFGS only
+}
+
+func newStepper(iterate func(*Stepper, Func) bool, x0 mat.Vector, opt Options) *Stepper {
+	opt = opt.withDefaults()
+	return &Stepper{
+		iterate: iterate,
+		opt:     opt,
+		x:       x0.Clone(),
+		g:       mat.NewVector(len(x0)),
+		xt:      mat.NewVector(len(x0)),
+		step:    opt.InitStep,
+	}
+}
+
+// Run advances the minimization of f until upTo outer iterations have been
+// performed in total (Options.MaxIter at most) or a tolerance stops it; a run
+// already there returns at once. The first call evaluates f at the start.
+func (s *Stepper) Run(f Func, upTo int) {
+	if upTo > s.opt.MaxIter {
+		upTo = s.opt.MaxIter
+	}
+	if s.evals == 0 {
+		s.fx = s.eval(f)
+	}
+	for !s.converged && s.iters < upTo {
+		s.iters++
+		s.converged = !s.iterate(s, f)
+	}
+}
+
+// Result reports where the run stands. X aliases the stepper's iterate: it
+// is overwritten by the next Run.
+func (s *Stepper) Result() Result {
+	return Result{X: s.x, F: s.fx, Iters: s.iters, Evals: s.evals, Converged: s.converged}
+}
+
+// eval evaluates f and its gradient at the iterate.
+func (s *Stepper) eval(f Func) float64 {
+	s.evals++
+	return f(s.x, s.g)
+}
+
+// Minimize runs to the iteration cap (or a tolerance) in one call and
+// reports the outcome.
+func (s *Stepper) Minimize(f Func) Result {
+	s.Run(f, s.opt.MaxIter)
+	return s.Result()
+}
+
+// armijo backtracks from step t0 along s.d until the sufficient decrease
+// condition f(x+t·d) ≤ fx + 1e-4·t·slope holds, where slope is the
+// (estimated) directional derivative at x. It returns the accepted step; 0
+// means failure.
 //
 // The accepted value is not returned: callers move x by the same
 // x.AddScaled(t, d) the accepted probe was built with — the same bits — and
 // then ask for value and gradient there, so a Func that remembers its last
 // evaluation point (core's objective does) answers from the probe's work
 // and runs only its gradient pass.
-func armijo(f Func, x, d mat.Vector, f0, slope, t0, stepTol float64, xt mat.Vector) (t float64, evals int) {
+func (s *Stepper) armijo(f Func, slope, t0 float64) float64 {
 	const c1 = 1e-4
 	if slope >= 0 {
 		// Not a descent direction: the caller handed us a quasi-gradient
 		// (§3.6.2) that points uphill, or we are at a stationary point.
-		return 0, 0
+		return 0
 	}
-	t = t0
-	for t > stepTol {
-		copy(xt, x)
-		xt.AddScaled(t, d)
-		ft := f(xt, nil)
-		evals++
-		if !math.IsNaN(ft) && ft <= f0+c1*t*slope {
-			return t, evals
+	for t := t0; t > s.opt.StepTol; t *= 0.5 {
+		copy(s.xt, s.x)
+		s.xt.AddScaled(t, s.d)
+		ft := f(s.xt, nil)
+		s.evals++
+		if !math.IsNaN(ft) && ft <= s.fx+c1*t*slope {
+			return t
 		}
-		t *= 0.5
 	}
-	return 0, evals
+	return 0
 }
 
-// GradientDescent minimizes f from x0 with steepest descent and Armijo
-// backtracking. It is the workhorse for the §3.6.2 α-hack mode, whose
+// NewGradientDescent prepares a steepest-descent run with Armijo
+// backtracking from x0. It is the workhorse for the §3.6.2 α-hack mode, whose
 // modified partial derivatives do not correspond to any objective and
 // therefore rule out curvature-based methods: steepest descent only needs
 // the (quasi-)gradient to be a descent direction, which positive rescaling
 // of components preserves.
+func NewGradientDescent(x0 mat.Vector, opt Options) *Stepper {
+	s := newStepper(gradientDescentStep, x0, opt)
+	s.d = mat.NewVector(len(x0))
+	return s
+}
+
+// GradientDescent minimizes f from x0: NewGradientDescent run to the cap.
 func GradientDescent(f Func, x0 mat.Vector, opt Options) Result {
-	opt = opt.withDefaults()
-	n := len(x0)
-	x := x0.Clone()
-	g := mat.NewVector(n)
-	d := mat.NewVector(n)
-	xt := mat.NewVector(n)
-	res := Result{}
-	fx := f(x, g)
-	res.Evals++
-	step := opt.InitStep
-	for it := 0; it < opt.MaxIter; it++ {
-		res.Iters = it + 1
-		if g.MaxAbs() < opt.GradTol {
-			res.Converged = true
-			break
-		}
-		copy(d, g)
-		d.Scale(-1)
-		slope := g.Dot(d)
-		t, ev := armijo(f, x, d, fx, slope, step, opt.StepTol, xt)
-		res.Evals += ev
-		if t == 0 {
-			res.Converged = true
-			break
-		}
-		x.AddScaled(t, d)
-		// Warm-start the next line search near the accepted step.
-		step = math.Min(opt.InitStep, t*2)
-		fx = f(x, g)
-		res.Evals++
+	return NewGradientDescent(x0, opt).Minimize(f)
+}
+
+func gradientDescentStep(s *Stepper, f Func) bool {
+	if s.g.MaxAbs() < s.opt.GradTol {
+		return false
 	}
-	res.X = x
-	res.F = fx
-	return res
+	copy(s.d, s.g)
+	s.d.Scale(-1)
+	t := s.armijo(f, s.g.Dot(s.d), s.step)
+	if t == 0 {
+		return false
+	}
+	s.x.AddScaled(t, s.d)
+	// Warm-start the next line search near the accepted step.
+	s.step = math.Min(s.opt.InitStep, t*2)
+	s.fx = s.eval(f)
+	return true
 }

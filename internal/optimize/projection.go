@@ -109,62 +109,49 @@ func (c BoxSum) Project(x mat.Vector) {
 	}
 }
 
-// ProjectedGradient minimizes f over the set obtained by applying project to
-// candidate points. Each iteration takes a gradient step and projects back;
-// the step length backtracks until the projected point achieves sufficient
-// decrease (projected-gradient Armijo rule). project must be an exact
-// Euclidean projector, such as BoxSum.Project.
+// NewProjectedGradient prepares a minimization over the set obtained by
+// applying project to candidate points, from the projection of x0. Each
+// iteration takes a gradient step and projects back; the step length
+// backtracks until the projected point achieves sufficient decrease
+// (projected-gradient Armijo rule), and the run is stationary — its only
+// tolerance stop — when no step length moves the projected point by more
+// than StepTol. project must be an exact Euclidean projector, such as
+// BoxSum.Project.
+func NewProjectedGradient(project func(mat.Vector), x0 mat.Vector, opt Options) *Stepper {
+	s := newStepper(projectedGradientStep, x0, opt)
+	s.project = project
+	project(s.x)
+	return s
+}
+
+// ProjectedGradient minimizes f from x0: NewProjectedGradient run to the cap.
 func ProjectedGradient(f Func, project func(mat.Vector), x0 mat.Vector, opt Options) Result {
-	opt = opt.withDefaults()
-	n := len(x0)
-	x := x0.Clone()
-	project(x)
-	g := mat.NewVector(n)
-	xt := mat.NewVector(n)
+	return NewProjectedGradient(project, x0, opt).Minimize(f)
+}
 
-	res := Result{}
-	fx := f(x, g)
-	res.Evals++
-	step := opt.InitStep
-
-	for it := 0; it < opt.MaxIter; it++ {
-		res.Iters = it + 1
-		accepted := false
-		t := step
-		for t > opt.StepTol {
-			copy(xt, x)
-			xt.AddScaled(-t, g)
-			project(xt)
-			ft := f(xt, nil)
-			res.Evals++
-			// Sufficient decrease relative to the projected displacement.
-			var moved float64
-			for i := range x {
-				d := xt[i] - x[i]
-				moved += d * d
-			}
-			if moved <= opt.StepTol*opt.StepTol {
-				break // projection pinned us: stationary
-			}
-			if ft <= fx-1e-4*moved/t {
-				copy(x, xt)
-				fx = f(x, g)
-				res.Evals++
-				step = t * 2
-				if step > opt.InitStep {
-					step = opt.InitStep
-				}
-				accepted = true
-				break
-			}
-			t *= 0.5
+func projectedGradientStep(s *Stepper, f Func) bool {
+	x, xt := s.x, s.xt
+	for t := s.step; t > s.opt.StepTol; t *= 0.5 {
+		copy(xt, x)
+		xt.AddScaled(-t, s.g)
+		s.project(xt)
+		ft := f(xt, nil)
+		s.evals++
+		// Sufficient decrease relative to the projected displacement.
+		var moved float64
+		for i := range x {
+			d := xt[i] - x[i]
+			moved += d * d
 		}
-		if !accepted {
-			res.Converged = true
-			break
+		if moved <= s.opt.StepTol*s.opt.StepTol {
+			return false // projection pinned us: stationary
+		}
+		if ft <= s.fx-1e-4*moved/t {
+			copy(x, xt)
+			s.fx = s.eval(f)
+			s.step = math.Min(s.opt.InitStep, t*2)
+			return true
 		}
 	}
-	res.X = x
-	res.F = fx
-	return res
+	return false
 }

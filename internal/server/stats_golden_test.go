@@ -35,12 +35,12 @@ func statsBody(t *testing.T, h http.Handler) string {
 	if !ok {
 		t.Fatalf("body does not end in a newline: %q", body)
 	}
-	body = trainNumbers.ReplaceAllString(body, `"train":{"evals":E,"starts":S,"starts_capped":C}`)
+	body = trainNumbers.ReplaceAllString(body, `"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P}`)
 	return loopbackPort.ReplaceAllString(body, "127.0.0.1:PORT")
 }
 
 var (
-	trainNumbers = regexp.MustCompile(`"train":\{"evals":\d+,"starts":\d+,"starts_capped":\d+\}`)
+	trainNumbers = regexp.MustCompile(`"train":\{"evals":\d+,"starts":\d+,"starts_capped":\d+,"starts_pruned":\d+\}`)
 	loopbackPort = regexp.MustCompile(`127\.0\.0\.1:\d+`)
 )
 
@@ -151,13 +151,13 @@ func TestStatsGolden(t *testing.T) {
 
 		{"empty", func(t *testing.T) http.Handler {
 			return server.New(newDB(t, fastOpts))
-		}, `{"images":0,"instances":0,"dim":0,"index_bytes":0,"shards":[{"images":0,"instances":0,"index_bytes":0}],"train":{"evals":E,"starts":S,"starts_capped":C}}`},
+		}, `{"images":0,"instances":0,"dim":0,"index_bytes":0,"shards":[{"images":0,"instances":0,"index_bytes":0}],"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P}}`},
 
 		{"fresh single shard", func(t *testing.T) http.Handler {
 			db := newDB(t, fastOpts)
 			addObjects(t, db)
 			return server.New(db)
-		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"train":{"evals":E,"starts":S,"starts_capped":C}}`},
+		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P}}`},
 
 		// One acknowledged delete and relabel (tombstone + WAL depth), then
 		// a delete and a relabel the journal still holds in memory.
@@ -173,7 +173,7 @@ func TestStatsGolden(t *testing.T) {
 			must(t, db.DeleteImage("object-pants-01"))
 			must(t, db.UpdateImage("object-lamp-02", "lantern", nil))
 			return server.New(db)
-		}, `{"images":10,"instances":180,"dim":36,"index_bytes":62208,"dead_images":2,"dead_instances":36,"pending_mutations":2,"wal_mutations":2,"shards":[{"images":2,"instances":36,"index_bytes":15552,"dead_images":1,"dead_instances":18,"pending_mutations":1,"wal_mutations":1},{"images":3,"instances":54,"index_bytes":15552},{"images":3,"instances":54,"index_bytes":15552,"wal_mutations":1},{"images":2,"instances":36,"index_bytes":15552,"dead_images":1,"dead_instances":18,"pending_mutations":1}],"train":{"evals":E,"starts":S,"starts_capped":C}}`},
+		}, `{"images":10,"instances":180,"dim":36,"index_bytes":62208,"dead_images":2,"dead_instances":36,"pending_mutations":2,"wal_mutations":2,"shards":[{"images":2,"instances":36,"index_bytes":15552,"dead_images":1,"dead_instances":18,"pending_mutations":1,"wal_mutations":1},{"images":3,"instances":54,"index_bytes":15552},{"images":3,"instances":54,"index_bytes":15552,"wal_mutations":1},{"images":2,"instances":36,"index_bytes":15552,"dead_images":1,"dead_instances":18,"pending_mutations":1}],"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P}}`},
 
 		// A warm-loaded entry, then a hit on it, a miss and a bypass.
 		{"cache: hit, miss, bypass, warm-loaded", func(t *testing.T) http.Handler {
@@ -195,21 +195,21 @@ func TestStatsGolden(t *testing.T) {
 			trainVia(t, db, carQuery, []string{"object-lamp-00"}, false)
 			trainVia(t, db, carQuery, nil, true)
 			return server.New(db)
-		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"cache":{"capacity_bytes":8388608,"bytes":1536,"entries":2,"hits":1,"misses":1,"coalesced":0,"bypassed":1,"warm_loaded":1},"train":{"evals":E,"starts":S,"starts_capped":C}}`},
+		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"cache":{"capacity_bytes":8388608,"bytes":1536,"entries":2,"hits":1,"misses":1,"coalesced":0,"bypassed":1,"warm_loaded":1},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P}}`},
 
 		{"one training, one top-k scan", func(t *testing.T) http.Handler {
 			db := newDB(t, fastOpts)
 			addObjects(t, db)
 			db.Retrieve(trainVia(t, db, carQuery, nil, false), 3)
 			return server.New(db)
-		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"train":{"evals":E,"starts":S,"starts_capped":C},"prune":{"scans":1,"unarmed":0,"screened":9,"admitted":7,"rejected":2}}`},
+		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":1,"unarmed":0,"screened":9,"admitted":7,"rejected":2}}`},
 
 		{"coordinator, all partitions up, one query", func(t *testing.T) http.Handler {
 			coord, _ := fleet(t, "degrade")
 			_, err := coord.Retrieve(context.Background(), trainVia(t, coord, carQuery, nil, false), 3, nil, 0)
 			must(t, err)
 			return server.NewBackend(coord)
-		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":6,"instances":108,"index_bytes":31104},{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C},"prune":{"scans":2,"unarmed":0,"screened":6,"admitted":5,"rejected":1},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":true,"images":6}],"partial_policy":"degrade"}`},
+		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":6,"instances":108,"index_bytes":31104},{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":2,"unarmed":0,"screened":6,"admitted":5,"rejected":1},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":true,"images":6}],"partial_policy":"degrade"}`},
 
 		{"coordinator, degrade, one partition down", func(t *testing.T) http.Handler {
 			coord, stops := fleet(t, "degrade")
@@ -218,7 +218,7 @@ func TestStatsGolden(t *testing.T) {
 			_, err := coord.Retrieve(context.Background(), c, 3, nil, 0)
 			must(t, err)
 			return server.NewBackend(coord)
-		}, `{"images":6,"instances":108,"dim":36,"index_bytes":31104,"shards":[{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C},"prune":{"scans":1,"unarmed":0,"screened":3,"admitted":3,"rejected":0},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":false,"last_error":"remote: partition http://127.0.0.1:PORT: Post \"http://127.0.0.1:PORT/rpc\": dial tcp 127.0.0.1:PORT: connect: connection refused: milret: partition unavailable","images":6}],"partial_policy":"degrade","degraded_queries":1}`},
+		}, `{"images":6,"instances":108,"dim":36,"index_bytes":31104,"shards":[{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":1,"unarmed":0,"screened":3,"admitted":3,"rejected":0},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":false,"last_error":"remote: partition http://127.0.0.1:PORT: Post \"http://127.0.0.1:PORT/rpc\": dial tcp 127.0.0.1:PORT: connect: connection refused: milret: partition unavailable","images":6}],"partial_policy":"degrade","degraded_queries":1}`},
 
 		{"coordinator, degrade, all partitions down", func(t *testing.T) http.Handler {
 			coord, stops := fleet(t, "degrade")
@@ -226,7 +226,7 @@ func TestStatsGolden(t *testing.T) {
 				stop()
 			}
 			return server.NewBackend(coord)
-		}, `{"images":0,"instances":0,"dim":0,"index_bytes":0,"shards":[],"cache":{"capacity_bytes":8388608,"bytes":0,"entries":0,"hits":0,"misses":0,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":false,"last_error":"remote: partition http://127.0.0.1:PORT: Post \"http://127.0.0.1:PORT/rpc\": dial tcp 127.0.0.1:PORT: connect: connection refused: milret: partition unavailable","images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":false,"last_error":"remote: partition http://127.0.0.1:PORT: Post \"http://127.0.0.1:PORT/rpc\": dial tcp 127.0.0.1:PORT: connect: connection refused: milret: partition unavailable","images":6}],"partial_policy":"degrade"}`},
+		}, `{"images":0,"instances":0,"dim":0,"index_bytes":0,"shards":[],"cache":{"capacity_bytes":8388608,"bytes":0,"entries":0,"hits":0,"misses":0,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":false,"last_error":"remote: partition http://127.0.0.1:PORT: Post \"http://127.0.0.1:PORT/rpc\": dial tcp 127.0.0.1:PORT: connect: connection refused: milret: partition unavailable","images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":false,"last_error":"remote: partition http://127.0.0.1:PORT: Post \"http://127.0.0.1:PORT/rpc\": dial tcp 127.0.0.1:PORT: connect: connection refused: milret: partition unavailable","images":6}],"partial_policy":"degrade"}`},
 	}
 	for _, st := range states {
 		t.Run(st.name, func(t *testing.T) {

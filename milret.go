@@ -203,7 +203,9 @@ type TrainOptions struct {
 	// StartBags caps how many positive bags seed the multi-start
 	// optimization; 0 uses all of them.
 	StartBags int
-	// MaxIters bounds optimizer iterations per start (0 = default).
+	// MaxIters bounds optimizer iterations per start (0 = default, 120).
+	// Only the starts that survive the race's barriers at 8, 24 and 72
+	// iterations run that far; a bound of 8 or less runs every start to it.
 	MaxIters int
 	// Parallelism bounds training/ranking goroutines (0 = NumCPU).
 	Parallelism int
@@ -640,6 +642,20 @@ func trainDataset(ctx context.Context, cache *qcache.Cache, ds *mil.Dataset, opt
 // different optimization starts (§4.3), in which case it is genuinely
 // part of the request.
 func trainFingerprint(ds *mil.Dataset, mode core.WeightMode, cfg core.Config) qcache.Key {
+	return trainFingerprintAt(trainerVersion, ds, mode, cfg)
+}
+
+// trainerVersion is the first byte of every cache key's tag: the generation
+// of the trainer that produced the cached concept. Keys live on in
+// concept-cache sidecars across upgrades, and cache hit ≡ retrain has to hold
+// across them too, so a change to what core.Train returns for the same
+// request takes a new version. 1 was the exhaustive multi-start; 2 is the
+// successive-halving race, which may crown a different start — a sidecar
+// written under 1 must miss, not answer with a concept this build would not
+// train.
+const trainerVersion = 2
+
+func trainFingerprintAt(version byte, ds *mil.Dataset, mode core.WeightMode, cfg core.Config) qcache.Key {
 	alpha := 0.0
 	if mode == core.AlphaHack {
 		alpha = cfg.Alpha
@@ -662,7 +678,7 @@ func trainFingerprint(ds *mil.Dataset, mode core.WeightMode, cfg core.Config) qc
 	orderSensitive := startBags != 0
 
 	tag := make([]byte, 0, 1+1+8+8+8+8)
-	tag = append(tag, 1, byte(mode)) // version, mode
+	tag = append(tag, version, byte(mode))
 	tag = binary.LittleEndian.AppendUint64(tag, math.Float64bits(alpha))
 	tag = binary.LittleEndian.AppendUint64(tag, math.Float64bits(beta))
 	tag = binary.LittleEndian.AppendUint64(tag, uint64(maxIter))
