@@ -10,6 +10,7 @@ import (
 	"syscall"
 
 	"milret"
+	"milret/internal/mat"
 	"milret/internal/remote"
 	"milret/internal/server"
 )
@@ -24,12 +25,9 @@ func cmdShardServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8081", "listen address")
 	fastLoad := fs.Bool("fast-load", false, "skip the synchronous data checksum: zero-copy O(images) open, verified in the background (see /v1/healthz)")
 	readOnly := fs.Bool("readonly", false, "refuse mutations on both the RPC and the JSON surface")
-	applyKernel := kernelFlag(fs)
 	fs.Parse(args)
 
-	if err := applyKernel(); err != nil {
-		return err
-	}
+	fmt.Printf("distance kernel: %s\n", mat.Kernel())
 	// No concept cache and the exact tier: a coordinator trains on its own
 	// cache and every RPC carries its own recall. The JSON surface below is
 	// for curl /v1/healthz and /v1/stats.

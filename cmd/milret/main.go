@@ -35,22 +35,6 @@ import (
 	"milret/internal/synth"
 )
 
-// kernelFlag registers the -kernel flag on a command's flag set. The
-// returned apply func routes the choice through mat.SetKernel (the same
-// switch the MILRET_KERNEL environment variable hits at init) and reports
-// the implementation actually selected, so a startup log always records
-// which kernel produced the run's numbers.
-func kernelFlag(fs *flag.FlagSet) (apply func() error) {
-	mode := fs.String("kernel", "auto", `distance kernel: "auto" (AVX2 when the CPU supports it), "scalar", or "avx2" (error if unsupported)`)
-	return func() error {
-		if err := mat.SetKernel(*mode); err != nil {
-			return err
-		}
-		fmt.Printf("distance kernel: %s\n", mat.Kernel())
-		return nil
-	}
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -98,12 +82,9 @@ func cmdServe(args []string) error {
 	cacheFile := fs.String("concept-cache-file", "", `concept-cache sidecar path: hot trained concepts are persisted there on flush/shutdown and loaded on start, so a restarted replica answers repeat queries without retraining; "" defaults to <db>.ccache when the cache is enabled, "off" disables persistence`)
 	recall := fs.Float64("recall", 0, "default candidate-pruning tier for query scans: 0 and 1.0 are the same exact scan behind the conservative sketch filter, values in (0,1) trade that fraction of recall for more pruning; per-request \"recall\" overrides")
 	topology := fs.String("topology", "", "coordinator mode: serve a topology file's partitions (shard-serve addresses) as one database; -db, -fast-load and -concept-cache-file are ignored")
-	applyKernel := kernelFlag(fs)
 	fs.Parse(args)
 
-	if err := applyKernel(); err != nil {
-		return err
-	}
+	fmt.Printf("distance kernel: %s\n", mat.Kernel())
 	if *topology != "" {
 		return serveTopology(*topology, *addr, *readOnly, remote.CoordinatorOptions{
 			ConceptCacheMB: *cacheMB, Recall: *recall,
@@ -365,10 +346,9 @@ func cmdQuery(args []string) error {
 	k := fs.Int("k", 12, "number of results")
 	mode := fs.String("mode", "constrained", "weight mode: original, identical, alpha-hack, constrained")
 	beta := fs.Float64("beta", 0.5, "sum-constraint level for constrained mode")
-	fastLoad := fs.Bool("fast-load", false, "skip the data checksum: zero-copy O(images) open")
 	fs.Parse(args)
 
-	db, err := milret.LoadDatabase(*dbPath, milret.Options{VerifyOnLoad: !*fastLoad})
+	db, err := milret.LoadDatabase(*dbPath, milret.Options{VerifyOnLoad: true})
 	if err != nil {
 		return err
 	}
@@ -405,10 +385,9 @@ func cmdEval(args []string) error {
 	beta := fs.Float64("beta", 0.5, "sum-constraint level")
 	rounds := fs.Int("rounds", 3, "training rounds")
 	seed := fs.Int64("seed", 1, "example-selection seed")
-	fastLoad := fs.Bool("fast-load", false, "skip the data checksum: zero-copy O(images) open")
 	fs.Parse(args)
 
-	db, err := milret.LoadDatabase(*dbPath, milret.Options{VerifyOnLoad: !*fastLoad})
+	db, err := milret.LoadDatabase(*dbPath, milret.Options{VerifyOnLoad: true})
 	if err != nil {
 		return err
 	}

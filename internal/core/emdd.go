@@ -5,7 +5,6 @@ import (
 
 	"milret/internal/mat"
 	"milret/internal/mil"
-	"milret/internal/optimize"
 )
 
 // TrainEMDD maximizes Diverse Density with the EM-DD refinement (Zhang &
@@ -32,11 +31,8 @@ func TrainEMDD(ds *mil.Dataset, cfg Config) (*Concept, error) {
 		return nil, err
 	}
 	dim := ds.Dim()
-	if cfg.Mode == SumConstraint {
-		con := optimize.BoxSum{Lo: 0, Hi: 1, MinSum: cfg.Beta * float64(dim)}
-		if err := con.Validate(dim); err != nil {
-			return nil, err
-		}
+	if err := validate(cfg, dim); err != nil {
+		return nil, err
 	}
 
 	starts := startInstances(ds, cfg.StartBags)

@@ -18,7 +18,7 @@ func TestEMDDRecoversPlantedConcept(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if d := math.Sqrt(mat.SqDist(c.Point, target)); d > 0.5 {
+		if d := math.Sqrt(mat.WeightedSqDist(c.Point, target, mat.Ones(len(c.Point)))); d > 0.5 {
 			t.Errorf("%v: EM-DD concept %v is %.3f from target", mode, c.Point, d)
 		}
 	}

@@ -226,7 +226,7 @@ func TestRaceQuality(t *testing.T) {
 		for i, b := range bags {
 			if !examples[i] {
 				order = append(order, i)
-				dist[i] = c.BagDist(b)
+				dist[i], _ = c.BestInstance(b)
 			}
 		}
 		sort.SliceStable(order, func(a, b int) bool { return dist[order[a]] < dist[order[b]] })

@@ -141,24 +141,11 @@ type Concept struct {
 	Evals int
 }
 
-// SqDistTo returns the weighted squared distance from the concept point to
-// the instance x.
-func (c *Concept) SqDistTo(x mat.Vector) float64 {
-	return mat.WeightedSqDist(c.Point, x, c.Weights)
-}
-
 // PointWeights exposes the concept geometry for the flat columnar scan
 // (retrieval.Scorer). The returned slices alias the concept's
 // own vectors and must not be mutated.
 func (c *Concept) PointWeights() (point, weights []float64) {
 	return c.Point, c.Weights
-}
-
-// BagDist returns the distance from an image (bag) to the concept: the
-// minimum over the bag's instances of the weighted distance to t (§3.5).
-func (c *Concept) BagDist(b *mil.Bag) float64 {
-	d, _ := c.BestInstance(b)
-	return d
 }
 
 // BestInstance returns the bag's distance to the concept together with the
@@ -247,14 +234,8 @@ func train(ds *mil.Dataset, cfg Config, rungs []int) (*Concept, error) {
 		return nil, err
 	}
 	dim := ds.Dim()
-	if cfg.Mode == SumConstraint {
-		con := optimize.BoxSum{Lo: 0, Hi: 1, MinSum: cfg.Beta * float64(dim)}
-		if err := con.Validate(dim); err != nil {
-			return nil, fmt.Errorf("core: invalid beta %v: %w", cfg.Beta, err)
-		}
-		if cfg.Beta < 0 {
-			return nil, fmt.Errorf("core: negative beta %v", cfg.Beta)
-		}
+	if err := validate(cfg, dim); err != nil {
+		return nil, err
 	}
 
 	starts := startInstances(ds, cfg.StartBags)
@@ -330,6 +311,23 @@ func train(ds *mil.Dataset, cfg Config, rungs []int) (*Concept, error) {
 
 	win := runs[best].Result()
 	return newConcept(cfg.Mode, dim, win.X, win.F, len(starts), int(evals)), nil
+}
+
+// validate is what both trainers ask of a configuration beyond a valid
+// dataset: under the §3.6.3 constraint, a β that is not negative and that
+// weights in [0,1] can reach in dim dimensions.
+func validate(cfg Config, dim int) error {
+	if cfg.Mode != SumConstraint {
+		return nil
+	}
+	con := optimize.BoxSum{Lo: 0, Hi: 1, MinSum: cfg.Beta * float64(dim)}
+	if err := con.Validate(dim); err != nil {
+		return fmt.Errorf("core: invalid beta %v: %w", cfg.Beta, err)
+	}
+	if cfg.Beta < 0 {
+		return fmt.Errorf("core: negative beta %v", cfg.Beta)
+	}
+	return nil
 }
 
 // startInstances collects the starting points of the multi-start: every

@@ -21,7 +21,7 @@ func plantedDataset(r *rand.Rand, target mat.Vector, nPos, nNeg, distractors int
 			for k := range v {
 				v[k] = r.NormFloat64() * 4
 			}
-			if math.Sqrt(mat.SqDist(v, target)) > 2.5 {
+			if math.Sqrt(mat.WeightedSqDist(v, target, mat.Ones(len(v)))) > 2.5 {
 				return v
 			}
 		}
@@ -59,7 +59,7 @@ func TestTrainRecoversPlantedConceptAllModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if d := math.Sqrt(mat.SqDist(c.Point, target)); d > 0.5 {
+		if d := math.Sqrt(mat.WeightedSqDist(c.Point, target, mat.Ones(len(c.Point)))); d > 0.5 {
 			t.Errorf("%v: concept %v is %.3f away from planted target %v", mode, c.Point, d, target)
 		}
 		if c.Mode != mode {
@@ -126,6 +126,36 @@ func TestTrainSumConstraintInvalidBeta(t *testing.T) {
 	}
 	if _, err := Train(ds, Config{Mode: SumConstraint, Beta: -0.5}); err == nil {
 		t.Fatalf("negative β accepted")
+	}
+}
+
+// Both trainers validate a configuration through the one validate: what one
+// refuses the other refuses, with the same error, and what one accepts the
+// other trains. (TrainEMDD used to carry its own copy of the check, without
+// the negative-β half: it trained at β = −1.)
+func TestTrainersRefuseTheSameConfigs(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	ds := plantedDataset(r, mat.Vector{1, -1}, 2, 1, 1)
+	short := optimize.Options{MaxIter: 5}
+	for _, tc := range []struct {
+		cfg    Config
+		refuse bool
+	}{
+		{Config{Mode: SumConstraint, Beta: -1}, true},
+		{Config{Mode: SumConstraint, Beta: -1e-9}, true},
+		{Config{Mode: SumConstraint, Beta: 1.5}, true},
+		{Config{Mode: SumConstraint, Beta: 1}, false},
+		{Config{Mode: SumConstraint}, false},
+		{Config{Mode: Original, Beta: -1}, false}, // β is ignored outside SumConstraint
+	} {
+		tc.cfg.Opt = short
+		_, errDD := Train(ds, tc.cfg)
+		_, errEM := TrainEMDD(ds, tc.cfg)
+		if (errDD != nil) != tc.refuse || (errEM != nil) != tc.refuse {
+			t.Errorf("%+v: Train err %v, TrainEMDD err %v, want refused = %v", tc.cfg, errDD, errEM, tc.refuse)
+		} else if tc.refuse && errDD.Error() != errEM.Error() {
+			t.Errorf("%+v: Train says %q, TrainEMDD says %q", tc.cfg, errDD, errEM)
+		}
 	}
 }
 
@@ -197,17 +227,16 @@ func TestTrainInvalidDataset(t *testing.T) {
 	}
 }
 
+// The bag distance is the minimum over instances of the weighted distance.
 func TestConceptBagDistMinOverInstances(t *testing.T) {
 	c := &Concept{Point: mat.Vector{0, 0}, Weights: mat.Ones(2)}
 	b := &mil.Bag{ID: "b", Instances: []mat.Vector{{3, 4}, {1, 0}, {5, 5}}}
-	if got := c.BagDist(b); got != 1 {
-		t.Fatalf("BagDist = %v, want 1 (min over instances)", got)
+	if got, at := c.BestInstance(b); got != 1 || at != 1 {
+		t.Fatalf("BestInstance = %v at %d, want 1 at 1 (min over instances)", got, at)
 	}
-}
-
-func TestConceptSqDistToUsesWeights(t *testing.T) {
-	c := &Concept{Point: mat.Vector{0, 0}, Weights: mat.Vector{1, 0}}
-	if got := c.SqDistTo(mat.Vector{3, 100}); got != 9 {
+	c.Weights = mat.Vector{1, 0}
+	b.Instances = []mat.Vector{{3, 100}}
+	if got, _ := c.BestInstance(b); got != 9 {
 		t.Fatalf("weighted dist = %v, want 9", got)
 	}
 }

@@ -3,10 +3,11 @@
 // and CLI flag tables, so tests (and the CI docs job) can fail when a
 // link target disappears, when docs/API.md's route table drifts from
 // server.Routes(), when its GET /v1/stats example drifts from the stats
-// tree's json tags, or when a flag table stops matching what the built
-// `milret` binary actually registers. The checkers are pure functions
-// over file contents; the tests in this package apply them to the
-// repo's own docs.
+// tree's json tags, when a flag table stops matching what the built
+// `milret` binary actually registers, or when docs/SURFACE.md stops
+// naming, row for row, every settable value the code has and the product
+// code that sets it. The checkers are pure functions over file contents;
+// the tests in this package apply them to the repo's own docs.
 package docscheck
 
 import (
@@ -284,4 +285,56 @@ func UsageSubcommands(usage string) []string {
 		return nil
 	}
 	return strings.Split(usage[i+1:j], "|")
+}
+
+var surfaceRowRE = regexp.MustCompile("^\\|\\s*`([^`]+)`\\s*\\|([^|]*)\\|")
+
+// SurfaceRows parses the tables of docs/SURFACE.md: every row whose first
+// cell is one backticked name maps that name to its second cell — the
+// product code that sets or calls it.
+func SurfaceRows(md []byte) map[string]string {
+	rows := make(map[string]string)
+	for _, line := range strings.Split(string(md), "\n") {
+		if m := surfaceRowRE.FindStringSubmatch(line); m != nil {
+			rows[m[1]] = strings.TrimSpace(m[2])
+		}
+	}
+	return rows
+}
+
+// StructFields names every exported field of struct type t the way
+// docs/SURFACE.md does: "milret.Options.Resolution".
+func StructFields(t reflect.Type) []string {
+	var out []string
+	for i := range t.NumField() {
+		if f := t.Field(i); f.IsExported() {
+			out = append(out, t.String()+"."+f.Name)
+		}
+	}
+	return out
+}
+
+var opConstRE = regexp.MustCompile(`(?m)^\s*(op[A-Z]\w*)\s+byte\s*=\s*(\d+)`)
+
+// RPCOps returns the shard RPC's op codes by constant name, read out of the
+// declarations ("opTopK byte = 3") in Go source src: the protocol exports
+// none of them.
+func RPCOps(src []byte) map[string]string {
+	ops := make(map[string]string)
+	for _, m := range opConstRE.FindAllSubmatch(src, -1) {
+		ops[string(m[1])] = string(m[2])
+	}
+	return ops
+}
+
+var getenvRE = regexp.MustCompile(`os\.(?:Getenv|LookupEnv)\("([A-Za-z0-9_]+)"\)`)
+
+// EnvVars lists the environment variables Go source src reads by literal
+// name.
+func EnvVars(src []byte) []string {
+	var out []string
+	for _, m := range getenvRE.FindAllSubmatch(src, -1) {
+		out = append(out, string(m[1]))
+	}
+	return out
 }

@@ -1,15 +1,21 @@
 package docscheck
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"milret"
+	"milret/internal/core"
+	"milret/internal/optimize"
+	"milret/internal/remote"
 	"milret/internal/server"
+	"milret/internal/store"
 )
 
 // repoRoot is where the checked docs live, relative to this package.
@@ -156,19 +162,8 @@ func TestCLIFlagTablesMatchBinary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the milret binary; skipped in -short")
 	}
-	bin := filepath.Join(t.TempDir(), "milret")
-	build := exec.Command("go", "build", "-o", bin, "milret/cmd/milret")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	// The bare binary prints "usage: milret <a|b|...> [flags]" and
-	// exits 2; that line names the subcommand universe.
-	usageOut, _ := exec.Command(bin).CombinedOutput()
-	subs := UsageSubcommands(string(usageOut))
-	if len(subs) == 0 {
-		t.Fatalf("could not parse subcommands from usage: %q", usageOut)
-	}
+	bin := buildMilret(t)
+	subs := subcommands(t, bin)
 
 	apiMD, err := os.ReadFile(filepath.Join(repoRoot, "docs", "API.md"))
 	if err != nil {
@@ -181,20 +176,10 @@ func TestCLIFlagTablesMatchBinary(t *testing.T) {
 		}
 	}
 
-	binaryFlags := func(sub string) []string {
-		helpOut, _ := exec.Command(bin, sub, "-h").CombinedOutput()
-		flags := HelpFlags(string(helpOut))
-		if len(flags) == 0 {
-			t.Fatalf("milret %s -h listed no flags:\n%s", sub, helpOut)
-		}
-		sort.Strings(flags)
-		return flags
-	}
-
 	check := func(docName string, tables map[string][]string) {
 		for sub, documented := range tables {
 			sort.Strings(documented)
-			got := binaryFlags(sub)
+			got := binaryFlags(t, bin, sub)
 			if !reflect.DeepEqual(documented, got) {
 				t.Errorf("%s flag table for `milret %s` drifted:\n  documented: %v\n  binary:     %v", docName, sub, documented, got)
 			}
@@ -207,6 +192,142 @@ func TestCLIFlagTablesMatchBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("README.md", FlagTables(readmeMD))
+}
+
+// buildMilret builds cmd/milret into a temporary directory.
+func buildMilret(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "milret")
+	build := exec.Command("go", "build", "-o", bin, "milret/cmd/milret")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// subcommands is the subcommand universe: the bare binary prints "usage:
+// milret <a|b|...> [flags]" and exits 2.
+func subcommands(t *testing.T, bin string) []string {
+	t.Helper()
+	usageOut, _ := exec.Command(bin).CombinedOutput()
+	subs := UsageSubcommands(string(usageOut))
+	if len(subs) == 0 {
+		t.Fatalf("could not parse subcommands from usage: %q", usageOut)
+	}
+	return subs
+}
+
+// binaryFlags lists, sorted, the flags `milret sub -h` registers.
+func binaryFlags(t *testing.T, bin, sub string) []string {
+	t.Helper()
+	helpOut, _ := exec.Command(bin, sub, "-h").CombinedOutput()
+	flags := HelpFlags(string(helpOut))
+	if len(flags) == 0 {
+		t.Fatalf("milret %s -h listed no flags:\n%s", sub, helpOut)
+	}
+	sort.Strings(flags)
+	return flags
+}
+
+// TestSurfaceTableMatchesCode derives the settable surface from the code —
+// every exported field of the option, request and topology structs, every
+// flag the built binary registers, every environment variable product code
+// reads, every shard RPC op, every on-disk magic with its version — and
+// requires docs/SURFACE.md to carry exactly those rows, each naming who sets
+// or calls it. A field, flag or op added without a row fails here, and so
+// does a row whose subject is gone.
+func TestSurfaceTableMatchesCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the milret binary; skipped in -short")
+	}
+	want := map[string]bool{}
+	for _, v := range []any{
+		milret.Options{}, milret.TrainOptions{},
+		server.QueryRequest{}, server.BatchQuery{}, server.BatchRetrieveRequest{}, server.UpdateImageRequest{},
+		remote.Topology{}, remote.PartitionSpec{}, remote.CoordinatorOptions{},
+		core.Config{}, optimize.Options{},
+	} {
+		for _, name := range StructFields(reflect.TypeOf(v)) {
+			want[name] = true
+		}
+	}
+
+	bin := buildMilret(t)
+	for _, sub := range subcommands(t, bin) {
+		for _, f := range binaryFlags(t, bin, sub) {
+			want["milret "+sub+" -"+f] = true
+		}
+	}
+
+	// Product source: everything but tests, the bench module and dot
+	// directories.
+	err := filepath.WalkDir(repoRoot, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != repoRoot && (name == "bench" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, name := range EnvVars(src) {
+			want[name] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	protocol, err := os.ReadFile(filepath.Join(repoRoot, "internal", "remote", "protocol.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := RPCOps(protocol)
+	if len(ops) == 0 {
+		t.Fatal("internal/remote/protocol.go declares no op constants")
+	}
+	for _, value := range ops {
+		want[remote.Magic+" op "+value] = true
+	}
+
+	for _, f := range []struct {
+		magic   string
+		version int
+	}{
+		{store.FlatMagic, store.FlatVersion},
+		{store.WALMagic, store.WALVersion},
+		{store.ManifestMagic, store.ManifestVersion},
+		{store.CacheSidecarMagic, store.CacheSidecarVersion},
+	} {
+		want[fmt.Sprintf("%s v%d", f.magic, f.version)] = true
+	}
+
+	md, err := os.ReadFile(filepath.Join(repoRoot, "docs", "SURFACE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := SurfaceRows(md)
+	for name := range want {
+		if setBy, ok := rows[name]; !ok {
+			t.Errorf("docs/SURFACE.md has no row for `%s`", name)
+		} else if setBy == "" {
+			t.Errorf("docs/SURFACE.md: the row for `%s` names nothing that sets or calls it", name)
+		}
+	}
+	for name := range rows {
+		if !want[name] {
+			t.Errorf("docs/SURFACE.md has a row for `%s`, which the code no longer has", name)
+		}
+	}
 }
 
 // --- parser unit tests -------------------------------------------------
@@ -281,5 +402,32 @@ func TestUsageSubcommands(t *testing.T) {
 	got := UsageSubcommands("usage: milret <gen|build|serve> [flags]")
 	if !reflect.DeepEqual(got, []string{"gen", "build", "serve"}) {
 		t.Errorf("UsageSubcommands = %v", got)
+	}
+}
+
+func TestSurfaceRowsParsing(t *testing.T) {
+	md := []byte("| Surface | Set by | Note |\n| --- | --- | --- |\n| `milret.Options.Shards` | `cmd/milret`: `build -shards` | fixed at construction |\n| `MILRETR1 op 3` |  | nobody |\n| plain | not a surface row | |\n")
+	got := SurfaceRows(md)
+	want := map[string]string{"milret.Options.Shards": "`cmd/milret`: `build -shards`", "MILRETR1 op 3": ""}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("SurfaceRows = %q, want %q", got, want)
+	}
+}
+
+func TestSurfaceSources(t *testing.T) {
+	type opts struct {
+		Shards int
+		hidden bool
+		Recall float64
+	}
+	if got, want := StructFields(reflect.TypeOf(opts{})), []string{"docscheck.opts.Shards", "docscheck.opts.Recall"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("StructFields = %v, want %v", got, want)
+	}
+	src := []byte("package p\n\nimport \"os\"\n\nconst (\n\topPing byte = 1 // probe\n\topGet  byte = 9\n\tother  byte = 7\n\topWide int  = 2\n)\n\nvar mode = os.Getenv(\"P_MODE\")\n")
+	if ops, want := RPCOps(src), (map[string]string{"opPing": "1", "opGet": "9"}); !reflect.DeepEqual(ops, want) {
+		t.Errorf("RPCOps = %v, want %v", ops, want)
+	}
+	if got := EnvVars(src); !reflect.DeepEqual(got, []string{"P_MODE"}) {
+		t.Errorf("EnvVars = %v", got)
 	}
 }

@@ -1,7 +1,5 @@
 package eval
 
-import "milret/internal/retrieval"
-
 // This file adds the classic text-retrieval summary metrics contemporary
 // with the paper (TREC conventions), complementing the raw curves: they
 // make cross-system comparisons one-glance without plotting.
@@ -26,86 +24,6 @@ func ElevenPointPrecision(pr []PRPoint) [11]float64 {
 	var out [11]float64
 	for i := 0; i <= 10; i++ {
 		out[i] = InterpolatedPrecision(pr, float64(i)/10)
-	}
-	return out
-}
-
-// ElevenPointAverage is the mean of the 11-point interpolated precisions —
-// a single-number summary close to average precision but smoother for
-// small collections.
-func ElevenPointAverage(pr []PRPoint) float64 {
-	pts := ElevenPointPrecision(pr)
-	var sum float64
-	for _, p := range pts {
-		sum += p
-	}
-	return sum / 11
-}
-
-// RPrecision returns the precision after exactly R images have been
-// retrieved, where R is the number of relevant images in the collection.
-// At that depth precision and recall coincide, making R-precision a
-// natural single-operating-point summary.
-func RPrecision(results []retrieval.Result, target string) float64 {
-	return PrecisionAt(results, target, CountLabel(results, target))
-}
-
-// CategoryReport summarizes a ranking against every label present in it:
-// one row per category treating that category as the target. It answers
-// "which categories does this concept confuse with the target" at a glance.
-type CategoryReport struct {
-	Label string
-	// Count is the number of images with this label in the ranking.
-	Count int
-	// MeanRank is the average position (1-based) of this label's images.
-	MeanRank float64
-	// InTopK is how many of this label's images appear in the first K.
-	InTopK int
-}
-
-// CategoryBreakdown computes a CategoryReport per label over the first k
-// positions (k ≤ 0 means the full ranking length), ordered by ascending
-// mean rank — the target category should come first for a good concept.
-func CategoryBreakdown(results []retrieval.Result, k int) []CategoryReport {
-	if k <= 0 || k > len(results) {
-		k = len(results)
-	}
-	type acc struct {
-		count, inTopK int
-		rankSum       float64
-	}
-	byLabel := map[string]*acc{}
-	for i, r := range results {
-		a := byLabel[r.Label]
-		if a == nil {
-			a = &acc{}
-			byLabel[r.Label] = a
-		}
-		a.count++
-		a.rankSum += float64(i + 1)
-		if i < k {
-			a.inTopK++
-		}
-	}
-	out := make([]CategoryReport, 0, len(byLabel))
-	for lb, a := range byLabel {
-		out = append(out, CategoryReport{
-			Label:    lb,
-			Count:    a.count,
-			MeanRank: a.rankSum / float64(a.count),
-			InTopK:   a.inTopK,
-		})
-	}
-	// Insertion sort by mean rank, ties by label for determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if b.MeanRank < a.MeanRank || (b.MeanRank == a.MeanRank && b.Label < a.Label) {
-				out[j-1], out[j] = b, a
-			} else {
-				break
-			}
-		}
 	}
 	return out
 }

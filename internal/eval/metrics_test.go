@@ -1,12 +1,9 @@
 package eval
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"milret/internal/retrieval"
 )
 
 func TestInterpolatedPrecisionMonotone(t *testing.T) {
@@ -46,8 +43,7 @@ func TestQuickElevenPointNonIncreasing(t *testing.T) {
 				return false
 			}
 		}
-		avg := ElevenPointAverage(pr)
-		return avg >= 0 && avg <= 1
+		return pts[0] <= 1 && pts[10] >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -62,86 +58,6 @@ func TestElevenPointPerfectRanking(t *testing.T) {
 			t.Fatalf("perfect ranking interp@%d = %v", i, p)
 		}
 	}
-	if avg := ElevenPointAverage(pr); avg != 1 {
-		t.Fatalf("perfect 11-point average = %v", avg)
-	}
-}
-
-func TestRPrecision(t *testing.T) {
-	// 2 relevant images; after 2 retrieved, 1 is relevant → R-precision 0.5.
-	if got := RPrecision(res("x", "y", "x"), "x"); got != 0.5 {
-		t.Fatalf("R-precision = %v, want 0.5", got)
-	}
-	if got := RPrecision(res("y", "y"), "x"); got != 0 {
-		t.Fatalf("no-relevant R-precision = %v", got)
-	}
-	// Perfect prefix.
-	if got := RPrecision(res("x", "x", "y"), "x"); got != 1 {
-		t.Fatalf("perfect R-precision = %v", got)
-	}
-}
-
-func TestCategoryBreakdown(t *testing.T) {
-	results := []retrieval.Result{
-		{ID: "1", Label: "a", Dist: 1},
-		{ID: "2", Label: "a", Dist: 2},
-		{ID: "3", Label: "b", Dist: 3},
-		{ID: "4", Label: "b", Dist: 4},
-	}
-	rep := CategoryBreakdown(results, 2)
-	if len(rep) != 2 {
-		t.Fatalf("got %d categories", len(rep))
-	}
-	if rep[0].Label != "a" || rep[1].Label != "b" {
-		t.Fatalf("ordering wrong: %+v", rep)
-	}
-	if rep[0].MeanRank != 1.5 || rep[1].MeanRank != 3.5 {
-		t.Fatalf("mean ranks wrong: %+v", rep)
-	}
-	if rep[0].InTopK != 2 || rep[1].InTopK != 0 {
-		t.Fatalf("top-k counts wrong: %+v", rep)
-	}
-}
-
-func TestCategoryBreakdownFullRankingDefault(t *testing.T) {
-	results := []retrieval.Result{
-		{ID: "1", Label: "a", Dist: 1},
-		{ID: "2", Label: "b", Dist: 2},
-	}
-	rep := CategoryBreakdown(results, 0)
-	for _, r := range rep {
-		if r.InTopK != r.Count {
-			t.Fatalf("k=0 should cover everything: %+v", rep)
-		}
-	}
-	if len(CategoryBreakdown(nil, 5)) != 0 {
-		t.Fatalf("empty ranking should give empty report")
-	}
-}
-
-// Property: Σ counts over the breakdown equals the ranking length, and
-// mean ranks are within [1, n].
-func TestQuickCategoryBreakdownConsistent(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(30)
-		labels := make([]string, n)
-		for i := range labels {
-			labels[i] = string(rune('a' + r.Intn(4)))
-		}
-		rep := CategoryBreakdown(res(labels...), 1+r.Intn(n))
-		total := 0
-		for _, c := range rep {
-			total += c.Count
-			if c.MeanRank < 1 || c.MeanRank > float64(n) {
-				return false
-			}
-		}
-		return total == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestInterpolatedAtLeastRaw(t *testing.T) {
@@ -151,8 +67,5 @@ func TestInterpolatedAtLeastRaw(t *testing.T) {
 		if ip := InterpolatedPrecision(pr, p.Recall); ip < p.Precision-1e-12 {
 			t.Fatalf("interpolated precision %v below raw %v at recall %v", ip, p.Precision, p.Recall)
 		}
-	}
-	if math.IsNaN(ElevenPointAverage(pr)) {
-		t.Fatalf("NaN 11-point average")
 	}
 }

@@ -117,35 +117,3 @@ func Fig415_417(cfg Config) ([]Table, error) {
 	}
 	return []Table{t}, nil
 }
-
-// betaEndpointGap quantifies the §4.2.1 footnote: at β=0 and β=1 the curves
-// need not agree exactly with original DD / identical weights because the
-// minimization algorithms differ. Exposed for tests.
-func betaEndpointGap(t Table) (lo, hi float64, err error) {
-	var apOriginal, apBeta0, apIdentical, apBeta1 float64
-	found := 0
-	for _, row := range t.Rows {
-		var v float64
-		if _, e := fmt.Sscanf(row[1], "%f", &v); e != nil {
-			return 0, 0, e
-		}
-		switch row[0] {
-		case "original DD":
-			apOriginal = v
-			found++
-		case "inequality β=0.0":
-			apBeta0 = v
-			found++
-		case "identical weights":
-			apIdentical = v
-			found++
-		case "inequality β=1.0":
-			apBeta1 = v
-			found++
-		}
-	}
-	if found != 4 {
-		return 0, 0, fmt.Errorf("experiments: β sweep table missing endpoint rows")
-	}
-	return apBeta0 - apOriginal, apBeta1 - apIdentical, nil
-}

@@ -60,9 +60,7 @@ func BagFromColorImage(id string, img image.Image, opts Options) (*mil.Bag, erro
 	var its, itsM [3]*gray.Integral
 	for i, ch := range chans {
 		its[i] = gray.NewIntegral(ch)
-		if !opts.NoMirror {
-			itsM[i] = gray.NewIntegral(ch.MirrorLR())
-		}
+		itsM[i] = gray.NewIntegral(ch.MirrorLR())
 	}
 
 	bag := &mil.Bag{ID: id}
@@ -85,30 +83,26 @@ func BagFromColorImage(id string, img image.Image, opts Options) (*mil.Bag, erro
 			ms[i] = m
 		}
 		addInstance(ms, r.Name)
-		if !opts.NoMirror {
-			mx0, mx1 := w-x1, w-x0
-			var mm [3]*mat.Matrix
-			for i := range itsM {
-				m, err := gray.SmoothSampleRect(itsM[i], mx0, y0, mx1, y1, opts.Resolution)
-				if err != nil {
-					return err
-				}
-				mm[i] = m
+		mx0, mx1 := w-x1, w-x0
+		var mm [3]*mat.Matrix
+		for i := range itsM {
+			m, err := gray.SmoothSampleRect(itsM[i], mx0, y0, mx1, y1, opts.Resolution)
+			if err != nil {
+				return err
 			}
-			addInstance(mm, r.Name+"-lr")
+			mm[i] = m
 		}
+		addInstance(mm, r.Name+"-lr")
 		return nil
 	}
 
 	for _, r := range regions {
 		x0, y0, x1, y1 := r.Pixels(w, h)
-		if opts.VarianceThreshold >= 0 {
-			n := float64((x1 - x0) * (y1 - y0))
-			mean := itLuma.Sum(x0, y0, x1, y1) / n
-			variance := itSq.Sum(x0, y0, x1, y1)/n - mean*mean
-			if variance < opts.VarianceThreshold {
-				continue
-			}
+		n := float64((x1 - x0) * (y1 - y0))
+		mean := itLuma.Sum(x0, y0, x1, y1) / n
+		variance := itSq.Sum(x0, y0, x1, y1)/n - mean*mean
+		if variance < region.DefaultVarianceThreshold {
+			continue
 		}
 		if err := sampleRegion(r); err != nil {
 			return nil, fmt.Errorf("feature: color bag %q region %s: %w", id, r.Name, err)

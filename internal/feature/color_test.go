@@ -152,7 +152,7 @@ func TestRotationsMatchRotatedImage(t *testing.T) {
 		best := math.Inf(1)
 		for _, u := range a.Instances {
 			for _, v := range b.Instances {
-				if d := mat.SqDist(u, v); d < best {
+				if d := mat.WeightedSqDist(u, v, mat.Ones(len(u))); d < best {
 					best = d
 				}
 			}

@@ -25,7 +25,9 @@ import (
 
 // Options configures bag generation. The zero value reproduces the paper's
 // default setup: 20 regions with mirrors (40 instances), 10×10 sampling
-// (100-dimensional features) and the default variance threshold.
+// (100-dimensional features). Regions whose pixel variance falls below
+// region.DefaultVarianceThreshold are dropped (§3.2), and every kept region
+// contributes its left-right mirror too.
 type Options struct {
 	// Resolution is the sampling size h (default gray.DefaultResolution,
 	// i.e. 10). Figure 4-19 sweeps {6, 10, 15}.
@@ -33,13 +35,6 @@ type Options struct {
 	// Regions selects the region family (default region.Default, 20
 	// regions). Figure 4-18 sweeps {Small, Default, Large}.
 	Regions region.SetSize
-	// VarianceThreshold drops regions whose pixel variance falls below it
-	// (§3.2). Negative disables the filter; 0 uses
-	// region.DefaultVarianceThreshold.
-	VarianceThreshold float64
-	// NoMirror disables the left-right mirror instances, halving bag
-	// size. The paper always uses mirrors; this knob exists for ablation.
-	NoMirror bool
 	// Rotations adds the 90°/180°/270° rotations of every kept instance
 	// (paper §5 future work: extra instances representing different
 	// viewing angles, at the cost of a 4× larger bag). Each rotation is
@@ -54,9 +49,6 @@ func (o Options) withDefaults() Options {
 	if o.Regions == 0 {
 		o.Regions = region.Default
 	}
-	if o.VarianceThreshold == 0 {
-		o.VarianceThreshold = region.DefaultVarianceThreshold
-	}
 	return o
 }
 
@@ -69,10 +61,7 @@ func (o Options) Dim() int {
 // MaxInstances returns the largest possible bag size under o.
 func (o Options) MaxInstances() int {
 	o = o.withDefaults()
-	n := int(o.Regions)
-	if !o.NoMirror {
-		n *= 2
-	}
+	n := 2 * int(o.Regions) // every region and its mirror
 	if o.Rotations {
 		n *= 4
 	}
@@ -128,13 +117,11 @@ func BagFromImage(id string, im *gray.Image, opts Options) (*mil.Bag, error) {
 
 	for _, r := range regions {
 		x0, y0, x1, y1 := r.Pixels(im.W, im.H)
-		if opts.VarianceThreshold >= 0 {
-			n := float64((x1 - x0) * (y1 - y0))
-			mean := it.Sum(x0, y0, x1, y1) / n
-			variance := itSq.Sum(x0, y0, x1, y1)/n - mean*mean
-			if variance < opts.VarianceThreshold {
-				continue
-			}
+		n := float64((x1 - x0) * (y1 - y0))
+		mean := it.Sum(x0, y0, x1, y1) / n
+		variance := itSq.Sum(x0, y0, x1, y1)/n - mean*mean
+		if variance < region.DefaultVarianceThreshold {
+			continue
 		}
 		if err := sampleRegion(r); err != nil {
 			return nil, fmt.Errorf("feature: bag %q region %s: %w", id, r.Name, err)
@@ -182,27 +169,22 @@ func buildVariants(im *gray.Image, opts Options) []variant {
 		}
 	}
 
-	variants := []variant{{gray.NewIntegral(im), ident, ""}}
-	var mirrored *gray.Image
-	if !opts.NoMirror {
-		mirrored = im.MirrorLR()
-		variants = append(variants, variant{gray.NewIntegral(mirrored), mirror, "-lr"})
+	mirrored := im.MirrorLR()
+	variants := []variant{
+		{gray.NewIntegral(im), ident, ""},
+		{gray.NewIntegral(mirrored), mirror, "-lr"},
 	}
 	if opts.Rotations {
+		// The mirrored picture has the same dimensions, so the same
+		// rotation transforms apply after the mirror transform.
 		variants = append(variants,
 			variant{gray.NewIntegral(im.Rotate90()), rot90, "-r90"},
 			variant{gray.NewIntegral(im.Rotate180()), rot180, "-r180"},
 			variant{gray.NewIntegral(im.Rotate270()), rot270, "-r270"},
+			variant{gray.NewIntegral(mirrored.Rotate90()), compose(mirror, rot90), "-lr-r90"},
+			variant{gray.NewIntegral(mirrored.Rotate180()), compose(mirror, rot180), "-lr-r180"},
+			variant{gray.NewIntegral(mirrored.Rotate270()), compose(mirror, rot270), "-lr-r270"},
 		)
-		if mirrored != nil {
-			// The mirrored picture has the same dimensions, so the same
-			// rotation transforms apply after the mirror transform.
-			variants = append(variants,
-				variant{gray.NewIntegral(mirrored.Rotate90()), compose(mirror, rot90), "-lr-r90"},
-				variant{gray.NewIntegral(mirrored.Rotate180()), compose(mirror, rot180), "-lr-r180"},
-				variant{gray.NewIntegral(mirrored.Rotate270()), compose(mirror, rot270), "-lr-r270"},
-			)
-		}
 	}
 	return variants
 }

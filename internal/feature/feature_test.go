@@ -71,7 +71,6 @@ func TestBagOptionsSweep(t *testing.T) {
 		{Options{Resolution: 6, Regions: region.Small}, 36, 18},
 		{Options{Resolution: 10, Regions: region.Default}, 100, 40},
 		{Options{Resolution: 15, Regions: region.Large}, 225, 84},
-		{Options{Regions: region.Default, NoMirror: true}, 100, 20},
 	} {
 		b, err := BagFromImage("x", im, tc.opts)
 		if err != nil {
@@ -140,17 +139,6 @@ func TestBlankImageFallback(t *testing.T) {
 	}
 }
 
-func TestDisabledVarianceFilterKeepsAll(t *testing.T) {
-	im := gray.New(64, 48)
-	b, err := BagFromImage("blank", im, Options{VarianceThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Instances) != 40 {
-		t.Fatalf("filter disabled but %d instances (want 40)", len(b.Instances))
-	}
-}
-
 func TestEmptyImageRejected(t *testing.T) {
 	if _, err := BagFromImage("e", gray.New(0, 0), Options{}); err == nil {
 		t.Fatalf("empty image accepted")
@@ -173,11 +161,11 @@ func TestUnknownRegionFamilyRejected(t *testing.T) {
 func TestMirrorImageBagEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	im := texturedImage(r, 64, 48)
-	b1, err := BagFromImage("a", im, Options{VarianceThreshold: -1})
+	b1, err := BagFromImage("a", im, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := BagFromImage("a-mirrored", im.MirrorLR(), Options{VarianceThreshold: -1})
+	b2, err := BagFromImage("a-mirrored", im.MirrorLR(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +204,7 @@ func TestClaimSection34EndToEnd(t *testing.T) {
 	u := sa.Flatten().Standardize()
 	v := sb.Flatten().Standardize()
 	n := float64(len(u))
-	lhs := mat.SqDist(u, v)
+	lhs := mat.WeightedSqDist(u, v, mat.Ones(len(u)))
 	rhs := 2*n - 2*n*gray.Corr(sa, sb)
 	if math.Abs(lhs-rhs) > 1e-6*n {
 		t.Fatalf("§3.4 Claim violated: ‖u−v‖²=%v, 2n−2n·corr=%v", lhs, rhs)

@@ -25,19 +25,15 @@ func CorrVec(a, b mat.Vector) float64 {
 	return WeightedCorrVec(a, b, nil)
 }
 
-// WeightedCorr returns the weighted correlation coefficient of §3.3, which
-// lets different dimensions carry different importance:
+// WeightedCorrVec returns the weighted correlation coefficient of §3.3 of
+// two flattened signals, which lets different dimensions carry different
+// importance:
 //
 //	r_w = (1/n) Σ_k w_k (f1(k) − mean1)(f2(k) − mean2) / (σ'1 σ'2)
 //
 // where the means are plain means and σ' are the weighted standard
-// deviations. With all weights 1 this reduces exactly to Corr. Weights must
-// be non-negative; a nil weight vector means all ones.
-func WeightedCorr(a, b *mat.Matrix, w mat.Vector) float64 {
-	return WeightedCorrVec(a.Data, b.Data, w)
-}
-
-// WeightedCorrVec is WeightedCorr on already-flattened signals.
+// deviations. With all weights 1 this reduces exactly to CorrVec. Weights
+// must be non-negative; a nil weight vector means all ones.
 func WeightedCorrVec(a, b, w mat.Vector) float64 {
 	n := len(a)
 	if n == 0 || n != len(b) {

@@ -10,23 +10,23 @@ import (
 )
 
 func TestCorrPerfect(t *testing.T) {
-	a := mat.FromRows([][]float64{{1, 2}, {3, 4}})
+	a := &mat.Matrix{Rows: 2, Cols: 2, Data: mat.Vector{1, 2, 3, 4}}
 	if got := Corr(a, a); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("Corr(a,a) = %v, want 1", got)
 	}
 }
 
 func TestCorrInverse(t *testing.T) {
-	a := mat.FromRows([][]float64{{1, 2}, {3, 4}})
-	b := mat.FromRows([][]float64{{-1, -2}, {-3, -4}})
+	a := &mat.Matrix{Rows: 2, Cols: 2, Data: mat.Vector{1, 2, 3, 4}}
+	b := &mat.Matrix{Rows: 2, Cols: 2, Data: mat.Vector{-1, -2, -3, -4}}
 	if got := Corr(a, b); math.Abs(got+1) > 1e-12 {
 		t.Fatalf("Corr(a,-a) = %v, want -1", got)
 	}
 }
 
 func TestCorrConstantSignal(t *testing.T) {
-	a := mat.FromRows([][]float64{{5, 5}, {5, 5}})
-	b := mat.FromRows([][]float64{{1, 2}, {3, 4}})
+	a := &mat.Matrix{Rows: 2, Cols: 2, Data: mat.Vector{5, 5, 5, 5}}
+	b := &mat.Matrix{Rows: 2, Cols: 2, Data: mat.Vector{1, 2, 3, 4}}
 	if got := Corr(a, b); got != 0 {
 		t.Fatalf("Corr(const, b) = %v, want 0", got)
 	}
@@ -47,8 +47,8 @@ func TestWeightedCorrOnesMatchesCorr(t *testing.T) {
 		b.Data[i] = r.NormFloat64()
 	}
 	w := mat.Ones(16)
-	if got, want := WeightedCorr(a, b, w), Corr(a, b); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("WeightedCorr(ones) = %v, want %v", got, want)
+	if got, want := WeightedCorrVec(a.Data, b.Data, w), Corr(a, b); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("WeightedCorrVec(ones) = %v, want %v", got, want)
 	}
 }
 

@@ -111,24 +111,6 @@ func (im *Image) Rotate270() *Image {
 	return out
 }
 
-// Crop returns a copy of the pixel rectangle [x0, x1) × [y0, y1). The
-// rectangle is clipped to the image bounds; an empty intersection yields a
-// 0×0 image.
-func (im *Image) Crop(x0, y0, x1, y1 int) *Image {
-	x0 = clampInt(x0, 0, im.W)
-	x1 = clampInt(x1, 0, im.W)
-	y0 = clampInt(y0, 0, im.H)
-	y1 = clampInt(y1, 0, im.H)
-	if x1 <= x0 || y1 <= y0 {
-		return New(0, 0)
-	}
-	out := New(x1-x0, y1-y0)
-	for y := y0; y < y1; y++ {
-		copy(out.Row(y-y0), im.Row(y)[x0:x1])
-	}
-	return out
-}
-
 // FromImage converts any stdlib image to gray scale using the Rec. 601 luma
 // weights (0.299 R + 0.587 G + 0.114 B), the conversion in common use when
 // the paper was written. The result is scaled to [0, 255].
@@ -142,21 +124,6 @@ func FromImage(src image.Image) *Image {
 			row[x-b.Min.X] = (0.299*float64(r) + 0.587*float64(g) + 0.114*float64(bb)) / 257.0
 		}
 	}
-	return out
-}
-
-// ToMatrix returns the image samples as a H×W matrix sharing no storage
-// with the image.
-func (im *Image) ToMatrix() *mat.Matrix {
-	m := mat.NewMatrix(im.H, im.W)
-	copy(m.Data, im.Pix)
-	return m
-}
-
-// FromMatrix builds an image from a rows×cols matrix (rows become y).
-func FromMatrix(m *mat.Matrix) *Image {
-	out := New(m.Cols, m.Rows)
-	copy(out.Pix, m.Data)
 	return out
 }
 

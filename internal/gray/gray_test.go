@@ -17,6 +17,15 @@ func randImage(r *rand.Rand, w, h int) *Image {
 	return im
 }
 
+// subImage copies the in-bounds pixel rectangle [x0, x1) × [y0, y1).
+func subImage(im *Image, x0, y0, x1, y1 int) *Image {
+	out := New(x1-x0, y1-y0)
+	for y := y0; y < y1; y++ {
+		copy(out.Row(y-y0), im.Row(y)[x0:x1])
+	}
+	return out
+}
+
 func TestNewAtSet(t *testing.T) {
 	im := New(3, 2)
 	im.Set(2, 1, 7)
@@ -49,34 +58,6 @@ func TestMirrorLR(t *testing.T) {
 	}
 }
 
-func TestCropBasic(t *testing.T) {
-	im := New(4, 4)
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 4; x++ {
-			im.Set(x, y, float64(y*4+x))
-		}
-	}
-	c := im.Crop(1, 1, 3, 3)
-	if c.W != 2 || c.H != 2 {
-		t.Fatalf("crop shape %dx%d", c.W, c.H)
-	}
-	if c.At(0, 0) != 5 || c.At(1, 1) != 10 {
-		t.Fatalf("crop content wrong: %v", c.Pix)
-	}
-}
-
-func TestCropClipsAndEmpty(t *testing.T) {
-	im := New(4, 4)
-	c := im.Crop(-5, -5, 100, 100)
-	if c.W != 4 || c.H != 4 {
-		t.Fatalf("clipped crop should be full image, got %dx%d", c.W, c.H)
-	}
-	e := im.Crop(3, 3, 3, 3)
-	if e.W != 0 || e.H != 0 {
-		t.Fatalf("empty crop should be 0x0, got %dx%d", e.W, e.H)
-	}
-}
-
 func TestFromImageGrayValues(t *testing.T) {
 	src := image.NewRGBA(image.Rect(0, 0, 2, 1))
 	src.Set(0, 0, color.RGBA{R: 255, G: 255, B: 255, A: 255})
@@ -102,18 +83,6 @@ func TestFromImageLumaOrdering(t *testing.T) {
 	}
 }
 
-func TestToMatrixFromMatrixRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	im := randImage(r, 5, 4)
-	back := FromMatrix(im.ToMatrix())
-	for i := range im.Pix {
-		if im.Pix[i] != back.Pix[i] {
-			t.Fatalf("round trip differs at %d", i)
-		}
-	}
-}
-
-// Property: integral-image block sums agree with naive summation.
 func TestQuickIntegralMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -233,8 +202,8 @@ func TestSmoothSampleShiftTolerance(t *testing.T) {
 			big.Set(x, y, v)
 		}
 	}
-	a := big.Crop(0, 0, w, h)
-	b := big.Crop(1, 0, w+1, h) // same content shifted one pixel
+	a := subImage(big, 0, 0, w, h)
+	b := subImage(big, 1, 0, w+1, h) // same content shifted one pixel
 
 	sa, err := SmoothSample(a, 10)
 	if err != nil {
@@ -262,7 +231,7 @@ func TestSmoothSampleRectMatchesCrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SmoothSample(im.Crop(8, 4, 40, 30), 10)
+	want, err := SmoothSample(subImage(im, 8, 4, 40, 30), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

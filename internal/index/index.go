@@ -403,7 +403,7 @@ func sortResults(rs []Result) {
 
 // bagDist returns the minimum weighted squared distance from any instance of
 // bag bi to the query point, evaluating each instance through the shared
-// blocked kernel (mat.WeightedSqDistPartial) and abandoning once the partial
+// blocked kernel (mat.MinWeightedSqDistRows) and abandoning once the partial
 // sum strictly exceeds thr (the min of the bag's current best instance and
 // the caller's k-th best cutoff). Using the one kernel everywhere is what
 // keeps flat and naive rankings bit-identical by construction.

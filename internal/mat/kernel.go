@@ -1,8 +1,8 @@
 // The blocked weighted-squared-distance kernel. This is the single
 // implementation of Σ_k w_k (v_k − u_k)² used everywhere in the system — the
-// naive scorer (WeightedSqDist, core.Concept.SqDistTo), the Diverse Density
-// training hot loops, and the flat columnar scan in internal/index — so that
-// every path produces bit-identical distances by construction.
+// naive scorer (WeightedSqDist), the Diverse Density training hot loops, and
+// the flat columnar scan in internal/index — so that every path produces
+// bit-identical distances by construction.
 //
 // Floating-point addition is not associative, so "the same value" requires
 // one fixed accumulation order. The kernel pins it:
@@ -24,7 +24,7 @@
 // The block body appears three times below — in the single-vector loop
 // (weightedSqDistPartial), in the flat row-scanning loop
 // (MinWeightedSqDistRows), and in the vector-of-slices loop
-// (MinWeightedSqDistVecs, behind core.Concept.BagDist: Explain and the
+// (MinWeightedSqDistVecs, behind core.Concept.BestInstance: Explain and the
 // tests' naive reference). The duplication is deliberate: the body is too large for the inliner, and a call per block of
 // dimensions would cost more than the unroll buys. The copies MUST stay
 // textually identical — same expressions, same fold order — and
@@ -86,28 +86,6 @@ func WeightedSqDistBlocked(v, u, w []float64) float64 {
 	mustSameLen(len(v), len(w))
 	s, _ := kernResume(v, u, w, 0, 0, math.Inf(1))
 	return s
-}
-
-// WeightedSqDistPartial evaluates the blocked kernel with an abandon
-// threshold: after each KernelBlock-sized block the running sum is compared
-// against thr, and the evaluation stops early (abandoned=true) once
-// sum > thr. Callers use it for exact pruned scans:
-//
-//   - when abandoned is false, sum is bit-identical to
-//     WeightedSqDistBlocked(v, u, w) — same blocks, same fold order;
-//   - when abandoned is true, sum > thr, and if every weight is
-//     non-negative the full distance is ≥ sum (adding non-negative terms
-//     never decreases a float64 sum), so the true distance also exceeds thr.
-//
-// Strict inequality means a distance exactly equal to thr is never
-// abandoned, preserving tie-breaking at top-k boundaries. Negative weights
-// break the monotonicity argument; callers disable pruning for them by
-// passing thr = +Inf.
-// milret:kernel
-func WeightedSqDistPartial(v, u, w []float64, thr float64) (sum float64, abandoned bool) {
-	mustSameLen(len(v), len(u))
-	mustSameLen(len(v), len(w))
-	return kernResume(v, u, w, 0, 0, thr)
 }
 
 // kernResume is the dispatch point behind every single-vector entry: the

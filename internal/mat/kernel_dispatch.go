@@ -8,9 +8,9 @@
 //
 //   - build tag: `-tags purego` compiles no assembly at all, so the scalar
 //     kernel is the only implementation (kernel_noasm.go);
-//   - environment / flag: MILRET_KERNEL=scalar (read at init) or
-//     SetKernel("scalar") (the cmd/milret -kernel flag) switches a normal
-//     build back to the scalar loops at runtime.
+//   - environment: MILRET_KERNEL=scalar (read at init) switches a normal
+//     build back to the scalar loops at runtime; SetKernel is the same
+//     switch for the tests that hold the two implementations together.
 //
 // Because both implementations are bit-identical on every entry point (the
 // property tests and FuzzKernelSIMDvsScalar enforce it), switching kernels
@@ -55,10 +55,9 @@ func Kernel() string {
 
 // SetKernel selects the kernel implementation: "auto" (AVX2 when the CPU
 // supports it), "scalar" (force the portable loops), or "avx2" (error when
-// unsupported). Intended for process startup — the cmd/milret -kernel flag
-// and the MILRET_KERNEL environment variable route here; flipping it is
-// safe (atomic) but mid-scan switches waste the measurement, not the
-// result, since both kernels return identical bits.
+// unsupported). The MILRET_KERNEL environment variable routes here at init;
+// flipping it later is safe (atomic) but mid-scan switches waste the
+// measurement, not the result, since both kernels return identical bits.
 func SetKernel(mode string) error {
 	switch mode {
 	case "auto":

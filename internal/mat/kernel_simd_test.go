@@ -108,8 +108,8 @@ func compareAllEntryPoints(t *testing.T, p, w []float64, vecs []Vector, thr, cut
 
 	var sSum, aSum float64
 	var sAb, aAb bool
-	withKernel(false, func() { sSum, sAb = WeightedSqDistPartial(p, u, w, thr) })
-	withKernel(true, func() { aSum, aAb = WeightedSqDistPartial(p, u, w, thr) })
+	withKernel(false, func() { sSum, sAb = kernResume(p, u, w, 0, 0, thr) })
+	withKernel(true, func() { aSum, aAb = kernResume(p, u, w, 0, 0, thr) })
 	if !eqBits(sSum, aSum) || sAb != aAb {
 		t.Fatalf("Partial(thr=%v) diverged: scalar (%x,%v) avx2 (%x,%v)\np=%v\nu=%v\nw=%v",
 			thr, math.Float64bits(sSum), sAb, math.Float64bits(aSum), aAb, p, u, w)
@@ -185,7 +185,7 @@ func TestKernelSIMDEmptyAndTiny(t *testing.T) {
 		if got := WeightedSqDistBlocked(nil, nil, nil); got != 0 {
 			t.Fatalf("empty Blocked = %v, want 0", got)
 		}
-		if got, ab := WeightedSqDistPartial(nil, nil, nil, -1); got != 0 || ab {
+		if got, ab := kernResume(nil, nil, nil, 0, 0, -1); got != 0 || ab {
 			t.Fatalf("empty Partial = %v,%v, want 0,false", got, ab)
 		}
 		if got := MinWeightedSqDistRows(nil, nil, nil, 0, true); !math.IsInf(got, 1) {

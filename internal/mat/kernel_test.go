@@ -81,7 +81,7 @@ func TestPartialExactness(t *testing.T) {
 		// interesting middle, including thr == full (strictness check).
 		thrs := []float64{math.Inf(1), full, full * 0.99, full * 0.5, full * 0.1, 0}
 		for _, thr := range thrs {
-			sum, abandoned := WeightedSqDistPartial(v, u, w, thr)
+			sum, abandoned := kernResume(v, u, w, 0, 0, thr)
 			if abandoned {
 				if !(sum > thr) {
 					t.Logf("abandoned with sum %v ≤ thr %v", sum, thr)
@@ -97,7 +97,7 @@ func TestPartialExactness(t *testing.T) {
 			}
 		}
 		// thr == full must never abandon: pruning is strict.
-		if _, abandoned := WeightedSqDistPartial(v, u, w, full); abandoned {
+		if _, abandoned := kernResume(v, u, w, 0, 0, full); abandoned {
 			t.Log("abandoned at thr == full")
 			return false
 		}
@@ -196,7 +196,6 @@ func TestKernelDimMismatchPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { WeightedSqDistBlocked([]float64{1}, []float64{1, 2}, []float64{1}) },
 		func() { WeightedSqDistBlocked([]float64{1}, []float64{1}, []float64{1, 2}) },
-		func() { WeightedSqDistPartial([]float64{1, 2}, []float64{1}, []float64{1, 2}, 0) },
 	} {
 		func() {
 			defer func() {
@@ -213,7 +212,7 @@ func TestKernelEmptyAndZero(t *testing.T) {
 	if got := WeightedSqDistBlocked(nil, nil, nil); got != 0 {
 		t.Fatalf("empty kernel = %v", got)
 	}
-	sum, abandoned := WeightedSqDistPartial(nil, nil, nil, -1)
+	sum, abandoned := kernResume(nil, nil, nil, 0, 0, -1)
 	if sum != 0 || abandoned {
 		t.Fatalf("empty partial = %v, %v", sum, abandoned)
 	}

@@ -4,8 +4,7 @@ import "fmt"
 
 // Matrix is a dense row-major matrix of float64 values. Rows × Cols elements
 // are stored contiguously in Data; element (r, c) lives at Data[r*Cols+c].
-// The zero Matrix is empty and unusable; construct with NewMatrix or
-// FromRows.
+// The zero Matrix is empty and unusable; construct with NewMatrix.
 type Matrix struct {
 	Rows, Cols int
 	Data       Vector
@@ -18,22 +17,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("mat: invalid matrix dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: NewVector(rows * cols)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows, copying the
-// data. It panics if the rows are ragged.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for r, row := range rows {
-		if len(row) != m.Cols {
-			panic(fmt.Sprintf("mat: ragged rows: row %d has %d cols, want %d", r, len(row), m.Cols))
-		}
-		copy(m.Row(r), row)
-	}
-	return m
 }
 
 // At returns the element at row r, column c.

@@ -18,29 +18,6 @@ func TestNewMatrixZeroed(t *testing.T) {
 	}
 }
 
-func TestFromRowsAndAt(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	if m.At(0, 0) != 1 || m.At(0, 1) != 2 || m.At(1, 0) != 3 || m.At(1, 1) != 4 {
-		t.Fatalf("FromRows content wrong: %v", m.Data)
-	}
-}
-
-func TestFromRowsEmpty(t *testing.T) {
-	m := FromRows(nil)
-	if m.Rows != 0 || m.Cols != 0 {
-		t.Fatalf("empty FromRows = %dx%d", m.Rows, m.Cols)
-	}
-}
-
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic on ragged rows")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
 func TestSetRowAliasing(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(1, 0, 9)
@@ -55,7 +32,7 @@ func TestSetRowAliasing(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: Vector{1, 2, 3, 4}}
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -64,7 +41,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestFlattenRowMajor(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := &Matrix{Rows: 2, Cols: 3, Data: Vector{1, 2, 3, 4, 5, 6}}
 	want := Vector{1, 2, 3, 4, 5, 6}
 	if !Equal(m.Flatten(), want, 0) {
 		t.Fatalf("Flatten = %v, want %v", m.Flatten(), want)
@@ -72,16 +49,16 @@ func TestFlattenRowMajor(t *testing.T) {
 }
 
 func TestMirrorLR(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := &Matrix{Rows: 2, Cols: 3, Data: Vector{1, 2, 3, 4, 5, 6}}
 	got := m.MirrorLR()
-	want := FromRows([][]float64{{3, 2, 1}, {6, 5, 4}})
+	want := &Matrix{Rows: 2, Cols: 3, Data: Vector{3, 2, 1, 6, 5, 4}}
 	if !Equal(got.Data, want.Data, 0) {
 		t.Fatalf("MirrorLR = %v, want %v", got.Data, want.Data)
 	}
 }
 
 func TestMatrixStats(t *testing.T) {
-	m := FromRows([][]float64{{1, 3}, {1, 3}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: Vector{1, 3, 1, 3}}
 	if m.Mean() != 2 {
 		t.Fatalf("Mean = %v", m.Mean())
 	}
@@ -142,18 +119,18 @@ func TestQuickMirrorPreservesStats(t *testing.T) {
 }
 
 func TestRotate90Known(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := &Matrix{Rows: 2, Cols: 3, Data: Vector{1, 2, 3, 4, 5, 6}}
 	got := m.Rotate90()
-	want := FromRows([][]float64{{4, 1}, {5, 2}, {6, 3}})
+	want := &Matrix{Rows: 3, Cols: 2, Data: Vector{4, 1, 5, 2, 6, 3}}
 	if !Equal(got.Data, want.Data, 0) || got.Rows != 3 || got.Cols != 2 {
 		t.Fatalf("Rotate90 = %v (%dx%d)", got.Data, got.Rows, got.Cols)
 	}
 }
 
 func TestRotate180Known(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := &Matrix{Rows: 2, Cols: 2, Data: Vector{1, 2, 3, 4}}
 	got := m.Rotate180()
-	want := FromRows([][]float64{{4, 3}, {2, 1}})
+	want := &Matrix{Rows: 2, Cols: 2, Data: Vector{4, 3, 2, 1}}
 	if !Equal(got.Data, want.Data, 0) {
 		t.Fatalf("Rotate180 = %v", got.Data)
 	}

@@ -89,11 +89,6 @@ func (v Vector) Dot(u Vector) float64 {
 	return s
 }
 
-// Norm returns the Euclidean norm of v.
-func (v Vector) Norm() float64 {
-	return math.Sqrt(v.Dot(v))
-}
-
 // AddScaled sets v = v + a*u in place and returns v.
 func (v Vector) AddScaled(a float64, u Vector) Vector {
 	mustSameLen(len(v), len(u))
@@ -171,18 +166,6 @@ func (v Vector) Standardize() Vector {
 		out[i] = (x - m) / sd
 	}
 	return out
-}
-
-// SqDist returns the squared Euclidean distance between v and u.
-// milret:kernel
-func SqDist(v, u Vector) float64 {
-	mustSameLen(len(v), len(u))
-	var s float64
-	for i, x := range v {
-		d := x - u[i]
-		s += d * d
-	}
-	return s
 }
 
 // WeightedSqDist returns Σ_k w_k (v_k − u_k)², the weighted squared

@@ -49,8 +49,8 @@ func TestDotNormOrthogonal(t *testing.T) {
 	if a.Dot(b) != 0 {
 		t.Fatalf("orthogonal dot != 0")
 	}
-	if got := (Vector{3, 4}).Norm(); got != 5 {
-		t.Fatalf("Norm{3,4} = %v, want 5", got)
+	if got := (Vector{3, 4}).Dot(Vector{3, 4}); got != 25 {
+		t.Fatalf("{3,4}·{3,4} = %v, want 25", got)
 	}
 }
 
@@ -88,16 +88,19 @@ func TestStandardizeConstantVector(t *testing.T) {
 	}
 }
 
+// sqDist is the plain squared Euclidean distance: the kernel at unit weights.
+func sqDist(v, u Vector) float64 { return WeightedSqDist(v, u, Ones(len(v))) }
+
 func TestSqDistZeroAndSymmetry(t *testing.T) {
 	a := Vector{1, 2, 3}
 	b := Vector{4, 0, 3}
-	if SqDist(a, a) != 0 {
-		t.Fatalf("SqDist(a,a) != 0")
+	if sqDist(a, a) != 0 {
+		t.Fatalf("sqDist(a,a) != 0")
 	}
-	if SqDist(a, b) != SqDist(b, a) {
+	if sqDist(a, b) != sqDist(b, a) {
 		t.Fatalf("SqDist not symmetric")
 	}
-	if got := SqDist(a, b); got != 9+4 {
+	if got := sqDist(a, b); got != 9+4 {
 		t.Fatalf("SqDist = %v, want 13", got)
 	}
 }
@@ -105,7 +108,7 @@ func TestSqDistZeroAndSymmetry(t *testing.T) {
 func TestWeightedSqDistMatchesUnweighted(t *testing.T) {
 	a := Vector{1, 2, 3, -1}
 	b := Vector{0, 2, 5, 3}
-	if got, want := WeightedSqDist(a, b, Ones(4)), SqDist(a, b); !almostEq(got, want, 1e-12) {
+	if got, want := WeightedSqDist(a, b, Ones(4)), 1.0+0+4+16; got != want {
 		t.Fatalf("WeightedSqDist(ones) = %v, want %v", got, want)
 	}
 	// Zero weight on a dimension removes its contribution entirely.
@@ -175,7 +178,7 @@ func TestQuickStandardizeCorrelationIdentity(t *testing.T) {
 			cov += (a[i] - ma) * (b[i] - mb)
 		}
 		corr := cov / float64(n) / (a.Std() * b.Std())
-		lhs := SqDist(sa, sb)
+		lhs := sqDist(sa, sb)
 		rhs := 2*float64(n) - 2*float64(n)*corr
 		return almostEq(lhs, rhs, 1e-6*float64(n))
 	}
@@ -185,15 +188,15 @@ func TestQuickStandardizeCorrelationIdentity(t *testing.T) {
 	}
 }
 
-// Property: triangle inequality for the Euclidean norm induced by SqDist.
+// Property: triangle inequality for the Euclidean norm induced by sqDist.
 func TestQuickTriangleInequality(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		n := 1 + rr.Intn(16)
 		a, b, c := randVec(rr, n), randVec(rr, n), randVec(rr, n)
-		ab := math.Sqrt(SqDist(a, b))
-		bc := math.Sqrt(SqDist(b, c))
-		ac := math.Sqrt(SqDist(a, c))
+		ab := math.Sqrt(sqDist(a, b))
+		bc := math.Sqrt(sqDist(b, c))
+		ac := math.Sqrt(sqDist(a, c))
 		return ac <= ab+bc+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -54,13 +54,8 @@ func (h *history) admit(sy float64) {
 func NewLBFGS(x0 mat.Vector, opt Options) *Stepper {
 	s := newStepper(lbfgsStep, x0, opt)
 	s.d = mat.NewVector(len(x0))
-	s.hist = newHistory(s.opt.Memory, len(x0))
+	s.hist = newHistory(lbfgsMemory, len(x0))
 	return s
-}
-
-// LBFGS minimizes f from x0: NewLBFGS run to the cap.
-func LBFGS(f Func, x0 mat.Vector, opt Options) Result {
-	return NewLBFGS(x0, opt).Minimize(f)
 }
 
 func lbfgsStep(s *Stepper, f Func) bool {
@@ -101,7 +96,7 @@ func lbfgsStep(s *Stepper, f Func) bool {
 	if h.count == 0 {
 		// First step (or after a reset): scale to a unit-ish move.
 		if ma := d.MaxAbs(); ma > 0 {
-			t0 = math.Min(1, s.opt.InitStep/ma)
+			t0 = math.Min(1, initStep/ma)
 		}
 	}
 	t := s.armijo(f, slope, t0)

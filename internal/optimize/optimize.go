@@ -17,8 +17,7 @@
 // barrier, drop the laggards and resume the rest — with any Func that
 // computes the same objective, on any goroutine. A run advanced in pieces
 // performs exactly the evaluations of the same run advanced in one call, and
-// allocates nothing after construction. LBFGS, GradientDescent and
-// ProjectedGradient are the one-call spellings over the same steppers.
+// allocates nothing after construction.
 //
 // All minimizers share the Func/Options/Result vocabulary. Minimization is
 // the house convention; Diverse Density is maximized by minimizing
@@ -51,11 +50,14 @@ type Options struct {
 	// ProjectedGradient, which is stationary exactly when no step length
 	// moves the projected point.
 	StepTol float64
-	// InitStep is the first trial step of each line search (default 1.0).
-	InitStep float64
-	// Memory is the L-BFGS history length (default 8).
-	Memory int
 }
+
+const (
+	// initStep is the first trial step of each line search.
+	initStep = 1.0
+	// lbfgsMemory is the L-BFGS history length.
+	lbfgsMemory = 8
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxIter <= 0 {
@@ -66,12 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StepTol <= 0 {
 		o.StepTol = 1e-12
-	}
-	if o.InitStep <= 0 {
-		o.InitStep = 1.0
-	}
-	if o.Memory <= 0 {
-		o.Memory = 8
 	}
 	return o
 }
@@ -125,7 +121,7 @@ func newStepper(iterate func(*Stepper, Func) bool, x0 mat.Vector, opt Options) *
 		x:       x0.Clone(),
 		g:       mat.NewVector(len(x0)),
 		xt:      mat.NewVector(len(x0)),
-		step:    opt.InitStep,
+		step:    initStep,
 	}
 }
 
@@ -205,11 +201,6 @@ func NewGradientDescent(x0 mat.Vector, opt Options) *Stepper {
 	return s
 }
 
-// GradientDescent minimizes f from x0: NewGradientDescent run to the cap.
-func GradientDescent(f Func, x0 mat.Vector, opt Options) Result {
-	return NewGradientDescent(x0, opt).Minimize(f)
-}
-
 func gradientDescentStep(s *Stepper, f Func) bool {
 	if s.g.MaxAbs() < s.opt.GradTol {
 		return false
@@ -222,7 +213,7 @@ func gradientDescentStep(s *Stepper, f Func) bool {
 	}
 	s.x.AddScaled(t, s.d)
 	// Warm-start the next line search near the accepted step.
-	s.step = math.Min(s.opt.InitStep, t*2)
+	s.step = math.Min(initStep, t*2)
 	s.fx = s.eval(f)
 	return true
 }

@@ -37,7 +37,7 @@ func rosenbrock(x, grad mat.Vector) float64 {
 
 func TestGradientDescentQuadratic(t *testing.T) {
 	f := quadratic(mat.Vector{1, 3, 0.5}, mat.Vector{2, -1, 4})
-	res := GradientDescent(f, mat.Vector{0, 0, 0}, Options{MaxIter: 500})
+	res := NewGradientDescent(mat.Vector{0, 0, 0}, Options{MaxIter: 500}).Minimize(f)
 	if !mat.Equal(res.X, mat.Vector{2, -1, 4}, 1e-3) {
 		t.Fatalf("GD solution %v, want (2,-1,4); f=%v", res.X, res.F)
 	}
@@ -48,7 +48,7 @@ func TestGradientDescentQuadratic(t *testing.T) {
 
 func TestGradientDescentAtMinimum(t *testing.T) {
 	f := quadratic(mat.Ones(2), mat.Vector{1, 1})
-	res := GradientDescent(f, mat.Vector{1, 1}, Options{})
+	res := NewGradientDescent(mat.Vector{1, 1}, Options{}).Minimize(f)
 	if !res.Converged {
 		t.Fatalf("should converge immediately at the minimum")
 	}
@@ -59,14 +59,14 @@ func TestGradientDescentAtMinimum(t *testing.T) {
 
 func TestLBFGSQuadratic(t *testing.T) {
 	f := quadratic(mat.Vector{1, 3, 0.5, 10}, mat.Vector{2, -1, 4, 0.5})
-	res := LBFGS(f, mat.NewVector(4), Options{MaxIter: 200})
+	res := NewLBFGS(mat.NewVector(4), Options{MaxIter: 200}).Minimize(f)
 	if !mat.Equal(res.X, mat.Vector{2, -1, 4, 0.5}, 1e-4) {
 		t.Fatalf("LBFGS solution %v", res.X)
 	}
 }
 
 func TestLBFGSRosenbrock(t *testing.T) {
-	res := LBFGS(rosenbrock, mat.Vector{-1.2, 1}, Options{MaxIter: 2000, GradTol: 1e-8})
+	res := NewLBFGS(mat.Vector{-1.2, 1}, Options{MaxIter: 2000, GradTol: 1e-8}).Minimize(rosenbrock)
 	if !mat.Equal(res.X, mat.Vector{1, 1}, 1e-3) {
 		t.Fatalf("LBFGS Rosenbrock solution %v (f=%v, iters=%d)", res.X, res.F, res.Iters)
 	}
@@ -81,8 +81,8 @@ func TestLBFGSBeatsGDOnIllConditioned(t *testing.T) {
 		c[i] = float64(i%3) - 1
 	}
 	opt := Options{MaxIter: 300, GradTol: 1e-9}
-	lb := LBFGS(quadratic(a, c), mat.NewVector(n), opt)
-	gd := GradientDescent(quadratic(a, c), mat.NewVector(n), opt)
+	lb := NewLBFGS(mat.NewVector(n), opt).Minimize(quadratic(a, c))
+	gd := NewGradientDescent(mat.NewVector(n), opt).Minimize(quadratic(a, c))
 	if lb.F > gd.F+1e-9 {
 		t.Fatalf("LBFGS (%v) should not lose to GD (%v) on ill-conditioned quadratic", lb.F, gd.F)
 	}
@@ -105,7 +105,7 @@ func TestGradientDescentQuasiGradient(t *testing.T) {
 		}
 		return f
 	}
-	res := GradientDescent(hacked, mat.NewVector(4), Options{MaxIter: 3000})
+	res := NewGradientDescent(mat.NewVector(4), Options{MaxIter: 3000}).Minimize(hacked)
 	// Dims 0,1 must be solved; dims 2,3 move slower but in the right
 	// direction.
 	if math.Abs(res.X[0]-3) > 1e-2 || math.Abs(res.X[1]-3) > 1e-2 {
@@ -118,7 +118,7 @@ func TestGradientDescentQuasiGradient(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxIter != 200 || o.GradTol != 1e-6 || o.InitStep != 1.0 || o.Memory != 8 {
+	if o.MaxIter != 200 || o.GradTol != 1e-6 || o.StepTol != 1e-12 {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
 }
@@ -211,14 +211,14 @@ func TestQuickProjectOptimality(t *testing.T) {
 		}
 		p := x.Clone()
 		c.Project(p)
-		dp := mat.SqDist(p, x)
+		dp := mat.WeightedSqDist(p, x, mat.Ones(len(p)))
 		for trial := 0; trial < 30; trial++ {
 			z := mat.NewVector(n)
 			for i := range z {
 				z[i] = r.Float64()
 			}
 			c.Project(z) // make z feasible (it already is in-box; fix sum)
-			if mat.SqDist(z, x) < dp-1e-9 {
+			if mat.WeightedSqDist(z, x, mat.Ones(len(z))) < dp-1e-9 {
 				return false
 			}
 		}
@@ -234,7 +234,7 @@ func TestProjectedGradientMatchesProjection(t *testing.T) {
 	p := mat.Vector{2, -1, 0.4, 0.9}
 	c := BoxSum{Lo: 0, Hi: 1, MinSum: 2.5}
 	f := quadratic(mat.Ones(4), p)
-	res := ProjectedGradient(f, c.Project, mat.NewVector(4), Options{MaxIter: 500})
+	res := NewProjectedGradient(c.Project, mat.NewVector(4), Options{MaxIter: 500}).Minimize(f)
 	want := p.Clone()
 	c.Project(want)
 	if !mat.Equal(res.X, want, 1e-4) {
@@ -258,7 +258,7 @@ func TestProjectedGradientStaysFeasible(t *testing.T) {
 		}
 		return v
 	}
-	res := ProjectedGradient(f, c.Project, mat.Vector{1, 1, 1}, Options{MaxIter: 300})
+	res := NewProjectedGradient(c.Project, mat.Vector{1, 1, 1}, Options{MaxIter: 300}).Minimize(f)
 	if !c.Feasible(res.X, 1e-9) {
 		t.Fatalf("infeasible result %v", res.X)
 	}
@@ -274,7 +274,7 @@ func TestProjectedGradientUnconstrainedInterior(t *testing.T) {
 	// perturb the answer.
 	c := BoxSum{Lo: 0, Hi: 1, MinSum: 0.1}
 	f := quadratic(mat.Ones(3), mat.Vector{0.5, 0.6, 0.7})
-	res := ProjectedGradient(f, c.Project, mat.NewVector(3), Options{MaxIter: 500})
+	res := NewProjectedGradient(c.Project, mat.NewVector(3), Options{MaxIter: 500}).Minimize(f)
 	if !mat.Equal(res.X, mat.Vector{0.5, 0.6, 0.7}, 1e-4) {
 		t.Fatalf("interior solution distorted: %v", res.X)
 	}

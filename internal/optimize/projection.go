@@ -124,11 +124,6 @@ func NewProjectedGradient(project func(mat.Vector), x0 mat.Vector, opt Options) 
 	return s
 }
 
-// ProjectedGradient minimizes f from x0: NewProjectedGradient run to the cap.
-func ProjectedGradient(f Func, project func(mat.Vector), x0 mat.Vector, opt Options) Result {
-	return NewProjectedGradient(project, x0, opt).Minimize(f)
-}
-
 func projectedGradientStep(s *Stepper, f Func) bool {
 	x, xt := s.x, s.xt
 	for t := s.step; t > s.opt.StepTol; t *= 0.5 {
@@ -149,7 +144,7 @@ func projectedGradientStep(s *Stepper, f Func) bool {
 		if ft <= s.fx-1e-4*moved/t {
 			copy(x, xt)
 			s.fx = s.eval(f)
-			s.step = math.Min(s.opt.InitStep, t*2)
+			s.step = math.Min(initStep, t*2)
 			return true
 		}
 	}

@@ -82,7 +82,7 @@ func TestStepperChunksAreOneRun(t *testing.T) {
 			}
 			// Even seeds stop on the cap, odd ones run until a tolerance
 			// does: both endings must survive the chunking.
-			opt := Options{MaxIter: 40 + r.Intn(40), Memory: 1 + r.Intn(8)}
+			opt := Options{MaxIter: 40 + r.Intn(40)}
 			if seed%2 == 1 {
 				opt.MaxIter, opt.StepTol = 50000, 1e-4
 			}
@@ -123,28 +123,6 @@ func TestStepperChunksAreOneRun(t *testing.T) {
 	}
 }
 
-// TestStepperWrappersAreSteppers: the one-call functions are the steppers
-// run to the cap.
-func TestStepperWrappersAreSteppers(t *testing.T) {
-	x0 := mat.Vector{-1.2, 1, 0.3, -0.4}
-	opt := Options{MaxIter: 25}
-	box := BoxSum{Lo: -2, Hi: 0.9, MinSum: 2}
-	for _, tc := range []struct {
-		name    string
-		wrapped Result
-		s       *Stepper
-	}{
-		{"lbfgs", LBFGS(chain(), x0, opt), NewLBFGS(x0, opt)},
-		{"gradient-descent", GradientDescent(chain(), x0, opt), NewGradientDescent(x0, opt)},
-		{"projected-gradient", ProjectedGradient(chain(), box.Project, x0, opt), NewProjectedGradient(box.Project, x0, opt)},
-	} {
-		tc.s.Run(chain(), opt.MaxIter)
-		if got := tc.s.Result(); !sameResult(got, tc.wrapped) {
-			t.Errorf("%s: stepper %+v, wrapper %+v", tc.name, got, tc.wrapped)
-		}
-	}
-}
-
 // TestStepperRunAllocatesNothing: everything a run needs — probe, direction,
 // the L-BFGS ring — exists after construction, including across the point
 // where the ring wraps and starts dropping its oldest pair.
@@ -154,7 +132,7 @@ func TestStepperRunAllocatesNothing(t *testing.T) {
 		x0[i] = math.Sin(float64(i))
 	}
 	for _, m := range stepperMethods {
-		s := m.mk(x0, Options{MaxIter: 1000, Memory: 4})
+		s := m.mk(x0, Options{MaxIter: 1000})
 		f := chain()
 		upTo := 0
 		allocs := testing.AllocsPerRun(20, func() {

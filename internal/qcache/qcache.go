@@ -119,7 +119,7 @@ type Cache struct {
 	flights map[Key]*flight
 
 	// gen counts content generations: it advances whenever the set of
-	// cached (key → concept) pairs changes (insert, import, evict, purge)
+	// cached (key → concept) pairs changes (insert, import, evict)
 	// and is untouched by recency bumps, so a persister can compare
 	// generations and skip rewriting an unchanged snapshot.
 	//
@@ -262,20 +262,6 @@ func (c *Cache) NoteBypass() {
 	c.mu.Unlock()
 }
 
-// Purge drops every cached entry (counters are kept). In-progress flights
-// are unaffected: their leaders will insert into the purged cache when
-// they land.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	if c.ll.Len() > 0 {
-		c.gen++
-	}
-	c.ll.Init()
-	c.byKey = make(map[Key]*list.Element)
-	c.bytes = 0
-	c.mu.Unlock()
-}
-
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
@@ -301,7 +287,7 @@ func (c *Cache) Stats() Stats {
 }
 
 // Gen returns the cache's content generation. It advances on every change
-// to the cached entry set — inserts, imports, evictions and purges — but
+// to the cached entry set — inserts, imports and evictions — but
 // not on recency updates, so equal generations mean a previously exported
 // snapshot is still exact.
 func (c *Cache) Gen() uint64 {

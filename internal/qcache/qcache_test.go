@@ -259,7 +259,7 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedUse hammers Do/Get/Purge/Stats from many goroutines;
+// TestConcurrentMixedUse hammers Do/Get/Export/Stats from many goroutines;
 // the -race run is the assertion.
 func TestConcurrentMixedUse(t *testing.T) {
 	dim := 8
@@ -273,7 +273,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 				key := mkKey(byte(i % 13))
 				switch {
 				case i%29 == 0:
-					c.Purge()
+					c.Export(0)
 				case i%7 == 0:
 					c.Get(key)
 				case i%11 == 0:
@@ -291,25 +291,6 @@ func TestConcurrentMixedUse(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Bytes > st.CapacityBytes {
 		t.Fatalf("bytes %d exceed capacity %d", st.Bytes, st.CapacityBytes)
-	}
-}
-
-func TestPurge(t *testing.T) {
-	c := New(1 << 20)
-	for i := 0; i < 3; i++ {
-		cc := mkConcept(4, float64(i))
-		c.Do(mkKey(byte(i)), func() (*core.Concept, error) { return cc, nil })
-	}
-	c.Purge()
-	st := c.Stats()
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("after purge: %+v", st)
-	}
-	if st.Misses != 3 {
-		t.Fatalf("purge reset counters: %+v", st)
-	}
-	if _, ok := c.Get(mkKey(0)); ok {
-		t.Fatal("purged entry still retrievable")
 	}
 }
 

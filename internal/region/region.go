@@ -25,16 +25,6 @@ type Rect struct {
 	Name string
 }
 
-// Valid reports whether r is a non-empty rectangle inside the unit square.
-func (r Rect) Valid() bool {
-	return r.X0 >= 0 && r.Y0 >= 0 && r.X1 <= 1 && r.Y1 <= 1 && r.X0 < r.X1 && r.Y0 < r.Y1
-}
-
-// Area returns the fractional area of r.
-func (r Rect) Area() float64 {
-	return (r.X1 - r.X0) * (r.Y1 - r.Y0)
-}
-
 // Pixels maps r onto a w×h pixel grid, returning the half-open pixel
 // rectangle [x0, x1) × [y0, y1). The result always contains at least one
 // pixel for a valid region on a non-empty image. Both endpoints round
@@ -66,12 +56,6 @@ func (r Rect) Pixels(w, h int) (x0, y0, x1, y1 int) {
 		}
 	}
 	return x0, y0, x1, y1
-}
-
-// Mirror returns the region that corresponds to r in the left-right mirrored
-// image: x-extent reflected about the vertical centre line.
-func (r Rect) Mirror() Rect {
-	return Rect{X0: 1 - r.X1, Y0: r.Y0, X1: 1 - r.X0, Y1: r.Y1, Name: r.Name + "-lr"}
 }
 
 func (r Rect) String() string {

@@ -1,7 +1,6 @@
 package region
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,11 +43,9 @@ func TestMustSetPanicsOnUnknown(t *testing.T) {
 func TestAllRegionsValid(t *testing.T) {
 	for _, size := range []SetSize{Small, Default, Large} {
 		for _, r := range MustSet(size) {
-			if !r.Valid() {
+			// Non-empty and inside the unit square.
+			if !(0 <= r.X0 && r.X0 < r.X1 && r.X1 <= 1 && 0 <= r.Y0 && r.Y0 < r.Y1 && r.Y1 <= 1) {
 				t.Errorf("invalid region %v in set %d", r, size)
-			}
-			if r.Area() <= 0 || r.Area() > 1 {
-				t.Errorf("region %v has area %v", r, r.Area())
 			}
 		}
 	}
@@ -126,7 +123,7 @@ func TestPixelsNeverEmpty(t *testing.T) {
 		x0 := rr.Float64() * 0.9
 		y0 := rr.Float64() * 0.9
 		r := Rect{x0, y0, x0 + 0.05 + rr.Float64()*(1-x0-0.05), y0 + 0.05 + rr.Float64()*(1-y0-0.05), "t"}
-		if r.X1 > 1 || r.Y1 > 1 || !r.Valid() {
+		if r.X1 > 1 || r.Y1 > 1 {
 			return true
 		}
 		px0, py0, px1, py1 := r.Pixels(w, h)
@@ -142,45 +139,6 @@ func TestPixelsTinyImage(t *testing.T) {
 	x0, y0, x1, y1 := r.Pixels(1, 1)
 	if x0 != 0 || y0 != 0 || x1 != 1 || y1 != 1 {
 		t.Fatalf("tiny image pixels = %d,%d,%d,%d", x0, y0, x1, y1)
-	}
-}
-
-func TestMirrorGeometry(t *testing.T) {
-	r := Rect{0.1, 0.2, 0.4, 0.9, "x"}
-	m := r.Mirror()
-	if math.Abs(m.X0-0.6) > 1e-12 || math.Abs(m.X1-0.9) > 1e-12 {
-		t.Fatalf("mirror x extent wrong: %v", m)
-	}
-	if m.Y0 != r.Y0 || m.Y1 != r.Y1 {
-		t.Fatalf("mirror must not change y extent: %v", m)
-	}
-}
-
-// Property: mirroring twice restores the geometry.
-func TestQuickMirrorInvolution(t *testing.T) {
-	f := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		x0, y0 := rr.Float64()*0.5, rr.Float64()*0.5
-		r := Rect{x0, y0, x0 + 0.1 + rr.Float64()*0.4, y0 + 0.1 + rr.Float64()*0.4, "t"}
-		m := r.Mirror().Mirror()
-		return math.Abs(m.X0-r.X0) < 1e-12 && math.Abs(m.X1-r.X1) < 1e-12 &&
-			m.Y0 == r.Y0 && m.Y1 == r.Y1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: mirror preserves area.
-func TestQuickMirrorPreservesArea(t *testing.T) {
-	f := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		x0, y0 := rr.Float64()*0.5, rr.Float64()*0.5
-		r := Rect{x0, y0, x0 + 0.1 + rr.Float64()*0.4, y0 + 0.1 + rr.Float64()*0.4, "t"}
-		return math.Abs(r.Mirror().Area()-r.Area()) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -198,19 +198,6 @@ func (c *Client) MultiTopK(ctx context.Context, q MultiTopKRequest) (MultiTopKRe
 	return p, nil
 }
 
-// Rank runs an exhaustive ranking on the partition.
-func (c *Client) Rank(ctx context.Context, q RankRequest) ([]milret.Result, error) {
-	body, err := c.call(ctx, opRank, q.encode(), true)
-	if err != nil {
-		return nil, err
-	}
-	p, err := decodeTopKResponse(body)
-	if err != nil {
-		return nil, c.unavailable(err)
-	}
-	return p.Results, nil
-}
-
 // Fetch retrieves example bags by ID from the partition.
 func (c *Client) Fetch(ctx context.Context, ids []string) ([]FetchedBag, error) {
 	body, err := c.call(ctx, opFetch, FetchRequest{IDs: ids}.encode(), true)

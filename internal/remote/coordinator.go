@@ -489,7 +489,7 @@ func mergeTopK(lists [][]milret.Result, k int) []milret.Result {
 		}
 		return all[i].ID < all[j].ID
 	})
-	if k >= 0 && len(all) > k {
+	if len(all) > k {
 		all = all[:k]
 	}
 	return all
@@ -551,19 +551,4 @@ func (c *Coordinator) RetrieveBatch(ctx context.Context, concepts []*milret.Conc
 		out[ci] = mergeTopK(lists, k)
 	}
 	return out, nil
-}
-
-// RankAll ranks every live image against the concept: the exhaustive
-// per-partition rankings merged under the same (distance, ID) order.
-// Unlike Retrieve there is no cutoff to share — every partition scores
-// everything — so the merge is a plain ordered concatenation.
-func (c *Coordinator) RankAll(ctx context.Context, concept *milret.Concept, exclude []string) ([]milret.Result, error) {
-	req := RankRequest{Concept: geometry(concept), Exclude: exclude}
-	lists, errs := fanOut(c.parts, func(_ int, cli *Client) ([]milret.Result, error) {
-		return cli.Rank(ctx, req)
-	})
-	if err := c.partial(errs); err != nil {
-		return nil, err
-	}
-	return mergeTopK(lists, -1), nil
 }

@@ -89,9 +89,9 @@ func TestPartialPolicyOnTimeout(t *testing.T) {
 		if !errors.Is(err, milret.ErrUnavailable) {
 			t.Fatalf("RetrieveBatch with a hung partition: %v, want ErrUnavailable", err)
 		}
-		_, err = coord.RankAll(context.Background(), concept, nil)
+		_, err = coord.Retrieve(context.Background(), concept, ref.Len(), nil, 0)
 		if !errors.Is(err, milret.ErrUnavailable) {
-			t.Fatalf("RankAll with a hung partition: %v, want ErrUnavailable", err)
+			t.Fatalf("full-ranking Retrieve with a hung partition: %v, want ErrUnavailable", err)
 		}
 		if _, err = coord.Images(); !errors.Is(err, milret.ErrUnavailable) {
 			t.Fatalf("Images with a hung partition: %v, want ErrUnavailable", err)
@@ -142,7 +142,7 @@ func TestPartialPolicyOnTimeout(t *testing.T) {
 			t.Fatalf("degrade policy refused a batch: %v", err)
 		}
 		wantIdentical(t, "degraded batch", batch[0], want)
-		all, err := coord.RankAll(context.Background(), concept, nil)
+		all, err := coord.Retrieve(context.Background(), concept, ref.Len()+1, nil, 0)
 		if err != nil {
 			t.Fatalf("degrade policy refused a ranking: %v", err)
 		}

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"milret"
@@ -25,10 +26,6 @@ func reencode(op byte, body []byte) ([]byte, bool) {
 		var q MultiTopKRequest
 		q, err = decodeMultiTopKRequest(body)
 		enc = q.encode()
-	case opRank:
-		var q RankRequest
-		q, err = decodeRankRequest(body)
-		enc = q.encode()
 	case opFetch:
 		var q FetchRequest
 		q, err = decodeFetchRequest(body)
@@ -46,6 +43,10 @@ func reencode(op byte, body []byte) ([]byte, bool) {
 	}
 	return enc, err == nil
 }
+
+// retiredOpRank was the exhaustive-ranking op; a shard must refuse it like
+// any number it never assigned, whatever the body.
+const retiredOpRank byte = 5
 
 // FuzzShardDispatch feeds the shard's RPC edge arbitrary (op, body) pairs
 // — what is left of a request once its frame checked out. Whatever
@@ -72,6 +73,10 @@ func FuzzShardDispatch(f *testing.F) {
 	for i := range geo.Weights {
 		geo.Point[i], geo.Weights[i] = float64(i)/float64(dim), 1
 	}
+	// What a rank request looked like while op 5 carried one.
+	var rank wbuf
+	rank.geometry(geo)
+	rank.strs(ids[:1])
 	for _, seed := range []struct {
 		op   byte
 		body []byte
@@ -80,7 +85,7 @@ func FuzzShardDispatch(f *testing.F) {
 		{opStats, nil},
 		{opTopK, TopKRequest{K: 3, Recall: 1, Seed: 0.5, Concept: geo, Exclude: ids[:1]}.encode()},
 		{opMultiTopK, MultiTopKRequest{K: 2, Concepts: []Geometry{geo, geo}, Exclude: ids[:2]}.encode()},
-		{opRank, RankRequest{Concept: geo, Exclude: ids[:1]}.encode()},
+		{retiredOpRank, rank.b},
 		{opFetch, FetchRequest{IDs: []string{ids[0], "no-such-image"}}.encode()},
 		{opMutate, MutateRequest{Kind: MutLabel, ID: ids[1], Label: "relabelled"}.encode()},
 		{opList, nil},
@@ -107,6 +112,12 @@ func FuzzShardDispatch(f *testing.F) {
 		case op:
 		default:
 			t.Fatalf("op %d answered with op %d", op, rop)
+		}
+		if op == retiredOpRank {
+			re, _ := decodeError(rbody).(*RemoteError)
+			if rop != opError || re.Code != ErrCodeBadRequest || !strings.Contains(re.Msg, "unknown op") {
+				t.Fatalf("op %d answered op %d %+v, want a bad-request \"unknown op\" verdict", op, rop, re)
+			}
 		}
 		if enc, ok := reencode(op, body); ok && !bytes.Equal(enc, body) {
 			t.Fatalf("op %d: body decodes but re-encodes differently\n in: %x\nout: %x", op, body, enc)

@@ -45,14 +45,13 @@ import (
 const Magic = "MILRETR1"
 
 // Frame ops. Requests carry exactly one; responses echo it or carry
-// opError.
+// opError. 5 is unassigned.
 const (
 	opError     byte = 0 // response only: body = code u8 | msg string
 	opPing      byte = 1 // health probe: images + verification state
 	opStats     byte = 2 // full milret.Stats (JSON body)
 	opTopK      byte = 3 // single-concept top-k with cutoff piggyback
 	opMultiTopK byte = 4 // batched multi-concept top-k
-	opRank      byte = 5 // exhaustive ranking
 	opFetch     byte = 6 // example bags by ID (for coordinator training)
 	opMutate    byte = 7 // delete / label update, flushed before ack
 	opList      byte = 8 // all live image IDs + labels
@@ -93,12 +92,6 @@ type RemoteError struct {
 }
 
 func (e *RemoteError) Error() string { return e.Msg }
-
-// IsNotFound reports whether err is a shard-side not-found verdict.
-func IsNotFound(err error) bool {
-	re, ok := err.(*RemoteError)
-	return ok && re.Code == ErrCodeNotFound
-}
 
 // WriteFrame writes one CRC-covered frame.
 func WriteFrame(w io.Writer, op byte, body []byte) error {
@@ -458,25 +451,6 @@ func decodeMultiTopKResponse(body []byte) (MultiTopKResponse, error) {
 		r.fail()
 	}
 	return p, r.done()
-}
-
-// RankRequest asks for a partition's full ascending ranking.
-type RankRequest struct {
-	Concept Geometry
-	Exclude []string
-}
-
-func (q RankRequest) encode() []byte {
-	var w wbuf
-	w.geometry(q.Concept)
-	w.strs(q.Exclude)
-	return w.b
-}
-
-func decodeRankRequest(body []byte) (RankRequest, error) {
-	r := rbuf{b: body}
-	q := RankRequest{Concept: r.geometry(), Exclude: r.strs()}
-	return q, r.done()
 }
 
 // FetchRequest asks the owning partition for example bags by ID.

@@ -185,13 +185,13 @@ func TestCoordinatorTopKBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRankBitIdentical checks the exhaustive ranking path
-// (opRank, no cutoff) against the in-process full ranking.
+// TestCoordinatorRankBitIdentical checks the full ranking — a Retrieve
+// whose k covers every image — against the in-process exhaustive one.
 func TestCoordinatorRankBitIdentical(t *testing.T) {
 	cl := startCluster(t, PartialFail)
 	concept, pos, neg := trainRef(t, cl, 3)
 	exclude := append(append([]string{}, pos...), neg...)
-	got, err := cl.coord.RankAll(context.Background(), concept, exclude)
+	got, err := cl.coord.Retrieve(context.Background(), concept, cl.ref.Len(), exclude, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestCoordinatorMutations(t *testing.T) {
 	// failure.
 	if err := cl.coord.DeleteImage(cl.ids[0]); err == nil {
 		t.Fatal("double delete succeeded")
-	} else if !IsNotFound(err) {
+	} else if re := (*RemoteError)(nil); !errors.As(err, &re) || re.Code != ErrCodeNotFound {
 		t.Fatalf("double delete: %v (want not-found verdict)", err)
 	}
 
@@ -345,7 +345,7 @@ func TestCoordinatorMutations(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantIdentical(t, "post-mutation batch", batch[0], got)
-		all, err := cl.coord.RankAll(ctx, concept, ex)
+		all, err := cl.coord.Retrieve(ctx, concept, cl.ref.Len(), ex, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func TestSharedCutoffValues(t *testing.T) {
 	}
 }
 
-// TestWrongDimGeometryIsBadRequest: geometry on a topk or rank frame is
+// TestWrongDimGeometryIsBadRequest: geometry on a topk or multitopk frame is
 // outside input, so a dimensionality the partition does not have must come
 // back as a bad-request verdict — and the shard must keep serving. (Such a
 // frame used to reach a scan worker goroutine and panic there, out of reach
@@ -486,8 +486,8 @@ func TestWrongDimGeometryIsBadRequest(t *testing.T) {
 	}
 	_, err := cli.TopK(ctx, TopKRequest{K: 5, Concept: bad})
 	wantBadRequest("topk", err)
-	_, err = cli.Rank(ctx, RankRequest{Concept: bad})
-	wantBadRequest("rank", err)
+	_, err = cli.MultiTopK(ctx, MultiTopKRequest{K: 5, Concepts: []Geometry{bad}})
+	wantBadRequest("multitopk", err)
 
 	concept, _, _ := trainRef(t, cl, 1)
 	got, err := cli.TopK(ctx, TopKRequest{K: 5, Concept: Geometry{Point: concept.Point(), Weights: concept.Weights()}})

@@ -116,20 +116,6 @@ func (s *ShardServer) dispatch(op byte, body []byte) (byte, []byte) {
 		}
 		return opMultiTopK, MultiTopKResponse{Lists: lists}.encode()
 
-	case opRank:
-		q, err := decodeRankRequest(body)
-		if err != nil {
-			return fail(ErrCodeBadRequest, "%v", err)
-		}
-		c, err := s.concept(q.Concept)
-		if err != nil {
-			return fail(ErrCodeBadRequest, "%v", err)
-		}
-		return opRank, TopKResponse{
-			Cutoff:  math.Inf(1),
-			Results: s.db.RankAllExcluding(c, q.Exclude),
-		}.encode()
-
 	case opFetch:
 		q, err := decodeFetchRequest(body)
 		if err != nil {

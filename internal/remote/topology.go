@@ -117,21 +117,6 @@ func LoadTopology(path string) (*Topology, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remote: read topology: %w", err)
 	}
-	// Topologies written before partitions were always shard servers may
-	// carry a store path; name the way out instead of "unknown field".
-	var retired struct {
-		Partitions []struct {
-			Name string
-			Path *string
-		}
-	}
-	if json.Unmarshal(b, &retired) == nil {
-		for _, p := range retired.Partitions {
-			if p.Path != nil {
-				return nil, fmt.Errorf(`remote: partition %q: path partitions were retired; run "milret shard-serve -db <path>" and list its addr (in %s)`, p.Name, path)
-			}
-		}
-	}
 	var t Topology
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()

@@ -18,10 +18,8 @@ func TestLoadTopologyRejects(t *testing.T) {
 		{"missing name", `{"partitions": [{"addr": "a:1"}]}`, "partition 0 has no name"},
 		{"missing addr", `{"partitions": [{"name": "p0"}]}`, `partition "p0" has no addr`},
 		{"unknown partial", `{"partitions": [{"name": "p0", "addr": "a:1"}], "partial": "maybe"}`, `unknown partial policy "maybe"`},
-		{"retired path", `{"partitions": [{"name": "p0", "path": "/data/db.milret.shard0"}]}`,
-			`partition "p0": path partitions were retired; run "milret shard-serve -db <path>" and list its addr`},
-		{"retired path beside addr", `{"partitions": [{"name": "p0", "addr": "a:1"}, {"name": "p1", "addr": "a:2", "path": ""}]}`,
-			`partition "p1": path partitions were retired`},
+		{"retired path", `{"partitions": [{"name": "p0", "path": "/data/db.milret.shard0"}]}`, `unknown field "path"`},
+		{"retired path beside addr", `{"partitions": [{"name": "p0", "addr": "a:1"}, {"name": "p1", "addr": "a:2", "path": ""}]}`, `unknown field "path"`},
 		{"unknown field", `{"partitions": [{"name": "p0", "addr": "a:1"}], "replicas": 2}`, `unknown field "replicas"`},
 		{"not JSON", `partitions: p0`, "parse topology"},
 	} {

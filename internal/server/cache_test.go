@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"milret"
@@ -256,12 +257,14 @@ func TestRetrieveBatchQueryValidation(t *testing.T) {
 		}
 	}
 	// The entry cap counts geometries and queries together.
-	s.MaxBatchConcepts = 1
 	over := BatchRetrieveRequest{
-		Concepts: []ConceptGeometry{{Point: []float64{1}, Weights: []float64{1}}},
+		Concepts: make([]ConceptGeometry, maxBatchConcepts),
 		Queries:  []BatchQuery{{Positives: []string{"object-car-00"}}},
 	}
-	if rec, body := doJSON(t, s, http.MethodPost, "/v1/retrieve/batch", over); rec.Code != http.StatusBadRequest {
-		t.Errorf("over cap: status %d (%s), want 400", rec.Code, body)
+	for i := range over.Concepts {
+		over.Concepts[i] = ConceptGeometry{Point: []float64{1}, Weights: []float64{1}}
+	}
+	if rec, body := doJSON(t, s, http.MethodPost, "/v1/retrieve/batch", over); rec.Code != http.StatusBadRequest || !strings.Contains(string(body), "exceeds the limit") {
+		t.Errorf("over cap: status %d (%s), want 400 naming the limit", rec.Code, body)
 	}
 }

@@ -57,15 +57,18 @@ import (
 	"milret"
 )
 
+const (
+	// maxK bounds a single query's result size.
+	maxK = 1000
+	// maxBatchConcepts bounds how many concepts one /v1/retrieve/batch
+	// request may carry.
+	maxBatchConcepts = 64
+)
+
 // Server serves a Backend over HTTP, including its mutation lifecycle.
 type Server struct {
 	db  Backend
 	mux *http.ServeMux
-	// MaxK bounds a single query's result size (default 1000).
-	MaxK int
-	// MaxBatchConcepts bounds how many concepts one /v1/retrieve/batch
-	// request may carry (default 64).
-	MaxBatchConcepts int
 	// ReadOnly refuses DELETE/PUT mutations with 403.
 	ReadOnly bool
 }
@@ -80,7 +83,7 @@ func New(db *milret.Database) *Server {
 // so the registered surface and the documented surface are the same
 // list.
 func NewBackend(b Backend) *Server {
-	s := &Server{db: b, mux: http.NewServeMux(), MaxK: 1000, MaxBatchConcepts: 64}
+	s := &Server{db: b, mux: http.NewServeMux()}
 	for _, rt := range routeTable {
 		s.mux.HandleFunc(rt.Pattern, rt.handler(s))
 	}
@@ -384,8 +387,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if k <= 0 {
 		k = 20
 	}
-	if k > s.MaxK {
-		k = s.MaxK
+	if k > maxK {
+		k = maxK
 	}
 	mode, err := weightMode(req.Mode)
 	if err != nil {
@@ -467,17 +470,17 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{"at least one concept or query required"})
 		return
 	}
-	if total > s.MaxBatchConcepts {
+	if total > maxBatchConcepts {
 		writeJSON(w, http.StatusBadRequest,
-			errorBody{fmt.Sprintf("%d entries exceeds the limit of %d", total, s.MaxBatchConcepts)})
+			errorBody{fmt.Sprintf("%d entries exceeds the limit of %d", total, maxBatchConcepts)})
 		return
 	}
 	k := req.K
 	if k <= 0 {
 		k = 20
 	}
-	if k > s.MaxK {
-		k = s.MaxK
+	if k > maxK {
+		k = maxK
 	}
 	concepts := make([]*milret.Concept, 0, total)
 	for i, g := range req.Concepts {

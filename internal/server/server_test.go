@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -286,10 +287,12 @@ func TestRetrieveBatchValidation(t *testing.T) {
 	if rec, _ := doJSON(t, s, http.MethodGet, "/v1/retrieve/batch", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET allowed on batch endpoint: %d", rec.Code)
 	}
-	s.MaxBatchConcepts = 1
-	over := BatchRetrieveRequest{Concepts: []ConceptGeometry{good, good}}
-	if rec, body := doJSON(t, s, http.MethodPost, "/v1/retrieve/batch", over); rec.Code != http.StatusBadRequest {
-		t.Errorf("oversized batch accepted: %d %s", rec.Code, body)
+	over := BatchRetrieveRequest{Concepts: make([]ConceptGeometry, maxBatchConcepts+1)}
+	for i := range over.Concepts {
+		over.Concepts[i] = good
+	}
+	if rec, body := doJSON(t, s, http.MethodPost, "/v1/retrieve/batch", over); rec.Code != http.StatusBadRequest || !strings.Contains(string(body), "exceeds the limit") {
+		t.Errorf("oversized batch: %d %s, want 400 naming the limit", rec.Code, body)
 	}
 }
 
@@ -331,19 +334,26 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// kSpy records the k the handlers ask their backend for.
+type kSpy struct {
+	Backend
+	k int
+}
+
+func (b *kSpy) Retrieve(ctx context.Context, c *milret.Concept, k int, exclude []string, recall float64) ([]milret.Result, error) {
+	b.k = k
+	return b.Backend.Retrieve(ctx, c, k, exclude, recall)
+}
+
 func TestQueryKClamped(t *testing.T) {
-	s, db := testServer(t)
-	s.MaxK = 2
+	_, db := testServer(t)
+	spy := &kSpy{Backend: localDB{db}}
 	req := QueryRequest{Positives: []string{"object-car-00"}, K: 10000, Mode: "identical"}
-	rec, body := doJSON(t, s, http.MethodPost, "/v1/query", req)
+	rec, body := doJSON(t, NewBackend(spy), http.MethodPost, "/v1/query", req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, body)
 	}
-	var resp QueryResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) > 2 {
-		t.Fatalf("MaxK not enforced: %d results (db %d)", len(resp.Results), db.Len())
+	if spy.k != maxK {
+		t.Fatalf("k = 10000 reached the backend as %d, want the cap %d", spy.k, maxK)
 	}
 }

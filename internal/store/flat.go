@@ -9,8 +9,8 @@
 //	header: magic "MILRETX1" | uint32 version | uint32 dim |
 //	        uint32 nItems | uint64 nInstances
 //	meta:   uint32 metaLen | metaPayload | uint32 crc32(metaPayload)
-//	pad:    version ≥ 2: zero bytes until the data block's file offset is a
-//	        multiple of 8 (both sides derive the count, it is not stored)
+//	pad:    zero bytes until the data block's file offset is a multiple of
+//	        8 (both sides derive the count, it is not stored)
 //	data:   nInstances × dim × float64 | uint32 crc32(data bytes)
 //
 //	metaPayload, per item:
@@ -18,13 +18,12 @@
 //	        uint32 nInst | uint8 hasNames |
 //	        hasNames × nInst × (uint16 nameLen | name)
 //
-// The 8-byte data alignment (version 2) is what makes zero-copy open
-// possible: on little-endian hosts the mapped (or read) file bytes are
-// reinterpreted in place as the []float64 instance block — open costs
-// O(items) meta decoding plus O(instances) slice headers, never a per-float
-// decode. Big-endian hosts and misaligned legacy files fall back to one
-// bulk conversion pass. Loaded bags share the adopted block: each instance
-// is a slice view into it.
+// The 8-byte data alignment is what makes zero-copy open possible: on
+// little-endian hosts the mapped (or read) file bytes are reinterpreted in
+// place as the []float64 instance block — open costs O(items) meta decoding
+// plus O(instances) slice headers, never a per-float decode. Big-endian
+// hosts fall back to one bulk conversion pass. Loaded bags share the adopted
+// block: each instance is a slice view into it.
 package store
 
 import (
@@ -46,9 +45,8 @@ import (
 // FlatMagic identifies flat-format store files.
 const FlatMagic = "MILRETX1"
 
-// FlatVersion is the current flat-format version: version 2 pads the data
-// block to an 8-byte file offset for zero-copy adoption. Version 1 files
-// (unpadded) remain readable.
+// FlatVersion is the one flat-format version: its data block is padded to
+// an 8-byte file offset for zero-copy adoption.
 const FlatVersion = 2
 
 // maxFlatItems bounds the item count as a corruption backstop.
@@ -167,12 +165,11 @@ func writeFlat(w io.Writer, dim int, recs []Record) error {
 }
 
 // FlatDB is an open flat-format store: the decoded records plus the adopted
-// instance block they share. On little-endian hosts with an aligned data
-// section (every version-2 file), Data is the file's own bytes viewed as
-// float64s — no copy, no per-element decode — optionally backed by a memory
-// mapping; otherwise it is one bulk-converted buffer. Records' bag
-// instances are slice views into Data in file order, so an index can adopt
-// the block wholesale.
+// instance block they share. On little-endian hosts Data is the file's own
+// bytes viewed as float64s — no copy, no per-element decode — optionally
+// backed by a memory mapping; otherwise it is one bulk-converted buffer.
+// Records' bag instances are slice views into Data in file order, so an
+// index can adopt the block wholesale.
 type FlatDB struct {
 	// Dim is the instance dimensionality.
 	Dim int
@@ -209,13 +206,6 @@ func (f *FlatDB) ZeroCopy() bool {
 	return f.raw != nil
 }
 
-// Mapped reports whether Data is backed by a live memory mapping.
-func (f *FlatDB) Mapped() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.mapped != nil
-}
-
 // VerifyData checksums the data block against the stored CRC. On the
 // zero-copy path this is the integrity check OpenFlatFile defers to keep
 // open O(items); converted opens have already verified during conversion,
@@ -239,11 +229,11 @@ func (f *FlatDB) VerifyData() error {
 	return nil
 }
 
-// Close releases the memory mapping, if any. Records and Data must not be
-// used afterwards when Mapped() was true. Closing a heap-backed FlatDB is a
-// no-op. Callers that hand the records to a long-lived database simply keep
-// the FlatDB (or drop it without Close) — an unreferenced mapping stays
-// valid for the life of the process and is page-cache backed.
+// Close releases the memory mapping, if any; Records and Data must not be
+// used afterwards. Closing a heap-backed FlatDB is a no-op. Callers that
+// hand the records to a long-lived database simply keep the FlatDB (or drop
+// it without Close) — an unreferenced mapping stays valid for the life of
+// the process and is page-cache backed.
 func (f *FlatDB) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -270,8 +260,7 @@ func hostLittleEndian() bool {
 // section is decoded and checksummed, and the data block is adopted in
 // place. Open cost is O(items) meta decoding plus O(instances) slice
 // headers; the instance floats are not touched — call VerifyData to pay one
-// checksum pass when end-to-end integrity matters more than open latency
-// (ReadFlatFile does this).
+// checksum pass when end-to-end integrity matters more than open latency.
 //
 // milret:unguarded construction: the FlatDB is not shared until this
 // returns.
@@ -313,8 +302,8 @@ func OpenFlatFile(path string) (*FlatDB, error) {
 		if fdb.ZeroCopy() {
 			fdb.mapped = raw
 		} else {
-			// The data was bulk-converted (misaligned v1 file or big-endian
-			// host); nothing references the mapping anymore.
+			// The data was bulk-converted (big-endian host); nothing
+			// references the mapping anymore.
 			munmapFile(raw)
 		}
 	}
@@ -341,8 +330,8 @@ func parseFlat(raw []byte) (*FlatDB, error) {
 	nItems32 := binary.LittleEndian.Uint32(raw[off+8:])
 	nInstances := binary.LittleEndian.Uint64(raw[off+12:])
 	off += 20
-	if version != 1 && version != FlatVersion {
-		return nil, fmt.Errorf("store: unsupported flat version %d (want ≤ %d)", version, FlatVersion)
+	if version != FlatVersion {
+		return nil, fmt.Errorf("store: unsupported flat version %d (want %d)", version, FlatVersion)
 	}
 	dim, nItems := int(dim32), int(nItems32)
 	if dim <= 0 || dim > 1<<20 {
@@ -377,18 +366,16 @@ func parseFlat(raw []byte) (*FlatDB, error) {
 	if got := crc32.ChecksumIEEE(meta); got != metaSum {
 		return nil, fmt.Errorf("%w: meta checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, metaSum)
 	}
-	if version >= 2 {
-		pad := flatPad(off)
-		if off+pad > len(raw) {
-			return nil, fmt.Errorf("%w: truncated alignment padding", ErrCorrupt)
-		}
-		for _, b := range raw[off : off+pad] {
-			if b != 0 {
-				return nil, fmt.Errorf("%w: non-zero alignment padding", ErrCorrupt)
-			}
-		}
-		off += pad
+	pad := flatPad(off)
+	if off+pad > len(raw) {
+		return nil, fmt.Errorf("%w: truncated alignment padding", ErrCorrupt)
 	}
+	for _, b := range raw[off : off+pad] {
+		if b != 0 {
+			return nil, fmt.Errorf("%w: non-zero alignment padding", ErrCorrupt)
+		}
+	}
+	off += pad
 
 	recs, counts, err := decodeFlatMeta(meta, nItems, nInstances)
 	if err != nil {
@@ -417,9 +404,9 @@ func parseFlat(raw []byte) (*FlatDB, error) {
 		fdb.Data = unsafe.Slice((*float64)(unsafe.Pointer(&raw[dataOff])), nFloats)
 		fdb.raw = raw
 	default:
-		// Bulk conversion fallback (big-endian host, or a misaligned
-		// version-1 file). The pass touches every byte anyway, so the
-		// checksum is verified on the way through.
+		// Bulk conversion fallback (big-endian host, or an image that does
+		// not start on an 8-byte address). The pass touches every byte
+		// anyway, so the checksum is verified on the way through.
 		if got := crc32.ChecksumIEEE(raw[dataOff : dataOff+nFloats*8]); got != dataSum {
 			return nil, fmt.Errorf("%w: data checksum mismatch (got %08x, want %08x)", ErrCorrupt, got, dataSum)
 		}
@@ -446,25 +433,6 @@ func parseFlat(raw []byte) (*FlatDB, error) {
 		row += n
 	}
 	return fdb, nil
-}
-
-// ReadFlatFile loads every record from a flat-format file with full
-// integrity checking (meta and data checksums). All returned bags'
-// instances are views into one shared flat block. For O(items) opens that
-// defer the data checksum, use OpenFlatFile.
-func ReadFlatFile(path string) ([]Record, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	fdb, err := parseFlat(raw)
-	if err != nil {
-		return nil, err
-	}
-	if err := fdb.VerifyData(); err != nil {
-		return nil, err
-	}
-	return fdb.Records, nil
 }
 
 // decodeFlatMeta parses the meta payload into records (bags still without

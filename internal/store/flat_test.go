@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -22,6 +23,20 @@ func writeFlatTemp(t *testing.T, dim int, recs []Record) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// readVerified loads path with every integrity check the format has: the
+// structural and meta checks of the open plus the data checksum.
+func readVerified(path string) ([]Record, error) {
+	fdb, err := OpenFlatFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := fdb.VerifyData(); err != nil {
+		fdb.Close()
+		return nil, err
+	}
+	return fdb.Records, nil
 }
 
 func recordsBitEqual(t *testing.T, got, want []Record) {
@@ -70,7 +85,7 @@ func TestFlatRoundTripExact(t *testing.T) {
 	recs[1].Bag.Names = []string{"a-whole"}
 
 	path := writeFlatTemp(t, 5, recs)
-	got, err := ReadFlatFile(path)
+	got, err := readVerified(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +94,7 @@ func TestFlatRoundTripExact(t *testing.T) {
 
 func TestFlatEmptyStore(t *testing.T) {
 	path := writeFlatTemp(t, 4, nil)
-	got, err := ReadFlatFile(path)
+	got, err := readVerified(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +107,7 @@ func TestFlatSharedBacking(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	recs := []Record{randRecord(r, "a", "l", 4, 3), randRecord(r, "b", "l", 4, 2)}
 	path := writeFlatTemp(t, 4, recs)
-	got, err := ReadFlatFile(path)
+	got, err := readVerified(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +166,7 @@ func TestFlatCorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(tmp, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadFlatFile(tmp); err == nil {
+		if _, err := readVerified(tmp); err == nil {
 			t.Errorf("flip at %d: corruption not detected", pos)
 		}
 	}
@@ -169,7 +184,7 @@ func TestFlatTruncationDetected(t *testing.T) {
 		if err := os.WriteFile(tmp, good[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadFlatFile(tmp); err == nil {
+		if _, err := readVerified(tmp); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
 	}
@@ -186,7 +201,7 @@ func TestFlatDataCorruptionWrapsErrCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFlatFile(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := readVerified(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 }
@@ -211,7 +226,12 @@ func TestOpenFlatFileZeroCopy(t *testing.T) {
 	if hostLittleEndian() && !fdb.ZeroCopy() {
 		t.Fatal("little-endian open of a v2 file did not adopt the block zero-copy")
 	}
-	if mmapSupported && !fdb.Mapped() {
+	isMapped := func() bool {
+		fdb.mu.Lock()
+		defer fdb.mu.Unlock()
+		return fdb.mapped != nil
+	}
+	if mmapSupported && !isMapped() {
 		t.Fatal("mmap-capable platform did not map the file")
 	}
 	recordsBitEqual(t, fdb.Records, recs)
@@ -225,7 +245,7 @@ func TestOpenFlatFileZeroCopy(t *testing.T) {
 	if err := fdb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fdb.Mapped() {
+	if isMapped() {
 		t.Fatal("still mapped after Close")
 	}
 }
@@ -255,43 +275,30 @@ func TestOpenFlatFileDeferredCorruption(t *testing.T) {
 	}
 }
 
-// TestFlatV1StillReadable: a version-1 (unpadded) file — synthesized from a
-// v2 file by dropping the pad and patching the version — must load with
-// identical contents through every reader.
-func TestFlatV1StillReadable(t *testing.T) {
+// TestFlatV1Refused: version 1 was the unpadded layout; nothing writes it and
+// nothing reads it, so its header is refused by version, like any other
+// version this build does not know.
+func TestFlatV1Refused(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
-	recs := []Record{randRecord(r, "v1", "legacy", 3, 2), randRecord(r, "v1b", "legacy", 3, 4)}
-	path := writeFlatTemp(t, 3, recs)
+	path := writeFlatTemp(t, 3, []Record{randRecord(r, "v1", "legacy", 3, 2)})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	metaLen := int(binary.LittleEndian.Uint32(data[flatHeaderLen:]))
-	padAt := flatHeaderLen + 4 + metaLen + 4
-	pad := flatPad(padAt)
-	v1 := append([]byte{}, data[:padAt]...)
-	v1 = append(v1, data[padAt+pad:]...)
-	binary.LittleEndian.PutUint32(v1[len(FlatMagic):], 1)
-	v1Path := filepath.Join(t.TempDir(), "v1.milretx")
-	if err := os.WriteFile(v1Path, v1, 0o644); err != nil {
-		t.Fatal(err)
+	for _, version := range []uint32{0, 1, FlatVersion + 1} {
+		binary.LittleEndian.PutUint32(data[len(FlatMagic):], version)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenFlatFile(path)
+		if err == nil || !strings.Contains(err.Error(), "unsupported flat version") {
+			t.Fatalf("version %d: OpenFlatFile = %v, want \"unsupported flat version\"", version, err)
+		}
 	}
-
-	got, err := ReadFlatFile(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsBitEqual(t, got, recs)
-	fdb, err := OpenFlatFile(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fdb.Close()
-	recordsBitEqual(t, fdb.Records, recs)
 }
 
-// The open benchmarks back the README's O(bags) open claim: ReadFlatFile
-// decodes and checksums every float, OpenFlatFile adopts the block.
+// The open benchmark backs the README's O(bags) open claim: OpenFlatFile
+// adopts the block without touching a float.
 func benchFlatFile(b *testing.B, nRecs, inst, dim int) string {
 	b.Helper()
 	r := rand.New(rand.NewSource(12))
@@ -304,17 +311,6 @@ func benchFlatFile(b *testing.B, nRecs, inst, dim int) string {
 		b.Fatal(err)
 	}
 	return path
-}
-
-func BenchmarkReadFlatFile2k(b *testing.B) {
-	path := benchFlatFile(b, 2000, 40, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadFlatFile(path); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkOpenFlatFile2k(b *testing.B) {
@@ -351,7 +347,7 @@ func TestQuickFlatRoundTrip(t *testing.T) {
 		if err := WriteFlatFile(path, dim, recs); err != nil {
 			return false
 		}
-		got, err := ReadFlatFile(path)
+		got, err := readVerified(path)
 		if err != nil {
 			return false
 		}

@@ -51,8 +51,9 @@ func fuzzSeedFiles(f *testing.F) (seeds [][]byte, boundLog []byte) {
 		f.Fatal(err)
 	}
 
-	// The retired record-stream generation: magic, version, dim, then
-	// length-prefixed payloads. Only the magic matters to today's readers.
+	// The record-stream generation no build reads any more: magic, version,
+	// dim, then length-prefixed payloads. To today's readers it is one more
+	// unknown magic.
 	stream := []byte(retiredStreamMagic + "\x01\x00\x00\x00\x04\x00\x00\x00")
 	payload, err := encodeRecordPayload(recs[1], 4)
 	if err != nil {
@@ -86,6 +87,10 @@ func fuzzSeedFiles(f *testing.F) (seeds [][]byte, boundLog []byte) {
 		huge,
 	}, read(WALPath(flatPath))
 }
+
+// retiredStreamMagic opened the store's first generation, the per-record
+// stream; Open must refuse it as the unknown magic it now is.
+const retiredStreamMagic = "MILRETF1"
 
 // checkFuzzRecord asserts what every successfully loaded record must
 // satisfy, whichever file it came out of.

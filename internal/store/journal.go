@@ -39,16 +39,6 @@ import (
 // never for logs of at most this many records.
 const FoldMinOps = 64
 
-// retiredStreamMagic opened the per-record stream format, the store's first
-// generation. Nothing has written it since the flat format replaced it and
-// its reader is gone; the magic is still recognized so that such a file is
-// refused by name rather than as garbage.
-const retiredStreamMagic = "MILRETF1"
-
-// ErrRetiredFormat refuses a record-stream store.
-var ErrRetiredFormat = errors.New("store: record-stream (" + retiredStreamMagic +
-	") stores were retired; rewrite the file with a build ≤ PR 17")
-
 // Live is the in-memory database a Journal persists, as far as the journal
 // needs to see it. Both methods are called with the journal lock held, so
 // they observe exactly the mutations Apply has let through.
@@ -156,8 +146,6 @@ func Open(path string) (*Journal, []Shard, error) {
 		if paths, err = ReadManifest(path); err != nil {
 			return nil, nil, err
 		}
-	case retiredStreamMagic:
-		return nil, nil, ErrRetiredFormat
 	default:
 		return nil, nil, fmt.Errorf("store: bad magic %q", magic)
 	}

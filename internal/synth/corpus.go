@@ -21,12 +21,6 @@ const ScenesPerCategory = 100
 // 19 categories × 12 (§4.1).
 const ObjectsPerCategory = 12
 
-// Scenes generates the full natural-scene corpus deterministically from the
-// seed: ScenesPerCategory images of each of the five SceneCategories.
-func Scenes(seed int64) []Item {
-	return ScenesN(seed, ScenesPerCategory)
-}
-
 // ScenesN generates n images per scene category (for fast tests and scaled
 // benchmarks).
 func ScenesN(seed int64, n int) []Item {
@@ -60,12 +54,6 @@ func ScenesEach(seed int64, n int, visit func(Item) error) error {
 		}
 	}
 	return nil
-}
-
-// Objects generates the full object corpus deterministically from the seed:
-// ObjectsPerCategory images of each of the 19 ObjectCategories.
-func Objects(seed int64) []Item {
-	return ObjectsN(seed, ObjectsPerCategory)
 }
 
 // ObjectsN generates n images per object category.

@@ -120,11 +120,6 @@ type Options struct {
 	Resolution int
 	// Regions selects the region family size: 9, 20 or 42. Default 20.
 	Regions int
-	// VarianceThreshold drops low-variance (blank) regions; negative
-	// disables the filter, 0 uses the default.
-	VarianceThreshold float64
-	// NoMirror disables left-right mirror instances.
-	NoMirror bool
 	// VerifyOnLoad makes LoadDatabase checksum the stored instance block
 	// before serving from it. The default fast open validates structure and
 	// the metadata checksum but adopts the (possibly memory-mapped) float
@@ -180,11 +175,7 @@ type Options struct {
 }
 
 func (o Options) toFeature() feature.Options {
-	fo := feature.Options{
-		Resolution:        o.Resolution,
-		VarianceThreshold: o.VarianceThreshold,
-		NoMirror:          o.NoMirror,
-	}
+	fo := feature.Options{Resolution: o.Resolution}
 	if o.Regions != 0 {
 		fo.Regions = region.SetSize(o.Regions)
 	}
@@ -207,8 +198,6 @@ type TrainOptions struct {
 	// Only the starts that survive the race's barriers at 8, 24 and 72
 	// iterations run that far; a bound of 8 or less runs every start to it.
 	MaxIters int
-	// Parallelism bounds training/ranking goroutines (0 = NumCPU).
-	Parallelism int
 	// BypassCache makes this training run skip the concept cache in both
 	// directions: it neither consults nor populates it. No effect when the
 	// database has no cache (Options.ConceptCacheMB 0).
@@ -593,12 +582,11 @@ func trainDataset(ctx context.Context, cache *qcache.Cache, ds *mil.Dataset, opt
 		return nil, CacheDisabled, err
 	}
 	cfg := core.Config{
-		Mode:        mode,
-		Alpha:       opts.Alpha,
-		Beta:        opts.Beta,
-		StartBags:   opts.StartBags,
-		Parallelism: opts.Parallelism,
-		Opt:         optimize.Options{MaxIter: opts.MaxIters},
+		Mode:      mode,
+		Alpha:     opts.Alpha,
+		Beta:      opts.Beta,
+		StartBags: opts.StartBags,
+		Opt:       optimize.Options{MaxIter: opts.MaxIters},
 	}
 	train := func() (*core.Concept, error) { return core.Train(ds, cfg) }
 	switch {
@@ -636,8 +624,7 @@ func trainDataset(ctx context.Context, cache *qcache.Cache, ds *mil.Dataset, opt
 // concept, with mode-irrelevant hyperparameters normalized away (Alpha
 // only steers AlphaHackWeights, Beta only ConstrainedWeights) and
 // optimizer bounds pinned to their effective defaults, so spelling a
-// default explicitly still hits. Parallelism is excluded: training is
-// deterministic regardless of it. Positive-bag order is canonicalized
+// default explicitly still hits. Positive-bag order is canonicalized
 // away unless a start-bag cap below the positive count makes order select
 // different optimization starts (§4.3), in which case it is genuinely
 // part of the request.
@@ -801,9 +788,8 @@ func (d *Database) RankAll(c *Concept) []Result {
 }
 
 // RankAllExcluding is RankAll with some image IDs removed from the
-// ranking — the exhaustive-scan counterpart of RetrieveExcluding, used
-// by the shard RPC so a distributed rank honors the same exclusions as
-// a distributed top-k.
+// ranking — the exhaustive-scan counterpart of RetrieveExcluding, with no
+// cutoff and no filter: the ranking the tests hold every top-k scan to.
 func (d *Database) RankAllExcluding(c *Concept, exclude []string) []Result {
 	var ex map[string]bool
 	if len(exclude) > 0 {
@@ -1324,12 +1310,6 @@ func PrecisionRecallCurve(results []Result, target string) []PRPoint {
 		out[i] = PRPoint{Recall: p.Recall, Precision: p.Precision}
 	}
 	return out
-}
-
-// RecallAtEachRank computes the recall curve of a ranking against a target
-// label: element i is the recall after i+1 retrieved images.
-func RecallAtEachRank(results []Result, target string) []float64 {
-	return eval.RecallCurve(toEval(results), target)
 }
 
 // AveragePrecision summarizes a ranking against a target label in one

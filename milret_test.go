@@ -1,12 +1,12 @@
 package milret
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -313,8 +313,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// The per-record stream format of the first store generation was retired:
-// such a file is refused with an error that says so, never misread.
+// The per-record stream format of the first store generation has no reader:
+// such a file is refused as an unknown magic, never misread.
 func TestLoadLegacyStoreFormat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "legacy.milret")
 	header := "MILRETF1\x01\x00\x00\x00\x64\x00\x00\x00" // magic, version 1, dim 100
@@ -322,8 +322,8 @@ func TestLoadLegacyStoreFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := LoadDatabase(path, Options{})
-	if !errors.Is(err, store.ErrRetiredFormat) {
-		t.Fatalf("record-stream store: got %v, want store.ErrRetiredFormat", err)
+	if err == nil || !strings.Contains(err.Error(), `bad magic "MILRETF1"`) {
+		t.Fatalf("record-stream store: got %v, want a bad-magic refusal", err)
 	}
 }
 
@@ -404,9 +404,8 @@ func TestEvaluationHelpers(t *testing.T) {
 	if len(pr) != 3 || pr[0].Precision != 1 || pr[0].Recall != 0.5 {
 		t.Fatalf("PR curve wrong: %+v", pr)
 	}
-	rec := RecallAtEachRank(results, "x")
-	if rec[2] != 1 {
-		t.Fatalf("recall curve wrong: %v", rec)
+	if pr[2].Recall != 1 {
+		t.Fatalf("recall at the last rank = %v, want 1", pr[2].Recall)
 	}
 	ap := AveragePrecision(results, "x")
 	if ap <= 0.5 || ap > 1 {
