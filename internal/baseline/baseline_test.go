@@ -103,7 +103,7 @@ func minBagDist(a, b [][]float64) float64 {
 	best := math.Inf(1)
 	for _, u := range a {
 		for _, v := range b {
-			if d := mat.WeightedSqDist(u, v, mat.Ones(len(u))); d < best {
+			if d := mat.WeightedSqDist(u, v, mat.NewVector(len(u)).Fill(1)); d < best {
 				best = d
 			}
 		}

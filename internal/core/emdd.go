@@ -80,7 +80,7 @@ func emddFromStart(full *objective, sub *singleInstanceObjective, cfg Config, in
 	const maxEM = 20
 	for em := 0; em < maxEM; em++ {
 		// E-step: pick each bag's representative under the current θ.
-		full.representatives(theta, sub.rows)
+		full.representatives(theta, sub)
 
 		// M-step: optimize the single-instance objective.
 		res := newStepper(cfg, dim, theta).Minimize(sub.Eval)
@@ -88,7 +88,7 @@ func emddFromStart(full *objective, sub *singleInstanceObjective, cfg Config, in
 
 		// Convergence is judged on the true noisy-or objective so EM
 		// cannot fool itself by switching representatives.
-		f := full.Eval(res.X, nil)
+		f := full.Eval(res.X, nil, math.Inf(1))
 		evals++
 		if f >= prev-1e-9 {
 			break
@@ -99,33 +99,35 @@ func emddFromStart(full *objective, sub *singleInstanceObjective, cfg Config, in
 	return theta, prev, evals
 }
 
-// representatives copies, for every bag (positives then negatives), the
+// representatives hands sub, for every bag (positives then negatives), the
 // instance closest to the current concept under the mode's weighted
-// distance into reps, one row per bag; ties keep the earliest instance.
-// For negative bags the closest instance is the binding one: it carries
-// the largest −log(1 − p) penalty. The distances are the forward pass's,
-// so when θ is the point the noisy-or objective was just judged at — every
-// EM round after the first — they are not computed again.
-func (o *objective) representatives(theta mat.Vector, reps []float64) {
-	o.forward(theta)
-	lo := 0
+// distance, one row per bag; ties keep the earliest instance. For negative
+// bags the closest instance is the binding one: it carries the largest
+// −log(1 − p) penalty. The distances are the forward pass's, so when θ is
+// the point the noisy-or objective was just judged at — every EM round after
+// the first — they are not computed again.
+func (o *objective) representatives(theta mat.Vector, sub *singleInstanceObjective) {
+	o.forward(theta, math.Inf(1))
+	lo, llo := 0, 0
 	for i, hi := range o.ex.bagEnd {
 		best := lo
 		bestD := math.Inf(1)
-		for r := lo; r < hi; r++ {
-			if d := o.dists[r]; d < bestD {
-				bestD, best = d, r
+		for r, d := range o.dists[llo:][:hi-lo] {
+			if d < bestD {
+				bestD, best = d, lo+r
 			}
 		}
-		copy(reps[i*o.dim:(i+1)*o.dim], o.ex.rows[best*o.dim:(best+1)*o.dim])
-		lo = hi
+		sub.setRow(i, o.ex.rows[best*o.dim:(best+1)*o.dim])
+		lo, llo = hi, o.ex.laneEnd[i]
 	}
 }
 
 // singleInstanceObjective is the M-step objective: every bag reduced to one
-// representative instance.
+// representative instance. Like exampleSet it keeps the representatives in
+// both layouts, tiled for the distance pass and row-major for the gradient.
 type singleInstanceObjective struct {
 	rows  []float64 // one representative per bag, positives first, row-major
+	tiles []float64 // the same rows in mat's tile layout
 	nPos  int
 	dim   int
 	mode  WeightMode
@@ -133,31 +135,40 @@ type singleInstanceObjective struct {
 
 	// Scratch, sized at construction so the optimizer's inner loop stays
 	// allocation-free; the objective is not safe for concurrent use.
-	dists, coefs []float64
-	wbuf, ones   mat.Vector
+	dists []float64 // per tile lane; the first len(coefs) are the bags'
+	coefs []float64
+	wbuf  mat.Vector
 }
 
 func newSingleInstanceObjective(dim, nPos, nBags int, mode WeightMode, alpha float64) *singleInstanceObjective {
+	lanes := mat.TileLanes(nBags)
 	return &singleInstanceObjective{
 		rows:  make([]float64, nBags*dim),
+		tiles: make([]float64, lanes*dim),
 		nPos:  nPos,
 		dim:   dim,
 		mode:  mode,
 		alpha: alpha,
-		dists: make([]float64, nBags),
+		dists: make([]float64, lanes),
 		coefs: make([]float64, nBags),
 		wbuf:  mat.NewVector(dim),
-		ones:  mat.Ones(dim),
 	}
 }
 
-// Eval computes −Σ⁺ log p − Σ⁻ log(1−p) and its gradient.
-func (o *singleInstanceObjective) Eval(theta, grad mat.Vector) float64 {
+// setRow makes row bag i's representative.
+func (o *singleInstanceObjective) setRow(i int, row []float64) {
+	copy(o.rows[i*o.dim:(i+1)*o.dim], row)
+	mat.SetTileRow(o.tiles, i, row)
+}
+
+// Eval computes −Σ⁺ log p − Σ⁻ log(1−p) and its gradient. It has no use for
+// the bound: one term per bag leaves little of a pass to abandon.
+func (o *singleInstanceObjective) Eval(theta, grad mat.Vector, _ float64) float64 {
 	t, w := splitTheta(o.mode, o.dim, theta)
 	distWeights(o.mode, w, o.wbuf)
-	mat.WeightedSqDistRows(t, o.wbuf, o.rows, o.dists)
+	mat.WeightedSqDistTiles(t, o.wbuf, o.tiles, o.dists)
 	var f float64
-	for j, d := range o.dists {
+	for j, d := range o.dists[:len(o.coefs)] {
 		if j < o.nPos {
 			// −log p = d: gradient coefficient is exactly 1.
 			f += d
@@ -176,7 +187,7 @@ func (o *singleInstanceObjective) Eval(theta, grad mat.Vector) float64 {
 		return f
 	}
 	grad.Fill(0)
-	chainRule(o.mode, grad, t, w, o.wbuf, o.ones, o.rows, o.coefs)
+	chainRule(o.mode, grad, t, w, o.wbuf, o.rows, o.coefs)
 	if o.mode == AlphaHack && o.alpha > 0 {
 		grad[o.dim:].Scale(1 / o.alpha)
 	}

@@ -18,7 +18,7 @@ func TestEMDDRecoversPlantedConcept(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if d := math.Sqrt(mat.WeightedSqDist(c.Point, target, mat.Ones(len(c.Point)))); d > 0.5 {
+		if d := math.Sqrt(mat.WeightedSqDist(c.Point, target, mat.NewVector(len(c.Point)).Fill(1))); d > 0.5 {
 			t.Errorf("%v: EM-DD concept %v is %.3f from target", mode, c.Point, d)
 		}
 	}
@@ -111,8 +111,12 @@ func TestSingleInstanceObjectiveGradient(t *testing.T) {
 	for _, mode := range []WeightMode{Original, Identical, SumConstraint} {
 		dim := 3
 		o := newSingleInstanceObjective(dim, 3, 6, mode, 0)
-		for i := range o.rows {
-			o.rows[i] = r.NormFloat64() * 0.7
+		for i := 0; i < 6; i++ {
+			row := mat.NewVector(dim)
+			for k := range row {
+				row[k] = r.NormFloat64() * 0.7
+			}
+			o.setRow(i, row)
 		}
 		n := dim
 		if mode != Identical {
@@ -128,13 +132,13 @@ func TestSingleInstanceObjectiveGradient(t *testing.T) {
 			}
 		}
 		g := mat.NewVector(n)
-		o.Eval(theta, g)
+		o.Eval(theta, g, math.Inf(1))
 		const h = 1e-6
 		for i := range theta {
 			tp, tm := theta.Clone(), theta.Clone()
 			tp[i] += h
 			tm[i] -= h
-			fd := (o.Eval(tp, nil) - o.Eval(tm, nil)) / (2 * h)
+			fd := (o.Eval(tp, nil, math.Inf(1)) - o.Eval(tm, nil, math.Inf(1))) / (2 * h)
 			if math.Abs(fd-g[i]) > 1e-3*(1+math.Abs(fd)) {
 				t.Fatalf("%v: M-step gradient mismatch at %d: %v vs %v", mode, i, g[i], fd)
 			}

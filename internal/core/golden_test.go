@@ -10,6 +10,7 @@ import (
 
 	"milret/internal/feature"
 	"milret/internal/gray"
+	"milret/internal/mat"
 	"milret/internal/mil"
 	"milret/internal/optimize"
 	"milret/internal/synth"
@@ -105,8 +106,31 @@ func exhaustive(ds *mil.Dataset, cfg Config) (*Concept, error) {
 	return train(ds, cfg.withDefaults(), nil)
 }
 
-// TestGoldenBitIdentity pins training output, bit for bit, across kernels
-// (run it with -tags purego too: the digests are the same) and across
+// eachKernel runs f under every kernel tier mat.SetKernel can select on this
+// host and build — scalar always, avx2 and avx512 where the CPU has them —
+// and restores the one that was in force. The log names the tiers a run did
+// not cover. Under the race detector the scalar loops run only when they are
+// the tier in force: instrumented, they take minutes, and the purego leg runs
+// them uninstrumented.
+func eachKernel(t *testing.T, f func(kernel string)) {
+	t.Helper()
+	prev := mat.Kernel()
+	defer mat.SetKernel(prev)
+	for _, kernel := range []string{"scalar", "avx2", "avx512"} {
+		if raceEnabled && kernel == "scalar" && prev != "scalar" {
+			continue
+		}
+		if err := mat.SetKernel(kernel); err != nil {
+			t.Logf("not exercised: %v", err)
+			continue
+		}
+		f(kernel)
+	}
+}
+
+// TestGoldenBitIdentity pins training output, bit for bit, across kernels —
+// every tier the host can select, in this one process (and the scalar loops
+// once more under -tags purego: the digests are the same) — and across
 // Parallelism settings: the exhaustive multi-start and EM-DD against the
 // digests that predate every fast path, the race against its own.
 func TestGoldenBitIdentity(t *testing.T) {
@@ -138,26 +162,30 @@ func TestGoldenBitIdentity(t *testing.T) {
 	pinned := func(t *testing.T, table map[string]string, name string, ds *mil.Dataset, cfg Config,
 		train func(*mil.Dataset, Config) (*Concept, error), pars ...int) {
 		t.Helper()
-		var digest string
-		for _, par := range pars {
-			cfg.Parallelism = par
-			c, err := train(ds, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := conceptDigest(c); digest == "" {
-				digest = d
-			} else if d != digest {
-				t.Fatalf("Parallelism 1 vs %d digests differ: %s vs %s", par, digest, d)
-			}
-		}
 		want, ok := table[name]
-		if !ok {
-			t.Fatalf("no golden digest; captured %q: %q,", name, digest)
-		}
-		if digest != want {
-			t.Fatalf("training output changed: digest %s, golden %s", digest, want)
-		}
+		inForce := mat.Kernel()
+		eachKernel(t, func(kernel string) {
+			pars := pars
+			if kernel != inForce {
+				// The worker-swapping Parallelisms in between are a property
+				// of the driver, not of a kernel: once is enough.
+				pars = []int{1, runtime.NumCPU()}
+			}
+			for _, par := range pars {
+				cfg.Parallelism = par
+				c, err := train(ds, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				digest := conceptDigest(c)
+				if !ok {
+					t.Fatalf("no golden digest; captured %q: %q,", name, digest)
+				}
+				if digest != want {
+					t.Fatalf("training output changed on the %s kernel at Parallelism %d: digest %s, golden %s", kernel, par, digest, want)
+				}
+			}
+		})
 	}
 	for _, set := range sets {
 		for _, tc := range cases {

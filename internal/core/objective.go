@@ -77,33 +77,46 @@ const pMax = 1 - 1e-10
 const logTiny = -30.0
 
 // exampleSet is a training problem's example set packed for the hot loop:
-// every instance of every bag (positives first, each group in dataset order)
-// as one contiguous row-major block. It is built once per training run and
-// shared, read-only, by every optimization start, so one batched kernel call
-// scores the whole set and the rows stream from one allocation instead of
-// one heap object per instance.
+// every instance of every bag (positives first, each group in dataset order),
+// stored twice, because the two kernels of an evaluation read it in opposite
+// directions. The distance pass sums over dimensions for each row and wants a
+// row per vector lane: tiles holds the rows in mat's tile layout
+// (mat.TileRows rows, dimension-major), each bag padded to whole tiles so a
+// bag is a run of tiles and the forward pass can score one bag at a time.
+// The gradient pass sums over rows for each dimension and wants a dimension
+// per lane: rows holds them row-major and dense. Both are built once per
+// training run and shared, read-only, by every optimization start; for the
+// served shape (five bags of 40 × 100) that is two blocks of 160 kB.
 type exampleSet struct {
-	dim    int
-	rows   []float64  // all instances, row-major
-	nRows  int        // len(rows) / dim
-	bagEnd []int      // bagEnd[i] = index one past bag i's last row
-	nPos   int        // bags [0, nPos) are positive
-	ones   mat.Vector // all-ones, the gradient kernel's b for direct weights
+	dim     int
+	rows    []float64 // all instances, row-major
+	tiles   []float64 // the same instances, tiled, each bag from a tile boundary
+	nRows   int       // len(rows) / dim
+	nLanes  int       // len(tiles) / dim: the rows and their padding
+	bagEnd  []int     // bagEnd[i] = index one past bag i's last row
+	laneEnd []int     // laneEnd[i] = index one past the last lane of bag i's tiles
+	nPos    int       // bags [0, nPos) are positive
 }
 
 func packExamples(ds *mil.Dataset) *exampleSet {
 	ex := &exampleSet{dim: ds.Dim(), nPos: len(ds.Positive)}
-	ex.rows = make([]float64, 0, ds.NumInstances()*ex.dim)
-	for _, bags := range [][]*mil.Bag{ds.Positive, ds.Negative} {
-		for _, b := range bags {
-			for _, inst := range b.Instances {
-				ex.rows = append(ex.rows, inst...)
-			}
-			ex.nRows += len(b.Instances)
-			ex.bagEnd = append(ex.bagEnd, ex.nRows)
-		}
+	bags := append(append([]*mil.Bag(nil), ds.Positive...), ds.Negative...)
+	for _, b := range bags {
+		ex.nRows += len(b.Instances)
+		ex.bagEnd = append(ex.bagEnd, ex.nRows)
+		ex.nLanes += mat.TileLanes(len(b.Instances))
+		ex.laneEnd = append(ex.laneEnd, ex.nLanes)
 	}
-	ex.ones = mat.Ones(ex.dim)
+	ex.rows = make([]float64, 0, ex.nRows*ex.dim)
+	ex.tiles = make([]float64, ex.nLanes*ex.dim)
+	lane := 0
+	for i, b := range bags {
+		for j, inst := range b.Instances {
+			ex.rows = append(ex.rows, inst...)
+			mat.SetTileRow(ex.tiles, lane+j, inst)
+		}
+		lane = ex.laneEnd[i]
+	}
 	return ex
 }
 
@@ -114,15 +127,25 @@ func packExamples(ds *mil.Dataset) *exampleSet {
 // (dim 2n). Original and AlphaHack interpret w through w² in the distance;
 // SumConstraint uses w directly (its projection keeps w ∈ [0,1]).
 //
-// An evaluation is two passes. The forward pass computes every instance
-// distance, every bag's likelihood term and the coefficients ∂f/∂d_ij; the
-// gradient pass folds those coefficients through the chain rule. The
-// forward results are remembered together with the θ that produced them,
-// so a call at a bitwise-equal θ skips straight to the gradient pass. That
-// is exactly the call every minimizer in internal/optimize issues after an
-// accepted line-search probe — f(x+t·d, nil) then f(x+t·d, g) — and the
-// remembered values are the ones the second call would recompute, so the
-// result is the same to the bit.
+// An evaluation is two passes. The forward pass goes bag by bag — the bag's
+// instance distances, its likelihood term and the coefficients ∂f/∂d_ij,
+// then f += the term — and the gradient pass folds the coefficients through
+// the chain rule. The results of a completed forward pass are remembered
+// together with the θ that produced them, so a call at a bitwise-equal θ
+// skips straight to the gradient pass. That is exactly the call every
+// minimizer in internal/optimize issues after an accepted line-search probe
+// — f(x+t·d, nil) then f(x+t·d, g) — and the remembered values are the ones
+// the second call would recompute, so the result is the same to the bit.
+//
+// A value-only evaluation stops at the first bag after which the running sum
+// exceeds the caller's bound (optimize.Func). Every bag's term is a −log of a
+// probability, so it is ≥ 0 or NaN, and rounding is monotone: adding a
+// non-negative float never gives less than there was. A prefix above the
+// bound therefore means the full sum is above it too (or NaN, which a line
+// search rejects just the same), and a NaN prefix compares greater than
+// nothing and runs to the end. The check stands between bags, never inside
+// one: a positive bag's term is not a sum over its instances. A pass that
+// stops early leaves nothing remembered.
 type objective struct {
 	ex    *exampleSet
 	dim   int
@@ -131,8 +154,8 @@ type objective struct {
 
 	// Scratch and memo, sized at construction; objective is not safe for
 	// concurrent use — each training worker owns its own (forEachStart).
-	dists []float64  // per instance: d_ij at memoTheta
-	coefs []float64  // per instance: ∂f/∂d_ij at memoTheta
+	dists []float64  // per tile lane: d_ij at memoTheta, indexed like ex.tiles
+	coefs []float64  // per instance: ∂f/∂d_ij at memoTheta, indexed like ex.rows
 	wbuf  mat.Vector // effective distance weights W at memoTheta
 	memoF float64    // f(memoTheta)
 
@@ -142,7 +165,7 @@ type objective struct {
 
 func newObjective(ex *exampleSet, mode WeightMode, alpha float64) *objective {
 	o := &objective{ex: ex, dim: ex.dim, mode: mode, alpha: alpha}
-	o.dists = make([]float64, ex.nRows)
+	o.dists = make([]float64, ex.nLanes)
 	o.coefs = make([]float64, ex.nRows)
 	o.wbuf = mat.NewVector(o.dim)
 	o.memoTheta = mat.NewVector(o.thetaDim())
@@ -189,13 +212,13 @@ func distWeights(mode WeightMode, w, buf mat.Vector) {
 // ∂d/∂t_k = 2 W_k (t_k − x_k); Original/AlphaHack ∂d/∂w_k = 2 w_k (t_k − x_k)²;
 // SumConstraint ∂d/∂w_k = (t_k − x_k)²; Identical has no weight part. The
 // per-dimension loop itself lives in mat.GradAccumRows.
-func chainRule(mode WeightMode, grad, t, w, W, ones mat.Vector, rows, coefs []float64) {
+func chainRule(mode WeightMode, grad, t, w, W mat.Vector, rows, coefs []float64) {
 	dim := len(t)
 	switch mode {
 	case Identical:
 		mat.GradAccumRows(grad, nil, t, W, nil, rows, coefs, 2, 0)
 	case SumConstraint:
-		mat.GradAccumRows(grad[:dim], grad[dim:], t, W, ones, rows, coefs, 2, 1)
+		mat.GradAccumRows(grad[:dim], grad[dim:], t, W, nil, rows, coefs, 2, 1)
 	default: // Original, AlphaHack
 		mat.GradAccumRows(grad[:dim], grad[dim:], t, W, w, rows, coefs, 2, 2)
 	}
@@ -211,40 +234,51 @@ func sameBits(a, b mat.Vector) bool {
 	return true
 }
 
-// forward makes dists, coefs, wbuf and memoF current for theta, reusing
-// the last pass when theta is bitwise the θ it ran at.
-func (o *objective) forward(theta mat.Vector) {
+// forward returns f(θ), leaving dists, coefs, wbuf and memoF current for
+// theta — or, once the sum over the bags so far exceeds bound, returns that
+// partial sum and leaves nothing remembered. A pass at the θ of the last
+// completed one is answered from what that one left.
+func (o *objective) forward(theta mat.Vector, bound float64) float64 {
 	if o.memoValid && sameBits(theta, o.memoTheta) {
-		return
+		return o.memoF
 	}
+	o.memoValid = false
+	ex := o.ex
 	t, w := splitTheta(o.mode, o.dim, theta)
 	distWeights(o.mode, w, o.wbuf)
-	mat.WeightedSqDistRows(t, o.wbuf, o.ex.rows, o.dists)
 	var f float64
-	lo := 0
-	for i, hi := range o.ex.bagEnd {
-		if i < o.ex.nPos {
-			f += posBagNLL(o.dists[lo:hi], o.coefs[lo:hi])
+	lo, llo := 0, 0
+	for i, hi := range ex.bagEnd {
+		lhi := ex.laneEnd[i]
+		d := o.dists[llo:lhi]
+		mat.WeightedSqDistTiles(t, o.wbuf, ex.tiles[llo*o.dim:lhi*o.dim], d)
+		if i < ex.nPos {
+			f += posBagNLL(d[:hi-lo], o.coefs[lo:hi])
 		} else {
-			f += negBagNLL(o.dists[lo:hi], o.coefs[lo:hi])
+			f += negBagNLL(d[:hi-lo], o.coefs[lo:hi])
 		}
-		lo = hi
+		if f > bound {
+			return f
+		}
+		lo, llo = hi, lhi
 	}
 	o.memoF = f
 	copy(o.memoTheta, theta)
 	o.memoValid = true
+	return f
 }
 
 // Eval computes f(θ) = −log DD and, when grad is non-nil, its gradient.
-// This is the optimize.Func the minimizers consume.
-func (o *objective) Eval(theta, grad mat.Vector) float64 {
-	o.forward(theta)
+// This is the optimize.Func the minimizers consume; only a value-only call
+// has a use for bound.
+func (o *objective) Eval(theta, grad mat.Vector, bound float64) float64 {
 	if grad == nil {
-		return o.memoF
+		return o.forward(theta, bound)
 	}
+	f := o.forward(theta, math.Inf(1))
 	grad.Fill(0)
 	t, w := splitTheta(o.mode, o.dim, theta)
-	chainRule(o.mode, grad, t, w, o.wbuf, o.ex.ones, o.ex.rows, o.coefs)
+	chainRule(o.mode, grad, t, w, o.wbuf, o.ex.rows, o.coefs)
 	if o.mode == AlphaHack && o.alpha > 0 {
 		// §3.6.2: scale the w-part of the gradient by 1/α, making the
 		// ascent reluctant to move weights. This is a quasi-gradient — no
@@ -253,7 +287,7 @@ func (o *objective) Eval(theta, grad mat.Vector) float64 {
 		gw := grad[o.dim:]
 		gw.Scale(1 / o.alpha)
 	}
-	return o.memoF
+	return f
 }
 
 // posBagNLL returns −log Pr(t|B⁺) = −log(1 − Π_j (1 − p_j)) for p_j =
@@ -320,6 +354,13 @@ func negBagNLL(dists, coefs []float64) float64 {
 			p = pMax
 		}
 		q := 1 - p
+		if q == 1 {
+			// p is below half an ulp of one (the instance is more than ~37
+			// away): Log(1) is +0 and f − 0 is f, −p/1 is −p — the floats
+			// the lines below would produce, without the log and the divide.
+			coefs[j] = -p
+			continue
+		}
 		f -= math.Log(q)
 		coefs[j] = -p / q
 	}

@@ -2,11 +2,15 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"milret/internal/feature"
+	"milret/internal/gray"
 	"milret/internal/mat"
 	"milret/internal/mil"
+	"milret/internal/synth"
 )
 
 // benchDataset builds a deterministic paper-scale training set: nPos+nNeg
@@ -63,7 +67,7 @@ func benchObjectiveEval(b *testing.B, mode WeightMode) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Eval(thetas[i&1], grad)
+		o.Eval(thetas[i&1], grad, math.Inf(1))
 	}
 }
 
@@ -82,8 +86,8 @@ func BenchmarkObjectiveProbeThenGrad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o.Eval(thetas[i&1], nil)
-		o.Eval(thetas[i&1], grad)
+		o.Eval(thetas[i&1], nil, math.Inf(1))
+		o.Eval(thetas[i&1], grad, math.Inf(1))
 	}
 }
 
@@ -100,17 +104,54 @@ func BenchmarkTrainColdShape(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainColdScenes is BenchmarkTrainColdShape on what the benchmark's
+// cold_feedback workload bills: featurized synth scenes instead of Gaussian
+// bags — three positives of one category, two negatives from others, server
+// defaults — and a different example set every iteration (twenty of them, in
+// rotation), because how many probes a training abandons, and how early,
+// depends on the set.
+func BenchmarkTrainColdScenes(b *testing.B) {
+	const perCat = 4
+	items := synth.ScenesN(7, perCat) // category-major
+	bags := make([]*mil.Bag, len(items))
+	for i, it := range items {
+		bag, err := feature.BagFromImage(it.ID, gray.FromImage(it.Image), feature.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bags[i] = bag
+	}
+	nCat := len(items) / perCat
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cat, skip := i%nCat, i/nCat%perCat
+		ds := &mil.Dataset{}
+		for j := 0; j < perCat; j++ {
+			if j != skip {
+				ds.Positive = append(ds.Positive, bags[cat*perCat+j])
+			}
+		}
+		for _, other := range []int{cat + 1, cat + 2} {
+			ds.Negative = append(ds.Negative, bags[other%nCat*perCat+skip])
+		}
+		if _, err := Train(ds, Config{Mode: SumConstraint}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSingleInstanceEval is the EM-DD M-step counterpart.
 func BenchmarkSingleInstanceEval(b *testing.B) {
 	ds := benchDataset(5, 5)
 	full := newObjective(packExamples(ds), Original, 50)
 	theta := benchThetas(ds, full)[0]
 	sub := newSingleInstanceObjective(full.dim, len(ds.Positive), len(ds.Positive)+len(ds.Negative), Original, 50)
-	full.representatives(theta, sub.rows)
+	full.representatives(theta, sub)
 	grad := mat.NewVector(full.thetaDim())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sub.Eval(theta, grad)
+		sub.Eval(theta, grad, math.Inf(1))
 	}
 }

@@ -37,13 +37,13 @@ func randDataset(r *rand.Rand, dim, nPos, nNeg, instPerBag int) *mil.Dataset {
 func fdCheck(t *testing.T, obj *objective, theta mat.Vector, tol float64) {
 	t.Helper()
 	g := mat.NewVector(len(theta))
-	obj.Eval(theta, g)
+	obj.Eval(theta, g, math.Inf(1))
 	const h = 1e-6
 	for i := range theta {
 		tp, tm := theta.Clone(), theta.Clone()
 		tp[i] += h
 		tm[i] -= h
-		fd := (obj.Eval(tp, nil) - obj.Eval(tm, nil)) / (2 * h)
+		fd := (obj.Eval(tp, nil, math.Inf(1)) - obj.Eval(tm, nil, math.Inf(1))) / (2 * h)
 		if math.Abs(fd-g[i]) > tol*(1+math.Abs(fd)) {
 			t.Fatalf("gradient mismatch at dim %d: analytic %v, finite-diff %v", i, g[i], fd)
 		}
@@ -119,8 +119,8 @@ func TestAlphaHackScalesOnlyWeightGradient(t *testing.T) {
 	}
 	gOrig := mat.NewVector(len(theta))
 	gHack := mat.NewVector(len(theta))
-	fo := orig.Eval(theta, gOrig)
-	fh := hack.Eval(theta, gHack)
+	fo := orig.Eval(theta, gOrig, math.Inf(1))
+	fh := hack.Eval(theta, gHack, math.Inf(1))
 	if math.Abs(fo-fh) > 1e-12 {
 		t.Fatalf("objective value must not change under the hack: %v vs %v", fo, fh)
 	}
@@ -217,7 +217,7 @@ func TestQuickObjectiveFavorsSharedPositives(t *testing.T) {
 		}
 		obj := newObjective(packExamples(ds), Identical, 0)
 		far := mat.Vector{-4, 4}
-		return obj.Eval(target, nil) < obj.Eval(far, nil)
+		return obj.Eval(target, nil, math.Inf(1)) < obj.Eval(far, nil, math.Inf(1))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestPosBagNLLEdgeDistancesPinned(t *testing.T) {
 // every gradient entry.
 func evalBits(o *objective, theta mat.Vector) []uint64 {
 	g := mat.NewVector(len(theta))
-	f := o.Eval(theta, g)
+	f := o.Eval(theta, g, math.Inf(1))
 	bits := []uint64{math.Float64bits(f)}
 	for _, v := range g {
 		bits = append(bits, math.Float64bits(v))
@@ -301,7 +301,7 @@ func TestProbeThenGradientReusesForwardPass(t *testing.T) {
 		coldB := evalBits(newObjective(ex, mode, 50), b)
 
 		o := newObjective(ex, mode, 50)
-		fa := o.Eval(a, nil)
+		fa := o.Eval(a, nil, math.Inf(1))
 		if math.Float64bits(fa) != coldA[0] {
 			t.Fatalf("%v: probe value %x, cold %x", mode, math.Float64bits(fa), coldA[0])
 		}
@@ -312,7 +312,7 @@ func TestProbeThenGradientReusesForwardPass(t *testing.T) {
 		}
 		// A different θ in between invalidates: b must not be answered from
 		// a's forward pass, nor a from b's afterwards.
-		o.Eval(a, nil)
+		o.Eval(a, nil, math.Inf(1))
 		if got := evalBits(o, b); !equalBits(got, coldB) {
 			t.Fatalf("%v: evaluation after a θ change reused a stale forward pass", mode)
 		}
@@ -322,7 +322,7 @@ func TestProbeThenGradientReusesForwardPass(t *testing.T) {
 		// One flipped low bit is a different θ.
 		a2 := a.Clone()
 		a2[0] = math.Float64frombits(math.Float64bits(a2[0]) ^ 1)
-		o.Eval(a, nil)
+		o.Eval(a, nil, math.Inf(1))
 		if got := evalBits(o, a2); !equalBits(got, evalBits(newObjective(ex, mode, 50), a2)) {
 			t.Fatalf("%v: a one-ulp θ change was answered from the memo", mode)
 		}
@@ -353,8 +353,8 @@ func TestRepresentativesPicksNearestInstance(t *testing.T) {
 	theta := mat.NewVector(o.thetaDim())
 	copy(theta[:o.dim], ds.Positive[1].Instances[1])
 	theta[o.dim:].Fill(0.5)
-	reps := make([]float64, 4*o.dim)
-	o.representatives(theta, reps)
+	sub := newSingleInstanceObjective(o.dim, 2, 4, SumConstraint, 0)
+	o.representatives(theta, sub)
 	bags := append(append([]*mil.Bag{}, ds.Positive...), ds.Negative...)
 	for i, b := range bags {
 		best, bestD := 0, math.Inf(1)
@@ -363,8 +363,17 @@ func TestRepresentativesPicksNearestInstance(t *testing.T) {
 				best, bestD = j, d
 			}
 		}
-		if !mat.Equal(reps[i*o.dim:(i+1)*o.dim], b.Instances[best], 0) {
+		if !mat.Equal(sub.rows[i*o.dim:(i+1)*o.dim], b.Instances[best], 0) {
 			t.Fatalf("bag %d: representative is not instance %d", i, best)
+		}
+	}
+	// The tiled copy the distance pass reads holds the same rows: the M-step
+	// objective scores each representative as the single-vector kernel does.
+	sub.Eval(theta, nil, math.Inf(1))
+	for i := range bags {
+		want := mat.WeightedSqDistBlocked(theta[:o.dim], sub.rows[i*o.dim:(i+1)*o.dim], theta[o.dim:])
+		if math.Float64bits(sub.dists[i]) != math.Float64bits(want) {
+			t.Fatalf("bag %d: M-step distance %v, its row-major representative is at %v", i, sub.dists[i], want)
 		}
 	}
 }

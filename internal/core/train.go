@@ -418,5 +418,5 @@ func NegLogDDAt(ds *mil.Dataset, t, weights mat.Vector) float64 {
 	theta := mat.NewVector(2 * len(t))
 	copy(theta[:len(t)], t)
 	copy(theta[len(t):], weights)
-	return obj.Eval(theta, nil)
+	return obj.Eval(theta, nil, math.Inf(1))
 }

@@ -21,7 +21,7 @@ func plantedDataset(r *rand.Rand, target mat.Vector, nPos, nNeg, distractors int
 			for k := range v {
 				v[k] = r.NormFloat64() * 4
 			}
-			if math.Sqrt(mat.WeightedSqDist(v, target, mat.Ones(len(v)))) > 2.5 {
+			if math.Sqrt(mat.WeightedSqDist(v, target, mat.NewVector(len(v)).Fill(1))) > 2.5 {
 				return v
 			}
 		}
@@ -59,7 +59,7 @@ func TestTrainRecoversPlantedConceptAllModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		if d := math.Sqrt(mat.WeightedSqDist(c.Point, target, mat.Ones(len(c.Point)))); d > 0.5 {
+		if d := math.Sqrt(mat.WeightedSqDist(c.Point, target, mat.NewVector(len(c.Point)).Fill(1))); d > 0.5 {
 			t.Errorf("%v: concept %v is %.3f away from planted target %v", mode, c.Point, d, target)
 		}
 		if c.Mode != mode {
@@ -229,7 +229,7 @@ func TestTrainInvalidDataset(t *testing.T) {
 
 // The bag distance is the minimum over instances of the weighted distance.
 func TestConceptBagDistMinOverInstances(t *testing.T) {
-	c := &Concept{Point: mat.Vector{0, 0}, Weights: mat.Ones(2)}
+	c := &Concept{Point: mat.Vector{0, 0}, Weights: mat.NewVector(2).Fill(1)}
 	b := &mil.Bag{ID: "b", Instances: []mat.Vector{{3, 4}, {1, 0}, {5, 5}}}
 	if got, at := c.BestInstance(b); got != 1 || at != 1 {
 		t.Fatalf("BestInstance = %v at %d, want 1 at 1 (min over instances)", got, at)

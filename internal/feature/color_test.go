@@ -152,7 +152,7 @@ func TestRotationsMatchRotatedImage(t *testing.T) {
 		best := math.Inf(1)
 		for _, u := range a.Instances {
 			for _, v := range b.Instances {
-				if d := mat.WeightedSqDist(u, v, mat.Ones(len(u))); d < best {
+				if d := mat.WeightedSqDist(u, v, mat.NewVector(len(u)).Fill(1)); d < best {
 					best = d
 				}
 			}

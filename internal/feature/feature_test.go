@@ -204,7 +204,7 @@ func TestClaimSection34EndToEnd(t *testing.T) {
 	u := sa.Flatten().Standardize()
 	v := sb.Flatten().Standardize()
 	n := float64(len(u))
-	lhs := mat.WeightedSqDist(u, v, mat.Ones(len(u)))
+	lhs := mat.WeightedSqDist(u, v, mat.NewVector(len(u)).Fill(1))
 	rhs := 2*n - 2*n*gray.Corr(sa, sb)
 	if math.Abs(lhs-rhs) > 1e-6*n {
 		t.Fatalf("§3.4 Claim violated: ‖u−v‖²=%v, 2n−2n·corr=%v", lhs, rhs)

@@ -46,7 +46,7 @@ func TestWeightedCorrOnesMatchesCorr(t *testing.T) {
 		a.Data[i] = r.NormFloat64()
 		b.Data[i] = r.NormFloat64()
 	}
-	w := mat.Ones(16)
+	w := mat.NewVector(16).Fill(1)
 	if got, want := WeightedCorrVec(a.Data, b.Data, w), Corr(a, b); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("WeightedCorrVec(ones) = %v, want %v", got, want)
 	}

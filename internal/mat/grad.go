@@ -1,38 +1,114 @@
-// The training-side kernels: the batched all-rows distance pass and the
+// The training-side kernels: the tiled all-rows distance pass and the
 // chain-rule gradient accumulation of Diverse Density training
-// (internal/core). Like the scan kernels in kernel.go they come as a scalar
-// oracle plus an AVX2 transcription behind the same useAVX2 dispatch, and
-// the two return the same bits.
+// (internal/core). Like the scan kernels in kernel.go each is a scalar oracle
+// plus assembly transcriptions that return the same bits — here two of them,
+// AVX2 and AVX-512, behind the dispatch in kernel_dispatch.go.
 //
-// The gradient is a sum over instances, per dimension. Vectorizing across
-// dimensions leaves every per-dimension sum in its original instance order
-// — there is no horizontal fold at all — so the AVX2 body is the scalar
-// body four lanes at a time: separate VMULPD/VADDPD, never FMA-contracted.
+// Neither kernel has a cross-lane step, which is what lets a wider register
+// do the scalar loop's arithmetic unchanged. The gradient is a sum over
+// instances, per dimension: with a lane per dimension every per-dimension
+// sum keeps its instance order. The distance is a sum over dimensions, per
+// row: with a lane per row — the tile layout below — the canonical block
+// fold (s0 + s1 of the strided pairs, then sum +=) is three vertical adds.
+// Multiplies and adds stay separate instructions everywhere; an FMA rounds
+// once where the scalar code rounds twice.
 
 package mat
 
-import "math"
+import "fmt"
 
-// WeightedSqDistRows writes, for every row of the row-major block rows
-// (len(rows) = len(out)·len(p)), the blocked weighted squared distance from
-// p to that row into out — out[r] carries the bits of
-// WeightedSqDistBlocked(p, row r, w). One call scores a whole example set,
-// so the training hot loop pays one dispatch per evaluation instead of a
-// chain of calls per instance.
+// TileRows is the number of rows in a tile of the training distance kernel's
+// layout: a tile holds TileRows consecutive rows dimension-major — element
+// k·TileRows + r is dimension k of the tile's row r — so a vector loaded
+// from it has one row per lane. A set of n rows occupies ⌈n/TileRows⌉ tiles
+// of TileRows·dim values; the lanes past the last row are padding whose
+// distances are computed and never meant to be read.
+const TileRows = 8
+
+// TileLanes returns the number of lanes — rows and padding — that nRows rows
+// occupy in the tile layout: nRows rounded up to whole tiles.
+func TileLanes(nRows int) int { return (nRows + TileRows - 1) / TileRows * TileRows }
+
+// SetTileRow writes row into position r (counted across tiles) of a tiled
+// block of len(row)-dimensional rows.
+func SetTileRow(tiles []float64, r int, row []float64) {
+	base := r/TileRows*TileRows*len(row) + r%TileRows
+	for k, v := range row {
+		tiles[base+k*TileRows] = v
+	}
+}
+
+// WeightedSqDistTiles writes, for every row of the tiled block tiles
+// (len(tiles) = len(out)·len(p), len(out) a multiple of TileRows; see
+// TileRows for the layout), the blocked weighted squared distance from p to
+// that row into out — out[r] carries the bits of
+// WeightedSqDistBlocked(p, row r, w), padding lanes included. It is the one
+// distance pass of training: a call scores a bag, or a whole example set.
 // milret:kernel
-func WeightedSqDistRows(p, w, rows, out []float64) {
+func WeightedSqDistTiles(p, w, tiles, out []float64) {
 	dim := len(p)
 	mustSameLen(dim, len(w))
-	mustSameLen(len(rows), len(out)*dim)
-	if len(rows) == 0 {
+	mustSameLen(len(tiles), len(out)*dim)
+	if len(out)%TileRows != 0 {
+		panic(fmt.Sprintf("mat: %d rows is not a whole number of %d-row tiles", len(out), TileRows))
+	}
+	if len(tiles) == 0 {
 		return
 	}
-	if useAVX2.Load() {
-		distRowsAVX2(&p[0], &w[0], &rows[0], dim, len(out), &out[0])
-		return
+	switch {
+	case useAVX512.Load():
+		distTilesAVX512(&p[0], &w[0], &tiles[0], dim, len(out)/TileRows, &out[0])
+	case useAVX2.Load():
+		distTilesAVX2(&p[0], &w[0], &tiles[0], dim, len(out)/TileRows, &out[0])
+	default:
+		weightedSqDistTiles(p, w, tiles, out)
 	}
-	for r := range out {
-		out[r], _ = weightedSqDistResume(p, rows[r*dim:(r+1)*dim], w, 0, 0, math.Inf(1))
+}
+
+// weightedSqDistTiles is the scalar oracle behind WeightedSqDistTiles: per
+// lane, the statements of weightedSqDistResume and tailSqDist — the same
+// expressions in the same association, so a compiler that contracts one
+// contracts the other — with the row's elements read at the tile's stride.
+// It assumes validated lengths.
+// milret:kernel
+func weightedSqDistTiles(p, w, tiles, out []float64) {
+	dim := len(p)
+	w = w[:dim]
+	for len(out) > 0 {
+		sum := (*[TileRows]float64)(out)
+		*sum = [TileRows]float64{}
+		i := 0
+		for ; i+KernelBlock <= dim; i += KernelBlock {
+			vb := (*[KernelBlock]float64)(p[i:])
+			wb := (*[KernelBlock]float64)(w[i:])
+			u0 := (*[TileRows]float64)(tiles[i*TileRows:])
+			u1 := (*[TileRows]float64)(tiles[(i+1)*TileRows:])
+			u2 := (*[TileRows]float64)(tiles[(i+2)*TileRows:])
+			u3 := (*[TileRows]float64)(tiles[(i+3)*TileRows:])
+			for r := range sum {
+				d0 := vb[0] - u0[r]
+				d1 := vb[1] - u1[r]
+				d2 := vb[2] - u2[r]
+				d3 := vb[3] - u3[r]
+				s0 := wb[0]*d0*d0 + wb[2]*d2*d2
+				s1 := wb[1]*d1*d1 + wb[3]*d3*d3
+				sum[r] += s0 + s1
+			}
+		}
+		if i < dim {
+			var s [TileRows]float64
+			for ; i < dim; i++ {
+				u := (*[TileRows]float64)(tiles[i*TileRows:])
+				for r := range s {
+					d := p[i] - u[r]
+					s[r] += w[i] * d * d
+				}
+			}
+			for r := range sum {
+				sum[r] += s[r]
+			}
+		}
+		tiles, out = tiles[TileRows*dim:], out[TileRows:]
 	}
 }
 
@@ -43,17 +119,17 @@ func WeightedSqDistRows(p, w, rows, out []float64) {
 //
 //	gt[k] += ((c·st)·a[k])·d
 //	gw[k] += (((c·sw)·b[k])·d)·d     (skipped entirely when gw is nil)
+//	gw[k] += ((c·sw)·d)·d            (when b is nil: no factor b[k])
 //
 // with exactly that association. The a/b/st/sw arguments cover every
 // weight parametrization of core's objectives: a is the effective distance
 // weights W and st = 2 always (∂d/∂t_k = 2·W_k·(t_k − x_k)); b = w with
-// sw = 2 for the W = w² modes (∂d/∂w_k = 2·w_k·(t_k − x_k)²); b = ones with
-// sw = 1 when the weights enter directly — multiplying by one is exact, so
-// the product chain collapses to c·d·d bit for bit; gw = nil when the
-// weights are fixed.
+// sw = 2 for the W = w² modes (∂d/∂w_k = 2·w_k·(t_k − x_k)²); b = nil with
+// sw = 1 when the weights enter directly (∂d/∂w_k = (t_k − x_k)², and c·1
+// is c exactly, so the chain is c·d·d); gw = nil when the weights are fixed.
 //
-// This scalar loop is the oracle; on AVX2 hosts the call dispatches to
-// gradRowsAVX2, which returns the same bits (FuzzGradKernelSIMDvsScalar).
+// The scalar loop is the oracle; the AVX2 and AVX-512 bodies return the same
+// bits (FuzzGradKernelSIMDvsScalar).
 // milret:kernel
 func GradAccumRows(gt, gw, t, a, b, rows, coefs []float64, st, sw float64) {
 	dim := len(t)
@@ -61,18 +137,28 @@ func GradAccumRows(gt, gw, t, a, b, rows, coefs []float64, st, sw float64) {
 	mustSameLen(dim, len(a))
 	if gw != nil {
 		mustSameLen(dim, len(gw))
-		mustSameLen(dim, len(b))
+		if b != nil {
+			mustSameLen(dim, len(b))
+		}
 	}
 	mustSameLen(len(rows), len(coefs)*dim)
 	if len(rows) == 0 {
 		return
 	}
-	if useAVX2.Load() {
+	avx512 := useAVX512.Load()
+	if avx512 || useAVX2.Load() {
 		var gwp, bp *float64
 		if gw != nil {
-			gwp, bp = &gw[0], &b[0]
+			gwp = &gw[0]
+			if b != nil {
+				bp = &b[0]
+			}
 		}
-		gradRowsAVX2(&gt[0], gwp, &t[0], &a[0], bp, &rows[0], &coefs[0], dim, len(coefs), st, sw)
+		if avx512 {
+			gradRowsAVX512(&gt[0], gwp, &t[0], &a[0], bp, &rows[0], &coefs[0], dim, len(coefs), st, sw)
+		} else {
+			gradRowsAVX2(&gt[0], gwp, &t[0], &a[0], bp, &rows[0], &coefs[0], dim, len(coefs), st, sw)
+		}
 		return
 	}
 	gradAccumRows(gt, gw, t, a, b, rows, coefs, st, sw)
@@ -86,7 +172,10 @@ func gradAccumRows(gt, gw, t, a, b, rows, coefs []float64, st, sw float64) {
 	gt = gt[:dim]
 	a = a[:dim]
 	if gw != nil {
-		gw, b = gw[:dim], b[:dim]
+		gw = gw[:dim]
+	}
+	if b != nil {
+		b = b[:dim]
 	}
 	for r, c := range coefs {
 		// A zero coefficient contributes nothing; a NaN one is not zero and
@@ -98,18 +187,25 @@ func gradAccumRows(gt, gw, t, a, b, rows, coefs []float64, st, sw float64) {
 		}
 		x := rows[r*dim : (r+1)*dim]
 		c2 := c * st
-		if gw == nil {
+		cw := c * sw
+		switch {
+		case gw == nil:
 			for k, tk := range t {
 				d := tk - x[k]
 				gt[k] += c2 * a[k] * d
 			}
-			continue
-		}
-		cw := c * sw
-		for k, tk := range t {
-			d := tk - x[k]
-			gt[k] += c2 * a[k] * d
-			gw[k] += cw * b[k] * d * d
+		case b == nil:
+			for k, tk := range t {
+				d := tk - x[k]
+				gt[k] += c2 * a[k] * d
+				gw[k] += cw * d * d
+			}
+		default:
+			for k, tk := range t {
+				d := tk - x[k]
+				gt[k] += c2 * a[k] * d
+				gw[k] += cw * b[k] * d * d
+			}
 		}
 	}
 }

@@ -6,55 +6,93 @@ import (
 	"testing"
 )
 
-// gradInputs is one GradAccumRows problem. gw/b are nil for the t-only form.
+// gradInputs is one GradAccumRows problem. gw is nil for the t-only form,
+// b nil beside a gw for the direct-weight form.
 type gradInputs struct {
 	gt, gw, t, a, b, rows, coefs []float64
 	st, sw                       float64
 }
 
-// runGrad accumulates into copies of the gt/gw seeds with the kernel forced
-// on or off and returns the results.
-func (in gradInputs) runGrad(avx2 bool) (gt, gw []float64) {
+// runGrad accumulates into copies of the gt/gw seeds on the named tier and
+// returns the results.
+func (in gradInputs) runGrad(tier string) (gt, gw []float64) {
 	gt = append([]float64(nil), in.gt...)
 	if in.gw != nil {
 		gw = append([]float64(nil), in.gw...)
 	}
-	withKernel(avx2, func() {
+	withTier(tier, func() {
 		GradAccumRows(gt, gw, in.t, in.a, in.b, in.rows, in.coefs, in.st, in.sw)
 	})
 	return gt, gw
 }
 
-// compareGrad fails unless the AVX2 and scalar gradient kernels agree on
-// every accumulator element (identical bits, or both NaN), and the batched
-// distance pass agrees with the single-vector kernel row by row.
-func compareGrad(t *testing.T, in gradInputs) {
-	t.Helper()
-	sGt, sGw := in.runGrad(false)
-	aGt, aGw := in.runGrad(true)
-	for k := range sGt {
-		if !eqBits(sGt[k], aGt[k]) {
-			t.Fatalf("gt[%d] diverged: scalar %x avx2 %x\n%+v", k, math.Float64bits(sGt[k]), math.Float64bits(aGt[k]), in)
-		}
+// tileRows packs row-major rows into the tile layout, every padding lane
+// set to pad.
+func tileRows(rows []float64, dim int, pad float64) (tiles []float64, padded int) {
+	n := len(rows) / dim
+	padded = TileLanes(n)
+	tiles = make([]float64, padded*dim)
+	for i := range tiles {
+		tiles[i] = pad
 	}
-	for k := range sGw {
-		if !eqBits(sGw[k], aGw[k]) {
-			t.Fatalf("gw[%d] diverged: scalar %x avx2 %x\n%+v", k, math.Float64bits(sGw[k]), math.Float64bits(aGw[k]), in)
-		}
+	for r := 0; r < n; r++ {
+		SetTileRow(tiles, r, rows[r*dim:(r+1)*dim])
 	}
+	return tiles, padded
+}
 
-	dim := len(in.t)
-	n := len(in.coefs)
-	sOut, aOut := make([]float64, n), make([]float64, n)
-	withKernel(false, func() { WeightedSqDistRows(in.t, in.a, in.rows, sOut) })
-	withKernel(true, func() { WeightedSqDistRows(in.t, in.a, in.rows, aOut) })
-	for r := range sOut {
-		want, _ := weightedSqDistResume(in.t, in.rows[r*dim:(r+1)*dim], in.a, 0, 0, math.Inf(1))
-		if !eqBits(sOut[r], want) || !eqBits(aOut[r], want) {
-			t.Fatalf("dist row %d diverged: single %x scalar %x avx2 %x\n%+v",
-				r, math.Float64bits(want), math.Float64bits(sOut[r]), math.Float64bits(aOut[r]), in)
+// compareTiles fails unless WeightedSqDistTiles returns, on the scalar oracle
+// and on every assembly tier in tiers, the bits of WeightedSqDistBlocked for
+// each row — whatever the padding lanes hold.
+func compareTiles(t *testing.T, tiers []string, p, w, rows []float64) {
+	t.Helper()
+	dim := len(p)
+	n := len(rows) / dim
+	want := make([]float64, n)
+	withTier("scalar", func() {
+		for r := range want {
+			want[r] = WeightedSqDistBlocked(p, rows[r*dim:(r+1)*dim], w)
+		}
+	})
+	for _, pad := range []float64{0, math.NaN(), math.Inf(-1)} {
+		tiles, padded := tileRows(rows, dim, pad)
+		for _, tier := range append([]string{"scalar"}, tiers...) {
+			out := make([]float64, padded)
+			for i := range out {
+				out[i] = -1 // every lane, padding included, is overwritten
+			}
+			withTier(tier, func() { WeightedSqDistTiles(p, w, tiles, out) })
+			for r, d := range want {
+				if !eqBits(out[r], d) {
+					t.Fatalf("%s, padding %v: dist row %d of %d (dim %d) = %x, WeightedSqDistBlocked %x\np=%v\nw=%v\nrows=%v",
+						tier, pad, r, n, dim, math.Float64bits(out[r]), math.Float64bits(d), p, w, rows)
+				}
+			}
 		}
 	}
+}
+
+// compareGrad fails unless every assembly tier in tiers agrees with the
+// scalar gradient kernel on every accumulator element (identical bits, or
+// both NaN), and the tiled distance pass agrees with the single-vector
+// kernel row by row.
+func compareGrad(t *testing.T, tiers []string, in gradInputs) {
+	t.Helper()
+	sGt, sGw := in.runGrad("scalar")
+	for _, tier := range tiers {
+		aGt, aGw := in.runGrad(tier)
+		for k := range sGt {
+			if !eqBits(sGt[k], aGt[k]) {
+				t.Fatalf("gt[%d] diverged: scalar %x %s %x\n%+v", k, math.Float64bits(sGt[k]), tier, math.Float64bits(aGt[k]), in)
+			}
+		}
+		for k := range sGw {
+			if !eqBits(sGw[k], aGw[k]) {
+				t.Fatalf("gw[%d] diverged: scalar %x %s %x\n%+v", k, math.Float64bits(sGw[k]), tier, math.Float64bits(aGw[k]), in)
+			}
+		}
+	}
+	compareTiles(t, tiers, in.t, in.a, in.rows)
 }
 
 func randGradInputs(rng *rand.Rand, dim, nRows int, withW bool) gradInputs {
@@ -72,28 +110,53 @@ func randGradInputs(rng *rand.Rand, dim, nRows int, withW bool) gradInputs {
 	}
 	if withW {
 		in.gw = randKernelVec(rng, dim)
-		in.b = randKernelVec(rng, dim)
 		if rng.Intn(2) == 0 {
-			in.b = Ones(dim)
+			in.b = randKernelVec(rng, dim)
 		}
 	}
 	return in
 }
 
-// TestGradKernelSIMDBitIdentity: random shapes (every tail size), stress
-// values, both the (t, w) and the t-only form.
+// TestGradKernelSIMDBitIdentity: random shapes (every tail size of both
+// register widths, row counts on both sides of a tile), stress values, the
+// (t, w), the direct-weight and the t-only form — scalar ≡ AVX2 ≡ AVX-512.
 func TestGradKernelSIMDBitIdentity(t *testing.T) {
-	needAVX2(t)
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 2000; iter++ {
-		compareGrad(t, randGradInputs(rng, 1+rng.Intn(21), 1+rng.Intn(11), iter%3 != 0))
+	eachSIMDTier(t, func(t *testing.T, tier string) {
+		rng := rand.New(rand.NewSource(23))
+		for iter := 0; iter < 2000; iter++ {
+			compareGrad(t, []string{tier}, randGradInputs(rng, 1+rng.Intn(21), 1+rng.Intn(19), iter%3 != 0))
+		}
+	})
+}
+
+// TestDistTilesMatchesBlocked is the tile kernel's identity on every tier the
+// host has, the scalar oracle included (so it means something under purego):
+// each row's distance carries the bits of WeightedSqDistBlocked for
+// rows % 8 ≠ 0, dim % 4 ≠ 0, dim < 4, NaN/±Inf inputs, and padding lanes
+// holding anything.
+func TestDistTilesMatchesBlocked(t *testing.T) {
+	tiers, _ := simdTiers()
+	rng := rand.New(rand.NewSource(29))
+	for dim := 1; dim <= 13; dim++ {
+		for _, n := range []int{1, 7, 8, 9, 16, 21} {
+			compareTiles(t, tiers, randKernelVec(rng, dim), randKernelVec(rng, dim), randKernelVec(rng, dim*n))
+		}
 	}
+	// The training shape, ordinary values.
+	p, w, rows := make([]float64, 100), make([]float64, 100), make([]float64, 100*40)
+	for _, v := range [][]float64{p, w, rows} {
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+	}
+	compareTiles(t, tiers, p, w, rows)
 }
 
 // TestGradAccumRowsMatchesChainRule pins the kernel's argument forms to the
 // per-mode chain-rule expressions Diverse Density training used before the
-// kernel existed, bit for bit: multiplying by a ones vector (and by sw = 1)
-// must be exact, so one kernel covers all weight modes.
+// kernel existed, bit for bit, on every tier: leaving b out (with sw = 1)
+// must be the direct-weight expression exactly, so one kernel covers all
+// weight modes.
 func TestGradAccumRowsMatchesChainRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const dim, nRows = 11, 7
@@ -112,7 +175,7 @@ func TestGradAccumRowsMatchesChainRule(t *testing.T) {
 	for k, v := range w {
 		W[k] = v * v
 	}
-	ones := Ones(dim)
+	ones := NewVector(dim).Fill(1)
 
 	type form struct {
 		name         string
@@ -124,18 +187,19 @@ func TestGradAccumRowsMatchesChainRule(t *testing.T) {
 	forms := []form{
 		{"identical", ones, nil, 0, false,
 			func(c, diff float64, k int) float64 { return c * 2 * diff }, nil},
-		{"sum-constraint", w, ones, 1, true,
+		{"sum-constraint", w, nil, 1, true,
+			func(c, diff float64, k int) float64 { return c * 2 * w[k] * diff },
+			func(c, diff float64, k int) float64 { return c * diff * diff }},
+		{"sum-constraint, multiplied by ones", w, ones, 1, true,
 			func(c, diff float64, k int) float64 { return c * 2 * w[k] * diff },
 			func(c, diff float64, k int) float64 { return c * diff * diff }},
 		{"original", W, w, 2, true,
 			func(c, diff float64, k int) float64 { return c * 2 * W[k] * diff },
 			func(c, diff float64, k int) float64 { return c * 2 * w[k] * diff * diff }},
 	}
+	tiers, _ := simdTiers()
 	for _, f := range forms {
-		for _, avx2 := range []bool{false, true} {
-			if avx2 && !kernelAVX2Available() {
-				continue
-			}
+		for _, tier := range append([]string{"scalar"}, tiers...) {
 			wantGt, wantGw := make([]float64, dim), make([]float64, dim)
 			for r, c := range coefs {
 				if c == 0 {
@@ -154,13 +218,13 @@ func TestGradAccumRowsMatchesChainRule(t *testing.T) {
 			if f.withW {
 				gw = make([]float64, dim)
 			}
-			withKernel(avx2, func() { GradAccumRows(gt, gw, tv, f.a, f.b, rows, coefs, 2, f.sw) })
+			withTier(tier, func() { GradAccumRows(gt, gw, tv, f.a, f.b, rows, coefs, 2, f.sw) })
 			for k := range gt {
 				if math.Float64bits(gt[k]) != math.Float64bits(wantGt[k]) {
-					t.Fatalf("%s avx2=%v: gt[%d] = %x, chain rule %x", f.name, avx2, k, math.Float64bits(gt[k]), math.Float64bits(wantGt[k]))
+					t.Fatalf("%s on %s: gt[%d] = %x, chain rule %x", f.name, tier, k, math.Float64bits(gt[k]), math.Float64bits(wantGt[k]))
 				}
 				if f.withW && math.Float64bits(gw[k]) != math.Float64bits(wantGw[k]) {
-					t.Fatalf("%s avx2=%v: gw[%d] = %x, chain rule %x", f.name, avx2, k, math.Float64bits(gw[k]), math.Float64bits(wantGw[k]))
+					t.Fatalf("%s on %s: gw[%d] = %x, chain rule %x", f.name, tier, k, math.Float64bits(gw[k]), math.Float64bits(wantGw[k]))
 				}
 			}
 		}
@@ -168,11 +232,12 @@ func TestGradAccumRowsMatchesChainRule(t *testing.T) {
 }
 
 func TestGradAccumRowsEmpty(t *testing.T) {
-	for _, avx2 := range []bool{false, kernelAVX2Available()} {
-		withKernel(avx2, func() {
+	tiers, _ := simdTiers()
+	for _, tier := range append([]string{"scalar"}, tiers...) {
+		withTier(tier, func() {
 			gt := []float64{1, 2}
 			GradAccumRows(gt, nil, []float64{0, 0}, []float64{1, 1}, nil, nil, nil, 2, 1)
-			WeightedSqDistRows([]float64{0, 0}, []float64{1, 1}, nil, nil)
+			WeightedSqDistTiles([]float64{0, 0}, []float64{1, 1}, nil, nil)
 			if gt[0] != 1 || gt[1] != 2 {
 				t.Fatalf("empty rows changed the accumulator: %v", gt)
 			}
@@ -180,14 +245,15 @@ func TestGradAccumRowsEmpty(t *testing.T) {
 	}
 }
 
-// FuzzGradKernelSIMDvsScalar differentially fuzzes the AVX2 gradient kernel
-// (and the batched distance pass) against the scalar oracle. As in
-// FuzzKernelSIMDvsScalar the byte stream is reinterpreted as float64 bits —
-// NaNs of every payload, ±Inf, ±0 and denormals arise naturally — and dim
-// and the row count come from their own bytes so every tail size
-// (dim % KernelBlock) and every four-row grouping of the distance pass is
-// explored. zeroMask forces chosen coefficients to
-// ±0, the rows the kernel must skip.
+// FuzzGradKernelSIMDvsScalar differentially fuzzes the AVX2 and AVX-512
+// gradient kernels (and the tiled distance pass) against the scalar oracle.
+// As in FuzzKernelSIMDvsScalar the byte stream is reinterpreted as float64
+// bits — NaNs of every payload, ±Inf, ±0 and denormals arise naturally — and
+// dim and the row count come from their own bytes so every tail size of both
+// register widths (dim % 4, dim % 8) and row counts on both sides of a tile
+// are explored. zeroMask forces chosen coefficients to ±0, the rows the
+// kernel must skip; withW and sw = 1 together select the direct-weight form
+// (b nil).
 func FuzzGradKernelSIMDvsScalar(f *testing.F) {
 	f.Add(uint8(8), uint8(3), mkBytes(1, 2, 3, 4, 5, 6, 7, 8), uint8(0), true, 2.0)
 	f.Add(uint8(3), uint8(1), mkBytes(0.5, -0.5, 2), uint8(1), false, 1.0)
@@ -195,8 +261,9 @@ func FuzzGradKernelSIMDvsScalar(f *testing.F) {
 	f.Add(uint8(13), uint8(5), mkBytes(-1, -2, -3), uint8(0x15), true, 2.0)
 
 	f.Fuzz(func(t *testing.T, dimRaw, nRaw uint8, data []byte, zeroMask uint8, withW bool, sw float64) {
-		if !kernelAVX2Available() {
-			t.Skip("no AVX2; nothing to differentiate")
+		tiers, missing := simdTiers()
+		if len(tiers) == 0 {
+			t.Skip("nothing to differentiate:" + missing)
 		}
 		dim := 1 + int(dimRaw)%21
 		nRows := 1 + int(nRaw)%11
@@ -209,7 +276,12 @@ func FuzzGradKernelSIMDvsScalar(f *testing.F) {
 		in := gradInputs{gt: next(dim), t: next(dim), a: next(dim), st: 2, sw: sw}
 		gw, b := next(dim), next(dim)
 		if withW {
-			in.gw, in.b = gw, b
+			in.gw = gw
+			// sw = 1 is the direct-weight form's only caller; let every
+			// other value keep the factor b.
+			if sw != 1 {
+				in.b = b
+			}
 		}
 		in.rows, in.coefs = next(dim*nRows), next(nRows)
 		for r := range in.coefs {
@@ -217,6 +289,25 @@ func FuzzGradKernelSIMDvsScalar(f *testing.F) {
 				in.coefs[r] = math.Copysign(0, float64(1-2*(r%2)))
 			}
 		}
-		compareGrad(t, in)
+		compareGrad(t, tiers, in)
+	})
+}
+
+// FuzzDistTilesVsBlocked fuzzes the tile kernel on every tier the host has —
+// the scalar oracle included — against WeightedSqDistBlocked row by row: dim
+// from its own byte (dim < 4, every dim % 4), up to three tiles of rows with
+// any number of them in the last, values from raw float64 bits.
+func FuzzDistTilesVsBlocked(f *testing.F) {
+	f.Add(uint8(8), uint8(3), mkBytes(1, 2, 3, 4, 5, 6, 7, 8))
+	f.Add(uint8(2), uint8(8), mkBytes(0.5, -0.5, 2))
+	f.Add(uint8(5), uint8(12), mkBytes(math.NaN(), math.Inf(1), -1, 1e-300, 1e300, math.Copysign(0, -1)))
+	f.Add(uint8(13), uint8(23), mkBytes(-1, -2, -3))
+
+	f.Fuzz(func(t *testing.T, dimRaw, nRaw uint8, data []byte) {
+		tiers, _ := simdTiers()
+		dim := 1 + int(dimRaw)%21
+		nRows := 1 + int(nRaw)%24
+		vals := floatsFromBytes(data, (2+nRows)*dim)
+		compareTiles(t, tiers, vals[:dim], vals[dim:2*dim], vals[2*dim:])
 	})
 }

@@ -25,8 +25,11 @@
 // (weightedSqDistPartial), in the flat row-scanning loop
 // (MinWeightedSqDistRows), and in the vector-of-slices loop
 // (MinWeightedSqDistVecs, behind core.Concept.BestInstance: Explain and the
-// tests' naive reference). The duplication is deliberate: the body is too large for the inliner, and a call per block of
-// dimensions would cost more than the unroll buys. The copies MUST stay
+// tests' naive reference) — and a fourth time in grad.go, where training's
+// tile kernel (weightedSqDistTiles) runs it for eight rows at a tile's
+// stride. The duplication is deliberate: the body is too large for the
+// inliner, and a call per block of dimensions would cost more than the
+// unroll buys. The copies MUST stay
 // textually identical — same expressions, same fold order — and
 // kernel_test.go enforces bit-identical results across every entry point, so
 // any divergence fails the suite.
@@ -40,7 +43,8 @@
 //
 // On amd64 hosts with AVX2 (and without the purego build tag), the public
 // entry points dispatch to assembly implementations of the very same loops
-// (kernel_amd64.s): each 4-dimension block is computed with vmulpd/vsubpd
+// (kernel_amd64.s; training's two kernels, which also have AVX-512 bodies,
+// are in grad.go and grad_amd64.s): each 4-dimension block is computed with vmulpd/vsubpd
 // lanes and folded through the identical (s0+s1) strided reduction —
 // separate multiplies and adds, never FMA-contracted — with the threshold
 // check after every block, so the SIMD kernels return the same bits as the

@@ -340,268 +340,6 @@ boxExceeds:
 	VZEROUPPER
 	RET
 
-// func distRowsAVX2(p, w, rows *float64, dim, nRows int, out *float64)
-//
-// All-rows loop: WeightedSqDistRows — per row the canonical block loop
-// from offset 0 with no abandon threshold (the scalar oracle runs
-// thr = +Inf, which no sum, NaN included, ever exceeds), stored to out[r].
-// Caller guarantees dim >= 1 and nRows >= 1.
-//
-// Rows are independent, so they are taken four at a time with one lane
-// of the running-sum register per row: a single row's block loop is bound
-// by its own sum += chain and the in-lane fold, four interleaved rows
-// share the query loads and fold together. Per block and row the adds
-// are still the scalar ones: the two VPERM2F128 pair lanes (0,2) and
-// (1,3) of two rows' product vectors so one VADDPD forms
-// [s0, s1 | s0', s1'], VHADDPD adds s0 + s1 per row, and the last VADDPD
-// is sum += (s0 + s1). Passes:
-//
-//   1. groups of four rows, full blocks only, sums to out[r..r+3];
-//   2. the nRows%4 leftover rows, full blocks only, one at a time;
-//   3. when dim%4 != 0, every row's tail: the trailing dimensions
-//      accumulate sequentially into their own register, then
-//      out[r] += that — tailSqDist's association (for dim < 4 the block
-//      passes stored +0 and this adds 0 + s, as the scalar loop does).
-TEXT ·distRowsAVX2(SB), NOSPLIT, $0-48
-	MOVQ p+0(FP), SI
-	MOVQ w+8(FP), DI
-	MOVQ rows+16(FP), DX
-	MOVQ dim+24(FP), CX
-	MOVQ nRows+32(FP), R9
-	MOVQ out+40(FP), R10
-	SHLQ $3, CX    // row stride in bytes
-	MOVQ CX, R14
-	ANDQ $-32, R14 // tail start: (dim &^ 3) * 8
-	MOVQ R9, R15   // rows left for the block passes
-
-dist4:
-	CMPQ R15, $4
-	JL   dist1
-	LEAQ (DX)(CX*1), R11  // row B
-	LEAQ (R11)(CX*1), R12 // row C
-	LEAQ (R12)(CX*1), R13 // row D
-	VXORPD Y8, Y8, Y8     // sums, lanes [A, C, B, D]
-	XORQ BX, BX
-
-dist4Blocks:
-	CMPQ BX, R14
-	JGE  dist4Store
-	VMOVUPD (SI)(BX*1), Y0      // p block
-	VMOVUPD (DI)(BX*1), Y1      // w block
-	VSUBPD  (DX)(BX*1), Y0, Y2  // dA = p - rowA
-	VSUBPD  (R11)(BX*1), Y0, Y3 // dB
-	VSUBPD  (R12)(BX*1), Y0, Y4 // dC
-	VSUBPD  (R13)(BX*1), Y0, Y5 // dD
-	VMULPD  Y2, Y1, Y6          // w * d
-	VMULPD  Y2, Y6, Y2          // (w*d) * d
-	VMULPD  Y3, Y1, Y6
-	VMULPD  Y3, Y6, Y3
-	VMULPD  Y4, Y1, Y6
-	VMULPD  Y4, Y6, Y4
-	VMULPD  Y5, Y1, Y6
-	VMULPD  Y5, Y6, Y5
-	VPERM2F128 $0x20, Y3, Y2, Y6 // [a0, a1, b0, b1]
-	VPERM2F128 $0x31, Y3, Y2, Y7 // [a2, a3, b2, b3]
-	VADDPD  Y7, Y6, Y6           // [sA0, sA1, sB0, sB1]
-	VPERM2F128 $0x20, Y5, Y4, Y7 // [c0, c1, d0, d1]
-	VPERM2F128 $0x31, Y5, Y4, Y9 // [c2, c3, d2, d3]
-	VADDPD  Y9, Y7, Y7           // [sC0, sC1, sD0, sD1]
-	VHADDPD Y7, Y6, Y6           // [sA0+sA1, sC0+sC1, sB0+sB1, sD0+sD1]
-	VADDPD  Y6, Y8, Y8           // sum += s0 + s1, per row
-	ADDQ    $32, BX
-	JMP     dist4Blocks
-
-dist4Store:
-	VPERMPD $0xD8, Y8, Y8 // lanes [A, C, B, D] -> [A, B, C, D]
-	VMOVUPD Y8, (R10)
-	ADDQ $32, R10
-	LEAQ (R13)(CX*1), DX // next group
-	SUBQ $4, R15
-	JMP  dist4
-
-dist1:
-	TESTQ R15, R15
-	JZ    distTails
-	VXORPD X8, X8, X8 // sum = 0
-	XORQ   BX, BX
-
-dist1Blocks:
-	CMPQ BX, R14
-	JGE  dist1Store
-	VMOVUPD (SI)(BX*1), Y0
-	VMOVUPD (DI)(BX*1), Y2
-	VSUBPD  (DX)(BX*1), Y0, Y0 // d = p - row
-	VMULPD  Y0, Y2, Y2         // w * d
-	VMULPD  Y0, Y2, Y0         // (w*d) * d
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD  X1, X0, X0         // [l0+l2, l1+l3] = [s0, s1]
-	VUNPCKHPD X0, X0, X1
-	VADDSD  X1, X0, X0         // s0 + s1
-	VADDSD  X0, X8, X8         // sum += s0 + s1
-	ADDQ    $32, BX
-	JMP     dist1Blocks
-
-dist1Store:
-	VMOVSD X8, (R10)
-	ADDQ   $8, R10
-	ADDQ   CX, DX
-	DECQ   R15
-	JMP    dist1
-
-distTails:
-	CMPQ R14, CX
-	JGE  distDone
-	MOVQ rows+16(FP), DX
-	MOVQ out+40(FP), R10
-
-distTailRow:
-	VXORPD X3, X3, X3 // tail accumulator s
-	MOVQ   R14, BX
-
-distTailLoop:
-	VMOVSD (SI)(BX*1), X0
-	VSUBSD (DX)(BX*1), X0, X0 // d = p - row
-	VMOVSD (DI)(BX*1), X2
-	VMULSD X0, X2, X2         // w * d
-	VMULSD X0, X2, X0         // (w*d) * d
-	VADDSD X0, X3, X3         // s += term
-	ADDQ   $8, BX
-	CMPQ   BX, CX
-	JL     distTailLoop
-	VMOVSD (R10), X8
-	VADDSD X3, X8, X8 // sum += s
-	VMOVSD X8, (R10)
-	ADDQ   $8, R10
-	ADDQ   CX, DX
-	DECQ   R9
-	JNZ    distTailRow
-
-distDone:
-	VZEROUPPER
-	RET
-
-// func gradRowsAVX2(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw float64)
-//
-// Gradient accumulation: gradAccumRows. Per row with a non-zero
-// coefficient c (UCOMISD against zero: skip only on "equal and ordered",
-// so a NaN coefficient is processed exactly as the scalar `c == 0` test
-// lets it through), c2 = c*st and cw = c*sw are broadcast and every
-// 4-dimension block runs the scalar statement sequence lane-wise:
-//
-//	d = t - x; gt += (c2*a)*d; gw += ((cw*b)*d)*d
-//
-// — one VSUBPD, separate VMULPDs in the scalar association, one VADDPD
-// into the loaded accumulator, no FMA. There is no cross-lane operation:
-// lane k sees only dimension k, and rows are visited in order, so every
-// per-dimension sum is built by the scalar loop's adds in the scalar
-// loop's order. The dim%4 tail repeats the block with the scalar (SD)
-// forms. gw == nil selects the t-only loops (fixed weights). Caller
-// guarantees dim >= 1, nRows >= 1 and non-overlapping gt/gw versus inputs.
-TEXT ·gradRowsAVX2(SB), NOSPLIT, $0-88
-	MOVQ gt+0(FP), R8
-	MOVQ gw+8(FP), R9
-	MOVQ t+16(FP), SI
-	MOVQ a+24(FP), DI
-	MOVQ b+32(FP), R10
-	MOVQ rows+40(FP), DX
-	MOVQ coefs+48(FP), R11
-	MOVQ dim+56(FP), CX
-	MOVQ nRows+64(FP), R12
-	VMOVSD st+72(FP), X12
-	VMOVSD sw+80(FP), X13
-	SHLQ $3, CX    // row stride in bytes
-	MOVQ CX, R14
-	ANDQ $-32, R14 // tail start: (dim &^ 3) * 8
-	VXORPD X11, X11, X11 // 0.0
-
-gradRow:
-	VMOVSD   (R11), X10 // c
-	VUCOMISD X11, X10   // c == 0 and ordered: skip
-	JNE  gradDo
-	JP   gradDo
-	JMP  gradNext
-
-gradDo:
-	VMULSD X12, X10, X14 // c2 = c * st
-	VBROADCASTSD X14, Y14
-	XORQ  BX, BX
-	TESTQ R9, R9
-	JZ    gradTBlocks
-	VMULSD X13, X10, X15 // cw = c * sw
-	VBROADCASTSD X15, Y15
-
-gradBlocks:
-	CMPQ BX, R14
-	JGE  gradTail
-	VMOVUPD (SI)(BX*1), Y0      // t block
-	VSUBPD  (DX)(BX*1), Y0, Y0  // d = t - x
-	VMULPD  (DI)(BX*1), Y14, Y2 // c2 * a
-	VMULPD  Y0, Y2, Y2          // (c2*a) * d
-	VMOVUPD (R8)(BX*1), Y3
-	VADDPD  Y2, Y3, Y3          // gt + term
-	VMOVUPD Y3, (R8)(BX*1)
-	VMULPD  (R10)(BX*1), Y15, Y4 // cw * b
-	VMULPD  Y0, Y4, Y4          // (cw*b) * d
-	VMULPD  Y0, Y4, Y4          // ((cw*b)*d) * d
-	VMOVUPD (R9)(BX*1), Y5
-	VADDPD  Y4, Y5, Y5          // gw + term
-	VMOVUPD Y5, (R9)(BX*1)
-	ADDQ    $32, BX
-	JMP     gradBlocks
-
-gradTail:
-	CMPQ BX, CX
-	JGE  gradNext
-	VMOVSD (SI)(BX*1), X0
-	VSUBSD (DX)(BX*1), X0, X0
-	VMULSD (DI)(BX*1), X14, X2
-	VMULSD X0, X2, X2
-	VMOVSD (R8)(BX*1), X3
-	VADDSD X2, X3, X3
-	VMOVSD X3, (R8)(BX*1)
-	VMULSD (R10)(BX*1), X15, X4
-	VMULSD X0, X4, X4
-	VMULSD X0, X4, X4
-	VMOVSD (R9)(BX*1), X5
-	VADDSD X4, X5, X5
-	VMOVSD X5, (R9)(BX*1)
-	ADDQ   $8, BX
-	JMP    gradTail
-
-gradTBlocks:
-	CMPQ BX, R14
-	JGE  gradTTail
-	VMOVUPD (SI)(BX*1), Y0
-	VSUBPD  (DX)(BX*1), Y0, Y0
-	VMULPD  (DI)(BX*1), Y14, Y2
-	VMULPD  Y0, Y2, Y2
-	VMOVUPD (R8)(BX*1), Y3
-	VADDPD  Y2, Y3, Y3
-	VMOVUPD Y3, (R8)(BX*1)
-	ADDQ    $32, BX
-	JMP     gradTBlocks
-
-gradTTail:
-	CMPQ BX, CX
-	JGE  gradNext
-	VMOVSD (SI)(BX*1), X0
-	VSUBSD (DX)(BX*1), X0, X0
-	VMULSD (DI)(BX*1), X14, X2
-	VMULSD X0, X2, X2
-	VMOVSD (R8)(BX*1), X3
-	VADDSD X2, X3, X3
-	VMOVSD X3, (R8)(BX*1)
-	ADDQ   $8, BX
-	JMP    gradTTail
-
-gradNext:
-	ADDQ CX, DX // next row
-	ADDQ $8, R11
-	DECQ R12
-	JNZ  gradRow
-	VZEROUPPER
-	RET
-
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

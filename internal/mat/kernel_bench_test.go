@@ -68,3 +68,42 @@ func benchKernel(b *testing.B, avx2 bool) {
 
 func BenchmarkKernelAVX2(b *testing.B)   { benchKernel(b, true) }
 func BenchmarkKernelScalar(b *testing.B) { benchKernel(b, false) }
+
+// BenchmarkTrainKernels times the two training kernels on one example set of
+// the served shape (200 rows × 100 dims: five bags of 40), once per tier the
+// host has: DistTiles is one forward distance pass, GradDirect the gradient
+// pass of the server-default weight mode (weights enter directly, b nil),
+// GradSquared that of the w² modes. The point and the weights are the halves
+// of one θ and the two accumulators the halves of one gradient, as training
+// lays them out — with 100 dims the second halves sit 32 bytes off a cache
+// line, which a 64-byte access pays for.
+func BenchmarkTrainKernels(b *testing.B) {
+	const dim, nRows = 100, 200
+	rng := rand.New(rand.NewSource(42))
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Float64()
+		}
+		return v
+	}
+	theta, W, rows, coefs := vec(2*dim), vec(dim), vec(dim*nRows), vec(nRows)
+	t, w := theta[:dim], theta[dim:]
+	tiles, padded := tileRows(rows, dim, 0)
+	out, grad := make([]float64, padded), make([]float64, 2*dim)
+	tiers, _ := simdTiers()
+	for _, tier := range append([]string{"scalar"}, tiers...) {
+		run := func(name string, f func()) {
+			b.Run(tier+"/"+name, func(b *testing.B) {
+				withTier(tier, func() {
+					for i := 0; i < b.N; i++ {
+						f()
+					}
+				})
+			})
+		}
+		run("DistTiles", func() { WeightedSqDistTiles(t, W, tiles, out) })
+		run("GradDirect", func() { GradAccumRows(grad[:dim], grad[dim:], t, w, nil, rows, coefs, 2, 1) })
+		run("GradSquared", func() { GradAccumRows(grad[:dim], grad[dim:], t, W, w, rows, coefs, 2, 2) })
+	}
+}

@@ -1,76 +1,103 @@
-// Runtime kernel dispatch: which implementation of the blocked distance
-// kernel the public entry points in kernel.go route to.
+// Runtime kernel dispatch: which implementation the public kernel entry
+// points in kernel.go, sketch.go and grad.go route to.
 //
-// The default is picked once at init: the AVX2 assembly when the CPU
-// supports it (amd64, AVX2 + OS ymm-state support, detected via CPUID — see
-// kernel_dispatch_amd64.go), the portable scalar loops otherwise. Two
-// escape hatches force the scalar path:
+// There are three tiers, each a superset of the one below:
+//
+//   - "scalar": the portable loops, the oracle every other tier must match;
+//   - "avx2": the AVX2 assembly for every kernel (kernel_amd64.s,
+//     grad_amd64.s);
+//   - "avx512": AVX-512 bodies for the two training kernels of grad.go —
+//     the tiled distance pass and the gradient accumulation — with the scan
+//     kernels staying on their AVX2 bodies: a scan abandons most rows after
+//     one 4-dimension block, which a wider register does not shorten.
+//
+// The default is picked once at init: the widest tier the CPU and OS support
+// (amd64, detected via CPUID/XGETBV — see kernel_dispatch_amd64.go), scalar
+// otherwise. Two escape hatches narrow it:
 //
 //   - build tag: `-tags purego` compiles no assembly at all, so the scalar
 //     kernel is the only implementation (kernel_noasm.go);
-//   - environment: MILRET_KERNEL=scalar (read at init) switches a normal
-//     build back to the scalar loops at runtime; SetKernel is the same
-//     switch for the tests that hold the two implementations together.
+//   - environment: MILRET_KERNEL=auto|scalar|avx2|avx512 (read at init)
+//     selects a tier at runtime; SetKernel is the same switch for the tests
+//     that hold the implementations together. A value the process cannot
+//     honour — a name that is none of the four, or a tier the host or build
+//     lacks — falls back to auto and says so once on stderr.
 //
-// Because both implementations are bit-identical on every entry point (the
-// property tests and FuzzKernelSIMDvsScalar enforce it), switching kernels
-// never changes a ranking, a training trajectory, or a stored artifact —
-// the hatches exist for debugging, benchmarking the scalar baseline, and
-// sidestepping a broken SIMD unit, not for correctness.
+// Because all implementations are bit-identical on every entry point (the
+// property tests and the SIMD-vs-scalar fuzz targets enforce it), switching
+// kernels never changes a ranking, a training trajectory, or a stored
+// artifact — the hatches exist for debugging, benchmarking a narrower tier,
+// and sidestepping a broken SIMD unit, not for correctness.
 package mat
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync/atomic"
 )
 
-// useAVX2 gates every SIMD dispatch branch in kernel.go. Atomic so tests
-// and SetKernel can flip it without racing in-flight scans; on amd64 the
-// load compiles to a plain MOV, so the hot entry points pay nothing.
-// It is only ever true when kernelAVX2Available reports support.
-var useAVX2 atomic.Bool
+// useAVX2 gates every AVX2 dispatch branch, useAVX512 the AVX-512 branches
+// of the training kernels, which are tested first. Atomic so tests and
+// SetKernel can flip them without racing in-flight scans; on amd64 the load
+// compiles to a plain MOV, so the hot entry points pay nothing. Each is only
+// ever true when its kernel…Available reports support; the avx512 tier sets
+// both, since it runs the scan kernels' AVX2 bodies.
+var useAVX2, useAVX512 atomic.Bool
 
-func init() {
-	mode := os.Getenv("MILRET_KERNEL")
+func init() { initKernel(os.Getenv("MILRET_KERNEL"), os.Stderr) }
+
+// initKernel applies the MILRET_KERNEL value mode. A request that cannot be
+// honoured cannot fail init — a missing instruction set is not forced into
+// existence by exiting — so it selects auto instead, and tells the operator
+// on warn which kernel is running in place of the one they named.
+func initKernel(mode string, warn io.Writer) {
 	if mode == "" {
 		mode = "auto"
 	}
 	if err := SetKernel(mode); err != nil {
-		// An explicit avx2 request on a host without AVX2, or a typo: the
-		// missing instruction set cannot be forced into existence, so fall
-		// back to automatic selection rather than failing init.
 		_ = SetKernel("auto")
+		fmt.Fprintf(warn, "milret: MILRET_KERNEL=%q ignored (%v); using the %s kernel\n", mode, err, Kernel())
 	}
 }
 
-// Kernel reports which distance-kernel implementation is active: "avx2" or
-// "scalar".
+// Kernel reports which kernel tier is active: "avx512", "avx2" or "scalar".
 func Kernel() string {
-	if useAVX2.Load() {
+	switch {
+	case useAVX512.Load():
+		return "avx512"
+	case useAVX2.Load():
 		return "avx2"
 	}
 	return "scalar"
 }
 
-// SetKernel selects the kernel implementation: "auto" (AVX2 when the CPU
-// supports it), "scalar" (force the portable loops), or "avx2" (error when
-// unsupported). The MILRET_KERNEL environment variable routes here at init;
-// flipping it later is safe (atomic) but mid-scan switches waste the
-// measurement, not the result, since both kernels return identical bits.
+// SetKernel selects the kernel tier: "auto" (the widest the CPU supports),
+// "scalar" (force the portable loops), or "avx2" / "avx512" (error when
+// unsupported, leaving the selection as it was). The MILRET_KERNEL
+// environment variable routes here at init; flipping it later is safe
+// (atomic) but mid-scan switches waste the measurement, not the result,
+// since all kernels return identical bits.
 func SetKernel(mode string) error {
+	avx2, avx512 := false, false
 	switch mode {
 	case "auto":
-		useAVX2.Store(kernelAVX2Available())
+		avx2, avx512 = kernelAVX2Available(), kernelAVX512Available()
 	case "scalar":
-		useAVX2.Store(false)
 	case "avx2":
 		if !kernelAVX2Available() {
 			return fmt.Errorf("mat: avx2 kernel unavailable (no AVX2 CPU support, or a purego build)")
 		}
-		useAVX2.Store(true)
+		avx2 = true
+	case "avx512":
+		if !kernelAVX512Available() {
+			return fmt.Errorf("mat: avx512 kernel unavailable (no AVX-512 CPU or OS support, or a purego build)")
+		}
+		avx2, avx512 = true, true
 	default:
-		return fmt.Errorf("mat: unknown kernel %q (want auto, avx2 or scalar)", mode)
+		return fmt.Errorf("mat: unknown kernel %q (want auto, scalar, avx2 or avx512)", mode)
 	}
+	useAVX2.Store(avx2)
+	useAVX512.Store(avx512)
 	return nil
 }

@@ -2,9 +2,9 @@
 
 package mat
 
-// CPU feature detection for the AVX2 kernel. Using AVX2 safely needs three
-// things, all probed at init through raw CPUID/XGETBV (cpu feature asm in
-// kernel_amd64.s — no external dependency):
+// CPU feature detection for the assembly kernels, probed once at init
+// through raw CPUID/XGETBV (cpu feature asm in kernel_amd64.s — no external
+// dependency). Using AVX2 safely needs three things:
 //
 //   - CPUID.1:ECX reports OSXSAVE (bit 27) and AVX (bit 28): the CPU has
 //     the AVX state machinery and the OS exposed XGETBV;
@@ -12,28 +12,38 @@ package mat
 //     halves across context switches (without this, executing VEX.256
 //     instructions faults or corrupts state);
 //   - CPUID.7.0:EBX bit 5: the AVX2 instruction set itself.
-var haveAVX2 = detectAVX2()
+//
+// AVX-512 needs all of that plus CPUID.7.0:EBX bit 16 (AVX512F, the only
+// subset the bodies use) and XCR0 bits 5, 6 and 7: the OS saves the opmask
+// registers, the upper halves of ZMM0–15 and ZMM16–31. An OS that enables
+// that state lazily (Darwin) reports it off here and gets the AVX2 tier.
+var haveAVX2, haveAVX512 = detectSIMD()
 
-// kernelAVX2Available reports whether the assembly kernel can run on this
-// CPU. The purego / non-amd64 counterpart in kernel_noasm.go always
-// reports false.
-func kernelAVX2Available() bool { return haveAVX2 }
+// kernelAVX2Available and kernelAVX512Available report whether the assembly
+// of that tier can run on this CPU. The purego / non-amd64 counterparts in
+// kernel_noasm.go always report false.
+func kernelAVX2Available() bool   { return haveAVX2 }
+func kernelAVX512Available() bool { return haveAVX512 }
 
-func detectAVX2() bool {
+func detectSIMD() (avx2, avx512 bool) {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false
+		return false, false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const osxsaveAndAVX = 1<<27 | 1<<28
 	if ecx1&osxsaveAndAVX != osxsaveAndAVX {
-		return false
+		return false, false
 	}
-	if xcr0, _ := xgetbv0(); xcr0&6 != 6 { // XMM and YMM state enabled
-		return false
+	xcr0, _ := xgetbv0()
+	if xcr0&6 != 6 { // XMM and YMM state enabled
+		return false, false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0 // AVX2
+	avx2 = ebx7&(1<<5) != 0
+	const opmaskAndZMM = 1<<5 | 1<<6 | 1<<7
+	avx512 = avx2 && ebx7&(1<<16) != 0 && xcr0&opmaskAndZMM == opmaskAndZMM
+	return avx2, avx512
 }
 
 // cpuid executes CPUID with the given leaf/subleaf (kernel_amd64.s).
@@ -43,8 +53,8 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // Only call when CPUID.1:ECX.OSXSAVE is set.
 func xgetbv0() (eax, edx uint32)
 
-// The AVX2 kernel loops (kernel_amd64.s). Each is the exact instruction-
-// level transcription of its scalar oracle in kernel.go — same block
+// The assembly kernel loops (kernel_amd64.s, grad_amd64.s). Each is the
+// exact instruction-level transcription of its scalar oracle — same block
 // boundaries, same (s0,s1) strided fold, separate vmulpd/vaddpd with no
 // FMA contraction, threshold compared after every block with the same
 // NaN-false semantics — so results are bit-identical (see the package
@@ -74,16 +84,24 @@ func minRowsAVX2(p, w, rows *float64, dim, nRows int, cutoff float64, prune bool
 //go:noescape
 func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool
 
-// distRowsAVX2 is the WeightedSqDistRows row loop: the full blocked
-// distance from p to each of nRows rows, stored to out. Requires dim ≥ 1
-// and nRows ≥ 1.
+// distTilesAVX2 and distTilesAVX512 are weightedSqDistTiles (grad_amd64.s):
+// the full blocked distance from p to every row of nTiles tiles, a row per
+// lane, stored to out. Require dim ≥ 1 and nTiles ≥ 1.
 //
 //go:noescape
-func distRowsAVX2(p, w, rows *float64, dim, nRows int, out *float64)
+func distTilesAVX2(p, w, tiles *float64, dim, nTiles int, out *float64)
 
-// gradRowsAVX2 is gradAccumRows: the chain-rule gradient accumulation over
-// nRows rows, lane-wise with no cross-lane fold. gw (with b) may be nil to
-// accumulate the point part only. Requires dim ≥ 1 and nRows ≥ 1.
+//go:noescape
+func distTilesAVX512(p, w, tiles *float64, dim, nTiles int, out *float64)
+
+// gradRowsAVX2 and gradRowsAVX512 are gradAccumRows (grad_amd64.s): the
+// chain-rule gradient accumulation over nRows rows, lane-wise with no
+// cross-lane fold. gw may be nil to accumulate the point part only, and b
+// nil beside a gw for weights that enter directly. Require dim ≥ 1 and
+// nRows ≥ 1.
 //
 //go:noescape
 func gradRowsAVX2(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw float64)
+
+//go:noescape
+func gradRowsAVX512(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw float64)

@@ -2,13 +2,14 @@
 
 package mat
 
-// kernelAVX2Available: no assembly in this build (non-amd64 target or the
-// purego tag), so the scalar loops are the only kernel and useAVX2 can
-// never become true.
-func kernelAVX2Available() bool { return false }
+// kernelAVX2Available, kernelAVX512Available: no assembly in this build
+// (non-amd64 target or the purego tag), so the scalar loops are the only
+// kernel and neither useAVX2 nor useAVX512 can become true.
+func kernelAVX2Available() bool   { return false }
+func kernelAVX512Available() bool { return false }
 
 // The SIMD entry points referenced by the dispatch branches in kernel.go.
-// Unreachable in this build — useAVX2 is pinned false — so they panic
+// Unreachable in this build — the dispatch flags are pinned false — so they panic
 // loudly instead of silently falling back, which would hide a dispatch
 // invariant violation.
 
@@ -24,10 +25,18 @@ func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
 
-func distRowsAVX2(p, w, rows *float64, dim, nRows int, out *float64) {
+func distTilesAVX2(p, w, tiles *float64, dim, nTiles int, out *float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func distTilesAVX512(p, w, tiles *float64, dim, nTiles int, out *float64) {
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
 
 func gradRowsAVX2(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func gradRowsAVX512(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw float64) {
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }

@@ -3,6 +3,8 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -19,19 +21,67 @@ func eqBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// withKernel runs f with the SIMD kernel forced on or off, restoring the
-// dispatch state afterwards.
-func withKernel(avx2 bool, f func()) {
-	prev := useAVX2.Load()
-	useAVX2.Store(avx2)
-	defer useAVX2.Store(prev)
+// withTier runs f with the named kernel tier selected, restoring the
+// dispatch state afterwards. The tier must be one the host can run.
+func withTier(tier string, f func()) {
+	prev := Kernel()
+	if err := SetKernel(tier); err != nil {
+		panic(err)
+	}
+	defer SetKernel(prev)
 	f()
+}
+
+// withKernel runs f on exactly the AVX2 tier or on the scalar loops.
+func withKernel(avx2 bool, f func()) {
+	if avx2 {
+		withTier("avx2", f)
+	} else {
+		withTier("scalar", f)
+	}
 }
 
 func needAVX2(t testing.TB) {
 	t.Helper()
 	if !kernelAVX2Available() {
 		t.Skip("no AVX2 on this host (or purego build); nothing to differentiate")
+	}
+}
+
+// simdTier is one assembly tier of the training kernels and whether this
+// host and build can run it.
+type simdTier struct {
+	name string
+	ok   bool
+}
+
+func allSIMDTiers() []simdTier {
+	return []simdTier{{"avx2", kernelAVX2Available()}, {"avx512", kernelAVX512Available()}}
+}
+
+// simdTiers lists the assembly tiers that this host and build can run, and
+// names the ones they cannot — what a three-way identity test did not cover.
+func simdTiers() (run []string, missing string) {
+	for _, tier := range allSIMDTiers() {
+		if tier.ok {
+			run = append(run, tier.name)
+		} else {
+			missing += " no " + tier.name + " on this host (or a purego build);"
+		}
+	}
+	return run, missing
+}
+
+// eachSIMDTier runs f once per assembly tier as a subtest of that name; a
+// tier the host lacks is a skipped subtest that says so.
+func eachSIMDTier(t *testing.T, f func(t *testing.T, tier string)) {
+	for _, tier := range allSIMDTiers() {
+		t.Run(tier.name, func(t *testing.T) {
+			if !tier.ok {
+				t.Skipf("no %s on this host (or a purego build); nothing to differentiate", tier.name)
+			}
+			f(t, tier.name)
+		})
 	}
 }
 
@@ -270,10 +320,13 @@ func TestBoxBoundSIMDBitIdentity(t *testing.T) {
 	}
 }
 
-// TestKernelDispatchAPI covers SetKernel/Kernel and the env-style modes.
+// TestKernelDispatchAPI covers SetKernel/Kernel and the env-style modes. Its
+// log says which tiers this host ran, so a CI run records what it covered.
 func TestKernelDispatchAPI(t *testing.T) {
 	prev := Kernel()
 	defer SetKernel(prev)
+	run, missing := simdTiers()
+	t.Logf("mat.Kernel() = %q; SIMD tiers exercised here: %v;%s", prev, run, missing)
 
 	if err := SetKernel("scalar"); err != nil {
 		t.Fatalf("SetKernel(scalar): %v", err)
@@ -287,22 +340,83 @@ func TestKernelDispatchAPI(t *testing.T) {
 	if Kernel() != "scalar" {
 		t.Fatalf("Kernel() = %q after rejected mode; must be unchanged", Kernel())
 	}
-	err := SetKernel("avx2")
-	if kernelAVX2Available() {
-		if err != nil || Kernel() != "avx2" {
-			t.Fatalf("SetKernel(avx2) on AVX2 host: err=%v kernel=%q", err, Kernel())
+	widest := "scalar"
+	for _, tier := range allSIMDTiers() {
+		err := SetKernel(tier.name)
+		if tier.ok {
+			if err != nil || Kernel() != tier.name {
+				t.Fatalf("SetKernel(%s) on a host that has it: err=%v kernel=%q", tier.name, err, Kernel())
+			}
+			widest = tier.name
+		} else if err == nil {
+			t.Fatalf("SetKernel(%s) succeeded without support for it", tier.name)
 		}
-	} else if err == nil {
-		t.Fatal("SetKernel(avx2) succeeded without AVX2 support")
+	}
+	if kernelAVX512Available() && !kernelAVX2Available() {
+		t.Fatal("AVX-512 reported without AVX2: the avx512 tier runs the scan kernels' AVX2 bodies")
 	}
 	if err := SetKernel("auto"); err != nil {
 		t.Fatalf("SetKernel(auto): %v", err)
 	}
-	want := "scalar"
-	if kernelAVX2Available() {
-		want = "avx2"
+	if Kernel() != widest {
+		t.Fatalf("Kernel() = %q after auto, want the widest tier %q", Kernel(), widest)
 	}
-	if Kernel() != want {
-		t.Fatalf("Kernel() = %q after auto, want %q", Kernel(), want)
+}
+
+// TestKernelEnvNotHonouredIsReported: a MILRET_KERNEL value the process
+// cannot honour — a name that is no tier, or a tier this host or build lacks
+// — selects auto and says so, naming the value and the kernel running in its
+// place; a value it can honour is applied without a word.
+func TestKernelEnvNotHonouredIsReported(t *testing.T) {
+	prev := Kernel()
+	defer SetKernel(prev)
+	if err := SetKernel("auto"); err != nil {
+		t.Fatal(err)
+	}
+	auto := Kernel()
+
+	cases := []struct {
+		mode     string
+		honoured bool
+		want     string // kernel selected
+	}{
+		{"", true, auto},
+		{"auto", true, auto},
+		{"scalar", true, "scalar"},
+		{"scaler", false, auto},
+		{"AVX2", false, auto},
+		{"avx2", kernelAVX2Available(), "avx2"},
+		{"avx512", kernelAVX512Available(), "avx512"},
+	}
+	for _, tc := range cases {
+		if !tc.honoured {
+			tc.want = auto
+		}
+		// Start from a tier the case does not ask for, so a selection that
+		// silently did nothing is seen.
+		if err := SetKernel("scalar"); err != nil {
+			t.Fatal(err)
+		}
+		if tc.want == "scalar" && auto != "scalar" {
+			if err := SetKernel(auto); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var warn strings.Builder
+		initKernel(tc.mode, &warn)
+		if Kernel() != tc.want {
+			t.Errorf("MILRET_KERNEL=%q selected %q, want %q", tc.mode, Kernel(), tc.want)
+		}
+		msg := warn.String()
+		if tc.honoured {
+			if msg != "" {
+				t.Errorf("MILRET_KERNEL=%q was honoured but reported: %q", tc.mode, msg)
+			}
+			continue
+		}
+		if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, strconv.Quote(tc.mode)) ||
+			!strings.Contains(msg, "using the "+auto+" kernel") {
+			t.Errorf("MILRET_KERNEL=%q not honoured; stderr must name the value and the %s kernel once, got %q", tc.mode, auto, msg)
+		}
 	}
 }

@@ -37,11 +37,6 @@ func (v Vector) Fill(x float64) Vector {
 	return v
 }
 
-// Ones returns a length-n vector of all ones.
-func Ones(n int) Vector {
-	return NewVector(n).Fill(1)
-}
-
 // Sum returns the sum of the elements of v.
 func (v Vector) Sum() float64 {
 	var s float64

@@ -89,7 +89,7 @@ func TestStandardizeConstantVector(t *testing.T) {
 }
 
 // sqDist is the plain squared Euclidean distance: the kernel at unit weights.
-func sqDist(v, u Vector) float64 { return WeightedSqDist(v, u, Ones(len(v))) }
+func sqDist(v, u Vector) float64 { return WeightedSqDist(v, u, NewVector(len(v)).Fill(1)) }
 
 func TestSqDistZeroAndSymmetry(t *testing.T) {
 	a := Vector{1, 2, 3}
@@ -108,7 +108,7 @@ func TestSqDistZeroAndSymmetry(t *testing.T) {
 func TestWeightedSqDistMatchesUnweighted(t *testing.T) {
 	a := Vector{1, 2, 3, -1}
 	b := Vector{0, 2, 5, 3}
-	if got, want := WeightedSqDist(a, b, Ones(4)), 1.0+0+4+16; got != want {
+	if got, want := WeightedSqDist(a, b, NewVector(4).Fill(1)), 1.0+0+4+16; got != want {
 		t.Fatalf("WeightedSqDist(ones) = %v, want %v", got, want)
 	}
 	// Zero weight on a dimension removes its contribution entirely.

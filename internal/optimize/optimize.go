@@ -33,7 +33,14 @@ import (
 // Func evaluates an objective at x, returning f(x). If grad is non-nil it
 // must be filled with ∇f(x) (same length as x). Implementations must not
 // retain x or grad.
-type Func func(x mat.Vector, grad mat.Vector) float64
+//
+// bound is the largest value the caller would accept. The line searches
+// reject a probe whose value is above bound or NaN whatever else it is, so a
+// value-only evaluation (grad nil) may return any value above bound as soon
+// as it knows that f(x) is one or the other; it must return f(x) itself
+// whenever f(x) ≤ bound. An implementation that ignores bound always
+// satisfies this. Evaluations with a gradient pass +Inf.
+type Func func(x, grad mat.Vector, bound float64) float64
 
 // Options configures a minimization run. The zero value is usable: every
 // field has a sensible default applied by (*Options).withDefaults.
@@ -150,7 +157,7 @@ func (s *Stepper) Result() Result {
 // eval evaluates f and its gradient at the iterate.
 func (s *Stepper) eval(f Func) float64 {
 	s.evals++
-	return f(s.x, s.g)
+	return f(s.x, s.g, math.Inf(1))
 }
 
 // Minimize runs to the iteration cap (or a tolerance) in one call and
@@ -169,7 +176,9 @@ func (s *Stepper) Minimize(f Func) Result {
 // x.AddScaled(t, d) the accepted probe was built with — the same bits — and
 // then ask for value and gradient there, so a Func that remembers its last
 // evaluation point (core's objective does) answers from the probe's work
-// and runs only its gradient pass.
+// and runs only its gradient pass. Each probe carries the value it has to
+// stay under as its bound, so a Func that can tell early that it will not
+// (core's objective sums non-negative terms) stops there.
 func (s *Stepper) armijo(f Func, slope, t0 float64) float64 {
 	const c1 = 1e-4
 	if slope >= 0 {
@@ -180,9 +189,10 @@ func (s *Stepper) armijo(f Func, slope, t0 float64) float64 {
 	for t := t0; t > s.opt.StepTol; t *= 0.5 {
 		copy(s.xt, s.x)
 		s.xt.AddScaled(t, s.d)
-		ft := f(s.xt, nil)
+		accept := s.fx + c1*t*slope
+		ft := f(s.xt, nil, accept)
 		s.evals++
-		if !math.IsNaN(ft) && ft <= s.fx+c1*t*slope {
+		if !math.IsNaN(ft) && ft <= accept {
 			return t
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 // quadratic returns f(x) = Σ a_i (x_i − c_i)² with its gradient.
 func quadratic(a, c mat.Vector) Func {
-	return func(x, grad mat.Vector) float64 {
+	return func(x, grad mat.Vector, _ float64) float64 {
 		var f float64
 		for i := range x {
 			d := x[i] - c[i]
@@ -25,7 +25,7 @@ func quadratic(a, c mat.Vector) Func {
 }
 
 // rosenbrock is the classic banana function in 2D, minimum at (1, 1).
-func rosenbrock(x, grad mat.Vector) float64 {
+func rosenbrock(x, grad mat.Vector, _ float64) float64 {
 	a, b := x[0], x[1]
 	f := (1-a)*(1-a) + 100*(b-a*a)*(b-a*a)
 	if grad != nil {
@@ -47,7 +47,7 @@ func TestGradientDescentQuadratic(t *testing.T) {
 }
 
 func TestGradientDescentAtMinimum(t *testing.T) {
-	f := quadratic(mat.Ones(2), mat.Vector{1, 1})
+	f := quadratic(mat.NewVector(2).Fill(1), mat.Vector{1, 1})
 	res := NewGradientDescent(mat.Vector{1, 1}, Options{}).Minimize(f)
 	if !res.Converged {
 		t.Fatalf("should converge immediately at the minimum")
@@ -97,8 +97,8 @@ func TestGradientDescentQuasiGradient(t *testing.T) {
 	a := mat.Vector{1, 1, 1, 1}
 	c := mat.Vector{3, 3, -2, -2}
 	alpha := 50.0
-	hacked := func(x, grad mat.Vector) float64 {
-		f := quadratic(a, c)(x, grad)
+	hacked := func(x, grad mat.Vector, _ float64) float64 {
+		f := quadratic(a, c)(x, grad, math.Inf(1))
 		if grad != nil {
 			grad[2] /= alpha // pretend dims 2,3 are "weights"
 			grad[3] /= alpha
@@ -211,14 +211,14 @@ func TestQuickProjectOptimality(t *testing.T) {
 		}
 		p := x.Clone()
 		c.Project(p)
-		dp := mat.WeightedSqDist(p, x, mat.Ones(len(p)))
+		dp := mat.WeightedSqDist(p, x, mat.NewVector(len(p)).Fill(1))
 		for trial := 0; trial < 30; trial++ {
 			z := mat.NewVector(n)
 			for i := range z {
 				z[i] = r.Float64()
 			}
 			c.Project(z) // make z feasible (it already is in-box; fix sum)
-			if mat.WeightedSqDist(z, x, mat.Ones(len(z))) < dp-1e-9 {
+			if mat.WeightedSqDist(z, x, mat.NewVector(len(z)).Fill(1)) < dp-1e-9 {
 				return false
 			}
 		}
@@ -233,7 +233,7 @@ func TestProjectedGradientMatchesProjection(t *testing.T) {
 	// min ‖x − p‖² over the set is solved by projecting p.
 	p := mat.Vector{2, -1, 0.4, 0.9}
 	c := BoxSum{Lo: 0, Hi: 1, MinSum: 2.5}
-	f := quadratic(mat.Ones(4), p)
+	f := quadratic(mat.NewVector(4).Fill(1), p)
 	res := NewProjectedGradient(c.Project, mat.NewVector(4), Options{MaxIter: 500}).Minimize(f)
 	want := p.Clone()
 	c.Project(want)
@@ -248,7 +248,7 @@ func TestProjectedGradientMatchesProjection(t *testing.T) {
 func TestProjectedGradientStaysFeasible(t *testing.T) {
 	c := BoxSum{Lo: 0, Hi: 1, MinSum: 1.2}
 	// A wiggly objective pulling toward the infeasible origin.
-	f := func(x, grad mat.Vector) float64 {
+	f := func(x, grad mat.Vector, _ float64) float64 {
 		var v float64
 		for i := range x {
 			v += x[i]*x[i] + 0.1*math.Sin(5*x[i])
@@ -273,7 +273,7 @@ func TestProjectedGradientUnconstrainedInterior(t *testing.T) {
 	// When the unconstrained minimum is interior, projection must not
 	// perturb the answer.
 	c := BoxSum{Lo: 0, Hi: 1, MinSum: 0.1}
-	f := quadratic(mat.Ones(3), mat.Vector{0.5, 0.6, 0.7})
+	f := quadratic(mat.NewVector(3).Fill(1), mat.Vector{0.5, 0.6, 0.7})
 	res := NewProjectedGradient(c.Project, mat.NewVector(3), Options{MaxIter: 500}).Minimize(f)
 	if !mat.Equal(res.X, mat.Vector{0.5, 0.6, 0.7}, 1e-4) {
 		t.Fatalf("interior solution distorted: %v", res.X)
@@ -297,13 +297,13 @@ func TestQuickQuadraticGradient(t *testing.T) {
 			x[i] = r.NormFloat64()
 		}
 		g := mat.NewVector(n)
-		q(x, g)
+		q(x, g, math.Inf(1))
 		const h = 1e-6
 		for i := range x {
 			xp, xm := x.Clone(), x.Clone()
 			xp[i] += h
 			xm[i] -= h
-			fd := (q(xp, nil) - q(xm, nil)) / (2 * h)
+			fd := (q(xp, nil, math.Inf(1)) - q(xm, nil, math.Inf(1))) / (2 * h)
 			if math.Abs(fd-g[i]) > 1e-3*(1+math.Abs(fd)) {
 				return false
 			}
@@ -312,5 +312,28 @@ func TestQuickQuadraticGradient(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProjectInactiveSumIsOnePassClip: when the sum constraint cannot bind
+// (Lo ≥ 0 ≥ MinSum) Project clips without summing first; the result must be
+// the float the general path — the same box with the smallest positive
+// MinSum a sum of clipped coordinates can still meet — returns.
+func TestProjectInactiveSumIsOnePassClip(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 200; trial++ {
+		x := mat.NewVector(1 + r.Intn(20))
+		for i := range x {
+			x[i] = r.NormFloat64() * 2
+		}
+		x[r.Intn(len(x))] = 0.5 // keeps the clipped sum above the general path's MinSum
+		fast, general := x.Clone(), x.Clone()
+		BoxSum{Lo: 0, Hi: 1, MinSum: 0}.Project(fast)
+		BoxSum{Lo: 0, Hi: 1, MinSum: math.SmallestNonzeroFloat64}.Project(general)
+		for i := range x {
+			if math.Float64bits(fast[i]) != math.Float64bits(general[i]) {
+				t.Fatalf("x = %v: one-pass clip %v, general path %v", x, fast, general)
+			}
+		}
 	}
 }

@@ -68,6 +68,20 @@ func (c BoxSum) Project(x mat.Vector) {
 		}
 		return v
 	}
+	if c.Lo >= 0 && c.MinSum <= 0 {
+		// The sum constraint cannot bind (core's β = 0): every clipped
+		// coordinate is ≥ Lo ≥ 0 and a floating-point sum of non-negative
+		// terms is non-negative, so step 1's test sum ≥ MinSum passes
+		// whatever x holds and its result — each coordinate clipped, the
+		// same floats — needs no sum first. (A NaN coordinate is the one
+		// exception: it used to fail that test and send the rest through a
+		// bisection that moved them by a rounding-sized λ. The objective is
+		// NaN at such a point and every line search discards it.)
+		for i, v := range x {
+			x[i] = clip(v)
+		}
+		return
+	}
 	var sum float64
 	minX := math.Inf(1)
 	for _, v := range x {
@@ -130,18 +144,20 @@ func projectedGradientStep(s *Stepper, f Func) bool {
 		copy(xt, x)
 		xt.AddScaled(-t, s.g)
 		s.project(xt)
-		ft := f(xt, nil)
-		s.evals++
-		// Sufficient decrease relative to the projected displacement.
+		// Sufficient decrease relative to the projected displacement; the
+		// value that achieves it is the probe's bound.
 		var moved float64
 		for i := range x {
 			d := xt[i] - x[i]
 			moved += d * d
 		}
+		accept := s.fx - 1e-4*moved/t
+		ft := f(xt, nil, accept)
+		s.evals++
 		if moved <= s.opt.StepTol*s.opt.StepTol {
 			return false // projection pinned us: stationary
 		}
-		if ft <= s.fx-1e-4*moved/t {
+		if ft <= accept {
 			copy(x, xt)
 			s.fx = s.eval(f)
 			s.step = math.Min(initStep, t*2)
