@@ -2,12 +2,15 @@ package milret
 
 import (
 	"context"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"milret/internal/core"
+	"milret/internal/mat"
+	"milret/internal/mil"
 	"milret/internal/optimize"
 	"milret/internal/synth"
 )
@@ -119,6 +122,62 @@ func TestExhaustiveTrainerKeysMiss(t *testing.T) {
 	}
 	if c.c == stale {
 		t.Fatal("served the concept cached under the exhaustive trainer's key")
+	}
+}
+
+// pinnedKeys are trainFingerprint digests captured before the α-hack mode
+// was deleted. Every concept-cache sidecar in the field is keyed by them: a
+// renumbered mode, a dropped or moved tag slot, or a changed default here
+// would turn every warm entry into a miss without a trainerVersion bump.
+var pinnedKeys = map[string]string{
+	"original":             "6951891e8def9da0be6cc34fffb288646c5ed3e9027b808cee77084ff5a35852",
+	"identical":            "dce9f0e9d36be9822890418ea3f47775df825a7ce5a813e53d9564aeb0f195dd",
+	"sum-constraint":       "befb64954c9d2fb2bdf43480ba1e58d6a4de65dafd9841003f5bd7c3b4844fa9",
+	"original/tuned":       "e69d2eeafc7d7c6a78397ab5f6754fc647f70939a50d58085e4f67d7f07b4871",
+	"identical/tuned":      "c56c4ef48f104d90979f77f007feb573dab383b76f6d613bb4a22b98431bc8f0",
+	"sum-constraint/tuned": "846d3e197cb807cb20be43be1595dee3e2a341594554bc943a91cea0ee4d3754",
+}
+
+// pinnedKeyDataset is three positive and two negative bags of exactly
+// representable numbers, so the keys do not depend on featurization.
+func pinnedKeyDataset() *mil.Dataset {
+	bag := func(id string, seed float64) *mil.Bag {
+		b := &mil.Bag{ID: id}
+		for i := 0; i < 3; i++ {
+			v := mat.NewVector(4)
+			for k := range v {
+				v[k] = seed + float64(i)/4 - float64(k)/8
+			}
+			b.Instances = append(b.Instances, v)
+		}
+		return b
+	}
+	return &mil.Dataset{
+		Positive: []*mil.Bag{bag("p0", 1), bag("p1", 2), bag("p2", 3)},
+		Negative: []*mil.Bag{bag("n0", -1), bag("n1", -2)},
+	}
+}
+
+// TestPinnedKeys: each surviving mode at its defaults, then with a
+// non-default β, iteration cap and a start-bag cap below the positive count
+// (which makes the key order-sensitive), hashes to the pinned digest.
+func TestPinnedKeys(t *testing.T) {
+	ds := pinnedKeyDataset()
+	tuned := func(mode core.WeightMode) core.Config {
+		return core.Config{Mode: mode, Beta: 0.25, StartBags: 2, Opt: optimize.Options{MaxIter: 40}}
+	}
+	for name, cfg := range map[string]core.Config{
+		"original":             {Mode: core.Original},
+		"identical":            {Mode: core.Identical},
+		"sum-constraint":       {Mode: core.SumConstraint},
+		"original/tuned":       tuned(core.Original),
+		"identical/tuned":      tuned(core.Identical),
+		"sum-constraint/tuned": tuned(core.SumConstraint),
+	} {
+		k := trainFingerprint(ds, cfg.Mode, cfg)
+		if got := hex.EncodeToString(k[:]); got != pinnedKeys[name] {
+			t.Errorf("%s: key %s, pinned %s", name, got, pinnedKeys[name])
+		}
 	}
 }
 

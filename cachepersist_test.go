@@ -277,6 +277,62 @@ func TestSidecarStaleEntriesDropped(t *testing.T) {
 	}
 }
 
+// TestSidecarRetiredModeDropped: a sidecar written before the α-hack went
+// can hold its entries, under mode 2. No request fingerprints to them any
+// more, so they are dropped on load (and so never written back), while the
+// constrained entry beside them is served as a hit.
+func TestSidecarRetiredModeDropped(t *testing.T) {
+	ccFile := filepath.Join(t.TempDir(), "db.ccache")
+	db, path := persistTestDB(t, ccFile)
+	pos := idsOf(db, "car", 2)
+	neg := idsOf(db, "lamp", 1)
+	opts := TrainOptions{Mode: ConstrainedWeights, Beta: 0.5, MaxIters: 10, StartBags: 1}
+	if _, out, err := db.TrainCachedContext(bg, pos, neg, opts); err != nil || out != CacheMiss {
+		t.Fatalf("first train: %v, %v", out, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dim, saved, err := store.ReadCacheSidecar(ccFile)
+	if err != nil || len(saved) != 1 || saved[0].Mode != 3 {
+		t.Fatalf("sidecar after close: %d entries, err %v", len(saved), err)
+	}
+	retired := saved[0]
+	retired.Key[0] ^= 0xff
+	retired.Mode = 2
+	if err := store.WriteCacheSidecar(ccFile, dim, []store.CacheEntry{retired, saved[0]}); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := reopenWarm(t, path, ccFile)
+	if st := warm.Stats(); st.Cache.WarmLoaded != 1 || st.Cache.Entries != 1 {
+		t.Fatalf("warm open with a mode-2 entry: %+v", st.Cache)
+	}
+	before := ddEvals()
+	if _, out, err := warm.TrainCachedContext(bg, pos, neg, opts); err != nil || out != CacheHit {
+		t.Fatalf("constrained query after warm open: %v, %v; want hit", out, err)
+	}
+	if got := ddEvals(); got != before {
+		t.Fatalf("hit invoked the trainer (%d evals)", got-before)
+	}
+	// A miss re-arms the sidecar write; the rewrite holds live modes only.
+	if _, out, err := warm.TrainCachedContext(bg, pos, nil, opts); err != nil || out != CacheMiss {
+		t.Fatalf("fresh train: %v, %v", out, err)
+	}
+	if err := warm.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, rewritten, err := store.ReadCacheSidecar(ccFile)
+	if err != nil || len(rewritten) != 2 {
+		t.Fatalf("rewritten sidecar: %d entries, err %v", len(rewritten), err)
+	}
+	for _, e := range rewritten {
+		if e.Mode != 3 {
+			t.Fatalf("rewritten sidecar kept a mode-%d entry", e.Mode)
+		}
+	}
+}
+
 // TestSidecarMissingIsColdStart: no sidecar file at all is the ordinary
 // first boot — open succeeds, cache starts empty.
 func TestSidecarMissingIsColdStart(t *testing.T) {

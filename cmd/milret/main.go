@@ -344,7 +344,7 @@ func cmdQuery(args []string) error {
 	pos := fs.String("pos", "", "comma-separated positive example IDs")
 	neg := fs.String("neg", "", "comma-separated negative example IDs")
 	k := fs.Int("k", 12, "number of results")
-	mode := fs.String("mode", "constrained", "weight mode: original, identical, alpha-hack, constrained")
+	mode := fs.String("mode", "constrained", "weight mode: original, identical, constrained")
 	beta := fs.Float64("beta", 0.5, "sum-constraint level for constrained mode")
 	fs.Parse(args)
 

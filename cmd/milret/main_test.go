@@ -35,13 +35,15 @@ func TestSplitIDs(t *testing.T) {
 }
 
 func TestParseMode(t *testing.T) {
-	for _, good := range []string{"original", "identical", "alpha-hack", "constrained"} {
+	for _, good := range []string{"original", "identical", "constrained"} {
 		if m, err := milret.ParseWeightMode(good); err != nil || m.String() != good {
 			t.Errorf("-mode %q parsed to %v, %v", good, m, err)
 		}
 	}
-	if _, err := milret.ParseWeightMode("bogus"); err == nil {
-		t.Errorf("-mode bogus accepted")
+	for _, bad := range []string{"bogus", ""} {
+		if _, err := milret.ParseWeightMode(bad); err == nil {
+			t.Errorf("-mode %q accepted", bad)
+		}
 	}
 }
 

@@ -34,7 +34,6 @@ func main() {
 	}{
 		{"original DD", milret.TrainOptions{Mode: milret.Original}},
 		{"identical weights", milret.TrainOptions{Mode: milret.IdenticalWeights}},
-		{"alpha-hack α=50", milret.TrainOptions{Mode: milret.AlphaHackWeights, Alpha: 50}},
 		{"inequality β=0.50", milret.TrainOptions{Mode: milret.ConstrainedWeights, Beta: 0.5}},
 		{"inequality β=0.25", milret.TrainOptions{Mode: milret.ConstrainedWeights, Beta: 0.25}},
 	}

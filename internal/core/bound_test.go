@@ -28,7 +28,7 @@ func (tr *startTrace) record(res optimize.Result) {
 func traceStarts(ds *mil.Dataset, cfg Config, eval optimize.Func) []startTrace {
 	cfg = cfg.withDefaults()
 	dim := ds.Dim()
-	stops := append(rungSchedule(cfg.Mode, cfg.Opt.MaxIter), cfg.Opt.MaxIter)
+	stops := append(rungSchedule(cfg.Opt.MaxIter), cfg.Opt.MaxIter)
 	theta := mat.NewVector(thetaDim(cfg.Mode, dim))
 	var traces []startTrace
 	for _, inst := range startInstances(ds, cfg.StartBags) {
@@ -109,20 +109,18 @@ func TestBoundedProbesChangeNothing(t *testing.T) {
 	cfgs := []Config{
 		{Mode: Original, StartBags: 1, Opt: short},
 		{Mode: Identical, StartBags: 1, Opt: short},
-		{Mode: AlphaHack, StartBags: 1, Opt: short},
 		{Mode: SumConstraint, StartBags: 1, Opt: short},
 		{Mode: SumConstraint, Beta: 0.5, StartBags: 1, Opt: short},
 	}
 	for _, set := range sets {
 		ex := packExamples(set.ds)
 		for _, cfg := range cfgs {
-			alpha := cfg.withDefaults().Alpha
-			unbounded := newObjective(ex, cfg.Mode, alpha)
+			unbounded := newObjective(ex, cfg.Mode)
 			want := traceStarts(set.ds, cfg, func(theta, grad mat.Vector, _ float64) float64 {
 				return unbounded.Eval(theta, grad, math.Inf(1))
 			})
 			abandoned := 0
-			got := traceStarts(set.ds, cfg, audited(t, newObjective(ex, cfg.Mode, alpha), newObjective(ex, cfg.Mode, alpha), &abandoned))
+			got := traceStarts(set.ds, cfg, audited(t, newObjective(ex, cfg.Mode), newObjective(ex, cfg.Mode), &abandoned))
 			for i := range want {
 				if !equalBits(got[i], want[i]) {
 					t.Errorf("%s, %v β=%v: start %d differs between bounded and unbounded probes", set.name, cfg.Mode, cfg.Beta, i)
@@ -142,7 +140,7 @@ func TestAbandonedPassLeavesNoMemo(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	ds := randDataset(r, 7, 3, 2, 5)
 	ex := packExamples(ds)
-	for _, mode := range []WeightMode{Original, Identical, AlphaHack, SumConstraint} {
+	for _, mode := range []WeightMode{Original, Identical, SumConstraint} {
 		mk := func() mat.Vector {
 			theta := mat.NewVector(thetaDim(mode, ex.dim))
 			for i := range theta {
@@ -151,7 +149,7 @@ func TestAbandonedPassLeavesNoMemo(t *testing.T) {
 			return theta
 		}
 		a, b := mk(), mk()
-		o := newObjective(ex, mode, 50)
+		o := newObjective(ex, mode)
 		full := o.Eval(b, nil, math.Inf(1))
 		o.Eval(a, nil, math.Inf(1)) // remembered: a
 
@@ -160,12 +158,12 @@ func TestAbandonedPassLeavesNoMemo(t *testing.T) {
 		if !(part > 0) || !(part < full) {
 			t.Fatalf("%v: a pass bounded by 0 returned %v; the whole sum is %v", mode, part, full)
 		}
-		if got := evalBits(o, b); !equalBits(got, evalBits(newObjective(ex, mode, 50), b)) {
+		if got := evalBits(o, b); !equalBits(got, evalBits(newObjective(ex, mode), b)) {
 			t.Errorf("%v: the point of an abandoned pass was answered from what the pass left behind", mode)
 		}
 		o.Eval(a, nil, math.Inf(1))
 		o.Eval(b, nil, 0)
-		if got := evalBits(o, a); !equalBits(got, evalBits(newObjective(ex, mode, 50), a)) {
+		if got := evalBits(o, a); !equalBits(got, evalBits(newObjective(ex, mode), a)) {
 			t.Errorf("%v: the point remembered before an abandoned pass was answered from a state the pass had overwritten", mode)
 		}
 		// A bound the sum never exceeds changes nothing: the pass completes

@@ -45,8 +45,8 @@ func TrainEMDD(ds *mil.Dataset, cfg Config) (*Concept, error) {
 	}
 	results := make([]outcome, len(starts))
 	forEachStart(len(starts), cfg.Parallelism, func(int) func(int) {
-		full := newObjective(ex, cfg.Mode, cfg.Alpha)
-		sub := newSingleInstanceObjective(dim, ex.nPos, len(ex.bagEnd), cfg.Mode, cfg.Alpha)
+		full := newObjective(ex, cfg.Mode)
+		sub := newSingleInstanceObjective(dim, ex.nPos, len(ex.bagEnd), cfg.Mode)
 		return func(i int) {
 			theta, f, evals := emddFromStart(full, sub, cfg, starts[i])
 			results[i] = outcome{theta: theta, f: f, evals: evals}
@@ -131,7 +131,6 @@ type singleInstanceObjective struct {
 	nPos  int
 	dim   int
 	mode  WeightMode
-	alpha float64
 
 	// Scratch, sized at construction so the optimizer's inner loop stays
 	// allocation-free; the objective is not safe for concurrent use.
@@ -140,7 +139,7 @@ type singleInstanceObjective struct {
 	wbuf  mat.Vector
 }
 
-func newSingleInstanceObjective(dim, nPos, nBags int, mode WeightMode, alpha float64) *singleInstanceObjective {
+func newSingleInstanceObjective(dim, nPos, nBags int, mode WeightMode) *singleInstanceObjective {
 	lanes := mat.TileLanes(nBags)
 	return &singleInstanceObjective{
 		rows:  make([]float64, nBags*dim),
@@ -148,7 +147,6 @@ func newSingleInstanceObjective(dim, nPos, nBags int, mode WeightMode, alpha flo
 		nPos:  nPos,
 		dim:   dim,
 		mode:  mode,
-		alpha: alpha,
 		dists: make([]float64, lanes),
 		coefs: make([]float64, nBags),
 		wbuf:  mat.NewVector(dim),
@@ -188,8 +186,5 @@ func (o *singleInstanceObjective) Eval(theta, grad mat.Vector, _ float64) float6
 	}
 	grad.Fill(0)
 	chainRule(o.mode, grad, t, w, o.wbuf, o.rows, o.coefs)
-	if o.mode == AlphaHack && o.alpha > 0 {
-		grad[o.dim:].Scale(1 / o.alpha)
-	}
 	return f
 }

@@ -110,7 +110,7 @@ func TestSingleInstanceObjectiveGradient(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for _, mode := range []WeightMode{Original, Identical, SumConstraint} {
 		dim := 3
-		o := newSingleInstanceObjective(dim, 3, 6, mode, 0)
+		o := newSingleInstanceObjective(dim, 3, 6, mode)
 		for i := 0; i < 6; i++ {
 			row := mat.NewVector(dim)
 			for k := range row {

@@ -66,7 +66,6 @@ func conceptDigest(c *Concept) string {
 var goldenDigests = map[string]string{
 	"bench32/original":        "a2ff663de296029f4603cc5aab650e357abd813c90c625494f91e2c941cc4eeb",
 	"bench32/identical":       "4d7f005d2b819cd4c0c065fdf065117a673d59d6bbe98faba3ebdbf436113b37",
-	"bench32/alphahack":       "fa9285f01a293fc47e7dc0777bc1f562f95702a7e277c8cd5bc5dbf221c37264",
 	"bench32/sum-b0":          "9a2f1fabff5c059cd636c7b12f69accee29012bfdec4d3a529ca16a7060cdcb8",
 	"bench32/sum-b0.5":        "50ad1686b395a94040223d9c668fdc1245e224f938ceaf0898636c6c890edaa6",
 	"bench32/emdd-original":   "a4a9479e4db3ffded7e4678590c6165b7786c6cac4880e237893c6bbf935b78f",
@@ -74,7 +73,6 @@ var goldenDigests = map[string]string{
 	"bench32/sum-b0-defaults": "8a36d1de1f56a532fa5e2fff7f7514c753013d75d5290f505c55feeb5b58e8de",
 	"scenes/original":         "36782430075fcdfa374fc8b00ff85b6d59ab4ddf5adb19c61c0677ded75b1c00",
 	"scenes/identical":        "e8da7805c41c937d18a7dfaa9ffc7c0603ad0a904f9e861239dc36d911c5bf23",
-	"scenes/alphahack":        "cea61c70bdaa7f13db397c9e7b27ba9b027cf5951c576bac7b59fcec570a1b5a",
 	"scenes/sum-b0":           "6881add34162e1be9e9bff43cdd99646d35aafe4d602af07655b0b3a01e54ece",
 	"scenes/sum-b0.5":         "f34a4b41dce0e3dbec3db18ec718927c2cdbcd444d961f0fcaa1c59be89f5705",
 	"scenes/emdd-original":    "e3131ec50edf076fc8bdc7cbfb98352763bc8dc822b0a5b433a9416b4150058e",
@@ -85,8 +83,7 @@ var goldenDigests = map[string]string{
 // racedDigests pin Train itself — the successive-halving race on its default
 // schedule — for the same sets and configurations. They were captured once,
 // on the commit that introduced the race, and are held to the same rule:
-// a change that moves one has changed what training returns. AlphaHack has no
-// rows: it is not raced (rungSchedule), so Train still owes it goldenDigests.
+// a change that moves one has changed what training returns.
 var racedDigests = map[string]string{
 	"bench32/original":        "6ea80d2fb9fff7a0094249fcabad6a9cf7ee9bbec46afba801fb7c6ed45f7e6f",
 	"bench32/identical":       "4d7f005d2b819cd4c0c065fdf065117a673d59d6bbe98faba3ebdbf436113b37",
@@ -151,7 +148,6 @@ func TestGoldenBitIdentity(t *testing.T) {
 	}{
 		{"original", false, Config{Mode: Original, StartBags: 1, Opt: short}},
 		{"identical", false, Config{Mode: Identical, StartBags: 1, Opt: short}},
-		{"alphahack", false, Config{Mode: AlphaHack, StartBags: 1, Opt: short}},
 		{"sum-b0", false, Config{Mode: SumConstraint, StartBags: 1, Opt: short}},
 		{"sum-b0.5", false, Config{Mode: SumConstraint, Beta: 0.5, StartBags: 1, Opt: short}},
 		{"emdd-original", true, Config{Mode: Original, StartBags: 1, Opt: short}},
@@ -201,11 +197,7 @@ func TestGoldenBitIdentity(t *testing.T) {
 				pinned(t, goldenDigests, name, set.ds, tc.cfg, exhaustive, 1, runtime.NumCPU())
 				// 2 and 5 leave workers idle in the late rungs (5 survivors,
 				// then fewer) and make them swap starts between rungs.
-				raced := racedDigests
-				if tc.cfg.Mode == AlphaHack {
-					raced = goldenDigests
-				}
-				pinned(t, raced, name, set.ds, tc.cfg, Train, 1, 2, 5, runtime.NumCPU())
+				pinned(t, racedDigests, name, set.ds, tc.cfg, Train, 1, 2, 5, runtime.NumCPU())
 			})
 		}
 	}

@@ -26,13 +26,8 @@ func TestRungSchedule(t *testing.T) {
 		120: {8, 24, 72},
 		250: {8, 24, 72, 216},
 	} {
-		for _, mode := range []WeightMode{Original, Identical, SumConstraint} {
-			if got := rungSchedule(mode, maxIter); !reflect.DeepEqual(got, want) {
-				t.Errorf("rungSchedule(%v, %d) = %v, want %v", mode, maxIter, got, want)
-			}
-		}
-		if got := rungSchedule(AlphaHack, maxIter); got != nil {
-			t.Errorf("rungSchedule(AlphaHack, %d) = %v, want no barriers", maxIter, got)
+		if got := rungSchedule(maxIter); !reflect.DeepEqual(got, want) {
+			t.Errorf("rungSchedule(%d) = %v, want %v", maxIter, got, want)
 		}
 	}
 }
@@ -108,7 +103,6 @@ func TestRaceEdgeShapes(t *testing.T) {
 		{"cap of one: no barrier", wide, Config{Mode: SumConstraint, Opt: optimize.Options{MaxIter: 1}}, 24},
 		{"cap at the first rung: no barrier", wide, Config{Mode: Identical, Opt: optimize.Options{MaxIter: 8}}, 24},
 		{"cap just past it: one barrier, one more iteration", wide, Config{Mode: Original, Opt: optimize.Options{MaxIter: 9}}, 24},
-		{"alpha-hack: no barrier", wide, Config{Mode: AlphaHack}, 24},
 		{"start bags", wide, Config{Mode: SumConstraint, Beta: 0.5, StartBags: 2}, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,7 +134,7 @@ func TestRaceEdgeShapes(t *testing.T) {
 					t.Errorf("Parallelism %d trained a different concept", par)
 				}
 			}
-			if len(rungSchedule(tc.cfg.Mode, tc.cfg.withDefaults().Opt.MaxIter)) == 0 || tc.starts == 1 {
+			if len(rungSchedule(tc.cfg.withDefaults().Opt.MaxIter)) == 0 || tc.starts == 1 {
 				// Nothing to thin: the race is the exhaustive run.
 				if digest != conceptDigest(oracle) {
 					t.Errorf("no barrier could drop a start, yet the race differs from the exhaustive run")
@@ -327,7 +321,6 @@ func TestRaceQuality(t *testing.T) {
 		for _, cfg := range []Config{
 			{Mode: Original, StartBags: 1},
 			{Mode: Identical, StartBags: 1},
-			{Mode: AlphaHack, StartBags: 1},
 			{Mode: SumConstraint},
 			{Mode: SumConstraint, Beta: 0.5},
 		} {

@@ -41,10 +41,10 @@ const (
 	// Identical forces every weight to one and maximizes over t only
 	// (§3.6.1).
 	Identical
-	// AlphaHack keeps the Original parametrization but scales the w-part
-	// of the gradient by 1/α, making the ascent reluctant to move weights
-	// (§3.6.2). α=1 reproduces Original; α→∞ approaches Identical.
-	AlphaHack
+	// 2 was the §3.6.2 α-hack (the weight gradient divided by α). It stays
+	// unassigned: byte(mode) is in every cache key and concept-cache
+	// sidecar frame, so the surviving modes keep their numbers.
+	_
 	// SumConstraint optimizes w directly under 0 ≤ w_k ≤ 1 and
 	// Σ w_k ≥ β·n (§3.6.3), replacing the paper's CFSQP with projected
 	// gradient descent. β=0 is unconstrained (like Original but with the
@@ -58,8 +58,6 @@ func (m WeightMode) String() string {
 		return "original"
 	case Identical:
 		return "identical"
-	case AlphaHack:
-		return "alpha-hack"
 	case SumConstraint:
 		return "sum-constraint"
 	}
@@ -124,7 +122,7 @@ func packExamples(ds *mil.Dataset) *exampleSet {
 // weight mode and the layout of the optimization variable θ.
 //
 // Layouts: Identical packs θ = t (dim n); all other modes pack θ = [t; w]
-// (dim 2n). Original and AlphaHack interpret w through w² in the distance;
+// (dim 2n). Original interprets w through w² in the distance;
 // SumConstraint uses w directly (its projection keeps w ∈ [0,1]).
 //
 // An evaluation is two passes. The forward pass goes bag by bag — the bag's
@@ -147,10 +145,9 @@ func packExamples(ds *mil.Dataset) *exampleSet {
 // one: a positive bag's term is not a sum over its instances. A pass that
 // stops early leaves nothing remembered.
 type objective struct {
-	ex    *exampleSet
-	dim   int
-	mode  WeightMode
-	alpha float64
+	ex   *exampleSet
+	dim  int
+	mode WeightMode
 
 	// Scratch and memo, sized at construction; objective is not safe for
 	// concurrent use — each training worker owns its own (forEachStart).
@@ -163,8 +160,8 @@ type objective struct {
 	memoValid bool
 }
 
-func newObjective(ex *exampleSet, mode WeightMode, alpha float64) *objective {
-	o := &objective{ex: ex, dim: ex.dim, mode: mode, alpha: alpha}
+func newObjective(ex *exampleSet, mode WeightMode) *objective {
+	o := &objective{ex: ex, dim: ex.dim, mode: mode}
 	o.dists = make([]float64, ex.nLanes)
 	o.coefs = make([]float64, ex.nRows)
 	o.wbuf = mat.NewVector(o.dim)
@@ -192,7 +189,7 @@ func splitTheta(mode WeightMode, dim int, theta mat.Vector) (t, w mat.Vector) {
 }
 
 // distWeights fills buf with the effective distance weights W_k for the
-// packed w (W = w² for Original/AlphaHack, W = w for SumConstraint, all-ones
+// packed w (W = w² for Original, W = w for SumConstraint, all-ones
 // for Identical).
 func distWeights(mode WeightMode, w, buf mat.Vector) {
 	switch mode {
@@ -200,7 +197,7 @@ func distWeights(mode WeightMode, w, buf mat.Vector) {
 		buf.Fill(1)
 	case SumConstraint:
 		copy(buf, w)
-	default: // Original, AlphaHack
+	default: // Original
 		for k, v := range w {
 			buf[k] = v * v
 		}
@@ -209,7 +206,7 @@ func distWeights(mode WeightMode, w, buf mat.Vector) {
 
 // chainRule folds per-instance coefficients ∂f/∂d through the distance's
 // partial derivatives into grad, in row order:
-// ∂d/∂t_k = 2 W_k (t_k − x_k); Original/AlphaHack ∂d/∂w_k = 2 w_k (t_k − x_k)²;
+// ∂d/∂t_k = 2 W_k (t_k − x_k); Original ∂d/∂w_k = 2 w_k (t_k − x_k)²;
 // SumConstraint ∂d/∂w_k = (t_k − x_k)²; Identical has no weight part. The
 // per-dimension loop itself lives in mat.GradAccumRows.
 func chainRule(mode WeightMode, grad, t, w, W mat.Vector, rows, coefs []float64) {
@@ -219,7 +216,7 @@ func chainRule(mode WeightMode, grad, t, w, W mat.Vector, rows, coefs []float64)
 		mat.GradAccumRows(grad, nil, t, W, nil, rows, coefs, 2, 0)
 	case SumConstraint:
 		mat.GradAccumRows(grad[:dim], grad[dim:], t, W, nil, rows, coefs, 2, 1)
-	default: // Original, AlphaHack
+	default: // Original
 		mat.GradAccumRows(grad[:dim], grad[dim:], t, W, w, rows, coefs, 2, 2)
 	}
 }
@@ -279,14 +276,6 @@ func (o *objective) Eval(theta, grad mat.Vector, bound float64) float64 {
 	grad.Fill(0)
 	t, w := splitTheta(o.mode, o.dim, theta)
 	chainRule(o.mode, grad, t, w, o.wbuf, o.ex.rows, o.coefs)
-	if o.mode == AlphaHack && o.alpha > 0 {
-		// §3.6.2: scale the w-part of the gradient by 1/α, making the
-		// ascent reluctant to move weights. This is a quasi-gradient — no
-		// objective has these partial derivatives — which is why AlphaHack
-		// runs under plain gradient descent.
-		gw := grad[o.dim:]
-		gw.Scale(1 / o.alpha)
-	}
 	return f
 }
 

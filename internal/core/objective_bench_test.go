@@ -61,7 +61,7 @@ func benchThetas(ds *mil.Dataset, o *objective) [2]mat.Vector {
 func benchObjectiveEval(b *testing.B, mode WeightMode) {
 	b.Helper()
 	ds := benchDataset(5, 5)
-	o := newObjective(packExamples(ds), mode, 50)
+	o := newObjective(packExamples(ds), mode)
 	thetas := benchThetas(ds, o)
 	grad := mat.NewVector(o.thetaDim())
 	b.ReportAllocs()
@@ -80,7 +80,7 @@ func BenchmarkObjectiveEvalConstrained(b *testing.B) { benchObjectiveEval(b, Sum
 // at the same θ, which reuses the probe's forward pass.
 func BenchmarkObjectiveProbeThenGrad(b *testing.B) {
 	ds := benchDataset(5, 5)
-	o := newObjective(packExamples(ds), SumConstraint, 50)
+	o := newObjective(packExamples(ds), SumConstraint)
 	thetas := benchThetas(ds, o)
 	grad := mat.NewVector(o.thetaDim())
 	b.ReportAllocs()
@@ -144,9 +144,9 @@ func BenchmarkTrainColdScenes(b *testing.B) {
 // BenchmarkSingleInstanceEval is the EM-DD M-step counterpart.
 func BenchmarkSingleInstanceEval(b *testing.B) {
 	ds := benchDataset(5, 5)
-	full := newObjective(packExamples(ds), Original, 50)
+	full := newObjective(packExamples(ds), Original)
 	theta := benchThetas(ds, full)[0]
-	sub := newSingleInstanceObjective(full.dim, len(ds.Positive), len(ds.Positive)+len(ds.Negative), Original, 50)
+	sub := newSingleInstanceObjective(full.dim, len(ds.Positive), len(ds.Positive)+len(ds.Negative), Original)
 	full.representatives(theta, sub)
 	grad := mat.NewVector(full.thetaDim())
 	b.ReportAllocs()

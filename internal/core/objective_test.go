@@ -54,7 +54,7 @@ func TestGradientFiniteDiffOriginal(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
 		ds := randDataset(r, 3, 2, 2, 3)
-		obj := newObjective(packExamples(ds), Original, 0)
+		obj := newObjective(packExamples(ds), Original)
 		theta := mat.NewVector(obj.thetaDim())
 		for i := range theta {
 			theta[i] = r.NormFloat64() * 0.5
@@ -71,7 +71,7 @@ func TestGradientFiniteDiffIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 10; trial++ {
 		ds := randDataset(r, 4, 2, 2, 3)
-		obj := newObjective(packExamples(ds), Identical, 0)
+		obj := newObjective(packExamples(ds), Identical)
 		theta := mat.NewVector(obj.thetaDim())
 		for i := range theta {
 			theta[i] = r.NormFloat64() * 0.5
@@ -84,7 +84,7 @@ func TestGradientFiniteDiffSumConstraint(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 10; trial++ {
 		ds := randDataset(r, 3, 2, 2, 3)
-		obj := newObjective(packExamples(ds), SumConstraint, 0)
+		obj := newObjective(packExamples(ds), SumConstraint)
 		theta := mat.NewVector(obj.thetaDim())
 		for i := 0; i < 3; i++ {
 			theta[i] = r.NormFloat64() * 0.5
@@ -102,38 +102,9 @@ func TestGradientFiniteDiffTinyBranch(t *testing.T) {
 	// matching finite differences.
 	r := rand.New(rand.NewSource(4))
 	ds := randDataset(r, 3, 2, 1, 3)
-	obj := newObjective(packExamples(ds), Identical, 0)
+	obj := newObjective(packExamples(ds), Identical)
 	theta := mat.Vector{9, -9, 9} // distance² >> 30 from all instances
 	fdCheck(t, obj, theta, 1e-3)
-}
-
-func TestAlphaHackScalesOnlyWeightGradient(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	ds := randDataset(r, 3, 2, 2, 3)
-	alpha := 50.0
-	orig := newObjective(packExamples(ds), Original, 0)
-	hack := newObjective(packExamples(ds), AlphaHack, alpha)
-	theta := mat.NewVector(orig.thetaDim())
-	for i := range theta {
-		theta[i] = r.NormFloat64()*0.3 + 0.5
-	}
-	gOrig := mat.NewVector(len(theta))
-	gHack := mat.NewVector(len(theta))
-	fo := orig.Eval(theta, gOrig, math.Inf(1))
-	fh := hack.Eval(theta, gHack, math.Inf(1))
-	if math.Abs(fo-fh) > 1e-12 {
-		t.Fatalf("objective value must not change under the hack: %v vs %v", fo, fh)
-	}
-	for i := 0; i < 3; i++ {
-		if math.Abs(gOrig[i]-gHack[i]) > 1e-12 {
-			t.Fatalf("t-gradient changed at %d: %v vs %v", i, gOrig[i], gHack[i])
-		}
-	}
-	for i := 3; i < 6; i++ {
-		if math.Abs(gOrig[i]/alpha-gHack[i]) > 1e-12 {
-			t.Fatalf("w-gradient not scaled by 1/α at %d: %v vs %v", i, gOrig[i]/alpha, gHack[i])
-		}
-	}
 }
 
 func TestPosBagNLLSoftmaxBranch(t *testing.T) {
@@ -215,7 +186,7 @@ func TestQuickObjectiveFavorsSharedPositives(t *testing.T) {
 			near[1] += r.NormFloat64() * 0.05
 			ds.Positive = append(ds.Positive, &mil.Bag{ID: "p", Instances: []mat.Vector{near, noise}})
 		}
-		obj := newObjective(packExamples(ds), Identical, 0)
+		obj := newObjective(packExamples(ds), Identical)
 		far := mat.Vector{-4, 4}
 		return obj.Eval(target, nil, math.Inf(1)) < obj.Eval(far, nil, math.Inf(1))
 	}
@@ -288,19 +259,19 @@ func TestProbeThenGradientReusesForwardPass(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	ds := randDataset(r, 7, 3, 2, 5)
 	ex := packExamples(ds)
-	for _, mode := range []WeightMode{Original, Identical, AlphaHack, SumConstraint} {
+	for _, mode := range []WeightMode{Original, Identical, SumConstraint} {
 		mk := func() mat.Vector {
-			theta := mat.NewVector(newObjective(ex, mode, 50).thetaDim())
+			theta := mat.NewVector(newObjective(ex, mode).thetaDim())
 			for i := range theta {
 				theta[i] = 0.2 + 0.6*r.Float64()
 			}
 			return theta
 		}
 		a, b := mk(), mk()
-		coldA := evalBits(newObjective(ex, mode, 50), a)
-		coldB := evalBits(newObjective(ex, mode, 50), b)
+		coldA := evalBits(newObjective(ex, mode), a)
+		coldB := evalBits(newObjective(ex, mode), b)
 
-		o := newObjective(ex, mode, 50)
+		o := newObjective(ex, mode)
 		fa := o.Eval(a, nil, math.Inf(1))
 		if math.Float64bits(fa) != coldA[0] {
 			t.Fatalf("%v: probe value %x, cold %x", mode, math.Float64bits(fa), coldA[0])
@@ -323,7 +294,7 @@ func TestProbeThenGradientReusesForwardPass(t *testing.T) {
 		a2 := a.Clone()
 		a2[0] = math.Float64frombits(math.Float64bits(a2[0]) ^ 1)
 		o.Eval(a, nil, math.Inf(1))
-		if got := evalBits(o, a2); !equalBits(got, evalBits(newObjective(ex, mode, 50), a2)) {
+		if got := evalBits(o, a2); !equalBits(got, evalBits(newObjective(ex, mode), a2)) {
 			t.Fatalf("%v: a one-ulp θ change was answered from the memo", mode)
 		}
 	}
@@ -349,11 +320,11 @@ func TestRepresentativesPicksNearestInstance(t *testing.T) {
 	ds := randDataset(r, 6, 2, 2, 4)
 	ds.Positive[1].Instances[3] = ds.Positive[1].Instances[1].Clone() // an exact tie
 	ex := packExamples(ds)
-	o := newObjective(ex, SumConstraint, 0)
+	o := newObjective(ex, SumConstraint)
 	theta := mat.NewVector(o.thetaDim())
 	copy(theta[:o.dim], ds.Positive[1].Instances[1])
 	theta[o.dim:].Fill(0.5)
-	sub := newSingleInstanceObjective(o.dim, 2, 4, SumConstraint, 0)
+	sub := newSingleInstanceObjective(o.dim, 2, 4, SumConstraint)
 	o.representatives(theta, sub)
 	bags := append(append([]*mil.Bag{}, ds.Positive...), ds.Negative...)
 	for i, b := range bags {

@@ -68,10 +68,6 @@ func TrainerStats() TrainStats {
 type Config struct {
 	// Mode selects the weight-control scheme (§3.6). Default Original.
 	Mode WeightMode
-	// Alpha is the gradient divisor for AlphaHack (§3.6.2); the paper
-	// found values around 50 occasionally better than both extremes.
-	// Ignored by other modes. Default 50.
-	Alpha float64
 	// Beta is the sum-constraint level for SumConstraint (§3.6.3):
 	// Σ w_k ≥ Beta·dim with w_k ∈ [0,1]. Beta 0 leaves only the box;
 	// Beta 1 forces all weights to one. Ignored by other modes.
@@ -88,25 +84,16 @@ type Config struct {
 	Parallelism int
 }
 
-// Defaults applied by Config.withDefaults, exported so cache-key
-// canonicalization (the concept cache fingerprints the *effective*
-// configuration) stays single-sourced with the training behavior: a
-// request spelling a default explicitly and one leaving it zero must
-// hash identically exactly when they train identically.
-const (
-	// DefaultAlpha is the AlphaHack gradient divisor used when
-	// Config.Alpha is unset.
-	DefaultAlpha = 50
-	// DefaultMaxIter bounds optimizer iterations per start when
-	// Config.Opt.MaxIter is unset. It is where the race's last survivors
-	// stop; the barriers before it (8, 24, 72) do not move with it.
-	DefaultMaxIter = 120
-)
+// DefaultMaxIter bounds optimizer iterations per start when
+// Config.Opt.MaxIter is unset. It is where the race's last survivors stop;
+// the barriers before it (8, 24, 72) do not move with it. It is exported so
+// cache-key canonicalization (the concept cache fingerprints the
+// *effective* configuration) stays single-sourced with the training
+// behavior: a request spelling the default explicitly and one leaving it
+// zero must hash identically exactly when they train identically.
+const DefaultMaxIter = 120
 
 func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 {
-		c.Alpha = DefaultAlpha
-	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.NumCPU()
 	}
@@ -126,7 +113,7 @@ type Concept struct {
 	// Point is the concept location t.
 	Point mat.Vector
 	// Weights are the effective distance weights W_k such that
-	// dist(x) = Σ_k W_k (t_k − x_k)². For Original/AlphaHack these are the
+	// dist(x) = Σ_k W_k (t_k − x_k)². For Original these are the
 	// squared raw weights; for Identical, all ones; for SumConstraint, the
 	// constrained weights themselves.
 	Weights mat.Vector
@@ -180,7 +167,7 @@ func (c *Concept) BestInstance(b *mil.Bag) (dist float64, index int) {
 // from running every start to the cap.
 func Train(ds *mil.Dataset, cfg Config) (*Concept, error) {
 	cfg = cfg.withDefaults()
-	return train(ds, cfg, rungSchedule(cfg.Mode, cfg.Opt.MaxIter))
+	return train(ds, cfg, rungSchedule(cfg.Opt.MaxIter))
 }
 
 // The race's schedule. The first barrier stands after raceFirstRung
@@ -207,17 +194,7 @@ const (
 // rungSchedule returns the iteration counts at which the race stops every
 // running start and drops the laggards: 8, 24, 72 for the default cap of
 // 120. A shorter cap has fewer barriers, and a cap of 8 or less none.
-//
-// AlphaHack has none. A barrier is only as good as an early objective is at
-// predicting a late one, and steepest descent on the α-hack's quasi-gradient
-// is still falling by orders of magnitude at the cap: on the same scenes the
-// eventual winner ranked 104th of 120 after 8 iterations and 92nd after 24,
-// and racing it cost precision@10 0.81 → 0.62. Its multi-start stays
-// exhaustive.
-func rungSchedule(mode WeightMode, maxIter int) []int {
-	if mode == AlphaHack {
-		return nil
-	}
+func rungSchedule(maxIter int) []int {
 	var rungs []int
 	for r := raceFirstRung; r < maxIter; r *= raceFactor {
 		rungs = append(rungs, r)
@@ -261,7 +238,7 @@ func train(ds *mil.Dataset, cfg Config, rungs []int) (*Concept, error) {
 	advance := func(upTo int) {
 		forEachStart(len(live), len(objs), func(w int) func(int) {
 			if objs[w] == nil {
-				objs[w] = newObjective(ex, cfg.Mode, cfg.Alpha)
+				objs[w] = newObjective(ex, cfg.Mode)
 			}
 			f := objs[w].Eval
 			return func(i int) { runs[live[i]].Run(f, upTo) }
@@ -393,17 +370,14 @@ func initTheta(theta, inst mat.Vector, dim int) {
 }
 
 // newStepper prepares the mode's minimizer at theta: projected gradient
-// under the §3.6.3 box-and-sum constraint, plain gradient descent for the
-// α-hack's quasi-gradient (§3.6.2), L-BFGS for the unconstrained modes.
-// The stepper copies theta; the caller may reuse it.
+// under the §3.6.3 box-and-sum constraint, L-BFGS for the unconstrained
+// modes. The stepper copies theta; the caller may reuse it.
 func newStepper(cfg Config, dim int, theta mat.Vector) *optimize.Stepper {
 	switch cfg.Mode {
 	case SumConstraint:
 		con := optimize.BoxSum{Lo: 0, Hi: 1, MinSum: cfg.Beta * float64(dim)}
 		project := func(th mat.Vector) { con.Project(th[dim:]) }
 		return optimize.NewProjectedGradient(project, theta, cfg.Opt)
-	case AlphaHack:
-		return optimize.NewGradientDescent(theta, cfg.Opt)
 	default: // Original, Identical
 		return optimize.NewLBFGS(theta, cfg.Opt)
 	}
@@ -414,7 +388,7 @@ func newStepper(cfg Config, dim int, theta mat.Vector) *optimize.Stepper {
 // weight parametrization differences between modes are bypassed by treating
 // W as SumConstraint-style direct weights.
 func NegLogDDAt(ds *mil.Dataset, t, weights mat.Vector) float64 {
-	obj := newObjective(packExamples(ds), SumConstraint, 0)
+	obj := newObjective(packExamples(ds), SumConstraint)
 	theta := mat.NewVector(2 * len(t))
 	copy(theta[:len(t)], t)
 	copy(theta[len(t):], weights)

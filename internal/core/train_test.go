@@ -51,7 +51,7 @@ func plantedDataset(r *rand.Rand, target mat.Vector, nPos, nNeg, distractors int
 
 func TestTrainRecoversPlantedConceptAllModes(t *testing.T) {
 	target := mat.Vector{2, -1}
-	for _, mode := range []WeightMode{Original, Identical, AlphaHack, SumConstraint} {
+	for _, mode := range []WeightMode{Original, Identical, SumConstraint} {
 		r := rand.New(rand.NewSource(42))
 		ds := plantedDataset(r, target, 5, 3, 4)
 		cfg := Config{Mode: mode, Beta: 0.5, Parallelism: 2}
@@ -258,7 +258,7 @@ func TestWeightModeString(t *testing.T) {
 	for m, want := range map[WeightMode]string{
 		Original:       "original",
 		Identical:      "identical",
-		AlphaHack:      "alpha-hack",
+		WeightMode(2):  "unknown",
 		SumConstraint:  "sum-constraint",
 		WeightMode(99): "unknown",
 	} {

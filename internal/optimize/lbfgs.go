@@ -47,7 +47,7 @@ func (h *history) admit(sy float64) {
 }
 
 // NewLBFGS prepares a limited-memory BFGS run (two-loop recursion, Armijo
-// backtracking) from x0. It is the default minimizer for the unconstrained
+// backtracking) from x0. It is the minimizer for the unconstrained
 // Diverse Density modes (Original and Identical weights), where the
 // high-dimensional (t, w) search of §2.2.2 makes plain gradient descent
 // painfully slow.

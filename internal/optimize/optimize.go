@@ -4,9 +4,8 @@
 // quadratic programming, §3.6.3) — neither is available here, so the package
 // implements the needed machinery from scratch:
 //
-//   - backtracking (Armijo) line search;
-//   - gradient descent, robust to the "hacked" quasi-gradients of §3.6.2;
-//   - L-BFGS with the two-loop recursion for the unconstrained modes;
+//   - L-BFGS with the two-loop recursion and a backtracking (Armijo) line
+//     search for the unconstrained modes;
 //   - exact Euclidean projection onto {x ∈ [lo,hi]ⁿ : Σx ≥ c} and projected
 //     gradient descent, which replaces CFSQP for the paper's single linear
 //     inequality constraint on the weight sum.
@@ -19,7 +18,7 @@
 // performs exactly the evaluations of the same run advanced in one call, and
 // allocates nothing after construction.
 //
-// All minimizers share the Func/Options/Result vocabulary. Minimization is
+// Both minimizers share the Func/Options/Result vocabulary. Minimization is
 // the house convention; Diverse Density is maximized by minimizing
 // −log(DD), exactly as the paper does (§3.6.3 footnote).
 package optimize
@@ -47,10 +46,10 @@ type Func func(x, grad mat.Vector, bound float64) float64
 type Options struct {
 	// MaxIter bounds the number of outer iterations (default 200).
 	MaxIter int
-	// GradTol stops LBFGS and GradientDescent when the max-abs gradient
-	// entry falls below it (default 1e-6). ProjectedGradient does not read
-	// it: at a constrained minimum the gradient is not small, and the method
-	// stops on StepTol alone.
+	// GradTol stops LBFGS when the max-abs gradient entry falls below it
+	// (default 1e-6). ProjectedGradient does not read it: at a constrained
+	// minimum the gradient is not small, and the method stops on StepTol
+	// alone.
 	GradTol float64
 	// StepTol stops the run when the line search cannot make progress
 	// larger than it (default 1e-12). It is the only tolerance of
@@ -169,8 +168,8 @@ func (s *Stepper) Minimize(f Func) Result {
 
 // armijo backtracks from step t0 along s.d until the sufficient decrease
 // condition f(x+t·d) ≤ fx + 1e-4·t·slope holds, where slope is the
-// (estimated) directional derivative at x. It returns the accepted step; 0
-// means failure.
+// directional derivative at x. It returns the accepted step; 0 means
+// failure.
 //
 // The accepted value is not returned: callers move x by the same
 // x.AddScaled(t, d) the accepted probe was built with — the same bits — and
@@ -182,8 +181,9 @@ func (s *Stepper) Minimize(f Func) Result {
 func (s *Stepper) armijo(f Func, slope, t0 float64) float64 {
 	const c1 = 1e-4
 	if slope >= 0 {
-		// Not a descent direction: the caller handed us a quasi-gradient
-		// (§3.6.2) that points uphill, or we are at a stationary point.
+		// Not a descent direction. L-BFGS falls back to steepest descent
+		// before asking, so only a zero gradient — a stationary point —
+		// gets here.
 		return 0
 	}
 	for t := t0; t > s.opt.StepTol; t *= 0.5 {
@@ -197,33 +197,4 @@ func (s *Stepper) armijo(f Func, slope, t0 float64) float64 {
 		}
 	}
 	return 0
-}
-
-// NewGradientDescent prepares a steepest-descent run with Armijo
-// backtracking from x0. It is the workhorse for the §3.6.2 α-hack mode, whose
-// modified partial derivatives do not correspond to any objective and
-// therefore rule out curvature-based methods: steepest descent only needs
-// the (quasi-)gradient to be a descent direction, which positive rescaling
-// of components preserves.
-func NewGradientDescent(x0 mat.Vector, opt Options) *Stepper {
-	s := newStepper(gradientDescentStep, x0, opt)
-	s.d = mat.NewVector(len(x0))
-	return s
-}
-
-func gradientDescentStep(s *Stepper, f Func) bool {
-	if s.g.MaxAbs() < s.opt.GradTol {
-		return false
-	}
-	copy(s.d, s.g)
-	s.d.Scale(-1)
-	t := s.armijo(f, s.g.Dot(s.d), s.step)
-	if t == 0 {
-		return false
-	}
-	s.x.AddScaled(t, s.d)
-	// Warm-start the next line search near the accepted step.
-	s.step = math.Min(initStep, t*2)
-	s.fx = s.eval(f)
-	return true
 }

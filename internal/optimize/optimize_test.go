@@ -35,22 +35,11 @@ func rosenbrock(x, grad mat.Vector, _ float64) float64 {
 	return f
 }
 
-func TestGradientDescentQuadratic(t *testing.T) {
-	f := quadratic(mat.Vector{1, 3, 0.5}, mat.Vector{2, -1, 4})
-	res := NewGradientDescent(mat.Vector{0, 0, 0}, Options{MaxIter: 500}).Minimize(f)
-	if !mat.Equal(res.X, mat.Vector{2, -1, 4}, 1e-3) {
-		t.Fatalf("GD solution %v, want (2,-1,4); f=%v", res.X, res.F)
-	}
-	if res.Evals == 0 || res.Iters == 0 {
-		t.Fatalf("bookkeeping missing: %+v", res)
-	}
-}
-
-func TestGradientDescentAtMinimum(t *testing.T) {
+func TestLBFGSAtMinimum(t *testing.T) {
 	f := quadratic(mat.NewVector(2).Fill(1), mat.Vector{1, 1})
-	res := NewGradientDescent(mat.Vector{1, 1}, Options{}).Minimize(f)
-	if !res.Converged {
-		t.Fatalf("should converge immediately at the minimum")
+	res := NewLBFGS(mat.Vector{1, 1}, Options{}).Minimize(f)
+	if !res.Converged || res.Iters != 1 || res.Evals != 1 {
+		t.Fatalf("should converge immediately at the minimum: %+v", res)
 	}
 	if res.F > 1e-12 {
 		t.Fatalf("f at minimum = %v", res.F)
@@ -72,7 +61,10 @@ func TestLBFGSRosenbrock(t *testing.T) {
 	}
 }
 
-func TestLBFGSBeatsGDOnIllConditioned(t *testing.T) {
+// TestLBFGSIllConditioned: a 20-dimensional quadratic with curvatures from 1
+// to 10^3.8. L-BFGS must stop on its gradient tolerance (177 iterations at
+// the time of writing) inside a cap of 300, with −log DD's usual accuracy.
+func TestLBFGSIllConditioned(t *testing.T) {
 	n := 20
 	a := mat.NewVector(n)
 	c := mat.NewVector(n)
@@ -80,39 +72,9 @@ func TestLBFGSBeatsGDOnIllConditioned(t *testing.T) {
 		a[i] = math.Pow(10, float64(i)/5) // condition number 1e4-ish
 		c[i] = float64(i%3) - 1
 	}
-	opt := Options{MaxIter: 300, GradTol: 1e-9}
-	lb := NewLBFGS(mat.NewVector(n), opt).Minimize(quadratic(a, c))
-	gd := NewGradientDescent(mat.NewVector(n), opt).Minimize(quadratic(a, c))
-	if lb.F > gd.F+1e-9 {
-		t.Fatalf("LBFGS (%v) should not lose to GD (%v) on ill-conditioned quadratic", lb.F, gd.F)
-	}
-	if lb.F > 1e-5 {
-		t.Fatalf("LBFGS failed to converge: f=%v", lb.F)
-	}
-}
-
-// The §3.6.2 α-hack hands the optimizer a quasi-gradient whose w-components
-// are rescaled; steepest descent must still make progress.
-func TestGradientDescentQuasiGradient(t *testing.T) {
-	a := mat.Vector{1, 1, 1, 1}
-	c := mat.Vector{3, 3, -2, -2}
-	alpha := 50.0
-	hacked := func(x, grad mat.Vector, _ float64) float64 {
-		f := quadratic(a, c)(x, grad, math.Inf(1))
-		if grad != nil {
-			grad[2] /= alpha // pretend dims 2,3 are "weights"
-			grad[3] /= alpha
-		}
-		return f
-	}
-	res := NewGradientDescent(mat.NewVector(4), Options{MaxIter: 3000}).Minimize(hacked)
-	// Dims 0,1 must be solved; dims 2,3 move slower but in the right
-	// direction.
-	if math.Abs(res.X[0]-3) > 1e-2 || math.Abs(res.X[1]-3) > 1e-2 {
-		t.Fatalf("fast dims not solved: %v", res.X)
-	}
-	if res.X[2] > 0 || res.X[3] > 0 {
-		t.Fatalf("slow dims moved the wrong way: %v", res.X)
+	res := NewLBFGS(mat.NewVector(n), Options{MaxIter: 300, GradTol: 1e-3}).Minimize(quadratic(a, c))
+	if !res.Converged || res.Iters >= 300 || res.F > 1e-5 {
+		t.Fatalf("LBFGS did not converge inside 300 iterations: %+v", res)
 	}
 }
 

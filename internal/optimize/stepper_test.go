@@ -9,7 +9,7 @@ import (
 )
 
 // chain is the extended Rosenbrock function in len(x) dimensions: curved
-// enough that none of the three methods is done in a few dozen iterations.
+// enough that neither method is done in a few dozen iterations.
 // It returns a fresh Func each call, and each Func keeps what core's
 // objective keeps — the point and value of its last evaluation — so a test
 // that resumes a run with a new instance also resumes it with a cold memo.
@@ -50,7 +50,6 @@ type stepperMethod struct {
 
 var stepperMethods = []stepperMethod{
 	{"lbfgs", NewLBFGS},
-	{"gradient-descent", NewGradientDescent},
 	{"projected-gradient", func(x0 mat.Vector, opt Options) *Stepper {
 		box := BoxSum{Lo: -2, Hi: 0.9, MinSum: 0.5 * float64(len(x0))}
 		return NewProjectedGradient(box.Project, x0, opt)
@@ -202,12 +201,11 @@ func TestAbandonedProbesChangeNoStep(t *testing.T) {
 	const n = 12
 	walls := map[string][2]float64{
 		"lbfgs":              {-0.6, 1.02},
-		"gradient-descent":   {-0.6, 1.02},
 		"projected-gradient": {-0.6, 0.85}, // inside the box below
 	}
 	// The projected method gets a box the starts already lie in, so that no
 	// run begins on a wall.
-	methods := append(stepperMethods[:2:2], stepperMethod{"projected-gradient", func(x0 mat.Vector, opt Options) *Stepper {
+	methods := append(stepperMethods[:1:1], stepperMethod{"projected-gradient", func(x0 mat.Vector, opt Options) *Stepper {
 		return NewProjectedGradient(BoxSum{Lo: -2, Hi: 0.9, MinSum: -2 * n}.Project, x0, opt)
 	}})
 	for _, m := range methods {

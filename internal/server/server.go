@@ -21,7 +21,7 @@
 //	  "positives": ["img-1", "img-2"],
 //	  "negatives": ["img-9"],
 //	  "k": 20,
-//	  "mode": "constrained",       // original | identical | alpha-hack | constrained
+//	  "mode": "constrained",       // original | identical | constrained
 //	  "beta": 0.5,
 //	  "exclude_examples": true,
 //	  "cache_bypass": false        // force retraining past the concept cache
@@ -107,7 +107,6 @@ type QueryRequest struct {
 	Negatives       []string `json:"negatives"`
 	K               int      `json:"k"`
 	Mode            string   `json:"mode"`
-	Alpha           float64  `json:"alpha"`
 	Beta            float64  `json:"beta"`
 	ExcludeExamples bool     `json:"exclude_examples"`
 	// ReturnConcept asks for the trained concept's geometry in the reply,
@@ -163,7 +162,6 @@ type BatchQuery struct {
 	Positives   []string `json:"positives"`
 	Negatives   []string `json:"negatives"`
 	Mode        string   `json:"mode"`
-	Alpha       float64  `json:"alpha"`
 	Beta        float64  `json:"beta"`
 	CacheBypass bool     `json:"cache_bypass"`
 }
@@ -402,7 +400,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// instead of stranding it behind another request's training run.
 	concept, outcome, err := s.db.TrainCachedContext(r.Context(), req.Positives, req.Negatives, milret.TrainOptions{
 		Mode:        mode,
-		Alpha:       req.Alpha,
 		Beta:        req.Beta,
 		BypassCache: req.CacheBypass,
 	})
@@ -518,7 +515,6 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 				Negatives: q.Negatives,
 				Opts: milret.TrainOptions{
 					Mode:        mode,
-					Alpha:       q.Alpha,
 					Beta:        q.Beta,
 					BypassCache: q.CacheBypass,
 				},

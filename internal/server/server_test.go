@@ -296,6 +296,28 @@ func TestRetrieveBatchValidation(t *testing.T) {
 	}
 }
 
+// TestRetiredModeRefused: the α-hack mode and its "alpha" field are
+// gone from both training endpoints. Naming the mode is a 400 that names it;
+// sending "alpha" is a 400 for an unknown field, at any value.
+func TestRetiredModeRefused(t *testing.T) {
+	s, _ := testServer(t)
+	for _, tc := range []struct {
+		path, body, want string
+	}{
+		{"/v1/query", `{"positives":["object-car-00"],"mode":"alpha-hack"}`, `unknown mode \"alpha-hack\"`},
+		{"/v1/query", `{"positives":["object-car-00"],"alpha":0}`, `unknown field \"alpha\"`},
+		{"/v1/retrieve/batch", `{"queries":[{"positives":["object-car-00"],"mode":"alpha-hack"}]}`, `query 0: unknown mode \"alpha-hack\"`},
+		{"/v1/retrieve/batch", `{"queries":[{"positives":["object-car-00"],"alpha":50}]}`, `unknown field \"alpha\"`},
+	} {
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s %s: %d %s, want 400 containing %s", tc.path, tc.body, rec.Code, rec.Body, tc.want)
+		}
+	}
+}
+
 func TestQueryValidation(t *testing.T) {
 	s, _ := testServer(t)
 	cases := []struct {

@@ -61,9 +61,9 @@ const (
 	// IdenticalWeights pins every weight to one and learns the concept
 	// point only.
 	IdenticalWeights
-	// AlphaHackWeights dampens weight movement by dividing the weight
-	// gradient by Alpha.
-	AlphaHackWeights
+	// 2 was the α-hack, which divided the weight gradient by α. It stays
+	// unassigned so ConstrainedWeights keeps its number.
+	_
 	// ConstrainedWeights keeps weights in [0,1] with their sum at least
 	// Beta times the dimensionality — the paper's best-performing scheme
 	// on natural scenes.
@@ -72,16 +72,16 @@ const (
 
 // weightModeNames is the one table of weight-mode names: String and
 // ParseWeightMode read it, and through them the CLI's -mode flag and the
-// server's "mode" field.
+// server's "mode" field. The unassigned 2 has the empty name, which neither
+// prints nor parses.
 var weightModeNames = [...]string{
 	Original:           "original",
 	IdenticalWeights:   "identical",
-	AlphaHackWeights:   "alpha-hack",
 	ConstrainedWeights: "constrained",
 }
 
 func (m WeightMode) String() string {
-	if m < 0 || int(m) >= len(weightModeNames) {
+	if m < 0 || int(m) >= len(weightModeNames) || weightModeNames[m] == "" {
 		return "unknown"
 	}
 	return weightModeNames[m]
@@ -90,7 +90,7 @@ func (m WeightMode) String() string {
 // ParseWeightMode is the inverse of WeightMode.String.
 func ParseWeightMode(name string) (WeightMode, error) {
 	for m, n := range weightModeNames {
-		if n == name {
+		if n == name && n != "" {
 			return WeightMode(m), nil
 		}
 	}
@@ -103,8 +103,6 @@ func (m WeightMode) toCore() (core.WeightMode, error) {
 		return core.Original, nil
 	case IdenticalWeights:
 		return core.Identical, nil
-	case AlphaHackWeights:
-		return core.AlphaHack, nil
 	case ConstrainedWeights:
 		return core.SumConstraint, nil
 	}
@@ -186,8 +184,6 @@ func (o Options) toFeature() feature.Options {
 type TrainOptions struct {
 	// Mode is the weight-control scheme. Default Original.
 	Mode WeightMode
-	// Alpha is the gradient divisor for AlphaHackWeights (default 50).
-	Alpha float64
 	// Beta is the weight-sum constraint level for ConstrainedWeights
 	// (0 ≤ Beta ≤ 1).
 	Beta float64
@@ -583,7 +579,6 @@ func trainDataset(ctx context.Context, cache *qcache.Cache, ds *mil.Dataset, opt
 	}
 	cfg := core.Config{
 		Mode:      mode,
-		Alpha:     opts.Alpha,
 		Beta:      opts.Beta,
 		StartBags: opts.StartBags,
 		Opt:       optimize.Options{MaxIter: opts.MaxIters},
@@ -621,13 +616,12 @@ func trainDataset(ctx context.Context, cache *qcache.Cache, ds *mil.Dataset, opt
 
 // trainFingerprint canonicalizes a training request into its cache key.
 // The tag captures every configuration field that can change the trained
-// concept, with mode-irrelevant hyperparameters normalized away (Alpha
-// only steers AlphaHackWeights, Beta only ConstrainedWeights) and
-// optimizer bounds pinned to their effective defaults, so spelling a
-// default explicitly still hits. Positive-bag order is canonicalized
-// away unless a start-bag cap below the positive count makes order select
-// different optimization starts (§4.3), in which case it is genuinely
-// part of the request.
+// concept, with mode-irrelevant hyperparameters normalized away (Beta only
+// steers ConstrainedWeights) and optimizer bounds pinned to their effective
+// defaults, so spelling a default explicitly still hits. Positive-bag order
+// is canonicalized away unless a start-bag cap below the positive count
+// makes order select different optimization starts (§4.3), in which case
+// it is genuinely part of the request.
 func trainFingerprint(ds *mil.Dataset, mode core.WeightMode, cfg core.Config) qcache.Key {
 	return trainFingerprintAt(trainerVersion, ds, mode, cfg)
 }
@@ -643,13 +637,6 @@ func trainFingerprint(ds *mil.Dataset, mode core.WeightMode, cfg core.Config) qc
 const trainerVersion = 2
 
 func trainFingerprintAt(version byte, ds *mil.Dataset, mode core.WeightMode, cfg core.Config) qcache.Key {
-	alpha := 0.0
-	if mode == core.AlphaHack {
-		alpha = cfg.Alpha
-		if alpha <= 0 {
-			alpha = core.DefaultAlpha
-		}
-	}
 	beta := 0.0
 	if mode == core.SumConstraint {
 		beta = cfg.Beta
@@ -666,7 +653,9 @@ func trainFingerprintAt(version byte, ds *mil.Dataset, mode core.WeightMode, cfg
 
 	tag := make([]byte, 0, 1+1+8+8+8+8)
 	tag = append(tag, version, byte(mode))
-	tag = binary.LittleEndian.AppendUint64(tag, math.Float64bits(alpha))
+	// The retired α-hack's α had this slot; every other mode wrote 0, and
+	// still does, so their keys (and sidecars) carry over.
+	tag = binary.LittleEndian.AppendUint64(tag, math.Float64bits(0))
 	tag = binary.LittleEndian.AppendUint64(tag, math.Float64bits(beta))
 	tag = binary.LittleEndian.AppendUint64(tag, uint64(maxIter))
 	tag = binary.LittleEndian.AppendUint64(tag, uint64(startBags))
@@ -1016,7 +1005,9 @@ func (d *Database) warmConceptCache() {
 	}
 	entries := make([]qcache.SavedEntry, 0, len(raw))
 	for _, e := range raw {
-		if e.Mode > uint8(core.SumConstraint) {
+		switch core.WeightMode(e.Mode) {
+		case core.Original, core.Identical, core.SumConstraint:
+		default: // including 2, the retired α-hack: no key reaches it
 			continue
 		}
 		c := &core.Concept{

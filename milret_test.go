@@ -97,7 +97,7 @@ func TestAddImageAndMetadata(t *testing.T) {
 
 func TestTrainRetrieveEndToEnd(t *testing.T) {
 	db := testDB(t, 6, "car", "pants", "lamp")
-	for _, mode := range []WeightMode{Original, IdenticalWeights, AlphaHackWeights, ConstrainedWeights} {
+	for _, mode := range []WeightMode{Original, IdenticalWeights, ConstrainedWeights} {
 		concept, err := db.Train(
 			idsOf(db, "car", 3),
 			idsNot(db, "car", 3),
@@ -415,9 +415,11 @@ func TestEvaluationHelpers(t *testing.T) {
 
 func TestWeightModeStrings(t *testing.T) {
 	for m, want := range map[WeightMode]string{
-		Original: "original", IdenticalWeights: "identical",
-		AlphaHackWeights: "alpha-hack", ConstrainedWeights: "constrained",
-		WeightMode(9): "unknown",
+		Original:           "original",
+		IdenticalWeights:   "identical",
+		ConstrainedWeights: "constrained",
+		WeightMode(2):      "unknown", // the retired α-hack's number
+		WeightMode(9):      "unknown",
 	} {
 		if m.String() != want {
 			t.Errorf("%d.String() = %q", m, m.String())
@@ -427,12 +429,12 @@ func TestWeightModeStrings(t *testing.T) {
 
 // Every mode's name parses back to the mode, and nothing else parses.
 func TestParseWeightModeRoundTrip(t *testing.T) {
-	for _, m := range []WeightMode{Original, IdenticalWeights, AlphaHackWeights, ConstrainedWeights} {
+	for _, m := range []WeightMode{Original, IdenticalWeights, ConstrainedWeights} {
 		if got, err := ParseWeightMode(m.String()); err != nil || got != m {
 			t.Errorf("ParseWeightMode(%q) = %v, %v", m, got, err)
 		}
 	}
-	for _, name := range []string{"", "unknown", "Original", "sum-constraint"} {
+	for _, name := range []string{"", "unknown", "Original", "sum-constraint", "alpha-hack"} {
 		if m, err := ParseWeightMode(name); err == nil {
 			t.Errorf("ParseWeightMode(%q) = %v, want an error", name, m)
 		}
