@@ -103,7 +103,7 @@ func BenchmarkSmoothSampleNaive(b *testing.B) {
 				var sum float64
 				for y := r0; y < r1; y++ {
 					for x := c0; x < c1; x++ {
-						sum += im.At(x, y)
+						sum += im.Row(y)[x]
 					}
 				}
 				out[r*h+c] = sum / float64((r1-r0)*(c1-c0))

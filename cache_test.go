@@ -114,7 +114,7 @@ func TestExhaustiveTrainerKeysMiss(t *testing.T) {
 		t.Fatal("trainFingerprint does not tag keys with trainerVersion")
 	}
 	stale := &core.Concept{Point: make([]float64, ds.Dim()), Weights: make([]float64, ds.Dim())}
-	db.cache.Do(trainFingerprintAt(1, ds, cfg.Mode, cfg), func() (*core.Concept, error) { return stale, nil })
+	db.cache.DoContext(context.Background(), trainFingerprintAt(1, ds, cfg.Mode, cfg), func() (*core.Concept, error) { return stale, nil })
 
 	c, out, err := db.TrainCachedContext(bg, pos, neg, cacheTestOpts)
 	if err != nil || out != CacheMiss {

@@ -1,6 +1,6 @@
 // milretlint is the multichecker for the milret analyzers
-// (internal/lint): guardcheck, durably, kernelpure, atomicfield,
-// pkgdoc.
+// (internal/lint): guardcheck, durably, kernelpure. Copying an atomic is
+// left to plain `go vet`'s copylocks.
 //
 //	go vet -vettool=$(command -v milretlint) ./...
 //

@@ -54,18 +54,18 @@ var wantFixtureDiags = []string{
 	"milretlint:guardcheck",
 	"milretlint:durably",
 	"milretlint:kernelpure",
-	"milretlint:atomicfield",
 	"write to s.items without s.mu held",
 	"os.Rename outside a milret:atomic-rename helper",
 	"without a preceding Sync",
 	"without a following directory fsync",
 	"math.FMA in a milret:kernel function",
-	"hits used as a value",
 }
 
 // TestVetFixtureModule drives the tool the way CI does — through
 // `go vet -vettool` — over a module seeded with one violation per
-// analyzer, and asserts the run fails with each diagnostic.
+// analyzer, and asserts the run fails with each diagnostic. The fixture's
+// BadCount, which returns an atomic by value, is the gate that replaced an
+// analyzer of our own: plain `go vet` (copylocks) must report it.
 func TestVetFixtureModule(t *testing.T) {
 	bin := buildTool(t)
 	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
@@ -79,6 +79,13 @@ func TestVetFixtureModule(t *testing.T) {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("go vet stderr missing %q\nstderr:\n%s", want, stderr.String())
 		}
+	}
+
+	vet := exec.Command("go", "vet", "./...")
+	vet.Dir = cmd.Dir
+	out, err := vet.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "fixture.go:29:9: return copies lock value: sync/atomic.Uint64") {
+		t.Errorf("plain go vet did not report BadCount's copied atomic (err %v):\n%s", err, out)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package fixture seeds one violation per milret analyzer; the e2e
 // test asserts that milretlint surfaces each of them when driven
-// through `go vet -vettool`.
+// through `go vet -vettool`, and that plain `go vet` reports BadCount.
 package fixture
 
 import (
@@ -24,7 +24,7 @@ func (s *shard) BadAdd(v int) {
 	s.items = append(s.items, v)
 }
 
-// BadCount copies an atomic wrapper by value (atomicfield).
+// BadCount copies an atomic wrapper by value (go vet's copylocks).
 func (s *shard) BadCount() atomic.Uint64 {
 	return s.hits
 }

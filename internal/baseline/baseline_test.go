@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"milret/internal/mat"
@@ -85,7 +86,7 @@ func TestDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Instances {
-		if !mat.Equal(a.Instances[i], b.Instances[i], 0) {
+		if !slices.Equal(a.Instances[i], b.Instances[i]) {
 			t.Fatalf("baseline features not deterministic")
 		}
 	}

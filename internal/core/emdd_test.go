@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"milret/internal/mat"
@@ -100,7 +101,7 @@ func TestEMDDDeterministic(t *testing.T) {
 		return c
 	}
 	a, b := run(), run()
-	if !mat.Equal(a.Point, b.Point, 0) || a.NegLogDD != b.NegLogDD {
+	if !slices.Equal(a.Point, b.Point) || a.NegLogDD != b.NegLogDD {
 		t.Fatalf("EM-DD is not deterministic")
 	}
 }

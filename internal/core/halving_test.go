@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -172,7 +173,7 @@ func TestRaceConvergedStartWins(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if !mat.Equal(c.Point, target, 0) {
+	if !slices.Equal(c.Point, target) {
 		t.Fatalf("winner %v, want the start that sat on the target %v", c.Point, target)
 	}
 	if converged := got.Starts - got.StartsCapped - got.StartsPruned; converged < 3 {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -334,7 +335,7 @@ func TestRepresentativesPicksNearestInstance(t *testing.T) {
 				best, bestD = j, d
 			}
 		}
-		if !mat.Equal(sub.rows[i*o.dim:(i+1)*o.dim], b.Instances[best], 0) {
+		if !slices.Equal(sub.rows[i*o.dim:(i+1)*o.dim], b.Instances[best]) {
 			t.Fatalf("bag %d: representative is not instance %d", i, best)
 		}
 	}

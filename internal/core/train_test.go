@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"milret/internal/mat"
@@ -213,7 +214,7 @@ func TestTrainDeterministic(t *testing.T) {
 		return c
 	}
 	a, b := mk(), mk()
-	if !mat.Equal(a.Point, b.Point, 0) || !mat.Equal(a.Weights, b.Weights, 0) {
+	if !slices.Equal(a.Point, b.Point) || !slices.Equal(a.Weights, b.Weights) {
 		t.Fatalf("training is not deterministic")
 	}
 	if a.NegLogDD != b.NegLogDD {

@@ -6,8 +6,10 @@
 // tree's json tags, when a flag table stops matching what the built
 // `milret` binary actually registers, or when docs/SURFACE.md stops
 // naming, row for row, every settable value the code has and the product
-// code that sets it. The checkers are pure functions over file contents;
-// the tests in this package apply them to the repo's own docs.
+// code that sets it, or when an exported function has no caller outside
+// the tests and SURFACE.md does not keep it as a test's reference. The
+// checkers are pure functions over file contents; the tests in this package
+// apply them to the repo's own docs.
 package docscheck
 
 import (

@@ -174,7 +174,7 @@ func rotate180Image(im *gray.Image) *gray.Image {
 	out := gray.New(im.W, im.H)
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {
-			out.Set(im.W-1-x, im.H-1-y, im.At(x, y))
+			out.Set(im.W-1-x, im.H-1-y, im.Row(y)[x])
 		}
 	}
 	return out

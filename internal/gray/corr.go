@@ -22,42 +22,17 @@ func Corr(a, b *mat.Matrix) float64 {
 
 // CorrVec is Corr on already-flattened signals.
 func CorrVec(a, b mat.Vector) float64 {
-	return WeightedCorrVec(a, b, nil)
-}
-
-// WeightedCorrVec returns the weighted correlation coefficient of §3.3 of
-// two flattened signals, which lets different dimensions carry different
-// importance:
-//
-//	r_w = (1/n) Σ_k w_k (f1(k) − mean1)(f2(k) − mean2) / (σ'1 σ'2)
-//
-// where the means are plain means and σ' are the weighted standard
-// deviations. With all weights 1 this reduces exactly to CorrVec. Weights
-// must be non-negative; a nil weight vector means all ones.
-func WeightedCorrVec(a, b, w mat.Vector) float64 {
 	n := len(a)
 	if n == 0 || n != len(b) {
 		return 0
 	}
 	ma, mb := a.Mean(), b.Mean()
 	var cov, va, vb float64
-	if w == nil {
-		for k := 0; k < n; k++ {
-			da, db := a[k]-ma, b[k]-mb
-			cov += da * db
-			va += da * da
-			vb += db * db
-		}
-	} else {
-		if len(w) != n {
-			return 0
-		}
-		for k := 0; k < n; k++ {
-			da, db := a[k]-ma, b[k]-mb
-			cov += w[k] * da * db
-			va += w[k] * da * da
-			vb += w[k] * db * db
-		}
+	for k := 0; k < n; k++ {
+		da, db := a[k]-ma, b[k]-mb
+		cov += da * db
+		va += da * da
+		vb += db * db
 	}
 	if va <= 0 || vb <= 0 {
 		return 0

@@ -38,54 +38,6 @@ func TestCorrVecMismatchedLengths(t *testing.T) {
 	}
 }
 
-func TestWeightedCorrOnesMatchesCorr(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	a := mat.NewMatrix(4, 4)
-	b := mat.NewMatrix(4, 4)
-	for i := range a.Data {
-		a.Data[i] = r.NormFloat64()
-		b.Data[i] = r.NormFloat64()
-	}
-	w := mat.NewVector(16).Fill(1)
-	if got, want := WeightedCorrVec(a.Data, b.Data, w), Corr(a, b); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("WeightedCorrVec(ones) = %v, want %v", got, want)
-	}
-}
-
-func TestWeightedCorrHandComputed(t *testing.T) {
-	// §3.3 formula with unweighted means and weighted covariance/variances,
-	// checked against a hand computation. a = {0, 2}, b = {0, 4}, w = {1, 3}:
-	// means 1 and 2; cov = 1·(−1)(−2) + 3·(1)(2) = 8;
-	// va = 1·1 + 3·1 = 4; vb = 1·4 + 3·4 = 16; r = 8/√64 = 1.
-	got := WeightedCorrVec(mat.Vector{0, 2}, mat.Vector{0, 4}, mat.Vector{1, 3})
-	if math.Abs(got-1) > 1e-12 {
-		t.Fatalf("weighted corr = %v, want 1", got)
-	}
-	// Anticorrelated pair under the same weights.
-	got = WeightedCorrVec(mat.Vector{0, 2}, mat.Vector{4, 0}, mat.Vector{1, 3})
-	if math.Abs(got+1) > 1e-12 {
-		t.Fatalf("weighted corr = %v, want -1", got)
-	}
-}
-
-func TestWeightedCorrDownweightsNoisyDimension(t *testing.T) {
-	// Signals agree on dims 0..2 and disagree violently on dim 3.
-	// Down-weighting dim 3 must increase the measured similarity.
-	a := mat.Vector{1, 2, 3, 50}
-	b := mat.Vector{1, 2, 3, -50}
-	heavy := WeightedCorrVec(a, b, mat.Vector{1, 1, 1, 1})
-	light := WeightedCorrVec(a, b, mat.Vector{1, 1, 1, 0.01})
-	if light <= heavy {
-		t.Fatalf("down-weighting noisy dim should raise corr: %v <= %v", light, heavy)
-	}
-}
-
-func TestWeightedCorrBadWeightLength(t *testing.T) {
-	if got := WeightedCorrVec(mat.Vector{1, 2}, mat.Vector{3, 4}, mat.Vector{1}); got != 0 {
-		t.Fatalf("bad weight length should give 0, got %v", got)
-	}
-}
-
 // Property: correlation is within [-1, 1], symmetric, and invariant under
 // positive affine transforms of either argument.
 func TestQuickCorrProperties(t *testing.T) {

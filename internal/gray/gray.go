@@ -1,16 +1,14 @@
 // Package gray implements the imaging substrate of the retrieval system:
 // a float64 gray-scale image type with RGB→gray conversion, cropping and
 // mirroring, an integral image (summed-area table) for O(1) block means, the
-// paper's smoothing-and-sampling operator (§3.1.2) and the plain and
-// weighted correlation coefficients (§3.1.1, §3.3). Images come in as
-// image.Image (FromImage); decoding files is the caller's business.
+// paper's smoothing-and-sampling operator (§3.1.2) and the correlation
+// coefficient (§3.1.1). Images come in as image.Image (FromImage); decoding
+// files is the caller's business.
 package gray
 
 import (
 	"fmt"
 	"image"
-
-	"milret/internal/mat"
 )
 
 // Image is a gray-scale raster with float64 samples stored row-major.
@@ -29,12 +27,6 @@ func New(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]float64, w*h)}
 }
 
-// At returns the sample at (x, y).
-func (im *Image) At(x, y int) float64 {
-	im.check(x, y)
-	return im.Pix[y*im.W+x]
-}
-
 // Set stores v at (x, y).
 func (im *Image) Set(x, y int, v float64) {
 	im.check(x, y)
@@ -46,19 +38,6 @@ func (im *Image) Row(y int) []float64 {
 	im.check(0, y)
 	return im.Pix[y*im.W : (y+1)*im.W]
 }
-
-// Clone returns an independent copy of im.
-func (im *Image) Clone() *Image {
-	out := New(im.W, im.H)
-	copy(out.Pix, im.Pix)
-	return out
-}
-
-// Mean returns the mean gray level.
-func (im *Image) Mean() float64 { return mat.Vector(im.Pix).Mean() }
-
-// Variance returns the population variance of the gray levels.
-func (im *Image) Variance() float64 { return mat.Vector(im.Pix).Variance() }
 
 // MirrorLR returns the left-right mirror image (§3.2: mirror instances are
 // added to every bag because mirrored pictures should be treated as the

@@ -29,10 +29,10 @@ func subImage(im *Image, x0, y0, x1, y1 int) *Image {
 func TestNewAtSet(t *testing.T) {
 	im := New(3, 2)
 	im.Set(2, 1, 7)
-	if im.At(2, 1) != 7 {
-		t.Fatalf("At/Set mismatch")
+	if im.Row(1)[2] != 7 {
+		t.Fatalf("Set not visible through Row")
 	}
-	if im.At(0, 0) != 0 {
+	if im.Row(0)[0] != 0 {
 		t.Fatalf("image not zeroed")
 	}
 }
@@ -44,7 +44,7 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatalf("expected panic")
 		}
 	}()
-	im.At(2, 0)
+	im.Set(2, 0, 1)
 }
 
 func TestMirrorLR(t *testing.T) {
@@ -53,7 +53,7 @@ func TestMirrorLR(t *testing.T) {
 	im.Set(1, 0, 2)
 	im.Set(2, 0, 3)
 	g := im.MirrorLR()
-	if g.At(0, 0) != 3 || g.At(1, 0) != 2 || g.At(2, 0) != 1 {
+	if g.Row(0)[0] != 3 || g.Row(0)[1] != 2 || g.Row(0)[2] != 1 {
 		t.Fatalf("mirror wrong: %v", g.Pix)
 	}
 }
@@ -63,11 +63,11 @@ func TestFromImageGrayValues(t *testing.T) {
 	src.Set(0, 0, color.RGBA{R: 255, G: 255, B: 255, A: 255})
 	src.Set(1, 0, color.RGBA{A: 255})
 	im := FromImage(src)
-	if math.Abs(im.At(0, 0)-255) > 1 {
-		t.Fatalf("white pixel = %v, want ~255", im.At(0, 0))
+	if math.Abs(im.Row(0)[0]-255) > 1 {
+		t.Fatalf("white pixel = %v, want ~255", im.Row(0)[0])
 	}
-	if math.Abs(im.At(1, 0)) > 1 {
-		t.Fatalf("black pixel = %v, want ~0", im.At(1, 0))
+	if math.Abs(im.Row(0)[1]) > 1 {
+		t.Fatalf("black pixel = %v, want ~0", im.Row(0)[1])
 	}
 }
 
@@ -78,8 +78,8 @@ func TestFromImageLumaOrdering(t *testing.T) {
 	src.Set(1, 0, color.RGBA{G: 255, A: 255})
 	src.Set(2, 0, color.RGBA{B: 255, A: 255})
 	im := FromImage(src)
-	if !(im.At(1, 0) > im.At(0, 0) && im.At(0, 0) > im.At(2, 0)) {
-		t.Fatalf("luma ordering wrong: r=%v g=%v b=%v", im.At(0, 0), im.At(1, 0), im.At(2, 0))
+	if !(im.Row(0)[1] > im.Row(0)[0] && im.Row(0)[0] > im.Row(0)[2]) {
+		t.Fatalf("luma ordering wrong: r=%v g=%v b=%v", im.Row(0)[0], im.Row(0)[1], im.Row(0)[2])
 	}
 }
 
@@ -100,7 +100,7 @@ func TestQuickIntegralMatchesNaive(t *testing.T) {
 		var naive float64
 		for y := y0; y < y1; y++ {
 			for x := x0; x < x1; x++ {
-				naive += im.At(x, y)
+				naive += im.Row(y)[x]
 			}
 		}
 		return math.Abs(it.Sum(x0, y0, x1, y1)-naive) < 1e-6

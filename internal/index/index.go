@@ -112,12 +112,6 @@ func New() *Index {
 	return &Index{bagOffsets: []int{0}}
 }
 
-// Len returns the number of bags.
-func (x *Index) Len() int { return len(x.ids) }
-
-// Dim returns the instance dimensionality (0 while empty).
-func (x *Index) Dim() int { return x.dim }
-
 // Append adds one bag's instances to the flat block. The first append fixes
 // the dimensionality; the caller is responsible for ID uniqueness and for
 // serializing Append against Snapshot (retrieval.Database holds the lock).
@@ -344,17 +338,6 @@ func (s *Snapshot) skip(i int, exclude map[string]bool) bool {
 	return s.isDead(i) || exclude[s.ids[i]]
 }
 
-// Dim returns the instance dimensionality.
-func (s Snapshot) Dim() int { return s.dim }
-
-// Instances returns the total instance count in the snapshot.
-func (s Snapshot) Instances() int {
-	if len(s.bagOffsets) == 0 {
-		return 0
-	}
-	return s.bagOffsets[len(s.bagOffsets)-1]
-}
-
 // Query is the concept geometry a scan scores against: distance of an
 // instance x is Σ_k Weights_k (Point_k − x_k)².
 type Query struct {
@@ -417,20 +400,6 @@ func sortResults(rs []Result) {
 func (s Snapshot) bagDist(q Query, bi int, cutoff float64, prune bool) float64 {
 	lo, hi := s.bagOffsets[bi], s.bagOffsets[bi+1]
 	return mat.MinWeightedSqDistRows(q.Point, q.Weights, s.data[lo*s.dim:hi*s.dim], cutoff, prune)
-}
-
-// Rank, TopK and MultiTopK scan the snapshot as a Sharded of one: a single
-// block is the one-shard case of the same pipeline, not a second one.
-func (s Snapshot) Rank(q Query, exclude map[string]bool, par int) []Result {
-	return Sharded{s}.Rank(q, exclude, par)
-}
-
-func (s Snapshot) TopK(q Query, k int, exclude map[string]bool, par int) []Result {
-	return Sharded{s}.TopK(q, k, exclude, par)
-}
-
-func (s Snapshot) MultiTopK(qs []Query, k int, exclude map[string]bool, par int) [][]Result {
-	return Sharded{s}.MultiTopK(qs, k, exclude, par)
 }
 
 // normalizeEmpty canonicalizes "no results" to an empty non-nil slice: an

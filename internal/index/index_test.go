@@ -104,8 +104,8 @@ func TestAppendValidation(t *testing.T) {
 	if err := x.Append("c", "l", []mat.Vector{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged bag accepted")
 	}
-	if x.Len() != 1 || x.Dim() != 2 || x.Instances() != 1 || x.Bytes() != 16 {
-		t.Fatalf("Len=%d Dim=%d Instances=%d Bytes=%d", x.Len(), x.Dim(), x.Instances(), x.Bytes())
+	if len(x.ids) != 1 || x.dim != 2 || x.Instances() != 1 || x.Bytes() != 16 {
+		t.Fatalf("Len=%d Dim=%d Instances=%d Bytes=%d", len(x.ids), x.dim, x.Instances(), x.Bytes())
 	}
 }
 
@@ -114,10 +114,10 @@ func TestAppendValidation(t *testing.T) {
 // produces, so tombstone≡rebuild comparisons hold bit-for-bit.
 func TestEmptySnapshot(t *testing.T) {
 	s := New().Snapshot()
-	if got := s.Rank(Query{}, nil, 0); got == nil || len(got) != 0 {
+	if got := (Sharded{s}).Rank(Query{}, nil, 0); got == nil || len(got) != 0 {
 		t.Fatalf("empty Rank = %v", got)
 	}
-	if got := s.TopK(Query{}, 5, nil, 0); got == nil || len(got) != 0 {
+	if got := (Sharded{s}).TopK(Query{}, 5, nil, 0); got == nil || len(got) != 0 {
 		t.Fatalf("empty TopK = %v", got)
 	}
 }
@@ -136,9 +136,9 @@ func TestQueryDimMismatchPanics(t *testing.T) {
 	good := Query{Point: []float64{0, 0, 0}, Weights: []float64{1, 1, 1}}
 	bad := Query{Point: []float64{0}, Weights: []float64{1}}
 	for name, scan := range map[string]func(){
-		"Rank":      func() { s.Rank(bad, nil, 1) },
-		"TopK":      func() { s.TopK(bad, 2, nil, 4) },
-		"MultiTopK": func() { s.MultiTopK([]Query{good, good, bad}, 2, nil, 4) },
+		"Rank":      func() { Sharded{s}.Rank(bad, nil, 1) },
+		"TopK":      func() { Sharded{s}.TopK(bad, 2, nil, 4) },
+		"MultiTopK": func() { Sharded{s}.MultiTopK([]Query{good, good, bad}, 2, nil, 4) },
 	} {
 		func() {
 			defer func() {
@@ -165,7 +165,7 @@ func TestRankMatchesNaive(t *testing.T) {
 				exclude[id] = true
 			}
 		}
-		got := x.Snapshot().Rank(q, exclude, 1+r.Intn(8))
+		got := Sharded{x.Snapshot()}.Rank(q, exclude, 1+r.Intn(8))
 		want := naiveRank(bags, labels, q, exclude)
 		return reflect.DeepEqual(got, want)
 	}
@@ -195,7 +195,7 @@ func TestTopKMatchesNaive(t *testing.T) {
 			if k < 1 {
 				k = 1
 			}
-			got := x.Snapshot().TopK(q, k, exclude, 1+r.Intn(8))
+			got := Sharded{x.Snapshot()}.TopK(q, k, exclude, 1+r.Intn(8))
 			want := full
 			if k < len(full) {
 				want = full[:k]
@@ -243,13 +243,13 @@ func TestMultiTopKMatchesPerConceptTopK(t *testing.T) {
 			}
 		}
 		for _, k := range []int{1, 1 + r.Intn(n), n + 3} {
-			got := x.Snapshot().MultiTopK(qs, k, exclude, 1+r.Intn(8))
+			got := Sharded{x.Snapshot()}.MultiTopK(qs, k, exclude, 1+r.Intn(8))
 			if len(got) != nq {
 				t.Logf("seed %d: %d result lists for %d queries", seed, len(got), nq)
 				return false
 			}
 			for qi, q := range qs {
-				want := x.Snapshot().TopK(q, k, exclude, 1+r.Intn(8))
+				want := Sharded{x.Snapshot()}.TopK(q, k, exclude, 1+r.Intn(8))
 				if !reflect.DeepEqual(got[qi], want) {
 					t.Logf("seed %d k=%d query %d:\ngot  %v\nwant %v", seed, k, qi, got[qi], want)
 					return false
@@ -264,17 +264,17 @@ func TestMultiTopKMatchesPerConceptTopK(t *testing.T) {
 }
 
 func TestMultiTopKEdgeCases(t *testing.T) {
-	if got := (Snapshot{}).MultiTopK(nil, 5, nil, 0); got != nil {
+	if got := (Sharded{Snapshot{}}).MultiTopK(nil, 5, nil, 0); got != nil {
 		t.Fatalf("no queries = %v", got)
 	}
 	r := rand.New(rand.NewSource(3))
 	x, _, _ := randIndex(r, 8, 6, 3)
 	qs := []Query{randQuery(r, 6), randQuery(r, 6)}
-	got := x.Snapshot().MultiTopK(qs, 0, nil, 2)
+	got := Sharded{x.Snapshot()}.MultiTopK(qs, 0, nil, 2)
 	if len(got) != 2 || got[0] != nil || got[1] != nil {
 		t.Fatalf("k=0 = %v", got)
 	}
-	empty := New().Snapshot().MultiTopK([]Query{{}}, 3, nil, 1)
+	empty := Sharded{New().Snapshot()}.MultiTopK([]Query{{}}, 3, nil, 1)
 	if len(empty) != 1 || empty[0] == nil || len(empty[0]) != 0 {
 		t.Fatalf("empty snapshot = %v", empty)
 	}
@@ -293,7 +293,7 @@ func TestFromFlatMatchesAppend(t *testing.T) {
 	var data []float64
 	var counts []int
 	var ids, lbs []string
-	for i := 0; i < x.Len(); i++ {
+	for i := 0; i < len(x.ids); i++ {
 		id := x.ids[i]
 		ids = append(ids, id)
 		lbs = append(lbs, labels[id])
@@ -310,7 +310,7 @@ func TestFromFlatMatchesAppend(t *testing.T) {
 		t.Fatal("FromFlat copied the block instead of adopting it")
 	}
 	q := randQuery(r, dim)
-	if !reflect.DeepEqual(adopted.Snapshot().Rank(q, nil, 3), snap.Rank(q, nil, 3)) {
+	if !reflect.DeepEqual(Sharded{adopted.Snapshot()}.Rank(q, nil, 3), Sharded{snap}.Rank(q, nil, 3)) {
 		t.Fatal("adopted index ranks differently from appended index")
 	}
 
@@ -319,12 +319,12 @@ func TestFromFlatMatchesAppend(t *testing.T) {
 	if err := adopted.Append("zzz-new", "l", extra); err != nil {
 		t.Fatal(err)
 	}
-	if adopted.Len() != x.Len()+1 || &data[0] == &adopted.data[0] && cap(adopted.data) == len(data) {
-		t.Fatalf("append after adoption: len %d", adopted.Len())
+	if len(adopted.ids) != len(x.ids)+1 || &data[0] == &adopted.data[0] && cap(adopted.data) == len(data) {
+		t.Fatalf("append after adoption: len %d", len(adopted.ids))
 	}
-	got := adopted.Snapshot().Rank(q, nil, 2)
-	if len(got) != x.Len()+1 {
-		t.Fatalf("post-append rank covers %d of %d", len(got), x.Len()+1)
+	got := Sharded{adopted.Snapshot()}.Rank(q, nil, 2)
+	if len(got) != len(x.ids)+1 {
+		t.Fatalf("post-append rank covers %d of %d", len(got), len(x.ids)+1)
 	}
 }
 
@@ -339,7 +339,7 @@ func TestFromFlatValidation(t *testing.T) {
 		t.Fatal("mismatched parallel slices accepted")
 	}
 	x, err := FromFlat(0, nil, nil, nil, nil)
-	if err != nil || x.Len() != 0 {
+	if err != nil || len(x.ids) != 0 {
 		t.Fatalf("empty FromFlat = %v, %v", x, err)
 	}
 }
@@ -353,12 +353,12 @@ func TestNegativeWeightsDisablePruning(t *testing.T) {
 	x, bags, labels := randIndex(r, 40, dim, 3)
 	q := randQuery(r, dim)
 	q.Weights[3] = -1.5
-	got := x.Snapshot().Rank(q, nil, 4)
+	got := Sharded{x.Snapshot()}.Rank(q, nil, 4)
 	want := naiveRank(bags, labels, q, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("negative-weight rank diverged:\ngot  %v\nwant %v", got[:3], want[:3])
 	}
-	gotK := x.Snapshot().TopK(q, 5, nil, 4)
+	gotK := Sharded{x.Snapshot()}.TopK(q, 5, nil, 4)
 	if !reflect.DeepEqual(gotK, want[:5]) {
 		t.Fatalf("negative-weight topk diverged: got %v want %v", gotK, want[:5])
 	}
@@ -388,7 +388,7 @@ func TestEarlyAbandonAdversarial(t *testing.T) {
 	for k := range q.Weights {
 		q.Weights[k] = 1
 	}
-	got := x.Snapshot().TopK(q, 5, nil, 4)
+	got := Sharded{x.Snapshot()}.TopK(q, 5, nil, 4)
 	if len(got) != 5 {
 		t.Fatalf("got %d results", len(got))
 	}
@@ -408,14 +408,14 @@ func TestSnapshotImmutableUnderAppend(t *testing.T) {
 	x, bags, labels := randIndex(r, 10, dim, 3)
 	q := randQuery(r, dim)
 	snap := x.Snapshot()
-	before := snap.Rank(q, nil, 2)
+	before := Sharded{snap}.Rank(q, nil, 2)
 	for i := 0; i < 50; i++ {
 		v := make(mat.Vector, dim) // all zeros: would rank first if visible
 		if err := x.Append(fmt.Sprintf("late-%02d", i), "l", []mat.Vector{v}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := snap.Rank(q, nil, 2)
+	after := Sharded{snap}.Rank(q, nil, 2)
 	if !reflect.DeepEqual(before, after) {
 		t.Fatal("snapshot contents changed under Append")
 	}
@@ -435,10 +435,10 @@ func TestExcludeAll(t *testing.T) {
 		exclude[id] = true
 	}
 	q := randQuery(r, 4)
-	if got := x.Snapshot().Rank(q, exclude, 3); len(got) != 0 {
+	if got := (Sharded{x.Snapshot()}).Rank(q, exclude, 3); len(got) != 0 {
 		t.Fatalf("Rank with all excluded = %v", got)
 	}
-	if got := x.Snapshot().TopK(q, 3, exclude, 3); len(got) != 0 {
+	if got := (Sharded{x.Snapshot()}).TopK(q, 3, exclude, 3); len(got) != 0 {
 		t.Fatalf("TopK with all excluded = %v", got)
 	}
 }
@@ -447,10 +447,10 @@ func TestTopKZeroAndNegative(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	x, _, _ := randIndex(r, 5, 4, 2)
 	q := randQuery(r, 4)
-	if got := x.Snapshot().TopK(q, 0, nil, 1); got != nil {
+	if got := (Sharded{x.Snapshot()}).TopK(q, 0, nil, 1); got != nil {
 		t.Fatalf("TopK(0) = %v", got)
 	}
-	if got := x.Snapshot().TopK(q, -2, nil, 1); got != nil {
+	if got := (Sharded{x.Snapshot()}).TopK(q, -2, nil, 1); got != nil {
 		t.Fatalf("TopK(-2) = %v", got)
 	}
 }

@@ -194,7 +194,7 @@ func TestPrunedFromFlatAndMutation(t *testing.T) {
 			want = want[:k]
 		}
 		for name, s := range map[string]Snapshot{"append": x.Snapshot(), "fromflat": adopted.Snapshot()} {
-			if got := s.TopK(q, k, nil, 4); !reflect.DeepEqual(got, want) {
+			if got := (Sharded{s}).TopK(q, k, nil, 4); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d (%s): top-k diverged\n got %+v\nwant %+v", trial, name, got, want)
 			}
 		}
@@ -242,7 +242,7 @@ func TestPrunedConcurrentMutations(t *testing.T) {
 			mu.Lock()
 			err := x.Append(fmt.Sprintf("mut%04d", i), "l", []mat.Vector{v})
 			if err == nil && mr.Intn(2) == 0 {
-				x.Delete(mr.Intn(x.Len()))
+				x.Delete(mr.Intn(len(x.ids)))
 			}
 			mu.Unlock()
 			if err != nil {
@@ -263,7 +263,7 @@ func TestPrunedConcurrentMutations(t *testing.T) {
 				mu.Unlock()
 				q := randQueryFor(sr, dim)
 				k := 1 + sr.Intn(10)
-				if got, want := s.TopK(q, k, nil, 2), rankHead(Sharded{s}, q, k, nil); !reflect.DeepEqual(got, want) {
+				if got, want := (Sharded{s}).TopK(q, k, nil, 2), rankHead(Sharded{s}, q, k, nil); !reflect.DeepEqual(got, want) {
 					t.Errorf("worker %d trial %d: top-k diverged under mutation", w, trial)
 					return
 				}
@@ -309,7 +309,7 @@ func seededCorpus(t *testing.T, r *rand.Rand, nShards int) (Sharded, int, Query)
 			t.Fatal(err)
 		}
 		if r.Intn(3) == 0 {
-			if err := sh.Delete(sh.Len() - 1); err != nil {
+			if err := sh.Delete(len(sh.ids) - 1); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -43,15 +43,6 @@ func (sh Sharded) Bags() int {
 	return n
 }
 
-// Instances returns the total instance count across shards.
-func (sh Sharded) Instances() int {
-	n := 0
-	for _, s := range sh {
-		n += s.Instances()
-	}
-	return n
-}
-
 // check panics unless q has the dimensionality of every non-empty shard.
 // Every scan entry point calls it before starting a worker, so a malformed
 // query fails on the caller's goroutine, where the caller can recover it.
@@ -77,7 +68,7 @@ func resolvePar(par int) int {
 
 // Rank scores every live, non-excluded bag in every shard exactly and
 // returns the full ascending ranking with ties broken by ID — the same
-// output Snapshot.Rank produces over one block holding all the bags.
+// output a Sharded of one block holding all the bags produces.
 func (sh Sharded) Rank(q Query, exclude map[string]bool, par int) []Result {
 	if len(sh) == 0 {
 		return normalizeEmpty(nil)

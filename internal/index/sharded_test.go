@@ -38,7 +38,7 @@ func buildShardedPair(t *testing.T, r *rand.Rand, n, dim, maxInst, nShards int, 
 			t.Fatal(err)
 		}
 		sh := shards[i%nShards]
-		slot[i] = sh.Len()
+		slot[i] = len(sh.ids)
 		if err := sh.Append(id, label, insts); err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestQuickShardedMatchesSingleBlock(t *testing.T) {
 			}
 		}
 		par := 1 + r.Intn(8)
-		if !reflect.DeepEqual(sharded.Rank(q, exclude, par), single.Rank(q, exclude, par)) {
+		if !reflect.DeepEqual(sharded.Rank(q, exclude, par), Sharded{single}.Rank(q, exclude, par)) {
 			t.Log("sharded Rank diverged")
 			return false
 		}
@@ -186,10 +186,10 @@ func TestUpdateLabelSemantics(t *testing.T) {
 	}
 	after := x.Snapshot()
 	q := Query{Point: []float64{0}, Weights: []float64{1}}
-	if got := before.Rank(q, nil, 1)[1].Label; got != "old" {
+	if got := (Sharded{before}).Rank(q, nil, 1)[1].Label; got != "old" {
 		t.Fatalf("pre-update snapshot sees %q", got)
 	}
-	if got := after.Rank(q, nil, 1)[1].Label; got != "new" {
+	if got := (Sharded{after}).Rank(q, nil, 1)[1].Label; got != "new" {
 		t.Fatalf("post-update snapshot sees %q", got)
 	}
 	if x.Instances() != 2 || x.Dead() != 0 {

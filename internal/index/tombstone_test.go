@@ -83,18 +83,18 @@ func TestQuickDeleteMatchesRebuild(t *testing.T) {
 		}
 		par := 1 + r.Intn(4)
 		s, rs := x.Snapshot(), rebuilt.Snapshot()
-		if !reflect.DeepEqual(s.Rank(q, exclude, par), rs.Rank(q, exclude, par)) {
+		if !reflect.DeepEqual(Sharded{s}.Rank(q, exclude, par), Sharded{rs}.Rank(q, exclude, par)) {
 			t.Log("Rank diverged")
 			return false
 		}
 		for _, k := range []int{1, n / 2, n + 3} {
-			if !reflect.DeepEqual(s.TopK(q, k, exclude, par), rs.TopK(q, k, exclude, par)) {
+			if !reflect.DeepEqual(Sharded{s}.TopK(q, k, exclude, par), Sharded{rs}.TopK(q, k, exclude, par)) {
 				t.Logf("TopK(%d) diverged", k)
 				return false
 			}
 		}
 		qs := []Query{q, q2}
-		if !reflect.DeepEqual(s.MultiTopK(qs, 3, exclude, par), rs.MultiTopK(qs, 3, exclude, par)) {
+		if !reflect.DeepEqual(Sharded{s}.MultiTopK(qs, 3, exclude, par), Sharded{rs}.MultiTopK(qs, 3, exclude, par)) {
 			t.Log("MultiTopK diverged")
 			return false
 		}
@@ -120,10 +120,10 @@ func TestSnapshotIsolatedFromDelete(t *testing.T) {
 	}
 	after := x.Snapshot()
 	q := Query{Point: []float64{0, 0}, Weights: []float64{1, 1}}
-	if got := len(before.Rank(q, nil, 1)); got != 3 {
+	if got := len(Sharded{before}.Rank(q, nil, 1)); got != 3 {
 		t.Fatalf("pre-delete snapshot sees %d bags, want 3", got)
 	}
-	if got := len(after.Rank(q, nil, 1)); got != 2 {
+	if got := len(Sharded{after}.Rank(q, nil, 1)); got != 2 {
 		t.Fatalf("post-delete snapshot sees %d bags, want 2", got)
 	}
 	if before.isDead(1) || !after.isDead(1) {
@@ -150,7 +150,7 @@ func TestAppendAfterDelete(t *testing.T) {
 		t.Fatal("appended bag born dead")
 	}
 	s := x.Snapshot()
-	res := s.Rank(Query{Point: []float64{0}, Weights: []float64{1}}, nil, 1)
+	res := Sharded{s}.Rank(Query{Point: []float64{0}, Weights: []float64{1}}, nil, 1)
 	if len(res) != 70 { // 70 appended +1 new -1 deleted
 		t.Fatalf("rank sees %d bags, want 70", len(res))
 	}

@@ -19,17 +19,9 @@ func TestKernelPure(t *testing.T) {
 	linttest.Run(t, "testdata/src/kernelpure", lint.KernelPure)
 }
 
-func TestAtomicField(t *testing.T) {
-	linttest.Run(t, "testdata/src/atomicfield", lint.AtomicField)
-}
-
-func TestPkgDoc(t *testing.T) {
-	for _, dir := range []string{
-		"testdata/src/pkgdoc",     // topic headers only: no canonical doc
-		"testdata/src/pkgdocnone", // no package doc at all
-		"testdata/src/pkgdocok",   // canonical doc + topic header: clean
-		"testdata/src/pkgdocmain", // main package with a scenario opener: clean
-	} {
-		t.Run(dir, func(t *testing.T) { linttest.Run(t, dir, lint.PkgDoc) })
-	}
+// TestIgnoreNamesARegisteredAnalyzer runs a fixture of //lint:ignore
+// directives under an analyzer none of them names: only the directive for
+// an analyzer that does not exist is reported.
+func TestIgnoreNamesARegisteredAnalyzer(t *testing.T) {
+	linttest.Run(t, "testdata/src/lintdirective", lint.KernelPure)
 }

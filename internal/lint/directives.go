@@ -15,9 +15,6 @@ import (
 //	milret:guarded-by <mutexField>  on a struct field: the field may only
 //	                                be accessed with <mutexField> held on
 //	                                the same receiver (guardcheck).
-//	milret:atomic                   on a struct field: the field may only
-//	                                be accessed through sync/atomic
-//	                                (atomicfield).
 //	milret:locked <mutexField>      on a function: the named mutex of the
 //	                                receiver is held at entry (guardcheck).
 //	milret:unguarded <reason>       on a function: guardcheck skips it —

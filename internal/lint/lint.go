@@ -13,8 +13,9 @@
 //	//lint:ignore <analyzer>[,<analyzer>...] <reason>
 //
 // either on the same line as the diagnostic or on the line directly
-// above it. The reason is mandatory; an ignore without one is itself
-// reported.
+// above it. The reason is mandatory, and every name must be a registered
+// analyzer (or `*`, for all of them); an ignore that breaks either rule is
+// itself reported.
 package lint
 
 import (
@@ -74,8 +75,6 @@ func All() []*Analyzer {
 		GuardCheck,
 		Durably,
 		KernelPure,
-		AtomicField,
-		PkgDoc,
 	}
 }
 
@@ -118,8 +117,15 @@ type ignoreKey struct {
 }
 
 // suppress drops diagnostics covered by a well-formed //lint:ignore
-// directive and appends a diagnostic for each malformed one.
+// directive and appends a diagnostic for each malformed one. Names are
+// checked against every registered analyzer, not just those of this run, so
+// a directive for an analyzer that was deleted or misspelled is reported
+// instead of standing in the code as a justification for nothing.
 func suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diagnostic {
+	registered := map[string]bool{"*": true}
+	for _, a := range All() {
+		registered[a.Name] = true
+	}
 	// ignores maps (file, line) -> analyzer names suppressed there.
 	ignores := make(map[ignoreKey]map[string]bool)
 	for _, f := range files {
@@ -139,15 +145,24 @@ func suppress(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []Diag
 					})
 					continue
 				}
-				// The directive covers its own line (trailing comment)
-				// and the next line (standalone comment above the code).
-				for _, line := range []int{pos.Line, pos.Line + 1} {
-					k := ignoreKey{pos.Filename, line}
-					if ignores[k] == nil {
-						ignores[k] = make(map[string]bool)
+				for _, n := range strings.Split(names, ",") {
+					n = strings.TrimSpace(n)
+					if !registered[n] {
+						diags = append(diags, Diagnostic{
+							Analyzer: "lintdirective",
+							Pos:      c.Pos(),
+							Message:  fmt.Sprintf("//lint:ignore names %q, which is not a registered analyzer", n),
+						})
+						continue
 					}
-					for _, n := range strings.Split(names, ",") {
-						ignores[k][strings.TrimSpace(n)] = true
+					// The directive covers its own line (trailing comment)
+					// and the next line (standalone comment above the code).
+					for _, line := range []int{pos.Line, pos.Line + 1} {
+						k := ignoreKey{pos.Filename, line}
+						if ignores[k] == nil {
+							ignores[k] = make(map[string]bool)
+						}
+						ignores[k][n] = true
 					}
 				}
 			}

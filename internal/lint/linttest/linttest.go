@@ -9,6 +9,11 @@
 //
 //	s.items = nil // want `without s\.mu held`
 //
+// A line whose only comment is a //lint:ignore directive carries its want
+// inside the directive, after the reason:
+//
+//	//lint:ignore nosuchanalyzer reason // want `not a registered analyzer`
+//
 // Every diagnostic must be matched by a want on its line and every
 // want must match a diagnostic; order within one line is positional.
 // Fixtures are type-checked against the real standard library via the
@@ -98,15 +103,15 @@ type lineKey struct {
 
 var wantRE = regexp.MustCompile("`([^`]+)`")
 
-// collectWants parses `// want `re`...` comments into per-line regexp
-// lists.
+// collectWants parses `// want `re`...` comments, and the same suffix of
+// any other comment, into per-line regexp lists.
 func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[lineKey][]*regexp.Regexp {
 	t.Helper()
 	wants := make(map[lineKey][]*regexp.Regexp)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "// want ")
+				_, text, ok := strings.Cut(c.Text, "// want ")
 				if !ok {
 					continue
 				}

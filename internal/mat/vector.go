@@ -101,11 +101,6 @@ func (v Vector) Scale(a float64) Vector {
 	return v
 }
 
-// Sub sets v = v − u in place and returns v.
-func (v Vector) Sub(u Vector) Vector {
-	return v.AddScaled(-1, u)
-}
-
 // MaxAbs returns the largest absolute element of v, or 0 for an empty vector.
 func (v Vector) MaxAbs() float64 {
 	var m float64
@@ -171,20 +166,6 @@ func (v Vector) Standardize() Vector {
 // milret:kernel
 func WeightedSqDist(v, u, w Vector) float64 {
 	return WeightedSqDistBlocked(v, u, w)
-}
-
-// Equal reports whether v and u have the same length and every pair of
-// elements differs by at most tol.
-func Equal(v, u Vector, tol float64) bool {
-	if len(v) != len(u) {
-		return false
-	}
-	for i, x := range v {
-		if math.Abs(x-u[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // AllNonNegative reports whether every element of v is ≥ 0 — the

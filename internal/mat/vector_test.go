@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -57,16 +58,25 @@ func TestDotNormOrthogonal(t *testing.T) {
 func TestAddScaledScaleSub(t *testing.T) {
 	v := Vector{1, 2}.Clone()
 	v.AddScaled(2, Vector{10, 20})
-	if !Equal(v, Vector{21, 42}, 0) {
+	if !slices.Equal(v, Vector{21, 42}) {
 		t.Fatalf("AddScaled = %v", v)
 	}
 	v.Scale(0.5)
-	if !Equal(v, Vector{10.5, 21}, 0) {
+	if !slices.Equal(v, Vector{10.5, 21}) {
 		t.Fatalf("Scale = %v", v)
 	}
-	v.Sub(Vector{0.5, 1})
-	if !Equal(v, Vector{10, 20}, 0) {
-		t.Fatalf("Sub = %v", v)
+	v.AddScaled(-1, Vector{0.5, 1})
+	if !slices.Equal(v, Vector{10, 20}) {
+		t.Fatalf("AddScaled(-1) = %v", v)
+	}
+}
+
+func TestCloneIndependence(t *testing.T) {
+	v := Vector{1, 2}
+	c := v.Clone()
+	c[0] = 99
+	if v[0] != 1 {
+		t.Fatalf("Clone shares storage")
 	}
 }
 
@@ -83,7 +93,7 @@ func TestStandardizeMeanZeroStdOne(t *testing.T) {
 
 func TestStandardizeConstantVector(t *testing.T) {
 	s := Vector{5, 5, 5}.Standardize()
-	if !Equal(s, NewVector(3), 0) {
+	if !slices.Equal(s, NewVector(3)) {
 		t.Fatalf("constant vector should standardize to zero, got %v", s)
 	}
 }

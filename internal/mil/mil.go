@@ -78,18 +78,6 @@ func (d *Dataset) Dim() int {
 	return 0
 }
 
-// NumInstances returns the total instance count across all bags.
-func (d *Dataset) NumInstances() int {
-	var n int
-	for _, b := range d.Positive {
-		n += len(b.Instances)
-	}
-	for _, b := range d.Negative {
-		n += len(b.Instances)
-	}
-	return n
-}
-
 // Validate checks the dataset for training: at least one positive bag,
 // every bag individually valid, and a single common dimensionality. A
 // dataset with no negative bags is legal (the paper's first training round
@@ -119,18 +107,4 @@ func (d *Dataset) Validate() error {
 		return err
 	}
 	return check(d.Negative, "negative")
-}
-
-// Clone returns a shallow copy of the dataset with fresh bag slices, so that
-// feedback rounds can append negatives without mutating the caller's
-// dataset. The bags themselves are shared (they are immutable by
-// convention).
-func (d *Dataset) Clone() *Dataset {
-	out := &Dataset{
-		Positive: make([]*Bag, len(d.Positive)),
-		Negative: make([]*Bag, len(d.Negative)),
-	}
-	copy(out.Positive, d.Positive)
-	copy(out.Negative, d.Negative)
-	return out
 }

@@ -81,25 +81,7 @@ func TestDatasetDimAndCounts(t *testing.T) {
 	if ds.Dim() != 2 {
 		t.Fatalf("Dim = %d", ds.Dim())
 	}
-	if ds.NumInstances() != 3 {
-		t.Fatalf("NumInstances = %d", ds.NumInstances())
-	}
 	if (&Dataset{}).Dim() != 0 {
 		t.Fatalf("empty dataset Dim != 0")
-	}
-}
-
-func TestDatasetCloneIndependence(t *testing.T) {
-	ds := &Dataset{
-		Positive: []*Bag{bag("p1", mat.Vector{1})},
-		Negative: []*Bag{bag("n1", mat.Vector{2})},
-	}
-	c := ds.Clone()
-	c.Negative = append(c.Negative, bag("n2", mat.Vector{3}))
-	if len(ds.Negative) != 1 {
-		t.Fatalf("Clone shares negative slice: %d", len(ds.Negative))
-	}
-	if c.Positive[0] != ds.Positive[0] {
-		t.Fatalf("Clone should share bag pointers")
 	}
 }

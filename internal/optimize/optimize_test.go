@@ -3,6 +3,7 @@ package optimize
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -49,14 +50,14 @@ func TestLBFGSAtMinimum(t *testing.T) {
 func TestLBFGSQuadratic(t *testing.T) {
 	f := quadratic(mat.Vector{1, 3, 0.5, 10}, mat.Vector{2, -1, 4, 0.5})
 	res := NewLBFGS(mat.NewVector(4), Options{MaxIter: 200}).Minimize(f)
-	if !mat.Equal(res.X, mat.Vector{2, -1, 4, 0.5}, 1e-4) {
+	if !near(res.X, mat.Vector{2, -1, 4, 0.5}, 1e-4) {
 		t.Fatalf("LBFGS solution %v", res.X)
 	}
 }
 
 func TestLBFGSRosenbrock(t *testing.T) {
 	res := NewLBFGS(mat.Vector{-1.2, 1}, Options{MaxIter: 2000, GradTol: 1e-8}).Minimize(rosenbrock)
-	if !mat.Equal(res.X, mat.Vector{1, 1}, 1e-3) {
+	if !near(res.X, mat.Vector{1, 1}, 1e-3) {
 		t.Fatalf("LBFGS Rosenbrock solution %v (f=%v, iters=%d)", res.X, res.F, res.Iters)
 	}
 }
@@ -101,7 +102,7 @@ func TestProjectBoxOnly(t *testing.T) {
 	c := BoxSum{Lo: 0, Hi: 1, MinSum: 0}
 	x := mat.Vector{-0.5, 0.25, 2}
 	c.Project(x)
-	if !mat.Equal(x, mat.Vector{0, 0.25, 1}, 0) {
+	if !slices.Equal(x, mat.Vector{0, 0.25, 1}) {
 		t.Fatalf("box projection = %v", x)
 	}
 }
@@ -111,7 +112,7 @@ func TestProjectSumActiveKnownCase(t *testing.T) {
 	c := BoxSum{Lo: 0, Hi: 1, MinSum: 1}
 	x := mat.Vector{0, 0}
 	c.Project(x)
-	if !mat.Equal(x, mat.Vector{0.5, 0.5}, 1e-9) {
+	if !near(x, mat.Vector{0.5, 0.5}, 1e-9) {
 		t.Fatalf("projection = %v, want (0.5, 0.5)", x)
 	}
 }
@@ -122,7 +123,7 @@ func TestProjectSumActiveAsymmetric(t *testing.T) {
 	c := BoxSum{Lo: 0, Hi: 1, MinSum: 1.5}
 	x := mat.Vector{0.9, 0}
 	c.Project(x)
-	if !mat.Equal(x, mat.Vector{1, 0.5}, 1e-6) {
+	if !near(x, mat.Vector{1, 0.5}, 1e-6) {
 		t.Fatalf("projection = %v, want (1, 0.5)", x)
 	}
 }
@@ -153,7 +154,7 @@ func TestQuickProjectFeasibleIdempotent(t *testing.T) {
 		}
 		y := x.Clone()
 		c.Project(y)
-		return mat.Equal(x, y, 1e-9)
+		return near(x, y, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -199,7 +200,7 @@ func TestProjectedGradientMatchesProjection(t *testing.T) {
 	res := NewProjectedGradient(c.Project, mat.NewVector(4), Options{MaxIter: 500}).Minimize(f)
 	want := p.Clone()
 	c.Project(want)
-	if !mat.Equal(res.X, want, 1e-4) {
+	if !near(res.X, want, 1e-4) {
 		t.Fatalf("projected gradient %v, want %v", res.X, want)
 	}
 	if !c.Feasible(res.X, 1e-9) {
@@ -237,7 +238,7 @@ func TestProjectedGradientUnconstrainedInterior(t *testing.T) {
 	c := BoxSum{Lo: 0, Hi: 1, MinSum: 0.1}
 	f := quadratic(mat.NewVector(3).Fill(1), mat.Vector{0.5, 0.6, 0.7})
 	res := NewProjectedGradient(c.Project, mat.NewVector(3), Options{MaxIter: 500}).Minimize(f)
-	if !mat.Equal(res.X, mat.Vector{0.5, 0.6, 0.7}, 1e-4) {
+	if !near(res.X, mat.Vector{0.5, 0.6, 0.7}, 1e-4) {
 		t.Fatalf("interior solution distorted: %v", res.X)
 	}
 }
@@ -298,4 +299,18 @@ func TestProjectInactiveSumIsOnePassClip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// near reports whether a and b have the same length and differ by at most
+// tol in every element.
+func near(a, b mat.Vector, tol float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -3,6 +3,7 @@ package optimize
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"milret/internal/mat"
@@ -17,7 +18,7 @@ func chain() Func {
 	var last mat.Vector
 	var lastF float64
 	return func(x, grad mat.Vector, _ float64) float64 {
-		if grad == nil && last != nil && mat.Equal(x, last, 0) {
+		if grad == nil && last != nil && slices.Equal(x, last) {
 			return lastF
 		}
 		if grad != nil {

@@ -28,7 +28,7 @@ import (
 	"milret/internal/core"
 )
 
-// Outcome classifies how Do satisfied one request.
+// Outcome classifies how DoContext satisfied one request.
 type Outcome int
 
 const (
@@ -62,7 +62,7 @@ type Stats struct {
 	CapacityBytes int64 `json:"capacity_bytes"`
 	Bytes         int64 `json:"bytes"`
 	Entries       int   `json:"entries"`
-	// Hits, Misses and Coalesced count Do outcomes (Coalesced: calls that
+	// Hits, Misses and Coalesced count DoContext outcomes (Coalesced: calls that
 	// waited on an identical in-flight training run instead of starting
 	// their own); Bypassed counts NoteBypass calls (requests that skipped
 	// the cache on purpose); Evictions counts entries dropped to stay under
@@ -136,7 +136,7 @@ type Cache struct {
 // cache should hold no Cache.
 func New(capBytes int64) *Cache {
 	if capBytes <= 0 {
-		capBytes = 1 // degenerate but safe: nothing ever fits, every Do trains
+		capBytes = 1 // degenerate but safe: nothing ever fits, every DoContext trains
 	}
 	return &Cache{
 		capBytes: capBytes,
@@ -146,25 +146,22 @@ func New(capBytes int64) *Cache {
 	}
 }
 
-// Do returns the concept cached under key, or trains it by calling train.
-// Concurrent calls for the same key coalesce: exactly one caller (the
+// DoContext returns the concept cached under key, or trains it by calling
+// train. Concurrent calls for the same key coalesce: exactly one caller (the
 // leader) runs train, the rest wait and share the leader's concept or
-// error. Errors are never cached — the next Do after a failed flight
+// error. Errors are never cached — the next call after a failed flight
 // trains again. The returned concept is shared and must be treated as
 // immutable.
-func (c *Cache) Do(key Key, train func() (*core.Concept, error)) (*core.Concept, Outcome, error) {
-	return c.DoContext(context.Background(), key, train)
-}
-
-// DoContext is Do with a caller-scoped wait bound: a waiter coalesced onto
-// another caller's flight stops waiting when ctx is done and returns
-// ctx.Err(). The leader is NOT cancelled — it owns the flight and runs
-// train to completion regardless of its own ctx, because abandoning a
-// half-trained concept would strand every other waiter and waste the work;
-// a leader that must observe cancellation can close over ctx in train.
-// This is what keeps server shutdown from deadlocking on in-flight
-// training: force-closed request contexts release their coalesced waiters
-// immediately while the leader lands and caches the result.
+//
+// ctx bounds only a waiter: one coalesced onto another caller's flight
+// stops waiting when ctx is done and returns ctx.Err(). The leader is NOT
+// cancelled — it owns the flight and runs train to completion regardless
+// of its own ctx, because abandoning a half-trained concept would strand
+// every other waiter and waste the work; a leader that must observe
+// cancellation can close over ctx in train. This is what keeps server
+// shutdown from deadlocking on in-flight training: force-closed request
+// contexts release their coalesced waiters immediately while the leader
+// lands and caches the result.
 func (c *Cache) DoContext(ctx context.Context, key Key, train func() (*core.Concept, error)) (*core.Concept, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
@@ -215,19 +212,6 @@ func (c *Cache) DoContext(ctx context.Context, key Key, train func() (*core.Conc
 // propagates on the leader's goroutine.
 var errTrainPanicked = errors.New("qcache: training function panicked")
 
-// Get returns the cached concept for key without training, if present.
-func (c *Cache) Get(key Key) (*core.Concept, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return el.Value.(*entry).c, true
-}
-
 // insertLocked adds a trained concept under key, evicting from the cold
 // end until the estimate fits. A concept larger than the whole cache is
 // returned to its caller but not retained.
@@ -260,13 +244,6 @@ func (c *Cache) NoteBypass() {
 	c.mu.Lock()
 	c.bypassed++
 	c.mu.Unlock()
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats snapshots the counters.

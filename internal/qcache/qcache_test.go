@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -28,17 +29,29 @@ func mkKey(b byte) Key {
 	return k
 }
 
+// lookup returns the concept cached under key without training, and
+// without touching its recency or the counters.
+func lookup(c *Cache, key Key) (*core.Concept, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*entry).c, true
+}
+
 func TestDoHitMiss(t *testing.T) {
 	c := New(1 << 20)
 	want := mkConcept(8, 1)
 	calls := 0
 	train := func() (*core.Concept, error) { calls++; return want, nil }
 
-	got, out, err := c.Do(mkKey(1), train)
+	got, out, err := c.DoContext(context.Background(), mkKey(1), train)
 	if err != nil || got != want || out != Miss {
 		t.Fatalf("first Do = (%p, %v, %v), want (%p, miss, nil)", got, out, err, want)
 	}
-	got, out, err = c.Do(mkKey(1), train)
+	got, out, err = c.DoContext(context.Background(), mkKey(1), train)
 	if err != nil || got != want || out != Hit {
 		t.Fatalf("second Do = (%p, %v, %v), want (%p, hit, nil)", got, out, err, want)
 	}
@@ -61,7 +74,7 @@ func TestEvictionUnderMemoryBound(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		cc := mkConcept(dim, float64(i))
-		if _, _, err := c.Do(mkKey(byte(i)), func() (*core.Concept, error) { return cc, nil }); err != nil {
+		if _, _, err := c.DoContext(context.Background(), mkKey(byte(i)), func() (*core.Concept, error) { return cc, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,27 +85,27 @@ func TestEvictionUnderMemoryBound(t *testing.T) {
 	if st.Bytes > st.CapacityBytes {
 		t.Fatalf("bytes %d exceed capacity %d", st.Bytes, st.CapacityBytes)
 	}
-	if _, ok := c.Get(mkKey(0)); ok {
+	if _, ok := lookup(c, mkKey(0)); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
 	for _, b := range []byte{1, 2} {
-		if _, ok := c.Get(mkKey(b)); !ok {
+		if _, ok := lookup(c, mkKey(b)); !ok {
 			t.Fatalf("entry %d evicted, want retained", b)
 		}
 	}
 
 	// LRU order, not insertion order: touch 1, insert 3 — 2 must go.
-	if _, ok := c.Get(mkKey(1)); !ok {
-		t.Fatal("entry 1 missing")
+	if _, out, _ := c.DoContext(context.Background(), mkKey(1), nil); out != Hit {
+		t.Fatalf("entry 1 missing: %v", out)
 	}
 	cc := mkConcept(dim, 3)
-	if _, _, err := c.Do(mkKey(3), func() (*core.Concept, error) { return cc, nil }); err != nil {
+	if _, _, err := c.DoContext(context.Background(), mkKey(3), func() (*core.Concept, error) { return cc, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(mkKey(2)); ok {
+	if _, ok := lookup(c, mkKey(2)); ok {
 		t.Fatal("least-recently-used entry 2 survived")
 	}
-	if _, ok := c.Get(mkKey(1)); !ok {
+	if _, ok := lookup(c, mkKey(1)); !ok {
 		t.Fatal("recently-used entry 1 evicted")
 	}
 }
@@ -100,7 +113,7 @@ func TestEvictionUnderMemoryBound(t *testing.T) {
 func TestOversizedConceptNotRetained(t *testing.T) {
 	c := New(64) // smaller than any concept entry
 	cc := mkConcept(32, 1)
-	got, out, err := c.Do(mkKey(9), func() (*core.Concept, error) { return cc, nil })
+	got, out, err := c.DoContext(context.Background(), mkKey(9), func() (*core.Concept, error) { return cc, nil })
 	if err != nil || got != cc || out != Miss {
 		t.Fatalf("Do = (%p, %v, %v)", got, out, err)
 	}
@@ -133,7 +146,7 @@ func TestCoalescing(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			started <- struct{}{}
-			ccs[i], outs[i], errs[i] = c.Do(mkKey(7), train)
+			ccs[i], outs[i], errs[i] = c.DoContext(context.Background(), mkKey(7), train)
 		}(i)
 	}
 	for i := 0; i < n; i++ {
@@ -194,7 +207,7 @@ func TestCoalescedCallersShareLeaderError(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = c.Do(mkKey(3), train)
+			_, _, errs[i] = c.DoContext(context.Background(), mkKey(3), train)
 		}(i)
 	}
 	// Hold the leader until every caller has joined its flight (the
@@ -216,7 +229,7 @@ func TestCoalescedCallersShareLeaderError(t *testing.T) {
 	}
 	// Errors are not cached: the next Do is a fresh flight.
 	want := mkConcept(4, 1)
-	got, out, err := c.Do(mkKey(3), func() (*core.Concept, error) { return want, nil })
+	got, out, err := c.DoContext(context.Background(), mkKey(3), func() (*core.Concept, error) { return want, nil })
 	if err != nil || got != want || out != Miss {
 		t.Fatalf("Do after failed flight = (%p, %v, %v), want fresh miss", got, out, err)
 	}
@@ -233,7 +246,7 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 	release := make(chan struct{})
 	go func() {
 		defer func() { _ = recover() }()
-		c.Do(mkKey(5), func() (*core.Concept, error) {
+		c.DoContext(context.Background(), mkKey(5), func() (*core.Concept, error) {
 			close(entered)
 			<-release
 			panic("train exploded")
@@ -242,7 +255,7 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 	<-entered
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(mkKey(5), func() (*core.Concept, error) { return mkConcept(2, 0), nil })
+		_, _, err := c.DoContext(context.Background(), mkKey(5), func() (*core.Concept, error) { return mkConcept(2, 0), nil })
 		waiterErr <- err
 	}()
 	// The waiter may either coalesce onto the doomed flight (error) or, if
@@ -253,7 +266,7 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 	}
 	// Either way the key must be live afterwards.
 	want := mkConcept(2, 1)
-	got, _, err := c.Do(mkKey(5), func() (*core.Concept, error) { return want, nil })
+	got, _, err := c.DoContext(context.Background(), mkKey(5), func() (*core.Concept, error) { return want, nil })
 	if err != nil || got == nil {
 		t.Fatalf("key wedged after panic: (%p, %v)", got, err)
 	}
@@ -275,12 +288,12 @@ func TestConcurrentMixedUse(t *testing.T) {
 				case i%29 == 0:
 					c.Export(0)
 				case i%7 == 0:
-					c.Get(key)
+					lookup(c, key)
 				case i%11 == 0:
 					c.Stats()
 				default:
 					cc := mkConcept(dim, float64(g))
-					if _, _, err := c.Do(key, func() (*core.Concept, error) { return cc, nil }); err != nil {
+					if _, _, err := c.DoContext(context.Background(), key, func() (*core.Concept, error) { return cc, nil }); err != nil {
 						t.Error(err)
 						return
 					}
@@ -298,11 +311,11 @@ func BenchmarkDoHit(b *testing.B) {
 	c := New(1 << 20)
 	cc := mkConcept(100, 1)
 	key := mkKey(1)
-	c.Do(key, func() (*core.Concept, error) { return cc, nil })
+	c.DoContext(context.Background(), key, func() (*core.Concept, error) { return cc, nil })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, out, _ := c.Do(key, nil); out != Hit {
+		if _, out, _ := c.DoContext(context.Background(), key, nil); out != Hit {
 			b.Fatal("miss")
 		}
 	}
@@ -313,7 +326,7 @@ func ExampleCache() {
 	key := Key{1}
 	trainings := 0
 	for i := 0; i < 3; i++ {
-		_, out, _ := c.Do(key, func() (*core.Concept, error) {
+		_, out, _ := c.DoContext(context.Background(), key, func() (*core.Concept, error) {
 			trainings++
 			return mkConcept(2, 1), nil
 		})

@@ -65,9 +65,6 @@ func NewClient(addr string, timeout time.Duration, retries int, backoff time.Dur
 	}
 }
 
-// Addr returns the partition's base URL.
-func (c *Client) Addr() string { return c.addr }
-
 // unavailable tags a transport failure with the partition address and
 // the ErrUnavailable sentinel.
 func (c *Client) unavailable(err error) error {

@@ -524,8 +524,8 @@ func TestClientBareHostPort(t *testing.T) {
 	cl := startCluster(t, PartialFail)
 	bare := strings.TrimPrefix(cl.servers[0].URL, "http://")
 	cli := NewClient(bare, 0, 0, 0)
-	if cli.Addr() != "http://"+bare {
-		t.Errorf("Addr() = %q, want %q", cli.Addr(), "http://"+bare)
+	if cli.addr != "http://"+bare {
+		t.Errorf("addr = %q, want %q", cli.addr, "http://"+bare)
 	}
 	if _, err := cli.Ping(context.Background()); err != nil {
 		t.Fatalf("Ping over bare host:port addr: %v", err)

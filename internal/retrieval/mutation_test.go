@@ -36,9 +36,6 @@ func TestDeleteSemantics(t *testing.T) {
 	if len(items) != 2 || items[0].ID != "a" || items[1].ID != "c" {
 		t.Fatalf("Items = %+v", items)
 	}
-	if got := db.Get(1).ID; got != "c" {
-		t.Fatalf("Get(1) = %q, want c", got)
-	}
 	res := Rank(db, pointScorer{mat.Vector{0, 0}}, Options{})
 	if len(res) != 2 || res[0].ID != "a" || res[1].ID != "c" {
 		t.Fatalf("rank after delete: %+v", res)

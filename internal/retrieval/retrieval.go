@@ -453,33 +453,6 @@ func (db *Database) liveOrdered() []Item {
 	return out
 }
 
-// Get returns the i-th live item in insertion order. On a single-shard,
-// tombstone-free database (the append-only common case) this is one O(1)
-// slot read; otherwise the live items are collected and ordered, so
-// iterating a large multi-shard or tombstoned database is cheaper through
-// Items() than through repeated Gets.
-func (db *Database) Get(i int) Item {
-	if len(db.shards) == 1 {
-		sh := db.shards[0]
-		sh.mu.RLock()
-		if sh.idx.Dead() == 0 {
-			if n := len(sh.items); i < 0 || i >= n {
-				sh.mu.RUnlock()
-				panic(fmt.Sprintf("retrieval: Get(%d) of %d live items", i, n))
-			}
-			it := sh.items[i]
-			sh.mu.RUnlock()
-			return it
-		}
-		sh.mu.RUnlock()
-	}
-	items := db.liveOrdered()
-	if i < 0 || i >= len(items) {
-		panic(fmt.Sprintf("retrieval: Get(%d) of %d live items", i, len(items)))
-	}
-	return items[i]
-}
-
 // ByID returns the item with the given ID.
 func (db *Database) ByID(id string) (Item, bool) {
 	sh := db.shardFor(id)

@@ -8,12 +8,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
-
-	"milret/internal/mat"
 )
 
 func writeFlatTemp(t *testing.T, dim int, recs []Record) string {
@@ -359,7 +358,7 @@ func TestQuickFlatRoundTrip(t *testing.T) {
 				return false
 			}
 			for j := range recs[i].Bag.Instances {
-				if !mat.Equal(got[i].Bag.Instances[j], recs[i].Bag.Instances[j], 0) {
+				if !slices.Equal(got[i].Bag.Instances[j], recs[i].Bag.Instances[j]) {
 					return false
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -301,7 +302,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				return false
 			}
 			for j := range rec.Bag.Instances {
-				if !mat.Equal(got.Bag.Instances[j], rec.Bag.Instances[j], 0) {
+				if !slices.Equal(got.Bag.Instances[j], rec.Bag.Instances[j]) {
 					return false
 				}
 			}
