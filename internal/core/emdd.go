@@ -5,6 +5,7 @@ import (
 
 	"milret/internal/mat"
 	"milret/internal/mil"
+	"milret/internal/workloop"
 )
 
 // TrainEMDD maximizes Diverse Density with the EM-DD refinement (Zhang &
@@ -44,10 +45,10 @@ func TrainEMDD(ds *mil.Dataset, cfg Config) (*Concept, error) {
 		evals int
 	}
 	results := make([]outcome, len(starts))
-	forEachStart(len(starts), cfg.Parallelism, func(int) func(int) {
+	workloop.Run(len(starts), cfg.Parallelism, func(_ int, claim func() (int, bool)) {
 		full := newObjective(ex, cfg.Mode)
 		sub := newSingleInstanceObjective(dim, ex.nPos, len(ex.bagEnd), cfg.Mode)
-		return func(i int) {
+		for i, ok := claim(); ok; i, ok = claim() {
 			theta, f, evals := emddFromStart(full, sub, cfg, starts[i])
 			results[i] = outcome{theta: theta, f: f, evals: evals}
 		}

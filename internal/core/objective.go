@@ -150,7 +150,8 @@ type objective struct {
 	mode WeightMode
 
 	// Scratch and memo, sized at construction; objective is not safe for
-	// concurrent use — each training worker owns its own (forEachStart).
+	// concurrent use — each training worker owns its own, for its lifetime
+	// (allocating one per start would be most of a training run's garbage).
 	dists []float64  // per tile lane: d_ij at memoTheta, indexed like ex.tiles
 	coefs []float64  // per instance: ∂f/∂d_ij at memoTheta, indexed like ex.rows
 	wbuf  mat.Vector // effective distance weights W at memoTheta

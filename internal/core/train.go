@@ -5,12 +5,12 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"milret/internal/mat"
 	"milret/internal/mil"
 	"milret/internal/optimize"
+	"milret/internal/workloop"
 )
 
 // Cumulative objective-evaluation counters, one per trainer. They exist so
@@ -236,12 +236,14 @@ func train(ds *mil.Dataset, cfg Config, rungs []int) (*Concept, error) {
 	// from rung to rung.
 	objs := make([]*objective, min(cfg.Parallelism, len(starts)))
 	advance := func(upTo int) {
-		forEachStart(len(live), len(objs), func(w int) func(int) {
+		workloop.Run(len(live), len(objs), func(w int, claim func() (int, bool)) {
 			if objs[w] == nil {
 				objs[w] = newObjective(ex, cfg.Mode)
 			}
 			f := objs[w].Eval
-			return func(i int) { runs[live[i]].Run(f, upTo) }
+			for i, ok := claim(); ok; i, ok = claim() {
+				runs[live[i]].Run(f, upTo)
+			}
 		})
 	}
 	// ahead orders starts by objective, a NaN counting as +Inf, ties by start
@@ -335,31 +337,6 @@ func newConcept(mode WeightMode, dim int, theta mat.Vector, f float64, starts, e
 	}
 	distWeights(mode, w, c.Weights)
 	return c
-}
-
-// forEachStart runs work items 0..n−1 on at most par goroutines and returns
-// when all are done. Goroutine w (0 ≤ w < par) calls newWorker(w) once for a
-// closure that owns that goroutine's scratch (an objective is not safe to
-// share, and allocating one per start is most of a training run's garbage),
-// then feeds it indices until none are left. Starts are independent, so
-// which worker runs which start affects nothing they compute.
-func forEachStart(n, par int, newWorker func(w int) func(i int)) {
-	if par > n {
-		par = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run := newWorker(w)
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				run(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // initTheta packs a start into θ: the concept point on the instance, every

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sync"
-
 	"milret/internal/core"
 	"milret/internal/eval"
 	"milret/internal/feature"
@@ -16,79 +14,6 @@ import (
 // extensions the paper's §5 proposes as future work (color features,
 // rotation instances) and the canonical follow-up algorithm (EM-DD),
 // using the same protocol and corpora as the reproduced figures.
-
-// colorCorpus featurizes the scene corpus with the tripled-RGB features.
-var (
-	colorMu    sync.Mutex
-	colorCache = map[corpusKey][]retrieval.Item{}
-)
-
-func colorCorpus(seed int64, perCat int, opts feature.Options) ([]retrieval.Item, error) {
-	key := corpusKey{"scenes-color", seed, perCat, opts}
-	colorMu.Lock()
-	if items, ok := colorCache[key]; ok {
-		colorMu.Unlock()
-		return items, nil
-	}
-	colorMu.Unlock()
-
-	raw := synth.ScenesN(seed, perCat)
-	items := make([]retrieval.Item, len(raw))
-	errs := make([]error, len(raw))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8)
-	for i, it := range raw {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, it synth.Item) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			bag, err := feature.BagFromColorImage(it.ID, it.Image, opts)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			items[i] = retrieval.Item{ID: it.ID, Label: it.Label, Bag: bag}
-		}(i, it)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	colorMu.Lock()
-	colorCache[key] = items
-	colorMu.Unlock()
-	return items, nil
-}
-
-// runColorProtocol is runProtocol over the color-feature corpus.
-func runColorProtocol(cfg Config, target string, train core.Config) (*eval.ProtocolResult, error) {
-	items, err := colorCorpus(cfg.Seed, cfg.Scale.ScenesPerCat, feature.Options{})
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]string, len(items))
-	for i, it := range items {
-		labels[i] = it.Label
-	}
-	sp, err := eval.StratifiedSplit(labels, cfg.Scale.TrainFrac, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	pool, test, err := eval.SplitDatabases(items, sp)
-	if err != nil {
-		return nil, err
-	}
-	pc := eval.ProtocolConfig{Target: target, Rounds: cfg.Scale.Rounds, Train: train, Seed: cfg.Seed}
-	if poolPerCat := poolCategoryCount(pool, target); poolPerCat < 5 {
-		pc.NumPos = shrinkExamples(poolPerCat)
-		pc.NumNeg = pc.NumPos
-		pc.FalsePositivesPerRound = 3
-	}
-	return eval.RunProtocol(pool, test, pc)
-}
 
 // ExtColor compares gray-scale features against the tripled-RGB variant of
 // §5 on two color-sensitive scene categories. The paper reports "no
@@ -111,7 +36,7 @@ func ExtColor(cfg Config) ([]Table, error) {
 		ap, window, _, _ := summarize(res.TestRanking, target)
 		t.AddRow(target, "gray h²", 100, ap, window)
 
-		cres, err := runColorProtocol(cfg, target, train)
+		cres, err := runProtocol(cfg, "scenes-color", target, feature.Options{}, train)
 		if err != nil {
 			return nil, err
 		}

@@ -15,9 +15,11 @@ import (
 	"milret/internal/eval"
 	"milret/internal/feature"
 	"milret/internal/gray"
+	"milret/internal/mil"
 	"milret/internal/optimize"
 	"milret/internal/retrieval"
 	"milret/internal/synth"
+	"milret/internal/workloop"
 )
 
 // Scale bounds the computational size of an experiment run. The paper's
@@ -108,7 +110,7 @@ func (c Config) trainConfig(mode core.WeightMode, beta float64) core.Config {
 
 // corpusKey identifies a cached featurized corpus.
 type corpusKey struct {
-	kind   string // "scenes" or "objects"
+	kind   string // "scenes", "objects" or "scenes-color"
 	seed   int64
 	perCat int
 	opts   feature.Options
@@ -120,7 +122,9 @@ var (
 )
 
 // featurizedCorpus generates (or returns cached) preprocessed bags for a
-// corpus. Featurization parallelizes across images.
+// corpus: the scene or object corpus in gray-scale features, or
+// "scenes-color", the scene corpus in tripled-RGB features. Featurization
+// runs on up to 8 images at a time.
 func featurizedCorpus(kind string, seed int64, perCat int, opts feature.Options) ([]retrieval.Item, error) {
 	key := corpusKey{kind, seed, perCat, opts}
 	corpusMu.Lock()
@@ -131,35 +135,30 @@ func featurizedCorpus(kind string, seed int64, perCat int, opts feature.Options)
 	corpusMu.Unlock()
 
 	var raw []synth.Item
+	featurize := func(it synth.Item) (*mil.Bag, error) {
+		return feature.BagFromImage(it.ID, gray.FromImage(it.Image), opts)
+	}
 	switch kind {
 	case "scenes":
 		raw = synth.ScenesN(seed, perCat)
 	case "objects":
 		raw = synth.ObjectsN(seed, perCat)
+	case "scenes-color":
+		raw = synth.ScenesN(seed, perCat)
+		featurize = func(it synth.Item) (*mil.Bag, error) { return feature.BagFromColorImage(it.ID, it.Image, opts) }
 	default:
 		return nil, fmt.Errorf("experiments: unknown corpus kind %q", kind)
 	}
 
 	items := make([]retrieval.Item, len(raw))
 	errs := make([]error, len(raw))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8)
-	for i, it := range raw {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, it synth.Item) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			g := gray.FromImage(it.Image)
-			bag, err := feature.BagFromImage(it.ID, g, opts)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			items[i] = retrieval.Item{ID: it.ID, Label: it.Label, Bag: bag}
-		}(i, it)
-	}
-	wg.Wait()
+	workloop.Run(len(raw), 8, func(_ int, claim func() (int, bool)) {
+		for i, ok := claim(); ok; i, ok = claim() {
+			bag, err := featurize(raw[i])
+			items[i] = retrieval.Item{ID: raw[i].ID, Label: raw[i].Label, Bag: bag}
+			errs[i] = err
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -2,7 +2,9 @@
 // §3.5:
 //
 //  1. convert to gray scale (callers hand in a gray.Image, converting with
-//     gray.FromImage when the source is color);
+//     gray.FromImage when the source is color) — or, for the §5 colour
+//     variant (BagFromColorImage), split the picture into R, G and B planes
+//     and run every later step on each plane;
 //  2. select regions from the configured family (§3.2) and drop those whose
 //     pixel variance falls below a threshold;
 //  3. extract two sub-pictures per surviving region — the region itself and
@@ -11,14 +13,16 @@
 //  4. standardize every h²-vector by subtracting its mean and dividing by
 //     its standard deviation, so weighted Euclidean distance reproduces the
 //     weighted-correlation ranking (§3.4; at preprocessing time all weights
-//     are one);
+//     are one), and concatenate a region's per-plane vectors;
 //  5. collect the vectors into the image's bag.
 package feature
 
 import (
 	"fmt"
+	"slices"
 
 	"milret/internal/gray"
+	"milret/internal/mat"
 	"milret/internal/mil"
 	"milret/internal/region"
 )
@@ -73,8 +77,18 @@ func (o Options) MaxInstances() int {
 // filter (a nearly blank image), the whole-image region is kept as a
 // fallback so the image still participates in ranking.
 func BagFromImage(id string, im *gray.Image, opts Options) (*mil.Bag, error) {
+	return bagFromPlanes(id, im, []*gray.Image{im}, opts)
+}
+
+// bagFromPlanes is the §3.5 pipeline over one or more sample planes of the
+// same size: regions are selected by the variance of luma, and every
+// variant of every surviving region is sampled from each plane, each
+// sample standardized on its own, and the samples concatenated in plane
+// order into one instance. A single plane is the gray pipeline; the RGB
+// planes are the colour variant.
+func bagFromPlanes(id string, luma *gray.Image, planes []*gray.Image, opts Options) (*mil.Bag, error) {
 	opts = opts.withDefaults()
-	if im == nil || im.W < 1 || im.H < 1 {
+	if luma == nil || luma.W < 1 || luma.H < 1 {
 		return nil, fmt.Errorf("feature: bag %q: empty image", id)
 	}
 	regions, err := region.Set(opts.Regions)
@@ -82,41 +96,49 @@ func BagFromImage(id string, im *gray.Image, opts Options) (*mil.Bag, error) {
 		return nil, fmt.Errorf("feature: bag %q: %w", id, err)
 	}
 
-	// One integral image per picture serves every region (block means), and
-	// one over the squared picture serves the variance filter:
-	// Var = E[x²] − E[x]².
-	it := gray.NewIntegral(im)
-	sq := gray.New(im.W, im.H)
-	for i, v := range im.Pix {
+	// One integral image of luma serves every region's mean, and one over
+	// its square serves the variance filter: Var = E[x²] − E[x]².
+	it := gray.NewIntegral(luma)
+	sq := gray.New(luma.W, luma.H)
+	for i, v := range luma.Pix {
 		sq.Pix[i] = v * v
 	}
 	itSq := gray.NewIntegral(sq)
 
 	// Every geometric variant (mirror, rotations, their compositions) is
-	// realized by one integral image over the transformed picture plus a
-	// pixel-rect transform, so each variant instance is the exact smoothing
-	// and sampling of the transformed sub-picture — rotating or mirroring
-	// the sampled matrix instead would be off by half a kernel block,
-	// because the 50%-overlap grid does not commute with the transforms.
-	variants := buildVariants(im, opts)
+	// realized by one integral image per plane over the transformed picture
+	// plus a pixel-rect transform, so each variant instance is the exact
+	// smoothing and sampling of the transformed sub-picture — rotating or
+	// mirroring the sampled matrix instead would be off by half a kernel
+	// block, because the 50%-overlap grid does not commute with the
+	// transforms.
+	variants := buildVariants(planes, opts)
 
 	bag := &mil.Bag{ID: id}
+	parts := make([]mat.Vector, len(planes))
 	sampleRegion := func(r region.Rect) error {
-		x0, y0, x1, y1 := r.Pixels(im.W, im.H)
+		x0, y0, x1, y1 := r.Pixels(luma.W, luma.H)
 		for _, v := range variants {
 			vx0, vy0, vx1, vy1 := v.rect(x0, y0, x1, y1)
-			s, err := gray.SmoothSampleRect(v.it, vx0, vy0, vx1, vy1, opts.Resolution)
-			if err != nil {
-				return err
+			for i, pit := range v.its {
+				s, err := gray.SmoothSampleRect(pit, vx0, vy0, vx1, vy1, opts.Resolution)
+				if err != nil {
+					return err
+				}
+				parts[i] = s.Flatten().Standardize()
 			}
-			bag.Instances = append(bag.Instances, s.Flatten().Standardize())
+			inst := parts[0]
+			if len(parts) > 1 {
+				inst = slices.Concat(parts...)
+			}
+			bag.Instances = append(bag.Instances, inst)
 			bag.Names = append(bag.Names, r.Name+v.suffix)
 		}
 		return nil
 	}
 
 	for _, r := range regions {
-		x0, y0, x1, y1 := r.Pixels(im.W, im.H)
+		x0, y0, x1, y1 := r.Pixels(luma.W, luma.H)
 		n := float64((x1 - x0) * (y1 - y0))
 		mean := it.Sum(x0, y0, x1, y1) / n
 		variance := itSq.Sum(x0, y0, x1, y1)/n - mean*mean
@@ -142,20 +164,20 @@ func BagFromImage(id string, im *gray.Image, opts Options) (*mil.Bag, error) {
 	return bag, nil
 }
 
-// variant couples an integral image over a transformed copy of the picture
-// with the matching pixel-rect transform.
+// variant couples one integral image per plane over a transformed copy of
+// the picture with the matching pixel-rect transform.
 type variant struct {
-	it     *gray.Integral
+	its    []*gray.Integral
 	rect   func(x0, y0, x1, y1 int) (int, int, int, int)
 	suffix string
 }
 
 // buildVariants prepares the geometric instance variants: the identity,
-// optionally the left-right mirror (§3.2), and optionally the three
-// quarter-turn rotations of each (paper §5 future work). W and H refer to
-// the original picture.
-func buildVariants(im *gray.Image, opts Options) []variant {
-	w, h := im.W, im.H
+// the left-right mirror (§3.2), and optionally the three quarter-turn
+// rotations of each (paper §5 future work). W and H refer to the original
+// picture.
+func buildVariants(planes []*gray.Image, opts Options) []variant {
+	w, h := planes[0].W, planes[0].H
 	ident := func(x0, y0, x1, y1 int) (int, int, int, int) { return x0, y0, x1, y1 }
 	mirror := func(x0, y0, x1, y1 int) (int, int, int, int) { return w - x1, y0, w - x0, y1 }
 	// Rect images under clockwise rotation (pixel (x,y) → (H−1−y, x)):
@@ -168,22 +190,34 @@ func buildVariants(im *gray.Image, opts Options) []variant {
 			return g(f(x0, y0, x1, y1))
 		}
 	}
+	// integrals returns the integral image of every picture after transform.
+	integrals := func(pics []*gray.Image, transform func(*gray.Image) *gray.Image) []*gray.Integral {
+		its := make([]*gray.Integral, len(pics))
+		for i, p := range pics {
+			its[i] = gray.NewIntegral(transform(p))
+		}
+		return its
+	}
+	same := func(p *gray.Image) *gray.Image { return p }
 
-	mirrored := im.MirrorLR()
+	mirrored := make([]*gray.Image, len(planes))
+	for i, p := range planes {
+		mirrored[i] = p.MirrorLR()
+	}
 	variants := []variant{
-		{gray.NewIntegral(im), ident, ""},
-		{gray.NewIntegral(mirrored), mirror, "-lr"},
+		{integrals(planes, same), ident, ""},
+		{integrals(mirrored, same), mirror, "-lr"},
 	}
 	if opts.Rotations {
 		// The mirrored picture has the same dimensions, so the same
 		// rotation transforms apply after the mirror transform.
 		variants = append(variants,
-			variant{gray.NewIntegral(im.Rotate90()), rot90, "-r90"},
-			variant{gray.NewIntegral(im.Rotate180()), rot180, "-r180"},
-			variant{gray.NewIntegral(im.Rotate270()), rot270, "-r270"},
-			variant{gray.NewIntegral(mirrored.Rotate90()), compose(mirror, rot90), "-lr-r90"},
-			variant{gray.NewIntegral(mirrored.Rotate180()), compose(mirror, rot180), "-lr-r180"},
-			variant{gray.NewIntegral(mirrored.Rotate270()), compose(mirror, rot270), "-lr-r270"},
+			variant{integrals(planes, (*gray.Image).Rotate90), rot90, "-r90"},
+			variant{integrals(planes, (*gray.Image).Rotate180), rot180, "-r180"},
+			variant{integrals(planes, (*gray.Image).Rotate270), rot270, "-r270"},
+			variant{integrals(mirrored, (*gray.Image).Rotate90), compose(mirror, rot90), "-lr-r90"},
+			variant{integrals(mirrored, (*gray.Image).Rotate180), compose(mirror, rot180), "-lr-r180"},
+			variant{integrals(mirrored, (*gray.Image).Rotate270), compose(mirror, rot270), "-lr-r270"},
 		)
 	}
 	return variants

@@ -42,7 +42,6 @@ package index
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 
@@ -415,37 +414,6 @@ func normalizeEmpty(rs []Result) []Result {
 	return rs
 }
 
-// sharedCutoff is a monotonically tightening distance bound published
-// across top-k scan workers: the minimum of every worker's current k-th
-// best distance. Any worker's current k-th best is the k-th smallest of a
-// subset of the final candidate set, hence an upper bound on the final
-// global k-th best — so pruning a bag whose distance strictly exceeds the
-// shared bound can never drop a true top-k member. Distances are
-// non-negative, so their float64 bit patterns order like the values and a
-// CAS min loop on the raw bits suffices.
-type sharedCutoff struct{ bits atomic.Uint64 }
-
-func newSharedCutoff() *sharedCutoff {
-	c := &sharedCutoff{}
-	c.bits.Store(math.Float64bits(math.Inf(1)))
-	return c
-}
-
-func (c *sharedCutoff) load() float64 { return math.Float64frombits(c.bits.Load()) }
-
-func (c *sharedCutoff) tighten(d float64) {
-	bits := math.Float64bits(d)
-	for {
-		cur := c.bits.Load()
-		if bits >= cur {
-			return
-		}
-		if c.bits.CompareAndSwap(cur, bits) {
-			return
-		}
-	}
-}
-
 // resultMaxHeap keeps the worst of the current best-k at the root. It is a
 // hand-rolled binary heap so the hot scan avoids container/heap's interface
 // dispatch and allocation.
@@ -453,11 +421,11 @@ type resultMaxHeap []Result
 
 // offer folds one scored bag into a worker's best-k heap and publishes the
 // tightened k-th best to the shared cutoff.
-func (h *resultMaxHeap) offer(r Result, k int, shared *sharedCutoff) {
+func (h *resultMaxHeap) offer(r Result, k int, shared *Cutoff) {
 	if len(*h) < k {
 		h.push(r)
 		if len(*h) == k {
-			shared.tighten((*h)[0].Dist)
+			shared.Tighten((*h)[0].Dist)
 		}
 		return
 	}
@@ -466,7 +434,7 @@ func (h *resultMaxHeap) offer(r Result, k int, shared *sharedCutoff) {
 	}
 	(*h)[0] = r
 	h.fixRoot()
-	shared.tighten((*h)[0].Dist)
+	shared.Tighten((*h)[0].Dist)
 }
 
 func (h *resultMaxHeap) push(r Result) {

@@ -44,10 +44,10 @@ package index
 import (
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"milret/internal/mat"
+	"milret/internal/workloop"
 )
 
 // PruneOpts tunes the candidate filter for one query. The zero value is the
@@ -236,7 +236,7 @@ func calibrateRho(shards []Snapshot, q Query, recall float64) float64 {
 // cannot exceed the largest of any k of them — so tightening to it is as
 // safe as any worker-published root, and the filter starts rejecting from
 // the first bag instead of idling until k bags have been scored.
-func seedCutoff(shards []Snapshot, q Query, k int, exclude map[string]bool, shared *sharedCutoff) {
+func seedCutoff(shards []Snapshot, q Query, k int, exclude map[string]bool, shared *Cutoff) {
 	total := 0
 	for _, s := range shards {
 		total += s.Len()
@@ -274,7 +274,7 @@ func seedCutoff(shards []Snapshot, q Query, k int, exclude map[string]bool, shar
 			worst = d
 		}
 	}
-	shared.tighten(worst)
+	shared.Tighten(worst)
 }
 
 // seed is one sampled bag and its representative's distance.
@@ -343,9 +343,9 @@ func (sh Sharded) TopKPruned(q Query, k int, exclude map[string]bool, par int, o
 	sh.check(q)
 	filt := newPruneFilter(q, opts, sh)
 	opts.Stats.scan(filt != nil)
-	shared := newSharedCutoff()
-	if opts.CutoffSeed > 0 && !math.IsNaN(opts.CutoffSeed) {
-		shared.tighten(opts.CutoffSeed)
+	shared := NewCutoff()
+	if opts.CutoffSeed > 0 {
+		shared.Tighten(opts.CutoffSeed)
 	}
 	if filt != nil {
 		seedCutoff(sh, q, k, exclude, shared)
@@ -376,26 +376,11 @@ func (sh Sharded) MultiTopKPruned(qs []Query, k int, exclude map[string]bool, pa
 	opts.CutoffSeed = 0
 	par = resolvePar(par)
 	workers := min(par, len(qs))
-	var next atomic.Int64
-	worker := func() {
-		for {
-			qi := int(next.Add(1)) - 1
-			if qi >= len(qs) {
-				return
-			}
+	workloop.Run(len(qs), workers, func(_ int, claim func() (int, bool)) {
+		for qi, ok := claim(); ok; qi, ok = claim() {
 			outs[qi] = sh.TopKPruned(qs[qi], k, exclude, par/workers, opts)
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worker()
-		}()
-	}
-	worker()
-	wg.Wait()
+	})
 	return outs
 }
 

@@ -2,24 +2,20 @@
 // sharded, exhaustive or top-k, alone or as one query of a batch — runs on
 // the same core: the bag ranges of all non-empty shards are cut into chunks,
 // the chunks go into one global list, and min(par, len(chunks)) workers
-// claim chunks off a shared atomic cursor until the list is empty.
-//
-// This replaces the old static split (each shard granted par/N workers,
-// each worker granted an n/par range). The static budget stranded cores
-// whenever shards were few or skewed: a finished shard's workers went
-// idle while a big shard's fixed crew kept grinding. With one chunk list
-// there is nothing to strand — intra-shard splitting and cross-shard
-// stealing both fall out of workers claiming whatever chunk is next,
-// and the tail of a scan is bounded by one chunk, not one shard.
+// claim chunks off it on the shared worker loop (internal/workloop) until
+// the list is empty. Intra-shard splitting and cross-shard stealing both
+// fall out of workers claiming whatever chunk is next: no core is stranded
+// by few or skewed shards, and the tail of a scan is bounded by one chunk,
+// not one shard.
 //
 // Scheduling is invisible in the output. Rank writes each bag's exact
 // distance into a per-shard slice (disjoint ranges, no coordination) and
 // emits candidates in shard order afterwards. Top-k workers keep size-k
-// heaps that span shards and share the same atomic k-th-best cutoff as
-// before; any global top-k member is among the k best of whatever subset
-// of bags its worker scanned, so it survives its worker's heap, while
-// pruned bags report overshot distances strictly above the cutoff —
-// which is itself an upper bound on the global k-th best — so overshoot
+// heaps that span shards and share one atomic k-th-best Cutoff; any global
+// top-k member is among the k best of whatever subset of bags its worker
+// scanned, so it survives its worker's heap, while pruned bags report
+// overshot distances strictly above the cutoff — which is itself an upper
+// bound on the global k-th best — so overshoot
 // entries sort strictly after every true top-k member and can never
 // displace one, ties included. The final sort-and-truncate therefore
 // returns bit-identical results for any chunking, any worker count, and
@@ -29,8 +25,9 @@ package index
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
+
+	"milret/internal/workloop"
 )
 
 // chunkSpan is one unit of claimable scan work: bags [lo, hi) of shard si.
@@ -77,8 +74,8 @@ func scanChunks(shards []Snapshot, par int) []chunkSpan {
 	return chunks
 }
 
-// Scan-worker accounting. liveScanWorkers counts scan goroutines currently
-// running; peakScanWorkers keeps the high-water mark (CAS max) so tests can
+// Scan-worker accounting. liveScanWorkers counts scan workers currently
+// running (every scan worker body enters and exits the gauge); peakScanWorkers keeps the high-water mark (CAS max) so tests can
 // assert the scheduler never exceeds the caller's parallelism budget, no
 // matter the shard count or skew. The counters cost a few atomic ops per
 // worker lifetime, not per bag.
@@ -102,48 +99,6 @@ func enterScanWorker() {
 
 func exitScanWorker() { liveScanWorkers.Add(-1) }
 
-// runChunked executes the chunk list on min(par, len(chunks)) workers, each
-// repeatedly claiming the next unclaimed chunk. worker receives its dense
-// index (for per-worker state like heaps) and the claim function; it must
-// call claim until the list is exhausted. The spawn count — not a floor per
-// shard — is what guarantees in-flight scan goroutines never exceed par.
-func runChunked(par int, chunks []chunkSpan, worker func(w int, claim func() (chunkSpan, bool))) int {
-	nw := par
-	if nw > len(chunks) {
-		nw = len(chunks)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	var next atomic.Int64
-	claim := func() (chunkSpan, bool) {
-		c := int(next.Add(1)) - 1
-		if c >= len(chunks) {
-			return chunkSpan{}, false
-		}
-		return chunks[c], true
-	}
-	if nw == 1 {
-		// Degenerate single worker: run inline, no goroutine or WaitGroup.
-		enterScanWorker()
-		worker(0, claim)
-		exitScanWorker()
-		return 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			enterScanWorker()
-			defer exitScanWorker()
-			worker(w, claim)
-		}(w)
-	}
-	wg.Wait()
-	return nw
-}
-
 // scanRankDists computes every live, non-excluded bag's exact distance into
 // per-shard slices (excluded/tombstoned bags get +Inf). Chunks touch
 // disjoint ranges, so workers write without coordination.
@@ -154,12 +109,11 @@ func scanRankDists(shards []Snapshot, q Query, exclude map[string]bool, par int)
 		dists[si] = make([]float64, s.Len())
 	}
 	chunks := scanChunks(shards, par)
-	runChunked(par, chunks, func(_ int, claim func() (chunkSpan, bool)) {
-		for {
-			c, ok := claim()
-			if !ok {
-				return
-			}
+	workloop.Run(len(chunks), par, func(_ int, claim func() (int, bool)) {
+		enterScanWorker()
+		defer exitScanWorker()
+		for ci, ok := claim(); ok; ci, ok = claim() {
+			c := chunks[ci]
 			s := shards[c.si]
 			d := dists[c.si]
 			for i := c.lo; i < c.hi; i++ {
@@ -204,25 +158,20 @@ func scanRankCandidates(shards []Snapshot, q Query, exclude map[string]bool, par
 // and truncates. filt is the query's armed candidate filter, or nil when it
 // cannot arm (a negative weight): then no bag is box-screened and no row is
 // abandoned, and the loop is the plain exhaustive reference.
-func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bool, par int, shared *sharedCutoff, filt *pruneFilter) []Result {
+func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bool, par int, shared *Cutoff, filt *pruneFilter) []Result {
 	prune := filt != nil
 	chunks := scanChunks(shards, par)
 	if len(chunks) == 0 {
 		return nil
 	}
-	nw := par
-	if nw > len(chunks) {
-		nw = len(chunks)
-	}
-	heaps := make([]resultMaxHeap, nw)
-	runChunked(par, chunks, func(w int, claim func() (chunkSpan, bool)) {
+	heaps := make([]resultMaxHeap, min(par, len(chunks)))
+	workloop.Run(len(chunks), par, func(w int, claim func() (int, bool)) {
+		enterScanWorker()
+		defer exitScanWorker()
 		h := make(resultMaxHeap, 0, k)
 		var screened, rejected int64
-		for {
-			c, ok := claim()
-			if !ok {
-				break
-			}
+		for ci, ok := claim(); ok; ci, ok = claim() {
+			c := chunks[ci]
 			s := shards[c.si]
 			for i := c.lo; i < c.hi; i++ {
 				if s.skip(i, exclude) {
@@ -233,7 +182,7 @@ func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bo
 				// boundary. A bag pruned here may report an overshot (but
 				// still exact-per-instance) distance > cutoff; such entries
 				// cannot displace a true top-k member in the final merge.
-				cutoff := shared.load()
+				cutoff := shared.Load()
 				if len(h) == k && h[0].Dist < cutoff {
 					cutoff = h[0].Dist
 				}
@@ -264,7 +213,7 @@ func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bo
 		}
 		heaps[w] = h
 	})
-	merged := make([]Result, 0, nw*k)
+	merged := make([]Result, 0, len(heaps)*k)
 	for _, h := range heaps {
 		merged = append(merged, h...)
 	}

@@ -102,43 +102,6 @@ func TestScanWorkerBudgetConcurrent(t *testing.T) {
 	}
 }
 
-// Every chunk must be claimed exactly once regardless of worker count, and
-// the spawn count must be min(par, chunks) — the invariant the budget cap
-// rests on.
-func TestRunChunkedClaimsEachChunkOnce(t *testing.T) {
-	for _, par := range []int{1, 2, 5, 100} {
-		chunks := make([]chunkSpan, 17)
-		for i := range chunks {
-			chunks[i] = chunkSpan{si: i, lo: i * 10, hi: i*10 + 10}
-		}
-		var mu sync.Mutex
-		seen := map[int]int{}
-		nw := runChunked(par, chunks, func(_ int, claim func() (chunkSpan, bool)) {
-			for {
-				c, ok := claim()
-				if !ok {
-					return
-				}
-				mu.Lock()
-				seen[c.si]++
-				mu.Unlock()
-			}
-		})
-		want := par
-		if want > len(chunks) {
-			want = len(chunks)
-		}
-		if nw != want {
-			t.Fatalf("par=%d: spawned %d workers, want %d", par, nw, want)
-		}
-		for i := range chunks {
-			if seen[i] != 1 {
-				t.Fatalf("par=%d: chunk %d claimed %d times", par, i, seen[i])
-			}
-		}
-	}
-}
-
 // BenchmarkTopKShardedSkewed scans a pathologically skewed shard layout —
 // one shard holding ~93% of the corpus — the exact shape the old static
 // per-shard worker split handled worst (idle crews on drained small shards

@@ -20,9 +20,9 @@
 //     final sort-and-truncate over the concatenation is the same merge the
 //     single-block scan does.
 //
-// This is the distribution seam: a shard is just a Snapshot plus the top-k
-// merge, so the same scheduler runs shards across cores today and across
-// NUMA nodes or machines later.
+// This is also the distribution seam: internal/remote runs the same top-k
+// scan on each partition's process, seeds each with the coordinator's
+// Cutoff, and merges the partitions' lists the same way.
 package index
 
 import "runtime"

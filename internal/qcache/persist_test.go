@@ -25,7 +25,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("key 1 missing: %v", out)
 	}
 
-	exported := src.Export(0)
+	exported := src.Export()
 	if len(exported) != 4 {
 		t.Fatalf("exported %d entries, want 4", len(exported))
 	}
@@ -55,35 +55,11 @@ func TestExportImportRoundTrip(t *testing.T) {
 	// matches.
 	fresh := New(1 << 20)
 	fresh.Import(exported)
-	re := fresh.Export(0)
+	re := fresh.Export()
 	for i := range exported {
 		if re[i].Key != exported[i].Key {
 			t.Fatalf("re-export order[%d] = %v, want %v", i, re[i].Key[0], exported[i].Key[0])
 		}
-	}
-}
-
-// TestExportBudget bounds the export: only the hottest prefix that fits is
-// returned, and at least one entry always is.
-func TestExportBudget(t *testing.T) {
-	c := New(1 << 20)
-	per := conceptBytes(mkConcept(6, 0))
-	for i := 0; i < 5; i++ {
-		cc := mkConcept(6, float64(i))
-		c.DoContext(context.Background(), mkKey(byte(i)), func() (*core.Concept, error) { return cc, nil })
-	}
-	got := c.Export(2 * per)
-	if len(got) != 2 {
-		t.Fatalf("budget for 2 exported %d", len(got))
-	}
-	// Hottest two are the last inserted: 4 then 3.
-	if got[0].Key != mkKey(4) || got[1].Key != mkKey(3) {
-		t.Fatalf("budgeted export kept %v, %v — want hottest 4, 3", got[0].Key[0], got[1].Key[0])
-	}
-	// A budget smaller than any entry still exports the single hottest
-	// entry rather than an empty snapshot.
-	if got := c.Export(1); len(got) != 1 || got[0].Key != mkKey(4) {
-		t.Fatalf("tiny budget exported %d entries", len(got))
 	}
 }
 

@@ -281,24 +281,16 @@ type SavedEntry struct {
 	Concept *core.Concept
 }
 
-// Export snapshots cached entries hottest-first (most recently used
-// first), stopping before the estimated footprint of the exported slice
-// exceeds maxBytes; maxBytes <= 0 exports everything. Hottest-first order
-// is the persistence contract: a budget-bounded export keeps the entries
-// most worth having after a restart, and a torn tail on disk loses only
-// the coldest. The returned concepts are shared, not copied — callers
-// must treat them as immutable.
-func (c *Cache) Export(maxBytes int64) []SavedEntry {
+// Export snapshots every cached entry hottest-first (most recently used
+// first). Hottest-first order is the persistence contract: a torn tail on
+// disk loses only the coldest entries. The returned concepts are shared,
+// not copied — callers must treat them as immutable.
+func (c *Cache) Export() []SavedEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]SavedEntry, 0, c.ll.Len())
-	var total int64
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
-		if maxBytes > 0 && total+e.size > maxBytes && len(out) > 0 {
-			break
-		}
-		total += e.size
 		out = append(out, SavedEntry{Key: e.key, Concept: e.c})
 	}
 	return out

@@ -286,7 +286,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 				key := mkKey(byte(i % 13))
 				switch {
 				case i%29 == 0:
-					c.Export(0)
+					c.Export()
 				case i%7 == 0:
 					lookup(c, key)
 				case i%11 == 0:

@@ -11,12 +11,12 @@
 //
 // The database is sharded: it holds N independent shards (N fixed at
 // construction, 1 by default), each owning its own flat block, tombstone
-// mask and lock, with items placed by a hash of their ID. Scans fan out one
-// goroutine per shard sharing a single atomic top-k cutoff and merge the
-// per-shard heaps (index.Sharded), so results are bit-identical to a
-// 1-shard database over the same bags while mutations, snapshots and
-// compaction stay confined to one shard's lock — compacting or appending in
-// one shard never blocks the others.
+// mask and lock, with items placed by a hash of their ID. A scan cuts every
+// shard's bags into chunks on one claim list, its workers share a single
+// atomic top-k cutoff, and their heaps are merged (index.Sharded), so
+// results are bit-identical to a 1-shard database over the same bags while
+// mutations, snapshots and compaction stay confined to one shard's lock —
+// compacting or appending in one shard never blocks the others.
 //
 // The database is mutable: Delete tombstones an item (scans skip it from
 // the next query on), Update swaps in a new bag/label atomically,

@@ -966,7 +966,7 @@ func (d *Database) persistConceptCache() error {
 		return nil
 	}
 	dim := d.opts.Dim()
-	exported := d.cache.Export(0)
+	exported := d.cache.Export()
 	entries := make([]store.CacheEntry, 0, len(exported))
 	for _, se := range exported {
 		c := se.Concept
