@@ -137,6 +137,7 @@ type singleInstanceObjective struct {
 	// allocation-free; the objective is not safe for concurrent use.
 	dists []float64 // per tile lane; the first len(coefs) are the bags'
 	coefs []float64
+	q     []float64 // the negatives' 1 − p
 	wbuf  mat.Vector
 }
 
@@ -150,6 +151,7 @@ func newSingleInstanceObjective(dim, nPos, nBags int, mode WeightMode) *singleIn
 		mode:  mode,
 		dists: make([]float64, lanes),
 		coefs: make([]float64, nBags),
+		q:     make([]float64, nBags-nPos),
 		wbuf:  mat.NewVector(dim),
 	}
 }
@@ -167,20 +169,19 @@ func (o *singleInstanceObjective) Eval(theta, grad mat.Vector, _ float64) float6
 	distWeights(o.mode, w, o.wbuf)
 	mat.WeightedSqDistTiles(t, o.wbuf, o.tiles, o.dists)
 	var f float64
-	for j, d := range o.dists[:len(o.coefs)] {
-		if j < o.nPos {
-			// −log p = d: gradient coefficient is exactly 1.
-			f += d
-			o.coefs[j] = 1
-			continue
-		}
-		p := math.Exp(-d)
-		if p > pMax {
-			p = pMax
-		}
-		q := 1 - p
-		f -= math.Log(q)
-		o.coefs[j] = -p / q
+	for j, d := range o.dists[:o.nPos] {
+		// −log p = d: gradient coefficient is exactly 1.
+		f += d
+		o.coefs[j] = 1
+	}
+	// The negatives' −log(1 − p) and −p/(1 − p), as in negBagNLL, with the
+	// sum continuing the positives' in bag order.
+	neg := o.coefs[o.nPos:]
+	mat.ExpNegClamped(o.dists[o.nPos:len(o.coefs)], pMax, neg, o.q)
+	mat.NegRatios(neg, o.q, neg)
+	mat.Log(o.q, o.q)
+	for _, l := range o.q {
+		f -= l
 	}
 	if grad == nil {
 		return f

@@ -96,6 +96,16 @@ type exampleSet struct {
 	nPos    int       // bags [0, nPos) are positive
 }
 
+// maxBag returns the most instances any bag has.
+func (ex *exampleSet) maxBag() int {
+	most, lo := 0, 0
+	for _, hi := range ex.bagEnd {
+		most = max(most, hi-lo)
+		lo = hi
+	}
+	return most
+}
+
 func packExamples(ds *mil.Dataset) *exampleSet {
 	ex := &exampleSet{dim: ds.Dim(), nPos: len(ds.Positive)}
 	bags := append(append([]*mil.Bag(nil), ds.Positive...), ds.Negative...)
@@ -154,6 +164,7 @@ type objective struct {
 	// (allocating one per start would be most of a training run's garbage).
 	dists []float64  // per tile lane: d_ij at memoTheta, indexed like ex.tiles
 	coefs []float64  // per instance: ∂f/∂d_ij at memoTheta, indexed like ex.rows
+	q     []float64  // one bag's 1 − p_ij, scratch of the bag terms
 	wbuf  mat.Vector // effective distance weights W at memoTheta
 	memoF float64    // f(memoTheta)
 
@@ -165,6 +176,7 @@ func newObjective(ex *exampleSet, mode WeightMode) *objective {
 	o := &objective{ex: ex, dim: ex.dim, mode: mode}
 	o.dists = make([]float64, ex.nLanes)
 	o.coefs = make([]float64, ex.nRows)
+	o.q = make([]float64, ex.maxBag())
 	o.wbuf = mat.NewVector(o.dim)
 	o.memoTheta = mat.NewVector(o.thetaDim())
 	return o
@@ -251,9 +263,9 @@ func (o *objective) forward(theta mat.Vector, bound float64) float64 {
 		d := o.dists[llo:lhi]
 		mat.WeightedSqDistTiles(t, o.wbuf, ex.tiles[llo*o.dim:lhi*o.dim], d)
 		if i < ex.nPos {
-			f += posBagNLL(d[:hi-lo], o.coefs[lo:hi])
+			f += posBagNLL(d[:hi-lo], o.coefs[lo:hi], o.q)
 		} else {
-			f += negBagNLL(d[:hi-lo], o.coefs[lo:hi])
+			f += negBagNLL(d[:hi-lo], o.coefs[lo:hi], o.q)
 		}
 		if f > bound {
 			return f
@@ -282,6 +294,7 @@ func (o *objective) Eval(theta, grad mat.Vector, bound float64) float64 {
 
 // posBagNLL returns −log Pr(t|B⁺) = −log(1 − Π_j (1 − p_j)) for p_j =
 // exp(−d_j) and fills coefs[j] = ∂(−log P)/∂d_j = p_j·Π_{l≠j}(1−p_l)/P.
+// q is scratch of at least len(dists).
 //
 // Two regimes keep the computation stable. When every p_j is tiny
 // (max −d_j < logTiny), 1 − p_j rounds to 1 in float64, so P is computed as
@@ -289,8 +302,15 @@ func (o *objective) Eval(theta, grad mat.Vector, bound float64) float64 {
 // Otherwise the noisy-or is computed directly with p clamped below one: the
 // clamp keeps every 1 − p_j ≥ 1e-10, so the leave-one-out products are
 // plain quotients Π/(1 − p_j).
-func posBagNLL(dists, coefs []float64) float64 {
+//
+// The lane-wise steps are mat's likelihood kernels — math.Exp and math.Log
+// per element, the clamp, the complements and the quotients, 4 or 8 at a
+// time on a SIMD tier, with the bits of the scalar statements. What depends
+// on order stays here, serial and in instance order: the max, the sum of
+// the softmax, the product Π (1 − p_j).
+func posBagNLL(dists, coefs, q []float64) float64 {
 	coefs = coefs[:len(dists)]
+	q = q[:len(dists)]
 	maxA := math.Inf(-1)
 	for _, d := range dists {
 		if a := -d; a > maxA {
@@ -299,60 +319,47 @@ func posBagNLL(dists, coefs []float64) float64 {
 	}
 	if maxA < logTiny {
 		// log P ≈ logΣexp(−d_j); coef_j = exp(−d_j − logP) (softmax).
+		mat.ExpNeg(dists, maxA, coefs)
 		var s float64
-		for _, d := range dists {
-			s += math.Exp(-d - maxA)
+		for _, e := range coefs {
+			s += e
 		}
 		logP := maxA + math.Log(s)
-		for j, d := range dists {
-			coefs[j] = math.Exp(-d - logP)
-		}
+		mat.ExpNeg(dists, logP, coefs)
 		return -logP
 	}
 
-	// Direct evaluation with clamping; coefs holds p_j between the passes
-	// so each exp is taken once.
+	// Direct evaluation with clamping; coefs holds p_j and q holds 1 − p_j
+	// between the passes so each exp is taken once.
+	mat.ExpNegClamped(dists, pMax, coefs, q)
 	prod := 1.0
-	for j, d := range dists {
-		p := math.Exp(-d)
-		if p > pMax {
-			p = pMax
-		}
-		coefs[j] = p
-		prod *= 1 - p
+	for _, qj := range q {
+		prod *= qj
 	}
 	P := 1 - prod
 	if P < 1e-300 {
 		P = 1e-300
 	}
-	for j, p := range coefs {
-		loo := prod / (1 - p) // Π_{l≠j} (1 − p_l)
-		coefs[j] = p * loo / P
-	}
+	mat.LeaveOneOutRatios(coefs, q, prod, P, coefs)
 	return -math.Log(P)
 }
 
 // negBagNLL returns −log Pr(t|B⁻) = −Σ_j log(1 − p_j) and fills
-// coefs[j] = ∂/∂d_j = −p_j/(1 − p_j). Probabilities are clamped below one
-// so a concept point sitting exactly on a negative instance yields a large
-// but finite penalty.
-func negBagNLL(dists, coefs []float64) float64 {
+// coefs[j] = ∂/∂d_j = −p_j/(1 − p_j); q is scratch of at least len(dists).
+// Probabilities are clamped below one so a concept point sitting exactly on
+// a negative instance yields a large but finite penalty. An instance more
+// than ~37 away has 1 − p_j = 1: its log is +0, which the sum keeps as it
+// is, and its coefficient −p_j/1 is −p_j. As in posBagNLL the kernels do
+// the lane-wise steps and the sum stays serial.
+func negBagNLL(dists, coefs, q []float64) float64 {
+	coefs = coefs[:len(dists)]
+	q = q[:len(dists)]
+	mat.ExpNegClamped(dists, pMax, coefs, q)
+	mat.NegRatios(coefs, q, coefs)
+	mat.Log(q, q)
 	var f float64
-	for j, d := range dists {
-		p := math.Exp(-d)
-		if p > pMax {
-			p = pMax
-		}
-		q := 1 - p
-		if q == 1 {
-			// p is below half an ulp of one (the instance is more than ~37
-			// away): Log(1) is +0 and f − 0 is f, −p/1 is −p — the floats
-			// the lines below would produce, without the log and the divide.
-			coefs[j] = -p
-			continue
-		}
-		f -= math.Log(q)
-		coefs[j] = -p / q
+	for _, l := range q {
+		f -= l
 	}
 	return f
 }

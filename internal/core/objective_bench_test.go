@@ -104,13 +104,11 @@ func BenchmarkTrainColdShape(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainColdScenes is BenchmarkTrainColdShape on what the benchmark's
-// cold_feedback workload bills: featurized synth scenes instead of Gaussian
-// bags — three positives of one category, two negatives from others, server
-// defaults — and a different example set every iteration (twenty of them, in
-// rotation), because how many probes a training abandons, and how early,
-// depends on the set.
-func BenchmarkTrainColdScenes(b *testing.B) {
+// sceneExampleSets returns what the benchmark's cold_feedback workload
+// trains on: featurized synth scenes, three positives of one category and
+// two negatives from others per set, one set per (category, held-out
+// scene) pair.
+func sceneExampleSets(b *testing.B) []*mil.Dataset {
 	const perCat = 4
 	items := synth.ScenesN(7, perCat) // category-major
 	bags := make([]*mil.Bag, len(items))
@@ -122,9 +120,8 @@ func BenchmarkTrainColdScenes(b *testing.B) {
 		bags[i] = bag
 	}
 	nCat := len(items) / perCat
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	sets := make([]*mil.Dataset, nCat*perCat)
+	for i := range sets {
 		cat, skip := i%nCat, i/nCat%perCat
 		ds := &mil.Dataset{}
 		for j := 0; j < perCat; j++ {
@@ -135,9 +132,56 @@ func BenchmarkTrainColdScenes(b *testing.B) {
 		for _, other := range []int{cat + 1, cat + 2} {
 			ds.Negative = append(ds.Negative, bags[other%nCat*perCat+skip])
 		}
-		if _, err := Train(ds, Config{Mode: SumConstraint}); err != nil {
+		sets[i] = ds
+	}
+	return sets
+}
+
+// BenchmarkTrainColdScenes is BenchmarkTrainColdShape on what the benchmark's
+// cold_feedback workload bills: featurized synth scenes instead of Gaussian
+// bags, server defaults, and a different example set every iteration (in
+// rotation), because how many probes a training abandons, and how early,
+// depends on the set.
+func BenchmarkTrainColdScenes(b *testing.B) {
+	sets := sceneExampleSets(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(sets[i%len(sets)], Config{Mode: SumConstraint}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkObjectiveEvalScenes is one objective+gradient evaluation on
+// BenchmarkTrainColdScenes' example sets, in rotation, at the server's
+// constrained weights, alternating two θ per set: a start (the first
+// positive instance, unit weights) and the set's trained concept. It is the
+// per-evaluation figure for the regime the service runs: about 5 % of its
+// positive-bag terms take the logTiny branch, as in a served training
+// (4.6 %), where on benchDataset's Gaussian bags 80 % do. Zero allocations
+// per evaluation, like the others.
+func BenchmarkObjectiveEvalScenes(b *testing.B) {
+	sets := sceneExampleSets(b)
+	objs := make([]*objective, len(sets))
+	thetas := make([][2]mat.Vector, len(sets))
+	for i, ds := range sets {
+		objs[i] = newObjective(packExamples(ds), SumConstraint)
+		thetas[i] = benchThetas(ds, objs[i])
+		c, err := Train(ds, Config{Mode: SumConstraint})
+		if err != nil {
+			b.Fatal(err)
+		}
+		copy(thetas[i][1], c.Point)
+		copy(thetas[i][1][len(c.Point):], c.Weights)
+	}
+	grad := mat.NewVector(objs[0].thetaDim())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Each objective alternates its two θ, so no pass is remembered.
+		set := i % len(sets)
+		objs[set].Eval(thetas[set][i/len(sets)&1], grad, math.Inf(1))
 	}
 }
 

@@ -111,7 +111,7 @@ func TestGradientFiniteDiffTinyBranch(t *testing.T) {
 func TestPosBagNLLSoftmaxBranch(t *testing.T) {
 	dists := []float64{500, 510, 505}
 	coefs := make([]float64, 3)
-	f := posBagNLL(dists, coefs)
+	f := posBagNLL(dists, coefs, make([]float64, len(dists)))
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		t.Fatalf("far positive bag NLL not finite: %v", f)
 	}
@@ -134,7 +134,7 @@ func TestPosBagNLLSoftmaxBranch(t *testing.T) {
 func TestPosBagNLLExactHit(t *testing.T) {
 	dists := []float64{0, 5}
 	coefs := make([]float64, 2)
-	f := posBagNLL(dists, coefs)
+	f := posBagNLL(dists, coefs, make([]float64, len(dists)))
 	// p₀ ≈ 1 ⇒ P ≈ 1 ⇒ −log P ≈ 0.
 	if f > 1e-6 {
 		t.Fatalf("exact hit should give ~0 NLL, got %v", f)
@@ -149,7 +149,7 @@ func TestPosBagNLLExactHit(t *testing.T) {
 func TestNegBagNLLExactHitFinite(t *testing.T) {
 	dists := []float64{0}
 	coefs := make([]float64, 1)
-	f := negBagNLL(dists, coefs)
+	f := negBagNLL(dists, coefs, make([]float64, len(dists)))
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		t.Fatalf("negative bag on concept point must be finite, got %v", f)
 	}
@@ -164,7 +164,7 @@ func TestNegBagNLLExactHitFinite(t *testing.T) {
 func TestNegBagNLLFarIsCheap(t *testing.T) {
 	dists := []float64{200}
 	coefs := make([]float64, 1)
-	if f := negBagNLL(dists, coefs); f > 1e-10 {
+	if f := negBagNLL(dists, coefs, make([]float64, len(dists))); f > 1e-10 {
 		t.Fatalf("far negative instance should cost ~0, got %v", f)
 	}
 }
@@ -217,7 +217,7 @@ func TestPosBagNLLEdgeDistancesPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		coefs := make([]float64, len(tc.dists))
-		f := posBagNLL(tc.dists, coefs)
+		f := posBagNLL(tc.dists, coefs, make([]float64, len(tc.dists)))
 		if tc.f == 0 {
 			if !math.IsNaN(f) {
 				t.Fatalf("posBagNLL(%v) = %v, want NaN", tc.dists, f)

@@ -11,7 +11,10 @@ import (
 // AVX2 assembly must match bit for bit, see internal/mat):
 //
 //   - no math.FMA — fused multiply-add rounds once where the assembly's
-//     mul+add rounds twice, so results diverge in the last ulp;
+//     mul+add rounds twice, so results diverge in the last ulp. (The
+//     likelihood kernels' exp bodies do fuse, because their oracle is a
+//     math.Exp call, which fuses on amd64 hosts with FMA; the scalar side
+//     never writes an FMA out, so this rule holds there too);
 //   - no math.Min / math.Max — their NaN and signed-zero semantics
 //     differ from the kernels' canonical compare-and-select;
 //   - float comparisons must keep the NaN-false polarity the assembly

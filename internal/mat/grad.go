@@ -1,8 +1,9 @@
 // The training-side kernels: the tiled all-rows distance pass and the
 // chain-rule gradient accumulation of Diverse Density training
-// (internal/core). Like the scan kernels in kernel.go each is a scalar oracle
-// plus assembly transcriptions that return the same bits — here two of them,
-// AVX2 and AVX-512, behind the dispatch in kernel_dispatch.go.
+// (internal/core); the third family, the likelihood, is in likelihood.go.
+// Like the scan kernels in kernel.go each is a scalar oracle plus assembly
+// transcriptions that return the same bits — here two of them, AVX2 and
+// AVX-512, behind the dispatch in kernel_dispatch.go.
 //
 // Neither kernel has a cross-lane step, which is what lets a wider register
 // do the scalar loop's arithmetic unchanged. The gradient is a sum over
@@ -11,7 +12,9 @@
 // row: with a lane per row — the tile layout below — the canonical block
 // fold (s0 + s1 of the strided pairs, then sum +=) is three vertical adds.
 // Multiplies and adds stay separate instructions everywhere; an FMA rounds
-// once where the scalar code rounds twice.
+// once where the scalar code rounds twice. (The likelihood's exp bodies are
+// the one exception in the package: their oracle, math.Exp, fuses on FMA
+// hosts, so they fuse where it does — see likelihood.go.)
 
 package mat
 

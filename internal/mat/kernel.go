@@ -43,8 +43,9 @@
 //
 // On amd64 hosts with AVX2 (and without the purego build tag), the public
 // entry points dispatch to assembly implementations of the very same loops
-// (kernel_amd64.s; training's two kernels, which also have AVX-512 bodies,
-// are in grad.go and grad_amd64.s): each 4-dimension block is computed with vmulpd/vsubpd
+// (kernel_amd64.s; training's kernels, which also have AVX-512 bodies, are
+// in grad.go, grad_amd64.s, likelihood.go and likelihood_amd64.s): each
+// 4-dimension block is computed with vmulpd/vsubpd
 // lanes and folded through the identical (s0+s1) strided reduction —
 // separate multiplies and adds, never FMA-contracted — with the threshold
 // check after every block, so the SIMD kernels return the same bits as the

@@ -6,10 +6,11 @@
 //   - "scalar": the portable loops, the oracle every other tier must match;
 //   - "avx2": the AVX2 assembly for every kernel (kernel_amd64.s,
 //     grad_amd64.s);
-//   - "avx512": AVX-512 bodies for the two training kernels of grad.go —
-//     the tiled distance pass and the gradient accumulation — with the scan
-//     kernels staying on their AVX2 bodies: a scan abandons most rows after
-//     one 4-dimension block, which a wider register does not shorten.
+//   - "avx512": AVX-512 bodies for the training kernels — the tiled
+//     distance pass and the gradient accumulation of grad.go, the
+//     likelihood kernels of likelihood.go — with the scan kernels staying
+//     on their AVX2 bodies: a scan abandons most rows after one 4-dimension
+//     block, which a wider register does not shorten.
 //
 // The default is picked once at init: the widest tier the CPU and OS support
 // (amd64, detected via CPUID/XGETBV — see kernel_dispatch_amd64.go), scalar
@@ -22,6 +23,11 @@
 //     that hold the implementations together. A value the process cannot
 //     honour — a name that is none of the four, or a tier the host or build
 //     lacks — falls back to auto and says so once on stderr.
+//
+// The likelihood's exp bodies also need FMA — they copy math.Exp's fused
+// form, the one use of FMA in the package — and run only where math.Exp
+// fuses (haveFMA, kernel_dispatch_amd64.go); elsewhere both tiers call
+// math.Exp from the scalar loop.
 //
 // Because all implementations are bit-identical on every entry point (the
 // property tests and the SIMD-vs-scalar fuzz targets enforce it), switching

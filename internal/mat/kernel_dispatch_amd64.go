@@ -2,6 +2,8 @@
 
 package mat
 
+import "math"
+
 // CPU feature detection for the assembly kernels, probed once at init
 // through raw CPUID/XGETBV (cpu feature asm in kernel_amd64.s — no external
 // dependency). Using AVX2 safely needs three things:
@@ -17,7 +19,15 @@ package mat
 // subset the bodies use) and XCR0 bits 5, 6 and 7: the OS saves the opmask
 // registers, the upper halves of ZMM0–15 and ZMM16–31. An OS that enables
 // that state lazily (Darwin) reports it off here and gets the AVX2 tier.
-var haveAVX2, haveAVX512 = detectSIMD()
+//
+// haveFMA gates the likelihood kernels' exp bodies (likelihood.go), which
+// fuse because math.Exp does — but only where math.Exp does. The standard
+// library's predicate is cpu.X86.HasAVX && cpu.X86.HasFMA: the AVX state
+// checks above plus CPUID.1:ECX bit 12 (FMA). That bit alone is not all of
+// it: GODEBUG=cpu.fma=off (or cpu.avx=off) turns math's fused form off
+// without touching CPUID, so the gate also asks math.Exp itself, on an
+// input where the two forms round differently.
+var haveAVX2, haveAVX512, haveFMA = detectSIMD()
 
 // kernelAVX2Available and kernelAVX512Available report whether the assembly
 // of that tier can run on this CPU. The purego / non-amd64 counterparts in
@@ -25,26 +35,34 @@ var haveAVX2, haveAVX512 = detectSIMD()
 func kernelAVX2Available() bool   { return haveAVX2 }
 func kernelAVX512Available() bool { return haveAVX512 }
 
-func detectSIMD() (avx2, avx512 bool) {
+func detectSIMD() (avx2, avx512, fma bool) {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false, false
+		return false, false, false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const osxsaveAndAVX = 1<<27 | 1<<28
 	if ecx1&osxsaveAndAVX != osxsaveAndAVX {
-		return false, false
+		return false, false, false
 	}
 	xcr0, _ := xgetbv0()
 	if xcr0&6 != 6 { // XMM and YMM state enabled
-		return false, false
+		return false, false, false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	avx2 = ebx7&(1<<5) != 0
 	const opmaskAndZMM = 1<<5 | 1<<6 | 1<<7
 	avx512 = avx2 && ebx7&(1<<16) != 0 && xcr0&opmaskAndZMM == opmaskAndZMM
-	return avx2, avx512
+	fma = ecx1&(1<<12) != 0 && math.Float64bits(math.Exp(fmaProbe)) == fmaProbeFused
+	return avx2, avx512, fma
 }
+
+// math.Exp(fmaProbe) is fmaProbeFused on its FMA path and one ulp above it
+// on the unfused one (TestFMAGateMatchesMathExp finds such inputs afresh).
+const (
+	fmaProbe      = -0.050439
+	fmaProbeFused = 0x3fee6d0d22155b93
+)
 
 // cpuid executes CPUID with the given leaf/subleaf (kernel_amd64.s).
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -105,3 +123,40 @@ func gradRowsAVX2(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw 
 
 //go:noescape
 func gradRowsAVX512(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw float64)
+
+// The likelihood kernels' bodies (likelihood_amd64.s), AVX2 and AVX-512,
+// behind ExpNeg, ExpNegClamped, Log, LeaveOneOutRatios and NegRatios. The
+// exp and log bodies return how many leading elements of n they stored: n,
+// or the start of the first group of lanes one of which leaves math's
+// straight-line path, which the caller computes with the scalar loop.
+// Callers guarantee n ≥ 1 and n in-bounds elements behind every pointer.
+
+//go:noescape
+func expNegAVX2(d, out *float64, n int, shift float64) int
+
+//go:noescape
+func expNegAVX512(d, out *float64, n int, shift float64) int
+
+//go:noescape
+func expNegClampedAVX2(d, p, q *float64, n int, pMax float64) int
+
+//go:noescape
+func expNegClampedAVX512(d, p, q *float64, n int, pMax float64) int
+
+//go:noescape
+func logAVX2(x, out *float64, n int) int
+
+//go:noescape
+func logAVX512(x, out *float64, n int) int
+
+//go:noescape
+func looRatiosAVX2(p, q, out *float64, n int, prod, P float64)
+
+//go:noescape
+func looRatiosAVX512(p, q, out *float64, n int, prod, P float64)
+
+//go:noescape
+func negRatiosAVX2(p, q, out *float64, n int)
+
+//go:noescape
+func negRatiosAVX512(p, q, out *float64, n int)

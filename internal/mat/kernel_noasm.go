@@ -8,6 +8,10 @@ package mat
 func kernelAVX2Available() bool   { return false }
 func kernelAVX512Available() bool { return false }
 
+// haveFMA: with no exp bodies there is nothing for math.Exp's FMA form to
+// gate.
+const haveFMA = false
+
 // The SIMD entry points referenced by the dispatch branches in kernel.go.
 // Unreachable in this build — the dispatch flags are pinned false — so they panic
 // loudly instead of silently falling back, which would hide a dispatch
@@ -38,5 +42,45 @@ func gradRowsAVX2(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw 
 }
 
 func gradRowsAVX512(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func expNegAVX2(d, out *float64, n int, shift float64) int {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func expNegAVX512(d, out *float64, n int, shift float64) int {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func expNegClampedAVX2(d, p, q *float64, n int, pMax float64) int {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func expNegClampedAVX512(d, p, q *float64, n int, pMax float64) int {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func logAVX2(x, out *float64, n int) int {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func logAVX512(x, out *float64, n int) int {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func looRatiosAVX2(p, q, out *float64, n int, prod, P float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func looRatiosAVX512(p, q, out *float64, n int, prod, P float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func negRatiosAVX2(p, q, out *float64, n int) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func negRatiosAVX512(p, q, out *float64, n int) {
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
