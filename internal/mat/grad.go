@@ -12,7 +12,20 @@
 // row: with a lane per row — the tile layout below — the canonical block
 // fold (s0 + s1 of the strided pairs, then sum +=) is three vertical adds.
 // Multiplies and adds stay separate instructions everywhere; an FMA rounds
-// once where the scalar code rounds twice. (The likelihood's exp bodies are
+// once where the scalar code rounds twice.
+//
+// Because no lane reads another, the assembly is free to visit the lanes in
+// any order, and it picks the order the hardware favours. The scalar
+// gradient loop runs rows outer, dimensions inner; the assembly runs them
+// the other way round, a group of dimension blocks at a time (five 4-lane
+// blocks for AVX2, six 8-lane ones for AVX-512) with the group's
+// accumulators held in registers while every row passes through, and one
+// load and one store of each per group instead of one per row. Each
+// per-dimension sum still receives the same terms, formed by the same
+// operations, in instance order, so the bits cannot move. The AVX-512
+// distance body scores tiles in pairs, sharing each block's broadcasts of
+// the point and the weights between two tiles; a lane's statements are
+// those of the single-tile body. (The likelihood's exp bodies are
 // the one exception in the package: their oracle, math.Exp, fuses on FMA
 // hosts, so they fuse where it does — see likelihood.go.)
 
@@ -131,8 +144,9 @@ func weightedSqDistTiles(p, w, tiles, out []float64) {
 // sw = 1 when the weights enter directly (∂d/∂w_k = (t_k − x_k)², and c·1
 // is c exactly, so the chain is c·d·d); gw = nil when the weights are fixed.
 //
-// The scalar loop is the oracle; the AVX2 and AVX-512 bodies return the same
-// bits (FuzzGradKernelSIMDvsScalar).
+// The scalar loop is the oracle; the AVX2 and AVX-512 bodies, which turn its
+// loops round (see the file comment), return the same bits
+// (TestGradKernelSIMDBitIdentity, FuzzGradKernelSIMDvsScalar).
 // milret:kernel
 func GradAccumRows(gt, gw, t, a, b, rows, coefs []float64, st, sw float64) {
 	dim := len(t)

@@ -117,14 +117,55 @@ func randGradInputs(rng *rand.Rand, dim, nRows int, withW bool) gradInputs {
 	return in
 }
 
+// wideGradInputs is randGradInputs for shapes where randKernelVec's
+// stress values would turn nearly every accumulator into NaN and hide
+// which terms went into it: ordinary values, a few stress values in the
+// rows, some coefficients ±0 and, in one case of eight, one NaN.
+func wideGradInputs(rng *rand.Rand, dim, nRows, form int) gradInputs {
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	in := gradInputs{gt: vec(dim), t: vec(dim), a: vec(dim), rows: vec(dim * nRows), coefs: vec(nRows), st: 2, sw: 1}
+	for i := 0; i < 3; i++ {
+		in.rows[rng.Intn(len(in.rows))] = []float64{math.Inf(1), 1e300, 1e-300}[i]
+	}
+	for r := range in.coefs {
+		if rng.Intn(4) == 0 {
+			in.coefs[r] = math.Copysign(0, float64(1-2*rng.Intn(2)))
+		}
+	}
+	if rng.Intn(8) == 0 {
+		in.coefs[rng.Intn(nRows)] = math.NaN()
+	}
+	switch form {
+	case 1: // direct weights
+		in.gw = vec(dim)
+	case 2: // squared weights
+		in.gw, in.b, in.sw = vec(dim), vec(dim), 2
+	}
+	return in
+}
+
 // TestGradKernelSIMDBitIdentity: random shapes (every tail size of both
 // register widths, row counts on both sides of a tile), stress values, the
 // (t, w), the direct-weight and the t-only form — scalar ≡ AVX2 ≡ AVX-512.
+// Then every dim from 1 to 140, in all three forms: each side of every
+// group edge of both bodies' passes (20 dimensions for AVX2, 48 for
+// AVX-512), every tail after each, and the served 100, with 1–60 rows.
 func TestGradKernelSIMDBitIdentity(t *testing.T) {
 	eachSIMDTier(t, func(t *testing.T, tier string) {
 		rng := rand.New(rand.NewSource(23))
 		for iter := 0; iter < 2000; iter++ {
 			compareGrad(t, []string{tier}, randGradInputs(rng, 1+rng.Intn(21), 1+rng.Intn(19), iter%3 != 0))
+		}
+		for dim := 1; dim <= 140; dim++ {
+			for form := 0; form < 3; form++ {
+				compareGrad(t, []string{tier}, wideGradInputs(rng, dim, 1+rng.Intn(60), form))
+			}
 		}
 	})
 }
@@ -133,23 +174,27 @@ func TestGradKernelSIMDBitIdentity(t *testing.T) {
 // host has, the scalar oracle included (so it means something under purego):
 // each row's distance carries the bits of WeightedSqDistBlocked for
 // rows % 8 ≠ 0, dim % 4 ≠ 0, dim < 4, NaN/±Inf inputs, and padding lanes
-// holding anything.
+// holding anything — on one to six tiles, so the paired passes of the
+// AVX-512 body run with and without an odd last tile.
 func TestDistTilesMatchesBlocked(t *testing.T) {
 	tiers, _ := simdTiers()
 	rng := rand.New(rand.NewSource(29))
 	for dim := 1; dim <= 13; dim++ {
-		for _, n := range []int{1, 7, 8, 9, 16, 21} {
+		for _, n := range []int{1, 7, 8, 9, 16, 21, 24, 33, 48} {
 			compareTiles(t, tiers, randKernelVec(rng, dim), randKernelVec(rng, dim), randKernelVec(rng, dim*n))
 		}
 	}
-	// The training shape, ordinary values.
-	p, w, rows := make([]float64, 100), make([]float64, 100), make([]float64, 100*40)
-	for _, v := range [][]float64{p, w, rows} {
-		for i := range v {
-			v[i] = rng.NormFloat64()
+	// The training shapes, ordinary values: a bag of 40 rows (five tiles)
+	// and one of 48 (six).
+	for _, n := range []int{40, 48} {
+		p, w, rows := make([]float64, 100), make([]float64, 100), make([]float64, 100*n)
+		for _, v := range [][]float64{p, w, rows} {
+			for i := range v {
+				v[i] = rng.NormFloat64()
+			}
 		}
+		compareTiles(t, tiers, p, w, rows)
 	}
-	compareTiles(t, tiers, p, w, rows)
 }
 
 // TestGradAccumRowsMatchesChainRule pins the kernel's argument forms to the
@@ -250,8 +295,9 @@ func TestGradAccumRowsEmpty(t *testing.T) {
 // As in FuzzKernelSIMDvsScalar the byte stream is reinterpreted as float64
 // bits — NaNs of every payload, ±Inf, ±0 and denormals arise naturally — and
 // dim and the row count come from their own bytes so every tail size of both
-// register widths (dim % 4, dim % 8) and row counts on both sides of a tile
-// are explored. zeroMask forces chosen coefficients to ±0, the rows the
+// register widths (dim % 4, dim % 8), both sides of every group edge of the
+// gradient passes (up to 140 dimensions) and one to five tiles of rows are
+// explored. zeroMask forces chosen coefficients to ±0, the rows the
 // kernel must skip; withW and sw = 1 together select the direct-weight form
 // (b nil).
 func FuzzGradKernelSIMDvsScalar(f *testing.F) {
@@ -265,8 +311,8 @@ func FuzzGradKernelSIMDvsScalar(f *testing.F) {
 		if len(tiers) == 0 {
 			t.Skip("nothing to differentiate:" + missing)
 		}
-		dim := 1 + int(dimRaw)%21
-		nRows := 1 + int(nRaw)%11
+		dim := 1 + int(dimRaw)%140
+		nRows := 1 + int(nRaw)%40
 		vals := floatsFromBytes(data, (5+nRows)*dim+nRows)
 		next := func(n int) []float64 {
 			out := vals[:n:n]
@@ -285,7 +331,7 @@ func FuzzGradKernelSIMDvsScalar(f *testing.F) {
 		}
 		in.rows, in.coefs = next(dim*nRows), next(nRows)
 		for r := range in.coefs {
-			if zeroMask&(1<<uint(r)) != 0 {
+			if zeroMask&(1<<uint(r%8)) != 0 {
 				in.coefs[r] = math.Copysign(0, float64(1-2*(r%2)))
 			}
 		}
@@ -295,8 +341,9 @@ func FuzzGradKernelSIMDvsScalar(f *testing.F) {
 
 // FuzzDistTilesVsBlocked fuzzes the tile kernel on every tier the host has —
 // the scalar oracle included — against WeightedSqDistBlocked row by row: dim
-// from its own byte (dim < 4, every dim % 4), up to three tiles of rows with
-// any number of them in the last, values from raw float64 bits.
+// from its own byte (dim < 4, every dim % 4, up to 140), up to six tiles of
+// rows — an even and an odd count of them — with any number of rows in the
+// last, values from raw float64 bits.
 func FuzzDistTilesVsBlocked(f *testing.F) {
 	f.Add(uint8(8), uint8(3), mkBytes(1, 2, 3, 4, 5, 6, 7, 8))
 	f.Add(uint8(2), uint8(8), mkBytes(0.5, -0.5, 2))
@@ -305,8 +352,8 @@ func FuzzDistTilesVsBlocked(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, dimRaw, nRaw uint8, data []byte) {
 		tiers, _ := simdTiers()
-		dim := 1 + int(dimRaw)%21
-		nRows := 1 + int(nRaw)%24
+		dim := 1 + int(dimRaw)%140
+		nRows := 1 + int(nRaw)%48
 		vals := floatsFromBytes(data, (2+nRows)*dim)
 		compareTiles(t, tiers, vals[:dim], vals[dim:2*dim], vals[2*dim:])
 	})

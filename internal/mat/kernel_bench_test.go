@@ -71,14 +71,17 @@ func BenchmarkKernelScalar(b *testing.B) { benchKernel(b, false) }
 
 // BenchmarkTrainKernels times the two training kernels on one example set of
 // the served shape (200 rows × 100 dims: five bags of 40), once per tier the
-// host has: DistTiles is one forward distance pass, GradDirect the gradient
-// pass of the server-default weight mode (weights enter directly, b nil),
-// GradSquared that of the w² modes. The point and the weights are the halves
-// of one θ and the two accumulators the halves of one gradient, as training
-// lays them out — with 100 dims the second halves sit 32 bytes off a cache
-// line, which a 64-byte access pays for.
+// host has: DistTiles is one distance pass over the whole set, DistTilesBags
+// the forward pass's real call shape over the same rows — one call per bag
+// of 40 rows, five tiles, so the AVX-512 body's odd last tile runs in every
+// call — GradDirect the gradient pass of the server-default weight mode
+// (weights enter directly, b nil), GradSquared that of the w² modes. The
+// point and the weights are the halves of one θ and the two accumulators
+// the halves of one gradient, as training lays them out — with 100 dims the
+// second halves sit 32 bytes off a cache line, which a 64-byte access pays
+// for.
 func BenchmarkTrainKernels(b *testing.B) {
-	const dim, nRows = 100, 200
+	const dim, nRows, bagRows = 100, 200, 40
 	rng := rand.New(rand.NewSource(42))
 	vec := func(n int) []float64 {
 		v := make([]float64, n)
@@ -103,6 +106,11 @@ func BenchmarkTrainKernels(b *testing.B) {
 			})
 		}
 		run("DistTiles", func() { WeightedSqDistTiles(t, W, tiles, out) })
+		run("DistTilesBags", func() {
+			for lo := 0; lo < nRows; lo += bagRows {
+				WeightedSqDistTiles(t, W, tiles[lo*dim:(lo+bagRows)*dim], out[lo:lo+bagRows])
+			}
+		})
 		run("GradDirect", func() { GradAccumRows(grad[:dim], grad[dim:], t, w, nil, rows, coefs, 2, 1) })
 		run("GradSquared", func() { GradAccumRows(grad[:dim], grad[dim:], t, W, w, rows, coefs, 2, 2) })
 	}

@@ -104,7 +104,10 @@ func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool
 
 // distTilesAVX2 and distTilesAVX512 are weightedSqDistTiles (grad_amd64.s):
 // the full blocked distance from p to every row of nTiles tiles, a row per
-// lane, stored to out. Require dim ≥ 1 and nTiles ≥ 1.
+// lane, stored to out. The AVX-512 body scores two tiles per pass over the
+// dimensions, loading each block's p and w broadcasts once for both, and
+// an odd last tile alone; a lane's statements do not depend on its
+// neighbour tile, so pairing moves no bit. Require dim ≥ 1 and nTiles ≥ 1.
 //
 //go:noescape
 func distTilesAVX2(p, w, tiles *float64, dim, nTiles int, out *float64)
@@ -114,9 +117,15 @@ func distTilesAVX512(p, w, tiles *float64, dim, nTiles int, out *float64)
 
 // gradRowsAVX2 and gradRowsAVX512 are gradAccumRows (grad_amd64.s): the
 // chain-rule gradient accumulation over nRows rows, lane-wise with no
-// cross-lane fold. gw may be nil to accumulate the point part only, and b
-// nil beside a gw for weights that enter directly. Require dim ≥ 1 and
-// nRows ≥ 1.
+// cross-lane fold. Their loops run the other way round from the scalar
+// oracle's — dimensions outer, rows inner — over groups of dimension blocks
+// whose gt/gw accumulators stay in registers for the whole row loop (five
+// 4-lane blocks per group for AVX2, six 8-lane blocks for AVX-512; the
+// dimensions past the last group go one masked block per pass). Lane k
+// still adds dimension k's terms in row order with the scalar association,
+// so the order moves no bit. gw may be nil to accumulate the point part
+// only, and b nil beside a gw for weights that enter directly. Require
+// dim ≥ 1 and nRows ≥ 1.
 //
 //go:noescape
 func gradRowsAVX2(gt, gw, t, a, b, rows, coefs *float64, dim, nRows int, st, sw float64)

@@ -90,16 +90,16 @@ BCAST8(logl6, $1.531383769920937332e-01)
 BCAST8(logl7, $1.479819860511658591e-01)
 
 // AVX2 lane masks: the 32 bytes at lanemask+8·(4−r) select the first r
-// lanes.
-DATA lanemask<>+0(SB)/8, $-1
-DATA lanemask<>+8(SB)/8, $-1
-DATA lanemask<>+16(SB)/8, $-1
-DATA lanemask<>+24(SB)/8, $-1
-DATA lanemask<>+32(SB)/8, $0
-DATA lanemask<>+40(SB)/8, $0
-DATA lanemask<>+48(SB)/8, $0
-DATA lanemask<>+56(SB)/8, $0
-GLOBL lanemask<>(SB), RODATA|NOPTR, $64
+// lanes (also read by grad_amd64.s).
+DATA ·lanemask+0(SB)/8, $-1
+DATA ·lanemask+8(SB)/8, $-1
+DATA ·lanemask+16(SB)/8, $-1
+DATA ·lanemask+24(SB)/8, $-1
+DATA ·lanemask+32(SB)/8, $0
+DATA ·lanemask+40(SB)/8, $0
+DATA ·lanemask+48(SB)/8, $0
+DATA ·lanemask+56(SB)/8, $0
+GLOBL ·lanemask(SB), RODATA|NOPTR, $64
 
 // EXP_AVX2: Y0 = exp(Y0) lane-wise, exp_amd64.s's avxfma path; AX gets a
 // bit per lane whose biased exponent k+0x3FF is in [1, 0x7FE], the lanes
@@ -291,7 +291,7 @@ GLOBL lanemask<>(SB), RODATA|NOPTR, $64
 	XORQ      R10, R10; \
 	CMPQ      R9, $0; \
 	CMOVQLT   R10, R9; \
-	LEAQ      lanemask<>(SB), R10; \
+	LEAQ      ·lanemask(SB), R10; \
 	VMOVDQU   (R10)(R9*8), Y9; \
 	VMOVMSKPD Y9, R11
 

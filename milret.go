@@ -826,9 +826,6 @@ func (d *Database) RetrieveMany(concepts []*Concept, k int, exclude []string, ro
 		scorers[i] = c.c
 	}
 	out := make([][]Result, len(concepts))
-	if d.db.Len() == 0 {
-		return out, nil
-	}
 	ex := make(map[string]bool, len(exclude))
 	for _, id := range exclude {
 		ex[id] = true
@@ -1287,20 +1284,12 @@ func Similarity(a, b image.Image, resolution int) (float64, error) {
 }
 
 // PRPoint is one point of a precision-recall curve.
-type PRPoint struct {
-	Recall    float64
-	Precision float64
-}
+type PRPoint = eval.PRPoint
 
 // PrecisionRecallCurve computes the precision-recall curve of a ranking
 // against a target label.
 func PrecisionRecallCurve(results []Result, target string) []PRPoint {
-	pr := eval.PrecisionRecall(toEval(results), target)
-	out := make([]PRPoint, len(pr))
-	for i, p := range pr {
-		out[i] = PRPoint{Recall: p.Recall, Precision: p.Precision}
-	}
-	return out
+	return eval.PrecisionRecall(toEval(results), target)
 }
 
 // AveragePrecision summarizes a ranking against a target label in one

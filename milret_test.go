@@ -201,7 +201,9 @@ func TestNewConceptRoundTrip(t *testing.T) {
 
 // TestRetrieveManyMatchesRetrieve: the batched scan must return, per
 // concept, exactly the single-concept retrieval — including the exclusion
-// set — and must reject dimension mismatches and nil concepts.
+// set, and on a database with no live image, one never filled and one
+// emptied by deletes, where both are an empty, non-nil ranking — and must
+// reject dimension mismatches and nil concepts.
 func TestRetrieveManyMatchesRetrieve(t *testing.T) {
 	db := testDB(t, 3, "car", "lamp", "pants")
 	var concepts []*Concept
@@ -225,6 +227,27 @@ func TestRetrieveManyMatchesRetrieve(t *testing.T) {
 		want := db.RetrieveExcluding(c, 5, exclude)
 		if !reflect.DeepEqual(many[i], want) {
 			t.Fatalf("concept %d:\ngot  %v\nwant %v", i, many[i], want)
+		}
+	}
+
+	fresh, err := NewDatabase(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptied := testDB(t, 1, "car")
+	for _, id := range emptied.IDs() {
+		if err := emptied.DeleteImage(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, empty := range []*Database{fresh, emptied} {
+		many, err := empty.RetrieveMany(concepts[:2], 5, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := [][]Result{empty.RetrieveExcluding(concepts[0], 5, nil), empty.RetrieveExcluding(concepts[1], 5, nil)}
+		if !reflect.DeepEqual(many, want) {
+			t.Fatalf("no live image: RetrieveMany = %#v, RetrieveExcluding per concept %#v", many, want)
 		}
 	}
 
