@@ -1,84 +1,9 @@
 package experiments
 
 import (
-	"sync"
-
-	"milret/internal/baseline"
 	"milret/internal/core"
-	"milret/internal/eval"
 	"milret/internal/feature"
-	"milret/internal/retrieval"
-	"milret/internal/synth"
 )
-
-type baselineKey struct {
-	seed   int64
-	perCat int
-	method baseline.Method
-}
-
-var (
-	baselineMu    sync.Mutex
-	baselineCache = map[baselineKey][]retrieval.Item{}
-)
-
-// baselineCorpus featurizes the scene corpus with the Maron & Lakshmi Ratan
-// color features (§4.2.4 comparison).
-func baselineCorpus(seed int64, perCat int, method baseline.Method) ([]retrieval.Item, error) {
-	key := baselineKey{seed, perCat, method}
-	baselineMu.Lock()
-	if items, ok := baselineCache[key]; ok {
-		baselineMu.Unlock()
-		return items, nil
-	}
-	baselineMu.Unlock()
-
-	raw := synth.ScenesN(seed, perCat)
-	items := make([]retrieval.Item, len(raw))
-	for i, it := range raw {
-		bag, err := baseline.BagFromImage(it.ID, it.Image, method)
-		if err != nil {
-			return nil, err
-		}
-		items[i] = retrieval.Item{ID: it.ID, Label: it.Label, Bag: bag}
-	}
-	baselineMu.Lock()
-	baselineCache[key] = items
-	baselineMu.Unlock()
-	return items, nil
-}
-
-// runBaselineProtocol runs the §4.1 session over the color-feature corpus.
-func runBaselineProtocol(cfg Config, target string, method baseline.Method) (*eval.ProtocolResult, error) {
-	items, err := baselineCorpus(cfg.Seed, cfg.Scale.ScenesPerCat, method)
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]string, len(items))
-	for i, it := range items {
-		labels[i] = it.Label
-	}
-	sp, err := eval.StratifiedSplit(labels, cfg.Scale.TrainFrac, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	pool, test, err := eval.SplitDatabases(items, sp)
-	if err != nil {
-		return nil, err
-	}
-	pc := eval.ProtocolConfig{
-		Target: target,
-		Rounds: cfg.Scale.Rounds,
-		Train:  cfg.trainConfig(core.Original, 0),
-		Seed:   cfg.Seed,
-	}
-	if poolPerCat := poolCategoryCount(pool, target); poolPerCat < 5 {
-		pc.NumPos = shrinkExamples(poolPerCat)
-		pc.NumNeg = pc.NumPos
-		pc.FalsePositivesPerRound = 3
-	}
-	return eval.RunProtocol(pool, test, pc)
-}
 
 // Fig420_421 reproduces the comparison with the previous approach (paper
 // Figs 4-20/4-21): our gray-level correlation system — with original DD and
@@ -94,36 +19,22 @@ func Fig420_421(cfg Config) ([]Table, error) {
 		Header: []string{"system", "AP", "prec@recall.3-.4", "P@10", "R@50"},
 		Notes:  "paper: our curves are very close to Maron & Lakshmi Ratan's on natural scenes",
 	}
-	ours := []struct {
-		label string
-		mode  core.WeightMode
-		beta  float64
+	for _, r := range []struct {
+		label, kind string
+		mode        core.WeightMode
+		beta        float64
 	}{
-		{"ours (original DD)", core.Original, 0},
-		{"ours (inequality β=0.25)", core.SumConstraint, 0.25},
-	}
-	for _, o := range ours {
-		res, err := runProtocol(cfg, "scenes", "waterfall", feature.Options{},
-			cfg.trainConfig(o.mode, o.beta))
-		if err != nil {
-			return nil, err
-		}
-		ap, window, p10, r50 := summarize(res.TestRanking, "waterfall")
-		t.AddRow(o.label, ap, window, p10, r50)
-	}
-	for _, m := range []struct {
-		label  string
-		method baseline.Method
-	}{
-		{"previous approach (color SBN)", baseline.SBN},
-		{"previous approach (color rows)", baseline.Rows},
+		{"ours (original DD)", "scenes", core.Original, 0},
+		{"ours (inequality β=0.25)", "scenes", core.SumConstraint, 0.25},
+		{"previous approach (color SBN)", "scenes-sbn", core.Original, 0},
+		{"previous approach (color rows)", "scenes-rows", core.Original, 0},
 	} {
-		res, err := runBaselineProtocol(cfg, "waterfall", m.method)
+		res, err := runProtocol(cfg, r.kind, "waterfall", feature.Options{}, cfg.trainConfig(r.mode, r.beta))
 		if err != nil {
 			return nil, err
 		}
 		ap, window, p10, r50 := summarize(res.TestRanking, "waterfall")
-		t.AddRow(m.label, ap, window, p10, r50)
+		t.AddRow(r.label, ap, window, p10, r50)
 	}
 	return []Table{t}, nil
 }

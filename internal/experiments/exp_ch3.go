@@ -7,7 +7,6 @@ import (
 	"milret/internal/eval"
 	"milret/internal/feature"
 	"milret/internal/gray"
-	"milret/internal/mil"
 	"milret/internal/region"
 	"milret/internal/synth"
 )
@@ -120,15 +119,7 @@ func Fig37_39(cfg Config) ([]Table, error) {
 		return nil, err
 	}
 	// 5 positive waterfalls + 5 negatives, as in Figure 3-6.
-	ds := &mil.Dataset{}
-	for _, it := range pool.Items() {
-		if it.Label == "waterfall" && len(ds.Positive) < 5 {
-			ds.Positive = append(ds.Positive, it.Bag)
-		}
-		if it.Label != "waterfall" && len(ds.Negative) < 5 {
-			ds.Negative = append(ds.Negative, it.Bag)
-		}
-	}
+	ds := datasetForTarget(pool.Items(), "waterfall", 5, 5)
 	t := Table{
 		ID:     "Fig37_39",
 		Title:  "DD output weight statistics under the three weight schemes (waterfall task)",

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"milret/internal/core"
-	"milret/internal/eval"
 	"milret/internal/feature"
-	"milret/internal/gray"
 	"milret/internal/mil"
 	"milret/internal/retrieval"
-	"milret/internal/synth"
 )
 
 // The Ext* experiments go beyond the paper's figures: they evaluate the
@@ -58,51 +55,9 @@ func ExtRotations(cfg Config) ([]Table, error) {
 		Header: []string{"corpus", "instances/bag", "AP", "prec@recall.3-.4"},
 		Notes:  "rotated-query corpus: every database image randomly rotated by 0/90/180/270 degrees",
 	}
-	// Build a rotated object corpus: deterministic per-image rotation.
-	raw := synth.ObjectsN(cfg.Seed, cfg.Scale.ObjectsPerCat)
 	for _, rot := range []bool{false, true} {
 		opts := feature.Options{Rotations: rot}
-		items := make([]retrieval.Item, len(raw))
-		for i, it := range raw {
-			g := grayFromRGBA(it)
-			switch i % 4 {
-			case 1:
-				g = g.Rotate90()
-			case 2:
-				g = g.Rotate180()
-			case 3:
-				g = g.Rotate270()
-			}
-			bag, err := feature.BagFromImage(it.ID, g, opts)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = retrieval.Item{ID: it.ID, Label: it.Label, Bag: bag}
-		}
-		labels := make([]string, len(items))
-		for i, it := range items {
-			labels[i] = it.Label
-		}
-		sp, err := eval.StratifiedSplit(labels, cfg.Scale.TrainFrac, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		pool, test, err := eval.SplitDatabases(items, sp)
-		if err != nil {
-			return nil, err
-		}
-		pc := eval.ProtocolConfig{
-			Target: "car",
-			Rounds: cfg.Scale.Rounds,
-			Train:  cfg.trainConfig(core.Identical, 0),
-			Seed:   cfg.Seed,
-		}
-		if poolPerCat := poolCategoryCount(pool, "car"); poolPerCat < 5 {
-			pc.NumPos = shrinkExamples(poolPerCat)
-			pc.NumNeg = pc.NumPos
-			pc.FalsePositivesPerRound = 3
-		}
-		res, err := eval.RunProtocol(pool, test, pc)
+		res, err := runProtocol(cfg, "objects-rotated", "car", opts, cfg.trainConfig(core.Identical, 0))
 		if err != nil {
 			return nil, err
 		}
@@ -153,9 +108,6 @@ func ExtEMDD(cfg Config) ([]Table, error) {
 	}
 	return []Table{t}, nil
 }
-
-// grayFromRGBA converts a synth item's image to the gray image type.
-func grayFromRGBA(it synth.Item) *gray.Image { return gray.FromImage(it.Image) }
 
 // datasetForTarget assembles a MIL dataset from labelled items: the first
 // nPos bags carrying the target label become positives and the first nNeg

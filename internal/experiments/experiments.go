@@ -4,6 +4,11 @@
 // or more printable Tables; cmd/experiments prints them and the root
 // bench_test.go benchmarks them. Registry is the experiment index
 // (`cmd/experiments -list` prints it).
+//
+// Every §4.1 session goes through runProtocol, over a corpus from
+// featurizedCorpus, the one corpus cache. Its six kinds are "scenes",
+// "objects", "scenes-color", "scenes-sbn", "scenes-rows" and
+// "objects-rotated".
 package experiments
 
 import (
@@ -11,6 +16,7 @@ import (
 	"sort"
 	"sync"
 
+	"milret/internal/baseline"
 	"milret/internal/core"
 	"milret/internal/eval"
 	"milret/internal/feature"
@@ -110,7 +116,7 @@ func (c Config) trainConfig(mode core.WeightMode, beta float64) core.Config {
 
 // corpusKey identifies a cached featurized corpus.
 type corpusKey struct {
-	kind   string // "scenes", "objects" or "scenes-color"
+	kind   string // one of the six kinds featurizedCorpus accepts
 	seed   int64
 	perCat int
 	opts   feature.Options
@@ -122,9 +128,16 @@ var (
 )
 
 // featurizedCorpus generates (or returns cached) preprocessed bags for a
-// corpus: the scene or object corpus in gray-scale features, or
-// "scenes-color", the scene corpus in tripled-RGB features. Featurization
-// runs on up to 8 images at a time.
+// corpus. The kind names both the pictures and the featurizer:
+//   - "scenes" and "objects": gray-scale features (§3.5);
+//   - "scenes-color": the scenes in tripled-RGB features (§5);
+//   - "scenes-sbn" and "scenes-rows": the scenes in Maron & Lakshmi
+//     Ratan's SBN or row colour features (§4.2.4), which ignore opts;
+//   - "objects-rotated": gray-scale features of the objects with object i
+//     turned i%4 quarter turns (the §5 rotation extension).
+//
+// Every kind shares the one cache, and featurization runs on up to 8
+// images at a time.
 func featurizedCorpus(kind string, seed int64, perCat int, opts feature.Options) ([]retrieval.Item, error) {
 	key := corpusKey{kind, seed, perCat, opts}
 	corpusMu.Lock()
@@ -135,8 +148,8 @@ func featurizedCorpus(kind string, seed int64, perCat int, opts feature.Options)
 	corpusMu.Unlock()
 
 	var raw []synth.Item
-	featurize := func(it synth.Item) (*mil.Bag, error) {
-		return feature.BagFromImage(it.ID, gray.FromImage(it.Image), opts)
+	featurize := func(i int) (*mil.Bag, error) {
+		return feature.BagFromImage(raw[i].ID, gray.FromImage(raw[i].Image), opts)
 	}
 	switch kind {
 	case "scenes":
@@ -145,7 +158,28 @@ func featurizedCorpus(kind string, seed int64, perCat int, opts feature.Options)
 		raw = synth.ObjectsN(seed, perCat)
 	case "scenes-color":
 		raw = synth.ScenesN(seed, perCat)
-		featurize = func(it synth.Item) (*mil.Bag, error) { return feature.BagFromColorImage(it.ID, it.Image, opts) }
+		featurize = func(i int) (*mil.Bag, error) { return feature.BagFromColorImage(raw[i].ID, raw[i].Image, opts) }
+	case "scenes-sbn", "scenes-rows":
+		raw = synth.ScenesN(seed, perCat)
+		method := baseline.SBN
+		if kind == "scenes-rows" {
+			method = baseline.Rows
+		}
+		featurize = func(i int) (*mil.Bag, error) { return baseline.BagFromImage(raw[i].ID, raw[i].Image, method) }
+	case "objects-rotated":
+		raw = synth.ObjectsN(seed, perCat)
+		featurize = func(i int) (*mil.Bag, error) {
+			g := gray.FromImage(raw[i].Image)
+			switch i % 4 {
+			case 1:
+				g = g.Rotate90()
+			case 2:
+				g = g.Rotate180()
+			case 3:
+				g = g.Rotate270()
+			}
+			return feature.BagFromImage(raw[i].ID, g, opts)
+		}
 	default:
 		return nil, fmt.Errorf("experiments: unknown corpus kind %q", kind)
 	}
@@ -154,7 +188,7 @@ func featurizedCorpus(kind string, seed int64, perCat int, opts feature.Options)
 	errs := make([]error, len(raw))
 	workloop.Run(len(raw), 8, func(_ int, claim func() (int, bool)) {
 		for i, ok := claim(); ok; i, ok = claim() {
-			bag, err := featurize(raw[i])
+			bag, err := featurize(i)
 			items[i] = retrieval.Item{ID: raw[i].ID, Label: raw[i].Label, Bag: bag}
 			errs[i] = err
 		}
@@ -174,7 +208,7 @@ func featurizedCorpus(kind string, seed int64, perCat int, opts feature.Options)
 // splitCorpus featurizes and splits a corpus into pool and test databases.
 func splitCorpus(cfg Config, kind string, opts feature.Options) (pool, test *retrieval.Database, err error) {
 	perCat := cfg.Scale.ScenesPerCat
-	if kind == "objects" {
+	if kind == "objects" || kind == "objects-rotated" {
 		perCat = cfg.Scale.ObjectsPerCat
 	}
 	items, err := featurizedCorpus(kind, cfg.Seed, perCat, opts)
@@ -288,9 +322,6 @@ func Run(id string, cfg Config) ([]Table, error) {
 	sort.Strings(ids)
 	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, ids)
 }
-
-// featOpts returns the default feature options used by experiments.
-func featOpts() feature.Options { return feature.Options{} }
 
 // shrinkExamples picks the initial positive-example count for a pool that
 // cannot spare the paper's 5: as many as possible up to 3, never more than

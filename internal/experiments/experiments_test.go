@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"milret/internal/feature"
 )
 
 func benchCfg() Config {
@@ -185,18 +187,31 @@ func TestTableFormatAndCSV(t *testing.T) {
 
 func TestCorpusCacheReuse(t *testing.T) {
 	cfg := benchCfg()
-	a, err := featurizedCorpus("scenes", cfg.Seed, 2, featOpts())
+	for _, kind := range []string{"scenes", "objects", "scenes-color", "scenes-sbn", "scenes-rows", "objects-rotated"} {
+		a, err := featurizedCorpus(kind, cfg.Seed, 2, feature.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := featurizedCorpus(kind, cfg.Seed, 2, feature.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &a[0] != &b[0] {
+			t.Fatalf("%s: corpus cache did not reuse the featurized items", kind)
+		}
+	}
+	plain, err := featurizedCorpus("objects-rotated", cfg.Seed, 2, feature.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := featurizedCorpus("scenes", cfg.Seed, 2, featOpts())
+	rot, err := featurizedCorpus("objects-rotated", cfg.Seed, 2, feature.Options{Rotations: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &a[0] != &b[0] {
-		t.Fatalf("corpus cache did not reuse the featurized items")
+	if &plain[0] == &rot[0] {
+		t.Fatalf("objects-rotated with and without rotation instances share one cache entry")
 	}
-	if _, err := featurizedCorpus("bogus", 1, 1, featOpts()); err == nil {
+	if _, err := featurizedCorpus("bogus", 1, 1, feature.Options{}); err == nil {
 		t.Fatalf("unknown corpus kind accepted")
 	}
 }

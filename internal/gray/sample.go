@@ -31,16 +31,7 @@ func SmoothSample(im *Image, h int) (*mat.Matrix, error) {
 	if im.W < 1 || im.H < 1 {
 		return nil, fmt.Errorf("gray: cannot sample empty %dx%d image to %dx%d", im.W, im.H, h, h)
 	}
-	return SmoothSampleIntegral(NewIntegral(im), im.W, im.H, h), nil
-}
-
-// SmoothSampleIntegral is SmoothSample for callers that already hold an
-// integral image of the full picture and want to sample a sub-rectangle of
-// it without re-accumulating (the bag generator samples ~20 overlapping
-// regions of the same image). Width w and height hh describe the sampled
-// rectangle anchored at the origin of the integral image.
-func SmoothSampleIntegral(it *Integral, w, hh, h int) *mat.Matrix {
-	return smoothSampleRect(it, 0, 0, w, hh, h)
+	return smoothSampleRect(NewIntegral(im), 0, 0, im.W, im.H, h), nil
 }
 
 // SmoothSampleRect samples the sub-rectangle [x0, x1) × [y0, y1) of the
