@@ -23,7 +23,7 @@ func cmdShardServe(args []string) error {
 	fs := flag.NewFlagSet("shard-serve", flag.ExitOnError)
 	dbPath := fs.String("db", "db.milret", "this partition's database path (one shard of a resharded store)")
 	addr := fs.String("addr", "127.0.0.1:8081", "listen address")
-	fastLoad := fs.Bool("fast-load", false, "skip the synchronous data checksum: zero-copy O(images) open, verified in the background (see /v1/healthz)")
+	fastLoad := fs.Bool("fast-load", false, "skip the synchronous data checksum: zero-copy open (no decode, no copy, one sequential sketch pass), verified in the background (see /v1/healthz)")
 	readOnly := fs.Bool("readonly", false, "refuse mutations on both the RPC and the JSON surface")
 	fs.Parse(args)
 

@@ -76,7 +76,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	dbPath := fs.String("db", "db.milret", "database path")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	fastLoad := fs.Bool("fast-load", false, "skip the synchronous data checksum: zero-copy O(images) open, verified in the background (see /v1/healthz)")
+	fastLoad := fs.Bool("fast-load", false, "skip the synchronous data checksum: zero-copy open (no decode, no copy, one sequential sketch pass), verified in the background (see /v1/healthz)")
 	readOnly := fs.Bool("readonly", false, "refuse DELETE/PUT mutations")
 	cacheMB := fs.Int("concept-cache-mb", 64, "memory bound of the trained-concept LRU cache in MB; repeat /v1/query requests skip training and concurrent identical ones coalesce (0 disables)")
 	cacheFile := fs.String("concept-cache-file", "", `concept-cache sidecar path: hot trained concepts are persisted there on flush/shutdown and loaded on start, so a restarted replica answers repeat queries without retraining; "" defaults to <db>.ccache when the cache is enabled, "off" disables persistence`)

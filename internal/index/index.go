@@ -42,10 +42,12 @@ package index
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync/atomic"
 
 	"milret/internal/mat"
+	"milret/internal/workloop"
 )
 
 // Index packs all bag instances into one flat block.
@@ -153,10 +155,12 @@ func (x *Index) Append(id, label string, instances []mat.Vector) error {
 // FromFlat constructs an index that adopts an existing row-major instance
 // block instead of copying it — the zero-copy open path: the store hands
 // over its (possibly memory-mapped) data block and the per-bag instance
-// counts, and the index is ready to scan in O(bags) work. The block must
-// hold exactly sum(counts) rows of dim floats; every count must be
-// positive. Later Appends never mutate the adopted block: growing the data
-// slice reallocates (its capacity is clamped to its length).
+// counts, and the index is ready to scan after no decode, no copy and one
+// sequential pass over the values that builds the per-bag sketches
+// (packSketches). The block must hold exactly sum(counts) rows of dim
+// floats; every count must be positive. Later Appends never mutate the
+// adopted block: growing the data slice reallocates (its capacity is
+// clamped to its length).
 func FromFlat(dim int, data []float64, counts []int, ids, labels []string) (*Index, error) {
 	if len(counts) != len(ids) || len(counts) != len(labels) {
 		return nil, fmt.Errorf("index: %d counts, %d ids, %d labels", len(counts), len(ids), len(labels))
@@ -190,20 +194,27 @@ func FromFlat(dim int, data []float64, counts []int, ids, labels []string) (*Ind
 
 // packSketches builds every bag's bounding box and representative from a
 // row-major data block (mat.PackBagSketch per bag) — the FromFlat
-// counterpart of the incremental sketch maintenance in Append. This is one
-// sequential pass at open time; the sketches are what the candidate filter
-// screens bags with, and rebuilding them
-// here is why the store format needs no sketch record: a zero-copy open or
-// a compaction regenerates them from the rows.
+// counterpart of the incremental sketch maintenance in Append. It reads
+// every value of the block once, at open time, in chunks of bags claimed
+// by one worker per CPU (each bag's sketch depends on its rows alone, so
+// the split moves no bit); the sketches are what the candidate filter
+// screens bags with, and rebuilding them here is why the store format
+// needs no sketch record: a zero-copy open or a compaction regenerates
+// them from the rows.
 func packSketches(dim int, data []float64, offsets []int) (boxes, reps []float32) {
 	nb := len(offsets) - 1
 	bd := boxDims(dim)
 	boxes = make([]float32, nb*mat.BoxStride*bd)
 	reps = make([]float32, nb*dim)
-	for i := 0; i < nb; i++ {
-		mat.PackBagSketch(dim, data[offsets[i]*dim:offsets[i+1]*dim],
-			boxes[i*mat.BoxStride*bd:(i+1)*mat.BoxStride*bd], reps[i*dim:])
-	}
+	const chunk = 1024 // bags per claim
+	workloop.Run((nb+chunk-1)/chunk, runtime.GOMAXPROCS(0), func(_ int, claim func() (int, bool)) {
+		for c, ok := claim(); ok; c, ok = claim() {
+			for i := c * chunk; i < min(nb, (c+1)*chunk); i++ {
+				mat.PackBagSketch(dim, data[offsets[i]*dim:offsets[i+1]*dim],
+					boxes[i*mat.BoxStride*bd:(i+1)*mat.BoxStride*bd], reps[i*dim:])
+			}
+		}
+	})
 	return boxes, reps
 }
 

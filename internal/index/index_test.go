@@ -454,3 +454,59 @@ func TestTopKZeroAndNegative(t *testing.T) {
 		t.Fatalf("TopK(-2) = %v", got)
 	}
 }
+
+// TestFromFlatSketchesMatchPerBag: the open's sketch pass, split into
+// chunks of bags over the workers, stores exactly the sketches one
+// mat.PackBagSketch call per bag stores, for a block of several chunks.
+func TestFromFlatSketchesMatchPerBag(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	const dim, bags = 70, 3000
+	var data []float64
+	counts := make([]int, bags)
+	ids, lbs := make([]string, bags), make([]string, bags)
+	for i := range counts {
+		counts[i] = 1 + r.Intn(6)
+		ids[i], lbs[i] = fmt.Sprint("b", i), "l"
+		for k := 0; k < counts[i]*dim; k++ {
+			data = append(data, r.NormFloat64())
+		}
+	}
+	x, err := FromFlat(dim, data, counts, ids, lbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd := boxDims(dim)
+	box, rep := make([]float32, mat.BoxStride*bd), make([]float32, dim)
+	row := 0
+	for i, c := range counts {
+		mat.PackBagSketch(dim, data[row*dim:(row+c)*dim], box, rep)
+		row += c
+		if !reflect.DeepEqual(box, x.boxes[i*mat.BoxStride*bd:(i+1)*mat.BoxStride*bd]) ||
+			!reflect.DeepEqual(rep, x.reps[i*dim:(i+1)*dim]) {
+			t.Fatalf("bag %d: FromFlat's sketch differs from PackBagSketch's", i)
+		}
+	}
+}
+
+// BenchmarkFromFlat opens a 20,000-bag block of 10 instances × 100
+// dimensions — the zero-copy open, whose cost is the sketch pass.
+func BenchmarkFromFlat(b *testing.B) {
+	const dim, bags, per = 100, 20000, 10
+	r := rand.New(rand.NewSource(1))
+	data := make([]float64, bags*per*dim)
+	for i := range data {
+		data[i] = r.Float64()
+	}
+	counts := make([]int, bags)
+	ids, lbs := make([]string, bags), make([]string, bags)
+	for i := range counts {
+		counts[i], ids[i], lbs[i] = per, fmt.Sprint("b", i), "l"
+	}
+	b.SetBytes(int64(len(data)) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromFlat(dim, data, counts, ids, lbs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

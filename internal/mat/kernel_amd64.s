@@ -340,6 +340,70 @@ boxExceeds:
 	VZEROUPPER
 	RET
 
+// func sketchRowsAVX2(rows *float64, stride, nRows, nCols int, lo, hi, sum *float64)
+//
+// PackBagSketch's pass: row by row in memory order, each 4-dimension block
+// of the row folds into the running lo, hi and sum arrays (L1-resident
+// scratch, one slot per dimension), then the dim%4 tail one dimension at a
+// time. Per lane this is the scalar loop's body in its order: x86
+// MIN/MAX(src1, src2) returns src1 only when src1 < src2 (resp. >), so with
+// the row value v as src1, VMINPD gives v < lo ? v : lo and VMAXPD gives
+// v > hi ? v : hi — the same choice for ±0 and NaN as the scalar compares —
+// and sum + v is the scalar sum += v. Requires nRows >= 1 and nCols >= 1.
+TEXT ·sketchRowsAVX2(SB), NOSPLIT, $0-56
+	MOVQ rows+0(FP), SI
+	MOVQ stride+8(FP), DX
+	MOVQ nRows+16(FP), R9
+	MOVQ nCols+24(FP), CX
+	MOVQ lo+32(FP), R10
+	MOVQ hi+40(FP), R11
+	MOVQ sum+48(FP), R12
+	SHLQ $3, DX    // row stride in bytes
+	SHLQ $3, CX    // columns in bytes
+	MOVQ CX, R14
+	ANDQ $-32, R14 // tail start: (nCols &^ 3) * 8
+
+sketchRowLoop:
+	XORQ BX, BX
+
+sketchBlockLoop:
+	CMPQ BX, R14
+	JGE  sketchTailLoop
+	VMOVUPD (SI)(BX*1), Y0     // v
+	VMOVUPD (R10)(BX*1), Y1
+	VMINPD  Y1, Y0, Y1         // lo = v < lo ? v : lo
+	VMOVUPD Y1, (R10)(BX*1)
+	VMOVUPD (R11)(BX*1), Y2
+	VMAXPD  Y2, Y0, Y2         // hi = v > hi ? v : hi
+	VMOVUPD Y2, (R11)(BX*1)
+	VADDPD  (R12)(BX*1), Y0, Y3 // sum += v
+	VMOVUPD Y3, (R12)(BX*1)
+	ADDQ    $32, BX
+	JMP     sketchBlockLoop
+
+sketchTailLoop:
+	CMPQ BX, CX
+	JGE  sketchNextRow
+	VMOVSD (SI)(BX*1), X0
+	VMOVSD (R10)(BX*1), X1
+	VMINSD X1, X0, X1
+	VMOVSD X1, (R10)(BX*1)
+	VMOVSD (R11)(BX*1), X2
+	VMAXSD X2, X0, X2
+	VMOVSD X2, (R11)(BX*1)
+	VMOVSD (R12)(BX*1), X3
+	VADDSD X0, X3, X3
+	VMOVSD X3, (R12)(BX*1)
+	ADDQ   $8, BX
+	JMP    sketchTailLoop
+
+sketchNextRow:
+	ADDQ DX, SI
+	DECQ R9
+	JNZ  sketchRowLoop
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

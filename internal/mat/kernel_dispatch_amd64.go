@@ -102,6 +102,15 @@ func minRowsAVX2(p, w, rows *float64, dim, nRows int, cutoff float64, prune bool
 //go:noescape
 func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool
 
+// sketchRowsAVX2 is PackBagSketch's pass (sketch.go): over nRows rows of
+// stride float64s, it folds each row's first nCols values into the running
+// lo = min, hi = max and sum arrays, in row order, with the scalar loop's
+// compare-and-select operand order. The caller initialises the three
+// arrays. Requires nRows ≥ 1 and nCols ≥ 1.
+//
+//go:noescape
+func sketchRowsAVX2(rows *float64, stride, nRows, nCols int, lo, hi, sum *float64)
+
 // distTilesAVX2 and distTilesAVX512 are weightedSqDistTiles (grad_amd64.s):
 // the full blocked distance from p to every row of nTiles tiles, a row per
 // lane, stored to out. The AVX-512 body scores two tiles per pass over the

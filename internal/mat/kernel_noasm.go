@@ -29,6 +29,10 @@ func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
 
+func sketchRowsAVX2(rows *float64, stride, nRows, nCols int, lo, hi, sum *float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
 func distTilesAVX2(p, w, tiles *float64, dim, nTiles int, out *float64) {
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }

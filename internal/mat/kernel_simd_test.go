@@ -320,6 +320,73 @@ func TestBoxBoundSIMDBitIdentity(t *testing.T) {
 	}
 }
 
+// TestSketchSIMDBitIdentity drives PackBagSketch through both
+// implementations and compares every box and representative bit: dims 1–140
+// (every dim%4 tail, boxes over the whole bag and over a prefix), one-row
+// and multi-row bags, and planted columns where the compare-and-select
+// order or the NaN widening shows — a NaN in the first and in the last
+// row, +0 before −0 and −0 before +0, a column of only zeros, one of
+// +Inf, one of −Inf, and one holding both (a NaN sum that is not widened).
+func TestSketchSIMDBitIdentity(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(38))
+	for dim := 1; dim <= 140; dim++ {
+		for _, n := range []int{1, 2, 3, 10} {
+			rows := make([]float64, n*dim)
+			for i := range rows {
+				switch rng.Intn(40) {
+				case 0:
+					rows[i] = math.NaN()
+				case 1:
+					rows[i] = math.Inf(1 - 2*rng.Intn(2))
+				case 2:
+					rows[i] = math.Copysign(0, float64(1-2*rng.Intn(2)))
+				case 3:
+					rows[i] = rng.NormFloat64() * 1e300
+				case 4:
+					rows[i] = rng.NormFloat64() * 1e-310
+				default:
+					rows[i] = rng.NormFloat64()
+				}
+			}
+			col := func(k int, vals ...float64) {
+				if k < dim {
+					for r := 0; r < n; r++ {
+						rows[r*dim+k] = vals[r%len(vals)]
+					}
+				}
+			}
+			negZero := math.Copysign(0, -1)
+			inf := math.Inf(1)
+			col(dim-1, 0.5, -2, 3)
+			col(rng.Intn(dim), 0, negZero, 1)
+			col(rng.Intn(dim), negZero, 0, 1)
+			col(rng.Intn(dim), negZero, 0)
+			col(rng.Intn(dim), inf, 1)
+			col(rng.Intn(dim), -inf, 1)
+			col(rng.Intn(dim), inf, -inf, 2)
+			rows[rng.Intn(dim)] = math.NaN()
+			rows[(n-1)*dim+rng.Intn(dim)] = math.NaN()
+			for _, bd := range []int{dim, min(dim, 64), dim / 2} {
+				var boxes, reps [2][]float32 // scalar, avx2
+				for i, avx2 := range []bool{false, true} {
+					boxes[i], reps[i] = make([]float32, BoxStride*bd), make([]float32, dim)
+					withKernel(avx2, func() { PackBagSketch(dim, rows, boxes[i], reps[i]) })
+				}
+				for i, pair := range [][2][]float32{boxes, reps} {
+					for k := range pair[0] {
+						if math.Float32bits(pair[0][k]) != math.Float32bits(pair[1][k]) {
+							t.Fatalf("dim %d, %d rows, %d box dims: %s[%d] scalar %v (%#x) avx2 %v (%#x)\nrows=%v",
+								dim, n, bd, []string{"box", "rep"}[i], k, pair[0][k], math.Float32bits(pair[0][k]),
+								pair[1][k], math.Float32bits(pair[1][k]), rows)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKernelDispatchAPI covers SetKernel/Kernel and the env-style modes. Its
 // log says which tiers this host ran, so a CI run records what it covered.
 func TestKernelDispatchAPI(t *testing.T) {

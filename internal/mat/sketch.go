@@ -49,10 +49,26 @@ const BoxStride = 2
 // the exact kernel is the one that scores NaN bags).
 func PackBagSketch(dim int, rows []float64, box, rep []float32) {
 	n := len(rows) / dim
-	boxDims := len(box) / BoxStride
-	if boxDims > dim {
-		boxDims = dim
+	if useAVX2.Load() && n > 0 {
+		// One pass over the rows in memory order, every dimension's running
+		// min, max and sum taken in row order with the scalar loop's
+		// compare-and-select operand order — the same floats as the
+		// column-at-a-time oracle below (kernel_simd_test.go holds them
+		// together).
+		packBagSketchAVX2(dim, n, rows, box, rep)
+		return
 	}
+	packBagSketchScalar(dim, rows, box, rep)
+}
+
+// packBagSketchScalar is the canonical loop behind PackBagSketch, one
+// dimension at a time down the rows — the oracle the AVX2 pass is verified
+// against.
+//
+// milret:kernel
+func packBagSketchScalar(dim int, rows []float64, box, rep []float32) {
+	n := len(rows) / dim
+	boxDims := min(len(box)/BoxStride, dim)
 	for k := 0; k < dim; k++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		sum := 0.0
@@ -71,20 +87,59 @@ func PackBagSketch(dim int, rows []float64, box, rep []float32) {
 			}
 			sum += v
 		}
-		if nan || n == 0 {
-			if k < boxDims {
-				box[BoxStride*k] = float32(math.Inf(-1))
-				box[BoxStride*k+1] = float32(math.Inf(1))
-			}
-			rep[k] = 0
-			continue
-		}
-		if k < boxDims {
-			box[BoxStride*k] = roundDown32(lo)
-			box[BoxStride*k+1] = roundUp32(hi)
-		}
-		rep[k] = float32(sum / float64(n))
+		setSketchDim(box, rep, k, boxDims, n, lo, hi, sum, nan || n == 0)
 	}
+}
+
+// sketchChunk is the most dimensions one call of the AVX2 pass covers: it
+// keeps each dimension's running min, max and sum in stack scratch of this
+// length.
+const sketchChunk = 128
+
+// packBagSketchAVX2 runs the AVX2 pass over at most sketchChunk dimensions
+// at a time and rounds its results into box and rep. A NaN instance value
+// leaves its dimension's sum NaN — and so does a dimension holding both
+// infinities, which the scalar loop does not widen — so only a NaN sum
+// sends the pass back to the column to look for a NaN.
+func packBagSketchAVX2(dim, n int, rows []float64, box, rep []float32) {
+	boxDims := min(len(box)/BoxStride, dim)
+	var lo, hi, sum [sketchChunk]float64
+	for k0 := 0; k0 < dim; k0 += sketchChunk {
+		c := min(sketchChunk, dim-k0)
+		for j := 0; j < c; j++ {
+			lo[j], hi[j], sum[j] = math.Inf(1), math.Inf(-1), 0
+		}
+		sketchRowsAVX2(&rows[k0], dim, n, c, &lo[0], &hi[0], &sum[0])
+		for j := 0; j < c; j++ {
+			k := k0 + j
+			nan := false
+			if math.IsNaN(sum[j]) {
+				for r := 0; r < n && !nan; r++ {
+					nan = math.IsNaN(rows[r*dim+k])
+				}
+			}
+			setSketchDim(box, rep, k, boxDims, n, lo[j], hi[j], sum[j], nan)
+		}
+	}
+}
+
+// setSketchDim stores dimension k's box bounds (when k < boxDims) and
+// representative from its running min, max and sum over n rows; widen
+// stores the always-admit (-Inf,+Inf) box and a zero representative.
+func setSketchDim(box, rep []float32, k, boxDims, n int, lo, hi, sum float64, widen bool) {
+	if widen {
+		if k < boxDims {
+			box[BoxStride*k] = float32(math.Inf(-1))
+			box[BoxStride*k+1] = float32(math.Inf(1))
+		}
+		rep[k] = 0
+		return
+	}
+	if k < boxDims {
+		box[BoxStride*k] = roundDown32(lo)
+		box[BoxStride*k+1] = roundUp32(hi)
+	}
+	rep[k] = float32(sum / float64(n))
 }
 
 // roundDown32 converts v to the largest float32 whose value is ≤ v

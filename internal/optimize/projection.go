@@ -52,6 +52,17 @@ func (c BoxSum) Validate(n int) error {
 //     z_i = clip(x_i + λ) for the unique λ ≥ 0 with Σz(λ) = MinSum —
 //     found by bisection (Σz(λ) is continuous and non-decreasing).
 //
+// The bisection is the projection's definition: its midpoints, its stop and
+// its answer λ = hi fix every output bit. What is cheap is its test. The
+// serial sum S(λ) = Σ clip(x_i + λ), added in index order, is itself
+// monotone non-decreasing in λ — rounding x_i + λ, clipping and each
+// rounded add are all non-decreasing — so once S(a) < MinSum is known,
+// every λ ≤ a tests below without a sum, and once S(b) ≥ MinSum is known,
+// every λ ≥ b tests not below. The loop keeps that bracket [a, b] from its
+// exact sums and sums only at a midpoint strictly inside it; seeding the
+// bracket with exact sums beside an approximate root (rootGuess) leaves a
+// few sums per projection where the plain loop spent one per halving.
+//
 // Project panics if the set is infeasible for len(x); callers validate the
 // constraint once at configuration time with Validate.
 func (c BoxSum) Project(x mat.Vector) {
@@ -109,9 +120,43 @@ func (c BoxSum) Project(x mat.Vector) {
 		return s
 	}
 	lo, hi := 0.0, c.Hi-minX
+	// S(a) < MinSum ≤ S(b), each known from an exact sum; (−Inf, +Inf)
+	// knows nothing and sums at every test.
+	a, b := math.Inf(-1), math.Inf(1)
+	below := func(lambda float64) bool {
+		switch {
+		case lambda <= a:
+			return true
+		case lambda >= b:
+			return false
+		case sumAt(lambda) < c.MinSum:
+			a = lambda
+			return true
+		}
+		b = lambda
+		return false
+	}
+	if !math.IsNaN(sum) && !math.IsInf(sum, 0) && !math.IsInf(minX, -1) {
+		// Close the bracket around the guess: an exact sum there, then
+		// exact sums at widening steps away from it until one lands on the
+		// other side. Monotonicity needs finite, NaN-free coordinates; any
+		// other input keeps the open bracket and sums at every midpoint.
+		r := c.rootGuess(x, lo, hi)
+		above := !below(r)
+		d := 0x1p-50 * (1 + math.Abs(r))
+		for try := 0; try < 8; try, d = try+1, 4*d {
+			if above {
+				if below(max(r-d, lo)) {
+					break
+				}
+			} else if !below(min(r+d, hi)) {
+				break
+			}
+		}
+	}
 	for iter := 0; iter < 200 && hi-lo > 1e-14*(1+math.Abs(hi)); iter++ {
 		mid := (lo + hi) / 2
-		if sumAt(mid) < c.MinSum {
+		if below(mid) {
 			lo = mid
 		} else {
 			hi = mid
@@ -121,6 +166,50 @@ func (c BoxSum) Project(x mat.Vector) {
 	for i, v := range x {
 		x[i] = clip(v + lambda)
 	}
+}
+
+// rootGuess returns an approximate root in [lo, hi] of the piecewise-linear
+// Σ clip(x_i + λ) = MinSum, given that λ = lo lies below it: safeguarded
+// semi-smooth Newton steps, the slope being the number of coordinates
+// strictly inside the box, falling back to halving the bracket when a step
+// leaves it or no coordinate is free. Project only seeds its bracket here,
+// so the guess decides how many exact sums the bisection spends, never its
+// answer.
+func (c BoxSum) rootGuess(x mat.Vector, lo, hi float64) float64 {
+	lambda := lo
+	for iter := 0; iter < 12; iter++ {
+		var s float64
+		free := 0
+		for _, v := range x {
+			t := v + lambda
+			switch {
+			case t <= c.Lo:
+				s += c.Lo
+			case t >= c.Hi:
+				s += c.Hi
+			default:
+				s += t
+				free++
+			}
+		}
+		if s < c.MinSum {
+			lo = lambda
+		} else {
+			hi = lambda
+		}
+		next := (lo + hi) / 2
+		if free > 0 {
+			step := (c.MinSum - s) / float64(free)
+			if math.Abs(step) <= 0x1p-50*(1+math.Abs(lambda)) {
+				return lambda + step
+			}
+			if lambda+step > lo && lambda+step < hi {
+				next = lambda + step
+			}
+		}
+		lambda = next
+	}
+	return lambda
 }
 
 // NewProjectedGradient prepares a minimization over the set obtained by

@@ -183,8 +183,8 @@ type FlatShard struct {
 // adopts the given row-major instance block instead of re-copying every bag
 // — the zero-copy open path. items[i].Bag's instances must be, in order,
 // views into data (the store's flat loader guarantees this); construction
-// does O(items) validation and never touches the instance floats, so opening
-// a saved database costs O(bags) instead of O(instances·dim). Later Adds
+// validates O(items) metadata, decodes and copies no float, and reads the
+// block once, in the index's sequential sketch pass. Later Adds
 // behave exactly as on an incrementally built database.
 func NewDatabaseFromFlat(items []Item, dim int, data []float64) (*Database, error) {
 	return NewDatabaseFromFlats([]FlatShard{{Items: items, Data: data}}, dim)

@@ -120,12 +120,13 @@ type Options struct {
 	Regions int
 	// VerifyOnLoad makes LoadDatabase checksum the stored instance block
 	// before serving from it. The default fast open validates structure and
-	// the metadata checksum but adopts the (possibly memory-mapped) float
-	// block without reading it, so opening is O(images) rather than
-	// O(instances·dims), and a background goroutine checksums the block
-	// after the load (see Database.Verification); set VerifyOnLoad when
-	// end-to-end integrity must be established before the first query. It
-	// has no effect on AddImage/Save.
+	// the metadata checksum and adopts the (possibly memory-mapped) float
+	// block with no decode and no copy — its one read of the floats is the
+	// sequential pass that builds the scan's per-bag sketches — and a
+	// background goroutine checksums the block after the load (see
+	// Database.Verification); set VerifyOnLoad when end-to-end integrity
+	// must be established before the first query. It has no effect on
+	// AddImage/Save.
 	VerifyOnLoad bool
 	// Shards is the number of independent shards the database spreads its
 	// images over (0 and 1 both mean a single shard). Each shard owns its
@@ -1158,8 +1159,9 @@ func (d *Database) Stats() Stats {
 // count, one snapshot (and mutation log) per shard; a single file opens as
 // one shard. Snapshots open zero-copy: each instance block is adopted
 // (memory-mapped where the platform allows) straight into its shard's
-// scoring index without decoding or copying a single float, so open is
-// O(images); see Options.VerifyOnLoad for the integrity trade-off (without
+// scoring index without decoding or copying a single float; open reads the
+// floats once, in the sequential pass that builds the per-bag sketches. See
+// Options.VerifyOnLoad for the integrity trade-off (without
 // it, a background goroutine checksums the adopted blocks after the load —
 // see Verification). If a mutation log sits alongside a shard snapshot
 // ("<snapshot>.wal", written by incremental Save), its records are replayed
