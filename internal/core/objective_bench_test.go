@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"milret/internal/feature"
 	"milret/internal/gray"
 	"milret/internal/mat"
 	"milret/internal/mil"
+	"milret/internal/optimize"
 	"milret/internal/synth"
 )
 
@@ -150,6 +152,131 @@ func BenchmarkTrainColdScenes(b *testing.B) {
 		if _, err := Train(sets[i%len(sets)], Config{Mode: SumConstraint}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// vectorExampleSets returns n example sets shaped like the vector
+// workloads' (the benchmark harness's corpus generator): 10 × 100 bags, one
+// instance near the bag's category center and nine of clutter around three
+// of 32 shared region prototypes, σ = 0.4. A set has three positives of one
+// category that share no prototype and two negatives of the next two
+// categories.
+func vectorExampleSets(n int) []*mil.Dataset {
+	const (
+		dim, inst, cats, protos = 100, 10, 8, 32
+		sigma                   = 0.4
+	)
+	geom := rand.New(rand.NewSource(20000))
+	gauss := func(count int) []mat.Vector {
+		out := make([]mat.Vector, count)
+		for i := range out {
+			out[i] = mat.NewVector(dim)
+			for k := range out[i] {
+				out[i][k] = geom.NormFloat64() * 2
+			}
+		}
+		return out
+	}
+	centers, clutter := gauss(cats), gauss(protos)
+	r := rand.New(rand.NewSource(39))
+	bag := func(id string, cat int, kinds []int) *mil.Bag {
+		match := r.Intn(inst)
+		b := &mil.Bag{ID: id}
+		for j := 0; j < inst; j++ {
+			base := centers[cat]
+			if j != match {
+				base = clutter[kinds[r.Intn(len(kinds))]]
+			}
+			v := mat.NewVector(dim)
+			for k := range v {
+				v[k] = base[k] + r.NormFloat64()*sigma
+			}
+			b.Instances = append(b.Instances, v)
+		}
+		return b
+	}
+	sets := make([]*mil.Dataset, n)
+	for i := range sets {
+		cat, kinds := i%cats, r.Perm(protos)
+		ds := &mil.Dataset{}
+		for j := 0; j < 5; j++ {
+			b := bag(fmt.Sprintf("s%d-%d", i, j), (cat+max(0, j-2))%cats, kinds[3*j:3*j+3])
+			if j < 3 {
+				ds.Positive = append(ds.Positive, b)
+			} else {
+				ds.Negative = append(ds.Negative, b)
+			}
+		}
+		sets[i] = ds
+	}
+	return sets
+}
+
+// BenchmarkTrainConstrainedVectors is one cache-miss training as the vector
+// workloads run it: vectorExampleSets in rotation, the paper's constrained
+// weights at β = 0.5, a start from every positive instance. There the
+// §3.6.3 projection runs on every line-search probe.
+func BenchmarkTrainConstrainedVectors(b *testing.B) {
+	sets := vectorExampleSets(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(sets[i%len(sets)], Config{Mode: SumConstraint, Beta: 0.5}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// projectionProbes returns the weight vectors a β = 0.5 training of ds
+// hands to BoxSum.Project, in the order one worker would: Train's race —
+// every start to each barrier, the best third on — with a projector that
+// records its input before projecting it.
+func projectionProbes(ds *mil.Dataset) []mat.Vector {
+	cfg := Config{Mode: SumConstraint, Beta: 0.5}.withDefaults()
+	dim := ds.Dim()
+	con := optimize.BoxSum{Lo: 0, Hi: 1, MinSum: cfg.Beta * float64(dim)}
+	var probes []mat.Vector
+	record := func(th mat.Vector) {
+		probes = append(probes, th[dim:].Clone())
+		con.Project(th[dim:])
+	}
+	obj := newObjective(packExamples(ds), SumConstraint)
+	theta := mat.NewVector(2 * dim)
+	var runs []*optimize.Stepper
+	for _, inst := range startInstances(ds, 0) {
+		initTheta(theta, inst, dim)
+		runs = append(runs, optimize.NewProjectedGradient(record, theta, cfg.Opt))
+	}
+	for _, upTo := range append(rungSchedule(cfg.Opt.MaxIter), cfg.Opt.MaxIter) {
+		for _, run := range runs {
+			run.Run(obj.Eval, upTo)
+		}
+		sort.SliceStable(runs, func(i, j int) bool { return runs[i].Result().F < runs[j].Result().F })
+		runs = runs[:(len(runs)+raceFactor-1)/raceFactor]
+	}
+	return probes
+}
+
+// BenchmarkProjectActive replays the projections of four
+// BenchmarkTrainConstrainedVectors trainings whose sum constraint is active
+// — about 97 % of them — so the bisection, its bracket and rootGuess's
+// passes take the shares they take in a served training.
+func BenchmarkProjectActive(b *testing.B) {
+	sets := vectorExampleSets(4)
+	con := optimize.BoxSum{Lo: 0, Hi: 1, MinSum: 0.5 * float64(sets[0].Dim())}
+	var active []mat.Vector
+	for _, ds := range sets {
+		for _, p := range projectionProbes(ds) {
+			if s, _ := mat.ClipSum(p, 0, con.Lo, con.Hi); s < con.MinSum {
+				active = append(active, p)
+			}
+		}
+	}
+	x := mat.NewVector(len(active[0]))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, active[i%len(active)])
+		con.Project(x)
 	}
 }
 

@@ -7,11 +7,10 @@ import (
 
 // Cutoff is a monotonically tightening top-k distance bound: the minimum
 // of every value published to it. Within one scan the workers publish
-// their current k-th best distances (and seedCutoff the worst of k exactly
-// scored samples). Any such value is the k-th smallest of a subset of the
-// final candidate set, hence an upper bound on the final global k-th best
-// — so pruning a bag whose distance strictly exceeds the bound can never
-// drop a true top-k member.
+// their current k-th best distances. Any such value is the k-th smallest of
+// a subset of the final candidate set, hence an upper bound on the final
+// global k-th best — so pruning a bag whose distance strictly exceeds the
+// bound can never drop a true top-k member.
 //
 // The same bound accumulates a scan split across processes: a distribution
 // coordinator creates one Cutoff per query, sends its current value to

@@ -68,13 +68,11 @@ type Index struct {
 	// Capping the box at ScreenBoxDims keeps the screen's stream small and
 	// sequential — a prefix bound is still a valid lower bound (its dropped
 	// terms are non-negative), and in practice rejection decides within the
-	// first few kernel blocks. reps packs each bag's float32 centroid
-	// representative over all dims: reps[i*dim : (i+1)*dim]. Both are
-	// maintained on every build path — Append, FromFlat (so a zero-copy open
-	// and a compaction rebuild them for free) — and consumed by the candidate
-	// filter every top-k scan runs behind (prune.go).
+	// first few kernel blocks. The boxes are maintained on every build path
+	// — Append, FromFlat (so a zero-copy open and a compaction rebuild them
+	// for free) — and consumed by the candidate filter every top-k scan runs
+	// behind (prune.go).
 	boxes []float32
-	reps  []float32
 	// dead is a tombstone bitmask over bags (bit i set = bag i deleted).
 	// Dead bags keep their rows in the flat block — scans skip them — until
 	// the owner rebuilds the index (retrieval.Database.Compact). nil while
@@ -144,8 +142,7 @@ func (x *Index) Append(id, label string, instances []mat.Vector) error {
 	bi := len(x.ids)
 	bd := boxDims(dim)
 	x.boxes = append(x.boxes, make([]float32, mat.BoxStride*bd)...)
-	x.reps = append(x.reps, make([]float32, dim)...)
-	mat.PackBagSketch(dim, x.data[rowStart*dim:], x.boxes[bi*mat.BoxStride*bd:(bi+1)*mat.BoxStride*bd], x.reps[bi*dim:])
+	mat.PackBagSketch(dim, x.data[rowStart*dim:], x.boxes[bi*mat.BoxStride*bd:(bi+1)*mat.BoxStride*bd])
 	x.bagOffsets = append(x.bagOffsets, x.bagOffsets[len(x.bagOffsets)-1]+len(instances))
 	x.ids = append(x.ids, id)
 	x.labels = append(x.labels, label)
@@ -187,35 +184,33 @@ func FromFlat(dim int, data []float64, counts []int, ids, labels []string) (*Ind
 	}
 	if len(counts) > 0 {
 		x.dim = dim
-		x.boxes, x.reps = packSketches(dim, data, offsets)
+		x.boxes = packSketches(dim, data, offsets)
 	}
 	return x, nil
 }
 
-// packSketches builds every bag's bounding box and representative from a
-// row-major data block (mat.PackBagSketch per bag) — the FromFlat
-// counterpart of the incremental sketch maintenance in Append. It reads
-// every value of the block once, at open time, in chunks of bags claimed
-// by one worker per CPU (each bag's sketch depends on its rows alone, so
-// the split moves no bit); the sketches are what the candidate filter
-// screens bags with, and rebuilding them here is why the store format
-// needs no sketch record: a zero-copy open or a compaction regenerates
-// them from the rows.
-func packSketches(dim int, data []float64, offsets []int) (boxes, reps []float32) {
+// packSketches builds every bag's bounding box from a row-major data block
+// (mat.PackBagSketch per bag) — the FromFlat counterpart of the incremental
+// sketch maintenance in Append. It passes over the block once, at open
+// time, in chunks of bags claimed by one worker per CPU (each bag's sketch
+// depends on its rows alone, so the split moves no bit); the sketches are
+// what the candidate filter screens bags with, and rebuilding them here is
+// why the store format needs no sketch record: a zero-copy open or a
+// compaction regenerates them from the rows.
+func packSketches(dim int, data []float64, offsets []int) []float32 {
 	nb := len(offsets) - 1
 	bd := boxDims(dim)
-	boxes = make([]float32, nb*mat.BoxStride*bd)
-	reps = make([]float32, nb*dim)
+	boxes := make([]float32, nb*mat.BoxStride*bd)
 	const chunk = 1024 // bags per claim
 	workloop.Run((nb+chunk-1)/chunk, runtime.GOMAXPROCS(0), func(_ int, claim func() (int, bool)) {
 		for c, ok := claim(); ok; c, ok = claim() {
 			for i := c * chunk; i < min(nb, (c+1)*chunk); i++ {
 				mat.PackBagSketch(dim, data[offsets[i]*dim:offsets[i+1]*dim],
-					boxes[i*mat.BoxStride*bd:(i+1)*mat.BoxStride*bd], reps[i*dim:])
+					boxes[i*mat.BoxStride*bd:(i+1)*mat.BoxStride*bd])
 			}
 		}
 	})
-	return boxes, reps
+	return boxes
 }
 
 // Delete tombstones bag i: its rows stay in the flat block but every scan
@@ -292,18 +287,14 @@ func (x *Index) Snapshot() Snapshot {
 		dead = append(dead, x.dead...)
 	}
 	x.labelsShared.Store(true)
-	var boxes, reps []float32
+	var boxes []float32
 	if n := len(x.ids) * mat.BoxStride * boxDims(x.dim); n > 0 && len(x.boxes) >= n {
 		boxes = x.boxes[:n:n]
-	}
-	if n := len(x.ids) * x.dim; n > 0 && len(x.reps) >= n {
-		reps = x.reps[:n:n]
 	}
 	return Snapshot{
 		dim:        x.dim,
 		data:       x.data[:len(x.data):len(x.data)],
 		boxes:      boxes,
-		reps:       reps,
 		bagOffsets: x.bagOffsets[:len(x.ids)+1],
 		ids:        x.ids[:len(x.ids)],
 		labels:     x.labels[:len(x.ids)],
@@ -322,7 +313,6 @@ type Snapshot struct {
 	dim        int
 	data       []float64
 	boxes      []float32 // per-bag bounding boxes; see Index.boxes
-	reps       []float32 // per-bag representatives; see Index.reps
 	bagOffsets []int
 	ids        []string
 	labels     []string

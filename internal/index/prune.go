@@ -1,13 +1,12 @@
 // The candidate filter every top-k scan runs behind. Every bag carries a
-// compact sketch (a float32 bounding box over its instances plus a centroid
-// representative — Index.boxes/Index.reps, built on Append and FromFlat),
-// and a top-k scan screens each bag's box against the current k-th-best
-// cutoff before touching any instance row: mat.BoxBoundExceeds lower-bounds
-// the bag's exact min-instance distance, so a bag whose bound already
-// exceeds the cutoff provably cannot enter the top-k and is skipped without
-// reading its rows. Surviving bags run through the exact blocked kernel. A
-// bag therefore passes three screens: the seeded cutoff, its box bound, and
-// the kernel's per-block early abandon.
+// compact sketch (a float32 bounding box over its instances — Index.boxes,
+// built on Append and FromFlat), and a top-k scan screens each bag's box
+// against the current k-th-best cutoff before touching any instance row:
+// mat.BoxBoundExceeds lower-bounds the bag's exact min-instance distance, so
+// a bag whose bound already exceeds the cutoff provably cannot enter the
+// top-k and is skipped without reading its rows. Surviving bags run through
+// the exact blocked kernel. A bag therefore passes two screens, its box
+// bound and the kernel's per-block early abandon, both against the cutoff.
 //
 // Correctness at the default tier (rho = 1; Recall ≤ 0 and Recall ≥ 1 are
 // the same mechanism) is unconditional, not probabilistic:
@@ -33,12 +32,8 @@
 // bag (nothing to reject); those scans run the plain loop or Rank and are
 // counted as PruneStats.Unarmed.
 //
-// Scans over a large enough corpus additionally seed the shared cutoff
-// before the scan starts: a strided sample of bags is ordered by
-// representative distance, the best k are scored exactly, and their
-// worst distance — an upper bound on the global k-th best by the same
-// subset argument — primes the filter so rejection starts at bag 0 instead
-// of after the heaps fill.
+// The cutoff starts at +Inf, or at PruneOpts.CutoffSeed when a caller knows
+// a bound, and the filter arms once some worker's heap holds k bags.
 package index
 
 import (
@@ -156,17 +151,6 @@ func (f *pruneFilter) reject(s *Snapshot, i int, cutoff float64) bool {
 // bound/exact ratio distribution when Recall < 1.
 const calibrationSample = 64
 
-// seedSample is the number of bags whose representatives are probed to
-// seed the shared cutoff before a scan, and seedMinBags the corpus size
-// below which seeding is skipped: probing seedSample representatives and
-// scoring k bags unabandoned is a fixed cost, and on a corpus only a few
-// samples wide it exceeds what the earlier rejections save — the per-worker
-// heaps arm the filter within the first k bags anyway.
-const (
-	seedSample  = 256
-	seedMinBags = 8 * seedSample
-)
-
 // newPruneFilter arms the filter for q, or returns nil when it cannot
 // apply: with a negative weight the bound's (and early abandonment's)
 // monotonicity argument fails, and the scan must score every row in full.
@@ -228,101 +212,8 @@ func calibrateRho(shards []Snapshot, q Query, recall float64) float64 {
 	return ratios[idx]
 }
 
-// seedCutoff primes the shared cutoff before a scan: a strided
-// sample of live, non-excluded bags is probed by (cheap, float32)
-// representative distance, the k most promising are scored exactly, and the
-// worst of those k exact distances is published. That maximum is an upper
-// bound on the global k-th best — the k-th smallest over all candidates
-// cannot exceed the largest of any k of them — so tightening to it is as
-// safe as any worker-published root, and the filter starts rejecting from
-// the first bag instead of idling until k bags have been scored.
-func seedCutoff(shards []Snapshot, q Query, k int, exclude map[string]bool, shared *Cutoff) {
-	total := 0
-	for _, s := range shards {
-		total += s.Len()
-	}
-	if total < seedMinBags {
-		return
-	}
-	stride := total/seedSample + 1
-	// near keeps the k nearest representatives seen so far, worst at the
-	// root: a bounded max-heap, so picking k of the sample costs no sort.
-	near := make(seedHeap, 0, k)
-	for si := range shards {
-		s := &shards[si]
-		for i := 0; i < s.Len(); i += stride {
-			if s.skip(i, exclude) {
-				continue
-			}
-			d := mat.RepSqDist(q.Point, q.Weights, s.reps[i*s.dim:(i+1)*s.dim], math.Inf(1))
-			if math.IsNaN(d) {
-				d = math.Inf(1) // order NaN reps last; they stay candidates
-			}
-			near.offer(seed{si: si, i: i, repD: d}, k)
-		}
-	}
-	if len(near) < k {
-		return
-	}
-	worst := 0.0
-	for _, c := range near {
-		d := shards[c.si].bagDist(q, c.i, math.Inf(1), true)
-		if math.IsNaN(d) {
-			return // a NaN exact distance has no usable ordering; skip seeding
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	shared.Tighten(worst)
-}
-
-// seed is one sampled bag and its representative's distance.
-type seed struct {
-	si, i int
-	repD  float64
-}
-
-// seedHeap is a max-heap on repD bounded by offer's k.
-type seedHeap []seed
-
-func (h *seedHeap) offer(c seed, k int) {
-	hs := *h
-	if len(hs) < k {
-		hs = append(hs, c)
-		for i := len(hs) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if hs[i].repD <= hs[parent].repD {
-				break
-			}
-			hs[i], hs[parent] = hs[parent], hs[i]
-			i = parent
-		}
-		*h = hs
-		return
-	}
-	if c.repD >= hs[0].repD {
-		return
-	}
-	hs[0] = c
-	for i, n := 0, len(hs); ; {
-		l, r, top := 2*i+1, 2*i+2, i
-		if l < n && hs[l].repD > hs[top].repD {
-			top = l
-		}
-		if r < n && hs[r].repD > hs[top].repD {
-			top = r
-		}
-		if top == i {
-			return
-		}
-		hs[i], hs[top] = hs[top], hs[i]
-		i = top
-	}
-}
-
 // TopKPruned is the single-query top-k scan: every live, non-excluded bag of
-// every shard behind one filter and one (seeded) cutoff, the per-worker
+// every shard behind one filter and one shared cutoff, the per-worker
 // candidate heaps merged by sort-and-truncate. At the conservative tier the
 // output is bit-identical to Rank(q, exclude, par)[:k] for any shard split,
 // worker count and claim interleaving (see the file comment and sched.go);
@@ -346,9 +237,6 @@ func (sh Sharded) TopKPruned(q Query, k int, exclude map[string]bool, par int, o
 	shared := NewCutoff()
 	if opts.CutoffSeed > 0 {
 		shared.Tighten(opts.CutoffSeed)
-	}
-	if filt != nil {
-		seedCutoff(sh, q, k, exclude, shared)
 	}
 	return bestK(scanTopKCandidates(sh, q, k, exclude, resolvePar(par), shared, filt), k)
 }

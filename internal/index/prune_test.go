@@ -275,16 +275,15 @@ func TestPrunedConcurrentMutations(t *testing.T) {
 	mut.Wait()
 }
 
-// seededCorpus builds a corpus past seedMinBags, so single-query scans seed
-// their cutoff, split round-robin over nShards. Every seventh bag carries a
-// poisoned dimension — two instances at 1e308, whose centroid overflows to
-// +Inf — which the returned query weights by zero: the exact distance
-// ignores the dimension while the representative's distance is 0·Inf = NaN.
-// A third of the bags are tombstoned.
-func seededCorpus(t *testing.T, r *rand.Rand, nShards int) (Sharded, int, Query) {
+// largeCorpus builds a corpus of a few thousand bags, split round-robin
+// over nShards. Every seventh bag carries a poisoned dimension — two
+// instances at 1e308, beyond float32, so its box spans [MaxFloat32, +Inf] —
+// which the returned query weights by zero. A third of the bags are
+// tombstoned.
+func largeCorpus(t *testing.T, r *rand.Rand, nShards int) (Sharded, int, Query) {
 	t.Helper()
 	const dim = 6
-	n := seedMinBags + 100 + r.Intn(400)
+	n := 2148 + r.Intn(400)
 	shards := make([]*Index, nShards)
 	for i := range shards {
 		shards[i] = New()
@@ -323,16 +322,12 @@ func seededCorpus(t *testing.T, r *rand.Rand, nShards int) (Sharded, int, Query)
 	return view, n, q
 }
 
-// The seeded scan — corpus past seedMinBags, NaN representative distances
-// in the sample, tombstones, exclusions, 1..N shards — against the
-// exhaustive ranking.
+// The pruned scan over a large corpus — poisoned boxes, tombstones,
+// exclusions, 1..N shards — against the exhaustive ranking.
 func TestSeededScanMatchesRank(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		view, n, q := seededCorpus(t, r, 1+int(seed)%4)
-		if d := mat.RepSqDist(q.Point, q.Weights, view[0].reps[:view[0].dim], math.Inf(1)); !math.IsNaN(d) {
-			t.Fatalf("seed %d: poisoned bag's representative distance = %v, want NaN", seed, d)
-		}
+		view, n, q := largeCorpus(t, r, 1+int(seed)%4)
 		exclude := map[string]bool{}
 		for i := 0; i < n; i += 11 {
 			exclude[fmt.Sprintf("img-%05d", i)] = true
@@ -341,45 +336,9 @@ func TestSeededScanMatchesRank(t *testing.T) {
 			want := rankHead(view, q, k, exclude)
 			for _, par := range []int{1, 3} {
 				if got := view.TopK(q, k, exclude, par); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d k=%d par=%d: seeded top-k diverged\n got %v\nwant %v", seed, k, par, got, want)
+					t.Fatalf("seed %d k=%d par=%d: pruned top-k diverged\n got %v\nwant %v", seed, k, par, got, want)
 				}
 			}
-		}
-	}
-}
-
-// Seeding is decided by corpus size alone. On one worker the counters show
-// it: a seeded scan's filter is armed from bag 0, so every candidate is
-// screened; an unseeded one arms when the heap fills, after k candidates.
-func TestSeedingRule(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	const dim, k = 4, 5
-	build := func(n int) (Snapshot, Query) {
-		x := New()
-		for i := 0; i < n; i++ {
-			v := make(mat.Vector, dim)
-			for d := range v {
-				v[d] = r.NormFloat64()
-			}
-			if err := x.Append(fmt.Sprintf("bag%05d", i), "l", []mat.Vector{v}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return x.Snapshot(), randQueryFor(r, dim)
-	}
-	for _, tc := range []struct {
-		n      int
-		seeded bool
-	}{{seedMinBags - 1, false}, {seedMinBags, true}} {
-		s, q := build(tc.n)
-		var st PruneStats
-		Sharded{s}.TopKPruned(q, k, nil, 1, PruneOpts{Stats: &st})
-		want := int64(tc.n - k)
-		if tc.seeded {
-			want = int64(tc.n)
-		}
-		if got := st.Screened.Load(); got != want {
-			t.Fatalf("n=%d: screened %d bags, want %d (seeded=%v)", tc.n, got, want, tc.seeded)
 		}
 	}
 }
@@ -391,7 +350,7 @@ func TestSeedingRule(t *testing.T) {
 // admitted than without it).
 func TestExternalCutoffPartitions(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	view, _, q := seededCorpus(t, r, 4)
+	view, _, q := largeCorpus(t, r, 4)
 	const k = 10
 	want := rankHead(view, q, k, nil)
 	merge := func(lists ...[]Result) []Result {

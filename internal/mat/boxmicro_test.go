@@ -23,12 +23,11 @@ func benchBoxData(nBags, dim int) (p, w []float64, boxes []float32, thr float64)
 	}
 	boxes = make([]float32, nBags*BoxStride*dim)
 	rows := make([]float64, 4*dim)
-	rep := make([]float32, dim)
 	for b := 0; b < nBags; b++ {
 		for i := range rows {
 			rows[i] = r.NormFloat64()
 		}
-		PackBagSketch(dim, rows, boxes[b*BoxStride*dim:(b+1)*BoxStride*dim], rep)
+		PackBagSketch(dim, rows, boxes[b*BoxStride*dim:(b+1)*BoxStride*dim])
 	}
 	thr = 5.3
 	return

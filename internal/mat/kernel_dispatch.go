@@ -1,16 +1,18 @@
 // Runtime kernel dispatch: which implementation the public kernel entry
-// points in kernel.go, sketch.go and grad.go route to.
+// points in kernel.go, sketch.go, grad.go, likelihood.go and clip.go route
+// to.
 //
 // There are three tiers, each a superset of the one below:
 //
 //   - "scalar": the portable loops, the oracle every other tier must match;
 //   - "avx2": the AVX2 assembly for every kernel (kernel_amd64.s,
-//     grad_amd64.s);
+//     grad_amd64.s, likelihood_amd64.s, clip_amd64.s);
 //   - "avx512": AVX-512 bodies for the training kernels — the tiled
 //     distance pass and the gradient accumulation of grad.go, the
 //     likelihood kernels of likelihood.go — with the scan kernels staying
 //     on their AVX2 bodies: a scan abandons most rows after one 4-dimension
-//     block, which a wider register does not shorten.
+//     block, which a wider register does not shorten. The projection
+//     passes of clip.go stay on theirs too.
 //
 // The default is picked once at init: the widest tier the CPU and OS support
 // (amd64, detected via CPUID/XGETBV — see kernel_dispatch_amd64.go), scalar

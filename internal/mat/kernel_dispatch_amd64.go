@@ -178,3 +178,19 @@ func negRatiosAVX2(p, q, out *float64, n int)
 
 //go:noescape
 func negRatiosAVX512(p, q, out *float64, n int)
+
+// The projection passes' bodies (clip_amd64.s), behind ClipSum,
+// ClipSumFree, Clip and ClipShift in clip.go. Callers guarantee n ≥ 1 and n
+// in-bounds elements behind x.
+
+//go:noescape
+func clipSumAVX2(x *float64, n int, shift, lo, hi float64) (sum, least float64)
+
+//go:noescape
+func clipSumFreeAVX2(x *float64, n int, shift, lo, hi float64) (sum float64, free int)
+
+//go:noescape
+func clipAVX2(x *float64, n int, lo, hi float64)
+
+//go:noescape
+func clipShiftAVX2(x *float64, n int, shift, lo, hi float64)

@@ -88,3 +88,19 @@ func negRatiosAVX2(p, q, out *float64, n int) {
 func negRatiosAVX512(p, q, out *float64, n int) {
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
+
+func clipSumAVX2(x *float64, n int, shift, lo, hi float64) (float64, float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func clipSumFreeAVX2(x *float64, n int, shift, lo, hi float64) (float64, int) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func clipAVX2(x *float64, n int, lo, hi float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func clipShiftAVX2(x *float64, n int, shift, lo, hi float64) {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}

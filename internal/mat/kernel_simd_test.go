@@ -271,7 +271,6 @@ func TestBoxBoundSIMDBitIdentity(t *testing.T) {
 			}
 		}
 		box := make([]float32, BoxStride*dim)
-		rep := make([]float32, dim)
 		if iter%4 == 0 {
 			// Raw-random box: NaN bounds, inverted lo/hi, huge magnitudes.
 			for i := range box {
@@ -284,7 +283,7 @@ func TestBoxBoundSIMDBitIdentity(t *testing.T) {
 			for r := 0; r < n; r++ {
 				rows = append(rows, randKernelVec(rng, dim)...)
 			}
-			PackBagSketch(dim, rows, box, rep)
+			PackBagSketch(dim, rows, box)
 		}
 		// Thresholds on every block boundary of the scalar accumulation: a
 		// prefix of whole blocks has no tail, so BoxBound on the prefix IS
@@ -321,7 +320,7 @@ func TestBoxBoundSIMDBitIdentity(t *testing.T) {
 }
 
 // TestSketchSIMDBitIdentity drives PackBagSketch through both
-// implementations and compares every box and representative bit: dims 1–140
+// implementations and compares every box bit: dims 1–140
 // (every dim%4 tail, boxes over the whole bag and over a prefix), one-row
 // and multi-row bags, and planted columns where the compare-and-select
 // order or the NaN widening shows — a NaN in the first and in the last
@@ -368,18 +367,16 @@ func TestSketchSIMDBitIdentity(t *testing.T) {
 			rows[rng.Intn(dim)] = math.NaN()
 			rows[(n-1)*dim+rng.Intn(dim)] = math.NaN()
 			for _, bd := range []int{dim, min(dim, 64), dim / 2} {
-				var boxes, reps [2][]float32 // scalar, avx2
+				var boxes [2][]float32 // scalar, avx2
 				for i, avx2 := range []bool{false, true} {
-					boxes[i], reps[i] = make([]float32, BoxStride*bd), make([]float32, dim)
-					withKernel(avx2, func() { PackBagSketch(dim, rows, boxes[i], reps[i]) })
+					boxes[i] = make([]float32, BoxStride*bd)
+					withKernel(avx2, func() { PackBagSketch(dim, rows, boxes[i]) })
 				}
-				for i, pair := range [][2][]float32{boxes, reps} {
-					for k := range pair[0] {
-						if math.Float32bits(pair[0][k]) != math.Float32bits(pair[1][k]) {
-							t.Fatalf("dim %d, %d rows, %d box dims: %s[%d] scalar %v (%#x) avx2 %v (%#x)\nrows=%v",
-								dim, n, bd, []string{"box", "rep"}[i], k, pair[0][k], math.Float32bits(pair[0][k]),
-								pair[1][k], math.Float32bits(pair[1][k]), rows)
-						}
+				for k := range boxes[0] {
+					if math.Float32bits(boxes[0][k]) != math.Float32bits(boxes[1][k]) {
+						t.Fatalf("dim %d, %d rows, %d box dims: box[%d] scalar %v (%#x) avx2 %v (%#x)\nrows=%v",
+							dim, n, bd, k, boxes[0][k], math.Float32bits(boxes[0][k]),
+							boxes[1][k], math.Float32bits(boxes[1][k]), rows)
 					}
 				}
 			}

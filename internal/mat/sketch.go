@@ -1,16 +1,10 @@
 // Per-bag sketches: the compact geometric summaries the candidate-pruning
 // tier (internal/index/prune.go) screens bags with before the exact blocked
-// kernel runs. A sketch is two float32 side arrays per bag:
-//
-//   - an axis-aligned bounding box over the bag's instances, lo/hi
-//     interleaved per dimension, rounded OUTWARD to float32 — so the box
-//     provably contains every instance even after narrowing, and a lower
-//     bound derived from it can never exceed any instance's exact distance;
-//
-//   - a scalar-quantized representative (the instance centroid, plain
-//     float32 rounding), used only to order candidates when seeding the
-//     top-k cutoff — it never affects which bags are admitted or rejected,
-//     so its rounding is irrelevant to correctness.
+// kernel runs. A bag's sketch is an axis-aligned bounding box over its
+// instances, float32 lo/hi interleaved per dimension, rounded OUTWARD to
+// float32 — so the box provably contains every instance even after
+// narrowing, and a lower bound derived from it can never exceed any
+// instance's exact distance.
 //
 // BoxBoundExceeds is the admission test. It mirrors the canonical blocked
 // kernel's accumulation order exactly (same block pairing, same association,
@@ -37,28 +31,30 @@ import "math"
 // dimension: lo and hi, interleaved (box[2k] = lo_k, box[2k+1] = hi_k).
 const BoxStride = 2
 
-// PackBagSketch fills box (lo/hi interleaved float32s) and rep (dim
-// float32s, the instance centroid) from one bag's row-major instance block.
-// The box may cover only the bag's leading len(box)/BoxStride ≤ dim
-// dimensions — a screen over a prefix is still a valid lower bound, because
-// dropping non-negative terms only shrinks the sum, and a shorter box keeps
-// the screen's memory stream small (the index caps it at ScreenBoxDims).
-// Box bounds are rounded outward so the float32 box always contains the
-// float64 instances; a dimension containing any NaN is widened to
-// (-Inf,+Inf), which forces a zero lower-bound contribution (always admit —
-// the exact kernel is the one that scores NaN bags).
-func PackBagSketch(dim int, rows []float64, box, rep []float32) {
+// PackBagSketch fills box (lo/hi interleaved float32s) from one bag's
+// row-major instance block. The box may cover only the bag's leading
+// len(box)/BoxStride ≤ dim dimensions — a screen over a prefix is still a
+// valid lower bound, because dropping non-negative terms only shrinks the
+// sum, and a shorter box keeps the screen's memory stream small (the index
+// caps it at ScreenBoxDims). Box bounds are rounded outward so the float32
+// box always contains the float64 instances; a dimension containing any NaN
+// is widened to (-Inf,+Inf), which forces a zero lower-bound contribution
+// (always admit — the exact kernel is the one that scores NaN bags).
+//
+// The trailing slice is ignored. It is where a per-bag centroid used to go,
+// and stays only so that callers still passing one compile.
+func PackBagSketch(dim int, rows []float64, box []float32, _ ...[]float32) {
 	n := len(rows) / dim
 	if useAVX2.Load() && n > 0 {
 		// One pass over the rows in memory order, every dimension's running
-		// min, max and sum taken in row order with the scalar loop's
+		// min and max taken in row order with the scalar loop's
 		// compare-and-select operand order — the same floats as the
 		// column-at-a-time oracle below (kernel_simd_test.go holds them
 		// together).
-		packBagSketchAVX2(dim, n, rows, box, rep)
+		packBagSketchAVX2(dim, n, rows, box)
 		return
 	}
-	packBagSketchScalar(dim, rows, box, rep)
+	packBagSketchScalar(dim, rows, box)
 }
 
 // packBagSketchScalar is the canonical loop behind PackBagSketch, one
@@ -66,12 +62,11 @@ func PackBagSketch(dim int, rows []float64, box, rep []float32) {
 // against.
 //
 // milret:kernel
-func packBagSketchScalar(dim int, rows []float64, box, rep []float32) {
+func packBagSketchScalar(dim int, rows []float64, box []float32) {
 	n := len(rows) / dim
 	boxDims := min(len(box)/BoxStride, dim)
-	for k := 0; k < dim; k++ {
+	for k := 0; k < boxDims; k++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		sum := 0.0
 		nan := false
 		for r := 0; r < n; r++ {
 			v := rows[r*dim+k]
@@ -85,9 +80,8 @@ func packBagSketchScalar(dim int, rows []float64, box, rep []float32) {
 			if v > hi {
 				hi = v
 			}
-			sum += v
 		}
-		setSketchDim(box, rep, k, boxDims, n, lo, hi, sum, nan || n == 0)
+		setSketchDim(box, k, lo, hi, nan || n == 0)
 	}
 }
 
@@ -96,16 +90,17 @@ func packBagSketchScalar(dim int, rows []float64, box, rep []float32) {
 // length.
 const sketchChunk = 128
 
-// packBagSketchAVX2 runs the AVX2 pass over at most sketchChunk dimensions
-// at a time and rounds its results into box and rep. A NaN instance value
+// packBagSketchAVX2 runs the AVX2 pass over the box's dimensions, at most
+// sketchChunk at a time, and rounds its results into box. The pass also
+// sums each dimension, only to find NaNs cheaply: a NaN instance value
 // leaves its dimension's sum NaN — and so does a dimension holding both
 // infinities, which the scalar loop does not widen — so only a NaN sum
 // sends the pass back to the column to look for a NaN.
-func packBagSketchAVX2(dim, n int, rows []float64, box, rep []float32) {
+func packBagSketchAVX2(dim, n int, rows []float64, box []float32) {
 	boxDims := min(len(box)/BoxStride, dim)
 	var lo, hi, sum [sketchChunk]float64
-	for k0 := 0; k0 < dim; k0 += sketchChunk {
-		c := min(sketchChunk, dim-k0)
+	for k0 := 0; k0 < boxDims; k0 += sketchChunk {
+		c := min(sketchChunk, boxDims-k0)
 		for j := 0; j < c; j++ {
 			lo[j], hi[j], sum[j] = math.Inf(1), math.Inf(-1), 0
 		}
@@ -118,28 +113,21 @@ func packBagSketchAVX2(dim, n int, rows []float64, box, rep []float32) {
 					nan = math.IsNaN(rows[r*dim+k])
 				}
 			}
-			setSketchDim(box, rep, k, boxDims, n, lo[j], hi[j], sum[j], nan)
+			setSketchDim(box, k, lo[j], hi[j], nan)
 		}
 	}
 }
 
-// setSketchDim stores dimension k's box bounds (when k < boxDims) and
-// representative from its running min, max and sum over n rows; widen
-// stores the always-admit (-Inf,+Inf) box and a zero representative.
-func setSketchDim(box, rep []float32, k, boxDims, n int, lo, hi, sum float64, widen bool) {
+// setSketchDim stores dimension k's box bounds from its running min and
+// max; widen stores the always-admit (-Inf,+Inf) box.
+func setSketchDim(box []float32, k int, lo, hi float64, widen bool) {
 	if widen {
-		if k < boxDims {
-			box[BoxStride*k] = float32(math.Inf(-1))
-			box[BoxStride*k+1] = float32(math.Inf(1))
-		}
-		rep[k] = 0
+		box[BoxStride*k] = float32(math.Inf(-1))
+		box[BoxStride*k+1] = float32(math.Inf(1))
 		return
 	}
-	if k < boxDims {
-		box[BoxStride*k] = roundDown32(lo)
-		box[BoxStride*k+1] = roundUp32(hi)
-	}
-	rep[k] = float32(sum / float64(n))
+	box[BoxStride*k] = roundDown32(lo)
+	box[BoxStride*k+1] = roundUp32(hi)
 }
 
 // roundDown32 converts v to the largest float32 whose value is ≤ v
@@ -264,25 +252,6 @@ func BoxBound(p, w []float64, box []float32) float64 {
 			t += w[i] * e * e
 		}
 		sum += t
-	}
-	return sum
-}
-
-// RepSqDist returns the weighted squared distance from p to the float32
-// representative, abandoning once the partial sum strictly exceeds thr (the
-// returned value then overshoots but is still > thr). It orders candidates
-// when seeding a top-k cutoff; its value never decides admission, so float32
-// rounding of the representative is harmless.
-//
-// milret:kernel
-func RepSqDist(p, w []float64, rep []float32, thr float64) float64 {
-	sum := 0.0
-	for i := range p {
-		d := p[i] - float64(rep[i])
-		sum += w[i] * d * d
-		if sum > thr {
-			return sum
-		}
 	}
 	return sum
 }

@@ -33,8 +33,7 @@ func TestPackBagSketchContainment(t *testing.T) {
 		n := 1 + r.Intn(6)
 		rows := randBag(r, n, dim)
 		box := make([]float32, BoxStride*dim)
-		rep := make([]float32, dim)
-		PackBagSketch(dim, rows, box, rep)
+		PackBagSketch(dim, rows, box)
 		for i := 0; i < n; i++ {
 			for k := 0; k < dim; k++ {
 				v := rows[i*dim+k]
@@ -54,8 +53,7 @@ func TestPackBagSketchNaN(t *testing.T) {
 	dim := 3
 	rows := []float64{1, math.NaN(), 3, 4, 5, 6}
 	box := make([]float32, BoxStride*dim)
-	rep := make([]float32, dim)
-	PackBagSketch(dim, rows, box, rep)
+	PackBagSketch(dim, rows, box)
 	if !math.IsInf(float64(box[BoxStride*1]), -1) || !math.IsInf(float64(box[BoxStride*1+1]), 1) {
 		t.Fatalf("NaN dimension not widened: [%v, %v]", box[2], box[3])
 	}
@@ -80,8 +78,7 @@ func TestPackBagSketchOverflow(t *testing.T) {
 	huge := 1e300
 	rows := []float64{-huge, huge}
 	box := make([]float32, BoxStride*dim)
-	rep := make([]float32, dim)
-	PackBagSketch(dim, rows, box, rep)
+	PackBagSketch(dim, rows, box)
 	if !math.IsInf(float64(box[0]), -1) {
 		t.Fatalf("lo should round down to -Inf, got %v", box[0])
 	}
@@ -118,8 +115,7 @@ func TestBoxBoundLowerBound(t *testing.T) {
 		n := 1 + r.Intn(5)
 		rows := randBag(r, n, dim)
 		box := make([]float32, BoxStride*dim)
-		rep := make([]float32, dim)
-		PackBagSketch(dim, rows, box, rep)
+		PackBagSketch(dim, rows, box)
 		p := make([]float64, dim)
 		w := make([]float64, dim)
 		for k := range p {
@@ -140,23 +136,5 @@ func TestBoxBoundLowerBound(t *testing.T) {
 				t.Fatalf("trial %d: rejected bag with exact %v <= thr %v", trial, exact, thr)
 			}
 		}
-	}
-}
-
-// TestRepSqDist pins the representative distance: a plain weighted squared
-// distance to the centroid with strict-> abandonment, NaN-poisoned inputs
-// yielding +Inf ordering.
-func TestRepSqDist(t *testing.T) {
-	p := []float64{1, 2}
-	w := []float64{2, 0.5}
-	rep := []float32{3, 0}
-	want := 2*(3-1)*(3-1) + 0.5*(0-2)*(0-2)
-	if got := RepSqDist(p, w, rep, math.Inf(1)); got != want {
-		t.Fatalf("RepSqDist = %v, want %v", got, want)
-	}
-	// Abandonment: a threshold below the true distance returns a value
-	// exceeding the threshold (ordering preserved, magnitude unspecified).
-	if got := RepSqDist(p, w, rep, 1); !(got > 1) {
-		t.Fatalf("abandoned RepSqDist = %v, want > 1", got)
 	}
 }

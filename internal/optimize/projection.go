@@ -70,15 +70,6 @@ func (c BoxSum) Project(x mat.Vector) {
 	if err := c.Validate(n); err != nil {
 		panic(err)
 	}
-	clip := func(v float64) float64 {
-		if v < c.Lo {
-			return c.Lo
-		}
-		if v > c.Hi {
-			return c.Hi
-		}
-		return v
-	}
 	if c.Lo >= 0 && c.MinSum <= 0 {
 		// The sum constraint cannot bind (core's β = 0): every clipped
 		// coordinate is ≥ Lo ≥ 0 and a floating-point sum of non-negative
@@ -88,23 +79,14 @@ func (c BoxSum) Project(x mat.Vector) {
 		// exception: it used to fail that test and send the rest through a
 		// bisection that moved them by a rounding-sized λ. The objective is
 		// NaN at such a point and every line search discards it.)
-		for i, v := range x {
-			x[i] = clip(v)
-		}
+		mat.Clip(x, c.Lo, c.Hi)
 		return
 	}
-	var sum float64
-	minX := math.Inf(1)
-	for _, v := range x {
-		sum += clip(v)
-		if v < minX {
-			minX = v
-		}
-	}
+	// Shifting by −0 leaves every coordinate as it is (v + 0 would turn a
+	// −0 into +0), so this is the serial sum of the clipped coordinates.
+	sum, minX := mat.ClipSum(x, negZero, c.Lo, c.Hi)
 	if sum >= c.MinSum {
-		for i, v := range x {
-			x[i] = clip(v)
-		}
+		mat.Clip(x, c.Lo, c.Hi)
 		return
 	}
 	// The sum constraint is active; the KKT solution shifts the ORIGINAL
@@ -113,10 +95,7 @@ func (c BoxSum) Project(x mat.Vector) {
 	// bound every coordinate reaches Hi, where Σ = n·Hi ≥ MinSum by
 	// Validate, and Σz(λ) is continuous and non-decreasing.
 	sumAt := func(lambda float64) float64 {
-		var s float64
-		for _, v := range x {
-			s += clip(v + lambda)
-		}
+		s, _ := mat.ClipSum(x, lambda, c.Lo, c.Hi)
 		return s
 	}
 	lo, hi := 0.0, c.Hi-minX
@@ -162,11 +141,11 @@ func (c BoxSum) Project(x mat.Vector) {
 			hi = mid
 		}
 	}
-	lambda := hi
-	for i, v := range x {
-		x[i] = clip(v + lambda)
-	}
+	mat.ClipShift(x, hi, c.Lo, c.Hi)
 }
+
+// negZero is −0, the shift that moves no coordinate.
+var negZero = math.Copysign(0, -1)
 
 // rootGuess returns an approximate root in [lo, hi] of the piecewise-linear
 // Σ clip(x_i + λ) = MinSum, given that λ = lo lies below it: safeguarded
@@ -174,24 +153,11 @@ func (c BoxSum) Project(x mat.Vector) {
 // strictly inside the box, falling back to halving the bracket when a step
 // leaves it or no coordinate is free. Project only seeds its bracket here,
 // so the guess decides how many exact sums the bisection spends, never its
-// answer.
+// answer — which is why its sums (mat.ClipSumFree) may add in any order.
 func (c BoxSum) rootGuess(x mat.Vector, lo, hi float64) float64 {
 	lambda := lo
 	for iter := 0; iter < 12; iter++ {
-		var s float64
-		free := 0
-		for _, v := range x {
-			t := v + lambda
-			switch {
-			case t <= c.Lo:
-				s += c.Lo
-			case t >= c.Hi:
-				s += c.Hi
-			default:
-				s += t
-				free++
-			}
-		}
+		s, free := mat.ClipSumFree(x, lambda, c.Lo, c.Hi)
 		if s < c.MinSum {
 			lo = lambda
 		} else {

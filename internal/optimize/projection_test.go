@@ -251,36 +251,3 @@ func projectBytes(vs ...float64) []byte {
 	}
 	return b
 }
-
-// BenchmarkProjectActive projects the points a β = 0.5 line search probes
-// in 100 dimensions: a feasible weight vector, some weights on each face,
-// stepped against a random gradient at halving step lengths, keeping the
-// steps whose clipped sum falls short of MinSum = 50 — every projection
-// runs the bisection.
-func BenchmarkProjectActive(b *testing.B) {
-	const dim = 100
-	c := BoxSum{Lo: 0, Hi: 1, MinSum: 50}
-	r := rand.New(rand.NewSource(5))
-	var probes []mat.Vector
-	for len(probes) < 64 {
-		w, g := mat.NewVector(dim), mat.NewVector(dim)
-		for i := range w {
-			w[i] = 1.5*r.Float64() - 0.25
-			g[i] = r.NormFloat64()
-		}
-		c.Project(w)
-		for step := 1.0; step > 0x1p-12; step /= 2 {
-			p := w.Clone()
-			p.AddScaled(-step, g)
-			if serialClippedSum(c, p, 0) < c.MinSum {
-				probes = append(probes, p)
-			}
-		}
-	}
-	x := mat.NewVector(dim)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(x, probes[i%len(probes)])
-		c.Project(x)
-	}
-}
