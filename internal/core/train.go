@@ -141,14 +141,18 @@ func (c *Concept) PointWeights() (point, weights []float64) {
 // whole multiple-instance framing buys (§1.2). The index is -1 for an
 // empty bag (distance +Inf).
 //
-// The whole bag is scored in one batched kernel call
-// (mat.MinWeightedSqDistVecs) with within-bag early abandonment when the
-// weights permit it, instead of a full kernel evaluation per instance. It
-// is what Explain reports and what the tests' naive reference ranks by; it
-// stays bit-identical to the flat columnar scan by sharing the kernel's
-// block order and pruning contract.
+// Each instance is scored by the canonical kernel (mat.WeightedSqDistBlocked)
+// in full, and ties keep the earliest instance, so the distance carries the
+// bits of the flat columnar scan's. It is what Explain reports and what the
+// tests' naive reference ranks by.
 func (c *Concept) BestInstance(b *mil.Bag) (dist float64, index int) {
-	return mat.MinWeightedSqDistVecs(c.Point, c.Weights, b.Instances, math.Inf(1), c.Weights.AllNonNegative())
+	dist, index = math.Inf(1), -1
+	for i, x := range b.Instances {
+		if d := mat.WeightedSqDistBlocked(c.Point, x, c.Weights); d < dist || index < 0 {
+			dist, index = d, i
+		}
+	}
+	return dist, index
 }
 
 // Train maximizes Diverse Density over the dataset and returns the best

@@ -228,7 +228,9 @@ func TestTrainInvalidDataset(t *testing.T) {
 	}
 }
 
-// The bag distance is the minimum over instances of the weighted distance.
+// The bag distance is the minimum over instances of the weighted distance:
+// BestInstance's minimum carries the flat row scan's bits, ties keep the
+// earliest instance, an empty bag is (+Inf, −1), and nothing is allocated.
 func TestConceptBagDistMinOverInstances(t *testing.T) {
 	c := &Concept{Point: mat.Vector{0, 0}, Weights: mat.NewVector(2).Fill(1)}
 	b := &mil.Bag{ID: "b", Instances: []mat.Vector{{3, 4}, {1, 0}, {5, 5}}}
@@ -239,6 +241,50 @@ func TestConceptBagDistMinOverInstances(t *testing.T) {
 	b.Instances = []mat.Vector{{3, 100}}
 	if got, _ := c.BestInstance(b); got != 9 {
 		t.Fatalf("weighted dist = %v, want 9", got)
+	}
+	if got, at := c.BestInstance(&mil.Bag{ID: "empty"}); !math.IsInf(got, 1) || at != -1 {
+		t.Fatalf("empty bag = (%v, %d), want (+Inf, -1)", got, at)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.BestInstance(b) }); allocs != 0 {
+		t.Fatalf("BestInstance allocates %.0f per call", allocs)
+	}
+
+	// Random bags, negative weights and exact ties included: the minimum
+	// carries the bits of the flat row scan's, and the index is the
+	// earliest instance at that distance.
+	r := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 400; iter++ {
+		dim, n := 1+r.Intn(40), 1+r.Intn(6)
+		rows := make([]float64, n*dim)
+		for i := range rows {
+			rows[i] = r.NormFloat64()
+		}
+		if n >= 2 && r.Intn(2) == 0 {
+			copy(rows[(n-1)*dim:], rows[:dim]) // an exact distance tie
+		}
+		c := &Concept{Point: mat.NewVector(dim), Weights: mat.NewVector(dim)}
+		prune := true
+		for k := range c.Point {
+			c.Point[k] = r.NormFloat64()
+			c.Weights[k] = 2 * r.Float64()
+			if r.Intn(8) == 0 {
+				c.Weights[k], prune = -c.Weights[k], false
+			}
+		}
+		b := &mil.Bag{ID: "b"}
+		for i := 0; i < n; i++ {
+			b.Instances = append(b.Instances, mat.Vector(rows[i*dim:(i+1)*dim]))
+		}
+		got, at := c.BestInstance(b)
+		if want := mat.MinWeightedSqDistRows(c.Point, c.Weights, rows, math.Inf(1), prune); got != want {
+			t.Fatalf("iter %d: BestInstance %v != row scan %v (prune %v)", iter, got, want, prune)
+		}
+		wantAt := slices.IndexFunc(b.Instances, func(x mat.Vector) bool {
+			return mat.WeightedSqDistBlocked(c.Point, x, c.Weights) == got
+		})
+		if at != wantAt {
+			t.Fatalf("iter %d: BestInstance index %d, want the earliest minimum %d", iter, at, wantAt)
+		}
 	}
 }
 

@@ -82,10 +82,10 @@ func WeightedSqDistTiles(p, w, tiles, out []float64) {
 }
 
 // weightedSqDistTiles is the scalar oracle behind WeightedSqDistTiles: per
-// lane, the statements of weightedSqDistResume and tailSqDist — the same
-// expressions in the same association, so a compiler that contracts one
-// contracts the other — with the row's elements read at the tile's stride.
-// It assumes validated lengths.
+// lane, the loop of weightedSqDistScalar — sqBlock per block, and the
+// tail's statement of tailSqDist with its product explicitly rounded, as
+// everywhere in the package, so no compiler may contract it — with the
+// row's elements read at the tile's stride. It assumes validated lengths.
 // milret:kernel
 func weightedSqDistTiles(p, w, tiles, out []float64) {
 	dim := len(p)
@@ -95,20 +95,14 @@ func weightedSqDistTiles(p, w, tiles, out []float64) {
 		*sum = [TileRows]float64{}
 		i := 0
 		for ; i+KernelBlock <= dim; i += KernelBlock {
-			vb := (*[KernelBlock]float64)(p[i:])
-			wb := (*[KernelBlock]float64)(w[i:])
+			v0, v1, v2, v3 := p[i], p[i+1], p[i+2], p[i+3]
+			w0, w1, w2, w3 := w[i], w[i+1], w[i+2], w[i+3]
 			u0 := (*[TileRows]float64)(tiles[i*TileRows:])
 			u1 := (*[TileRows]float64)(tiles[(i+1)*TileRows:])
 			u2 := (*[TileRows]float64)(tiles[(i+2)*TileRows:])
 			u3 := (*[TileRows]float64)(tiles[(i+3)*TileRows:])
 			for r := range sum {
-				d0 := vb[0] - u0[r]
-				d1 := vb[1] - u1[r]
-				d2 := vb[2] - u2[r]
-				d3 := vb[3] - u3[r]
-				s0 := wb[0]*d0*d0 + wb[2]*d2*d2
-				s1 := wb[1]*d1*d1 + wb[3]*d3*d3
-				sum[r] += s0 + s1
+				sum[r] += sqBlock(v0-u0[r], v1-u1[r], v2-u2[r], v3-u3[r], w0, w1, w2, w3)
 			}
 		}
 		if i < dim {
@@ -117,7 +111,7 @@ func weightedSqDistTiles(p, w, tiles, out []float64) {
 				u := (*[TileRows]float64)(tiles[i*TileRows:])
 				for r := range s {
 					d := p[i] - u[r]
-					s[r] += w[i] * d * d
+					s[r] += float64(w[i] * d * d)
 				}
 			}
 			for r := range sum {
@@ -209,19 +203,19 @@ func gradAccumRows(gt, gw, t, a, b, rows, coefs []float64, st, sw float64) {
 		case gw == nil:
 			for k, tk := range t {
 				d := tk - x[k]
-				gt[k] += c2 * a[k] * d
+				gt[k] += float64(c2 * a[k] * d)
 			}
 		case b == nil:
 			for k, tk := range t {
 				d := tk - x[k]
-				gt[k] += c2 * a[k] * d
-				gw[k] += cw * d * d
+				gt[k] += float64(c2 * a[k] * d)
+				gw[k] += float64(cw * d * d)
 			}
 		default:
 			for k, tk := range t {
 				d := tk - x[k]
-				gt[k] += c2 * a[k] * d
-				gw[k] += cw * b[k] * d * d
+				gt[k] += float64(c2 * a[k] * d)
+				gw[k] += float64(cw * b[k] * d * d)
 			}
 		}
 	}

@@ -21,23 +21,22 @@
 // abandoned row is one block, and halving the block halves it — while full
 // evaluations (training, Rank) measure the same within noise.
 //
-// The block body appears three times below — in the single-vector loop
-// (weightedSqDistPartial), in the flat row-scanning loop
-// (MinWeightedSqDistRows), and in the vector-of-slices loop
-// (MinWeightedSqDistVecs, behind core.Concept.BestInstance: Explain and the
-// tests' naive reference) — and a fourth time in grad.go, where training's
-// tile kernel (weightedSqDistTiles) runs it for eight rows at a tile's
-// stride. The duplication is deliberate: the body is too large for the
-// inliner, and a call per block of dimensions would cost more than the
-// unroll buys. The copies MUST stay
-// textually identical — same expressions, same fold order — and
-// kernel_test.go enforces bit-identical results across every entry point, so
-// any divergence fails the suite.
+// The block fold is written once, in sqBlock, and the tail once, in
+// tailSqDist. Every scalar loop — the single-vector loop
+// (weightedSqDistScalar), the flat row scan (MinWeightedSqDistRows),
+// training's tile kernel (weightedSqDistTiles, grad.go) and the box screen
+// (boxBoundScalar, sketch.go) — adds sqBlock's result to its running sum;
+// sqBlock is small enough that the compiler inlines it at every call site,
+// so the loops pay no call per block. Each product is rounded explicitly
+// (a float64(…) conversion), which the Go spec forbids fusing into the add
+// that follows: the bits are the same on a host whose compiler contracts
+// x*y + z into an FMA (arm64, ppc64, s390x) as on amd64, which never does.
 //
-// The partial variants check the running sum against an abandon threshold
-// after every block. Because they share the block order, a non-abandoned
-// evaluation returns exactly the same bits as the full kernel, which is
-// what keeps pruned scans bit-identical to unpruned ones.
+// Only the row scan and the box screen abandon: after every block they
+// check the running sum against a threshold. Because they share the block
+// order, a non-abandoned evaluation returns exactly the same bits as the
+// full kernel, which is what keeps pruned scans bit-identical to unpruned
+// ones.
 //
 // # SIMD dispatch
 //
@@ -47,13 +46,13 @@
 // in grad.go, grad_amd64.s, likelihood.go and likelihood_amd64.s): each
 // 4-dimension block is computed with vmulpd/vsubpd
 // lanes and folded through the identical (s0+s1) strided reduction —
-// separate multiplies and adds, never FMA-contracted — with the threshold
-// check after every block, so the SIMD kernels return the same bits as the
-// scalar ones on every entry point, abandoned or not (the one allowed
-// divergence is the payload of a NaN result: NaN-producing inputs yield a
-// NaN on both paths, but x86 NaN propagation picks payloads by operand
-// order, which the Go compiler does not pin for scalar code). The scalar
-// loops below are the oracle: kernel_simd_test.go and
+// separate multiplies and adds, never FMA-contracted — with the row scan's
+// threshold check after every block, so the SIMD kernels return the same
+// bits as the scalar ones on every entry point, abandoned or not (the one
+// allowed divergence is the payload of a NaN result: NaN-producing inputs
+// yield a NaN on both paths, but x86 NaN propagation picks payloads by
+// operand order, which the Go compiler does not pin for scalar code). The
+// scalar loops below are the oracle: kernel_simd_test.go and
 // FuzzKernelSIMDvsScalar drive both implementations against each other.
 // See kernel_dispatch.go for the runtime CPU detection and the
 // MILRET_KERNEL / SetKernel escape hatches.
@@ -70,188 +69,68 @@ import (
 // over an unrolled inner step.
 const KernelBlock = 4
 
+// sqBlock is the canonical fold of one KernelBlock of weighted squared
+// terms, w_k·d_k² for k = 0..3: the strided pairs (0,2) and (1,3) into two
+// accumulators, then their sum. It is the only place the pairing is
+// written; every kernel loop adds its result to the running sum.
+// milret:kernel
+func sqBlock(d0, d1, d2, d3, w0, w1, w2, w3 float64) float64 {
+	s0 := float64(w0*d0*d0) + float64(w2*d2*d2)
+	s1 := float64(w1*d1*d1) + float64(w3*d3*d3)
+	return s0 + s1
+}
+
 // tailSqDist accumulates a trailing partial block (fewer than KernelBlock
-// dimensions) sequentially. All kernel loops delegate their tail here.
+// dimensions) sequentially into its own sum, which the caller adds to the
+// running sum. The single-vector loop and the row scan delegate their tail
+// here; the tile and box loops, whose operands are laid out differently,
+// repeat its statement.
 // milret:kernel
 func tailSqDist(v, u, w []float64) float64 {
 	var s float64
 	for i, x := range v {
 		d := x - u[i]
-		s += w[i] * d * d
+		s += float64(w[i] * d * d)
 	}
 	return s
 }
 
 // WeightedSqDistBlocked returns Σ_k w_k (v_k − u_k)² using the blocked
 // multi-accumulator kernel. All three slices must share a length; this is
-// the canonical full evaluation every scoring path reduces to.
+// the canonical full evaluation every scoring path reduces to: the AVX2
+// loop when the runtime selected it, the scalar loop otherwise. An empty
+// vector never reaches the assembly, so its pointer derefs stay in bounds.
 // milret:kernel
 func WeightedSqDistBlocked(v, u, w []float64) float64 {
 	mustSameLen(len(v), len(u))
 	mustSameLen(len(v), len(w))
-	s, _ := kernResume(v, u, w, 0, 0, math.Inf(1))
-	return s
-}
-
-// kernResume is the dispatch point behind every single-vector entry: the
-// AVX2 loop when the runtime selected it, the canonical scalar loop
-// otherwise. Validation stays in the public wrappers; both implementations
-// assume equal-length slices. An empty vector never reaches the assembly so
-// the pointer derefs below stay in bounds.
-// milret:kernel
-func kernResume(v, u, w []float64, start int, sum, thr float64) (float64, bool) {
-	if useAVX2.Load() && start < len(v) {
-		return wsqResumeAVX2(&v[0], &u[0], &w[0], len(v), start, sum, thr)
+	if useAVX2.Load() && len(v) > 0 {
+		return wsqAVX2(&v[0], &u[0], &w[0], len(v))
 	}
-	return weightedSqDistResume(v, u, w, start, sum, thr)
+	return weightedSqDistScalar(v, u, w)
 }
 
-// weightedSqDistPartial is the single-vector kernel loop. It assumes the
-// slices have equal length. Its block body is the canonical one; the loop in
-// MinWeightedSqDistRows carries an exact copy (see the package comment).
+// weightedSqDistScalar is the single-vector kernel loop, the oracle behind
+// WeightedSqDistBlocked. It assumes the slices have equal length.
 // milret:kernel
-func weightedSqDistPartial(v, u, w []float64, thr float64) (float64, bool) {
-	return weightedSqDistResume(v, u, w, 0, 0, thr)
-}
-
-// weightedSqDistResume is the single-vector loop body: the canonical kernel
-// loop from dimension offset start (a multiple of KernelBlock) with the
-// partial sum accumulated so far.
-// milret:kernel
-func weightedSqDistResume(v, u, w []float64, start int, sum float64, thr float64) (float64, bool) {
+func weightedSqDistScalar(v, u, w []float64) float64 {
 	n := len(v)
 	// Reslicing to the common length lets the compiler drop redundant
 	// bounds checks inside the loop.
 	u = u[:n]
 	w = w[:n]
-	i := start
+	var sum float64
+	i := 0
 	for ; i+KernelBlock <= n; i += KernelBlock {
 		vb := (*[KernelBlock]float64)(v[i:])
 		ub := (*[KernelBlock]float64)(u[i:])
 		wb := (*[KernelBlock]float64)(w[i:])
-		d0 := vb[0] - ub[0]
-		d1 := vb[1] - ub[1]
-		d2 := vb[2] - ub[2]
-		d3 := vb[3] - ub[3]
-		s0 := wb[0]*d0*d0 + wb[2]*d2*d2
-		s1 := wb[1]*d1*d1 + wb[3]*d3*d3
-		sum += s0 + s1
-		if sum > thr {
-			return sum, true
-		}
+		sum += sqBlock(vb[0]-ub[0], vb[1]-ub[1], vb[2]-ub[2], vb[3]-ub[3], wb[0], wb[1], wb[2], wb[3])
 	}
 	if i < n {
 		sum += tailSqDist(v[i:], u[i:], w[i:])
-		if sum > thr {
-			return sum, true
-		}
 	}
-	return sum, false
-}
-
-// MinWeightedSqDistVecs is MinWeightedSqDistRows for a bag whose instances
-// live in separate slices (the general in-memory case, where bags are built
-// one vector at a time rather than adopted from a flat block). It returns
-// the minimum blocked weighted squared distance from p to any of the
-// vectors together with the index achieving it (-1 for an empty slice), so
-// one call scores a whole bag — the per-instance kernel-call overhead and
-// the lost within-bag early abandonment were the naive fallback scan's
-// regression.
-//
-// Pruning follows the Rows contract exactly: each vector is abandoned once
-// its partial sum strictly exceeds min(best so far, cutoff), completed
-// vectors carry bit-identical kernel values, and ties keep the earliest
-// index (a later vector must be strictly smaller to displace the argmin), so
-// naive rankings stay bit-identical to the flat scan's.
-// milret:kernel
-func MinWeightedSqDistVecs(p, w []float64, vecs []Vector, cutoff float64, prune bool) (float64, int) {
-	dim := len(p)
-	mustSameLen(dim, len(w))
-	if len(vecs) == 0 {
-		return math.Inf(1), -1
-	}
-	p = p[:dim:dim]
-	w = w[:dim:dim]
-	if useAVX2.Load() && dim > 0 {
-		// Per-vector calls into the single-vector AVX2 loop: the threshold
-		// logic is the scalar loop's, the evaluation the assembly's, so the
-		// abandon decisions and surviving bits cannot diverge. With
-		// thr = +Inf (the !prune case) no evaluation ever abandons, which is
-		// exactly the unpruned scalar path.
-		best := math.Inf(1)
-		bi := -1
-		for vi, vec := range vecs {
-			mustSameLen(dim, len(vec))
-			thr := math.Inf(1)
-			if prune {
-				thr = best
-				if cutoff < thr {
-					thr = cutoff
-				}
-			}
-			sum, abandoned := wsqResumeAVX2(&p[0], &vec[0], &w[0], dim, 0, 0, thr)
-			if abandoned {
-				continue
-			}
-			if sum < best || bi < 0 {
-				best, bi = sum, vi
-			}
-		}
-		return best, bi
-	}
-	if !prune {
-		cutoff = math.Inf(1)
-		best := math.Inf(1)
-		bi := -1
-		for vi, vec := range vecs {
-			mustSameLen(dim, len(vec))
-			sum, _ := weightedSqDistPartial(p, vec, w, cutoff)
-			if sum < best || bi < 0 {
-				best, bi = sum, vi
-			}
-		}
-		return best, bi
-	}
-	best := math.Inf(1)
-	bi := -1
-vecLoop:
-	for vi, vec := range vecs {
-		mustSameLen(dim, len(vec))
-		row := vec[:dim:dim]
-		thr := best
-		if cutoff < thr {
-			thr = cutoff
-		}
-		var sum float64
-		i := 0
-		for ; i+KernelBlock <= dim; i += KernelBlock {
-			// Exact copy of the canonical block body in
-			// weightedSqDistPartial — keep in lockstep.
-			vb := (*[KernelBlock]float64)(p[i:])
-			ub := (*[KernelBlock]float64)(row[i:])
-			wb := (*[KernelBlock]float64)(w[i:])
-			d0 := vb[0] - ub[0]
-			d1 := vb[1] - ub[1]
-			d2 := vb[2] - ub[2]
-			d3 := vb[3] - ub[3]
-			s0 := wb[0]*d0*d0 + wb[2]*d2*d2
-			s1 := wb[1]*d1*d1 + wb[3]*d3*d3
-			sum += s0 + s1
-			if sum > thr {
-				continue vecLoop
-			}
-		}
-		if i < dim {
-			sum += tailSqDist(p[i:], row[i:], w[i:])
-			if sum > thr {
-				continue vecLoop
-			}
-		}
-		if sum < best || bi < 0 {
-			best, bi = sum, vi
-		}
-	}
-	return best, bi
+	return sum
 }
 
 // MinWeightedSqDistRows returns the minimum, over the row-major instance
@@ -290,21 +169,16 @@ func MinWeightedSqDistRows(p, w, rows []float64, cutoff float64, prune bool) flo
 		// the scalar loop's bits.
 		return minRowsAVX2(&p[0], &w[0], &rows[0], dim, len(rows)/dim, cutoff, prune)
 	}
+	best := math.Inf(1)
 	if !prune {
-		// With pruning off every row must be evaluated in full; an infinite
-		// cutoff makes min(best, cutoff) infinite too, so no row abandons.
-		cutoff = math.Inf(1)
-		best := math.Inf(1)
+		// With pruning off every row is evaluated in full.
 		for r0 := 0; r0 < len(rows); r0 += dim {
-			row := rows[r0 : r0+dim : r0+dim]
-			sum, _ := weightedSqDistPartial(p, row, w, cutoff)
-			if sum < best {
+			if sum := weightedSqDistScalar(p, rows[r0:r0+dim:r0+dim], w); sum < best {
 				best = sum
 			}
 		}
 		return best
 	}
-	best := math.Inf(1)
 rowLoop:
 	for r0 := 0; r0 < len(rows); r0 += dim {
 		row := rows[r0 : r0+dim : r0+dim]
@@ -315,18 +189,10 @@ rowLoop:
 		var sum float64
 		i := 0
 		for ; i+KernelBlock <= dim; i += KernelBlock {
-			// Exact copy of the canonical block body in
-			// weightedSqDistPartial — keep in lockstep.
 			vb := (*[KernelBlock]float64)(p[i:])
 			ub := (*[KernelBlock]float64)(row[i:])
 			wb := (*[KernelBlock]float64)(w[i:])
-			d0 := vb[0] - ub[0]
-			d1 := vb[1] - ub[1]
-			d2 := vb[2] - ub[2]
-			d3 := vb[3] - ub[3]
-			s0 := wb[0]*d0*d0 + wb[2]*d2*d2
-			s1 := wb[1]*d1*d1 + wb[3]*d3*d3
-			sum += s0 + s1
+			sum += sqBlock(vb[0]-ub[0], vb[1]-ub[1], vb[2]-ub[2], vb[3]-ub[3], wb[0], wb[1], wb[2], wb[3])
 			if sum > thr {
 				continue rowLoop
 			}

@@ -6,8 +6,9 @@
 // bit-identical results, so the shape of the code is dictated by the
 // scalar loops, not by what would be fastest in isolation:
 //
-//   - one 4-dimension block per iteration (KernelBlock), threshold check
-//     after every block: d = v − u (VSUBPD), then the products as
+//   - one 4-dimension block per iteration (KernelBlock), with a threshold
+//     check after every block in the loops that abandon (the row scan and
+//     the box screen): d = v − u (VSUBPD), then the products as
 //     (w*d)*d — two separate VMULPDs in that association; FMA would fuse
 //     the multiply-add with a single rounding and change the bits, so no
 //     VFMADD anywhere;
@@ -16,8 +17,8 @@
 //     gives [l0+l2, l1+l3] = [s0, s1]), then s0+s1, then sum += that —
 //     the exact adds, in the exact order, of the scalar body;
 //   - the trailing dim%4 dimensions accumulate sequentially into their
-//     own register (X3), added to the sum once, then one threshold
-//     check — mirroring tailSqDist;
+//     own register (X3), added to the sum once (then one threshold
+//     check, where the loop has one) — mirroring tailSqDist;
 //   - comparisons use VUCOMISD with the branch arranged so the condition
 //     is an "above"-style test taken only on an ordered compare: Go's
 //     `sum > thr` is false for NaN, and JA after UCOMISD is likewise not
@@ -32,22 +33,20 @@
 
 #include "textflag.h"
 
-// func wsqResumeAVX2(v, u, w *float64, n, start int, sum, thr float64) (out float64, abandoned bool)
+// func wsqAVX2(v, u, w *float64, n int) float64
 //
-// Single-vector loop: weightedSqDistResume. Caller guarantees
-// 0 <= start < n, start a multiple of KernelBlock, and n-length buffers.
-TEXT ·wsqResumeAVX2(SB), NOSPLIT, $0-65
+// Single-vector loop: weightedSqDistScalar, no threshold. Caller
+// guarantees n >= 1 and n-length buffers.
+TEXT ·wsqAVX2(SB), NOSPLIT, $0-40
 	MOVQ v+0(FP), SI
 	MOVQ u+8(FP), DX
 	MOVQ w+16(FP), DI
 	MOVQ n+24(FP), CX
-	MOVQ start+32(FP), BX
-	VMOVSD sum+40(FP), X8
-	VMOVSD thr+48(FP), X9
-	SHLQ $3, CX  // total bytes
-	SHLQ $3, BX  // cursor: start*8
+	VXORPD X8, X8, X8 // sum = 0
+	XORQ BX, BX       // cursor
+	SHLQ $3, CX       // total bytes
 	MOVQ CX, R14
-	ANDQ $-32, R14 // tail start: (n &^ 3) * 8
+	ANDQ $-32, R14    // tail start: (n &^ 3) * 8
 
 blockLoop:
 	CMPQ BX, R14
@@ -64,8 +63,6 @@ blockLoop:
 	VADDSD  X1, X0, X0     // s0 + s1
 	VADDSD  X0, X8, X8     // sum += s0 + s1
 	ADDQ    $32, BX
-	VUCOMISD X9, X8        // sum > thr? (unordered: not taken)
-	JA      abandon
 	JMP     blockLoop
 
 tailStart:
@@ -84,19 +81,10 @@ tailLoop:
 	ADDQ   $8, BX
 	CMPQ   BX, CX
 	JL     tailLoop
-	VADDSD X3, X8, X8 // sum += s, then one check
-	VUCOMISD X9, X8
-	JA     abandon
+	VADDSD X3, X8, X8 // sum += s
 
 done:
-	VMOVSD X8, out+56(FP)
-	MOVB   $0, abandoned+64(FP)
-	VZEROUPPER
-	RET
-
-abandon:
-	VMOVSD X8, out+56(FP)
-	MOVB   $1, abandoned+64(FP)
+	VMOVSD X8, ret+32(FP)
 	VZEROUPPER
 	RET
 

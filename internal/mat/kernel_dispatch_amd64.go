@@ -74,17 +74,18 @@ func xgetbv0() (eax, edx uint32)
 // The assembly kernel loops (kernel_amd64.s, grad_amd64.s). Each is the
 // exact instruction-level transcription of its scalar oracle — same block
 // boundaries, same (s0,s1) strided fold, separate vmulpd/vaddpd with no
-// FMA contraction, threshold compared after every block with the same
-// NaN-false semantics — so results are bit-identical (see the package
-// comment in kernel.go for the one NaN-payload caveat). Callers guarantee
-// in-bounds, equal-length inputs; the pointers are to the first elements.
+// FMA contraction, threshold (where the loop has one) compared after every
+// block with the same NaN-false semantics — so results are bit-identical
+// (see the package comment in kernel.go for the one NaN-payload caveat).
+// Callers guarantee in-bounds, equal-length inputs; the pointers are to the
+// first elements.
 
-// wsqResumeAVX2 is weightedSqDistResume: the single-vector blocked loop
-// from dimension offset start with the partial sum accumulated so far.
-// Requires 0 ≤ start < n.
+// wsqAVX2 is weightedSqDistScalar: the full blocked distance between two
+// n-vectors, with no threshold — only the row scan and the box screen
+// abandon. Requires n ≥ 1.
 //
 //go:noescape
-func wsqResumeAVX2(v, u, w *float64, n, start int, sum, thr float64) (out float64, abandoned bool)
+func wsqAVX2(v, u, w *float64, n int) float64
 
 // minRowsAVX2 is the MinWeightedSqDistRows row loop: the minimum blocked
 // distance from p to any of nRows rows, abandoning each row against

@@ -45,7 +45,7 @@ func FuzzKernelSIMDvsScalar(f *testing.F) {
 			blocks := dim / KernelBlock
 			if blocks > 0 {
 				cut := ((int(nRaw) % blocks) + 1) * KernelBlock
-				thr, _ = weightedSqDistResume(p[:cut], vecs[0][:cut], w[:cut], 0, 0, math.Inf(1))
+				thr = weightedSqDistScalar(p[:cut], vecs[0][:cut], w[:cut])
 			}
 		}
 		compareAllEntryPoints(t, p, w, vecs, thr, cutoff, prune)

@@ -17,7 +17,7 @@ const haveFMA = false
 // loudly instead of silently falling back, which would hide a dispatch
 // invariant violation.
 
-func wsqResumeAVX2(v, u, w *float64, n, start int, sum, thr float64) (float64, bool) {
+func wsqAVX2(v, u, w *float64, n int) float64 {
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
 

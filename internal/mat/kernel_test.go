@@ -68,43 +68,44 @@ func TestWeightedSqDistIsBlockedKernel(t *testing.T) {
 }
 
 // TestPartialExactness: for non-negative weights and any threshold, the
-// partial kernel either returns the full kernel's bits (not abandoned) or a
-// partial sum that strictly exceeds the threshold while the true distance
-// does too (abandoned).
+// one-row scan at cutoff thr either returns the full kernel's bits (the row
+// survived) or +Inf while the true distance strictly exceeds the threshold
+// (the row abandoned), on the scalar loop and on every SIMD tier the host
+// has. thr == full must survive: pruning is strict.
 func TestPartialExactness(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(70)
-		v, u, w := randTriple(r, n, false)
-		full := WeightedSqDistBlocked(v, u, w)
-		// Thresholds spanning never-abandon, always-abandon and the
-		// interesting middle, including thr == full (strictness check).
-		thrs := []float64{math.Inf(1), full, full * 0.99, full * 0.5, full * 0.1, 0}
-		for _, thr := range thrs {
-			sum, abandoned := kernResume(v, u, w, 0, 0, thr)
-			if abandoned {
-				if !(sum > thr) {
-					t.Logf("abandoned with sum %v ≤ thr %v", sum, thr)
+	tiers, _ := simdTiers()
+	for _, tier := range append([]string{"scalar"}, tiers...) {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			n := 1 + r.Intn(70)
+			v, u, w := randTriple(r, n, false)
+			full := WeightedSqDistBlocked(v, u, w)
+			// Thresholds spanning never-abandon, always-abandon and the
+			// interesting middle, including thr == full (strictness check).
+			thrs := []float64{math.Inf(1), full, full * 0.99, full * 0.5, full * 0.1, 0}
+			for _, thr := range thrs {
+				got := MinWeightedSqDistRows(v, w, u, thr, true)
+				if math.IsInf(got, 1) {
+					if !(full > thr) {
+						t.Logf("%s: abandoned but full %v ≤ thr %v", tier, full, thr)
+						return false
+					}
+				} else if got != full {
+					t.Logf("%s: not abandoned but sum %v != full %v (thr %v)", tier, got, full, thr)
 					return false
 				}
-				if !(full > thr) {
-					t.Logf("abandoned but full %v ≤ thr %v", full, thr)
-					return false
-				}
-			} else if sum != full {
-				t.Logf("not abandoned but sum %v != full %v (thr %v)", sum, full, thr)
+			}
+			if got := MinWeightedSqDistRows(v, w, u, full, true); got != full {
+				t.Logf("%s: abandoned at thr == full", tier)
 				return false
 			}
+			return true
 		}
-		// thr == full must never abandon: pruning is strict.
-		if _, abandoned := kernResume(v, u, w, 0, 0, full); abandoned {
-			t.Log("abandoned at thr == full")
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+		withTier(tier, func() {
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -212,10 +213,6 @@ func TestKernelEmptyAndZero(t *testing.T) {
 	if got := WeightedSqDistBlocked(nil, nil, nil); got != 0 {
 		t.Fatalf("empty kernel = %v", got)
 	}
-	sum, abandoned := kernResume(nil, nil, nil, 0, 0, -1)
-	if sum != 0 || abandoned {
-		t.Fatalf("empty partial = %v, %v", sum, abandoned)
-	}
 }
 
 func BenchmarkWeightedSqDist100(b *testing.B) {
@@ -227,100 +224,4 @@ func BenchmarkWeightedSqDist100(b *testing.B) {
 		sink += WeightedSqDistBlocked(v, u, w)
 	}
 	_ = sink
-}
-
-// TestMinVecsMatchesMinRows: the vector-of-slices loop (the naive per-bag
-// fallback) must carry the exact accumulation order and pruning decisions of
-// the flat row loop — same bits for the minimum, for prunable and
-// non-prunable weights, with and without cutoffs — and its argmin must keep
-// the earliest index on exact ties.
-func TestMinVecsMatchesMinRows(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		dim := 1 + r.Intn(40)
-		nRows := r.Intn(6)
-		rows := make([]float64, nRows*dim)
-		for i := range rows {
-			rows[i] = r.NormFloat64()
-		}
-		if nRows >= 2 && r.Intn(2) == 0 {
-			copy(rows[(nRows-1)*dim:], rows[:dim]) // force an exact distance tie
-		}
-		vecs := make([]Vector, nRows)
-		for i := range vecs {
-			vecs[i] = Vector(rows[i*dim : (i+1)*dim])
-		}
-		negWeights := r.Intn(3) == 0
-		p, _, w := randTriple(r, dim, negWeights)
-		prune := Vector(w).AllNonNegative()
-
-		for _, pr := range []bool{false, prune} {
-			want := MinWeightedSqDistRows(p, w, rows, math.Inf(1), pr)
-			got, gotIdx := MinWeightedSqDistVecs(p, w, vecs, math.Inf(1), pr)
-			if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-				t.Logf("prune=%v: vecs min %v != rows min %v", pr, got, want)
-				return false
-			}
-			// Argmin: earliest index achieving the exact minimum.
-			wantIdx := -1
-			for i := 0; i < nRows; i++ {
-				if WeightedSqDistBlocked(p, rows[i*dim:(i+1)*dim], w) == want {
-					wantIdx = i
-					break
-				}
-			}
-			if gotIdx != wantIdx {
-				t.Logf("prune=%v: argmin %d != %d", pr, gotIdx, wantIdx)
-				return false
-			}
-		}
-		if !prune || nRows == 0 {
-			return true
-		}
-		want := MinWeightedSqDistRows(p, w, rows, math.Inf(1), true)
-		for _, cutoff := range []float64{want, want * 1.5, want * 0.5, 0} {
-			got, _ := MinWeightedSqDistVecs(p, w, vecs, cutoff, true)
-			if want <= cutoff {
-				if got != want {
-					t.Logf("cutoff %v: got %v want %v", cutoff, got, want)
-					return false
-				}
-			} else if !(got > cutoff) {
-				t.Logf("cutoff %v: got %v not above cutoff (true %v)", cutoff, got, want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinVecsEdgeCases(t *testing.T) {
-	if got, idx := MinWeightedSqDistVecs([]float64{1}, []float64{1}, nil, 0, true); !math.IsInf(got, 1) || idx != -1 {
-		t.Fatalf("no vecs = (%v, %d), want (+Inf, -1)", got, idx)
-	}
-	// Zero allocations: the whole bag is scored in place.
-	p := []float64{1, 2, 3, 4, 5}
-	w := []float64{1, 1, 1, 1, 1}
-	vecs := []Vector{{0, 0, 0, 0, 0}, {1, 2, 3, 4, 5}}
-	if allocs := testing.AllocsPerRun(100, func() {
-		MinWeightedSqDistVecs(p, w, vecs, math.Inf(1), true)
-	}); allocs != 0 {
-		t.Fatalf("MinWeightedSqDistVecs allocates %.0f per call", allocs)
-	}
-	for _, fn := range []func(){
-		func() { MinWeightedSqDistVecs([]float64{1}, []float64{1, 2}, nil, 0, true) },
-		func() { MinWeightedSqDistVecs([]float64{1, 2}, []float64{1, 2}, []Vector{{1}}, 0, true) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("invalid vecs geometry did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
 }

@@ -185,14 +185,27 @@ func BoxBoundExceeds(p, w []float64, box []float32, thr float64) bool {
 		// fuzz target drive both against each other.
 		return boxBoundExceedsAVX2(&p[0], &w[0], &box[0], len(p), thr)
 	}
-	return boxBoundExceedsScalar(p, w, box, thr)
+	return boxBoundScalar(p, w, box, thr) > thr
 }
 
-// boxBoundExceedsScalar is the canonical scalar loop behind BoxBoundExceeds
-// — the oracle the AVX2 screen is verified against.
+// BoxBound returns the full weighted squared box distance: the screen loop
+// at thr = +Inf, so the value BoxBoundExceeds accumulates, without early
+// abandonment. The calibration
+// pass uses it to measure bound/exact ratios; admission decisions go
+// through BoxBoundExceeds.
 //
 // milret:kernel
-func boxBoundExceedsScalar(p, w []float64, box []float32, thr float64) bool {
+func BoxBound(p, w []float64, box []float32) float64 {
+	return boxBoundScalar(p, w, box, math.Inf(1))
+}
+
+// boxBoundScalar is the canonical scalar screen loop — the oracle the AVX2
+// screen is verified against. It returns the running sum at the first
+// block (or the tail) after which it strictly exceeds thr, and the full
+// box distance if it never does; at thr = +Inf nothing abandons.
+//
+// milret:kernel
+func boxBoundScalar(p, w []float64, box []float32, thr float64) float64 {
 	dim := len(p)
 	n := dim - dim%KernelBlock
 	sum := 0.0
@@ -202,11 +215,9 @@ func boxBoundExceedsScalar(p, w []float64, box []float32, thr float64) bool {
 		e1 := boxExcess(p[i+1], b[2], b[3])
 		e2 := boxExcess(p[i+2], b[4], b[5])
 		e3 := boxExcess(p[i+3], b[6], b[7])
-		s0 := w[i]*e0*e0 + w[i+2]*e2*e2
-		s1 := w[i+1]*e1*e1 + w[i+3]*e3*e3
-		sum += s0 + s1
+		sum += sqBlock(e0, e1, e2, e3, w[i], w[i+1], w[i+2], w[i+3])
 		if sum > thr {
-			return true
+			return sum
 		}
 	}
 	if n < dim {
@@ -217,39 +228,7 @@ func boxBoundExceedsScalar(p, w []float64, box []float32, thr float64) bool {
 		var t float64
 		for i := n; i < dim; i++ {
 			e := boxExcess(p[i], box[BoxStride*i], box[BoxStride*i+1])
-			t += w[i] * e * e
-		}
-		sum += t
-	}
-	return sum > thr
-}
-
-// BoxBound returns the full weighted squared box distance — the same value
-// BoxBoundExceeds accumulates, without early abandonment. The calibration
-// pass uses it to measure bound/exact ratios; admission decisions go
-// through BoxBoundExceeds.
-//
-// milret:kernel
-func BoxBound(p, w []float64, box []float32) float64 {
-	dim := len(p)
-	n := dim - dim%KernelBlock
-	sum := 0.0
-	for i := 0; i < n; i += KernelBlock {
-		b := box[BoxStride*i:]
-		e0 := boxExcess(p[i], b[0], b[1])
-		e1 := boxExcess(p[i+1], b[2], b[3])
-		e2 := boxExcess(p[i+2], b[4], b[5])
-		e3 := boxExcess(p[i+3], b[6], b[7])
-		s0 := w[i]*e0*e0 + w[i+2]*e2*e2
-		s1 := w[i+1]*e1*e1 + w[i+3]*e3*e3
-		sum += s0 + s1
-	}
-	if n < dim {
-		// Same tail association as BoxBoundExceeds and tailSqDist.
-		var t float64
-		for i := n; i < dim; i++ {
-			e := boxExcess(p[i], box[BoxStride*i], box[BoxStride*i+1])
-			t += w[i] * e * e
+			t += float64(w[i] * e * e)
 		}
 		sum += t
 	}

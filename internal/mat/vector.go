@@ -64,7 +64,7 @@ func (v Vector) Variance() float64 {
 	var s float64
 	for _, x := range v {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(v))
 }
@@ -79,7 +79,7 @@ func (v Vector) Dot(u Vector) float64 {
 	mustSameLen(len(v), len(u))
 	var s float64
 	for i, x := range v {
-		s += x * u[i]
+		s += float64(x * u[i])
 	}
 	return s
 }
@@ -88,7 +88,7 @@ func (v Vector) Dot(u Vector) float64 {
 func (v Vector) AddScaled(a float64, u Vector) Vector {
 	mustSameLen(len(v), len(u))
 	for i := range v {
-		v[i] += a * u[i]
+		v[i] += float64(a * u[i])
 	}
 	return v
 }
@@ -166,18 +166,6 @@ func (v Vector) Standardize() Vector {
 // milret:kernel
 func WeightedSqDist(v, u, w Vector) float64 {
 	return WeightedSqDistBlocked(v, u, w)
-}
-
-// AllNonNegative reports whether every element of v is ≥ 0 — the
-// precondition for exact early abandonment in the blocked distance kernel
-// (partial sums of non-negative terms are monotone).
-func (v Vector) AllNonNegative() bool {
-	for _, x := range v {
-		if x < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // IsFinite reports whether every element of v is finite (no NaN or ±Inf).
