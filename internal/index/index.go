@@ -1,9 +1,16 @@
 // Package index is the flat columnar scoring engine behind the retrieval
 // scan. Instead of chasing a pointer per bag and a pointer per instance
 // ([]mat.Vector of separately allocated slices), every instance of every bag
-// lives in one contiguous row-major []float64 block, with parallel
-// bagOffsets/ids/labels slices mapping bags onto row ranges. A query scan is
-// then a single linear walk over cache-resident memory.
+// lives in a row-major []float64 block, with parallel bagOffsets/ids/labels
+// slices mapping bags onto row ranges. A query scan is then a linear walk
+// over contiguous memory.
+//
+// The rows live in at most two segments. The base is the block FromFlat
+// adopted (a zero-copy open's mapped rows, or a compaction's pre-sized
+// block); it is never written or grown. Every Append goes to a heap tail
+// that follows it, so the first write after an open copies the one bag it
+// writes, not the block. A bag never straddles the two: bagDist picks its
+// segment with one compare.
 //
 // Three optimizations are fused into the top-k scan itself:
 //
@@ -50,11 +57,15 @@ import (
 	"milret/internal/workloop"
 )
 
-// Index packs all bag instances into one flat block.
+// Index packs all bag instances into a base block and a heap tail.
 type Index struct {
 	dim int
-	// data holds all instances row-major: instance r occupies
-	// data[r*dim : (r+1)*dim].
+	// base is the adopted block, rows [0, baseRows): instance r occupies
+	// base[r*dim : (r+1)*dim]. Nothing writes to it or grows it.
+	base     []float64
+	baseRows int
+	// data is the heap tail every Append writes, rows from baseRows on:
+	// instance r ≥ baseRows occupies data[(r-baseRows)*dim : (r-baseRows+1)*dim].
 	data []float64
 	// bagOffsets has one entry per bag plus a sentinel: bag i's instances
 	// are rows bagOffsets[i] up to bagOffsets[i+1].
@@ -111,9 +122,11 @@ func New() *Index {
 	return &Index{bagOffsets: []int{0}}
 }
 
-// Append adds one bag's instances to the flat block. The first append fixes
-// the dimensionality; the caller is responsible for ID uniqueness and for
-// serializing Append against Snapshot (retrieval.Database holds the lock).
+// Append adds one bag's instances to the heap tail; the adopted base block
+// is never touched, so an index opened zero-copy copies only the bags
+// written after the open. The first append fixes the dimensionality; the
+// caller is responsible for ID uniqueness and for serializing Append against
+// Snapshot (retrieval.Database holds the lock).
 func (x *Index) Append(id, label string, instances []mat.Vector) error {
 	if len(instances) == 0 {
 		return fmt.Errorf("index: bag %q has no instances", id)
@@ -142,7 +155,7 @@ func (x *Index) Append(id, label string, instances []mat.Vector) error {
 	bi := len(x.ids)
 	bd := boxDims(dim)
 	x.boxes = append(x.boxes, make([]float32, mat.BoxStride*bd)...)
-	mat.PackBagSketch(dim, x.data[rowStart*dim:], x.boxes[bi*mat.BoxStride*bd:(bi+1)*mat.BoxStride*bd])
+	mat.PackBagSketch(dim, x.data[(rowStart-x.baseRows)*dim:], x.boxes[bi*mat.BoxStride*bd:(bi+1)*mat.BoxStride*bd])
 	x.bagOffsets = append(x.bagOffsets, x.bagOffsets[len(x.bagOffsets)-1]+len(instances))
 	x.ids = append(x.ids, id)
 	x.labels = append(x.labels, label)
@@ -155,9 +168,9 @@ func (x *Index) Append(id, label string, instances []mat.Vector) error {
 // counts, and the index is ready to scan after no decode, no copy and one
 // sequential pass over the values that builds the per-bag sketches
 // (packSketches). The block must hold exactly sum(counts) rows of dim
-// floats; every count must be positive. Later Appends never mutate the
-// adopted block: growing the data slice reallocates (its capacity is
-// clamped to its length).
+// floats; every count must be positive. The block becomes the index's base
+// segment: nothing writes to it or grows it, and later Appends go to a
+// separate heap tail.
 func FromFlat(dim int, data []float64, counts []int, ids, labels []string) (*Index, error) {
 	if len(counts) != len(ids) || len(counts) != len(labels) {
 		return nil, fmt.Errorf("index: %d counts, %d ids, %d labels", len(counts), len(ids), len(labels))
@@ -180,7 +193,8 @@ func FromFlat(dim int, data []float64, counts []int, ids, labels []string) (*Ind
 		bagOffsets: offsets,
 		ids:        append([]string(nil), ids...),
 		labels:     append([]string(nil), labels...),
-		data:       data[:len(data):len(data)],
+		base:       data[:len(data):len(data)],
+		baseRows:   offsets[len(counts)],
 	}
 	if len(counts) > 0 {
 		x.dim = dim
@@ -274,9 +288,10 @@ func (x *Index) Dead() int { return x.nDead }
 func (x *Index) DeadInstances() int { return x.deadRows }
 
 // Snapshot returns a scan view of the current contents. The view stays
-// valid and immutable while the owner keeps appending: appends grow the
-// slices past the snapshot's lengths (or reallocate) but never rewrite the
-// elements a snapshot can see. The tombstone mask is copied (it is the one
+// valid and immutable while the owner keeps appending: the base block is
+// never written, and appends grow the tail and the other slices past the
+// snapshot's lengths (or reallocate) but never rewrite the elements a
+// snapshot can see. The tombstone mask is copied (it is the one
 // piece of state Delete mutates in place), so later deletes never affect an
 // already-taken snapshot.
 func (x *Index) Snapshot() Snapshot {
@@ -293,6 +308,8 @@ func (x *Index) Snapshot() Snapshot {
 	}
 	return Snapshot{
 		dim:        x.dim,
+		base:       x.base,
+		baseRows:   x.baseRows,
 		data:       x.data[:len(x.data):len(x.data)],
 		boxes:      boxes,
 		bagOffsets: x.bagOffsets[:len(x.ids)+1],
@@ -302,8 +319,8 @@ func (x *Index) Snapshot() Snapshot {
 	}
 }
 
-// Bytes returns the size of the flat data block in bytes.
-func (x *Index) Bytes() int64 { return int64(len(x.data)) * 8 }
+// Bytes returns the size of the instance rows in bytes, base and tail.
+func (x *Index) Bytes() int64 { return int64(len(x.base)+len(x.data)) * 8 }
 
 // Instances returns the total instance count.
 func (x *Index) Instances() int { return x.bagOffsets[len(x.bagOffsets)-1] }
@@ -311,7 +328,9 @@ func (x *Index) Instances() int { return x.bagOffsets[len(x.bagOffsets)-1] }
 // Snapshot is an immutable scan view of an Index.
 type Snapshot struct {
 	dim        int
-	data       []float64
+	base       []float64 // see Index.base
+	baseRows   int
+	data       []float64 // see Index.data
 	boxes      []float32 // per-bag bounding boxes; see Index.boxes
 	bagOffsets []int
 	ids        []string
@@ -396,10 +415,14 @@ func sortResults(rs []Result) {
 // strict-> pruning can never drop an instance whose full distance ties or
 // beats the threshold). When the true distance exceeds cutoff, the returned
 // value may overshoot but is still > cutoff, so a top-k scan discards the
-// bag either way.
-func (s Snapshot) bagDist(q Query, bi int, cutoff float64, prune bool) float64 {
+// bag either way. Pointer receiver for the same reason as skip.
+func (s *Snapshot) bagDist(q Query, bi int, cutoff float64, prune bool) float64 {
 	lo, hi := s.bagOffsets[bi], s.bagOffsets[bi+1]
-	return mat.MinWeightedSqDistRows(q.Point, q.Weights, s.data[lo*s.dim:hi*s.dim], cutoff, prune)
+	rows := s.base
+	if lo >= s.baseRows {
+		rows, lo, hi = s.data, lo-s.baseRows, hi-s.baseRows
+	}
+	return mat.MinWeightedSqDistRows(q.Point, q.Weights, rows[lo*s.dim:hi*s.dim], cutoff, prune)
 }
 
 // normalizeEmpty canonicalizes "no results" to an empty non-nil slice: an

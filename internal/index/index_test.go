@@ -306,7 +306,7 @@ func TestFromFlatMatchesAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &adopted.data[0] != &data[0] {
+	if &adopted.base[0] != &data[0] {
 		t.Fatal("FromFlat copied the block instead of adopting it")
 	}
 	q := randQuery(r, dim)
@@ -319,8 +319,14 @@ func TestFromFlatMatchesAppend(t *testing.T) {
 	if err := adopted.Append("zzz-new", "l", extra); err != nil {
 		t.Fatal(err)
 	}
-	if len(adopted.ids) != len(x.ids)+1 || &data[0] == &adopted.data[0] && cap(adopted.data) == len(data) {
+	if len(adopted.ids) != len(x.ids)+1 {
 		t.Fatalf("append after adoption: len %d", len(adopted.ids))
+	}
+	if &adopted.base[0] != &data[0] || len(adopted.base) != len(data) {
+		t.Fatal("append after adoption moved or grew the adopted block")
+	}
+	if !reflect.DeepEqual(adopted.data, []float64(extra[0])) {
+		t.Fatalf("tail holds %v, want exactly the appended rows %v", adopted.data, extra[0])
 	}
 	got := Sharded{adopted.Snapshot()}.Rank(q, nil, 2)
 	if len(got) != len(x.ids)+1 {

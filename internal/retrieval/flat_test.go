@@ -1,0 +1,106 @@
+package retrieval
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"milret/internal/mat"
+	"milret/internal/mil"
+)
+
+// flatShards lays out nShards flat shards of bags bags × per instances ×
+// dim, each item's bag viewing its rows of the block, with IDs chosen so
+// each hashes to the shard that carries it. Every shard adopts the same
+// block: nothing writes to an adopted block, so they may share it, and the
+// fixture costs one block of memory however many shards it has.
+func flatShards(nShards, bags, per, dim int) []FlatShard {
+	data := make([]float64, bags*per*dim)
+	for i := range data {
+		data[i] = float64(i%997) / 997
+	}
+	flats := make([]FlatShard, nShards)
+	for i := range flats {
+		flats[i] = FlatShard{Items: make([]Item, 0, bags), Data: data}
+	}
+	for n, filled := 0, 0; filled < nShards*bags; n++ {
+		id := fmt.Sprintf("img-%06d", n)
+		fs := &flats[ShardIndexFor(id, nShards)]
+		b := len(fs.Items)
+		if b == bags {
+			continue
+		}
+		insts := make([]mat.Vector, per)
+		for j := range insts {
+			row := (b*per + j) * dim
+			insts[j] = mat.Vector(data[row : row+dim : row+dim])
+		}
+		fs.Items = append(fs.Items, Item{ID: id, Label: "l", Bag: &mil.Bag{ID: id, Instances: insts}})
+		filled++
+	}
+	return flats
+}
+
+// freshBag returns a bag of per new dim-dimensional instances.
+func freshBag(id string, per, dim int) *mil.Bag {
+	insts := make([]mat.Vector, per)
+	for j := range insts {
+		insts[j] = make(mat.Vector, dim)
+		for k := range insts[j] {
+			insts[j][k] = float64(j+k) / 10
+		}
+	}
+	return &mil.Bag{ID: id, Instances: insts}
+}
+
+// TestUpdateAfterFlatOpenCopiesNoBlock: the first Update of a shard opened
+// from a flat block writes the new bag to a heap tail, so it allocates a
+// small fraction of the shard's row bytes instead of copying the block.
+func TestUpdateAfterFlatOpenCopiesNoBlock(t *testing.T) {
+	const shards, bags, per, dim = 4, 5000, 10, 100
+	flats := flatShards(shards, bags, per, dim)
+	db, err := NewDatabaseFromFlats(flats, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := flats[1].Items[bags/2].ID
+	upd := Item{ID: id, Label: "updated", Bag: freshBag(id, per, dim)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := db.Update(upd); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	rowBytes := uint64(bags * per * dim * 8)
+	t.Logf("one Update allocated %d bytes, %.1f%% of the shard's %d row bytes",
+		grew, 100*float64(grew)/float64(rowBytes), rowBytes)
+	if grew*10 >= rowBytes {
+		t.Fatalf("one Update allocated %d bytes, ≥ 10%% of the shard's %d row bytes", grew, rowBytes)
+	}
+	if got, ok := db.ByID(id); !ok || got.Label != "updated" {
+		t.Fatalf("updated item = %+v, %v", got, ok)
+	}
+}
+
+// BenchmarkCompact rebuilds one 5,000-bag shard of 10 instances × 100
+// dimensions, adopted from a flat block, after 1,000 of its bags were
+// deleted.
+func BenchmarkCompact(b *testing.B) {
+	const bags, per, dim = 5000, 10, 100
+	flats := flatShards(1, bags, per, dim)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db, err := NewDatabaseFromFlats(flats, dim)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < 1000; j++ {
+			if err := db.Delete(flats[0].Items[j*bags/1000].ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		db.Compact()
+	}
+}

@@ -184,17 +184,20 @@ type FlatShard struct {
 // — the zero-copy open path. items[i].Bag's instances must be, in order,
 // views into data (the store's flat loader guarantees this); construction
 // validates O(items) metadata, decodes and copies no float, and reads the
-// block once, in the index's sequential sketch pass. Later Adds
-// behave exactly as on an incrementally built database.
+// block once, in the index's sketch pass. Nothing writes to the block: later
+// Adds and Updates append to a heap tail beside it, so a write after the
+// open copies the bag it writes, not the block, and scans rank exactly as on
+// an incrementally built database. A compaction replaces the block with one
+// pre-sized heap block of the live rows.
 func NewDatabaseFromFlat(items []Item, dim int, data []float64) (*Database, error) {
 	return NewDatabaseFromFlats([]FlatShard{{Items: items, Data: data}}, dim)
 }
 
 // NewDatabaseFromFlats constructs a database with one shard per entry, each
-// shard adopting its own flat block zero-copy (see NewDatabaseFromFlat).
-// Every item must hash to the shard that carries it — the placement
-// invariant Save preserves when it writes one snapshot per shard — so that
-// lookups and mutation routing find it again.
+// shard adopting its own flat block zero-copy and appending to its own heap
+// tail (see NewDatabaseFromFlat). Every item must hash to the shard that
+// carries it — the placement invariant Save preserves when it writes one
+// snapshot per shard — so that lookups and mutation routing find it again.
 //
 // milret:unguarded construction: the shards are not visible to any other
 // goroutine until this returns.
@@ -386,26 +389,45 @@ func (sh *shard) maybeCompactLocked() {
 	sh.compactLocked()
 }
 
+// compactLocked rebuilds the shard's index from its live items: it counts
+// their rows, copies them once into one block of exactly that size and hands
+// the block to index.FromFlat, whose sketch pass runs over every CPU.
 func (sh *shard) compactLocked() {
 	if sh.idx.Dead() == 0 {
 		return
 	}
-	idx := index.New()
-	items := make([]Item, 0, sh.idx.Live())
-	seqs := make([]uint64, 0, sh.idx.Live())
-	byID := make(map[string]int, sh.idx.Live())
+	live := sh.idx.Live()
+	items := make([]Item, 0, live)
+	seqs := make([]uint64, 0, live)
+	byID := make(map[string]int, live)
+	counts := make([]int, 0, live)
+	ids := make([]string, 0, live)
+	labels := make([]string, 0, live)
+	rows, dim := 0, 0
 	for i, it := range sh.items {
 		if sh.idx.IsDead(i) {
 			continue
 		}
-		if err := idx.Append(it.ID, it.Label, it.Bag.Instances); err != nil {
-			// Every live item was validated on its way in; a failure here is
-			// a programming error, not a recoverable condition.
-			panic(fmt.Sprintf("retrieval: compact re-append of %q: %v", it.ID, err))
-		}
 		byID[it.ID] = len(items)
 		items = append(items, it)
 		seqs = append(seqs, sh.seqs[i])
+		counts = append(counts, len(it.Bag.Instances))
+		ids = append(ids, it.ID)
+		labels = append(labels, it.Label)
+		rows += len(it.Bag.Instances)
+		dim = it.Bag.Dim()
+	}
+	data := make([]float64, 0, rows*dim)
+	for _, it := range items {
+		for _, inst := range it.Bag.Instances {
+			data = append(data, inst...)
+		}
+	}
+	idx, err := index.FromFlat(dim, data, counts, ids, labels)
+	if err != nil {
+		// Every live item was validated on its way in; a failure here is a
+		// programming error, not a recoverable condition.
+		panic(fmt.Sprintf("retrieval: compact rebuild: %v", err))
 	}
 	sh.items = items
 	sh.seqs = seqs
