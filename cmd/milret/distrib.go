@@ -28,9 +28,8 @@ func cmdShardServe(args []string) error {
 	fs.Parse(args)
 
 	fmt.Printf("distance kernel: %s\n", mat.Kernel())
-	// No concept cache and the exact tier: a coordinator trains on its own
-	// cache and every RPC carries its own recall. The JSON surface below is
-	// for curl /v1/healthz and /v1/stats.
+	// No concept cache: a coordinator trains on its own cache. The JSON
+	// surface below is for curl /v1/healthz and /v1/stats.
 	db, err := milret.LoadDatabase(*dbPath, milret.Options{VerifyOnLoad: !*fastLoad})
 	if err != nil {
 		return err

@@ -70,30 +70,20 @@ type ltPhase struct {
 	Classes map[string]*ltLatency `json:"classes"`
 }
 
-// ltPrune is the candidate-filter block of the report: the server's
-// cumulative screen counters after the steady phase, plus the achieved
-// recall measured by replaying each query fingerprint pruned and exact and
-// comparing the top-k sets (only measurable against a filtered scan).
-type ltPrune struct {
-	milret.PruneStats
-	AchievedRecall float64 `json:"achieved_recall,omitempty"`
-}
-
 // ltReport is the loadtest's full output, also written as JSON via -out.
+// Prune is the server's cumulative screen counters after the steady phase.
 type ltReport struct {
-	Target      string   `json:"target"`
-	Images      int      `json:"images"`
-	Concurrency int      `json:"concurrency"`
-	RatePerSec  float64  `json:"rate_per_sec,omitempty"`
-	Recall      float64  `json:"recall,omitempty"`
-	Prune       *ltPrune `json:"prune,omitempty"`
-	Steady      *ltPhase `json:"steady"`
+	Target      string             `json:"target"`
+	Images      int                `json:"images"`
+	Concurrency int                `json:"concurrency"`
+	RatePerSec  float64            `json:"rate_per_sec,omitempty"`
+	Prune       *milret.PruneStats `json:"prune,omitempty"`
+	Steady      *ltPhase           `json:"steady"`
 }
 
 func cmdLoadtest(args []string) error {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
 	addr := fs.String("addr", "", "address of the running server (serve, or a coordinator) to drive; required")
-	recall := fs.Float64("recall", 0, "candidate-pruning tier for query scans (see serve -recall): 0 leaves the server's default, 1.0 the exact scan, (0,1) calibrated; sent per request")
 	duration := fs.Duration("duration", 10*time.Second, "steady-phase length")
 	concurrency := fs.Int("concurrency", 4, "closed-loop worker count")
 	rate := fs.Float64("rate", 0, "open-loop target ops/sec across all workers (0 = closed loop, as fast as the server allows)")
@@ -112,10 +102,7 @@ func cmdLoadtest(args []string) error {
 		mutEvery: *mutEvery, batchEvery: *batchEvery,
 		client: http.Client{Timeout: ltRequestTimeout},
 	}
-	if *recall != 0 {
-		gen.recall = recall
-	}
-	rep := &ltReport{Target: gen.base, Concurrency: *concurrency, RatePerSec: *rate, Recall: *recall}
+	rep := &ltReport{Target: gen.base, Concurrency: *concurrency, RatePerSec: *rate}
 
 	byLabel, err := gen.fetchLabeled()
 	if err != nil {
@@ -137,16 +124,10 @@ func cmdLoadtest(args []string) error {
 	printPhase("steady", rep.Steady)
 
 	if pr, ok := gen.fetchPrune(); ok {
-		rep.Prune = &ltPrune{PruneStats: pr}
+		rep.Prune = &pr
 		line := fmt.Sprintf("prune: screened %d, admitted %d, rejected %d", pr.Screened, pr.Admitted, pr.Rejected)
 		if pr.Screened > 0 {
 			line += fmt.Sprintf(" (%.1f%%)", 100*float64(pr.Rejected)/float64(pr.Screened))
-		}
-		if *recall > 0 {
-			if ar, ok := measureAchievedRecall(gen, *recall); ok {
-				rep.Prune.AchievedRecall = ar
-				line += fmt.Sprintf(", achieved recall %.4f", ar)
-			}
 		}
 		fmt.Println(line)
 	}
@@ -186,43 +167,6 @@ func (g *ltGen) fetchPrune() (pr milret.PruneStats, ok bool) {
 		return pr, false
 	}
 	return st.Prune, st.Prune != milret.PruneStats{}
-}
-
-// measureAchievedRecall replays each query fingerprint twice — once through
-// the filter at the requested recall, once at the exact tier — and
-// returns the fraction of exact top-k results the calibrated scan kept. ok is
-// false when no comparison could be made.
-func measureAchievedRecall(g *ltGen, recall float64) (float64, bool) {
-	exact := -1.0
-	total, kept := 0, 0
-	for _, sp := range g.specs {
-		req := server.QueryRequest{
-			Positives: sp.Positives, Negatives: sp.Negatives, K: g.k, Mode: "identical",
-			Recall: &recall,
-		}
-		var pruned, full server.QueryResponse
-		if g.post("/v1/query", req, &pruned) != nil {
-			return 0, false
-		}
-		req.Recall = &exact
-		if g.post("/v1/query", req, &full) != nil {
-			return 0, false
-		}
-		got := make(map[string]bool, len(pruned.Results))
-		for _, r := range pruned.Results {
-			got[r.ID] = true
-		}
-		for _, r := range full.Results {
-			total++
-			if got[r.ID] {
-				kept++
-			}
-		}
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return float64(kept) / float64(total), true
 }
 
 // buildSpecs derives n distinct example-based queries from the served
@@ -272,7 +216,6 @@ type ltGen struct {
 	k          int
 	mutEvery   int
 	batchEvery int
-	recall     *float64 // per-request pruning override; nil leaves the server default
 	client     http.Client
 }
 
@@ -306,7 +249,6 @@ func (g *ltGen) query(seq int) (string, error) {
 	var resp server.QueryResponse
 	err := g.post("/v1/query", server.QueryRequest{
 		Positives: sp.Positives, Negatives: sp.Negatives, K: g.k, Mode: "identical",
-		Recall: g.recall,
 	}, &resp)
 	if err != nil {
 		return "", err
@@ -325,7 +267,7 @@ func (g *ltGen) batch(seq int) (string, error) {
 		qs = append(qs, server.BatchQuery{Positives: sp.Positives, Negatives: sp.Negatives, Mode: "identical"})
 	}
 	var resp server.BatchRetrieveResponse
-	if err := g.post("/v1/retrieve/batch", server.BatchRetrieveRequest{Queries: qs, K: g.k, Recall: g.recall}, &resp); err != nil {
+	if err := g.post("/v1/retrieve/batch", server.BatchRetrieveRequest{Queries: qs, K: g.k}, &resp); err != nil {
 		return "", err
 	}
 	return "batch", nil

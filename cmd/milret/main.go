@@ -80,20 +80,16 @@ func cmdServe(args []string) error {
 	readOnly := fs.Bool("readonly", false, "refuse DELETE/PUT mutations")
 	cacheMB := fs.Int("concept-cache-mb", 64, "memory bound of the trained-concept LRU cache in MB; repeat /v1/query requests skip training and concurrent identical ones coalesce (0 disables)")
 	cacheFile := fs.String("concept-cache-file", "", `concept-cache sidecar path: hot trained concepts are persisted there on flush/shutdown and loaded on start, so a restarted replica answers repeat queries without retraining; "" defaults to <db>.ccache when the cache is enabled, "off" disables persistence`)
-	recall := fs.Float64("recall", 0, "default candidate-pruning tier for query scans: 0 and 1.0 are the same exact scan behind the conservative sketch filter, values in (0,1) trade that fraction of recall for more pruning; per-request \"recall\" overrides")
 	topology := fs.String("topology", "", "coordinator mode: serve a topology file's partitions (shard-serve addresses) as one database; -db, -fast-load and -concept-cache-file are ignored")
 	fs.Parse(args)
 
 	fmt.Printf("distance kernel: %s\n", mat.Kernel())
 	if *topology != "" {
-		return serveTopology(*topology, *addr, *readOnly, remote.CoordinatorOptions{
-			ConceptCacheMB: *cacheMB, Recall: *recall,
-		})
+		return serveTopology(*topology, *addr, *readOnly, remote.CoordinatorOptions{ConceptCacheMB: *cacheMB})
 	}
 	ccFile := resolveCacheFile(*cacheFile, *dbPath, *cacheMB)
 	db, err := milret.LoadDatabase(*dbPath, milret.Options{
 		VerifyOnLoad: !*fastLoad, ConceptCacheMB: *cacheMB, ConceptCacheFile: ccFile,
-		Recall: *recall,
 	})
 	if err != nil {
 		return err
@@ -117,12 +113,8 @@ func cmdServe(args []string) error {
 			cacheNote += fmt.Sprintf(", persisted to %s, %d warm", ccFile, warm)
 		}
 	}
-	pruneNote := ""
-	if *recall > 0 {
-		pruneNote = fmt.Sprintf(", prune recall %g", *recall)
-	}
-	fmt.Printf("serving %d images (%d shards, concept cache %s%s) on http://%s (POST /v1/query)\n",
-		db.Len(), db.ShardCount(), cacheNote, pruneNote, ln.Addr())
+	fmt.Printf("serving %d images (%d shards, concept cache %s) on http://%s (POST /v1/query)\n",
+		db.Len(), db.ShardCount(), cacheNote, ln.Addr())
 	return serveUntilSignal(db, ln, *readOnly, sig)
 }
 

@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -141,31 +142,40 @@ func funcName(fn *types.Func) string {
 
 var backtickRE = regexp.MustCompile("`([^`]+)`")
 
-// keptAsReference returns the functions docs/SURFACE.md's "Kept as a
-// test's reference" list names: every backticked name before the dash of
-// each item.
-func keptAsReference(md []byte) (map[string]bool, error) {
-	_, section, ok := strings.Cut(string(md), "\n## Kept as a test's reference\n")
+// surfaceList reads one list section of docs/SURFACE.md: for every
+// backticked name before the dash of an item, the backticked names after it.
+func surfaceList(md []byte, heading string) (map[string][]string, error) {
+	_, section, ok := strings.Cut(string(md), "\n## "+heading+"\n")
 	if !ok {
-		return nil, errors.New(`no "## Kept as a test's reference" section`)
+		return nil, fmt.Errorf("no %q section", "## "+heading)
 	}
 	section, _, _ = strings.Cut(section, "\n## ")
-	kept := map[string]bool{}
+	list := map[string][]string{}
 	for _, item := range strings.Split(section, "\n- ")[1:] {
-		names, _, _ := strings.Cut(item, "—")
+		names, rest, _ := strings.Cut(item, "—")
+		var after []string
+		for _, n := range backtickRE.FindAllStringSubmatch(rest, -1) {
+			after = append(after, n[1])
+		}
 		for _, n := range backtickRE.FindAllStringSubmatch(names, -1) {
-			kept[n[1]] = true
+			list[n[1]] = after
 		}
 	}
-	return kept, nil
+	return list, nil
 }
+
+// stdCaller stands for the standard library as the caller of a method that
+// satisfies error, fmt.Stringer or http.Handler.
+const stdCaller = "(std)"
 
 // TestExportedFunctionsHaveACaller holds every exported function and method
 // of module milret to a caller outside the tests: some non-test file of
 // milret or of the bench module must reference it. A method is also called
-// when its type satisfies an interface whose methods non-test code calls,
-// or error, fmt.Stringer or http.Handler. A function kept only as a test's
-// reference is listed, with the reason, in docs/SURFACE.md.
+// where non-test code calls a method of an interface its type satisfies, or
+// of error, fmt.Stringer or http.Handler. A function kept only as a test's
+// reference is listed, with the reason, in docs/SURFACE.md; so is a function
+// that only bench/ calls, with the bench files that call it, and either
+// entry goes once product code calls the function.
 func TestExportedFunctionsHaveACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lists and type-checks every package; skipped in -short")
@@ -174,54 +184,89 @@ func TestExportedFunctionsHaveACaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, err := keptAsReference(md)
+	kept, err := surfaceList(md, "Kept as a test's reference")
 	if err != nil {
 		t.Fatalf("docs/SURFACE.md: %v", err)
 	}
+	forBench, err := surfaceList(md, "Kept for bench/")
+	if err != nil {
+		t.Fatalf("docs/SURFACE.md: %v", err)
+	}
+	root, err := filepath.Abs(repoRoot)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fset, pkgs, imp := loadRepository(t)
 
-	used := map[*types.Func]bool{}
-	called := map[*types.Interface]bool{}
+	// refs maps a function, and calledIn an interface whose methods are
+	// called, to the repository-relative non-test files that do so.
+	refs := map[*types.Func]map[string]bool{}
+	calledIn := map[*types.Interface]map[string]bool{}
+	addRef := func(m map[string]bool, file string) map[string]bool {
+		if m == nil {
+			m = map[string]bool{}
+		}
+		m[file] = true
+		return m
+	}
 	for _, c := range pkgs {
-		for _, obj := range c.info.Uses {
+		for id, obj := range c.info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
 			}
-			used[fn.Origin()] = true
+			file, err := filepath.Rel(root, fset.Position(id.Pos()).Filename)
+			if err != nil {
+				t.Fatal(err)
+			}
+			file = filepath.ToSlash(file)
+			refs[fn.Origin()] = addRef(refs[fn.Origin()], file)
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
-					called[iface] = true
+					calledIn[iface] = addRef(calledIn[iface], file)
 				}
 			}
 		}
 	}
-	called[types.Universe.Lookup("error").Type().Underlying().(*types.Interface)] = true
+	calledIn[types.Universe.Lookup("error").Type().Underlying().(*types.Interface)] = map[string]bool{stdCaller: true}
 	for _, std := range []struct{ pkg, name string }{{"fmt", "Stringer"}, {"net/http", "Handler"}} {
 		p, err := imp.Import(std.pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		called[p.Scope().Lookup(std.name).Type().Underlying().(*types.Interface)] = true
+		calledIn[p.Scope().Lookup(std.name).Type().Underlying().(*types.Interface)] = map[string]bool{stdCaller: true}
 	}
-	satisfies := func(fn *types.Func) bool {
-		recv := fn.Type().(*types.Signature).Recv().Type()
+	// callers returns the files that call fn, directly or through an
+	// interface its receiver satisfies.
+	callers := func(fn *types.Func) map[string]bool {
+		files := map[string]bool{}
+		for f := range refs[fn] {
+			files[f] = true
+		}
+		sig := fn.Type().(*types.Signature)
+		if sig.Recv() == nil {
+			return files
+		}
+		recv := sig.Recv().Type()
 		if p, ok := recv.(*types.Pointer); ok {
 			recv = p.Elem()
 		}
-		for iface := range called {
+		for iface, in := range calledIn {
 			for i := range iface.NumMethods() {
 				if iface.Method(i).Name() == fn.Name() &&
 					(types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface)) {
-					return true
+					for f := range in {
+						files[f] = true
+					}
 				}
 			}
 		}
-		return false
+		return files
 	}
 
-	var uncalled []string
-	found := map[string]bool{}
+	var problems []string
+	type verdict struct{ product, called bool }
+	found := map[string]verdict{}
 	for path, c := range pkgs {
 		if c.module != "milret" || callerRuleExempt[path] {
 			continue
@@ -234,23 +279,49 @@ func TestExportedFunctionsHaveACaller(t *testing.T) {
 				}
 				fn := c.info.Defs[fd.Name].(*types.Func)
 				name := funcName(fn)
-				hasCaller := used[fn] || (fd.Recv != nil && satisfies(fn))
-				found[name] = hasCaller
-				if !hasCaller && !kept[name] {
-					uncalled = append(uncalled, fmt.Sprintf("%s: %s", fset.Position(fd.Pos()), name))
+				var benchFiles []string
+				product := false
+				for file := range callers(fn) {
+					if strings.HasPrefix(file, "bench/") {
+						benchFiles = append(benchFiles, file)
+					} else {
+						product = true
+					}
+				}
+				sort.Strings(benchFiles)
+				found[name] = verdict{product: product, called: product || len(benchFiles) > 0}
+				pos := fset.Position(fd.Pos())
+				_, isKept := kept[name]
+				switch {
+				case !product && len(benchFiles) == 0 && !isKept:
+					problems = append(problems, fmt.Sprintf("%s: %s has no caller outside the tests: delete it, or list it in docs/SURFACE.md under \"Kept as a test's reference\" with the test it serves", pos, name))
+				case !product && len(benchFiles) > 0:
+					listed, ok := forBench[name]
+					if !ok {
+						problems = append(problems, fmt.Sprintf("%s: %s is called only from %s: list it in docs/SURFACE.md under \"Kept for bench/\" with those files", pos, name, strings.Join(benchFiles, ", ")))
+					} else if sort.Strings(listed); !slices.Equal(listed, benchFiles) {
+						problems = append(problems, fmt.Sprintf("docs/SURFACE.md keeps `%s` for %s, but it is called from %s", name, strings.Join(listed, ", "), strings.Join(benchFiles, ", ")))
+					}
 				}
 			}
 		}
 	}
-	sort.Strings(uncalled)
-	for _, u := range uncalled {
-		t.Errorf("%s has no caller outside the tests: delete it, or list it in docs/SURFACE.md under \"Kept as a test's reference\" with the test it serves", u)
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
 	}
 	for name := range kept {
-		if hasCaller, ok := found[name]; !ok {
+		if v, ok := found[name]; !ok {
 			t.Errorf("docs/SURFACE.md keeps `%s` as a test's reference, but module milret has no such exported function", name)
-		} else if hasCaller {
-			t.Errorf("docs/SURFACE.md keeps `%s` as a test's reference, but product code calls it: drop it from the list", name)
+		} else if v.called {
+			t.Errorf("docs/SURFACE.md keeps `%s` as a test's reference, but non-test code calls it: drop it from the list", name)
+		}
+	}
+	for name := range forBench {
+		if v, ok := found[name]; !ok {
+			t.Errorf("docs/SURFACE.md keeps `%s` for bench/, but module milret has no such exported function", name)
+		} else if v.product {
+			t.Errorf("docs/SURFACE.md keeps `%s` for bench/, but product code calls it: drop it from the list", name)
 		}
 	}
 }

@@ -8,8 +8,7 @@
 // the exact blocked kernel. A bag therefore passes two screens, its box
 // bound and the kernel's per-block early abandon, both against the cutoff.
 //
-// Correctness at the default tier (rho = 1; Recall ≤ 0 and Recall ≥ 1 are
-// the same mechanism) is unconditional, not probabilistic:
+// Correctness is unconditional, not probabilistic:
 //
 //   - The bound never exceeds the exact distance (outward-rounded box +
 //     mirrored accumulation order — see mat/sketch.go), so for a true top-k
@@ -22,11 +21,6 @@
 //     cutoffs only ever tighten from bags that produce results, so
 //     survivors' distances and order carry the unfiltered scan's bits.
 //
-// Recall in (0, 1) trades that guarantee for speed: rejection tightens to
-// bound > rho·cutoff with rho the Recall-quantile of sampled bound/exact
-// ratios, so the probability that a uniformly sampled true member is
-// wrongly rejected is ≈ 1−Recall (quantified in prune_test.go).
-//
 // The filter cannot arm for a query with a negative weight (the bound's
 // monotonicity argument needs non-negative terms) or when k covers every
 // bag (nothing to reject); those scans run the plain loop or Rank and are
@@ -37,8 +31,6 @@
 package index
 
 import (
-	"math"
-	"sort"
 	"sync/atomic"
 
 	"milret/internal/mat"
@@ -46,12 +38,10 @@ import (
 )
 
 // PruneOpts tunes the candidate filter for one query. The zero value is the
-// default exact scan: the conservative filter, no stats, no seed.
+// exact scan with no stats and no seed.
 type PruneOpts struct {
-	// Recall selects the filter tier. Values in (0, 1) tighten the box bound
-	// by a quantile-calibrated slack so that an expected ≥ Recall fraction of
-	// true top-k members survive; every other value (≤ 0 as much as ≥ 1) is
-	// the conservative bound, whose results are bit-identical to Rank(...)[:k].
+	// Recall is ignored: every scan is exact. It stays only because the
+	// benchmark harness, which is frozen, still sets it (ROADMAP item 5).
 	Recall float64
 	// Stats, when non-nil, accumulates the scan and admission counters
 	// (flushed once per scan worker, not per bag).
@@ -124,100 +114,37 @@ func (st *PruneStats) add(screened, rejected int64) {
 	st.Rejected.Add(rejected)
 }
 
-// pruneFilter is one query's armed filter: its geometry, the calibrated
-// rejection slack (1 = conservative), and the stats sink.
+// pruneFilter is one query's armed filter: its geometry and the stats sink.
 type pruneFilter struct {
 	q     Query
-	rho   float64
 	stats *PruneStats
 }
 
 // reject reports whether bag i of s is screened out: its box lower bound —
 // over the box's leading boxDims(dim) dimensions; the dropped dimensions'
 // terms are non-negative, so the prefix bound only under-estimates —
-// strictly exceeds rho·cutoff. With rho = 1 this is a proof the bag cannot
-// enter the top-k; with rho < 1 it is a calibrated prediction.
+// strictly exceeds cutoff, a proof the bag cannot enter the top-k.
 func (f *pruneFilter) reject(s *Snapshot, i int, cutoff float64) bool {
-	thr := cutoff
-	if f.rho < 1 {
-		thr = f.rho * cutoff
-	}
 	bd := boxDims(s.dim)
 	stride := mat.BoxStride * bd
-	return mat.BoxBoundExceeds(f.q.Point[:bd], f.q.Weights[:bd], s.boxes[i*stride:(i+1)*stride], thr)
+	return mat.BoxBoundExceeds(f.q.Point[:bd], f.q.Weights[:bd], s.boxes[i*stride:(i+1)*stride], cutoff)
 }
-
-// calibrationSample is the number of bags sampled to estimate the
-// bound/exact ratio distribution when Recall < 1.
-const calibrationSample = 64
 
 // newPruneFilter arms the filter for q, or returns nil when it cannot
 // apply: with a negative weight the bound's (and early abandonment's)
 // monotonicity argument fails, and the scan must score every row in full.
-func newPruneFilter(q Query, opts PruneOpts, shards []Snapshot) *pruneFilter {
+func newPruneFilter(q Query, stats *PruneStats) *pruneFilter {
 	if !q.prunable() {
 		return nil
 	}
-	rho := 1.0
-	if opts.Recall > 0 && opts.Recall < 1 {
-		rho = calibrateRho(shards, q, opts.Recall)
-	}
-	return &pruneFilter{q: q, rho: rho, stats: opts.Stats}
-}
-
-// calibrateRho estimates the rejection slack for a target recall: sample
-// live bags strided across the shards, measure each one's bound/exact
-// ratio (always ≤ 1 — the bound is a lower bound), and return the
-// recall-quantile of the ratios. Rejecting at bound > rho·cutoff then
-// wrongly rejects a true member only when its ratio exceeds rho, which a
-// uniformly sampled bag does with probability ≈ 1−recall.
-func calibrateRho(shards []Snapshot, q Query, recall float64) float64 {
-	total := 0
-	for _, s := range shards {
-		total += s.Len()
-	}
-	stride := total/calibrationSample + 1
-	ratios := make([]float64, 0, calibrationSample)
-	for si := range shards {
-		s := &shards[si]
-		bd := boxDims(s.dim)
-		boxStride := mat.BoxStride * bd
-		for i := 0; i < s.Len(); i += stride {
-			if s.isDead(i) {
-				continue
-			}
-			exact := s.bagDist(q, i, math.Inf(1), false)
-			if math.IsNaN(exact) || math.IsInf(exact, 0) {
-				continue
-			}
-			if exact <= 0 {
-				ratios = append(ratios, 1)
-				continue
-			}
-			bound := mat.BoxBound(q.Point[:bd], q.Weights[:bd], s.boxes[i*boxStride:(i+1)*boxStride])
-			ratios = append(ratios, bound/exact)
-		}
-	}
-	if len(ratios) == 0 {
-		return 1
-	}
-	sort.Float64s(ratios)
-	idx := int(math.Ceil(recall*float64(len(ratios)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(ratios) {
-		idx = len(ratios) - 1
-	}
-	return ratios[idx]
+	return &pruneFilter{q: q, stats: stats}
 }
 
 // TopKPruned is the single-query top-k scan: every live, non-excluded bag of
 // every shard behind one filter and one shared cutoff, the per-worker
-// candidate heaps merged by sort-and-truncate. At the conservative tier the
-// output is bit-identical to Rank(q, exclude, par)[:k] for any shard split,
-// worker count and claim interleaving (see the file comment and sched.go);
-// Recall in (0, 1) trades a quantified fraction of recall for speed.
+// candidate heaps merged by sort-and-truncate. The output is bit-identical
+// to Rank(q, exclude, par)[:k] for any shard split, worker count and claim
+// interleaving (see the file comment and sched.go).
 func (sh Sharded) TopKPruned(q Query, k int, exclude map[string]bool, par int, opts PruneOpts) []Result {
 	if k <= 0 {
 		return nil
@@ -232,7 +159,7 @@ func (sh Sharded) TopKPruned(q Query, k int, exclude map[string]bool, par int, o
 		return sh.Rank(q, exclude, par)
 	}
 	sh.check(q)
-	filt := newPruneFilter(q, opts, sh)
+	filt := newPruneFilter(q, opts.Stats)
 	opts.Stats.scan(filt != nil)
 	shared := NewCutoff()
 	if opts.CutoffSeed > 0 {

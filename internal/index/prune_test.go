@@ -394,60 +394,6 @@ func TestExternalCutoffPartitions(t *testing.T) {
 	}
 }
 
-// At Recall r in (0, 1) the calibrated tier may drop true members, but the
-// achieved recall over many queries must stay near the dial: clustered
-// corpora keep the bound tight, so wrong rejections are the calibrated
-// minority, not the norm. The floor is deliberately loose (r − 0.15) — this
-// pins "the dial means something", not a distributional exactness claim.
-func TestQuantifiedRecallBelowOne(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	dim, n, k := 8, 400, 10
-	x := New()
-	for i := 0; i < n; i++ {
-		center := float64(i % 4)
-		nInst := 1 + r.Intn(3)
-		insts := make([]mat.Vector, nInst)
-		for j := range insts {
-			v := make(mat.Vector, dim)
-			for d := range v {
-				v[d] = center + r.NormFloat64()*0.3
-			}
-			insts[j] = v
-		}
-		if err := x.Append(fmt.Sprintf("bag%04d", i), "l", insts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	view := Sharded{x.Snapshot()}
-	const recall = 0.9
-	kept, total := 0, 0
-	var stats PruneStats
-	for trial := 0; trial < 50; trial++ {
-		q := randQueryFor(r, dim)
-		exact := rankHead(view, q, k, nil)
-		pruned := view.TopKPruned(q, k, nil, 4, PruneOpts{Recall: recall, Stats: &stats})
-		got := map[string]bool{}
-		for _, res := range pruned {
-			got[res.ID] = true
-		}
-		for _, res := range exact {
-			total++
-			if got[res.ID] {
-				kept++
-			}
-		}
-	}
-	achieved := float64(kept) / float64(total)
-	t.Logf("achieved recall %.4f over %d results (screened %d, rejected %d)",
-		achieved, total, stats.Screened.Load(), stats.Rejected.Load())
-	if achieved < recall-0.15 {
-		t.Fatalf("achieved recall %.4f too far below dial %.2f", achieved, recall)
-	}
-	if got := stats.Admitted.Load() + stats.Rejected.Load(); got != stats.Screened.Load() {
-		t.Fatalf("stats invariant broken: screened %d != admitted+rejected %d", stats.Screened.Load(), got)
-	}
-}
-
 // PruneStats must count every top-k scan once (one per query of a batch),
 // mark the ones that could not arm the filter — a negative weight, k
 // covering every bag — as Unarmed, and account every screened bag exactly

@@ -188,9 +188,9 @@ func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bo
 				}
 				if prune && !math.IsInf(cutoff, 1) {
 					// Box screen: skip the bag without touching its rows when
-					// its lower bound proves (rho = 1) or predicts (rho < 1)
-					// it cannot beat the cutoff. Unarmed until a cutoff
-					// exists — the bound has nothing to beat at +Inf.
+					// its lower bound proves it cannot beat the cutoff.
+					// Unarmed until a cutoff exists — the bound has nothing
+					// to beat at +Inf.
 					screened++
 					if filt.reject(&s, i, cutoff) {
 						rejected++

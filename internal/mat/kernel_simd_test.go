@@ -286,17 +286,18 @@ func TestBoxBoundSIMDBitIdentity(t *testing.T) {
 			PackBagSketch(dim, rows, box)
 		}
 		// Thresholds on every block boundary of the scalar accumulation: a
-		// prefix of whole blocks has no tail, so BoxBound on the prefix IS
-		// the exact partial sum the abandon check compares against.
+		// prefix of whole blocks has no tail, so the unabandoned screen loop
+		// on the prefix IS the exact partial sum the abandon check compares
+		// against.
 		thrs := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0}
 		for k := KernelBlock; k <= dim; k += KernelBlock {
-			s := BoxBound(p[:k], w[:k], box[:BoxStride*k])
+			s := boxBoundScalar(p[:k], w[:k], box[:BoxStride*k], math.Inf(1))
 			thrs = append(thrs, s)
 			if !math.IsNaN(s) && !math.IsInf(s, 0) {
 				thrs = append(thrs, math.Nextafter(s, math.Inf(-1)), math.Nextafter(s, math.Inf(1)))
 			}
 		}
-		full := BoxBound(p, w, box)
+		full := boxBoundScalar(p, w, box, math.Inf(1))
 		thrs = append(thrs, full)
 		if !math.IsNaN(full) && !math.IsInf(full, 0) {
 			thrs = append(thrs, math.Nextafter(full, math.Inf(-1)), math.Nextafter(full, math.Inf(1)))
@@ -323,7 +324,7 @@ func TestBoxBoundSIMDBitIdentity(t *testing.T) {
 					math.Float64bits(thr), sd, ad)
 			}
 			if monotone && (full > thr) != sd {
-				t.Fatalf("BoxBound %v > thr %v is %v, but BoxBoundExceeds says %v on both tiers\np=%v\nw=%v\nbox=%v",
+				t.Fatalf("box bound %v > thr %v is %v, but BoxBoundExceeds says %v on both tiers\np=%v\nw=%v\nbox=%v",
 					full, thr, full > thr, sd, p, w, box)
 			}
 		}

@@ -188,17 +188,6 @@ func BoxBoundExceeds(p, w []float64, box []float32, thr float64) bool {
 	return boxBoundScalar(p, w, box, thr) > thr
 }
 
-// BoxBound returns the full weighted squared box distance: the screen loop
-// at thr = +Inf, so the value BoxBoundExceeds accumulates, without early
-// abandonment. The calibration
-// pass uses it to measure bound/exact ratios; admission decisions go
-// through BoxBoundExceeds.
-//
-// milret:kernel
-func BoxBound(p, w []float64, box []float32) float64 {
-	return boxBoundScalar(p, w, box, math.Inf(1))
-}
-
 // boxBoundScalar is the canonical scalar screen loop — the oracle the AVX2
 // screen is verified against. It returns the running sum at the first
 // block (or the tail) after which it strictly exceeds thr, and the full

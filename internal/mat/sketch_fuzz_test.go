@@ -46,7 +46,7 @@ func FuzzBoxBoundLower(f *testing.F) {
 				exact = d
 			}
 		}
-		bound := BoxBound(p, w, box)
+		bound := boxBoundScalar(p, w, box, math.Inf(1))
 		// NaN weights or points poison both sides; the ordering claim only
 		// holds for comparable scores.
 		if !sawNaN && !math.IsNaN(bound) && bound > exact {

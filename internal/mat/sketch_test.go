@@ -63,7 +63,7 @@ func TestPackBagSketchNaN(t *testing.T) {
 	}
 	p := []float64{100, 100, 100}
 	w := []float64{1, 1, 1}
-	b := BoxBound(p, w, box)
+	b := boxBoundScalar(p, w, box, math.Inf(1))
 	// The widened dimension contributes 0; the others their box excess.
 	if math.IsNaN(b) || math.IsInf(b, 0) {
 		t.Fatalf("bound not finite with NaN dim widened: %v", b)
@@ -86,7 +86,7 @@ func TestPackBagSketchOverflow(t *testing.T) {
 		t.Fatalf("hi should round up to +Inf, got %v", box[1])
 	}
 	// A fully widened box admits everything: bound is 0.
-	if b := BoxBound([]float64{5}, []float64{2}, box); b != 0 {
+	if b := boxBoundScalar([]float64{5}, []float64{2}, box, math.Inf(1)); b != 0 {
 		t.Fatalf("widened box bound = %v, want 0", b)
 	}
 }
@@ -123,7 +123,7 @@ func TestBoxBoundLowerBound(t *testing.T) {
 			w[k] = r.Float64() * 3
 		}
 		exact := exactMin(p, w, rows, dim)
-		bound := BoxBound(p, w, box)
+		bound := boxBoundScalar(p, w, box, math.Inf(1))
 		if bound > exact {
 			t.Fatalf("trial %d: bound %v > exact %v (dim=%d n=%d)", trial, bound, exact, dim, n)
 		}

@@ -94,10 +94,6 @@ type CoordinatorOptions struct {
 	// happens on the coordinator from fetched example bags); 0 disables
 	// it.
 	ConceptCacheMB int
-	// Recall is the default candidate-pruning tier for queries that do
-	// not set one (forwarded to every partition; see milret
-	// Options.Recall).
-	Recall float64
 }
 
 // Coordinator fans queries across a topology of shard servers and merges
@@ -105,10 +101,9 @@ type CoordinatorOptions struct {
 // clients, not data, and implements server.Backend; see the package
 // comment for the merge protocol's correctness argument.
 type Coordinator struct {
-	topo   *Topology
-	parts  []*partition
-	cache  *qcache.Cache
-	recall float64
+	topo  *Topology
+	parts []*partition
+	cache *qcache.Cache
 
 	degraded atomic.Int64
 
@@ -128,9 +123,8 @@ func NewCoordinator(topo *Topology, opts CoordinatorOptions) (*Coordinator, erro
 		return nil, err
 	}
 	c := &Coordinator{
-		topo:   topo,
-		recall: opts.Recall,
-		stop:   make(chan struct{}),
+		topo: topo,
+		stop: make(chan struct{}),
 	}
 	if opts.ConceptCacheMB > 0 {
 		c.cache = qcache.New(int64(opts.ConceptCacheMB) << 20)
@@ -273,9 +267,6 @@ func (c *Coordinator) Len() int {
 	}
 	return n
 }
-
-// Recall returns the coordinator's default candidate-pruning tier.
-func (c *Coordinator) Recall() float64 { return c.recall }
 
 // Stats merges the reachable partitions' stats trees (milret.Stats.Merge:
 // shard rows concatenated in topology order, totals and scan counters
@@ -500,14 +491,13 @@ func mergeTopK(lists [][]milret.Result, k int) []milret.Result {
 // current value as a seed, and every response's k-th-best distance
 // tightens it for whichever requests have yet to leave. Staleness only
 // weakens pruning — see the package comment for why this never changes
-// the answer.
-func (c *Coordinator) Retrieve(ctx context.Context, concept *milret.Concept, k int, exclude []string, recall float64) ([]milret.Result, error) {
+// the answer. recall is ignored (see server.Backend).
+func (c *Coordinator) Retrieve(ctx context.Context, concept *milret.Concept, k int, exclude []string, _ float64) ([]milret.Result, error) {
 	cutoff := index.NewCutoff()
 	geo := geometry(concept)
 	lists, errs := fanOut(c.parts, func(_ int, cli *Client) ([]milret.Result, error) {
 		resp, err := cli.TopK(ctx, TopKRequest{
 			K:       k,
-			Recall:  recall,
 			Seed:    cutoff.Load(),
 			Concept: geo,
 			Exclude: exclude,
@@ -525,12 +515,13 @@ func (c *Coordinator) Retrieve(ctx context.Context, concept *milret.Concept, k i
 }
 
 // RetrieveBatch fans a multi-concept scan to every partition and merges
-// each concept's lists independently.
-func (c *Coordinator) RetrieveBatch(ctx context.Context, concepts []*milret.Concept, k int, exclude []string, recall float64) ([][]milret.Result, error) {
+// each concept's lists independently. recall is ignored (see
+// server.Backend).
+func (c *Coordinator) RetrieveBatch(ctx context.Context, concepts []*milret.Concept, k int, exclude []string, _ float64) ([][]milret.Result, error) {
 	if len(concepts) == 0 {
 		return nil, nil
 	}
-	req := MultiTopKRequest{K: k, Recall: recall, Concepts: make([]Geometry, len(concepts)), Exclude: exclude}
+	req := MultiTopKRequest{K: k, Concepts: make([]Geometry, len(concepts)), Exclude: exclude}
 	for i, concept := range concepts {
 		req.Concepts[i] = geometry(concept)
 	}

@@ -83,7 +83,7 @@ func FuzzShardDispatch(f *testing.F) {
 	}{
 		{opPing, nil},
 		{opStats, nil},
-		{opTopK, TopKRequest{K: 3, Recall: 1, Seed: 0.5, Concept: geo, Exclude: ids[:1]}.encode()},
+		{opTopK, TopKRequest{K: 3, Seed: 0.5, Concept: geo, Exclude: ids[:1]}.encode()},
 		{opMultiTopK, MultiTopKRequest{K: 2, Concepts: []Geometry{geo, geo}, Exclude: ids[:2]}.encode()},
 		{retiredOpRank, rank.b},
 		{opFetch, FetchRequest{IDs: []string{ids[0], "no-such-image"}}.encode()},

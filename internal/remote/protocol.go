@@ -16,7 +16,7 @@
 // by (distance, ID) is therefore bit-identical to scanning the union
 // in one process (property-tested in remote_test.go).
 //
-// Wire format ("MILRETR1", CRC-covered like the store formats): one
+// Wire format ("MILRETR2", CRC-covered like the store formats): one
 // request frame up, one response frame down, over a plain HTTP POST —
 //
 //	magic[8] | op u8 | bodyLen u32 LE | body | crc32(op|bodyLen|body)
@@ -41,8 +41,10 @@ import (
 )
 
 // Magic identifies a shard RPC frame, versioned like the store formats
-// (MILRETX1, MILRETW1, MILRETS1, MILRETC1).
-const Magic = "MILRETR1"
+// (MILRETX1, MILRETW1, MILRETS1, MILRETC1). Version 2 dropped the recall
+// field from the topk and multitopk request bodies; a version 1 frame is
+// refused, since its recall would be read as topk's cutoff seed.
+const Magic = "MILRETR2"
 
 // Frame ops. Requests carry exactly one; responses echo it or carry
 // opError. 5 is unassigned.
@@ -334,7 +336,6 @@ func (r *rbuf) results() []milret.Result {
 // scan starts pruning immediately; +Inf (or 0) seeds nothing.
 type TopKRequest struct {
 	K       int
-	Recall  float64
 	Seed    float64
 	Concept Geometry
 	Exclude []string
@@ -343,7 +344,6 @@ type TopKRequest struct {
 func (q TopKRequest) encode() []byte {
 	var w wbuf
 	w.u32(uint32(q.K))
-	w.f64(q.Recall)
 	w.f64(q.Seed)
 	w.geometry(q.Concept)
 	w.strs(q.Exclude)
@@ -354,7 +354,6 @@ func decodeTopKRequest(body []byte) (TopKRequest, error) {
 	r := rbuf{b: body}
 	q := TopKRequest{
 		K:       int(r.u32()),
-		Recall:  r.f64(),
 		Seed:    r.f64(),
 		Concept: r.geometry(),
 		Exclude: r.strs(),
@@ -390,7 +389,6 @@ func decodeTopKResponse(body []byte) (TopKResponse, error) {
 // and tightens its own, exactly like the in-process MultiTopK).
 type MultiTopKRequest struct {
 	K        int
-	Recall   float64
 	Concepts []Geometry
 	Exclude  []string
 }
@@ -398,7 +396,6 @@ type MultiTopKRequest struct {
 func (q MultiTopKRequest) encode() []byte {
 	var w wbuf
 	w.u32(uint32(q.K))
-	w.f64(q.Recall)
 	w.u32(uint32(len(q.Concepts)))
 	for _, g := range q.Concepts {
 		w.geometry(g)
@@ -409,7 +406,7 @@ func (q MultiTopKRequest) encode() []byte {
 
 func decodeMultiTopKRequest(body []byte) (MultiTopKRequest, error) {
 	r := rbuf{b: body}
-	q := MultiTopKRequest{K: int(r.u32()), Recall: r.f64()}
+	q := MultiTopKRequest{K: int(r.u32())}
 	n := int(r.u32())
 	if r.err == nil && n >= 0 && r.off+8*n <= len(r.b) {
 		q.Concepts = make([]Geometry, n)

@@ -49,6 +49,13 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		}
 	}
 
+	// A well-formed version 1 frame is refused: its topk body carried a
+	// recall where version 2 reads the cutoff seed.
+	v1 := append([]byte("MILRETR1"), frame[len(Magic):]...)
+	if _, _, err := ReadFrame(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "bad frame magic") {
+		t.Fatalf("MILRETR1 frame: err %v, want bad frame magic", err)
+	}
+
 	// Every truncation must surface as an error, not a short body.
 	for n := 0; n < len(frame); n++ {
 		if _, _, err := ReadFrame(bytes.NewReader(frame[:n])); err == nil {
@@ -71,9 +78,8 @@ func TestFrameRejectsOversizedLength(t *testing.T) {
 
 func TestTopKRequestRoundTrip(t *testing.T) {
 	q := TopKRequest{
-		K:      7,
-		Recall: 0.93,
-		Seed:   1.25e-3,
+		K:    7,
+		Seed: 1.25e-3,
 		Concept: Geometry{
 			Point:   []float64{0.1, math.Pi, -3, math.Inf(1)},
 			Weights: []float64{1, 0.5, 0.25, 0},
@@ -135,8 +141,7 @@ func TestFetchResponseRoundTrip(t *testing.T) {
 
 func TestMultiTopKRoundTrip(t *testing.T) {
 	q := MultiTopKRequest{
-		K:      3,
-		Recall: 1.0,
+		K: 3,
 		Concepts: []Geometry{
 			{Point: []float64{1}, Weights: []float64{2}},
 			{Point: []float64{3, 4}, Weights: []float64{5, 6}},

@@ -164,7 +164,7 @@ func wantIdentical(t *testing.T, what string, got, want []milret.Result) {
 // distributed top-k (seeded cutoffs piggybacking on the RPC) returns the
 // exact result list — IDs, labels and float bits — of a single-process
 // scan over the same data, one shard or four, across concepts, depths
-// (k ≥ n included) and pruning tiers.
+// (k ≥ n included) and recall values, none of which changes the scan.
 func TestCoordinatorTopKBitIdentical(t *testing.T) {
 	cl := startCluster(t, PartialFail)
 	ctx := context.Background()
@@ -172,7 +172,7 @@ func TestCoordinatorTopKBitIdentical(t *testing.T) {
 		concept, pos, neg := trainRef(t, cl, seed)
 		exclude := append(append([]string{}, pos...), neg...)
 		for _, k := range []int{1, 5, 12, cl.ref.Len(), cl.ref.Len() + 10} {
-			for _, recall := range []float64{0, 1.0} {
+			for _, recall := range []float64{0, 0.5, 1.0} {
 				got, err := cl.coord.Retrieve(ctx, concept, k, exclude, recall)
 				if err != nil {
 					t.Fatalf("seed %d k %d recall %g: %v", seed, k, recall, err)

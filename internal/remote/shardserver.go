@@ -89,8 +89,7 @@ func (s *ShardServer) dispatch(op byte, body []byte) (byte, []byte) {
 		if err != nil {
 			return fail(ErrCodeBadRequest, "%v", err)
 		}
-		results := s.db.RetrieveExcluding(c, q.K, q.Exclude,
-			milret.WithRecall(q.Recall), milret.WithCutoffSeed(q.Seed))
+		results := s.db.RetrieveExcluding(c, q.K, q.Exclude, milret.WithCutoffSeed(q.Seed))
 		// A full k results bounds the global k-th best by this
 		// partition's k-th best; fewer than k bound nothing.
 		cutoff := math.Inf(1)
@@ -110,7 +109,7 @@ func (s *ShardServer) dispatch(op byte, body []byte) (byte, []byte) {
 				return fail(ErrCodeBadRequest, "concept %d: %v", i, err)
 			}
 		}
-		lists, err := s.db.RetrieveMany(concepts, q.K, q.Exclude, milret.WithRecall(q.Recall))
+		lists, err := s.db.RetrieveMany(concepts, q.K, q.Exclude)
 		if err != nil {
 			return fail(ErrCodeBadRequest, "%v", err)
 		}

@@ -11,9 +11,8 @@ import (
 
 // Property: every top-k scan runs behind the sketch filter, so the
 // reference is the tests' naive per-bag ranking, which shares no code with
-// it — naiveRank[:k]. Options.Recall 0, 1 and beyond are the same exact
-// answer: TopK and TopKMany, single-block and sharded, through tombstones
-// and compaction, with exclusions, across k.
+// it — naiveRank[:k]: TopK and TopKMany, single-block and sharded, through
+// tombstones and compaction, with exclusions, across k.
 func TestQuickRecallOneMatchesExact(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -43,25 +42,23 @@ func TestQuickRecallOneMatchesExact(t *testing.T) {
 			}
 		}
 		full := naiveRank(db, naive, Options{Exclude: exclude})
-		for _, recall := range []float64{0, 1, 3} {
-			opts := Options{Exclude: exclude, Parallelism: 1 + r.Intn(8), Recall: recall}
-			for _, k := range []int{1, n / 2, n + 5} {
-				if k < 1 {
-					k = 1
-				}
-				want := full
-				if k < len(want) {
-					want = want[:k]
-				}
-				if got := TopK(db, flat, k, opts); !reflect.DeepEqual(got, want) {
-					t.Logf("seed %d: TopK(k=%d, recall=%v) diverged from the naive ranking\n got %v\nwant %v", seed, k, recall, got, want)
+		opts := Options{Exclude: exclude, Parallelism: 1 + r.Intn(8)}
+		for _, k := range []int{1, n / 2, n + 5} {
+			if k < 1 {
+				k = 1
+			}
+			want := full
+			if k < len(want) {
+				want = want[:k]
+			}
+			if got := TopK(db, flat, k, opts); !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d: TopK(k=%d) diverged from the naive ranking\n got %v\nwant %v", seed, k, got, want)
+				return false
+			}
+			for i, got := range TopKMany(db, []Scorer{flat, flat}, k, opts) {
+				if !reflect.DeepEqual(got, want) {
+					t.Logf("seed %d: TopKMany(k=%d)[%d] diverged from the naive ranking", seed, k, i)
 					return false
-				}
-				for i, got := range TopKMany(db, []Scorer{flat, flat}, k, opts) {
-					if !reflect.DeepEqual(got, want) {
-						t.Logf("seed %d: TopKMany(k=%d, recall=%v)[%d] diverged from the naive ranking", seed, k, recall, i)
-						return false
-					}
 				}
 			}
 		}
@@ -74,7 +71,7 @@ func TestQuickRecallOneMatchesExact(t *testing.T) {
 
 // Stats must expose the scan and filter counters with the accounting
 // invariant (Screened = Admitted + Rejected), zero until a top-k scan runs,
-// and cover every top-k scan whatever its Recall — with the ones that could
+// and cover every top-k scan, single or batched — with the ones that could
 // not arm the filter counted as unarmed.
 func TestPruneCountersInStats(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
@@ -85,7 +82,7 @@ func TestPruneCountersInStats(t *testing.T) {
 		t.Fatalf("counters nonzero before any top-k scan: %+v", st)
 	}
 	TopK(db, flat, 5, Options{})
-	TopKMany(db, []Scorer{flat, flat}, 5, Options{Recall: 1})
+	TopKMany(db, []Scorer{flat, flat}, 5, Options{})
 	st := db.PruneStats()
 	if st.Scans != 3 || st.Unarmed != 0 {
 		t.Fatalf("scans %d unarmed %d, want 3 and 0", st.Scans, st.Unarmed)

@@ -584,13 +584,6 @@ type Options struct {
 	Exclude map[string]bool
 	// Parallelism bounds scan goroutines; 0 means runtime.NumCPU().
 	Parallelism int
-	// Recall selects the candidate filter's tier for top-k scans
-	// (index.Sharded.TopKPruned). Every such scan screens bags with the
-	// conservative box bound, whose results are bit-identical to
-	// Rank(...)[:k]; only values in (0, 1) change anything, tightening the
-	// bound by a calibrated slack for extra speed at a quantified recall.
-	// Rank ignores it.
-	Recall float64
 	// CutoffSeed, when positive, pre-tightens the top-k cutoff before the
 	// scan starts. The caller asserts it upper-bounds the global k-th best
 	// distance of the whole logical query; a stale (too-loose) seed only
@@ -619,7 +612,6 @@ func Rank(db *Database, s Scorer, opts Options) []Result {
 // is never materialized. For k ≥ database size it equals Rank.
 func TopK(db *Database, s Scorer, k int, opts Options) []Result {
 	return db.snapshot().TopKPruned(query(s), k, opts.Exclude, opts.Parallelism, index.PruneOpts{
-		Recall:     opts.Recall,
 		Stats:      &db.prune,
 		CutoffSeed: opts.CutoffSeed,
 	})
@@ -635,5 +627,5 @@ func TopKMany(db *Database, scorers []Scorer, k int, opts Options) [][]Result {
 		qs[i] = query(s)
 	}
 	return db.snapshot().MultiTopKPruned(qs, k, opts.Exclude, opts.Parallelism,
-		index.PruneOpts{Recall: opts.Recall, Stats: &db.prune})
+		index.PruneOpts{Stats: &db.prune})
 }

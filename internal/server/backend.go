@@ -22,9 +22,6 @@ type Backend interface {
 	// Len returns the live image count (best-effort for a coordinator
 	// with unreachable partitions).
 	Len() int
-	// Recall returns the default candidate-pruning tier for queries that
-	// do not override it.
-	Recall() float64
 	// Stats returns the full stats tree for /v1/stats.
 	Stats() milret.Stats
 	// Images enumerates live images.
@@ -44,11 +41,14 @@ type Backend interface {
 	TrainCachedContext(ctx context.Context, positives, negatives []string, opts milret.TrainOptions) (*milret.Concept, milret.CacheOutcome, error)
 	// TrainManyContext trains one concept per spec through the cache.
 	TrainManyContext(ctx context.Context, specs []milret.QuerySpec) ([]*milret.Concept, []milret.CacheOutcome, error)
-	// Retrieve returns the k best matches for the concept at the given
-	// recall (≤ 0 forces the exact scan).
+	// Retrieve returns the k best matches for the concept. Every scan is
+	// exact, so recall is ignored; the parameter stays only because the
+	// benchmark harness, which is frozen, implements this interface
+	// (ROADMAP item 5).
 	Retrieve(ctx context.Context, c *milret.Concept, k int, exclude []string, recall float64) ([]milret.Result, error)
 	// RetrieveBatch ranks several concepts as one batch: element i is
-	// exactly what Retrieve returns for concept i.
+	// exactly what Retrieve returns for concept i. recall is ignored, as
+	// in Retrieve.
 	RetrieveBatch(ctx context.Context, concepts []*milret.Concept, k int, exclude []string, recall float64) ([][]milret.Result, error)
 	// Flush makes acknowledged mutations durable (the mutation ack
 	// barrier).
@@ -63,7 +63,6 @@ type localDB struct{ db *milret.Database }
 
 func (l localDB) Verification() (milret.VerifyStatus, error) { return l.db.Verification() }
 func (l localDB) Len() int                                   { return l.db.Len() }
-func (l localDB) Recall() float64                            { return l.db.Recall() }
 func (l localDB) Stats() milret.Stats                        { return l.db.Stats() }
 func (l localDB) Flush() error                               { return l.db.Flush() }
 func (l localDB) DeleteImage(id string) error                { return l.db.DeleteImage(id) }
@@ -95,12 +94,12 @@ func (l localDB) TrainManyContext(ctx context.Context, specs []milret.QuerySpec)
 	return l.db.TrainManyContext(ctx, specs)
 }
 
-func (l localDB) Retrieve(_ context.Context, c *milret.Concept, k int, exclude []string, recall float64) ([]milret.Result, error) {
-	return l.db.RetrieveExcluding(c, k, exclude, milret.WithRecall(recall)), nil
+func (l localDB) Retrieve(_ context.Context, c *milret.Concept, k int, exclude []string, _ float64) ([]milret.Result, error) {
+	return l.db.RetrieveExcluding(c, k, exclude), nil
 }
 
-func (l localDB) RetrieveBatch(_ context.Context, concepts []*milret.Concept, k int, exclude []string, recall float64) ([][]milret.Result, error) {
-	return l.db.RetrieveMany(concepts, k, exclude, milret.WithRecall(recall))
+func (l localDB) RetrieveBatch(_ context.Context, concepts []*milret.Concept, k int, exclude []string, _ float64) ([][]milret.Result, error) {
+	return l.db.RetrieveMany(concepts, k, exclude)
 }
 
 // Route describes one HTTP route of the /v1 surface. Routes() is the

@@ -8,87 +8,57 @@ import (
 	"testing"
 
 	"milret"
-	"milret/internal/synth"
 )
 
-// testServerRecall is testServer with the database's pruning default set.
-func testServerRecall(t *testing.T, recall float64) (*Server, *milret.Database) {
-	t.Helper()
-	db, err := milret.NewDatabase(milret.Options{Recall: recall})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range synth.ObjectsN(17, 4) {
-		switch it.Label {
-		case "car", "lamp", "pants":
-			if err := db.AddImage(it.ID, it.Label, it.Image); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return New(db), db
+// recallCases are the recall values a request may send, with the prune
+// field each must echo. Every one is the same exact scan: an exact answer
+// meets any recall target.
+var recallCases = []struct {
+	recall *float64
+	prune  string
+}{
+	{nil, ""},
+	{ptr(-1.0), ""},
+	{ptr(0.0), ""},
+	{ptr(0.5), "filtered"},
+	{ptr(0.9), "filtered"},
+	{ptr(1.0), "filtered"},
+	{ptr(3.0), "filtered"},
 }
 
-// The wire contract of the pruning tier: the query's filter disposition is
-// reported, the per-request recall override beats the database default in
-// both directions, and at recall 1 the results are bit-identical to the
-// exact scan.
+func ptr[T any](v T) *T { return &v }
+
+// The wire contract of the recall field: whatever a query sends, the
+// results are bit-identical to the request that sends none, and the reply's
+// prune field echoes only whether recall was positive.
 func TestQueryRecallRoundTrip(t *testing.T) {
-	s, _ := testServerRecall(t, 1)
+	s, _ := testServer(t)
 	req := QueryRequest{
 		Positives: []string{"object-car-00", "object-car-01"},
 		K:         4,
 		Mode:      "identical",
 	}
-	query := func(req QueryRequest) QueryResponse {
-		t.Helper()
-		rec, body := doJSON(t, s, http.MethodPost, "/v1/query", req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", rec.Code, body)
+	exact := query2(t, s, req)
+	if len(exact.Results) != 4 {
+		t.Fatalf("exact query returned %d results, want 4", len(exact.Results))
+	}
+	for _, c := range recallCases {
+		req.Recall = c.recall
+		got := query2(t, s, req)
+		if got.Prune != c.prune {
+			t.Fatalf("recall %v: prune disposition %q, want %q", fmtRecall(c.recall), got.Prune, c.prune)
 		}
-		var resp QueryResponse
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(got.Results, exact.Results) {
+			t.Fatalf("recall %v: results diverged:\n got %+v\nwant %+v", fmtRecall(c.recall), got.Results, exact.Results)
 		}
-		return resp
 	}
-	pruned := query(req)
-	if pruned.Prune != "filtered" {
-		t.Fatalf("prune disposition %q, want filtered", pruned.Prune)
-	}
-	// Per-request override off: disposition omitted, results identical.
-	off := -1.0
-	req.Recall = &off
-	exact := query(req)
-	if exact.Prune != "" {
-		t.Fatalf("exact scan disposition %q, want empty", exact.Prune)
-	}
-	if !reflect.DeepEqual(pruned.Results, exact.Results) {
-		t.Fatalf("pruned results diverged:\n got %+v\nwant %+v", pruned.Results, exact.Results)
-	}
-	// Calibrated tier is reported with its dial.
-	cal := 0.9
-	req.Recall = &cal
-	if got := query(req).Prune; got != "filtered@0.9" {
-		t.Fatalf("calibrated disposition %q, want filtered@0.9", got)
-	}
+}
 
-	// A database at the default recall echoes a per-request recall too.
-	s2, _ := testServer(t)
-	req2 := QueryRequest{Positives: []string{"object-car-00", "object-car-01"}, K: 4, Mode: "identical"}
-	r2 := query2(t, s2, req2)
-	if r2.Prune != "" {
-		t.Fatalf("default-off disposition %q, want empty", r2.Prune)
+func fmtRecall(r *float64) any {
+	if r == nil {
+		return "absent"
 	}
-	on := 1.0
-	req2.Recall = &on
-	r2on := query2(t, s2, req2)
-	if r2on.Prune != "filtered" {
-		t.Fatalf("opt-in disposition %q, want filtered", r2on.Prune)
-	}
-	if !reflect.DeepEqual(r2.Results, r2on.Results) {
-		t.Fatal("opt-in pruned results diverged from exact")
-	}
+	return *r
 }
 
 func query2(t *testing.T, s *Server, req QueryRequest) QueryResponse {
@@ -104,10 +74,10 @@ func query2(t *testing.T, s *Server, req QueryRequest) QueryResponse {
 	return resp
 }
 
-// The batch endpoint shares one scan, so recall applies batch-wide: the
-// disposition is reported once and the rankings match the exact batch.
+// The batch endpoint follows the same contract: the disposition is
+// reported once and the rankings match the batch that sends no recall.
 func TestRetrieveBatchRecall(t *testing.T) {
-	s, _ := testServerRecall(t, 1)
+	s, _ := testServer(t)
 	req := BatchRetrieveRequest{
 		Queries: []BatchQuery{
 			{Positives: []string{"object-car-00", "object-car-01"}, Mode: "identical"},
@@ -127,23 +97,24 @@ func TestRetrieveBatchRecall(t *testing.T) {
 		}
 		return resp
 	}
-	pruned := batch(req)
-	if pruned.Prune != "filtered" {
-		t.Fatalf("batch disposition %q, want filtered", pruned.Prune)
-	}
-	off := -1.0
-	req.Recall = &off
 	exact := batch(req)
-	if exact.Prune != "" {
-		t.Fatalf("exact batch disposition %q, want empty", exact.Prune)
+	if len(exact.Results) != 2 {
+		t.Fatalf("exact batch returned %d rankings, want 2", len(exact.Results))
 	}
-	if !reflect.DeepEqual(pruned.Results, exact.Results) {
-		t.Fatal("pruned batch rankings diverged from exact")
+	for _, c := range recallCases {
+		req.Recall = c.recall
+		got := batch(req)
+		if got.Prune != c.prune {
+			t.Fatalf("recall %v: batch disposition %q, want %q", fmtRecall(c.recall), got.Prune, c.prune)
+		}
+		if !reflect.DeepEqual(got.Results, exact.Results) {
+			t.Fatalf("recall %v: batch rankings diverged from the batch without recall", fmtRecall(c.recall))
+		}
 	}
 }
 
 // /v1/stats exposes the top-k scan counters once any query has run, with
-// recall left at its default: absent before, consistent (screened =
+// no recall sent: absent before, consistent (screened =
 // admitted + rejected) after, and a scan that could not arm the filter —
 // here k covering the whole database — shows up as unarmed.
 func TestStatsPruneCounters(t *testing.T) {

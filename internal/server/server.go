@@ -117,10 +117,10 @@ type QueryRequest struct {
 	// (neither consulting nor populating it). No effect when the server's
 	// database has no cache.
 	CacheBypass bool `json:"cache_bypass"`
-	// Recall overrides the server database's default candidate-pruning tier
-	// for this query's scan: values in (0, 1) select the calibrated
-	// probabilistic filter, every other value the conservative
-	// (bit-identical) one. Absent inherits the serve-time -recall default.
+	// Recall changes no result: every scan is exact, which meets any
+	// recall target. It sets only the reply's Prune. The field stays
+	// because the benchmark harness, which is frozen, sends it (ROADMAP
+	// item 5).
 	Recall *float64 `json:"recall"`
 }
 
@@ -147,11 +147,10 @@ type QueryResponse struct {
 	TrainMS  int64            `json:"train_ms"`
 	Concept  *ConceptGeometry `json:"concept,omitempty"`
 	Cache    string           `json:"cache,omitempty"`
-	// Prune is the tier the request asked for: omitted when recall was
-	// left at 0, "filtered" for recall ≥ 1, "filtered@<r>" for the
-	// calibrated tier at recall r. Omitted and "filtered" are the same
-	// exact answer by the same scan; the field echoes the request, it does
-	// not distinguish mechanisms.
+	// Prune echoes the request's recall: omitted when it was absent or
+	// ≤ 0, "filtered" otherwise. Both are the same exact answer by the
+	// same scan. The field stays because the benchmark harness, which is
+	// frozen, checks it (ROADMAP item 5).
 	Prune string `json:"prune,omitempty"`
 }
 
@@ -177,9 +176,7 @@ type BatchRetrieveRequest struct {
 	Queries  []BatchQuery      `json:"queries"`
 	K        int               `json:"k"`
 	Exclude  []string          `json:"exclude"`
-	// Recall overrides the server database's default candidate-pruning tier
-	// for the batch's shared scan (see QueryRequest.Recall). It applies to
-	// every entry — the batch runs as one scan.
+	// Recall sets only the reply's Prune, as in QueryRequest.Recall.
 	Recall *float64 `json:"recall"`
 }
 
@@ -193,8 +190,7 @@ type BatchRetrieveResponse struct {
 	ScanMS     int64           `json:"scan_ms"`
 	TrainMS    int64           `json:"train_ms,omitempty"`
 	QueryCache []string        `json:"query_cache,omitempty"`
-	// Prune is the batch scan's candidate-filter disposition (see
-	// QueryResponse.Prune).
+	// Prune echoes the request's recall (see QueryResponse.Prune).
 	Prune string `json:"prune,omitempty"`
 }
 
@@ -419,16 +415,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.ExcludeExamples {
 		exclude = append(append([]string{}, req.Positives...), req.Negatives...)
 	}
-	recall := s.db.Recall()
-	if req.Recall != nil {
-		recall = *req.Recall
-	}
-	hits, err := s.db.Retrieve(r.Context(), concept, k, exclude, recall)
+	hits, err := s.db.Retrieve(r.Context(), concept, k, exclude, 0)
 	if err != nil {
 		writeJSON(w, errStatus(err, http.StatusBadRequest), errorBody{err.Error()})
 		return
 	}
-	resp := QueryResponse{NegLogDD: concept.NegLogDD(), TrainMS: trainMS, Prune: pruneDisposition(recall)}
+	resp := QueryResponse{NegLogDD: concept.NegLogDD(), TrainMS: trainMS, Prune: pruneDisposition(req.Recall)}
 	if outcome != milret.CacheDisabled {
 		resp.Cache = outcome.String()
 	}
@@ -542,12 +534,8 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	recall := s.db.Recall()
-	if req.Recall != nil {
-		recall = *req.Recall
-	}
 	start := time.Now()
-	rankings, err := s.db.RetrieveBatch(r.Context(), concepts, k, req.Exclude, recall)
+	rankings, err := s.db.RetrieveBatch(r.Context(), concepts, k, req.Exclude, 0)
 	if err != nil {
 		writeJSON(w, errStatus(err, http.StatusBadRequest), errorBody{err.Error()})
 		return
@@ -557,7 +545,7 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 		ScanMS:     time.Since(start).Milliseconds(),
 		TrainMS:    trainMS,
 		QueryCache: queryCache,
-		Prune:      pruneDisposition(recall),
+		Prune:      pruneDisposition(req.Recall),
 	}
 	for i, hits := range rankings {
 		rs := make([]QueryResult, 0, len(hits))
@@ -569,19 +557,13 @@ func (s *Server) handleRetrieveBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// pruneDisposition renders the effective recall as the wire-visible tier
-// the request asked for: "" for recall ≤ 0 and "filtered" for recall ≥ 1
-// (the same conservative, bit-identical scan either way), "filtered@<r>"
-// for the calibrated probabilistic tier.
-func pruneDisposition(recall float64) string {
-	switch {
-	case recall <= 0:
+// pruneDisposition renders a request's recall as the reply's prune
+// field: "" when it is absent or ≤ 0, "filtered" otherwise.
+func pruneDisposition(recall *float64) string {
+	if recall == nil || *recall <= 0 {
 		return ""
-	case recall >= 1:
-		return "filtered"
-	default:
-		return fmt.Sprintf("filtered@%g", recall)
 	}
+	return "filtered"
 }
 
 // weightMode resolves a request's "mode"; absent means constrained.

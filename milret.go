@@ -161,16 +161,6 @@ type Options struct {
 	// since-mutated examples is simply never hit again). Ignored when
 	// ConceptCacheMB is 0. See store.WriteCacheSidecar for the format.
 	ConceptCacheFile string
-	// Recall sets the database's default candidate-pruning tier for
-	// retrievals (see README "Candidate pruning"). Every retrieval screens
-	// bags with a conservative per-bag bounding-box bound — results are
-	// bit-identical to the exhaustive ranking while bags that provably
-	// cannot enter the top-k are skipped without reading their rows — so 0
-	// and 1 are the same exact answer by the same scan. Only values in
-	// (0, 1) change anything: they tighten the bound by a calibrated slack
-	// for extra speed at a quantified recall. Overridable per call
-	// (WithRecall).
-	Recall float64
 }
 
 func (o Options) toFeature() feature.Options {
@@ -213,9 +203,6 @@ type TrainOptions struct {
 type Database struct {
 	opts feature.Options
 	db   *retrieval.Database
-	// recall is the default candidate-pruning tier for retrievals
-	// (Options.Recall); immutable after construction.
-	recall float64
 	// j owns the database's on-disk store — which files make it up, the
 	// order they change in, when a shard folds, what an acknowledged Save
 	// means — and the one lock that keeps each shard's journal in apply
@@ -341,7 +328,7 @@ func NewDatabase(opts Options) (*Database, error) {
 			return nil, fmt.Errorf("milret: %w", err)
 		}
 	}
-	d := &Database{opts: fo, db: retrieval.NewDatabaseSharded(opts.Shards), recall: opts.Recall}
+	d := &Database{opts: fo, db: retrieval.NewDatabaseSharded(opts.Shards)}
 	d.j = store.NewJournal(fo.Dim(), d.db.ShardCount())
 	if opts.ConceptCacheMB > 0 {
 		d.cache = qcache.New(int64(opts.ConceptCacheMB) << 20)
@@ -354,9 +341,10 @@ func NewDatabase(opts Options) (*Database, error) {
 // over (≥ 1).
 func (d *Database) ShardCount() int { return d.db.ShardCount() }
 
-// Recall returns the database's default candidate-pruning tier
-// (Options.Recall); 0 and ≥ 1 are both the exact tier.
-func (d *Database) Recall() float64 { return d.recall }
+// Recall returns 0: every retrieval is the exact scan. It stays only
+// because the benchmark harness, which is frozen, still calls it (ROADMAP
+// item 5).
+func (d *Database) Recall() float64 { return 0 }
 
 // AddImage preprocesses img (any stdlib image; color is converted to gray
 // scale) and stores its bag under the unique id. The label is optional
@@ -721,16 +709,14 @@ type Result struct {
 type RetrieveOption func(*retrieveConfig)
 
 type retrieveConfig struct {
-	recall float64
-	seed   float64
+	seed float64
 }
 
-// WithRecall overrides the database's default candidate-pruning tier
-// (Options.Recall) for one retrieval: r in (0, 1) selects the calibrated
-// probabilistic filter, every other r the conservative (bit-identical)
-// one.
-func WithRecall(r float64) RetrieveOption {
-	return func(c *retrieveConfig) { c.recall = r }
+// WithRecall does nothing: every retrieval is the exact scan, which meets
+// any recall target. It stays only because the benchmark harness, which is
+// frozen, still passes it (ROADMAP item 5).
+func WithRecall(float64) RetrieveOption {
+	return func(*retrieveConfig) {}
 }
 
 // WithCutoffSeed pre-tightens the top-k cutoff before the scan starts.
@@ -740,15 +726,6 @@ func WithRecall(r float64) RetrieveOption {
 // ignored.
 func WithCutoffSeed(d float64) RetrieveOption {
 	return func(cfg *retrieveConfig) { cfg.seed = d }
-}
-
-// resolveRetrieve folds the options over the database defaults.
-func (d *Database) resolveRetrieve(ropts []RetrieveOption) retrieveConfig {
-	cfg := retrieveConfig{recall: d.recall}
-	for _, o := range ropts {
-		o(&cfg)
-	}
-	return cfg
 }
 
 // Retrieve returns the k best matches for the concept, nearest first.
@@ -763,12 +740,11 @@ func (d *Database) RetrieveExcluding(c *Concept, k int, exclude []string, ropts 
 	for _, id := range exclude {
 		ex[id] = true
 	}
-	cfg := d.resolveRetrieve(ropts)
-	top := retrieval.TopK(d.db, c.c, k, retrieval.Options{
-		Exclude:    ex,
-		Recall:     cfg.recall,
-		CutoffSeed: cfg.seed,
-	})
+	var cfg retrieveConfig
+	for _, o := range ropts {
+		o(&cfg)
+	}
+	top := retrieval.TopK(d.db, c.c, k, retrieval.Options{Exclude: ex, CutoffSeed: cfg.seed})
 	return convertResults(top)
 }
 
@@ -814,8 +790,11 @@ func (d *Database) CheckConcept(c *Concept) error {
 // concepts before any one scan is split among them.
 //
 // Every concept's dimensionality must match the database's; a nil concept
-// is an error. An empty database yields one empty ranking per concept.
-func (d *Database) RetrieveMany(concepts []*Concept, k int, exclude []string, ropts ...RetrieveOption) ([][]Result, error) {
+// is an error. An empty database yields one empty ranking per concept. A
+// batch takes no cutoff seed, so the options change nothing; they are
+// accepted because the frozen benchmark harness passes WithRecall (ROADMAP
+// item 5).
+func (d *Database) RetrieveMany(concepts []*Concept, k int, exclude []string, _ ...RetrieveOption) ([][]Result, error) {
 	if len(concepts) == 0 {
 		return nil, nil
 	}
@@ -831,8 +810,7 @@ func (d *Database) RetrieveMany(concepts []*Concept, k int, exclude []string, ro
 	for _, id := range exclude {
 		ex[id] = true
 	}
-	recall := d.resolveRetrieve(ropts).recall
-	for i, rs := range retrieval.TopKMany(d.db, scorers, k, retrieval.Options{Exclude: ex, Recall: recall}) {
+	for i, rs := range retrieval.TopKMany(d.db, scorers, k, retrieval.Options{Exclude: ex}) {
 		out[i] = convertResults(rs)
 	}
 	return out, nil

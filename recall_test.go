@@ -7,11 +7,11 @@ import (
 	"milret/internal/synth"
 )
 
-// recallDB builds a database with the pruning default set, plus a twin at
-// the default recall holding the identical corpus.
-func recallDB(t *testing.T, recall float64) (*Database, *Database) {
+// recallDB builds a database image by image, plus a twin from testDB
+// holding the identical corpus.
+func recallDB(t *testing.T) (*Database, *Database) {
 	t.Helper()
-	pruned, err := NewDatabase(Options{Recall: recall})
+	pruned, err := NewDatabase(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,16 +28,12 @@ func recallDB(t *testing.T, recall float64) (*Database, *Database) {
 	return pruned, exact
 }
 
-// The conservative tier must be invisible end to end: Options.Recall 0 and
-// 1 are the same scan, so the reference is the head of the exhaustive
-// RankAll, which no top-k machinery touches. Retrieve and RetrieveMany
-// must match it on both databases, and WithRecall overrides resolve as
-// documented.
+// The box screen must be invisible end to end: the reference is the head
+// of the exhaustive RankAll, which no top-k machinery touches. Retrieve and
+// RetrieveMany must match it on both databases, and WithRecall changes
+// nothing.
 func TestRecallOneEndToEndIdentical(t *testing.T) {
-	pruned, exact := recallDB(t, 1)
-	if pruned.Recall() != 1 {
-		t.Fatalf("Recall() = %v, want 1", pruned.Recall())
-	}
+	pruned, exact := recallDB(t)
 	pos := idsOf(exact, "car", 2)
 	neg := idsNot(exact, "car", 1)
 	cp, err := pruned.Train(pos, neg, TrainOptions{})
@@ -98,7 +94,7 @@ func TestRecallOneEndToEndIdentical(t *testing.T) {
 // from the flat block on load (no format change), so a loaded database
 // still matches the exhaustive ranking of its never-saved twin bit for bit.
 func TestRecallSurvivesReload(t *testing.T) {
-	pruned, exact := recallDB(t, 1)
+	pruned, exact := recallDB(t)
 	dir := t.TempDir()
 	path := dir + "/db.milret"
 	if err := pruned.Save(path); err != nil {
@@ -107,7 +103,7 @@ func TestRecallSurvivesReload(t *testing.T) {
 	if err := pruned.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDatabase(path, Options{Recall: 1})
+	loaded, err := LoadDatabase(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
