@@ -123,6 +123,29 @@ func BenchmarkBagGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkAddImageScenes measures ingest end to end: 500 synth scenes
+// (100 per category, 96×64 RGBA) through AddImage into a fresh in-memory
+// database — gray conversion, the §3.5 pipeline and the index append.
+func BenchmarkAddImageScenes(b *testing.B) {
+	items := synth.ScenesN(11, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, err := NewDatabase(Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, it := range items {
+			if err := db.AddImage(it.ID, it.Label, it.Image); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchTrainingSet builds a deterministic MIL dataset at paper-like
 // dimensions (100-d instances, 40 per bag).
 func benchTrainingSet(nPos, nNeg int) *mil.Dataset {

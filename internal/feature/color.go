@@ -26,14 +26,17 @@ func BagFromColorImage(id string, img image.Image, opts Options) (*mil.Bag, erro
 	}
 	b := img.Bounds()
 	w, h := b.Dx(), b.Dy()
+	luma := gray.New(w, h)
 	planes := []*gray.Image{gray.New(w, h), gray.New(w, h), gray.New(w, h)}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			r, g, bb, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			planes[0].Set(x, y, float64(r)/257)
-			planes[1].Set(x, y, float64(g)/257)
-			planes[2].Set(x, y, float64(bb)/257)
+	gray.RGBRows(img, func(y int, r, g, bl []uint32) {
+		i, j := y*w, (y+1)*w // not Row: a zero-width row is empty
+		lr, pr, pg, pb := luma.Pix[i:j], planes[0].Pix[i:j], planes[1].Pix[i:j], planes[2].Pix[i:j]
+		for x := range lr {
+			lr[x] = gray.Luma(r[x], g[x], bl[x])
+			pr[x] = float64(r[x]) / 257
+			pg[x] = float64(g[x]) / 257
+			pb[x] = float64(bl[x]) / 257
 		}
-	}
-	return bagFromPlanes(id, gray.FromImage(img), planes, opts)
+	})
+	return bagFromPlanes(id, luma, planes, opts)
 }

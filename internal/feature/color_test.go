@@ -179,3 +179,38 @@ func rotate180Image(im *gray.Image) *gray.Image {
 	}
 	return out
 }
+
+// atOnly hides an image's concrete type, so gray.RGBRows reads it through
+// the generic At path.
+type atOnly struct{ image.Image }
+
+// TestColorPlanesTypedPathsMatchAt: a colour bag read through a typed
+// pixel path equals the bag of the same picture read through At, bit for
+// bit — sub-images and NRGBA with alpha below 255 included.
+func TestColorPlanesTypedPathsMatchAt(t *testing.T) {
+	for i, img := range typedPics() {
+		typed, err := BagFromColorImage("c", img, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		generic, err := BagFromColorImage("c", atOnly{img}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(bagDigest(typed)) != string(bagDigest(generic)) {
+			t.Fatalf("picture %d (%T): typed and At colour bags differ", i, img)
+		}
+	}
+}
+
+// TestZeroWidthImageIsAnError: a picture with rows but no columns is an
+// empty image to both pipelines, reported as an error, not a panic.
+func TestZeroWidthImageIsAnError(t *testing.T) {
+	img := image.NewRGBA(image.Rect(0, 0, 0, 5))
+	if _, err := BagFromColorImage("x", img, Options{}); err == nil {
+		t.Fatal("zero-width colour image accepted")
+	}
+	if _, err := BagFromImage("x", gray.FromImage(img), Options{}); err == nil {
+		t.Fatal("zero-width gray image accepted")
+	}
+}

@@ -44,6 +44,33 @@ func quadrantRGBA(r *rand.Rand, w, h int) *image.RGBA {
 	return img
 }
 
+// typedPics returns one picture of each pixel type FromImage reads through
+// a typed accessor, each off the full-frame RGBA path synth produces: an
+// RGBA sub-image (non-zero Bounds().Min, stride ≠ 4·W), an NRGBA with
+// alpha below 255, and an 8-bit Gray.
+func typedPics() []image.Image {
+	r := rand.New(rand.NewSource(35))
+	sub := texturedRGBA(r, 120, 90).SubImage(image.Rect(13, 9, 109, 73))
+	nrgba := image.NewNRGBA(image.Rect(0, 0, 80, 60))
+	for y := 0; y < 60; y++ {
+		for x := 0; x < 80; x++ {
+			nrgba.SetNRGBA(x, y, color.NRGBA{
+				R: uint8(128 + 90*math.Sin(float64(x)/6) + r.NormFloat64()*10),
+				G: uint8(128 + 70*math.Cos(float64(y)/5) + r.NormFloat64()*10),
+				B: uint8(r.Intn(256)),
+				A: uint8(40 + r.Intn(216)),
+			})
+		}
+	}
+	g := image.NewGray(image.Rect(0, 0, 64, 48))
+	for y := 0; y < 48; y++ {
+		for x := 0; x < 64; x++ {
+			g.SetGray(x, y, color.Gray{Y: uint8(128 + 80*math.Sin(float64(x*y)/40) + r.NormFloat64()*12)})
+		}
+	}
+	return []image.Image{sub, nrgba, g}
+}
+
 // TestBagDigestsPinned pins featurization bit for bit. Each case hashes the
 // bags of three fixed pictures — fully textured, textured in one quadrant
 // only (the variance filter drops regions) and blank (the whole-picture
@@ -96,6 +123,14 @@ func TestBagDigestsPinned(t *testing.T) {
 			pics := colorPics()
 			return digest(t, func(i int) (*mil.Bag, error) { return BagFromColorImage("c", pics[i], Options{}) })
 		}, "9b73e24a96d860a492e8027c0cdd5ac6c6f582b77570723c068265a7ea794972"},
+		{"gray via FromImage, typed pixels", func(t *testing.T) string {
+			pics := typedPics()
+			return digest(t, func(i int) (*mil.Bag, error) { return BagFromImage("t", gray.FromImage(pics[i]), Options{}) })
+		}, "fdb603fd76918c11d29f5fecedf0dee75c20b8d9e4a7c2a999fca0379cc0830a"},
+		{"colour, typed pixels", func(t *testing.T) string {
+			pics := typedPics()
+			return digest(t, func(i int) (*mil.Bag, error) { return BagFromColorImage("t", pics[i], Options{}) })
+		}, "d7d59b16efdee8b324cdd9328baa3f24c0f2870a91c5a6b44545918dfe5818b5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := tc.run(t); got != tc.want {

@@ -96,14 +96,11 @@ func bagFromPlanes(id string, luma *gray.Image, planes []*gray.Image, opts Optio
 		return nil, fmt.Errorf("feature: bag %q: %w", id, err)
 	}
 
-	// One integral image of luma serves every region's mean, and one over
-	// its square serves the variance filter: Var = E[x²] − E[x]².
+	// One integral image of luma serves every region's mean (and, for a
+	// gray bag, the identity variant's samples), and one over its squares
+	// serves the variance filter: Var = E[x²] − E[x]².
 	it := gray.NewIntegral(luma)
-	sq := gray.New(luma.W, luma.H)
-	for i, v := range luma.Pix {
-		sq.Pix[i] = v * v
-	}
-	itSq := gray.NewIntegral(sq)
+	itSq := gray.NewSquaresIntegral(luma)
 
 	// Every geometric variant (mirror, rotations, their compositions) is
 	// realized by one integral image per plane over the transformed picture
@@ -112,7 +109,7 @@ func bagFromPlanes(id string, luma *gray.Image, planes []*gray.Image, opts Optio
 	// mirroring the sampled matrix instead would be off by half a kernel
 	// block, because the 50%-overlap grid does not commute with the
 	// transforms.
-	variants := buildVariants(planes, opts)
+	variants := buildVariants(planes, luma, it, opts)
 
 	bag := &mil.Bag{ID: id}
 	parts := make([]mat.Vector, len(planes))
@@ -141,7 +138,7 @@ func bagFromPlanes(id string, luma *gray.Image, planes []*gray.Image, opts Optio
 		x0, y0, x1, y1 := r.Pixels(luma.W, luma.H)
 		n := float64((x1 - x0) * (y1 - y0))
 		mean := it.Sum(x0, y0, x1, y1) / n
-		variance := itSq.Sum(x0, y0, x1, y1)/n - mean*mean
+		variance := itSq.Sum(x0, y0, x1, y1)/n - float64(mean*mean)
 		if variance < region.DefaultVarianceThreshold {
 			continue
 		}
@@ -175,8 +172,10 @@ type variant struct {
 // buildVariants prepares the geometric instance variants: the identity,
 // the left-right mirror (§3.2), and optionally the three quarter-turn
 // rotations of each (paper §5 future work). W and H refer to the original
-// picture.
-func buildVariants(planes []*gray.Image, opts Options) []variant {
+// picture. A plane that is luma itself reuses lumaIt for the identity, and
+// the mirror's integrals are built straight from the planes; only the
+// rotations materialize transformed pictures.
+func buildVariants(planes []*gray.Image, luma *gray.Image, lumaIt *gray.Integral, opts Options) []variant {
 	w, h := planes[0].W, planes[0].H
 	ident := func(x0, y0, x1, y1 int) (int, int, int, int) { return x0, y0, x1, y1 }
 	mirror := func(x0, y0, x1, y1 int) (int, int, int, int) { return w - x1, y0, w - x0, y1 }
@@ -198,19 +197,27 @@ func buildVariants(planes []*gray.Image, opts Options) []variant {
 		}
 		return its
 	}
-	same := func(p *gray.Image) *gray.Image { return p }
 
-	mirrored := make([]*gray.Image, len(planes))
+	identIts := make([]*gray.Integral, len(planes))
+	mirrorIts := make([]*gray.Integral, len(planes))
 	for i, p := range planes {
-		mirrored[i] = p.MirrorLR()
+		identIts[i] = lumaIt
+		if p != luma {
+			identIts[i] = gray.NewIntegral(p)
+		}
+		mirrorIts[i] = gray.NewMirrorIntegral(p)
 	}
 	variants := []variant{
-		{integrals(planes, same), ident, ""},
-		{integrals(mirrored, same), mirror, "-lr"},
+		{identIts, ident, ""},
+		{mirrorIts, mirror, "-lr"},
 	}
 	if opts.Rotations {
 		// The mirrored picture has the same dimensions, so the same
 		// rotation transforms apply after the mirror transform.
+		mirrored := make([]*gray.Image, len(planes))
+		for i, p := range planes {
+			mirrored[i] = p.MirrorLR()
+		}
 		variants = append(variants,
 			variant{integrals(planes, (*gray.Image).Rotate90), rot90, "-r90"},
 			variant{integrals(planes, (*gray.Image).Rotate180), rot180, "-r180"},

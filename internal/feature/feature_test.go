@@ -10,6 +10,7 @@ import (
 	"milret/internal/gray"
 	"milret/internal/mat"
 	"milret/internal/region"
+	"milret/internal/synth"
 )
 
 func texturedImage(r *rand.Rand, w, h int) *gray.Image {
@@ -226,6 +227,19 @@ func TestBagDeterministic(t *testing.T) {
 	for i := range b1.Instances {
 		if !slices.Equal(b1.Instances[i], b2.Instances[i]) {
 			t.Fatalf("bag generation not deterministic at instance %d", i)
+		}
+	}
+}
+
+// BenchmarkBagFromImage measures one synth scene (96×64 RGBA) through
+// gray.FromImage and the default §3.5 pipeline — the featurization half of
+// an AddImage.
+func BenchmarkBagFromImage(b *testing.B) {
+	img := synth.ScenesN(1, 1)[0].Image
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := BagFromImage("bench", gray.FromImage(img), Options{}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

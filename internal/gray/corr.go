@@ -30,14 +30,14 @@ func CorrVec(a, b mat.Vector) float64 {
 	var cov, va, vb float64
 	for k := 0; k < n; k++ {
 		da, db := a[k]-ma, b[k]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
+		cov += float64(da * db)
+		va += float64(da * da)
+		vb += float64(db * db)
 	}
 	if va <= 0 || vb <= 0 {
 		return 0
 	}
-	r := cov / math.Sqrt(va*vb)
+	r := cov / math.Sqrt(float64(va*vb))
 	// Guard against floating-point drift pushing |r| epsilon above 1.
 	if r > 1 {
 		r = 1

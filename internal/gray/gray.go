@@ -9,6 +9,7 @@ package gray
 import (
 	"fmt"
 	"image"
+	"image/color"
 )
 
 // Image is a gray-scale raster with float64 samples stored row-major.
@@ -91,19 +92,66 @@ func (im *Image) Rotate270() *Image {
 }
 
 // FromImage converts any stdlib image to gray scale using the Rec. 601 luma
-// weights (0.299 R + 0.587 G + 0.114 B), the conversion in common use when
-// the paper was written. The result is scaled to [0, 255].
+// weights (Luma), the conversion in common use when the paper was written.
+// The result is scaled to [0, 255].
 func FromImage(src image.Image) *Image {
 	b := src.Bounds()
 	out := New(b.Dx(), b.Dy())
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		row := out.Row(y - b.Min.Y)
-		for x := b.Min.X; x < b.Max.X; x++ {
-			r, g, bb, _ := src.At(x, y).RGBA() // 16-bit channels
-			row[x-b.Min.X] = (0.299*float64(r) + 0.587*float64(g) + 0.114*float64(bb)) / 257.0
+	RGBRows(src, func(y int, r, g, bl []uint32) {
+		row := out.Pix[y*out.W : (y+1)*out.W] // not Row: a zero-width row is empty
+		for x := range row {
+			row[x] = Luma(r[x], g[x], bl[x])
 		}
-	}
+	})
 	return out
+}
+
+// Luma is the Rec. 601 gray level (0.299 R + 0.587 G + 0.114 B) of 16-bit
+// channels, scaled to [0, 255]. Every product is rounded on its own, so the
+// result is the same on hosts that fuse multiply-adds.
+func Luma(r, g, b uint32) float64 {
+	return (float64(0.299*float64(r)) + float64(0.587*float64(g)) + float64(0.114*float64(b))) / 257.0
+}
+
+// RGBRows calls row once for every row of src, top to bottom, with the
+// row's index counted from 0 and the 16-bit R, G and B channels of its
+// pixels: exactly what src.At(x, y).RGBA() returns. *image.RGBA,
+// *image.NRGBA and *image.Gray (what png.Decode returns for 8-bit PNGs) are
+// read straight from their Pix rows into their color types, whose RGBA
+// methods compute the channels without boxing a color per pixel; every
+// other type goes through At. The channel slices are reused from one call
+// to the next.
+func RGBRows(src image.Image, row func(y int, r, g, b []uint32)) {
+	bd := src.Bounds()
+	w := bd.Dx()
+	buf := make([]uint32, 3*w)
+	r, g, b := buf[:w], buf[w:2*w], buf[2*w:]
+	for y := bd.Min.Y; y < bd.Max.Y; y++ {
+		switch s := src.(type) {
+		case *image.RGBA:
+			pix := s.Pix[s.PixOffset(bd.Min.X, y):][:4*w]
+			for i := range r {
+				p := pix[4*i : 4*i+4 : 4*i+4]
+				r[i], g[i], b[i], _ = color.RGBA{p[0], p[1], p[2], p[3]}.RGBA()
+			}
+		case *image.NRGBA:
+			pix := s.Pix[s.PixOffset(bd.Min.X, y):][:4*w]
+			for i := range r {
+				p := pix[4*i : 4*i+4 : 4*i+4]
+				r[i], g[i], b[i], _ = color.NRGBA{p[0], p[1], p[2], p[3]}.RGBA()
+			}
+		case *image.Gray:
+			pix := s.Pix[s.PixOffset(bd.Min.X, y):][:w]
+			for i := range r {
+				r[i], g[i], b[i], _ = color.Gray{pix[i]}.RGBA()
+			}
+		default:
+			for i := range r {
+				r[i], g[i], b[i], _ = src.At(bd.Min.X+i, y).RGBA()
+			}
+		}
+		row(y-bd.Min.Y, r, g, b)
+	}
 }
 
 func (im *Image) check(x, y int) {

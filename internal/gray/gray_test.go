@@ -290,3 +290,141 @@ func TestImageRotationGroup(t *testing.T) {
 		}
 	}
 }
+
+// typedPathImages returns pictures of every pixel type RGBRows reads
+// through a typed accessor — whole and as sub-images, whose Bounds().Min
+// is non-zero and whose stride exceeds their width — plus two types that
+// stay on At.
+func typedPathImages(r *rand.Rand) map[string]image.Image {
+	rgba := image.NewRGBA(image.Rect(0, 0, 37, 23))
+	nrgba := image.NewNRGBA(image.Rect(0, 0, 37, 23))
+	gr := image.NewGray(image.Rect(0, 0, 37, 23))
+	rgba64 := image.NewRGBA64(image.Rect(-3, 2, 20, 17))
+	pal := image.NewPaletted(image.Rect(0, 0, 19, 11), color.Palette{
+		color.RGBA{10, 200, 30, 255}, color.NRGBA{250, 40, 90, 100}, color.Gray{77}, color.Transparent,
+	})
+	for y := 0; y < 23; y++ {
+		for x := 0; x < 37; x++ {
+			rgba.SetRGBA(x, y, color.RGBA{uint8(r.Intn(256)), uint8(r.Intn(256)), uint8(r.Intn(256)), 255})
+			nrgba.SetNRGBA(x, y, color.NRGBA{uint8(r.Intn(256)), uint8(r.Intn(256)), uint8(r.Intn(256)), uint8(r.Intn(256))})
+			gr.SetGray(x, y, color.Gray{uint8(r.Intn(256))})
+		}
+	}
+	for i := range rgba64.Pix {
+		rgba64.Pix[i] = uint8(r.Intn(256))
+	}
+	for i := range pal.Pix {
+		pal.Pix[i] = uint8(r.Intn(4))
+	}
+	sub := image.Rect(5, 3, 31, 20)
+	return map[string]image.Image{
+		"RGBA":      rgba,
+		"RGBA sub":  rgba.SubImage(sub),
+		"NRGBA":     nrgba,
+		"NRGBA sub": nrgba.SubImage(sub),
+		"Gray":      gr,
+		"Gray sub":  gr.SubImage(sub),
+		"RGBA64":    rgba64,
+		"Paletted":  pal,
+	}
+}
+
+// TestTypedPixelPathsMatchAt: for every pixel type, RGBRows hands over
+// exactly the channels of the generic At(x, y).RGBA() loop, and FromImage
+// the gray levels that loop's Rec. 601 formula gives, bit for bit.
+func TestTypedPixelPathsMatchAt(t *testing.T) {
+	for name, img := range typedPathImages(rand.New(rand.NewSource(8))) {
+		t.Run(name, func(t *testing.T) {
+			b := img.Bounds()
+			rows := 0
+			RGBRows(img, func(y int, r, g, bl []uint32) {
+				rows++
+				if len(r) != b.Dx() || len(g) != b.Dx() || len(bl) != b.Dx() {
+					t.Fatalf("row %d: %d/%d/%d channels, want %d", y, len(r), len(g), len(bl), b.Dx())
+				}
+				for x := range r {
+					wr, wg, wb, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
+					if r[x] != wr || g[x] != wg || bl[x] != wb {
+						t.Fatalf("(%d,%d): RGBRows %d,%d,%d, At %d,%d,%d", x, y, r[x], g[x], bl[x], wr, wg, wb)
+					}
+				}
+			})
+			if rows != b.Dy() {
+				t.Fatalf("RGBRows visited %d rows, want %d", rows, b.Dy())
+			}
+			got := FromImage(img)
+			if got.W != b.Dx() || got.H != b.Dy() {
+				t.Fatalf("FromImage %dx%d, want %dx%d", got.W, got.H, b.Dx(), b.Dy())
+			}
+			for y := b.Min.Y; y < b.Max.Y; y++ {
+				for x := b.Min.X; x < b.Max.X; x++ {
+					r, g, bl, _ := img.At(x, y).RGBA()
+					want := (float64(0.299*float64(r)) + float64(0.587*float64(g)) + float64(0.114*float64(bl))) / 257.0
+					if v := got.Pix[(y-b.Min.Y)*got.W+x-b.Min.X]; math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("(%d,%d): FromImage %v, At loop %v", x, y, v, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestIntegralBuildersMatchMaterialized: the squares' and the mirror's
+// integrals, built straight from the picture, equal NewIntegral over the
+// materialized squared and mirrored pictures bit for bit.
+func TestIntegralBuildersMatchMaterialized(t *testing.T) {
+	im := randImage(rand.New(rand.NewSource(9)), 29, 17)
+	sq := New(im.W, im.H)
+	for i, v := range im.Pix {
+		sq.Pix[i] = v * v
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want *Integral
+	}{
+		{"squares", NewSquaresIntegral(im), NewIntegral(sq)},
+		{"mirror", NewMirrorIntegral(im), NewIntegral(im.MirrorLR())},
+	} {
+		if tc.got.w != tc.want.w || tc.got.h != tc.want.h || len(tc.got.sum) != len(tc.want.sum) {
+			t.Fatalf("%s: shape differs", tc.name)
+		}
+		for i := range tc.got.sum {
+			if math.Float64bits(tc.got.sum[i]) != math.Float64bits(tc.want.sum[i]) {
+				t.Fatalf("%s: entry %d is %v, want %v", tc.name, i, tc.got.sum[i], tc.want.sum[i])
+			}
+		}
+	}
+}
+
+// TestSmoothSampleRectMatchesMean: every sampled cell is Integral.Mean of
+// its block bit for bit, for rectangles inside, across and outside the
+// picture's edges and at every resolution the experiments use.
+func TestSmoothSampleRectMatchesMean(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	it := NewIntegral(randImage(r, 41, 27))
+	for trial := 0; trial < 200; trial++ {
+		x0, y0 := r.Intn(60)-10, r.Intn(40)-10
+		w, hh := 1+r.Intn(50), 1+r.Intn(35)
+		h := []int{1, 6, 10, 15, 40}[r.Intn(5)]
+		got := smoothSampleRect(it, x0, y0, w, hh, h)
+		fy, fx := float64(hh)/float64(h), float64(w)/float64(h)
+		for i := 0; i < h; i++ {
+			r0 := y0 + int(math.Floor(float64(i)*fy))
+			r1 := min(y0+int(math.Ceil(float64(i+2)*fy)), y0+hh)
+			if r1 <= r0 {
+				r1 = r0 + 1
+			}
+			for j := 0; j < h; j++ {
+				c0 := x0 + int(math.Floor(float64(j)*fx))
+				c1 := min(x0+int(math.Ceil(float64(j+2)*fx)), x0+w)
+				if c1 <= c0 {
+					c1 = c0 + 1
+				}
+				want := it.Mean(c0, r0, c1, r1)
+				if v := got.Row(i)[j]; math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("rect (%d,%d)+%dx%d h=%d cell (%d,%d): %v, Mean %v", x0, y0, w, hh, h, i, j, v, want)
+				}
+			}
+		}
+	}
+}

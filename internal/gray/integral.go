@@ -14,16 +14,45 @@ type Integral struct {
 
 // NewIntegral builds the summed-area table for im in one pass.
 func NewIntegral(im *Image) *Integral {
-	w, h := im.W, im.H
+	return integral(im.W, im.H, im.Row)
+}
+
+// NewSquaresIntegral builds the summed-area table of im's squared pixels —
+// the E[x²] of a block variance — without materializing the squared image.
+func NewSquaresIntegral(im *Image) *Integral {
+	buf := make([]float64, im.W)
+	return integral(im.W, im.H, func(y int) []float64 {
+		for x, v := range im.Row(y) {
+			buf[x] = float64(v * v)
+		}
+		return buf
+	})
+}
+
+// NewMirrorIntegral builds the summed-area table of im.MirrorLR() without
+// materializing the mirror.
+func NewMirrorIntegral(im *Image) *Integral {
+	buf := make([]float64, im.W)
+	return integral(im.W, im.H, func(y int) []float64 {
+		src := im.Row(y)
+		for x := range buf {
+			buf[x] = src[im.W-1-x]
+		}
+		return buf
+	})
+}
+
+// integral builds the w×h summed-area table whose pixel row y is row(y).
+func integral(w, h int, row func(y int) []float64) *Integral {
 	it := &Integral{w: w, h: h, sum: make([]float64, (w+1)*(h+1))}
 	stride := w + 1
 	for y := 0; y < h; y++ {
-		row := im.Row(y)
+		src := row(y)
 		var rowSum float64
 		base := (y + 1) * stride
 		prev := y * stride
 		for x := 0; x < w; x++ {
-			rowSum += row[x]
+			rowSum += src[x]
 			it.sum[base+x+1] = it.sum[prev+x+1] + rowSum
 		}
 	}

@@ -48,30 +48,48 @@ func SmoothSampleRect(it *Integral, x0, y0, x1, y1, h int) (*mat.Matrix, error) 
 	return smoothSampleRect(it, x0, y0, x1-x0, y1-y0, h), nil
 }
 
+// smoothSampleRect reads every cell as Integral.Mean would: the block
+// bounds clamped to the table, the four corners summed in Sum's order and
+// divided by the clamped pixel count, with 0 for an empty block. The column
+// bounds are the same in every row, so they are computed once.
 func smoothSampleRect(it *Integral, x0, y0, w, hh, h int) *mat.Matrix {
 	out := mat.NewMatrix(h, h)
 	fy := float64(hh) / float64(h)
 	fx := float64(w) / float64(h)
+	var stack [64]int // the bounds of h ≤ 32 columns, without an allocation per sample
+	cols := stack[:0]
+	if 2*h > len(stack) {
+		cols = make([]int, 0, 2*h)
+	}
+	for j := 0; j < h; j++ {
+		c0 := x0 + int(math.Floor(float64(float64(j)*fx)))
+		c1 := x0 + int(math.Ceil(float64(float64(j+2)*fx)))
+		if c1 > x0+w {
+			c1 = x0 + w
+		}
+		if c1 <= c0 {
+			c1 = c0 + 1
+		}
+		cols = append(cols, clampInt(c0, 0, it.w), clampInt(c1, 0, it.w))
+	}
+	stride := it.w + 1
 	for i := 0; i < h; i++ {
-		r0 := y0 + int(math.Floor(float64(i)*fy))
-		r1 := y0 + int(math.Ceil(float64(i+2)*fy))
+		r0 := y0 + int(math.Floor(float64(float64(i)*fy)))
+		r1 := y0 + int(math.Ceil(float64(float64(i+2)*fy)))
 		if r1 > y0+hh {
 			r1 = y0 + hh
 		}
 		if r1 <= r0 { // degenerate when source smaller than target
 			r1 = r0 + 1
 		}
+		r0, r1 = clampInt(r0, 0, it.h), clampInt(r1, 0, it.h)
+		top, bot := it.sum[r0*stride:], it.sum[r1*stride:]
 		row := out.Row(i)
-		for j := 0; j < h; j++ {
-			c0 := x0 + int(math.Floor(float64(j)*fx))
-			c1 := x0 + int(math.Ceil(float64(j+2)*fx))
-			if c1 > x0+w {
-				c1 = x0 + w
+		for j := range row {
+			c0, c1 := cols[2*j], cols[2*j+1]
+			if n := (c1 - c0) * (r1 - r0); n > 0 {
+				row[j] = (bot[c1] - top[c1] - bot[c0] + top[c0]) / float64(n)
 			}
-			if c1 <= c0 {
-				c1 = c0 + 1
-			}
-			row[j] = it.Mean(c0, r0, c1, r1)
 		}
 	}
 	return out

@@ -10,7 +10,11 @@
 // block); it is never written or grown. Every Append goes to a heap tail
 // that follows it, so the first write after an open copies the one bag it
 // writes, not the block. A bag never straddles the two: bagDist picks its
-// segment with one compare.
+// segment with one compare. The bags' sketches split the same way: the
+// ones FromFlat packs stay the base's, and Append packs into a sketch tail
+// of its own, which the candidate filter picks with one compare too. Both
+// tails grow once per bag, by doubling, so a long run of appends copies
+// each tail byte about once.
 //
 // Three optimizations are fused into the top-k scan itself:
 //
@@ -67,23 +71,29 @@ type Index struct {
 	// data is the heap tail every Append writes, rows from baseRows on:
 	// instance r ≥ baseRows occupies data[(r-baseRows)*dim : (r-baseRows+1)*dim].
 	data []float64
+	// baseBags is the number of bags whose rows and sketches are the base's.
+	baseBags int
 	// bagOffsets has one entry per bag plus a sentinel: bag i's instances
 	// are rows bagOffsets[i] up to bagOffsets[i+1].
 	bagOffsets []int
 	ids        []string
 	labels     []string
-	// boxes packs each bag's axis-aligned instance bounding box (float32,
-	// lo/hi interleaved per dimension — mat.PackBagSketch) over the bag's
-	// leading boxDims(dim) dimensions: bag i's box is
-	// boxes[i*mat.BoxStride*boxDims(dim) : (i+1)*mat.BoxStride*boxDims(dim)].
-	// Capping the box at ScreenBoxDims keeps the screen's stream small and
-	// sequential — a prefix bound is still a valid lower bound (its dropped
-	// terms are non-negative), and in practice rejection decides within the
-	// first few kernel blocks. The boxes are maintained on every build path
-	// — Append, FromFlat (so a zero-copy open and a compaction rebuild them
-	// for free) — and consumed by the candidate filter every top-k scan runs
-	// behind (prune.go).
-	boxes []float32
+	// baseBoxes and tailBoxes pack each bag's axis-aligned instance
+	// bounding box (float32, lo/hi interleaved per dimension —
+	// mat.PackBagSketch) over the bag's leading boxDims(dim) dimensions:
+	// with stride mat.BoxStride*boxDims(dim), bag i < baseBags has box
+	// baseBoxes[i*stride : (i+1)*stride] and bag i ≥ baseBags has box
+	// tailBoxes[(i-baseBags)*stride : (i-baseBags+1)*stride]. Capping the
+	// box at ScreenBoxDims keeps the screen's stream small and sequential —
+	// a prefix bound is still a valid lower bound (its dropped terms are
+	// non-negative), and in practice rejection decides within the first few
+	// kernel blocks. The boxes are maintained on every build path — FromFlat
+	// packs the base's (so a zero-copy open and a compaction rebuild them
+	// for free) and nothing appends to them; Append packs the tail's — and
+	// consumed by the candidate filter every top-k scan runs behind
+	// (prune.go).
+	baseBoxes []float32
+	tailBoxes []float32
 	// dead is a tombstone bitmask over bags (bit i set = bag i deleted).
 	// Dead bags keep their rows in the flat block — scans skip them — until
 	// the owner rebuilds the index (retrieval.Database.Compact). nil while
@@ -148,18 +158,31 @@ func (x *Index) Append(id, label string, instances []mat.Vector) error {
 	if x.dim == 0 {
 		x.dim = dim
 	}
-	rowStart := x.bagOffsets[len(x.bagOffsets)-1]
-	for _, inst := range instances {
-		x.data = append(x.data, inst...)
+	rows := grow(&x.data, len(instances)*dim)
+	for i, inst := range instances {
+		copy(rows[i*dim:], inst)
 	}
-	bi := len(x.ids)
-	bd := boxDims(dim)
-	x.boxes = append(x.boxes, make([]float32, mat.BoxStride*bd)...)
-	mat.PackBagSketch(dim, x.data[(rowStart-x.baseRows)*dim:], x.boxes[bi*mat.BoxStride*bd:(bi+1)*mat.BoxStride*bd])
+	mat.PackBagSketch(dim, rows, grow(&x.tailBoxes, mat.BoxStride*boxDims(dim)))
 	x.bagOffsets = append(x.bagOffsets, x.bagOffsets[len(x.bagOffsets)-1]+len(instances))
 	x.ids = append(x.ids, id)
 	x.labels = append(x.labels, label)
 	return nil
+}
+
+// grow extends *s by n elements and returns them. When the capacity runs
+// out it at least doubles it, whatever the element count: append's growth
+// falls towards 1.25× for large slices, which copies a long tail several
+// times over. The elements a Snapshot can see are never rewritten, only
+// copied to the new array.
+func grow[T float32 | float64](s *[]T, n int) []T {
+	old := len(*s)
+	if old+n > cap(*s) {
+		next := make([]T, old, max(old+n, 2*cap(*s)))
+		copy(next, *s)
+		*s = next
+	}
+	*s = (*s)[:old+n]
+	return (*s)[old:]
 }
 
 // FromFlat constructs an index that adopts an existing row-major instance
@@ -195,10 +218,11 @@ func FromFlat(dim int, data []float64, counts []int, ids, labels []string) (*Ind
 		labels:     append([]string(nil), labels...),
 		base:       data[:len(data):len(data)],
 		baseRows:   offsets[len(counts)],
+		baseBags:   len(counts),
 	}
 	if len(counts) > 0 {
 		x.dim = dim
-		x.boxes = packSketches(dim, data, offsets)
+		x.baseBoxes = packSketches(dim, data, offsets)
 	}
 	return x, nil
 }
@@ -302,16 +326,14 @@ func (x *Index) Snapshot() Snapshot {
 		dead = append(dead, x.dead...)
 	}
 	x.labelsShared.Store(true)
-	var boxes []float32
-	if n := len(x.ids) * mat.BoxStride * boxDims(x.dim); n > 0 && len(x.boxes) >= n {
-		boxes = x.boxes[:n:n]
-	}
 	return Snapshot{
 		dim:        x.dim,
 		base:       x.base,
 		baseRows:   x.baseRows,
 		data:       x.data[:len(x.data):len(x.data)],
-		boxes:      boxes,
+		baseBags:   x.baseBags,
+		baseBoxes:  x.baseBoxes,
+		tailBoxes:  x.tailBoxes[:len(x.tailBoxes):len(x.tailBoxes)],
 		bagOffsets: x.bagOffsets[:len(x.ids)+1],
 		ids:        x.ids[:len(x.ids)],
 		labels:     x.labels[:len(x.ids)],
@@ -331,7 +353,9 @@ type Snapshot struct {
 	base       []float64 // see Index.base
 	baseRows   int
 	data       []float64 // see Index.data
-	boxes      []float32 // per-bag bounding boxes; see Index.boxes
+	baseBags   int       // see Index.baseBags
+	baseBoxes  []float32 // per-bag bounding boxes; see Index.baseBoxes
+	tailBoxes  []float32 // see Index.tailBoxes
 	bagOffsets []int
 	ids        []string
 	labels     []string

@@ -487,7 +487,7 @@ func TestFromFlatSketchesMatchPerBag(t *testing.T) {
 	for i, c := range counts {
 		mat.PackBagSketch(dim, data[row*dim:(row+c)*dim], box)
 		row += c
-		if !reflect.DeepEqual(box, x.boxes[i*mat.BoxStride*bd:(i+1)*mat.BoxStride*bd]) {
+		if !reflect.DeepEqual(box, x.baseBoxes[i*mat.BoxStride*bd:(i+1)*mat.BoxStride*bd]) {
 			t.Fatalf("bag %d: FromFlat's sketch differs from PackBagSketch's", i)
 		}
 	}

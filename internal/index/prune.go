@@ -1,7 +1,8 @@
 // The candidate filter every top-k scan runs behind. Every bag carries a
-// compact sketch (a float32 bounding box over its instances — Index.boxes,
-// built on Append and FromFlat), and a top-k scan screens each bag's box
-// against the current k-th-best cutoff before touching any instance row:
+// compact sketch (a float32 bounding box over its instances —
+// Index.baseBoxes, built by FromFlat, or Index.tailBoxes, built by Append),
+// and a top-k scan screens each bag's box against the current k-th-best
+// cutoff before touching any instance row:
 // mat.BoxBoundExceeds lower-bounds the bag's exact min-instance distance, so
 // a bag whose bound already exceeds the cutoff provably cannot enter the
 // top-k and is skipped without reading its rows. Surviving bags run through
@@ -123,11 +124,17 @@ type pruneFilter struct {
 // reject reports whether bag i of s is screened out: its box lower bound —
 // over the box's leading boxDims(dim) dimensions; the dropped dimensions'
 // terms are non-negative, so the prefix bound only under-estimates —
-// strictly exceeds cutoff, a proof the bag cannot enter the top-k.
+// strictly exceeds cutoff, a proof the bag cannot enter the top-k. The box
+// is the base's or the tail's, picked with one compare as bagDist picks the
+// rows.
 func (f *pruneFilter) reject(s *Snapshot, i int, cutoff float64) bool {
 	bd := boxDims(s.dim)
 	stride := mat.BoxStride * bd
-	return mat.BoxBoundExceeds(f.q.Point[:bd], f.q.Weights[:bd], s.boxes[i*stride:(i+1)*stride], cutoff)
+	boxes := s.baseBoxes
+	if i >= s.baseBags {
+		boxes, i = s.tailBoxes, i-s.baseBags
+	}
+	return mat.BoxBoundExceeds(f.q.Point[:bd], f.q.Weights[:bd], boxes[i*stride:(i+1)*stride], cutoff)
 }
 
 // newPruneFilter arms the filter for q, or returns nil when it cannot

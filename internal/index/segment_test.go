@@ -188,3 +188,51 @@ func TestQuickSegmentsMatchAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTailsGrowByDoubling: the row tail and the sketch tail reallocate only
+// by at least doubling, so n appends copy O(n) tail bytes in all, and a
+// reallocation never disturbs what an earlier snapshot scans.
+func TestTailsGrowByDoubling(t *testing.T) {
+	const dim = 16
+	r := rand.New(rand.NewSource(4))
+	x := New()
+	var snaps []Snapshot
+	var bags [][]mat.Vector
+	grows := 0
+	for i := 0; i < 600; i++ {
+		rowCap, boxCap := cap(x.data), cap(x.tailBoxes)
+		bag := randBag(r, dim, 8, nil)
+		if err := x.Append(fmt.Sprint("b", i), "l", bag); err != nil {
+			t.Fatal(err)
+		}
+		bags = append(bags, bag)
+		for _, c := range []struct {
+			name     string
+			old, now int
+		}{{"row", rowCap, cap(x.data)}, {"sketch", boxCap, cap(x.tailBoxes)}} {
+			if c.now != c.old {
+				grows++
+				if c.old > 0 && c.now < 2*c.old {
+					t.Fatalf("append %d: %s tail grew %d → %d, less than doubling", i, c.name, c.old, c.now)
+				}
+			}
+		}
+		if i%97 == 0 {
+			snaps = append(snaps, x.Snapshot())
+		}
+	}
+	if grows > 40 {
+		t.Fatalf("%d tail reallocations over 600 appends", grows)
+	}
+	for _, s := range snaps {
+		ref := New()
+		for i, bag := range bags[:s.Len()] {
+			if err := ref.Append(fmt.Sprint("b", i), "l", bag); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if msg := sameScans(r, s, ref.Snapshot(), dim); msg != "" {
+			t.Fatalf("snapshot of %d bags after later appends: %s", s.Len(), msg)
+		}
+	}
+}
