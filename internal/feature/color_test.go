@@ -184,9 +184,9 @@ func rotate180Image(im *gray.Image) *gray.Image {
 // the generic At path.
 type atOnly struct{ image.Image }
 
-// TestColorPlanesTypedPathsMatchAt: a colour bag read through a typed
-// pixel path equals the bag of the same picture read through At, bit for
-// bit — sub-images and NRGBA with alpha below 255 included.
+// TestColorPlanesTypedPathsMatchAt: a colour bag of each typedPics picture
+// equals the bag of the same picture read through At, bit for bit — the
+// RGBA sub-image's Pix path included.
 func TestColorPlanesTypedPathsMatchAt(t *testing.T) {
 	for i, img := range typedPics() {
 		typed, err := BagFromColorImage("c", img, Options{})

@@ -44,10 +44,10 @@ func quadrantRGBA(r *rand.Rand, w, h int) *image.RGBA {
 	return img
 }
 
-// typedPics returns one picture of each pixel type FromImage reads through
-// a typed accessor, each off the full-frame RGBA path synth produces: an
-// RGBA sub-image (non-zero Bounds().Min, stride ≠ 4·W), an NRGBA with
-// alpha below 255, and an 8-bit Gray.
+// typedPics returns three pictures off the full-frame RGBA path synth
+// produces: an RGBA sub-image (non-zero Bounds().Min, stride ≠ 4·W), which
+// gray.RGBRows reads from Pix, and an NRGBA with alpha below 255 and an
+// 8-bit Gray, which it reads through At.
 func typedPics() []image.Image {
 	r := rand.New(rand.NewSource(35))
 	sub := texturedRGBA(r, 120, 90).SubImage(image.Rect(13, 9, 109, 73))

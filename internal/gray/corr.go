@@ -37,7 +37,7 @@ func CorrVec(a, b mat.Vector) float64 {
 	if va <= 0 || vb <= 0 {
 		return 0
 	}
-	r := cov / math.Sqrt(float64(va*vb))
+	r := cov / math.Sqrt(va*vb)
 	// Guard against floating-point drift pushing |r| epsilon above 1.
 	if r > 1 {
 		r = 1

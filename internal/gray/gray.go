@@ -115,37 +115,24 @@ func Luma(r, g, b uint32) float64 {
 
 // RGBRows calls row once for every row of src, top to bottom, with the
 // row's index counted from 0 and the 16-bit R, G and B channels of its
-// pixels: exactly what src.At(x, y).RGBA() returns. *image.RGBA,
-// *image.NRGBA and *image.Gray (what png.Decode returns for 8-bit PNGs) are
-// read straight from their Pix rows into their color types, whose RGBA
-// methods compute the channels without boxing a color per pixel; every
-// other type goes through At. The channel slices are reused from one call
-// to the next.
+// pixels: exactly what src.At(x, y).RGBA() returns. An *image.RGBA (what
+// synth draws and what png.Decode returns for an opaque 8-bit colour PNG)
+// is read straight from its Pix rows into color.RGBA, whose RGBA method
+// computes the channels without boxing a color per pixel; every other type
+// goes through At. The channel slices are reused from one call to the next.
 func RGBRows(src image.Image, row func(y int, r, g, b []uint32)) {
 	bd := src.Bounds()
 	w := bd.Dx()
 	buf := make([]uint32, 3*w)
 	r, g, b := buf[:w], buf[w:2*w], buf[2*w:]
 	for y := bd.Min.Y; y < bd.Max.Y; y++ {
-		switch s := src.(type) {
-		case *image.RGBA:
+		if s, ok := src.(*image.RGBA); ok {
 			pix := s.Pix[s.PixOffset(bd.Min.X, y):][:4*w]
 			for i := range r {
 				p := pix[4*i : 4*i+4 : 4*i+4]
 				r[i], g[i], b[i], _ = color.RGBA{p[0], p[1], p[2], p[3]}.RGBA()
 			}
-		case *image.NRGBA:
-			pix := s.Pix[s.PixOffset(bd.Min.X, y):][:4*w]
-			for i := range r {
-				p := pix[4*i : 4*i+4 : 4*i+4]
-				r[i], g[i], b[i], _ = color.NRGBA{p[0], p[1], p[2], p[3]}.RGBA()
-			}
-		case *image.Gray:
-			pix := s.Pix[s.PixOffset(bd.Min.X, y):][:w]
-			for i := range r {
-				r[i], g[i], b[i], _ = color.Gray{pix[i]}.RGBA()
-			}
-		default:
+		} else {
 			for i := range r {
 				r[i], g[i], b[i], _ = src.At(bd.Min.X+i, y).RGBA()
 			}

@@ -291,10 +291,10 @@ func TestImageRotationGroup(t *testing.T) {
 	}
 }
 
-// typedPathImages returns pictures of every pixel type RGBRows reads
-// through a typed accessor — whole and as sub-images, whose Bounds().Min
-// is non-zero and whose stride exceeds their width — plus two types that
-// stay on At.
+// typedPathImages returns an RGBA picture, the one type RGBRows reads
+// straight from Pix, whole and as a sub-image (non-zero Bounds().Min, a
+// stride wider than its rows), plus NRGBA with alpha below 255, Gray,
+// RGBA64 and Paletted pictures, which stay on At.
 func typedPathImages(r *rand.Rand) map[string]image.Image {
 	rgba := image.NewRGBA(image.Rect(0, 0, 37, 23))
 	nrgba := image.NewNRGBA(image.Rect(0, 0, 37, 23))
@@ -329,7 +329,7 @@ func typedPathImages(r *rand.Rand) map[string]image.Image {
 	}
 }
 
-// TestTypedPixelPathsMatchAt: for every pixel type, RGBRows hands over
+// TestTypedPixelPathsMatchAt: for each pixel type, RGBRows hands over
 // exactly the channels of the generic At(x, y).RGBA() loop, and FromImage
 // the gray levels that loop's Rec. 601 formula gives, bit for bit.
 func TestTypedPixelPathsMatchAt(t *testing.T) {

@@ -23,7 +23,7 @@ func NewSquaresIntegral(im *Image) *Integral {
 	buf := make([]float64, im.W)
 	return integral(im.W, im.H, func(y int) []float64 {
 		for x, v := range im.Row(y) {
-			buf[x] = float64(v * v)
+			buf[x] = v * v
 		}
 		return buf
 	})

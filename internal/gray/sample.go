@@ -62,8 +62,8 @@ func smoothSampleRect(it *Integral, x0, y0, w, hh, h int) *mat.Matrix {
 		cols = make([]int, 0, 2*h)
 	}
 	for j := 0; j < h; j++ {
-		c0 := x0 + int(math.Floor(float64(float64(j)*fx)))
-		c1 := x0 + int(math.Ceil(float64(float64(j+2)*fx)))
+		c0 := x0 + int(math.Floor(float64(j)*fx))
+		c1 := x0 + int(math.Ceil(float64(j+2)*fx))
 		if c1 > x0+w {
 			c1 = x0 + w
 		}
@@ -74,8 +74,8 @@ func smoothSampleRect(it *Integral, x0, y0, w, hh, h int) *mat.Matrix {
 	}
 	stride := it.w + 1
 	for i := 0; i < h; i++ {
-		r0 := y0 + int(math.Floor(float64(float64(i)*fy)))
-		r1 := y0 + int(math.Ceil(float64(float64(i+2)*fy)))
+		r0 := y0 + int(math.Floor(float64(i)*fy))
+		r1 := y0 + int(math.Ceil(float64(i+2)*fy))
 		if r1 > y0+hh {
 			r1 = y0 + hh
 		}

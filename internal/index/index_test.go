@@ -515,3 +515,59 @@ func BenchmarkFromFlat(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTopKFlatTail scans a shard in the layout a write leaves after a
+// flat open: 5,000 bags adopted by FromFlat, then 5,000 more appended, 10
+// instances × 100 dimensions each, drawn around 50 category centres so the
+// box screen rejects most bags. Every bag's screen picks its sketch from
+// the base or the tail, which BenchmarkTopK10k (Append only) never mixes.
+func BenchmarkTopKFlatTail(b *testing.B) {
+	const dim, bags, per, cats = 100, 10000, 10, 50
+	r := rand.New(rand.NewSource(3))
+	centers := make([][]float64, cats)
+	for c := range centers {
+		centers[c] = make([]float64, dim)
+		for k := range centers[c] {
+			centers[c][k] = r.NormFloat64() * 3
+		}
+	}
+	data := make([]float64, bags*per*dim)
+	for i := 0; i < bags; i++ {
+		c := centers[i%cats]
+		for j := 0; j < per; j++ {
+			row := data[(i*per+j)*dim:][:dim]
+			for k := range row {
+				row[k] = c[k] + r.NormFloat64()*0.5
+			}
+		}
+	}
+	base := bags / 2
+	counts := make([]int, base)
+	ids, lbs := make([]string, base), make([]string, base)
+	for i := range counts {
+		counts[i], ids[i], lbs[i] = per, fmt.Sprint("b", i), "l"
+	}
+	x, err := FromFlat(dim, data[:base*per*dim:base*per*dim], counts, ids, lbs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := base; i < bags; i++ {
+		insts := make([]mat.Vector, per)
+		for j := range insts {
+			insts[j] = data[(i*per+j)*dim:][:dim]
+		}
+		if err := x.Append(fmt.Sprint("b", i), "l", insts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	q := Query{Point: centers[0], Weights: make([]float64, dim)}
+	for k := range q.Weights {
+		q.Weights[k] = 1
+	}
+	view := Sharded{x.Snapshot()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		view.TopK(q, 20, nil, 1)
+	}
+}
