@@ -3,6 +3,7 @@ package milret
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -143,6 +144,56 @@ func BenchmarkAddImageScenes(b *testing.B) {
 		if err := db.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAddImageKeepsOneCopyOfRows: ingesting BenchmarkAddImageScenes' corpus
+// grows the live heap by about the index's rows and no more, because the
+// index is the only owner of a bag's instances. The corpus' tail capacity is
+// about its length, so the bound leaves room for metadata, not a copy.
+func TestAddImageKeepsOneCopyOfRows(t *testing.T) {
+	items := synth.ScenesN(11, 100)
+	db, err := NewDatabase(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before, rowsBefore := liveHeap(), db.Stats().IndexBytes
+	for _, it := range items {
+		if err := db.AddImage(it.ID, it.Label, it.Image); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grew, rows := liveHeap()-before, db.Stats().IndexBytes-rowsBefore
+	t.Logf("live heap grew %d bytes for %d bytes of index rows (%.2f×)", grew, rows, float64(grew)/float64(rows))
+	if float64(grew) > 1.2*float64(rows) {
+		t.Fatalf("live heap grew %d bytes, > 1.2 × the %d bytes of index rows", grew, rows)
+	}
+	runtime.KeepAlive(items)
+}
+
+// TestTrainingExampleFetchAllocs: fetching a training set's bags costs two
+// allocations per bag — the bag and its instance headers, views over the
+// index's rows — plus the dataset and its two slices.
+func TestTrainingExampleFetchAllocs(t *testing.T) {
+	db := testDB(t, 3, "car", "lamp")
+	pos, neg := idsOf(db, "car", 3), idsOf(db, "lamp", 2)
+	if len(pos) != 3 || len(neg) != 2 {
+		t.Fatalf("examples %v, %v", pos, neg)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := db.dataset(pos, neg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := float64(2*(len(pos)+len(neg)) + 3); allocs > want {
+		t.Fatalf("dataset of %d bags: %.0f allocations, want ≤ %.0f", len(pos)+len(neg), allocs, want)
 	}
 }
 

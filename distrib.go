@@ -46,8 +46,9 @@ func (e ExampleBag) bag() (*mil.Bag, error) {
 
 // ExampleBag exports one stored image's bag for cross-process training;
 // ok is false when the ID is not live in this database. The instance
-// rows alias the database's flat block — callers must treat them as
-// read-only (the RPC layer serializes them immediately).
+// rows alias the database's index, the one copy of every bag's rows —
+// callers must treat them as read-only (the RPC layer serializes them
+// immediately).
 func (d *Database) ExampleBag(id string) (ExampleBag, bool) {
 	it, ok := d.db.ByID(id)
 	if !ok {

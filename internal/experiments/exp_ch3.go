@@ -7,6 +7,7 @@ import (
 	"milret/internal/eval"
 	"milret/internal/feature"
 	"milret/internal/gray"
+	"milret/internal/mat"
 	"milret/internal/region"
 	"milret/internal/synth"
 )
@@ -78,16 +79,15 @@ func Fig33_34(cfg Config) ([]Table, error) {
 	}
 	itA, itB := gray.NewIntegral(a), gray.NewIntegral(b)
 	best, bestA, bestB := -1.0, "", ""
+	sa, sb := mat.NewMatrix(10, 10), mat.NewMatrix(10, 10)
 	for _, ra := range region.MustSet(region.Default) {
 		ax0, ay0, ax1, ay1 := ra.Pixels(a.W, a.H)
-		sa, err := gray.SmoothSampleRect(itA, ax0, ay0, ax1, ay1, 10)
-		if err != nil {
+		if err := gray.SmoothSampleRect(sa, itA, ax0, ay0, ax1, ay1); err != nil {
 			return nil, err
 		}
 		for _, rb := range region.MustSet(region.Default) {
 			bx0, by0, bx1, by1 := rb.Pixels(b.W, b.H)
-			sb, err := gray.SmoothSampleRect(itB, bx0, by0, bx1, by1, 10)
-			if err != nil {
+			if err := gray.SmoothSampleRect(sb, itB, bx0, by0, bx1, by1); err != nil {
 				return nil, err
 			}
 			if c := gray.Corr(sa, sb); c > best {

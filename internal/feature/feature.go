@@ -19,7 +19,6 @@ package feature
 
 import (
 	"fmt"
-	"slices"
 
 	"milret/internal/gray"
 	"milret/internal/mat"
@@ -111,29 +110,7 @@ func bagFromPlanes(id string, luma *gray.Image, planes []*gray.Image, opts Optio
 	// transforms.
 	variants := buildVariants(planes, luma, it, opts)
 
-	bag := &mil.Bag{ID: id}
-	parts := make([]mat.Vector, len(planes))
-	sampleRegion := func(r region.Rect) error {
-		x0, y0, x1, y1 := r.Pixels(luma.W, luma.H)
-		for _, v := range variants {
-			vx0, vy0, vx1, vy1 := v.rect(x0, y0, x1, y1)
-			for i, pit := range v.its {
-				s, err := gray.SmoothSampleRect(pit, vx0, vy0, vx1, vy1, opts.Resolution)
-				if err != nil {
-					return err
-				}
-				parts[i] = s.Flatten().Standardize()
-			}
-			inst := parts[0]
-			if len(parts) > 1 {
-				inst = slices.Concat(parts...)
-			}
-			bag.Instances = append(bag.Instances, inst)
-			bag.Names = append(bag.Names, r.Name+v.suffix)
-		}
-		return nil
-	}
-
+	kept := make([]region.Rect, 0, len(regions))
 	for _, r := range regions {
 		x0, y0, x1, y1 := r.Pixels(luma.W, luma.H)
 		n := float64((x1 - x0) * (y1 - y0))
@@ -142,17 +119,36 @@ func bagFromPlanes(id string, luma *gray.Image, planes []*gray.Image, opts Optio
 		if variance < region.DefaultVarianceThreshold {
 			continue
 		}
-		if err := sampleRegion(r); err != nil {
-			return nil, fmt.Errorf("feature: bag %q region %s: %w", id, r.Name, err)
-		}
+		kept = append(kept, r)
 	}
-
-	if len(bag.Instances) == 0 {
+	if len(kept) == 0 {
 		// Blank-image fallback: keep the whole picture so the bag is valid
 		// and the image remains rankable (it will simply match poorly).
-		whole := region.Rect{X0: 0, Y0: 0, X1: 1, Y1: 1, Name: "a-whole"}
-		if err := sampleRegion(whole); err != nil {
-			return nil, fmt.Errorf("feature: bag %q fallback: %w", id, err)
+		kept = append(kept, region.Rect{X0: 0, Y0: 0, X1: 1, Y1: 1, Name: "a-whole"})
+	}
+
+	// Every sample is taken and standardized in its instance's slot of one
+	// block for the whole bag, through one matrix header.
+	sample := &mat.Matrix{Rows: opts.Resolution, Cols: opts.Resolution}
+	part := opts.Resolution * opts.Resolution
+	dim, n := len(planes)*part, len(kept)*len(variants)
+	block := make([]float64, n*dim)
+	bag := &mil.Bag{ID: id, Instances: make([]mat.Vector, 0, n), Names: make([]string, 0, n)}
+	for _, r := range kept {
+		x0, y0, x1, y1 := r.Pixels(luma.W, luma.H)
+		for _, v := range variants {
+			vx0, vy0, vx1, vy1 := v.rect(x0, y0, x1, y1)
+			k := len(bag.Instances)
+			inst := block[k*dim : (k+1)*dim : (k+1)*dim]
+			for i, pit := range v.its {
+				sample.Data = inst[i*part : (i+1)*part]
+				if err := gray.SmoothSampleRect(sample, pit, vx0, vy0, vx1, vy1); err != nil {
+					return nil, fmt.Errorf("feature: bag %q region %s: %w", id, r.Name, err)
+				}
+				sample.Flatten().Standardize()
+			}
+			bag.Instances = append(bag.Instances, inst)
+			bag.Names = append(bag.Names, r.Name+v.suffix)
 		}
 	}
 	if err := bag.Validate(); err != nil {

@@ -203,8 +203,8 @@ func TestClaimSection34EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := sa.Flatten().Standardize()
-	v := sb.Flatten().Standardize()
+	u := sa.Flatten().Clone().Standardize()
+	v := sb.Flatten().Clone().Standardize()
 	n := float64(len(u))
 	lhs := mat.WeightedSqDist(u, v, mat.NewVector(len(u)).Fill(1))
 	rhs := 2*n - 2*n*gray.Corr(sa, sb)
@@ -241,5 +241,21 @@ func BenchmarkBagFromImage(b *testing.B) {
 		if _, err := BagFromImage("bench", gray.FromImage(img), Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBagFromImageAllocs pins BenchmarkBagFromImage's allocation count:
+// every sample is taken and standardized in its instance's slot of one
+// block per bag, so what is left is the per-picture tables, the bag's
+// headers and the mirror instances' names.
+func TestBagFromImageAllocs(t *testing.T) {
+	img := synth.ScenesN(1, 1)[0].Image
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := BagFromImage("bench", gray.FromImage(img), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 48 {
+		t.Fatalf("BagFromImage over one synth scene: %.0f allocations, want ≤ 48", allocs)
 	}
 }

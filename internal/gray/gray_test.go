@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"milret/internal/mat"
 )
 
 func randImage(r *rand.Rand, w, h int) *Image {
@@ -227,8 +229,8 @@ func TestSmoothSampleRectMatchesCrop(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	im := randImage(r, 48, 36)
 	it := NewIntegral(im)
-	got, err := SmoothSampleRect(it, 8, 4, 40, 30, 10)
-	if err != nil {
+	got := mat.NewMatrix(10, 10)
+	if err := SmoothSampleRect(got, it, 8, 4, 40, 30); err != nil {
 		t.Fatal(err)
 	}
 	want, err := SmoothSample(subImage(im, 8, 4, 40, 30), 10)
@@ -245,7 +247,7 @@ func TestSmoothSampleRectMatchesCrop(t *testing.T) {
 func TestSmoothSampleRectEmpty(t *testing.T) {
 	im := New(8, 8)
 	it := NewIntegral(im)
-	if _, err := SmoothSampleRect(it, 4, 4, 4, 8, 10); err == nil {
+	if err := SmoothSampleRect(mat.NewMatrix(10, 10), it, 4, 4, 4, 8); err == nil {
 		t.Fatalf("expected error for empty rect")
 	}
 }
@@ -406,7 +408,8 @@ func TestSmoothSampleRectMatchesMean(t *testing.T) {
 		x0, y0 := r.Intn(60)-10, r.Intn(40)-10
 		w, hh := 1+r.Intn(50), 1+r.Intn(35)
 		h := []int{1, 6, 10, 15, 40}[r.Intn(5)]
-		got := smoothSampleRect(it, x0, y0, w, hh, h)
+		got := mat.NewMatrix(h, h)
+		smoothSampleRect(got, it, x0, y0, w, hh)
 		fy, fx := float64(hh)/float64(h), float64(w)/float64(h)
 		for i := 0; i < h; i++ {
 			r0 := y0 + int(math.Floor(float64(i)*fy))

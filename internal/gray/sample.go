@@ -31,37 +31,37 @@ func SmoothSample(im *Image, h int) (*mat.Matrix, error) {
 	if im.W < 1 || im.H < 1 {
 		return nil, fmt.Errorf("gray: cannot sample empty %dx%d image to %dx%d", im.W, im.H, h, h)
 	}
-	return smoothSampleRect(NewIntegral(im), 0, 0, im.W, im.H, h), nil
+	out := mat.NewMatrix(h, h)
+	smoothSampleRect(out, NewIntegral(im), 0, 0, im.W, im.H)
+	return out, nil
 }
 
 // SmoothSampleRect samples the sub-rectangle [x0, x1) × [y0, y1) of the
-// image underlying it down to an h×h matrix, using the same 50%-overlap
-// averaging kernel. This is the hot path of bag generation: one integral
-// image per picture serves all regions.
-func SmoothSampleRect(it *Integral, x0, y0, x1, y1, h int) (*mat.Matrix, error) {
-	if h <= 0 {
-		panic(fmt.Sprintf("gray: non-positive sampling resolution %d", h))
-	}
+// image underlying it into out (h×h for the §3.1.2 sampling), using the
+// same 50%-overlap averaging kernel. This is the hot path of bag generation:
+// one integral image per picture serves all regions, and one matrix every
+// sample.
+func SmoothSampleRect(out *mat.Matrix, it *Integral, x0, y0, x1, y1 int) error {
 	if x1 <= x0 || y1 <= y0 {
-		return nil, fmt.Errorf("gray: empty sampling rectangle [%d,%d)x[%d,%d)", x0, x1, y0, y1)
+		return fmt.Errorf("gray: empty sampling rectangle [%d,%d)x[%d,%d)", x0, x1, y0, y1)
 	}
-	return smoothSampleRect(it, x0, y0, x1-x0, y1-y0, h), nil
+	smoothSampleRect(out, it, x0, y0, x1-x0, y1-y0)
+	return nil
 }
 
-// smoothSampleRect reads every cell as Integral.Mean would: the block
-// bounds clamped to the table, the four corners summed in Sum's order and
-// divided by the clamped pixel count, with 0 for an empty block. The column
-// bounds are the same in every row, so they are computed once.
-func smoothSampleRect(it *Integral, x0, y0, w, hh, h int) *mat.Matrix {
-	out := mat.NewMatrix(h, h)
-	fy := float64(hh) / float64(h)
-	fx := float64(w) / float64(h)
-	var stack [64]int // the bounds of h ≤ 32 columns, without an allocation per sample
+// smoothSampleRect writes every cell of out as Integral.Mean would read it:
+// the block bounds clamped to the table, the four corners summed in Sum's
+// order and divided by the clamped pixel count, with 0 for an empty block.
+// The column bounds are the same in every row, so they are computed once.
+func smoothSampleRect(out *mat.Matrix, it *Integral, x0, y0, w, hh int) {
+	fy := float64(hh) / float64(out.Rows)
+	fx := float64(w) / float64(out.Cols)
+	var stack [64]int // the bounds of ≤ 32 columns, without an allocation per sample
 	cols := stack[:0]
-	if 2*h > len(stack) {
-		cols = make([]int, 0, 2*h)
+	if 2*out.Cols > len(stack) {
+		cols = make([]int, 0, 2*out.Cols)
 	}
-	for j := 0; j < h; j++ {
+	for j := 0; j < out.Cols; j++ {
 		c0 := x0 + int(math.Floor(float64(j)*fx))
 		c1 := x0 + int(math.Ceil(float64(j+2)*fx))
 		if c1 > x0+w {
@@ -73,7 +73,7 @@ func smoothSampleRect(it *Integral, x0, y0, w, hh, h int) *mat.Matrix {
 		cols = append(cols, clampInt(c0, 0, it.w), clampInt(c1, 0, it.w))
 	}
 	stride := it.w + 1
-	for i := 0; i < h; i++ {
+	for i := 0; i < out.Rows; i++ {
 		r0 := y0 + int(math.Floor(float64(i)*fy))
 		r1 := y0 + int(math.Ceil(float64(i+2)*fy))
 		if r1 > y0+hh {
@@ -87,10 +87,10 @@ func smoothSampleRect(it *Integral, x0, y0, w, hh, h int) *mat.Matrix {
 		row := out.Row(i)
 		for j := range row {
 			c0, c1 := cols[2*j], cols[2*j+1]
+			row[j] = 0
 			if n := (c1 - c0) * (r1 - r0); n > 0 {
 				row[j] = (bot[c1] - top[c1] - bot[c0] + top[c0]) / float64(n)
 			}
 		}
 	}
-	return out
 }

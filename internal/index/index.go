@@ -3,7 +3,8 @@
 // ([]mat.Vector of separately allocated slices), every instance of every bag
 // lives in a row-major []float64 block, with parallel bagOffsets/ids/labels
 // slices mapping bags onto row ranges. A query scan is then a linear walk
-// over contiguous memory.
+// over contiguous memory. The index is its owner's only copy of the rows:
+// Rows hands a bag's rows out as a view, never a copy.
 //
 // The rows live in at most two segments. The base is the block FromFlat
 // adopted (a zero-copy open's mapped rows, or a compaction's pre-sized
@@ -341,6 +342,21 @@ func (x *Index) Snapshot() Snapshot {
 	}
 }
 
+// Rows returns bag i's instance rows as a capacity-clipped view. It stays
+// valid after later Appends: a growing tail leaves its old array as it was.
+func (x *Index) Rows(i int) []float64 {
+	return bagRows(x.base, x.data, x.baseRows, x.dim, x.bagOffsets[i], x.bagOffsets[i+1])
+}
+
+// bagRows picks the segment of rows [lo, hi) with one compare: a bag never
+// straddles the base and the tail.
+func bagRows(base, data []float64, baseRows, dim, lo, hi int) []float64 {
+	if lo >= baseRows {
+		base, lo, hi = data, lo-baseRows, hi-baseRows
+	}
+	return base[lo*dim : hi*dim : hi*dim]
+}
+
 // Bytes returns the size of the instance rows in bytes, base and tail.
 func (x *Index) Bytes() int64 { return int64(len(x.base)+len(x.data)) * 8 }
 
@@ -441,12 +457,8 @@ func sortResults(rs []Result) {
 // value may overshoot but is still > cutoff, so a top-k scan discards the
 // bag either way. Pointer receiver for the same reason as skip.
 func (s *Snapshot) bagDist(q Query, bi int, cutoff float64, prune bool) float64 {
-	lo, hi := s.bagOffsets[bi], s.bagOffsets[bi+1]
-	rows := s.base
-	if lo >= s.baseRows {
-		rows, lo, hi = s.data, lo-s.baseRows, hi-s.baseRows
-	}
-	return mat.MinWeightedSqDistRows(q.Point, q.Weights, rows[lo*s.dim:hi*s.dim], cutoff, prune)
+	rows := bagRows(s.base, s.data, s.baseRows, s.dim, s.bagOffsets[bi], s.bagOffsets[bi+1])
+	return mat.MinWeightedSqDistRows(q.Point, q.Weights, rows, cutoff, prune)
 }
 
 // normalizeEmpty canonicalizes "no results" to an empty non-nil slice: an

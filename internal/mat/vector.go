@@ -140,22 +140,21 @@ func (v Vector) Max() (float64, int) {
 	return best, at
 }
 
-// Standardize returns (v − mean(v)) / σ(v) as a new vector, the §3.4
-// transformation with all weights equal to one. If σ(v) == 0 (a constant
-// vector) the zero vector is returned; callers filter such degenerate regions
-// out before this point (§3.2 variance threshold), so this is a safe
+// Standardize sets v to (v − mean(v)) / σ(v) in place and returns v, the
+// §3.4 transformation with all weights equal to one. If σ(v) == 0 (a
+// constant vector) v becomes the zero vector; callers filter such degenerate
+// regions out before this point (§3.2 variance threshold), so this is a safe
 // fallback rather than a hot path.
 func (v Vector) Standardize() Vector {
-	out := make(Vector, len(v))
 	m := v.Mean()
 	sd := v.Std()
 	if sd == 0 {
-		return out
+		return v.Fill(0)
 	}
 	for i, x := range v {
-		out[i] = (x - m) / sd
+		v[i] = (x - m) / sd
 	}
-	return out
+	return v
 }
 
 // WeightedSqDist returns Σ_k w_k (v_k − u_k)², the weighted squared

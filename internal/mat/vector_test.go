@@ -180,7 +180,7 @@ func TestQuickStandardizeCorrelationIdentity(t *testing.T) {
 		if a.Std() == 0 || b.Std() == 0 {
 			return true
 		}
-		sa, sb := a.Standardize(), b.Standardize()
+		sa, sb := a.Clone().Standardize(), b.Clone().Standardize()
 		// corr(a,b) with the population convention.
 		ma, mb := a.Mean(), b.Mean()
 		var cov float64

@@ -2,8 +2,10 @@ package retrieval
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"milret/internal/mat"
 	"milret/internal/mil"
@@ -81,6 +83,103 @@ func TestUpdateAfterFlatOpenCopiesNoBlock(t *testing.T) {
 	}
 	if got, ok := db.ByID(id); !ok || got.Label != "updated" {
 		t.Fatalf("updated item = %+v, %v", got, ok)
+	}
+}
+
+// liveHeap returns the live heap's bytes after a collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestCompactKeepsOneCopyOfRows: after Update churn and a Compact, a
+// heap-built database's live heap is its live rows and little more. No slot
+// keeps a bag's instances beside the index, and the compaction frees the
+// rows it replaces.
+func TestCompactKeepsOneCopyOfRows(t *testing.T) {
+	const bags, per, dim = 1000, 16, 64
+	before := liveHeap()
+	db := NewDatabase()
+	for i := 0; i < bags; i++ {
+		id := fmt.Sprintf("img-%04d", i)
+		if err := db.Add(Item{ID: id, Label: "l", Bag: freshBag(id, per, dim)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < bags; i += 2 {
+		id := fmt.Sprintf("img-%04d", i)
+		if err := db.Update(Item{ID: id, Label: "u", Bag: freshBag(id, per, dim)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Compact()
+	grew := liveHeap() - before
+	rowBytes := totals(db).IndexBytes
+	t.Logf("live heap grew %d bytes for %d bytes of live rows (%.2f×)", grew, rowBytes, float64(grew)/float64(rowBytes))
+	if float64(grew) > 1.2*float64(rowBytes) {
+		t.Fatalf("live heap grew %d bytes, > 1.2 × the %d bytes of live rows", grew, rowBytes)
+	}
+	runtime.KeepAlive(db)
+}
+
+// TestCompactDropsFlatBlockViews: before a flat-opened database compacts,
+// its bags view the adopted block (a store's mapping); after, no bag a read
+// returns points into it, and each still holds its rows' values.
+func TestCompactDropsFlatBlockViews(t *testing.T) {
+	const bags, per, dim = 200, 4, 8
+	flats := flatShards(1, bags, per, dim)
+	db, err := NewDatabaseFromFlats(flats, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := flats[0].Data
+	lo := uintptr(unsafe.Pointer(&block[0]))
+	hi := lo + uintptr(len(block))*unsafe.Sizeof(block[0])
+	inBlock := func(it Item) bool {
+		for _, inst := range it.Bag.Instances {
+			if p := uintptr(unsafe.Pointer(&inst[0])); p >= lo && p < hi {
+				return true
+			}
+		}
+		return false
+	}
+	if got, _ := db.ByID(flats[0].Items[1].ID); !inBlock(got) {
+		t.Fatal("an opened item's bag does not view the adopted block")
+	}
+	for i := 0; i < bags; i += 4 {
+		id := flats[0].Items[i].ID
+		if err := db.Update(Item{ID: id, Label: "u", Bag: freshBag(id, per, dim)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Compact()
+	for _, it := range append(db.Items(), db.ShardItems(0)...) {
+		if inBlock(it) {
+			t.Fatalf("after Compact, %q's bag still views the adopted block", it.ID)
+		}
+	}
+	for i, want := range flats[0].Items {
+		got, ok := db.ByID(want.ID)
+		if !ok || inBlock(got) {
+			t.Fatalf("after Compact, ByID(%q) = %v, views the block: %v", want.ID, ok, ok && inBlock(got))
+		}
+		if i%4 != 0 && !reflect.DeepEqual(got.Bag.Instances, want.Bag.Instances) {
+			t.Fatalf("after Compact, %q's rows changed", want.ID)
+		}
+	}
+}
+
+// TestByIDAllocatesTheViewOnly: a training example's fetch costs two
+// allocations, the bag and its instance headers, and copies no row.
+func TestByIDAllocatesTheViewOnly(t *testing.T) {
+	db := NewDatabase()
+	if err := db.Add(Item{ID: "a", Label: "l", Bag: freshBag("a", 40, 100)}); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { db.ByID("a") }); allocs > 2 {
+		t.Fatalf("ByID: %.0f allocations, want ≤ 2", allocs)
 	}
 }
 

@@ -3,11 +3,16 @@
 // the weighted Euclidean distance to the concept point, and images are
 // retrieved in ascending distance order.
 //
-// The scan engine is the flat columnar one in internal/index: Add maintains
-// a contiguous row-major block of all bag instances alongside the item
-// slice, and every Rank/TopK/TopKMany is "take the Scorer's point/weight
+// The scan engine is the flat columnar one in internal/index, the only owner
+// of instance rows: Add copies a bag's instances once into its row-major
+// block, and every Rank/TopK/TopKMany is "take the Scorer's point/weight
 // geometry, snapshot the shards, scan the snapshot there". This package owns
-// the items, the sharding and the mutation lifecycle, not a scan of its own.
+// the sharding, the mutation lifecycle and one slot per item (its ID, label
+// and optional instance names), not rows or a scan of its own. ByID, Items
+// and ShardItems build each bag on demand as capacity-clipped views over the
+// index's rows. The base block is never written and tail rows are never
+// rewritten, so a view stays valid after later writes and compactions; a
+// view into a mapped base block is valid until its store is closed.
 //
 // The database is sharded: it holds N independent shards (N fixed at
 // construction, 1 by default), each owning its own flat block, tombstone
@@ -35,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"milret/internal/index"
+	"milret/internal/mat"
 	"milret/internal/mil"
 )
 
@@ -49,7 +55,7 @@ type Scorer interface {
 }
 
 // Item is one database entry: a preprocessed image bag plus its evaluation
-// label.
+// label. A read returns the bag as read-only views over the index's rows.
 type Item struct {
 	ID    string
 	Label string
@@ -64,13 +70,30 @@ type Item struct {
 type shard struct {
 	mu sync.RWMutex
 	// milret:guarded-by mu
-	items []Item // parallel to index slots; tombstoned slots stay in place
-	// milret:guarded-by mu
-	seqs []uint64 // global insertion sequence per slot (orders Items/Get)
+	slots []slot // parallel to index bags; tombstoned slots stay in place
 	// milret:guarded-by mu
 	byID map[string]int
 	// milret:guarded-by mu
 	idx *index.Index
+}
+
+// slot is one index bag's metadata; its rows live in the index alone. seq is
+// the global insertion sequence that orders Items.
+type slot struct {
+	id, label string
+	names     []string
+	seq       uint64
+}
+
+// itemLocked builds slot i's item, its bag views over the index's rows: two
+// allocations, the bag and its instance headers.
+func (sh *shard) itemLocked(i, dim int) Item {
+	s, rows := sh.slots[i], sh.idx.Rows(i)
+	insts := make([]mat.Vector, len(rows)/dim)
+	for j := range insts {
+		insts[j] = rows[j*dim : (j+1)*dim : (j+1)*dim]
+	}
+	return Item{s.id, s.label, &mil.Bag{ID: s.id, Instances: insts, Names: s.names}}
 }
 
 // Database is a collection of items sharded across N independently locked
@@ -238,15 +261,11 @@ func NewDatabaseFromFlats(flats []FlatShard, dim int) (*Database, error) {
 			counts[i] = len(it.Bag.Instances)
 			ids[i] = it.ID
 			labels[i] = it.Label
+			sh.slots = append(sh.slots, slot{it.ID, it.Label, it.Bag.Names, db.seq.Add(1)})
 		}
 		idx, err := index.FromFlat(dim, fs.Data, counts, ids, labels)
 		if err != nil {
 			return nil, err
-		}
-		sh.items = append(sh.items, fs.Items...)
-		sh.seqs = make([]uint64, len(fs.Items))
-		for i := range sh.seqs {
-			sh.seqs[i] = db.seq.Add(1)
 		}
 		sh.idx = idx
 	}
@@ -275,9 +294,8 @@ func (db *Database) Add(item Item) error {
 	if err := sh.idx.Append(item.ID, item.Label, item.Bag.Instances); err != nil {
 		return err
 	}
-	sh.byID[item.ID] = len(sh.items)
-	sh.items = append(sh.items, item)
-	sh.seqs = append(sh.seqs, db.seq.Add(1))
+	sh.byID[item.ID] = len(sh.slots)
+	sh.slots = append(sh.slots, slot{item.ID, item.Label, item.Bag.Names, db.seq.Add(1)})
 	return nil
 }
 
@@ -298,7 +316,7 @@ func (db *Database) Delete(id string) error {
 		return err
 	}
 	delete(sh.byID, id)
-	sh.maybeCompactLocked()
+	sh.maybeCompactLocked(db.Dim())
 	return nil
 }
 
@@ -332,10 +350,9 @@ func (db *Database) Update(item Item) error {
 	if err := sh.idx.Delete(i); err != nil {
 		return err
 	}
-	sh.byID[item.ID] = len(sh.items)
-	sh.items = append(sh.items, item)
-	sh.seqs = append(sh.seqs, db.seq.Add(1))
-	sh.maybeCompactLocked()
+	sh.byID[item.ID] = len(sh.slots)
+	sh.slots = append(sh.slots, slot{item.ID, item.Label, item.Bag.Names, db.seq.Add(1)})
+	sh.maybeCompactLocked(db.Dim())
 	return nil
 }
 
@@ -359,11 +376,11 @@ func (db *Database) UpdateLabel(id, label string) error {
 	if err := sh.idx.UpdateLabel(i, label); err != nil {
 		return err
 	}
-	sh.items[i].Label = label
+	sh.slots[i].label = label
 	return nil
 }
 
-// Compact rebuilds every shard's flat scoring index from its live items,
+// Compact rebuilds every shard's flat scoring index from its live rows,
 // reclaiming the rows tombstoned by Delete/Update. Each shard is rebuilt
 // under its own lock, one at a time, so the database keeps serving: scans
 // and mutations proceed on every shard but the one mid-rebuild. Snapshots
@@ -373,12 +390,12 @@ func (db *Database) UpdateLabel(id, label string) error {
 func (db *Database) Compact() {
 	for _, sh := range db.shards {
 		sh.mu.Lock()
-		sh.compactLocked()
+		sh.compactLocked(db.Dim())
 		sh.mu.Unlock()
 	}
 }
 
-func (sh *shard) maybeCompactLocked() {
+func (sh *shard) maybeCompactLocked(dim int) {
 	deadRows := sh.idx.DeadInstances()
 	if deadRows < compactMinDeadRows {
 		return
@@ -386,42 +403,34 @@ func (sh *shard) maybeCompactLocked() {
 	if float64(deadRows) < compactFraction*float64(sh.idx.Instances()) {
 		return
 	}
-	sh.compactLocked()
+	sh.compactLocked(dim)
 }
 
-// compactLocked rebuilds the shard's index from its live items: it counts
-// their rows, copies them once into one block of exactly that size and hands
-// the block to index.FromFlat, whose sketch pass runs over every CPU.
-func (sh *shard) compactLocked() {
+// compactLocked copies the shard's live rows out of its index into one block
+// of exactly their size and hands it to index.FromFlat, whose sketch pass
+// runs over every CPU. The old rows are freed, save those a view still holds.
+func (sh *shard) compactLocked(dim int) {
 	if sh.idx.Dead() == 0 {
 		return
 	}
 	live := sh.idx.Live()
-	items := make([]Item, 0, live)
-	seqs := make([]uint64, 0, live)
+	slots := make([]slot, 0, live)
 	byID := make(map[string]int, live)
 	counts := make([]int, 0, live)
 	ids := make([]string, 0, live)
 	labels := make([]string, 0, live)
-	rows, dim := 0, 0
-	for i, it := range sh.items {
+	data := make([]float64, 0, (sh.idx.Instances()-sh.idx.DeadInstances())*dim)
+	for i, s := range sh.slots {
 		if sh.idx.IsDead(i) {
 			continue
 		}
-		byID[it.ID] = len(items)
-		items = append(items, it)
-		seqs = append(seqs, sh.seqs[i])
-		counts = append(counts, len(it.Bag.Instances))
-		ids = append(ids, it.ID)
-		labels = append(labels, it.Label)
-		rows += len(it.Bag.Instances)
-		dim = it.Bag.Dim()
-	}
-	data := make([]float64, 0, rows*dim)
-	for _, it := range items {
-		for _, inst := range it.Bag.Instances {
-			data = append(data, inst...)
-		}
+		rows := sh.idx.Rows(i)
+		byID[s.id] = len(slots)
+		slots = append(slots, s)
+		counts = append(counts, len(rows)/dim)
+		ids = append(ids, s.id)
+		labels = append(labels, s.label)
+		data = append(data, rows...)
 	}
 	idx, err := index.FromFlat(dim, data, counts, ids, labels)
 	if err != nil {
@@ -429,8 +438,7 @@ func (sh *shard) compactLocked() {
 		// programming error, not a recoverable condition.
 		panic(fmt.Sprintf("retrieval: compact rebuild: %v", err))
 	}
-	sh.items = items
-	sh.seqs = seqs
+	sh.slots = slots
 	sh.byID = byID
 	sh.idx = idx
 }
@@ -449,7 +457,7 @@ func (db *Database) Len() int {
 // Dim returns the feature dimensionality (0 while empty).
 func (db *Database) Dim() int { return int(db.dim.Load()) }
 
-// liveOrdered collects the live items of every shard tagged with their
+// liveOrdered builds the live items of every shard tagged with their
 // insertion sequence and returns them in global insertion order.
 func (db *Database) liveOrdered() []Item {
 	type tagged struct {
@@ -457,13 +465,13 @@ func (db *Database) liveOrdered() []Item {
 		item Item
 	}
 	var all []tagged
+	dim := db.Dim()
 	for _, sh := range db.shards {
 		sh.mu.RLock()
-		for i, it := range sh.items {
-			if sh.idx.IsDead(i) {
-				continue
+		for i, s := range sh.slots {
+			if !sh.idx.IsDead(i) {
+				all = append(all, tagged{s.seq, sh.itemLocked(i, dim)})
 			}
-			all = append(all, tagged{sh.seqs[i], it})
 		}
 		sh.mu.RUnlock()
 	}
@@ -475,7 +483,8 @@ func (db *Database) liveOrdered() []Item {
 	return out
 }
 
-// ByID returns the item with the given ID.
+// ByID returns the item with the given ID, its bag a view over the index's
+// rows.
 func (db *Database) ByID(id string) (Item, bool) {
 	sh := db.shardFor(id)
 	sh.mu.RLock()
@@ -484,24 +493,26 @@ func (db *Database) ByID(id string) (Item, bool) {
 	if !ok {
 		return Item{}, false
 	}
-	return sh.items[i], true
+	return sh.itemLocked(i, db.Dim()), true
 }
 
-// Items returns a snapshot copy of the live items in insertion order.
+// Items returns the live items in insertion order, each bag a view over the
+// index's rows.
 func (db *Database) Items() []Item { return db.liveOrdered() }
 
-// ShardItems returns a snapshot copy of shard i's live items in that shard's
-// insertion order — the per-shard slice persistence snapshots.
+// ShardItems returns shard i's live items in that shard's insertion order —
+// the per-shard slice persistence snapshots — each bag a view over the
+// index's rows.
 func (db *Database) ShardItems(i int) []Item {
 	sh := db.shards[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	out := make([]Item, 0, sh.idx.Live())
-	for j, it := range sh.items {
-		if sh.idx.IsDead(j) {
-			continue
+	dim := db.Dim()
+	for j := range sh.slots {
+		if !sh.idx.IsDead(j) {
+			out = append(out, sh.itemLocked(j, dim))
 		}
-		out = append(out, it)
 	}
 	return out
 }

@@ -167,7 +167,7 @@ func TestQuickShardedMatchesSingleShard(t *testing.T) {
 func compactShard(db *Database, i int) {
 	sh := db.shards[i]
 	sh.mu.Lock()
-	sh.compactLocked()
+	sh.compactLocked(db.Dim())
 	sh.mu.Unlock()
 }
 

@@ -652,7 +652,10 @@ func trainFingerprintAt(version byte, ds *mil.Dataset, mode core.WeightMode, cfg
 }
 
 func (d *Database) dataset(positiveIDs, negativeIDs []string) (*mil.Dataset, error) {
-	ds := &mil.Dataset{}
+	ds := &mil.Dataset{
+		Positive: make([]*mil.Bag, 0, len(positiveIDs)),
+		Negative: make([]*mil.Bag, 0, len(negativeIDs)),
+	}
 	for _, id := range positiveIDs {
 		it, ok := d.db.ByID(id)
 		if !ok {
@@ -1196,6 +1199,7 @@ func LoadDatabase(path string, opts Options) (*Database, error) {
 			items[k] = retrieval.Item{ID: rec.ID, Label: rec.Label, Bag: rec.Bag}
 		}
 		flatShards[i] = retrieval.FlatShard{Items: items, Data: sh.Flat.Data}
+		sh.Flat.Records = nil // the index owns the rows; the journal keeps the block, not these views
 	}
 	if d.db, err = retrieval.NewDatabaseFromFlats(flatShards, dim); err != nil {
 		return fail(err)
