@@ -197,6 +197,43 @@ func TestTrainingExampleFetchAllocs(t *testing.T) {
 	}
 }
 
+// TestListingReadsSlotsAlone: listing and looking up IDs and labels reads
+// the slots and builds no bag. Over 20,000 bags in four shards IDs makes a
+// bounded number of allocations, not two per bag, and Label none.
+func TestListingReadsSlotsAlone(t *testing.T) {
+	db, err := NewDatabase(Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const n = 20000
+	for i := 0; i < n; i++ {
+		bag := &mil.Bag{ID: fmt.Sprintf("img-%05d", i), Instances: []mat.Vector{{float64(i), 1}}}
+		if err := db.db.Add(retrieval.Item{ID: bag.ID, Label: fmt.Sprint("cat-", i%7), Bag: bag}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := db.IDs()
+	if len(ids) != n || ids[0] != "img-00000" || ids[n-1] != fmt.Sprintf("img-%05d", n-1) {
+		t.Fatalf("IDs: %d, first %q, last %q; want %d in insertion order", len(ids), ids[0], ids[len(ids)-1], n)
+	}
+	if got := db.Labels(); len(got) != 7 || got[0] != "cat-0" {
+		t.Fatalf("Labels = %v, want the 7 categories sorted", got)
+	}
+	if label, ok := db.Label("img-00009"); !ok || label != "cat-2" {
+		t.Fatalf("Label(img-00009) = %q, %v", label, ok)
+	}
+	if _, ok := db.Label("absent"); ok {
+		t.Fatal("Label found an absent ID")
+	}
+	listAllocs := testing.AllocsPerRun(5, func() { db.IDs() })
+	lookupAllocs := testing.AllocsPerRun(100, func() { db.Label("img-00009") })
+	t.Logf("IDs over %d bags: %.0f allocations; Label: %.0f", n, listAllocs, lookupAllocs)
+	if listAllocs > 40 || lookupAllocs != 0 {
+		t.Fatalf("IDs made %.0f allocations (want ≤ 40) and Label %.0f (want 0)", listAllocs, lookupAllocs)
+	}
+}
+
 // benchTrainingSet builds a deterministic MIL dataset at paper-like
 // dimensions (100-d instances, 40 per bag).
 func benchTrainingSet(nPos, nNeg int) *mil.Dataset {

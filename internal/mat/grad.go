@@ -140,7 +140,7 @@ func weightedSqDistTiles(p, w, tiles, out []float64) {
 //
 // The scalar loop is the oracle; the AVX2 and AVX-512 bodies, which turn its
 // loops round (see the file comment), return the same bits
-// (TestGradKernelSIMDBitIdentity, FuzzGradKernelSIMDvsScalar).
+// (TestKernelTiers, FuzzKernelTiers).
 // milret:kernel
 func GradAccumRows(gt, gw, t, a, b, rows, coefs []float64, st, sw float64) {
 	dim := len(t)

@@ -52,8 +52,8 @@
 // allowed divergence is the payload of a NaN result: NaN-producing inputs
 // yield a NaN on both paths, but x86 NaN propagation picks payloads by
 // operand order, which the Go compiler does not pin for scalar code). The
-// scalar loops below are the oracle: kernel_simd_test.go and
-// FuzzKernelSIMDvsScalar drive both implementations against each other.
+// scalar loops below are the oracle: TestKernelTiers and FuzzKernelTiers
+// (tiers_test.go) drive every implementation against them.
 // See kernel_dispatch.go for the runtime CPU detection and the
 // MILRET_KERNEL / SetKernel escape hatches.
 package mat

@@ -49,7 +49,7 @@ func PackBagSketch(dim int, rows []float64, box []float32, _ ...[]float32) {
 		// One pass over the rows in memory order, every dimension's running
 		// min and max taken in row order with the scalar loop's
 		// compare-and-select operand order — the same floats as the
-		// column-at-a-time oracle below (kernel_simd_test.go holds them
+		// column-at-a-time oracle below (TestKernelTiers holds them
 		// together).
 		packBagSketchAVX2(dim, n, rows, box)
 		return
@@ -181,8 +181,8 @@ func BoxBoundExceeds(p, w []float64, box []float32, thr float64) bool {
 		// The AVX2 screen transcribes the scalar loop below block for block
 		// (same deinterleave-widen-excess per dimension, same (s0,s1) fold,
 		// same per-block strict-> check, same tail accumulator), so the
-		// decision is bit-identical — kernel_simd_test.go and the sketch
-		// fuzz target drive both against each other.
+		// decision is bit-identical — TestKernelTiers and FuzzKernelTiers
+		// drive both against each other.
 		return boxBoundExceedsAVX2(&p[0], &w[0], &box[0], len(p), thr)
 	}
 	return boxBoundScalar(p, w, box, thr) > thr

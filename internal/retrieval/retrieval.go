@@ -500,6 +500,44 @@ func (db *Database) ByID(id string) (Item, bool) {
 // index's rows.
 func (db *Database) Items() []Item { return db.liveOrdered() }
 
+// EachLabel calls fn with the ID and label of each live item named in ids,
+// in that order, skipping an ID that is not stored; with no ids, of every
+// live item in insertion order. It reads the slots alone and builds no bag,
+// so a lookup allocates nothing and a listing allocates its one sorted copy
+// of the slots.
+func (db *Database) EachLabel(fn func(id, label string), ids ...string) {
+	for _, id := range ids {
+		sh := db.shardFor(id)
+		sh.mu.RLock()
+		i, ok := sh.byID[id]
+		var label string
+		if ok {
+			label = sh.slots[i].label
+		}
+		sh.mu.RUnlock()
+		if ok {
+			fn(id, label)
+		}
+	}
+	if len(ids) > 0 {
+		return
+	}
+	live := make([]slot, 0, db.Len())
+	for _, sh := range db.shards {
+		sh.mu.RLock()
+		for i, s := range sh.slots {
+			if !sh.idx.IsDead(i) {
+				live = append(live, s)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
+	for _, s := range live {
+		fn(s.id, s.label)
+	}
+}
+
 // ShardItems returns shard i's live items in that shard's insertion order —
 // the per-shard slice persistence snapshots — each bag a view over the
 // index's rows.

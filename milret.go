@@ -425,22 +425,19 @@ func (d *Database) Len() int { return d.db.Len() }
 
 // IDs returns all image IDs in insertion order.
 func (d *Database) IDs() []string {
-	items := d.db.Items()
-	out := make([]string, len(items))
-	for i, it := range items {
-		out[i] = it.ID
-	}
+	out := make([]string, 0, d.db.Len())
+	d.db.EachLabel(func(id, _ string) { out = append(out, id) })
 	return out
 }
 
 // Labels returns the distinct labels present, sorted.
 func (d *Database) Labels() []string {
 	seen := map[string]bool{}
-	for _, it := range d.db.Items() {
-		if it.Label != "" {
-			seen[it.Label] = true
+	d.db.EachLabel(func(_, label string) {
+		if label != "" {
+			seen[label] = true
 		}
-	}
+	})
 	out := make([]string, 0, len(seen))
 	for lb := range seen {
 		out = append(out, lb)
@@ -450,9 +447,9 @@ func (d *Database) Labels() []string {
 }
 
 // Label returns the stored label of an image.
-func (d *Database) Label(id string) (string, bool) {
-	it, ok := d.db.ByID(id)
-	return it.Label, ok
+func (d *Database) Label(id string) (label string, ok bool) {
+	d.db.EachLabel(func(_, l string) { label, ok = l, true }, id)
+	return label, ok
 }
 
 // Concept is a trained retrieval concept: the "ideal" feature point and
