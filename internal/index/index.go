@@ -463,10 +463,10 @@ func (s *Snapshot) bagDist(q Query, bi int, cutoff float64, prune bool) float64 
 
 // normalizeEmpty canonicalizes "no results" to an empty non-nil slice: an
 // all-tombstoned or fully excluded snapshot must rank exactly like an
-// index that never held the bags, down to the representation (the
-// tombstone≡rebuild and flat≡naive property tests compare with
-// reflect.DeepEqual, where nil and an empty slice differ, and the tests'
-// naive reference produces empty non-nil lists).
+// index that never held the bags, down to the representation
+// (internal/retrieval's TestScanSpine compares as reflect.DeepEqual does,
+// where nil and an empty slice differ, and its naive reference produces
+// empty non-nil lists).
 func normalizeEmpty(rs []Result) []Result {
 	if len(rs) == 0 {
 		return []Result{}

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"milret/internal/mat"
 )
@@ -109,19 +108,6 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-// An empty snapshot ranks to the canonical empty result list — non-nil,
-// the same representation an all-tombstoned or fully excluded scan
-// produces, so tombstone≡rebuild comparisons hold bit-for-bit.
-func TestEmptySnapshot(t *testing.T) {
-	s := New().Snapshot()
-	if got := (Sharded{s}).Rank(Query{}, nil, 0); got == nil || len(got) != 0 {
-		t.Fatalf("empty Rank = %v", got)
-	}
-	if got := (Sharded{s}).TopK(Query{}, 5, nil, 0); got == nil || len(got) != 0 {
-		t.Fatalf("empty TopK = %v", got)
-	}
-}
-
 // A dim-mismatched query must panic on the caller's goroutine — recoverable
 // here — at every entry point, a batch included: were the check left to a
 // scan or query worker, the panic would take the process down instead.
@@ -148,189 +134,6 @@ func TestQueryDimMismatchPanics(t *testing.T) {
 			}()
 			scan()
 		}()
-	}
-}
-
-// TestRankMatchesNaive: distances and ordering must be bit-identical to the
-// unpruned reference scan across random databases and weights.
-func TestRankMatchesNaive(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		dim := 1 + r.Intn(40) // crosses the mat.KernelBlock boundary both ways
-		x, bags, labels := randIndex(r, 1+r.Intn(60), dim, 4)
-		q := randQuery(r, dim)
-		exclude := map[string]bool{}
-		for id := range bags {
-			if r.Intn(5) == 0 {
-				exclude[id] = true
-			}
-		}
-		got := Sharded{x.Snapshot()}.Rank(q, exclude, 1+r.Intn(8))
-		want := naiveRank(bags, labels, q, exclude)
-		return reflect.DeepEqual(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTopKMatchesNaive: the fused per-worker heap scan must select exactly
-// the head of the full naive ranking for every k shape the issue calls out,
-// including k > len(db).
-func TestTopKMatchesNaive(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		dim := 1 + r.Intn(40)
-		n := 1 + r.Intn(60)
-		x, bags, labels := randIndex(r, n, dim, 4)
-		q := randQuery(r, dim)
-		exclude := map[string]bool{}
-		for id := range bags {
-			if r.Intn(6) == 0 {
-				exclude[id] = true
-			}
-		}
-		full := naiveRank(bags, labels, q, exclude)
-		for _, k := range []int{1, n / 2, n, n + 5} {
-			if k < 1 {
-				k = 1
-			}
-			got := Sharded{x.Snapshot()}.TopK(q, k, exclude, 1+r.Intn(8))
-			want := full
-			if k < len(full) {
-				want = full[:k]
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Logf("seed %d k=%d: got %v want %v", seed, k, got, want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMultiTopKMatchesPerConceptTopK: the batched multi-concept scan must
-// return, for every query, exactly what its standalone TopK scan returns —
-// same bags, same order, same distance bits — across random corpora, random
-// query batches (including duplicates and non-prunable negative-weight
-// queries), random k shapes and random worker counts.
-func TestMultiTopKMatchesPerConceptTopK(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		dim := 1 + r.Intn(40)
-		n := 1 + r.Intn(60)
-		x, bags, _ := randIndex(r, n, dim, 4)
-		nq := 1 + r.Intn(6)
-		qs := make([]Query, nq)
-		for qi := range qs {
-			qs[qi] = randQuery(r, dim)
-			if r.Intn(4) == 0 {
-				// Non-prunable query: pruning must be disabled for this
-				// query only, without perturbing its neighbors.
-				qs[qi].Weights[r.Intn(dim)] *= -1
-			}
-		}
-		if nq > 1 && r.Intn(3) == 0 {
-			qs[nq-1] = qs[0] // duplicate concepts must be independent
-		}
-		exclude := map[string]bool{}
-		for id := range bags {
-			if r.Intn(6) == 0 {
-				exclude[id] = true
-			}
-		}
-		for _, k := range []int{1, 1 + r.Intn(n), n + 3} {
-			got := Sharded{x.Snapshot()}.MultiTopK(qs, k, exclude, 1+r.Intn(8))
-			if len(got) != nq {
-				t.Logf("seed %d: %d result lists for %d queries", seed, len(got), nq)
-				return false
-			}
-			for qi, q := range qs {
-				want := Sharded{x.Snapshot()}.TopK(q, k, exclude, 1+r.Intn(8))
-				if !reflect.DeepEqual(got[qi], want) {
-					t.Logf("seed %d k=%d query %d:\ngot  %v\nwant %v", seed, k, qi, got[qi], want)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultiTopKEdgeCases(t *testing.T) {
-	if got := (Sharded{Snapshot{}}).MultiTopK(nil, 5, nil, 0); got != nil {
-		t.Fatalf("no queries = %v", got)
-	}
-	r := rand.New(rand.NewSource(3))
-	x, _, _ := randIndex(r, 8, 6, 3)
-	qs := []Query{randQuery(r, 6), randQuery(r, 6)}
-	got := Sharded{x.Snapshot()}.MultiTopK(qs, 0, nil, 2)
-	if len(got) != 2 || got[0] != nil || got[1] != nil {
-		t.Fatalf("k=0 = %v", got)
-	}
-	empty := Sharded{New().Snapshot()}.MultiTopK([]Query{{}}, 3, nil, 1)
-	if len(empty) != 1 || empty[0] == nil || len(empty[0]) != 0 {
-		t.Fatalf("empty snapshot = %v", empty)
-	}
-}
-
-// TestFromFlatMatchesAppend: an index adopting a flat block must scan
-// identically to one built by appending the same bags, and appending after
-// adoption must not disturb the adopted data.
-func TestFromFlatMatchesAppend(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	dim := 9
-	x, bags, labels := randIndex(r, 25, dim, 4)
-	snap := x.Snapshot()
-
-	// Rebuild the flat block in the appended index's bag order.
-	var data []float64
-	var counts []int
-	var ids, lbs []string
-	for i := 0; i < len(x.ids); i++ {
-		id := x.ids[i]
-		ids = append(ids, id)
-		lbs = append(lbs, labels[id])
-		counts = append(counts, len(bags[id]))
-		for _, inst := range bags[id] {
-			data = append(data, inst...)
-		}
-	}
-	adopted, err := FromFlat(dim, data, counts, ids, lbs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &adopted.base[0] != &data[0] {
-		t.Fatal("FromFlat copied the block instead of adopting it")
-	}
-	q := randQuery(r, dim)
-	if !reflect.DeepEqual(Sharded{adopted.Snapshot()}.Rank(q, nil, 3), Sharded{snap}.Rank(q, nil, 3)) {
-		t.Fatal("adopted index ranks differently from appended index")
-	}
-
-	// Append after adoption: new bag visible, adopted block untouched.
-	extra := []mat.Vector{make(mat.Vector, dim)}
-	if err := adopted.Append("zzz-new", "l", extra); err != nil {
-		t.Fatal(err)
-	}
-	if len(adopted.ids) != len(x.ids)+1 {
-		t.Fatalf("append after adoption: len %d", len(adopted.ids))
-	}
-	if &adopted.base[0] != &data[0] || len(adopted.base) != len(data) {
-		t.Fatal("append after adoption moved or grew the adopted block")
-	}
-	if !reflect.DeepEqual(adopted.data, []float64(extra[0])) {
-		t.Fatalf("tail holds %v, want exactly the appended rows %v", adopted.data, extra[0])
-	}
-	got := Sharded{adopted.Snapshot()}.Rank(q, nil, 2)
-	if len(got) != len(x.ids)+1 {
-		t.Fatalf("post-append rank covers %d of %d", len(got), len(x.ids)+1)
 	}
 }
 
@@ -430,34 +233,6 @@ func TestSnapshotImmutableUnderAppend(t *testing.T) {
 	}
 	if got := x.Snapshot().Len(); got != 60 {
 		t.Fatalf("new snapshot Len = %d, want 60", got)
-	}
-}
-
-func TestExcludeAll(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	x, bags, _ := randIndex(r, 8, 4, 2)
-	exclude := map[string]bool{}
-	for id := range bags {
-		exclude[id] = true
-	}
-	q := randQuery(r, 4)
-	if got := (Sharded{x.Snapshot()}).Rank(q, exclude, 3); len(got) != 0 {
-		t.Fatalf("Rank with all excluded = %v", got)
-	}
-	if got := (Sharded{x.Snapshot()}).TopK(q, 3, exclude, 3); len(got) != 0 {
-		t.Fatalf("TopK with all excluded = %v", got)
-	}
-}
-
-func TestTopKZeroAndNegative(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	x, _, _ := randIndex(r, 5, 4, 2)
-	q := randQuery(r, 4)
-	if got := (Sharded{x.Snapshot()}).TopK(q, 0, nil, 1); got != nil {
-		t.Fatalf("TopK(0) = %v", got)
-	}
-	if got := (Sharded{x.Snapshot()}).TopK(q, -2, nil, 1); got != nil {
-		t.Fatalf("TopK(-2) = %v", got)
 	}
 }
 

@@ -19,8 +19,8 @@
 // entries sort strictly after every true top-k member and can never
 // displace one, ties included. The final sort-and-truncate therefore
 // returns bit-identical results for any chunking, any worker count, and
-// any claim interleaving (property-tested against the naive scan in
-// sharded_test.go).
+// any claim interleaving (held to the naive scan by
+// internal/retrieval's TestScanSpine).
 package index
 
 import (

@@ -14,7 +14,7 @@
 //     so pruning against it is exact no matter which shard published it.
 //     Sharding is therefore invisible in the output: distances and ID
 //     tie-breaks are bit-identical to scanning one block holding all bags
-//     (property-tested in sharded_test.go).
+//     (held to the naive scan by internal/retrieval's TestScanSpine).
 //
 //   - Workers merge into per-worker candidate heaps spanning shards; the
 //     final sort-and-truncate over the concatenation is the same merge the

@@ -193,19 +193,52 @@ func TestMinRowsEdgeCases(t *testing.T) {
 	}
 }
 
+// A malformed argument panics before dispatch, on every tier the host has:
+// past a short w the assembly would read on and return a decision.
 func TestKernelDimMismatchPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { WeightedSqDistBlocked([]float64{1}, []float64{1, 2}, []float64{1}) },
-		func() { WeightedSqDistBlocked([]float64{1}, []float64{1}, []float64{1, 2}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("dimension mismatch did not panic")
-				}
-			}()
-			fn()
-		}()
+	run, missing := simdTiers()
+	t.Log("tiers:", append([]string{"scalar"}, run...), missing)
+	p8, w8 := make([]float64, 8), make([]float64, 8)
+	for _, tier := range append([]string{"scalar"}, run...) {
+		for i, fn := range []func(){
+			func() { WeightedSqDistBlocked([]float64{1}, []float64{1, 2}, []float64{1}) },
+			func() { WeightedSqDistBlocked([]float64{1}, []float64{1}, []float64{1, 2}) },
+			func() { BoxBoundExceeds(p8, w8[:4], make([]float32, BoxStride*8), 1e9) },
+		} {
+			withTier(tier, func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: input %d: dimension mismatch did not panic", tier, i)
+					}
+				}()
+				fn()
+			})
+		}
+	}
+}
+
+// A box over p's first four of eight dimensions is a prefix screen on every
+// tier. Past it lies a box that would reject at any threshold: a tier that
+// read on would see it, and one that indexed on would panic.
+func TestBoxBoundShortBoxIsPrefix(t *testing.T) {
+	p8, w8 := make([]float64, 8), make([]float64, 8)
+	for i := range w8 {
+		w8[i] = 1
+	}
+	boxes := make([]float32, BoxStride*8)
+	for k := 0; k < len(boxes); k += BoxStride {
+		boxes[k], boxes[k+1] = -1, 1
+		if k >= BoxStride*4 {
+			boxes[k], boxes[k+1] = 1e30, 1e30
+		}
+	}
+	run, _ := simdTiers()
+	for _, tier := range append([]string{"scalar"}, run...) {
+		withTier(tier, func() {
+			if BoxBoundExceeds(p8, w8, boxes[:BoxStride*4], 1) {
+				t.Errorf("%s: a four-dimension box screened past its end", tier)
+			}
+		})
 	}
 }
 

@@ -173,10 +173,19 @@ func boxExcess(p float64, lo, hi float32) float64 {
 // canonical blocked kernel — same block pairing, same association, same
 // strict-> early abandon — so every partial sum here is ≤ the corresponding
 // partial sum of the exact kernel on any instance inside the box, and a
-// true return proves the bag's exact distance is > thr.
+// true return proves the bag's exact distance is > thr. A box may cover
+// only p's leading len(box)/BoxStride dimensions (PackBagSketch); the bound
+// then runs over that prefix, still a lower bound, on every tier.
 //
 // milret:kernel
 func BoxBoundExceeds(p, w []float64, box []float32, thr float64) bool {
+	// Both checked before dispatch, as WeightedSqDistBlocked checks: the
+	// assembly would read past a short w or box where the scalar loop
+	// panics, so the tiers would disagree.
+	mustSameLen(len(p), len(w))
+	if n := len(box) / BoxStride; n < len(p) {
+		p, w = p[:n], w[:n]
+	}
 	if useAVX2.Load() && len(p) > 0 {
 		// The AVX2 screen transcribes the scalar loop below block for block
 		// (same deinterleave-widen-excess per dimension, same (s0,s1) fold,

@@ -2,72 +2,10 @@ package retrieval
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"milret/internal/mat"
 )
-
-// Property: every top-k scan runs behind the sketch filter, so the
-// reference is the tests' naive per-bag ranking, which shares no code with
-// it — naiveRank[:k]: TopK and TopKMany, single-block and sharded, through
-// tombstones and compaction, with exclusions, across k.
-func TestQuickRecallOneMatchesExact(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		dim := 1 + r.Intn(30)
-		n := 1 + r.Intn(50)
-		db := NewDatabaseSharded(1 + r.Intn(4))
-		for _, it := range randWeightedDB(t, r, n, dim, 4).Items() {
-			if err := db.Add(it); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, it := range db.Items() {
-			if r.Intn(4) == 0 && db.Len() > 1 {
-				if err := db.Delete(it.ID); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if r.Intn(2) == 0 {
-			db.Compact()
-		}
-		naive, flat := randScorerPair(r, dim)
-		exclude := map[string]bool{}
-		for _, it := range db.Items() {
-			if r.Intn(6) == 0 {
-				exclude[it.ID] = true
-			}
-		}
-		full := naiveRank(db, naive, Options{Exclude: exclude})
-		opts := Options{Exclude: exclude, Parallelism: 1 + r.Intn(8)}
-		for _, k := range []int{1, n / 2, n + 5} {
-			if k < 1 {
-				k = 1
-			}
-			want := full
-			if k < len(want) {
-				want = want[:k]
-			}
-			if got := TopK(db, flat, k, opts); !reflect.DeepEqual(got, want) {
-				t.Logf("seed %d: TopK(k=%d) diverged from the naive ranking\n got %v\nwant %v", seed, k, got, want)
-				return false
-			}
-			for i, got := range TopKMany(db, []Scorer{flat, flat}, k, opts) {
-				if !reflect.DeepEqual(got, want) {
-					t.Logf("seed %d: TopKMany(k=%d)[%d] diverged from the naive ranking", seed, k, i)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // Stats must expose the scan and filter counters with the accounting
 // invariant (Screened = Admitted + Rejected), zero until a top-k scan runs,

@@ -6,161 +6,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"milret/internal/mat"
 )
-
-// mirrorPair applies the same construction to a 1-shard and an N-shard
-// database so scans over the two can be compared bit-for-bit.
-type mirrorPair struct {
-	single  *Database
-	sharded *Database
-}
-
-func (p mirrorPair) add(t testing.TB, it Item) {
-	t.Helper()
-	if err := p.single.Add(it); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.sharded.Add(it); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func randMirror(t testing.TB, r *rand.Rand, n, dim, maxInst, nShards int) mirrorPair {
-	p := mirrorPair{single: NewDatabase(), sharded: NewDatabaseSharded(nShards)}
-	for i := 0; i < n; i++ {
-		nInst := 1 + r.Intn(maxInst)
-		vecs := make([]mat.Vector, nInst)
-		for j := range vecs {
-			vecs[j] = randVec(r, dim)
-		}
-		p.add(t, item(fmt.Sprintf("img-%03d", i), fmt.Sprintf("cat%d", i%3), vecs...))
-	}
-	return p
-}
-
-// The tentpole acceptance property: an N-shard database ranks bit-identically
-// to a 1-shard database over the same bags, and both to the naive reference
-// — Rank, TopK and TopKMany — through random interleavings of adds, deletes,
-// updates and label swaps, and after compacting random individual shards.
-// The TopKMany leg walks batch size × parallelism over the whole grid below:
-// batches smaller than, equal to and larger than the worker budget, and one
-// past the 64 scorers a batch was once chunked at.
-func TestQuickShardedMatchesSingleShard(t *testing.T) {
-	batchSizes := []int{1, 2, 5, 9, 70}
-	pars := []int{1, 2, 3, 8}
-	iter := 0
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		dim := 1 + r.Intn(24)
-		n := 2 + r.Intn(40)
-		nShards := 2 + r.Intn(4)
-		p := randMirror(t, r, n, dim, 4, nShards)
-
-		// Mutation storm applied to both databases.
-		for m := 0; m < r.Intn(2*n); m++ {
-			id := fmt.Sprintf("img-%03d", r.Intn(n))
-			switch r.Intn(4) {
-			case 0:
-				e1, e2 := p.single.Delete(id), p.sharded.Delete(id)
-				if (e1 == nil) != (e2 == nil) {
-					t.Fatalf("delete divergence for %s: %v vs %v", id, e1, e2)
-				}
-			case 1:
-				if _, ok := p.single.ByID(id); ok {
-					vecs := []mat.Vector{randVec(r, dim), randVec(r, dim)}
-					p2 := item(id, "updated", vecs...)
-					if err := p.single.Update(p2); err != nil {
-						t.Fatal(err)
-					}
-					if err := p.sharded.Update(p2); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case 2:
-				if _, ok := p.single.ByID(id); ok {
-					lb := fmt.Sprintf("relabel-%d", m)
-					if err := p.single.UpdateLabel(id, lb); err != nil {
-						t.Fatal(err)
-					}
-					if err := p.sharded.UpdateLabel(id, lb); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case 3:
-				p.add(t, item(fmt.Sprintf("new-%03d", m), "added", randVec(r, dim)))
-			}
-		}
-		// Compact a random subset of the sharded database's shards only — the
-		// single-shard mirror keeps its tombstones, so the comparison also
-		// proves per-shard compaction is invisible to rankings.
-		for si := 0; si < p.sharded.ShardCount(); si++ {
-			if r.Intn(2) == 0 {
-				compactShard(p.sharded, si)
-			}
-		}
-
-		naive, flat := randScorerPair(r, dim)
-		exclude := map[string]bool{}
-		for _, it := range p.single.Items() {
-			if r.Intn(6) == 0 {
-				exclude[it.ID] = true
-			}
-		}
-		opts := Options{Exclude: exclude, Parallelism: pars[iter/len(batchSizes)%len(pars)]}
-		nq := batchSizes[iter%len(batchSizes)]
-		iter++
-		// The naive ranking — a reference no cutoff, heap, seed or box has
-		// touched — is the same over either database: Items() agree below.
-		full := naiveRank(p.single, naive, opts)
-		for name, db := range map[string]*Database{"single": p.single, "sharded": p.sharded} {
-			if !reflect.DeepEqual(Rank(db, flat, opts), full) {
-				t.Logf("%s Rank diverged from the naive ranking", name)
-				return false
-			}
-			for _, k := range []int{1, n / 2, n + 5} {
-				if k < 1 {
-					k = 1
-				}
-				if !reflect.DeepEqual(TopK(db, flat, k, opts), naiveTopK(p.single, naive, k, opts)) {
-					t.Logf("%s TopK(%d) diverged from the naive ranking", name, k)
-					return false
-				}
-			}
-		}
-		// A batch: element i is scorer i's own naive top-k, one
-		// negative-weight scorer (its filter cannot arm) among armed mates.
-		scorers := make([]Scorer, nq)
-		want := make([][]Result, nq)
-		k := 1 + r.Intn(n+4) // through k ≥ n
-		unarmed := r.Intn(nq)
-		for i := range scorers {
-			ni, fi := randScorerPair(r, dim)
-			if i == unarmed {
-				ni.w[r.Intn(dim)] *= -1
-			}
-			scorers[i], want[i] = fi, naiveTopK(p.single, ni, k, opts)
-		}
-		for name, db := range map[string]*Database{"single": p.single, "sharded": p.sharded} {
-			if !reflect.DeepEqual(TopKMany(db, scorers, k, opts), want) {
-				t.Logf("%s TopKMany(%d scorers, k=%d) diverged from the naive rankings", name, nq, k)
-				return false
-			}
-		}
-		// Metadata views agree too: same live items in the same insertion
-		// order, regardless of which shard each landed in.
-		if !reflect.DeepEqual(p.sharded.Items(), p.single.Items()) {
-			t.Log("sharded Items order diverged")
-			return false
-		}
-		return p.sharded.Len() == p.single.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // compactShard rebuilds one shard's flat block the way a delete that crosses
 // the auto-compaction threshold does, leaving the other shards untouched.
@@ -182,48 +30,6 @@ func totals(db *Database) ShardStats {
 		sum.DeadInstances += row.DeadInstances
 	}
 	return sum
-}
-
-// There is one stats row per shard, the rows account for every live and
-// dead bag — the /v1/stats invariant — and compacting one shard clears
-// only its own tombstone counters.
-func TestShardedStatsSumToTotals(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	db := NewDatabaseSharded(4)
-	for i := 0; i < 200; i++ {
-		if err := db.Add(item(fmt.Sprintf("img-%03d", i), "l", randVec(r, 6), randVec(r, 6))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deleted := 0
-	for i := 0; i < 200; i += 3 {
-		if err := db.Delete(fmt.Sprintf("img-%03d", i)); err != nil {
-			t.Fatal(err)
-		}
-		deleted++
-	}
-	before := totals(db)
-	if before.DeadImages != deleted || before.DeadInstances != 2*deleted {
-		t.Fatalf("%d deletes of 2-instance bags left %+v", deleted, before)
-	}
-	compactShard(db, 1)
-	rows := db.ShardStats()
-	if len(rows) != 4 {
-		t.Fatalf("got %d shard rows", len(rows))
-	}
-	st := totals(db)
-	if st.Images != db.Len() || st.Instances != 2*db.Len() {
-		t.Fatalf("rows sum to %+v, Len %d", st, db.Len())
-	}
-	if st.IndexBytes != int64((st.Instances+st.DeadInstances)*db.Dim()*8) {
-		t.Fatalf("index bytes %d do not cover %d live + %d dead rows", st.IndexBytes, st.Instances, st.DeadInstances)
-	}
-	if rows[1].DeadImages != 0 {
-		t.Fatal("compacted shard still reports dead items")
-	}
-	if st.DeadImages == 0 || st.DeadImages >= before.DeadImages {
-		t.Fatalf("dead images %d → %d across a one-shard compact", before.DeadImages, st.DeadImages)
-	}
 }
 
 // Compacting one shard must not block reads or writes on the others: while
@@ -325,72 +131,6 @@ func TestShardCompactionDoesNotBlockOthers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(Rank(db, flat, Options{}), Rank(rebuilt, flat, Options{})) {
 		t.Fatal("sharded database diverged from rebuild after concurrent compaction")
-	}
-}
-
-// Concurrent label updates against queries: labels are copy-on-write, so the
-// race detector must stay silent and every query sees a consistent label for
-// each result (one of the values that item has legitimately carried).
-func TestConcurrentLabelUpdatesVersusQueries(t *testing.T) {
-	const dim = 4
-	r := rand.New(rand.NewSource(3))
-	_, flat := randScorerPair(r, dim)
-	db := NewDatabaseSharded(3)
-	const n = 30
-	for i := 0; i < n; i++ {
-		if err := db.Add(item(fmt.Sprintf("img-%02d", i), "v0", randVec(r, dim))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				lists := append(TopKMany(db, []Scorer{flat, flat, flat}, 5, Options{Parallelism: 1 + g}),
-					Rank(db, flat, Options{Parallelism: 1 + g}))
-				for _, list := range lists {
-					for _, res := range list {
-						if len(res.Label) < 2 || res.Label[0] != 'v' {
-							t.Errorf("torn label %q", res.Label)
-							return
-						}
-					}
-				}
-				_ = db.Items()
-			}
-		}(g)
-	}
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := fmt.Sprintf("img-%02d", (w*7+i)%n)
-				if err := db.UpdateLabel(id, fmt.Sprintf("v%d", i+1)); err != nil {
-					t.Errorf("UpdateLabel %s: %v", id, err)
-					return
-				}
-			}
-			if w == 0 {
-				close(stop)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	st := totals(db)
-	if st.DeadImages != 0 || st.DeadInstances != 0 {
-		t.Fatalf("label updates left tombstones: %+v", st)
 	}
 }
 
