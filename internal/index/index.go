@@ -12,10 +12,10 @@
 // that follows it, so the first write after an open copies the one bag it
 // writes, not the block. A bag never straddles the two: bagDist picks its
 // segment with one compare. The bags' sketches split the same way: the
-// ones FromFlat packs stay the base's, and Append packs into a sketch tail
-// of its own, which the candidate filter picks with one compare too. Both
-// tails grow once per bag, by doubling, so a long run of appends copies
-// each tail byte about once.
+// box tiles FromFlat packs stay the base's, and Append packs into tiles of
+// its own, which the candidate filter picks with one compare too. Both
+// tails grow by doubling, so a long run of appends copies each tail byte
+// about once.
 //
 // Three optimizations are fused into the top-k scan itself:
 //
@@ -48,8 +48,8 @@
 // (retrieval.Database) serializes Append/Delete calls and takes Snapshot
 // views under its own lock. A Snapshot is safe to scan concurrently with
 // later Appends because appends only ever write past the snapshot's recorded
-// lengths, and safe against later Deletes because it copies the tombstone
-// mask.
+// lengths, or into a copy of a box tile it holds, and safe against later
+// Deletes because it copies the tombstone mask.
 package index
 
 import (
@@ -79,22 +79,26 @@ type Index struct {
 	bagOffsets []int
 	ids        []string
 	labels     []string
-	// baseBoxes and tailBoxes pack each bag's axis-aligned instance
-	// bounding box (float32, lo/hi interleaved per dimension —
-	// mat.PackBagSketch) over the bag's leading boxDims(dim) dimensions:
-	// with stride mat.BoxStride*boxDims(dim), bag i < baseBags has box
-	// baseBoxes[i*stride : (i+1)*stride] and bag i ≥ baseBags has box
-	// tailBoxes[(i-baseBags)*stride : (i-baseBags+1)*stride]. Capping the
-	// box at ScreenBoxDims keeps the screen's stream small and sequential —
-	// a prefix bound is still a valid lower bound (its dropped terms are
-	// non-negative), and in practice rejection decides within the first few
-	// kernel blocks. The boxes are maintained on every build path — FromFlat
-	// packs the base's (so a zero-copy open and a compaction rebuild them
-	// for free) and nothing appends to them; Append packs the tail's — and
-	// consumed by the candidate filter every top-k scan runs behind
+	// baseBoxes and tailBoxes hold each bag's axis-aligned instance
+	// bounding box (float32 lo/hi, mat.PackBagSketch) over the bag's
+	// leading boxDims(dim) dimensions, in box tiles of mat.TileRows bags
+	// (mat.BoxTileStride): bag i < baseBags is lane i%TileRows of base tile
+	// i/TileRows, and bag i ≥ baseBags lane j%TileRows of tail tile
+	// j/TileRows, j = i − baseBags, so the tail's tiles start at a tile
+	// edge of their own. The base's last tile may end in padding lanes,
+	// which no scan reads as bags. tailBoxes holds the tail's full tiles;
+	// a partly filled last tile is tailPart (nil when there is none), and
+	// Append writes a lane of it only while no snapshot can hold it
+	// (partShared): a snapshot's screen loads every lane of a tile, so a
+	// write into a tile it holds would race it. The boxes are maintained
+	// on every build path — FromFlat packs the base's (so a zero-copy open
+	// and a compaction rebuild them for free) and nothing appends to them;
+	// Append packs the tail's — and screened by every top-k scan
 	// (prune.go).
-	baseBoxes []float32
-	tailBoxes []float32
+	baseBoxes  []float32
+	tailBoxes  []float32
+	tailPart   []float32
+	partShared atomic.Bool
 	// dead is a tombstone bitmask over bags (bit i set = bag i deleted).
 	// Dead bags keep their rows in the flat block — scans skip them — until
 	// the owner rebuilds the index (retrieval.Database.Compact). nil while
@@ -112,11 +116,13 @@ type Index struct {
 }
 
 // ScreenBoxDims caps how many leading dimensions a bag's screen box covers.
-// The candidate filter streams every live bag's box on each top-k scan, so
-// box bytes are the screen's cost floor; measured crossing points (the
-// dimension at which a rejected bag's bound passes the cutoff) sit in the
-// first few kernel blocks, so dimensions past the cap almost never decide a
-// rejection — they would only widen the stream.
+// The candidate filter screens every live bag's box on each top-k scan, so
+// box bytes bound the screen's stream, and a wider box rejects more bags
+// but costs more per tile. On the warm_scan corpus, at the final cutoff,
+// 44 % of bags are rejected within 16 dimensions, 79 % within 36 and 90 %
+// within 64; the other 10 % are not (7.8 % are not even over all 100).
+// 64 is where the measured scan time sits lowest, and a wider box would
+// add bytes per bag (CHANGES.md has the table at 32, 64 and 100).
 const ScreenBoxDims = 64
 
 // boxDims returns how many leading dimensions the screen boxes of a
@@ -163,11 +169,32 @@ func (x *Index) Append(id, label string, instances []mat.Vector) error {
 	for i, inst := range instances {
 		copy(rows[i*dim:], inst)
 	}
-	mat.PackBagSketch(dim, rows, grow(&x.tailBoxes, mat.BoxStride*boxDims(dim)))
+	x.appendBox(dim, rows)
 	x.bagOffsets = append(x.bagOffsets, x.bagOffsets[len(x.bagOffsets)-1]+len(instances))
 	x.ids = append(x.ids, id)
 	x.labels = append(x.labels, label)
 	return nil
+}
+
+// appendBox packs the box of the bag being appended, whose rows are rows,
+// into the next lane of the tail's tiles. The first lane of a tile starts a
+// fresh tailPart, and so does a lane of a tile some snapshot holds: it goes
+// into a copy, so no lane a held snapshot screens is ever written. A full
+// tile joins tailBoxes.
+func (x *Index) appendBox(dim int, rows []float64) {
+	bd := boxDims(dim)
+	lane := (len(x.ids) - x.baseBags) % mat.TileRows
+	if lane == 0 || x.partShared.Load() {
+		part := make([]float32, mat.BoxTileStride*bd)
+		copy(part, x.tailPart)
+		x.tailPart = part
+		x.partShared.Store(false)
+	}
+	mat.PackBagSketchLane(dim, rows, x.tailPart, lane)
+	if lane == mat.TileRows-1 {
+		copy(grow(&x.tailBoxes, len(x.tailPart)), x.tailPart)
+		x.tailPart = nil
+	}
 }
 
 // grow extends *s by n elements and returns them. When the capacity runs
@@ -229,27 +256,28 @@ func FromFlat(dim int, data []float64, counts []int, ids, labels []string) (*Ind
 }
 
 // packSketches builds every bag's bounding box from a row-major data block
-// (mat.PackBagSketch per bag) — the FromFlat counterpart of the incremental
-// sketch maintenance in Append. It passes over the block once, at open
-// time, in chunks of bags claimed by one worker per CPU (each bag's sketch
-// depends on its rows alone, so the split moves no bit); the sketches are
-// what the candidate filter screens bags with, and rebuilding them here is
-// why the store format needs no sketch record: a zero-copy open or a
-// compaction regenerates them from the rows.
+// (mat.PackBagSketchLane per bag) into box tiles — the FromFlat counterpart of
+// Append's appendBox. It passes over the block once, at open time, in
+// chunks of whole tiles claimed by one worker per CPU (each bag's box
+// depends on its rows alone, so the split moves no bit); the boxes are what
+// the candidate filter screens bags with, and rebuilding them here is why
+// the store format needs no sketch record: a zero-copy open or a compaction
+// regenerates them from the rows.
 func packSketches(dim int, data []float64, offsets []int) []float32 {
 	nb := len(offsets) - 1
 	bd := boxDims(dim)
-	boxes := make([]float32, nb*mat.BoxStride*bd)
-	const chunk = 1024 // bags per claim
+	tileLen := mat.BoxTileStride * bd
+	tiles := make([]float32, mat.TileLanes(nb)/mat.TileRows*tileLen)
+	const chunk = 1024 // bags per claim, whole tiles
 	workloop.Run((nb+chunk-1)/chunk, runtime.GOMAXPROCS(0), func(_ int, claim func() (int, bool)) {
 		for c, ok := claim(); ok; c, ok = claim() {
 			for i := c * chunk; i < min(nb, (c+1)*chunk); i++ {
-				mat.PackBagSketch(dim, data[offsets[i]*dim:offsets[i+1]*dim],
-					boxes[i*mat.BoxStride*bd:(i+1)*mat.BoxStride*bd])
+				t := i / mat.TileRows * tileLen
+				mat.PackBagSketchLane(dim, data[offsets[i]*dim:offsets[i+1]*dim], tiles[t:t+tileLen], i%mat.TileRows)
 			}
 		}
 	})
-	return boxes
+	return tiles
 }
 
 // Delete tombstones bag i: its rows stay in the flat block but every scan
@@ -316,7 +344,9 @@ func (x *Index) DeadInstances() int { return x.deadRows }
 // valid and immutable while the owner keeps appending: the base block is
 // never written, and appends grow the tail and the other slices past the
 // snapshot's lengths (or reallocate) but never rewrite the elements a
-// snapshot can see. The tombstone mask is copied (it is the one
+// snapshot can see — the tail's partly filled box tile included, which the
+// next Append copies before it writes a lane (appendBox). The tombstone
+// mask is copied (it is the one
 // piece of state Delete mutates in place), so later deletes never affect an
 // already-taken snapshot.
 func (x *Index) Snapshot() Snapshot {
@@ -327,6 +357,9 @@ func (x *Index) Snapshot() Snapshot {
 		dead = append(dead, x.dead...)
 	}
 	x.labelsShared.Store(true)
+	if x.tailPart != nil {
+		x.partShared.Store(true)
+	}
 	return Snapshot{
 		dim:        x.dim,
 		base:       x.base,
@@ -335,6 +368,7 @@ func (x *Index) Snapshot() Snapshot {
 		baseBags:   x.baseBags,
 		baseBoxes:  x.baseBoxes,
 		tailBoxes:  x.tailBoxes[:len(x.tailBoxes):len(x.tailBoxes)],
+		tailPart:   x.tailPart,
 		bagOffsets: x.bagOffsets[:len(x.ids)+1],
 		ids:        x.ids[:len(x.ids)],
 		labels:     x.labels[:len(x.ids)],
@@ -370,12 +404,29 @@ type Snapshot struct {
 	baseRows   int
 	data       []float64 // see Index.data
 	baseBags   int       // see Index.baseBags
-	baseBoxes  []float32 // per-bag bounding boxes; see Index.baseBoxes
+	baseBoxes  []float32 // box tiles; see Index.baseBoxes
 	tailBoxes  []float32 // see Index.tailBoxes
+	tailPart   []float32 // see Index.tailPart
 	bagOffsets []int
 	ids        []string
 	labels     []string
 	dead       []uint64
+}
+
+// boxTile returns the box tile whose lane 0 is bag i, a tile edge of its
+// segment: the base's, the tail's full tiles, or the tail's partial last
+// tile — the pick bagRows makes for rows, by one more compare.
+func (s *Snapshot) boxTile(i int) []float32 {
+	tileLen := mat.BoxTileStride * boxDims(s.dim)
+	boxes := s.baseBoxes
+	if i >= s.baseBags {
+		boxes, i = s.tailBoxes, i-s.baseBags
+	}
+	t := i / mat.TileRows * tileLen
+	if t == len(boxes) {
+		return s.tailPart // only the tail's tiles can run out before its bags
+	}
+	return boxes[t : t+tileLen : t+tileLen]
 }
 
 // Len returns the number of bags in the snapshot, tombstoned ones included.
@@ -478,6 +529,19 @@ func normalizeEmpty(rs []Result) []Result {
 // hand-rolled binary heap so the hot scan avoids container/heap's interface
 // dispatch and allocation.
 type resultMaxHeap []Result
+
+// cutoff returns the tightest published k-th best, or this worker's own when
+// its heap is full and tighter. Equality is never pruned, preserving ID
+// tie-breaks at the top-k boundary. A bag pruned against it may report an
+// overshot (but still exact-per-instance) distance > cutoff; such entries
+// cannot displace a true top-k member in the final merge.
+func (h resultMaxHeap) cutoff(k int, shared *Cutoff) float64 {
+	c := shared.Load()
+	if len(h) == k && h[0].Dist < c {
+		c = h[0].Dist
+	}
+	return c
+}
 
 // offer folds one scored bag into a worker's best-k heap and publishes the
 // tightened k-th best to the shared cutoff.

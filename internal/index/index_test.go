@@ -238,7 +238,8 @@ func TestSnapshotImmutableUnderAppend(t *testing.T) {
 
 // TestFromFlatSketchesMatchPerBag: the open's sketch pass, split into
 // chunks of bags over the workers, stores exactly the sketches one
-// mat.PackBagSketch call per bag stores, for a block of several chunks.
+// mat.PackBagSketch call per bag stores, each in its lane of a box tile,
+// for a block of several chunks.
 func TestFromFlatSketchesMatchPerBag(t *testing.T) {
 	r := rand.New(rand.NewSource(38))
 	const dim, bags = 70, 3000
@@ -262,9 +263,17 @@ func TestFromFlatSketchesMatchPerBag(t *testing.T) {
 	for i, c := range counts {
 		mat.PackBagSketch(dim, data[row*dim:(row+c)*dim], box)
 		row += c
-		if !reflect.DeepEqual(box, x.baseBoxes[i*mat.BoxStride*bd:(i+1)*mat.BoxStride*bd]) {
-			t.Fatalf("bag %d: FromFlat's sketch differs from PackBagSketch's", i)
+		// Bag i is lane i%8 of tile i/8: dimension k's lo at k·16 + lane,
+		// its hi eight float32s on.
+		tile := x.baseBoxes[i/8*16*bd:]
+		for k := 0; k < bd; k++ {
+			if lo, hi := tile[16*k+i%8], tile[16*k+8+i%8]; lo != box[2*k] || hi != box[2*k+1] {
+				t.Fatalf("bag %d dim %d: FromFlat's box [%v, %v], PackBagSketch's [%v, %v]", i, k, lo, hi, box[2*k], box[2*k+1])
+			}
 		}
+	}
+	if want := (bags + 7) / 8 * 16 * bd; len(x.baseBoxes) != want {
+		t.Fatalf("%d bags packed into %d float32s, want %d: whole tiles, no more", bags, len(x.baseBoxes), want)
 	}
 }
 

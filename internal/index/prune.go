@@ -1,13 +1,14 @@
 // The candidate filter every top-k scan runs behind. Every bag carries a
-// compact sketch (a float32 bounding box over its instances —
-// Index.baseBoxes, built by FromFlat, or Index.tailBoxes, built by Append),
-// and a top-k scan screens each bag's box against the current k-th-best
-// cutoff before touching any instance row:
-// mat.BoxBoundExceeds lower-bounds the bag's exact min-instance distance, so
-// a bag whose bound already exceeds the cutoff provably cannot enter the
-// top-k and is skipped without reading its rows. Surviving bags run through
-// the exact blocked kernel. A bag therefore passes two screens, its box
-// bound and the kernel's per-block early abandon, both against the cutoff.
+// compact sketch (a float32 bounding box over its instances, in box tiles
+// of mat.TileRows bags — Index.baseBoxes, built by FromFlat, or
+// Index.tailBoxes, built by Append), and a top-k scan screens a whole tile
+// against the current k-th-best cutoff before touching any instance row:
+// mat.BoxTileExceeds lower-bounds each lane's bag's exact min-instance
+// distance, so a bag whose bound already exceeds the cutoff provably cannot
+// enter the top-k and is skipped without reading its rows. Surviving bags
+// run through the exact blocked kernel. A bag therefore passes two screens,
+// its box bound and the kernel's per-block early abandon, both against the
+// cutoff.
 //
 // Correctness is unconditional, not probabilistic:
 //
@@ -17,7 +18,10 @@
 //   - The shared cutoff is always an upper bound on the global k-th best
 //     (any worker's published root is the k-th best of a candidate subset),
 //     so a rejected bag has exact distance strictly above the global k-th
-//     best and cannot appear in the output even via ID tie-breaks.
+//     best and cannot appear in the output even via ID tie-breaks. A tile
+//     is screened against the cutoff read once at its start; a bag scored
+//     inside the tile may tighten it since, which only means the tile's
+//     later lanes were screened against a looser bound.
 //   - Skipping such a bag is semantically identical to tombstoning it:
 //     cutoffs only ever tighten from bags that produce results, so
 //     survivors' distances and order carry the unfiltered scan's bits.
@@ -63,13 +67,18 @@ type PruneOpts struct {
 // finite cutoff existed); every screened bag is either Admitted (scored
 // exactly) or Rejected (skipped on its box bound alone). Bags scanned while
 // the cutoff was still +Inf are not counted — the filter cannot act without
-// a cutoff.
+// a cutoff. Rows and Offers count the exact work of every top-k scan that
+// reaches the chunk scan, armed or not: the instance rows handed to the
+// exact kernel, and the scored bags offered to a worker's best-k heap (a
+// bag strictly worse than a full heap's root is not offered).
 type PruneStats struct {
 	Scans    atomic.Int64
 	Unarmed  atomic.Int64
 	Screened atomic.Int64
 	Admitted atomic.Int64
 	Rejected atomic.Int64
+	Rows     atomic.Int64
+	Offers   atomic.Int64
 }
 
 // scan counts one top-k scan.
@@ -91,6 +100,8 @@ type PruneSnapshot struct {
 	Screened int64 `json:"screened"`
 	Admitted int64 `json:"admitted"`
 	Rejected int64 `json:"rejected"`
+	Rows     int64 `json:"rows"`
+	Offers   int64 `json:"offers"`
 }
 
 // Snapshot reads the counters. Each is read atomically, the set is not: a
@@ -102,49 +113,40 @@ func (st *PruneStats) Snapshot() PruneSnapshot {
 		Screened: st.Screened.Load(),
 		Admitted: st.Admitted.Load(),
 		Rejected: st.Rejected.Load(),
+		Rows:     st.Rows.Load(),
+		Offers:   st.Offers.Load(),
 	}
 }
 
-// add flushes one worker's screen counts; the rest were admitted.
-func (st *PruneStats) add(screened, rejected int64) {
-	if st == nil || screened == 0 {
+// scanCounts is one scan worker's tally, flushed to PruneStats once.
+type scanCounts struct{ screened, rejected, rows, offers int64 }
+
+// add flushes one worker's counts; the screened bags not rejected were
+// admitted.
+func (st *PruneStats) add(c scanCounts) {
+	if st == nil {
 		return
 	}
-	st.Screened.Add(screened)
-	st.Admitted.Add(screened - rejected)
-	st.Rejected.Add(rejected)
+	if c.screened > 0 {
+		st.Screened.Add(c.screened)
+		st.Admitted.Add(c.screened - c.rejected)
+		st.Rejected.Add(c.rejected)
+	}
+	if c.rows > 0 {
+		st.Rows.Add(c.rows)
+		st.Offers.Add(c.offers)
+	}
 }
 
-// pruneFilter is one query's armed filter: its geometry and the stats sink.
-type pruneFilter struct {
-	q     Query
-	stats *PruneStats
-}
-
-// reject reports whether bag i of s is screened out: its box lower bound —
-// over the box's leading boxDims(dim) dimensions; the dropped dimensions'
-// terms are non-negative, so the prefix bound only under-estimates —
-// strictly exceeds cutoff, a proof the bag cannot enter the top-k. The box
-// is the base's or the tail's, picked with one compare as bagDist picks the
-// rows.
-func (f *pruneFilter) reject(s *Snapshot, i int, cutoff float64) bool {
+// screen returns done with the lane of every bag of the box tile starting
+// at bag i (a tile edge) whose box lower bound — over the box's leading
+// boxDims(dim) dimensions; the dropped dimensions' terms are non-negative,
+// so the prefix bound only under-estimates — strictly exceeds cutoff set:
+// a proof the bag cannot enter the top-k. done holds the lanes already out
+// of the scan, padding included, which the screen leaves set.
+func (s *Snapshot) screen(q Query, i int, cutoff float64, done uint8) uint8 {
 	bd := boxDims(s.dim)
-	stride := mat.BoxStride * bd
-	boxes := s.baseBoxes
-	if i >= s.baseBags {
-		boxes, i = s.tailBoxes, i-s.baseBags
-	}
-	return mat.BoxBoundExceeds(f.q.Point[:bd], f.q.Weights[:bd], boxes[i*stride:(i+1)*stride], cutoff)
-}
-
-// newPruneFilter arms the filter for q, or returns nil when it cannot
-// apply: with a negative weight the bound's (and early abandonment's)
-// monotonicity argument fails, and the scan must score every row in full.
-func newPruneFilter(q Query, stats *PruneStats) *pruneFilter {
-	if !q.prunable() {
-		return nil
-	}
-	return &pruneFilter{q: q, stats: stats}
+	return mat.BoxTileExceeds(q.Point[:bd], q.Weights[:bd], s.boxTile(i), cutoff, done)
 }
 
 // TopKPruned is the single-query top-k scan: every live, non-excluded bag of
@@ -166,13 +168,12 @@ func (sh Sharded) TopKPruned(q Query, k int, exclude map[string]bool, par int, o
 		return sh.Rank(q, exclude, par)
 	}
 	sh.check(q)
-	filt := newPruneFilter(q, opts.Stats)
-	opts.Stats.scan(filt != nil)
+	opts.Stats.scan(q.prunable())
 	shared := NewCutoff()
 	if opts.CutoffSeed > 0 {
 		shared.Tighten(opts.CutoffSeed)
 	}
-	return bestK(scanTopKCandidates(sh, q, k, exclude, resolvePar(par), shared, filt), k)
+	return bestK(scanTopKCandidates(sh, q, k, exclude, resolvePar(par), shared, opts.Stats), k)
 }
 
 // MultiTopKPruned answers B queries over one pinned view: element i is

@@ -12,6 +12,8 @@ import (
 // mark the ones that could not arm the filter — a negative weight, k
 // covering every bag — as Unarmed, and account every screened bag exactly
 // once (Screened = Admitted + Rejected). Recall 0 screens like Recall 1.
+// A par-1 scan's counts, the exact work counters Rows and Offers included,
+// are pinned.
 func TestPruneStatsAccounting(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	dim := 4
@@ -36,6 +38,17 @@ func TestPruneStatsAccounting(t *testing.T) {
 	if zero.Screened.Load() == 0 || zero.Screened.Load() != one.Screened.Load() || zero.Rejected.Load() != one.Rejected.Load() {
 		t.Fatalf("Recall 0 screened %d/rejected %d, Recall 1 screened %d/rejected %d: want the same mechanism",
 			zero.Screened.Load(), zero.Rejected.Load(), one.Screened.Load(), one.Rejected.Load())
+	}
+
+	// A par-1 scan is one worker walking the bags in order, so every count
+	// is a fixed function of the seed. The first tile starts before any
+	// cutoff exists and is scored unscreened; every later bag is screened,
+	// and each of these one-instance bags scored hands the kernel one row:
+	// Rows = (200 − Screened) + Admitted. Offers are the scored bags not
+	// strictly worse than a full heap's root.
+	want := PruneSnapshot{Scans: 1, Screened: 192, Admitted: 20, Rejected: 172, Rows: 28, Offers: 26}
+	if got := one.Snapshot(); got != want {
+		t.Fatalf("par-1 scan counted %+v, want %+v", got, want)
 	}
 
 	var stats PruneStats

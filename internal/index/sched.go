@@ -25,8 +25,10 @@ package index
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 
+	"milret/internal/mat"
 	"milret/internal/workloop"
 )
 
@@ -49,8 +51,11 @@ func chunkTarget(total, par int) int {
 	return c
 }
 
-// scanChunks cuts every non-empty shard's bag range into chunkTarget-sized
-// spans, in shard order.
+// scanChunks cuts every non-empty shard's bag range into spans of about
+// chunkTarget bags, in shard order. A span lies inside one segment (the
+// base or the tail, see Index) and holds whole box tiles of it, so a top-k
+// worker screens a tile per step; only a segment's last span may end in a
+// partial tile.
 func scanChunks(shards []Snapshot, par int) []chunkSpan {
 	total := 0
 	for _, s := range shards {
@@ -59,16 +64,13 @@ func scanChunks(shards []Snapshot, par int) []chunkSpan {
 	if total == 0 {
 		return nil
 	}
-	target := chunkTarget(total, par)
-	chunks := make([]chunkSpan, 0, total/target+len(shards))
+	target := mat.TileLanes(chunkTarget(total, par))
+	chunks := make([]chunkSpan, 0, total/target+2*len(shards))
 	for si, s := range shards {
-		n := s.Len()
-		for lo := 0; lo < n; lo += target {
-			hi := lo + target
-			if hi > n {
-				hi = n
+		for _, seg := range [2][2]int{{0, s.baseBags}, {s.baseBags, s.Len()}} {
+			for lo := seg[0]; lo < seg[1]; lo += target {
+				chunks = append(chunks, chunkSpan{si: si, lo: lo, hi: min(lo+target, seg[1])})
 			}
-			chunks = append(chunks, chunkSpan{si: si, lo: lo, hi: hi})
 		}
 	}
 	return chunks
@@ -155,11 +157,14 @@ func scanRankCandidates(shards []Snapshot, q Query, exclude map[string]bool, par
 // scanTopKCandidates runs the chunk-claiming top-k scan over the shards and
 // returns the merged (unsorted) contents of the per-worker heaps. Workers'
 // heaps span shards; the shared cutoff spans everything. The caller sorts
-// and truncates. filt is the query's armed candidate filter, or nil when it
-// cannot arm (a negative weight): then no bag is box-screened and no row is
-// abandoned, and the loop is the plain exhaustive reference.
-func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bool, par int, shared *Cutoff, filt *pruneFilter) []Result {
-	prune := filt != nil
+// and truncates. A worker walks its chunk a box tile at a time: the lanes
+// of tombstoned, excluded and padding bags are set before the screen, the
+// tile is screened once against the cutoff read at its start, and the
+// lanes left unset are scored in lane order. A query with a negative weight
+// arms no screen and abandons no row: the loop is then the plain exhaustive
+// reference. stats, when non-nil, receives each worker's counts.
+func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bool, par int, shared *Cutoff, stats *PruneStats) []Result {
+	prune := q.prunable()
 	chunks := scanChunks(shards, par)
 	if len(chunks) == 0 {
 		return nil
@@ -169,48 +174,49 @@ func scanTopKCandidates(shards []Snapshot, q Query, k int, exclude map[string]bo
 		enterScanWorker()
 		defer exitScanWorker()
 		h := make(resultMaxHeap, 0, k)
-		var screened, rejected int64
+		var n scanCounts
 		for ci, ok := claim(); ok; ci, ok = claim() {
 			c := chunks[ci]
-			s := shards[c.si]
-			for i := c.lo; i < c.hi; i++ {
-				if s.skip(i, exclude) {
-					continue
-				}
-				// Prune against the tightest published k-th best. Equality
-				// is never pruned, preserving ID tie-breaks at the top-k
-				// boundary. A bag pruned here may report an overshot (but
-				// still exact-per-instance) distance > cutoff; such entries
-				// cannot displace a true top-k member in the final merge.
-				cutoff := shared.Load()
-				if len(h) == k && h[0].Dist < cutoff {
-					cutoff = h[0].Dist
-				}
-				if prune && !math.IsInf(cutoff, 1) {
-					// Box screen: skip the bag without touching its rows when
-					// its lower bound proves it cannot beat the cutoff.
-					// Unarmed until a cutoff exists — the bound has nothing
-					// to beat at +Inf.
-					screened++
-					if filt.reject(&s, i, cutoff) {
-						rejected++
-						continue
+			s := &shards[c.si]
+			for lo := c.lo; lo < c.hi; lo += mat.TileRows {
+				lanes := min(mat.TileRows, c.hi-lo)
+				out := uint8(0xFF) << lanes // padding
+				for j := range lanes {
+					if s.skip(lo+j, exclude) {
+						out |= 1 << j
 					}
 				}
-				d := s.bagDist(q, i, cutoff, prune)
-				if len(h) == k && d > h[0].Dist {
-					// Strictly worse than this worker's k-th best: offer
-					// would reject it (ties still go through offer for the
-					// ID tie-break), so skip the call and the Result build —
-					// on a warm scan that is nearly every admitted bag.
+				if out == 0xFF {
 					continue
 				}
-				h.offer(Result{ID: s.ids[i], Label: s.labels[i], Dist: d}, k, shared)
+				decided := out
+				if cut := h.cutoff(k, shared); prune && !math.IsInf(cut, 1) {
+					// Box screen: reject the tile's bags whose lower bound
+					// proves they cannot beat the cutoff, without touching
+					// their rows. Unarmed until a cutoff exists — the bound
+					// has nothing to beat at +Inf.
+					decided = s.screen(q, lo, cut, out)
+					n.screened += int64(bits.OnesCount8(^out))
+					n.rejected += int64(bits.OnesCount8(decided &^ out))
+				}
+				for live := ^decided; live != 0; live &= live - 1 {
+					i := lo + bits.TrailingZeros8(live)
+					n.rows += int64(s.bagOffsets[i+1] - s.bagOffsets[i])
+					d := s.bagDist(q, i, h.cutoff(k, shared), prune)
+					if len(h) == k && d > h[0].Dist {
+						// Strictly worse than this worker's k-th best: offer
+						// would reject it (ties still go through offer for
+						// the ID tie-break), so skip the call and the Result
+						// build — on a warm scan that is nearly every
+						// admitted bag.
+						continue
+					}
+					n.offers++
+					h.offer(Result{ID: s.ids[i], Label: s.labels[i], Dist: d}, k, shared)
+				}
 			}
 		}
-		if prune {
-			filt.stats.add(screened, rejected)
-		}
+		stats.add(n)
 		heaps[w] = h
 	})
 	merged := make([]Result, 0, len(heaps)*k)

@@ -2,8 +2,11 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"milret/internal/mat"
@@ -105,5 +108,95 @@ func TestTailsGrowByDoubling(t *testing.T) {
 		if msg := sameScans(r, s, ref.Snapshot(), dim); msg != "" {
 			t.Fatalf("snapshot of %d bags after later appends: %s", s.Len(), msg)
 		}
+	}
+}
+
+// TestHeldPartialTileIsNeverWritten: a snapshot whose tail ends in a partly
+// filled box tile — 13 tail bags, the last 5 of them in a tile of 8 — ranks
+// the same after later Appends fill that tile and more, and not one element
+// of the box tiles it screens changes. Its screen loads all eight lanes of
+// a tile, padding included, so Append must put the next lane of a held
+// tile into a copy. Under -race a reader goroutine loads every element the
+// held snapshot's screen loads, and scans it, while the appends run.
+func TestHeldPartialTileIsNeverWritten(t *testing.T) {
+	const dim, baseBags, tailBags = 12, 10, 13
+	r := rand.New(rand.NewSource(49))
+	var bags [][]mat.Vector
+	var data []float64
+	counts, ids, lbs := make([]int, baseBags), make([]string, baseBags), make([]string, baseBags)
+	for i := range baseBags + tailBags + 20 {
+		bags = append(bags, randBag(r, dim, 4, nil))
+		if i < baseBags {
+			counts[i], ids[i], lbs[i] = len(bags[i]), fmt.Sprint("b", i), "l"
+			for _, v := range bags[i] {
+				data = append(data, v...)
+			}
+		}
+	}
+	x, err := FromFlat(dim, data, counts, ids, lbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := New()
+	for i, bag := range bags {
+		if i >= baseBags && i < baseBags+tailBags {
+			if err := x.Append(fmt.Sprint("b", i), "l", bag); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i < baseBags+tailBags {
+			if err := ref.Append(fmt.Sprint("b", i), "l", bag); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s := x.Snapshot()
+	if len(s.tailPart) == 0 {
+		t.Fatal("13 tail bags left no partly filled tile")
+	}
+	tiles := func() []float32 { return slices.Concat(s.baseBoxes, s.tailBoxes, s.tailPart) }
+	held := tiles()
+	q := randQueryFor(r, dim)
+	want := Sharded{ref.Snapshot()}.TopK(q, 7, nil, 1)
+	if got := (Sharded{s}).TopK(q, 7, nil, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("held snapshot ranks %v, the same bags appended afresh %v", got, want)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var sum float32
+			for _, v := range tiles() {
+				sum += v
+			}
+			if got := (Sharded{s}).TopK(q, 7, nil, 1); !reflect.DeepEqual(got, want) || math.IsNaN(float64(sum)) {
+				t.Errorf("held snapshot ranks %v during appends, %v before", got, want)
+				return
+			}
+		}
+	}()
+	for i := baseBags + tailBags; i < len(bags); i++ {
+		if err := x.Append(fmt.Sprint("b", i), "l", bags[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i%6 == 0 {
+			x.Snapshot() // a newer snapshot may hold the tile being filled
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if !slices.Equal(tiles(), held) {
+		t.Fatal("an Append wrote into a box tile the held snapshot screens")
+	}
+	if got := (Sharded{s}).TopK(q, 7, nil, 2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("held snapshot ranks %v after appends, %v before", got, want)
 	}
 }

@@ -1,8 +1,9 @@
 //go:build !purego
 
 // AVX2 implementations of the blocked weighted-squared-distance kernel
-// loops. Every instruction sequence here transcribes the canonical scalar
-// block body in kernel.go one operation at a time — the contract is
+// loops, and the AVX2 and AVX-512 bodies of the box-tile screen
+// (sketch.go). Every instruction sequence here transcribes the canonical
+// scalar block body in kernel.go one operation at a time — the contract is
 // bit-identical results, so the shape of the code is dictated by the
 // scalar loops, not by what would be fastest in isolation:
 //
@@ -15,7 +16,9 @@
 //   - the lane fold reproduces the scalar (s0,s1) strided pairing:
 //     lanes (0,2) and (1,3) are summed pairwise (VEXTRACTF128+VADDPD
 //     gives [l0+l2, l1+l3] = [s0, s1]), then s0+s1, then sum += that —
-//     the exact adds, in the exact order, of the scalar body;
+//     the exact adds, in the exact order, of the scalar body; the box
+//     screen runs a bag per lane, so its fold is the same adds made
+//     vertically, and its threshold check is a per-lane compare;
 //   - the trailing dim%4 dimensions accumulate sequentially into their
 //     own register (X3), added to the sum once (then one threshold
 //     check, where the loop has one) — mirroring tailSqDist;
@@ -228,103 +231,207 @@ rowNext:
 	VZEROUPPER
 	RET
 
-// func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool
+// BOX_PREFETCH_NEXT hints the first block of the next tile, 64·dim bytes
+// on (CX = dim), into L1. A scan screens the tiles of a segment in order
+// and most stop after a few blocks, so the reads are short runs a page
+// apart (a 64-dimension tile is 4 KB), which the hardware prefetchers do
+// not follow across pages. Past the array's end the hint is a harmless
+// no-op: prefetches never fault. Clobbers AX.
+#define BOX_PREFETCH_NEXT \
+	MOVQ       CX, AX; \
+	SHLQ       $6, AX; \
+	ADDQ       R8, AX; \
+	PREFETCHT0 (AX); \
+	PREFETCHT0 64(AX); \
+	PREFETCHT0 128(AX); \
+	PREFETCHT0 192(AX)
+
+// BOX2_TERM forms, for the eight lanes of one dimension of a box tile,
+// boxExcess's e = max(0, lo − p, p − hi) and the product (w·e)·e: lo at
+// tile offsets lo (lanes 0..3) and loB (lanes 4..7), hi at hi and hiB, p and
+// w at poff past dimension BX; the products go to mA (lanes 0..3) and mB.
+// x86 MAX(src1, src2) returns src2 when either is NaN, so MAX(t1, 0) then
+// MAX(t2, m1) keep the scalar compares' NaN-false choices (a NaN query
+// dimension contributes 0). Clobbers Y0..Y5.
+#define BOX2_TERM(lo, loB, hi, hiB, poff, mA, mB) \
+	VBROADCASTSD poff(SI)(BX*8), Y4; \
+	VCVTPS2PD    lo(R8), Y0; \
+	VCVTPS2PD    loB(R8), Y1; \
+	VCVTPS2PD    hi(R8), Y2; \
+	VCVTPS2PD    hiB(R8), Y3; \
+	VSUBPD       Y4, Y0, Y0; \
+	VSUBPD       Y4, Y1, Y1; \
+	VSUBPD       Y2, Y4, Y2; \
+	VSUBPD       Y3, Y4, Y3; \
+	VMAXPD       Y15, Y0, Y0; \
+	VMAXPD       Y15, Y1, Y1; \
+	VMAXPD       Y0, Y2, Y0; \
+	VMAXPD       Y1, Y3, Y1; \
+	VBROADCASTSD poff(DI)(BX*8), Y5; \
+	VMULPD       Y0, Y5, Y2; \
+	VMULPD       Y1, Y5, Y3; \
+	VMULPD       Y0, Y2, mA; \
+	VMULPD       Y1, Y3, mB
+
+// BOX2_CHECK sets, in R11, the bit of every lane whose running sum (Y8
+// lanes 0..3, Y9 lanes 4..7) strictly exceeds thr (Y14): VCMPPD predicate
+// 0x1E, GT_OQ, is false on an unordered compare as Go's > is. Clobbers Y0,
+// Y1, AX, DX.
+#define BOX2_CHECK \
+	VCMPPD    $0x1E, Y14, Y8, Y0; \
+	VCMPPD    $0x1E, Y14, Y9, Y1; \
+	VMOVMSKPD Y0, AX; \
+	VMOVMSKPD Y1, DX; \
+	SHLL      $4, DX; \
+	ORL       DX, AX; \
+	ORL       AX, R11
+
+// func boxTileAVX2(p, w *float64, tile *float32, dim int, thr float64, done uint8) uint8
 //
-// Box lower-bound screen: BoxBoundExceeds. Per 4-dimension block the
-// interleaved float32 lo/hi pairs are deinterleaved with two VSHUFPS,
-// widened to float64, and the per-dimension excess e = max(0, lo−p, p−hi)
-// is built from two VMAXPDs arranged so an unordered compare keeps the
-// accumulated value — x86 MAX*(src1, src2) returns src2 when either input
-// is NaN, so max(src1=t1, src2=0) then max(src1=t2, src2=m1) reproduces
-// the scalar boxExcess's NaN-false compares exactly (a NaN query dimension
-// contributes 0). The weighted fold, (s0,s1) pairing, per-block threshold
-// check and the tail's separate accumulator all mirror the scalar oracle
-// in sketch.go, so the decision and every partial sum are bit-identical.
-// Requires dim >= 1; box holds BoxStride*dim float32s.
-TEXT ·boxBoundExceedsAVX2(SB), NOSPLIT, $0-41
-	MOVQ p+0(FP), SI
-	MOVQ w+8(FP), DI
-	MOVQ box+16(FP), R8
-	MOVQ dim+24(FP), CX
-	VMOVSD thr+32(FP), X9
-	VXORPD Y10, Y10, Y10 // zero, packed and scalar
-	VXORPD X8, X8, X8    // sum = 0
-	SHLQ $3, CX          // p/w bytes; box bytes coincide (2×float32 per dim)
-	MOVQ CX, R14
-	ANDQ $-32, R14       // tail start: (dim &^ 3) * 8
-	XORQ BX, BX
+// Tile box screen: BoxTileExceeds, boxBoundScalar with a bag per lane. Y8
+// carries the running sums of lanes 0..3 and Y9 of lanes 4..7. Per
+// 4-dimension block each half folds its terms m_k as the scalar sqBlock
+// does — s0 = m0 + m2, s1 = m1 + m3, sum += s0 + s1 — with vertical adds,
+// and then every lane over thr is set in R11, which starts as done; once
+// R11 has all eight bits the loop stops. The dim%4 trailing dimensions
+// accumulate from zero into their own registers, added to the sums once
+// before the last check, as the scalar tail is. R8 walks the tile, 64
+// bytes per dimension. Requires dim >= 1.
+TEXT ·boxTileAVX2(SB), NOSPLIT, $0-49
+	MOVQ         p+0(FP), SI
+	MOVQ         w+8(FP), DI
+	MOVQ         tile+16(FP), R8
+	MOVQ         dim+24(FP), CX
+	VBROADCASTSD thr+32(FP), Y14
+	MOVBLZX      done+40(FP), R11
+	VXORPD       Y15, Y15, Y15 // zero
+	VXORPD       Y8, Y8, Y8    // sums, lanes 0..3
+	VXORPD       Y9, Y9, Y9    // sums, lanes 4..7
+	MOVQ         CX, R14
+	ANDQ         $-4, R14      // dimensions in whole blocks
+	XORQ         BX, BX        // dimension index
+	BOX_PREFETCH_NEXT
 
-	// The screen walks a packed array of boxes, one call per bag, and most
-	// bags abandon within the first blocks — so the demand-read pattern is
-	// short touches at a CX-byte stride, which the hardware stride
-	// prefetchers track poorly. Hint the next bag's first lines (the call
-	// for bag i covers bag i+1); past the array's end this is a harmless
-	// no-op, prefetches never fault.
-	PREFETCHT0 (R8)(CX*1)
-	PREFETCHT0 64(R8)(CX*1)
+boxTile2Blocks:
+	CMPQ   BX, R14
+	JGE    boxTile2Tail
+	BOX2_TERM(0, 16, 32, 48, 0, Y6, Y7)        // m0
+	BOX2_TERM(128, 144, 160, 176, 16, Y10, Y11) // m2
+	VADDPD Y10, Y6, Y6                          // s0 = m0 + m2
+	VADDPD Y11, Y7, Y7
+	BOX2_TERM(64, 80, 96, 112, 8, Y10, Y11)     // m1
+	BOX2_TERM(192, 208, 224, 240, 24, Y12, Y13) // m3
+	VADDPD Y12, Y10, Y10                        // s1 = m1 + m3
+	VADDPD Y13, Y11, Y11
+	VADDPD Y10, Y6, Y6                          // s0 + s1
+	VADDPD Y11, Y7, Y7
+	VADDPD Y6, Y8, Y8                           // sum += s0 + s1
+	VADDPD Y7, Y9, Y9
+	BOX2_CHECK
+	ADDQ   $256, R8
+	ADDQ   $4, BX
+	CMPL   R11, $0xFF
+	JNE    boxTile2Blocks
+	JMP    boxTile2Done
 
-boxBlockLoop:
-	CMPQ BX, R14
-	JGE  boxTailStart
-	VMOVUPS (R8)(BX*1), X1    // lo0 hi0 lo1 hi1
-	VMOVUPS 16(R8)(BX*1), X2  // lo2 hi2 lo3 hi3
-	VSHUFPS $0x88, X2, X1, X3 // lo0 lo1 lo2 lo3
-	VSHUFPS $0xDD, X2, X1, X4 // hi0 hi1 hi2 hi3
-	// hi first: writing Y4 clobbers X4 (its low half), so the lo convert
-	// must come after the hi lanes are consumed.
-	VCVTPS2PD X4, Y5          // hi widened
-	VCVTPS2PD X3, Y4          // lo widened
-	VMOVUPD (SI)(BX*1), Y6    // p block
-	VSUBPD  Y6, Y4, Y0        // t1 = lo - p
-	VSUBPD  Y5, Y6, Y1        // t2 = p - hi
-	VMAXPD  Y10, Y0, Y0       // m1 = t1 > 0 ? t1 : 0 (NaN -> 0)
-	VMAXPD  Y0, Y1, Y0        // e = t2 > m1 ? t2 : m1 (NaN -> m1)
-	VMOVUPD (DI)(BX*1), Y2    // w block
-	VMULPD  Y0, Y2, Y2        // w * e
-	VMULPD  Y0, Y2, Y0        // (w*e) * e
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD  X1, X0, X0        // [l0+l2, l1+l3] = [s0, s1]
-	VUNPCKHPD X0, X0, X1
-	VADDSD  X1, X0, X0        // s0 + s1
-	VADDSD  X0, X8, X8        // sum += s0 + s1
-	ADDQ    $32, BX
-	VUCOMISD X9, X8           // sum > thr? (unordered: not taken)
-	JA      boxExceeds
-	JMP     boxBlockLoop
-
-boxTailStart:
-	CMPQ BX, CX
-	JGE  boxDone
-	VXORPD X3, X3, X3 // tail accumulator t
-
-boxTailLoop:
-	VMOVSS (R8)(BX*1), X0
-	VCVTSS2SD X0, X0, X0  // lo widened
-	VMOVSS 4(R8)(BX*1), X1
-	VCVTSS2SD X1, X1, X1  // hi widened
-	VMOVSD (SI)(BX*1), X6 // p
-	VSUBSD X6, X0, X0     // t1 = lo - p
-	VSUBSD X1, X6, X1     // t2 = p - hi
-	VMAXSD X10, X0, X0    // m1 = t1 > 0 ? t1 : 0 (NaN -> 0)
-	VMAXSD X0, X1, X0     // e = t2 > m1 ? t2 : m1 (NaN -> m1)
-	VMOVSD (DI)(BX*1), X2 // w
-	VMULSD X0, X2, X2     // w * e
-	VMULSD X0, X2, X0     // (w*e) * e
-	VADDSD X0, X3, X3     // t += term
-	ADDQ   $8, BX
+boxTile2Tail:
 	CMPQ   BX, CX
-	JL     boxTailLoop
-	VADDSD X3, X8, X8 // sum += t, then one check
+	JGE    boxTile2Done
+	VXORPD Y12, Y12, Y12 // tail accumulators t, lanes 0..3
+	VXORPD Y13, Y13, Y13 // lanes 4..7
 
-boxDone:
-	VUCOMISD X9, X8
-	JA   boxExceeds
-	MOVB $0, ret+40(FP)
+boxTile2TailLoop:
+	BOX2_TERM(0, 16, 32, 48, 0, Y6, Y7)
+	VADDPD Y6, Y12, Y12 // t += term
+	VADDPD Y7, Y13, Y13
+	ADDQ   $64, R8
+	INCQ   BX
+	CMPQ   BX, CX
+	JL     boxTile2TailLoop
+	VADDPD Y12, Y8, Y8  // sum += t, then one check
+	VADDPD Y13, Y9, Y9
+	BOX2_CHECK
+
+boxTile2Done:
+	MOVB R11, ret+48(FP)
 	VZEROUPPER
 	RET
 
-boxExceeds:
-	MOVB $1, ret+40(FP)
+// BOX5_TERM is BOX2_TERM with the eight lanes in one ZMM: lo at tile offset
+// lo, hi at hi, p and w at poff past dimension BX, the products to m.
+// Clobbers Z0..Z3.
+#define BOX5_TERM(lo, hi, poff, m) \
+	VBROADCASTSD poff(SI)(BX*8), Z2; \
+	VCVTPS2PD    lo(R8), Z0; \
+	VCVTPS2PD    hi(R8), Z1; \
+	VSUBPD       Z2, Z0, Z0; \
+	VSUBPD       Z1, Z2, Z1; \
+	VMAXPD       Z15, Z0, Z0; \
+	VMAXPD       Z0, Z1, Z0; \
+	VBROADCASTSD poff(DI)(BX*8), Z3; \
+	VMULPD       Z0, Z3, Z3; \
+	VMULPD       Z0, Z3, m
+
+// func boxTileAVX512(p, w *float64, tile *float32, dim int, thr float64, done uint8) uint8
+//
+// boxTileAVX2 with the eight lanes in one ZMM: Z8 carries the running sums,
+// and the set lanes live in K1 — done in its low eight bits, the high eight
+// always set, so KORTESTW's all-ones carry says every lane is decided.
+// AVX512F only: the W forms of the mask instructions.
+TEXT ·boxTileAVX512(SB), NOSPLIT, $0-49
+	MOVQ         p+0(FP), SI
+	MOVQ         w+8(FP), DI
+	MOVQ         tile+16(FP), R8
+	MOVQ         dim+24(FP), CX
+	VBROADCASTSD thr+32(FP), Z14
+	MOVBLZX      done+40(FP), AX
+	ORL          $0xFF00, AX
+	KMOVW        AX, K1
+	VPXORQ       Z15, Z15, Z15 // zero
+	VPXORQ       Z8, Z8, Z8    // sums
+	MOVQ         CX, R14
+	ANDQ         $-4, R14      // dimensions in whole blocks
+	XORQ         BX, BX        // dimension index
+	BOX_PREFETCH_NEXT
+
+boxTile5Blocks:
+	CMPQ     BX, R14
+	JGE      boxTile5Tail
+	BOX5_TERM(0, 32, 0, Z4)     // m0
+	BOX5_TERM(64, 96, 8, Z5)    // m1
+	BOX5_TERM(128, 160, 16, Z6) // m2
+	BOX5_TERM(192, 224, 24, Z7) // m3
+	VADDPD   Z6, Z4, Z4         // s0 = m0 + m2
+	VADDPD   Z7, Z5, Z5         // s1 = m1 + m3
+	VADDPD   Z5, Z4, Z4         // s0 + s1
+	VADDPD   Z4, Z8, Z8         // sum += s0 + s1
+	VCMPPD   $0x1E, Z14, Z8, K2 // sum > thr (GT_OQ: unordered is false)
+	KORW     K2, K1, K1
+	ADDQ     $256, R8
+	ADDQ     $4, BX
+	KORTESTW K1, K1
+	JCC      boxTile5Blocks     // some lane still undecided
+	JMP      boxTile5Done
+
+boxTile5Tail:
+	CMPQ   BX, CX
+	JGE    boxTile5Done
+	VPXORQ Z9, Z9, Z9 // tail accumulators t
+
+boxTile5TailLoop:
+	BOX5_TERM(0, 32, 0, Z4)
+	VADDPD Z4, Z9, Z9 // t += term
+	ADDQ   $64, R8
+	INCQ   BX
+	CMPQ   BX, CX
+	JL     boxTile5TailLoop
+	VADDPD Z9, Z8, Z8 // sum += t, then one check
+	VCMPPD $0x1E, Z14, Z8, K2
+	KORW   K2, K1, K1
+
+boxTile5Done:
+	KMOVW K1, AX
+	MOVB  AX, ret+48(FP)
 	VZEROUPPER
 	RET
 

@@ -7,12 +7,13 @@
 //   - "scalar": the portable loops, the oracle every other tier must match;
 //   - "avx2": the AVX2 assembly for every kernel (kernel_amd64.s,
 //     grad_amd64.s, likelihood_amd64.s, clip_amd64.s);
-//   - "avx512": AVX-512 bodies for the training kernels — the tiled
-//     distance pass and the gradient accumulation of grad.go, the
-//     likelihood kernels of likelihood.go — with the scan kernels staying
-//     on their AVX2 bodies: a scan abandons most rows after one 4-dimension
-//     block, which a wider register does not shorten. The projection
-//     passes of clip.go stay on theirs too.
+//   - "avx512": AVX-512 bodies for the kernels that run a lane per row or
+//     per bag — the tiled distance pass and the gradient accumulation of
+//     grad.go, the likelihood kernels of likelihood.go, the box-tile screen
+//     of sketch.go — with the row-major scan kernels staying on their AVX2
+//     bodies: a scan abandons most rows after one 4-dimension block, which
+//     a wider register does not shorten. The projection passes of clip.go
+//     stay on theirs too.
 //
 // The default is picked once at init: the widest tier the CPU and OS support
 // (amd64, detected via CPUID/XGETBV — see kernel_dispatch_amd64.go), scalar
@@ -45,8 +46,8 @@ import (
 	"sync/atomic"
 )
 
-// useAVX2 gates every AVX2 dispatch branch, useAVX512 the AVX-512 branches
-// of the training kernels, which are tested first. Atomic so tests and
+// useAVX2 gates every AVX2 dispatch branch, useAVX512 the AVX-512
+// branches, which are tested first. Atomic so tests and
 // SetKernel can flip them without racing in-flight scans; on amd64 the load
 // compiles to a plain MOV, so the hot entry points pay nothing. Each is only
 // ever true when its kernel…Available reports support; the avx512 tier sets

@@ -95,13 +95,17 @@ func wsqAVX2(v, u, w *float64, n int) float64
 //go:noescape
 func minRowsAVX2(p, w, rows *float64, dim, nRows int, cutoff float64, prune bool) float64
 
-// boxBoundExceedsAVX2 is BoxBoundExceeds: the blocked box lower-bound
-// screen over one bag's interleaved float32 lo/hi box, per-block threshold
-// check and tail association mirroring the scalar oracle in sketch.go.
-// Requires dim ≥ 1 and a box of BoxStride*dim float32s.
+// boxTileAVX2 and boxTileAVX512 are BoxTileExceeds (kernel_amd64.s): the
+// box screen of one tile, a bag per lane, each lane's running sum checked
+// against thr after every block and the tail and its bit set for good once
+// it exceeds; done seeds the set lanes and the loop stops when all are set.
+// Require dim ≥ 1 and a tile of BoxTileStride*dim float32s.
 //
 //go:noescape
-func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool
+func boxTileAVX2(p, w *float64, tile *float32, dim int, thr float64, done uint8) uint8
+
+//go:noescape
+func boxTileAVX512(p, w *float64, tile *float32, dim int, thr float64, done uint8) uint8
 
 // sketchRowsAVX2 is PackBagSketch's pass (sketch.go): over nRows rows of
 // stride float64s, it folds each row's first nCols values into the running

@@ -25,7 +25,11 @@ func minRowsAVX2(p, w, rows *float64, dim, nRows int, cutoff float64, prune bool
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
 
-func boxBoundExceedsAVX2(p, w *float64, box *float32, dim int, thr float64) bool {
+func boxTileAVX2(p, w *float64, tile *float32, dim int, thr float64, done uint8) uint8 {
+	panic("mat: SIMD kernel dispatched in a build without assembly")
+}
+
+func boxTileAVX512(p, w *float64, tile *float32, dim int, thr float64, done uint8) uint8 {
 	panic("mat: SIMD kernel dispatched in a build without assembly")
 }
 

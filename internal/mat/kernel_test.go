@@ -204,6 +204,8 @@ func TestKernelDimMismatchPanics(t *testing.T) {
 			func() { WeightedSqDistBlocked([]float64{1}, []float64{1, 2}, []float64{1}) },
 			func() { WeightedSqDistBlocked([]float64{1}, []float64{1}, []float64{1, 2}) },
 			func() { BoxBoundExceeds(p8, w8[:4], make([]float32, BoxStride*8), 1e9) },
+			func() { BoxTileExceeds(p8, w8[:4], make([]float32, BoxTileStride*8), 1e9, 0) },
+			func() { BoxTileExceeds(p8, w8, make([]float32, BoxTileStride*8-1), 1e9, 0) },
 		} {
 			withTier(tier, func() {
 				defer func() {
@@ -217,9 +219,10 @@ func TestKernelDimMismatchPanics(t *testing.T) {
 	}
 }
 
-// A box over p's first four of eight dimensions is a prefix screen on every
-// tier. Past it lies a box that would reject at any threshold: a tier that
-// read on would see it, and one that indexed on would panic.
+// A box, and a tile, over p's first four of eight dimensions is a prefix
+// screen on every tier. Past it lies a box that would reject at any
+// threshold: a tier that read on would see it, and one that indexed on
+// would panic.
 func TestBoxBoundShortBoxIsPrefix(t *testing.T) {
 	p8, w8 := make([]float64, 8), make([]float64, 8)
 	for i := range w8 {
@@ -232,11 +235,18 @@ func TestBoxBoundShortBoxIsPrefix(t *testing.T) {
 			boxes[k], boxes[k+1] = 1e30, 1e30
 		}
 	}
+	tile := make([]float32, BoxTileStride*8)
+	for r := 0; r < TileRows; r++ {
+		setBoxTileLane(tile, r, boxes)
+	}
 	run, _ := simdTiers()
 	for _, tier := range append([]string{"scalar"}, run...) {
 		withTier(tier, func() {
 			if BoxBoundExceeds(p8, w8, boxes[:BoxStride*4], 1) {
 				t.Errorf("%s: a four-dimension box screened past its end", tier)
+			}
+			if got := BoxTileExceeds(p8, w8, tile[:BoxTileStride*4], 1, 0); got != 0 {
+				t.Errorf("%s: a four-dimension tile screened past its end: lanes %08b rejected", tier, got)
 			}
 		})
 	}

@@ -1,10 +1,10 @@
 // Per-bag sketches: the compact geometric summaries the candidate-pruning
 // tier (internal/index/prune.go) screens bags with before the exact blocked
 // kernel runs. A bag's sketch is an axis-aligned bounding box over its
-// instances, float32 lo/hi interleaved per dimension, rounded OUTWARD to
-// float32 — so the box provably contains every instance even after
-// narrowing, and a lower bound derived from it can never exceed any
-// instance's exact distance.
+// instances, float32 lo/hi per dimension, rounded OUTWARD to float32 — so
+// the box provably contains every instance even after narrowing, and a
+// lower bound derived from it can never exceed any instance's exact
+// distance.
 //
 // BoxBoundExceeds is the admission test. It mirrors the canonical blocked
 // kernel's accumulation order exactly (same block pairing, same association,
@@ -17,6 +17,11 @@
 // therefore has exact distance strictly above the threshold on every
 // instance — it cannot enter the top-k.
 //
+// The scan stores its boxes in tiles (see BoxTileStride) and screens a
+// whole tile per call, BoxTileExceeds, a bag per lane: each lane's decision
+// is BoxBoundExceeds on that bag's box, which is what the tile screen's
+// scalar tier runs, lane by lane.
+//
 // NaN discipline matches the kernels': a NaN query dimension contributes a
 // zero excess (both compares are NaN-false), a NaN weight poisons the sum so
 // the strict-> abandon never fires — both degrade to "admit", never to a
@@ -25,7 +30,10 @@
 // updates a running min/max and would otherwise leave a falsely tight box.
 package mat
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // BoxStride is the number of float32s one bag's bounding box occupies per
 // dimension: lo and hi, interleaved (box[2k] = lo_k, box[2k+1] = hi_k).
@@ -44,17 +52,45 @@ const BoxStride = 2
 // The trailing slice is ignored. It is where a per-bag centroid used to go,
 // and stays only so that callers still passing one compile.
 func PackBagSketch(dim int, rows []float64, box []float32, _ ...[]float32) {
-	n := len(rows) / dim
-	if useAVX2.Load() && n > 0 {
+	packSketch(dim, rows, boxSketch(box, dim))
+}
+
+// PackBagSketchLane is PackBagSketch into lane r of a box tile (see
+// BoxTileStride) over the tile's len(tile)/BoxTileStride ≤ dim leading
+// dimensions: the same bounds, stored where the tile keeps lane r's, and
+// no other lane's touched.
+func PackBagSketchLane(dim int, rows []float64, tile []float32, r int) {
+	if len(tile) == 0 {
+		return
+	}
+	packSketch(dim, rows, sketchDst{at: tile[r:], dims: min(len(tile)/BoxTileStride, dim), sep: TileRows})
+}
+
+// sketchDst is where a bag's sketch goes: dimension k's lo at
+// at[2·sep·k] and its hi at at[2·sep·k + sep], for the leading dims
+// dimensions — sep 1 for a box, TileRows for a lane of a box tile.
+type sketchDst struct {
+	at        []float32
+	dims, sep int
+}
+
+// boxSketch is the sketchDst of a box over its len(box)/BoxStride ≤ dim
+// leading dimensions.
+func boxSketch(box []float32, dim int) sketchDst {
+	return sketchDst{at: box, dims: min(len(box)/BoxStride, dim), sep: 1}
+}
+
+func packSketch(dim int, rows []float64, d sketchDst) {
+	if n := len(rows) / dim; useAVX2.Load() && n > 0 {
 		// One pass over the rows in memory order, every dimension's running
 		// min and max taken in row order with the scalar loop's
 		// compare-and-select operand order — the same floats as the
 		// column-at-a-time oracle below (TestKernelTiers holds them
 		// together).
-		packBagSketchAVX2(dim, n, rows, box)
+		packBagSketchAVX2(dim, n, rows, d)
 		return
 	}
-	packBagSketchScalar(dim, rows, box)
+	packBagSketchScalar(dim, rows, d)
 }
 
 // packBagSketchScalar is the canonical loop behind PackBagSketch, one
@@ -62,10 +98,9 @@ func PackBagSketch(dim int, rows []float64, box []float32, _ ...[]float32) {
 // against.
 //
 // milret:kernel
-func packBagSketchScalar(dim int, rows []float64, box []float32) {
+func packBagSketchScalar(dim int, rows []float64, d sketchDst) {
 	n := len(rows) / dim
-	boxDims := min(len(box)/BoxStride, dim)
-	for k := 0; k < boxDims; k++ {
+	for k := 0; k < d.dims; k++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		nan := false
 		for r := 0; r < n; r++ {
@@ -81,7 +116,7 @@ func packBagSketchScalar(dim int, rows []float64, box []float32) {
 				hi = v
 			}
 		}
-		setSketchDim(box, k, lo, hi, nan || n == 0)
+		d.set(k, lo, hi, nan || n == 0)
 	}
 }
 
@@ -90,17 +125,16 @@ func packBagSketchScalar(dim int, rows []float64, box []float32) {
 // length.
 const sketchChunk = 128
 
-// packBagSketchAVX2 runs the AVX2 pass over the box's dimensions, at most
-// sketchChunk at a time, and rounds its results into box. The pass also
+// packBagSketchAVX2 runs the AVX2 pass over the sketch's dimensions, at
+// most sketchChunk at a time, and rounds its results into d. The pass also
 // sums each dimension, only to find NaNs cheaply: a NaN instance value
 // leaves its dimension's sum NaN — and so does a dimension holding both
 // infinities, which the scalar loop does not widen — so only a NaN sum
 // sends the pass back to the column to look for a NaN.
-func packBagSketchAVX2(dim, n int, rows []float64, box []float32) {
-	boxDims := min(len(box)/BoxStride, dim)
+func packBagSketchAVX2(dim, n int, rows []float64, d sketchDst) {
 	var lo, hi, sum [sketchChunk]float64
-	for k0 := 0; k0 < boxDims; k0 += sketchChunk {
-		c := min(sketchChunk, boxDims-k0)
+	for k0 := 0; k0 < d.dims; k0 += sketchChunk {
+		c := min(sketchChunk, d.dims-k0)
 		for j := 0; j < c; j++ {
 			lo[j], hi[j], sum[j] = math.Inf(1), math.Inf(-1), 0
 		}
@@ -113,21 +147,22 @@ func packBagSketchAVX2(dim, n int, rows []float64, box []float32) {
 					nan = math.IsNaN(rows[r*dim+k])
 				}
 			}
-			setSketchDim(box, k, lo[j], hi[j], nan)
+			d.set(k, lo[j], hi[j], nan)
 		}
 	}
 }
 
-// setSketchDim stores dimension k's box bounds from its running min and
-// max; widen stores the always-admit (-Inf,+Inf) box.
-func setSketchDim(box []float32, k int, lo, hi float64, widen bool) {
+// set stores dimension k's bounds from its running min and max; widen
+// stores the always-admit (-Inf,+Inf) interval.
+func (d sketchDst) set(k int, lo, hi float64, widen bool) {
+	at := d.at[2*d.sep*k:]
 	if widen {
-		box[BoxStride*k] = float32(math.Inf(-1))
-		box[BoxStride*k+1] = float32(math.Inf(1))
+		at[0] = float32(math.Inf(-1))
+		at[d.sep] = float32(math.Inf(1))
 		return
 	}
-	box[BoxStride*k] = roundDown32(lo)
-	box[BoxStride*k+1] = roundUp32(hi)
+	at[0] = roundDown32(lo)
+	at[d.sep] = roundUp32(hi)
 }
 
 // roundDown32 converts v to the largest float32 whose value is ≤ v
@@ -175,32 +210,23 @@ func boxExcess(p float64, lo, hi float32) float64 {
 // partial sum of the exact kernel on any instance inside the box, and a
 // true return proves the bag's exact distance is > thr. A box may cover
 // only p's leading len(box)/BoxStride dimensions (PackBagSketch); the bound
-// then runs over that prefix, still a lower bound, on every tier.
+// then runs over that prefix, still a lower bound. It is the oracle of
+// BoxTileExceeds and the scalar tier's screen of one lane.
 //
 // milret:kernel
 func BoxBoundExceeds(p, w []float64, box []float32, thr float64) bool {
-	// Both checked before dispatch, as WeightedSqDistBlocked checks: the
-	// assembly would read past a short w or box where the scalar loop
-	// panics, so the tiers would disagree.
 	mustSameLen(len(p), len(w))
 	if n := len(box) / BoxStride; n < len(p) {
 		p, w = p[:n], w[:n]
 	}
-	if useAVX2.Load() && len(p) > 0 {
-		// The AVX2 screen transcribes the scalar loop below block for block
-		// (same deinterleave-widen-excess per dimension, same (s0,s1) fold,
-		// same per-block strict-> check, same tail accumulator), so the
-		// decision is bit-identical — TestKernelTiers and FuzzKernelTiers
-		// drive both against each other.
-		return boxBoundExceedsAVX2(&p[0], &w[0], &box[0], len(p), thr)
-	}
 	return boxBoundScalar(p, w, box, thr) > thr
 }
 
-// boxBoundScalar is the canonical scalar screen loop — the oracle the AVX2
-// screen is verified against. It returns the running sum at the first
-// block (or the tail) after which it strictly exceeds thr, and the full
-// box distance if it never does; at thr = +Inf nothing abandons.
+// boxBoundScalar is the canonical scalar screen loop — the oracle every
+// tier of the tile screen is verified against, lane by lane. It returns
+// the running sum at the first block (or the tail) after which it strictly
+// exceeds thr, and the full box distance if it never does; at thr = +Inf
+// nothing abandons.
 //
 // milret:kernel
 func boxBoundScalar(p, w []float64, box []float32, thr float64) float64 {
@@ -231,4 +257,74 @@ func boxBoundScalar(p, w []float64, box []float32, thr float64) float64 {
 		sum += t
 	}
 	return sum
+}
+
+// BoxTileStride is the number of float32s a box tile holds per dimension.
+// A tile packs the boxes of TileRows bags dimension-major: for dimension k,
+// tile[k·BoxTileStride + r] is bag r's lo and
+// tile[k·BoxTileStride + TileRows + r] its hi — the eight lows, then the
+// eight highs, one 64-byte line. A vector loaded from it has one bag per
+// lane, as WeightedSqDistTiles' tiles have one row per lane, so the
+// screen's block fold is vertical adds. Bytes per bag are a box's.
+const BoxTileStride = BoxStride * TileRows
+
+// boxTileLane loads lane r of tile into box (lo/hi interleaved).
+func boxTileLane(tile []float32, r int, box []float32) {
+	for k := 0; k < len(box)/BoxStride; k++ {
+		box[BoxStride*k] = tile[k*BoxTileStride+r]
+		box[BoxStride*k+1] = tile[k*BoxTileStride+TileRows+r]
+	}
+}
+
+// BoxTileExceeds screens the TileRows bags of one box tile against thr at
+// once and returns done with the bit of every lane BoxBoundExceeds rejects
+// set: bit r of the result is done's bit r, or BoxBoundExceeds(p, w, box of
+// lane r, thr). A lane already set in done — padding, or a bag the caller
+// skips — stays set whatever its values, and once every lane is set the
+// screen stops. (The SIMD bodies load every lane; only the scalar tier
+// leaves a set lane unread.) The tile covers len(tile)/BoxTileStride
+// leading dimensions of p, a prefix screen as a short box is.
+//
+// The SIMD bodies run boxBoundScalar lane-wise: the same excess, product and
+// (s0, s1) fold per lane, vertical adds in place of the scalar loop's, and
+// after every block (and after the tail) a lane whose sum strictly exceeds
+// thr is set for good — a later NaN cannot unset it, as it cannot undo the
+// scalar loop's return. So every lane's decision is the oracle's, on every
+// tier.
+func BoxTileExceeds(p, w []float64, tile []float32, thr float64, done uint8) uint8 {
+	mustSameLen(len(p), len(w))
+	if len(tile)%BoxTileStride != 0 {
+		panic(fmt.Sprintf("mat: box tile of %d float32s is not whole dimensions of %d", len(tile), BoxTileStride))
+	}
+	if n := len(tile) / BoxTileStride; n < len(p) {
+		p, w = p[:n], w[:n]
+	}
+	switch {
+	case len(p) == 0 || done == 0xFF:
+	case useAVX512.Load():
+		return boxTileAVX512(&p[0], &w[0], &tile[0], len(p), thr, done)
+	case useAVX2.Load():
+		return boxTileAVX2(&p[0], &w[0], &tile[0], len(p), thr, done)
+	}
+	return boxTileScalar(p, w, tile, thr, done)
+}
+
+// boxTileScalar is the scalar tier of BoxTileExceeds: each lane not in done
+// loaded into a box and screened by BoxBoundExceeds.
+func boxTileScalar(p, w []float64, tile []float32, thr float64, done uint8) uint8 {
+	var buf [BoxStride * 128]float32
+	box := buf[:min(BoxStride*len(p), len(buf))]
+	if len(box) < BoxStride*len(p) {
+		box = make([]float32, BoxStride*len(p))
+	}
+	for r := 0; r < TileRows; r++ {
+		if done&(1<<r) != 0 {
+			continue
+		}
+		boxTileLane(tile, r, box)
+		if BoxBoundExceeds(p, w, box, thr) {
+			done |= 1 << r
+		}
+	}
+	return done
 }

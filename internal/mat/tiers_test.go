@@ -275,7 +275,10 @@ var tierKernels = []tierKernel{
 		for _, bd := range []int{dim, min(dim, 64), dim / 2} {
 			box := fenced(f, make([]float32, BoxStride*bd))
 			PackBagSketch(dim, rows, box)
-			for _, b := range box {
+			// The same box as lane n%8 of a tile.
+			tile := fenced(f, make([]float32, BoxTileStride*bd))
+			PackBagSketchLane(dim, rows, tile, in.n%TileRows)
+			for _, b := range slices.Concat(box, tile) {
 				out = append(out, float64(b))
 			}
 		}
@@ -335,6 +338,31 @@ var tierKernels = []tierKernel{
 	}),
 	clipRow("Clip", nil, func(x []float64, _, lo, hi float64) []float64 { Clip(x, lo, hi); return x }),
 	clipRow("ClipShift", nil, func(x []float64, s, lo, hi float64) []float64 { ClipShift(x, s, lo, hi); return x }),
+	{name: "BoxTileExceeds", run: func(in tierInput, f *fence) []float64 {
+		p, w, tile, _, done, thrs := boxTileArgs(in)
+		p, w, tile = fenced(f, p), fenced(f, w), fenced(f, tile)
+		out := make([]float64, len(thrs))
+		for i, thr := range thrs {
+			out[i] = float64(BoxTileExceeds(p, w, tile, thr, done))
+		}
+		return out
+	}, ref: func(in tierInput) []float64 {
+		// Every lane not in done is the oracle on its own box, over the
+		// tile's dimensions.
+		p, w, _, boxes, done, thrs := boxTileArgs(in)
+		bd := len(boxes[0]) / BoxStride
+		out := make([]float64, len(thrs))
+		for i, thr := range thrs {
+			m := done
+			for r, box := range boxes {
+				if done>>r&1 == 0 && boxBoundScalar(p[:bd], w[:bd], box, thr) > thr {
+					m |= 1 << r
+				}
+			}
+			out[i] = float64(m)
+		}
+		return out
+	}},
 }
 
 // checkTiers runs k on the scalar tier and on tiers, and describes each
@@ -452,7 +480,7 @@ func boxArgs(in tierInput) (p, w, rows []float64, box []float32, thrs []float64)
 			box[i] = float32(v)
 		}
 	} else if in.dim > 0 {
-		packBagSketchScalar(in.dim, rows, box)
+		packBagSketchScalar(in.dim, rows, boxSketch(box, in.dim))
 	}
 	return p, w, rows, box, ties(in, func(k int) float64 { return boxBoundScalar(p[:k], w[:k], box[:BoxStride*k], math.Inf(1)) })
 }
@@ -479,6 +507,68 @@ func boxSound(in tierInput, want, got []float64) string {
 		}
 	}
 	return diff(got, want)
+}
+
+// boxTileArgs reads a point and weights — squared unless flags bit 2 is
+// set, every third zeroed with bit 4 — and the TileRows lane boxes of a
+// tile over the leading dim, min(dim, 64) or dim/2 dimensions. Lane r packs
+// 1–5 rows, whose last box dimension holds 1e308 (past float32: a box of
+// [MaxFloat32, +Inf]) for r%3 == 0 under bit 6, or with bit 3 takes raw
+// values for odd r. done sets the padding lanes past 1 + n%8 and, with
+// bit 5, some lanes inside; those hold raw values, NaN included. The
+// thresholds are ties on every unset lane's partial sums.
+func boxTileArgs(in tierInput) (p, w []float64, tile []float32, boxes [][]float32, done uint8, thrs []float64) {
+	p, w = in.read(in.dim), in.read(in.dim)
+	for i := range w {
+		if in.flags&4 == 0 {
+			w[i] *= w[i] // NaN stays NaN
+		}
+		if in.flags&16 != 0 && i%3 == 0 {
+			w[i] = 0
+		}
+	}
+	bd := []int{in.dim, min(in.dim, 64), in.dim / 2}[int(in.flags)%3]
+	done = 0xFF << (1 + in.n%8)
+	if in.flags&32 != 0 {
+		done |= uint8(in.n>>3) & 0x5A
+	}
+	tile = make([]float32, BoxTileStride*bd)
+	boxes = make([][]float32, TileRows)
+	for r := range boxes {
+		boxes[r] = make([]float32, BoxStride*bd)
+		rows := in.read((1 + (in.n+r)%5) * in.dim)
+		switch {
+		case done>>r&1 != 0, in.flags&8 != 0 && r%2 == 1:
+			for i := range boxes[r] {
+				boxes[r][i] = float32(in.read(1)[0])
+			}
+		case bd > 0:
+			if in.flags&64 != 0 && r%3 == 0 {
+				for o := bd - 1; o < len(rows); o += in.dim {
+					rows[o] = 1e308
+				}
+			}
+			packBagSketchScalar(in.dim, rows, boxSketch(boxes[r], in.dim))
+		}
+		setBoxTileLane(tile, r, boxes[r])
+		if done>>r&1 == 0 {
+			box := boxes[r]
+			thrs = append(thrs, ties(in, func(k int) float64 {
+				k = min(k, bd)
+				return boxBoundScalar(p[:k], w[:k], box[:BoxStride*k], math.Inf(1))
+			})...)
+		}
+	}
+	return p, w, tile, boxes, done, thrs
+}
+
+// setBoxTileLane stores box (lo/hi interleaved) as lane r of tile: for
+// dimension k, lo at k·BoxTileStride + r and hi TileRows further on.
+func setBoxTileLane(tile []float32, r int, box []float32) {
+	for k := 0; k < len(box)/BoxStride; k++ {
+		tile[k*BoxTileStride+r] = box[BoxStride*k]
+		tile[k*BoxTileStride+TileRows+r] = box[BoxStride*k+1]
+	}
 }
 
 // plantColumns, when plant is set, writes the columns where the sketch's

@@ -43,26 +43,29 @@ func statsBody(t *testing.T, h http.Handler) string {
 var (
 	trainNumbers = regexp.MustCompile(`"train":\{"evals":\d+,"starts":\d+,"starts_capped":\d+,"starts_pruned":\d+\}`)
 	loopbackPort = regexp.MustCompile(`127\.0\.0\.1:\d+`)
-	screenCounts = regexp.MustCompile(`"screened":(\d+),"admitted":(\d+),"rejected":(\d+)`)
+	screenCounts = regexp.MustCompile(`"screened":(\d+),"admitted":(\d+),"rejected":(\d+),"rows":(\d+),"offers":(\d+)`)
 )
 
-// maskScreen replaces the prune block's screen counts in body with
+// maskScreen replaces the prune block's screen and work counts in body with
 // placeholders, after checking that every screened bag was either admitted
-// or rejected.
+// or rejected, and that no more bags were offered than rows were scored.
 func maskScreen(t *testing.T, body string) string {
 	t.Helper()
 	m := screenCounts.FindStringSubmatch(body)
 	if m == nil {
 		t.Fatalf("no screen counts in %s", body)
 	}
-	n := make([]int, 3)
+	n := make([]int, 5)
 	for i := range n {
 		n[i], _ = strconv.Atoi(m[i+1])
 	}
 	if n[0] != n[1]+n[2] {
 		t.Errorf("screened %d != admitted %d + rejected %d", n[0], n[1], n[2])
 	}
-	return screenCounts.ReplaceAllString(body, `"screened":N,"admitted":A,"rejected":R`)
+	if n[4] > n[3] {
+		t.Errorf("offers %d > rows %d", n[4], n[3])
+	}
+	return screenCounts.ReplaceAllString(body, `"screened":N,"admitted":A,"rejected":R,"rows":W,"offers":O`)
 }
 
 // addObjects fills db with the car, lamp and pants images of a small
@@ -223,9 +226,9 @@ func TestStatsGolden(t *testing.T) {
 			addObjects(t, db)
 			db.Retrieve(trainVia(t, db, carQuery, nil, false), 3)
 			return server.New(db)
-		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":1,"unarmed":0,"screened":9,"admitted":7,"rejected":2}}`},
+		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":1,"unarmed":0,"screened":4,"admitted":2,"rejected":2,"rows":180,"offers":4}}`},
 
-		// The screen counts are masked: they depend on whether one
+		// The screen and work counts are masked: they depend on whether one
 		// partition's reply tightens the coordinator's cutoff before the
 		// other partition's request is built.
 		{"coordinator, all partitions up, one query", func(t *testing.T) http.Handler {
@@ -233,7 +236,7 @@ func TestStatsGolden(t *testing.T) {
 			_, err := coord.Retrieve(context.Background(), trainVia(t, coord, carQuery, nil, false), 3, nil, 0)
 			must(t, err)
 			return server.NewBackend(coord)
-		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":6,"instances":108,"index_bytes":31104},{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":2,"unarmed":0,"screened":N,"admitted":A,"rejected":R},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":true,"images":6}],"partial_policy":"degrade"}`},
+		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":6,"instances":108,"index_bytes":31104},{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":2,"unarmed":0,"screened":N,"admitted":A,"rejected":R,"rows":W,"offers":O},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":true,"images":6}],"partial_policy":"degrade"}`},
 
 		{"coordinator, degrade, one partition down", func(t *testing.T) http.Handler {
 			coord, stops := fleet(t, "degrade")
@@ -242,7 +245,7 @@ func TestStatsGolden(t *testing.T) {
 			_, err := coord.Retrieve(context.Background(), c, 3, nil, 0)
 			must(t, err)
 			return server.NewBackend(coord)
-		}, `{"images":6,"instances":108,"dim":36,"index_bytes":31104,"shards":[{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":1,"unarmed":0,"screened":3,"admitted":3,"rejected":0},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":false,"last_error":"remote: partition http://127.0.0.1:PORT: Post \"http://127.0.0.1:PORT/rpc\": dial tcp 127.0.0.1:PORT: connect: connection refused: milret: partition unavailable","images":6}],"partial_policy":"degrade","degraded_queries":1}`},
+		}, `{"images":6,"instances":108,"dim":36,"index_bytes":31104,"shards":[{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":1,"unarmed":0,"screened":0,"admitted":0,"rejected":0,"rows":108,"offers":4},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":false,"last_error":"remote: partition http://127.0.0.1:PORT: Post \"http://127.0.0.1:PORT/rpc\": dial tcp 127.0.0.1:PORT: connect: connection refused: milret: partition unavailable","images":6}],"partial_policy":"degrade","degraded_queries":1}`},
 
 		{"coordinator, degrade, all partitions down", func(t *testing.T) http.Handler {
 			coord, stops := fleet(t, "degrade")

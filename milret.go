@@ -1021,7 +1021,9 @@ type (
 	// unfiltered scan is visible as such. Screened bags reached an armed
 	// filter (a top-k cutoff existed), and each was either Admitted to the
 	// exact scan or Rejected on its bounding-box bound alone.
-	// Screened = Admitted + Rejected.
+	// Screened = Admitted + Rejected. Rows counts the instance rows the
+	// exact kernel was handed and Offers the scored bags offered to a
+	// best-k heap — the scans' work, as counts.
 	PruneStats = index.PruneSnapshot
 	// TrainStats counts this process's Diverse Density training work; every
 	// trainer in the process — cache misses, uncached Train calls, a
@@ -1111,6 +1113,8 @@ func (s *Stats) Merge(part Stats) {
 	s.Prune.Screened += part.Prune.Screened
 	s.Prune.Admitted += part.Prune.Admitted
 	s.Prune.Rejected += part.Prune.Rejected
+	s.Prune.Rows += part.Prune.Rows
+	s.Prune.Offers += part.Prune.Offers
 }
 
 // Stats reports the size of the underlying flat scoring indexes and the
