@@ -305,12 +305,11 @@ func cmdBuild(args []string) error {
 		return fmt.Errorf("no PNG images in %s", *dir)
 	}
 	for _, path := range entries {
-		f, err := os.Open(path)
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		img, err := png.Decode(f)
-		f.Close()
+		img, err := server.DecodePNG(raw)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}

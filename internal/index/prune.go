@@ -32,7 +32,9 @@
 // counted as PruneStats.Unarmed.
 //
 // The cutoff starts at +Inf, or at PruneOpts.CutoffSeed when a caller knows
-// a bound, and the filter arms once some worker's heap holds k bags.
+// a bound — a peer partition's, or the one a CutoffMemo remembered from the
+// last answer to the same query — and the filter arms once some worker's
+// heap holds k bags or a seed exists.
 package index
 
 import (
@@ -52,11 +54,11 @@ type PruneOpts struct {
 	// (flushed once per scan worker, not per bag).
 	Stats *PruneStats
 	// CutoffSeed, when positive and finite, pre-tightens the cutoff before
-	// the scan starts. The caller asserts it is an upper bound on the
+	// the scan starts. Either the caller asserts it is an upper bound on the
 	// global k-th best distance of the *whole* logical query (e.g. a bound
-	// published by a peer partition); a looser-than-necessary seed only
-	// weakens pruning. Zero (or any non-positive/non-finite value) seeds
-	// nothing.
+	// published by a peer partition), and a looser-than-necessary seed only
+	// weakens pruning; or the caller checks the answer against it
+	// (MemoScan). Zero (or any non-positive/non-finite value) seeds nothing.
 	CutoffSeed float64
 }
 
@@ -70,7 +72,11 @@ type PruneOpts struct {
 // a cutoff. Rows and Offers count the exact work of every top-k scan that
 // reaches the chunk scan, armed or not: the instance rows handed to the
 // exact kernel, and the scored bags offered to a worker's best-k heap (a
-// bag strictly worse than a full heap's root is not offered).
+// bag strictly worse than a full heap's root is not offered). Seeded counts
+// the whole logical queries that started from a bound a CutoffMemo
+// remembered, and Rescans those of them whose bound proved too tight and that
+// were scanned again unseeded (MemoScan); every scan of a rescanned query is
+// also in Scans.
 type PruneStats struct {
 	Scans    atomic.Int64
 	Unarmed  atomic.Int64
@@ -79,6 +85,8 @@ type PruneStats struct {
 	Rejected atomic.Int64
 	Rows     atomic.Int64
 	Offers   atomic.Int64
+	Seeded   atomic.Int64
+	Rescans  atomic.Int64
 }
 
 // scan counts one top-k scan.
@@ -92,6 +100,18 @@ func (st *PruneStats) scan(armed bool) {
 	}
 }
 
+// seeded counts one query seeded from a remembered bound, and whether it was
+// scanned again.
+func (st *PruneStats) seeded(rescanned bool) {
+	if st == nil {
+		return
+	}
+	st.Seeded.Add(1)
+	if rescanned {
+		st.Rescans.Add(1)
+	}
+}
+
 // PruneSnapshot is a point-in-time reading of a PruneStats — the "prune"
 // block of the stats tree as /v1/stats and the stats RPC carry it.
 type PruneSnapshot struct {
@@ -102,6 +122,8 @@ type PruneSnapshot struct {
 	Rejected int64 `json:"rejected"`
 	Rows     int64 `json:"rows"`
 	Offers   int64 `json:"offers"`
+	Seeded   int64 `json:"seeded"`
+	Rescans  int64 `json:"rescans"`
 }
 
 // Snapshot reads the counters. Each is read atomically, the set is not: a
@@ -115,6 +137,8 @@ func (st *PruneStats) Snapshot() PruneSnapshot {
 		Rejected: st.Rejected.Load(),
 		Rows:     st.Rows.Load(),
 		Offers:   st.Offers.Load(),
+		Seeded:   st.Seeded.Load(),
+		Rescans:  st.Rescans.Load(),
 	}
 }
 

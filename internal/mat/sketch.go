@@ -166,23 +166,35 @@ func (d sketchDst) set(k int, lo, hi float64, widen bool) {
 }
 
 // roundDown32 converts v to the largest float32 whose value is ≤ v
-// (directed rounding toward -Inf).
+// (directed rounding toward -Inf): the nearest float32, stepped one ulp
+// down when it landed above v. The step is bit arithmetic with no branch —
+// whether it is taken is data, and a mispredicted branch on it once cost a
+// sketch build more than the conversion. A float32's bits order like its
+// magnitude, so a step toward -Inf is −1 on a non-negative value's bits and
+// +1 on a negative one's; that covers +Inf → MaxFloat32, −0 → the smallest
+// negative subnormal and every subnormal. It is never taken at −Inf or NaN,
+// where the compare is false.
 func roundDown32(v float64) float32 {
 	f := float32(v)
+	var step uint32
 	if float64(f) > v {
-		f = math.Nextafter32(f, float32(math.Inf(-1)))
+		step = 1
 	}
-	return f
+	b := math.Float32bits(f)
+	return math.Float32frombits(b + (step&(b>>31))<<1 - step)
 }
 
 // roundUp32 converts v to the smallest float32 whose value is ≥ v
-// (directed rounding toward +Inf).
+// (directed rounding toward +Inf), the mirror of roundDown32: +1 on a
+// non-negative value's bits, −1 on a negative one's (−Inf → −MaxFloat32).
 func roundUp32(v float64) float32 {
 	f := float32(v)
+	var step uint32
 	if float64(f) < v {
-		f = math.Nextafter32(f, float32(math.Inf(1)))
+		step = 1
 	}
-	return f
+	b := math.Float32bits(f)
+	return math.Float32frombits(b + step - (step&(b>>31))<<1)
 }
 
 // boxExcess returns the distance from p to the interval [lo, hi] along one

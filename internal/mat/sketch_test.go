@@ -138,3 +138,47 @@ func TestBoxBoundLowerBound(t *testing.T) {
 		}
 	}
 }
+
+// TestOutwardRoundingMatchesNextafter holds the branch-free roundDown32 and
+// roundUp32 to their definition — the nearest float32, stepped once by
+// math.Nextafter32 when it landed on the wrong side of v — bit for bit, on
+// the classes where a bit trick could slip (±0, ±Inf, NaN, float64 and
+// float32 subnormals, the float32 overflow edge, exact float32 values and
+// their float64 neighbours) and on random values of every magnitude.
+func TestOutwardRoundingMatchesNextafter(t *testing.T) {
+	down := func(v float64) float32 {
+		f := float32(v)
+		if float64(f) > v {
+			f = math.Nextafter32(f, float32(math.Inf(-1)))
+		}
+		return f
+	}
+	up := func(v float64) float32 {
+		f := float32(v)
+		if float64(f) < v {
+			f = math.Nextafter32(f, float32(math.Inf(1)))
+		}
+		return f
+	}
+	var vs []float64
+	for _, x := range []float64{0, 5e-324, 1e-310, 1e-46, 0x1p-149, 0x1p-150, 0x1p-126, 1e-40,
+		1, 1.1, math.Pi, 16777217, math.MaxFloat32, 3.4028235677973366e38, 3.5e38, 1e300,
+		math.MaxFloat64, math.Inf(1)} {
+		for _, y := range []float64{x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, 0)} {
+			vs = append(vs, y, -y)
+		}
+	}
+	vs = append(vs, math.Copysign(0, -1), math.NaN())
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		vs = append(vs, math.Float64frombits(r.Uint64()), r.NormFloat64()*math.Pow(10, float64(r.Intn(90)-45)))
+	}
+	for _, v := range vs {
+		if g, w := roundDown32(v), down(v); math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("roundDown32(%v) = %v (%#x), want %v (%#x)", v, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+		if g, w := roundUp32(v), up(v); math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("roundUp32(%v) = %v (%#x), want %v (%#x)", v, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+	}
+}

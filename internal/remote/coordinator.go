@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"image"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,6 +107,10 @@ type Coordinator struct {
 	cache *qcache.Cache
 
 	degraded atomic.Int64
+	// memo seeds each Retrieve from the last answer to the same query, and
+	// prune counts what it did (only Seeded and Rescans move here).
+	memo  index.CutoffMemo
+	prune index.PruneStats
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -201,21 +206,31 @@ func (c *Coordinator) rpcContext() (context.Context, context.CancelFunc) {
 // refused under "fail". Of each kind the first in partition order is
 // reported, so a failure reads the same on every run.
 func (c *Coordinator) partial(errs []error) error {
+	absorbed, err := c.triage(errs)
+	if absorbed {
+		c.degraded.Add(1)
+	}
+	return err
+}
+
+// triage is partial without the count: absorbed reports an outage the
+// "degrade" policy absorbed, for a caller that counts one answer built from
+// several fan-outs once.
+func (c *Coordinator) triage(errs []error) (absorbed bool, err error) {
 	var outage error
 	for _, err := range errs {
 		switch {
 		case err == nil:
 		case !errors.Is(err, milret.ErrUnavailable):
-			return err
+			return false, err
 		case outage == nil:
 			outage = err
 		}
 	}
 	if outage != nil && c.topo.PartialPolicy() == PartialDegrade {
-		c.degraded.Add(1)
-		return nil
+		return true, nil
 	}
-	return outage
+	return false, outage
 }
 
 // unavailable tags a verdict the coordinator reaches without issuing an
@@ -299,6 +314,9 @@ func (c *Coordinator) Stats() milret.Stats {
 			Images:    images,
 		})
 	}
+	// The partitions' scans are seeded by this coordinator, never by their
+	// own memos; the memo's counts are the coordinator's.
+	st.Merge(milret.Stats{Prune: c.prune.Snapshot()})
 	if c.cache != nil {
 		cs := c.cache.Stats()
 		st.Cache = &cs
@@ -491,27 +509,45 @@ func mergeTopK(lists [][]milret.Result, k int) []milret.Result {
 // current value as a seed, and every response's k-th-best distance
 // tightens it for whichever requests have yet to leave. Staleness only
 // weakens pruning — see the package comment for why this never changes
-// the answer. recall is ignored (see server.Backend).
+// the answer. The cutoff starts at the k-th-best distance of the last
+// answer to the same query, from the coordinator's memo, so every request
+// leaves seeded; index.MemoScan checks the merged answer against that
+// seed and fans the query out once more, unseeded, if the data has moved
+// past it. recall is ignored (see server.Backend).
 func (c *Coordinator) Retrieve(ctx context.Context, concept *milret.Concept, k int, exclude []string, _ float64) ([]milret.Result, error) {
-	cutoff := index.NewCutoff()
 	geo := geometry(concept)
-	lists, errs := fanOut(c.parts, func(_ int, cli *Client) ([]milret.Result, error) {
-		resp, err := cli.TopK(ctx, TopKRequest{
-			K:       k,
-			Seed:    cutoff.Load(),
-			Concept: geo,
-			Exclude: exclude,
+	key := index.CutoffKey(index.Query{Point: geo.Point, Weights: geo.Weights}, k, slices.Values(exclude))
+	var absorbed bool
+	res, err := index.MemoScan(&c.memo, key, k, &c.prune, func(r milret.Result) float64 { return r.Distance },
+		func(seed float64) ([]milret.Result, error) {
+			cutoff := index.NewCutoff()
+			cutoff.Tighten(seed)
+			lists, errs := fanOut(c.parts, func(_ int, cli *Client) ([]milret.Result, error) {
+				resp, err := cli.TopK(ctx, TopKRequest{
+					K:       k,
+					Seed:    cutoff.Load(),
+					Concept: geo,
+					Exclude: exclude,
+				})
+				if err != nil {
+					return nil, err
+				}
+				cutoff.Tighten(resp.Cutoff)
+				return resp.Results, nil
+			})
+			var err error
+			if absorbed, err = c.triage(errs); err != nil {
+				return nil, err
+			}
+			return mergeTopK(lists, k), nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		cutoff.Tighten(resp.Cutoff)
-		return resp.Results, nil
-	})
-	if err := c.partial(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return mergeTopK(lists, k), nil
+	if absorbed {
+		c.degraded.Add(1)
+	}
+	return res, nil
 }
 
 // RetrieveBatch fans a multi-concept scan to every partition and merges

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"milret"
+	"milret/internal/retrieval"
 	"milret/internal/store"
 	"milret/internal/synth"
 )
@@ -546,5 +547,89 @@ func TestReshardedClusterMatchesDirectShards(t *testing.T) {
 		if label != wantLabel {
 			t.Errorf("Label(%s) = %q, want %q", id, label, wantLabel)
 		}
+	}
+}
+
+// TestCoordinatorRepeatRescansAfterDelete: the second of two identical
+// queries starts from the first's k-th best, but a partition deleted a
+// top-k member in between — behind the coordinator's back — so the seeded
+// fan-out cannot fill k results at or under that bound. The coordinator
+// must fan it out again, unseeded, once, and answer exactly as a single
+// process does after the same delete.
+func TestCoordinatorRepeatRescansAfterDelete(t *testing.T) {
+	cl := startCluster(t, PartialFail)
+	concept, _, _ := trainRef(t, cl, 3)
+	const k = 5
+	ctx := context.Background()
+	first, err := cl.coord.Retrieve(ctx, concept, k, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIdentical(t, "first query", first, cl.ref.RankAll(concept)[:k])
+	victim := first[1].ID
+	if err := cl.shardDBs[retrieval.ShardIndexFor(victim, len(cl.shardDBs))].DeleteImage(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.ref.DeleteImage(victim); err != nil {
+		t.Fatal(err)
+	}
+	again, err := cl.coord.Retrieve(ctx, concept, k, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIdentical(t, "repeat after a delete", again, cl.ref.RankAll(concept)[:k])
+	if p := cl.coord.Stats().Prune; p.Seeded != 1 || p.Rescans != 1 {
+		t.Fatalf("coordinator prune counters after the repeat: %+v, want seeded 1, rescans 1", p)
+	}
+	// A third, unchanged repeat keeps its seeded answer. Every request
+	// leaves seeded, so every partition holding more than k bags screens
+	// every live bag, from its first tile on (one holding k or fewer ranks
+	// them all).
+	screened := cl.coord.Stats().Prune.Screened
+	third, err := cl.coord.Retrieve(ctx, concept, k, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIdentical(t, "unchanged repeat", third, again)
+	p := cl.coord.Stats().Prune
+	if p.Seeded != 2 || p.Rescans != 1 {
+		t.Fatalf("coordinator prune counters after an unchanged repeat: %+v, want seeded 2, rescans 1", p)
+	}
+	var live int64
+	for _, db := range cl.shardDBs {
+		if n := db.Len(); n > k {
+			live += int64(n)
+		}
+	}
+	if got := p.Screened - screened; got != live {
+		t.Fatalf("the seeded repeat screened %d bags over the partitions, want all %d live ones", got, live)
+	}
+}
+
+// TestCoordinatorConcurrentRepeats races identical queries through one
+// coordinator (run it with -race): every answer must equal the
+// single-process one, however the memo's loads and stores interleave.
+func TestCoordinatorConcurrentRepeats(t *testing.T) {
+	cl := startCluster(t, PartialFail)
+	concept, _, _ := trainRef(t, cl, 5)
+	want := map[int][]milret.Result{3: cl.ref.RankAll(concept)[:3], 6: cl.ref.RankAll(concept)[:6]}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				k := []int{3, 6}[(g+i)%2]
+				got, err := cl.coord.Retrieve(context.Background(), concept, k, nil, 0)
+				if err != nil || !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("goroutine %d, query %d (k %d): %v, %v; want %v", g, i, k, got, err, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p := cl.coord.Stats().Prune; p.Seeded == 0 || p.Rescans != 0 {
+		t.Fatalf("prune counters after unchanged repeats: %+v, want some seeded and no rescan", p)
 	}
 }

@@ -117,6 +117,9 @@ type Database struct {
 	// top-k scan against this database (internally atomic; scan
 	// workers flush into it without any shard lock).
 	prune index.PruneStats
+	// memo remembers each whole query's last k-th-best distance for TopK
+	// (self-checking, so it needs no lock and no invalidation).
+	memo index.CutoffMemo
 }
 
 // Compaction policy: rebuilding a shard's flat block costs one pass over its
@@ -633,10 +636,12 @@ type Options struct {
 	Exclude map[string]bool
 	// Parallelism bounds scan goroutines; 0 means runtime.NumCPU().
 	Parallelism int
-	// CutoffSeed, when positive, pre-tightens the top-k cutoff before the
-	// scan starts. The caller asserts it upper-bounds the global k-th best
-	// distance of the whole logical query; a stale (too-loose) seed only
-	// weakens pruning. TopK only.
+	// CutoffSeed, when non-zero, marks the scan as one partition of a larger
+	// logical query, and when positive it pre-tightens the top-k cutoff
+	// before the scan starts. The caller asserts it upper-bounds the global
+	// k-th best distance of the whole logical query; a stale (too-loose) seed
+	// only weakens pruning. Zero marks the scan as the whole query, which TopK
+	// seeds from the database's cutoff memo instead. TopK only.
 	CutoffSeed float64
 }
 
@@ -659,11 +664,32 @@ func Rank(db *Database, s Scorer, opts Options) []Result {
 // sorting the whole database: the shards' scan workers share one atomic
 // cutoff and fuse size-k heaps (index.Sharded), so the full distance slice
 // is never materialized. For k ≥ database size it equals Rank.
+//
+// A scan with no caller seed is a whole query, and runs through the
+// database's cutoff memo (index.MemoScan): it starts from the k-th-best
+// distance of the last answer to the same query, and is scanned again
+// unseeded, over the same snapshot, if the data has moved past that bound.
 func TopK(db *Database, s Scorer, k int, opts Options) []Result {
-	return db.snapshot().TopKPruned(query(s), k, opts.Exclude, opts.Parallelism, index.PruneOpts{
-		Stats:      &db.prune,
-		CutoffSeed: opts.CutoffSeed,
+	view, q := db.snapshot(), query(s)
+	scan := func(seed float64) ([]Result, error) {
+		return view.TopKPruned(q, k, opts.Exclude, opts.Parallelism, index.PruneOpts{
+			Stats:      &db.prune,
+			CutoffSeed: seed,
+		}), nil
+	}
+	if opts.CutoffSeed != 0 {
+		res, _ := scan(opts.CutoffSeed)
+		return res
+	}
+	key := index.CutoffKey(q, k, func(yield func(string) bool) {
+		for id, ex := range opts.Exclude {
+			if ex && !yield(id) {
+				return
+			}
+		}
 	})
+	res, _ := index.MemoScan(&db.memo, key, k, &db.prune, func(r Result) float64 { return r.Dist }, scan)
+	return res
 }
 
 // TopKMany returns, for each scorer, its k best matches in ascending

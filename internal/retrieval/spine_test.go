@@ -107,6 +107,9 @@ var spineCases = []struct {
 	{"concurrent_labels", spineConfig{seed: 39, shards: 3, par: 2, dim: 4, n: 30, maxInst: 1, ops: 40, mix: "alll", writers: 2}},
 	{"concurrent_mutations", spineConfig{seed: 40, shards: 1, par: 3, dim: 8, n: 40, maxInst: 1, ops: 24, mix: "aduulc", writers: 4}},
 	{"concurrent_flats", spineConfig{seed: 41, shards: 4, par: 2, dim: 7, n: 40, maxInst: 3, ops: 24, mix: "aadulcs", via: 'F', writers: 3}},
+	{"memo_repeat", spineConfig{seed: 49, shards: 1, par: 2, dim: 8, n: 40, maxInst: 3, ops: 16, mix: "rrad"}},
+	{"memo_repeat_sharded", spineConfig{seed: 50, shards: 3, par: 3, dim: 20, n: 60, maxInst: 4, ops: 16, mix: "rrduc", via: 'F'}},
+	{"memo_repeat_ties_poisoned", spineConfig{seed: 51, shards: 2, par: 1, dim: 3, n: 30, maxInst: 2, ops: 16, mix: "rra", dup: 2, poison: true}},
 }
 
 // TestScanSpine runs every case of the seed list: a sequential case once per
@@ -155,7 +158,7 @@ func FuzzScanSpine(f *testing.F) {
 		}
 		cfg := spineConfig{seed: seed, shards: 1 + pick(5), par: []int{1, 2, 3, 8}[pick(4)],
 			dim: 1 + pick(24), n: pick(40), maxInst: 1 + pick(4), ops: 1 + pick(16),
-			mix: "aadullcsx", via: "aafF"[pick(4)], dup: 1 + pick(6), poison: pick(4) == 0}
+			mix: "aadullcsxr", via: "aafF"[pick(4)], dup: 1 + pick(6), poison: pick(4) == 0}
 		if cfg.via == 'f' {
 			cfg.shards = 1
 		}
@@ -193,8 +196,9 @@ func newSpineModel(shards int) *spineModel {
 }
 
 // spineOp is one mutation. kind is 'a' Add, 'u' Update, 'l' UpdateLabel,
-// 'd' Delete, 'c' Compact, 's' one-shard compaction, or 'x' auto-compaction
-// (Add a bag of compactMinDeadRows rows under a fresh ID, then Delete it).
+// 'd' Delete, 'c' Compact, 's' one-shard compaction, 'x' auto-compaction
+// (Add a bag of compactMinDeadRows rows under a fresh ID, then Delete it),
+// or 'r' repeat a query around one change (checker.repeat).
 type spineOp struct {
 	kind  byte
 	id    string
@@ -578,6 +582,9 @@ func runSpine(cfg spineConfig, ops []spineOp) (fail *spineFail) {
 				c.failf("op_errors", "%v: database says %v, model expects an error: %v", op, err, wantErr)
 			}
 			c.eq("snapshot", view.Rank(index.Query{Point: s.p, Weights: s.w}, nil, cfg.par), was)
+			if op.kind == 'r' {
+				c.repeat(db, m, cfg, op)
+			}
 		}
 		for i := range blocks {
 			c.eq("adopted_block", blocks[i], saved[i])
@@ -794,6 +801,58 @@ func (c *checker) scans(db *Database, m *spineModel, cfg spineConfig, r *rand.Ra
 	}
 	c.eq(fmt.Sprint("topk_many k=", kb), TopKMany(db, batch, kb, o), want)
 	c.eq("topk_many_nil", TopKMany(db, nil, 1, o), [][]Result(nil))
+}
+
+// repeat runs one top-k query, changes one thing, and runs it again, both
+// times through the database's cutoff memo and held to the reference. The
+// change deletes or re-pixels a top-k member, which keeps the memo's key and
+// may push the k-th best past the remembered bound, or it changes the
+// exclude set or k, which changes the key. The counters must say what the
+// memo did: a repeat under the same key starts from the first answer's k-th
+// best, and is scanned again exactly when the new k-th best lies past it.
+func (c *checker) repeat(db *Database, m *spineModel, cfg spineConfig, op spineOp) {
+	if len(m.order) == 0 || c.fail != nil {
+		return
+	}
+	r := rand.New(rand.NewSource(op.qseed ^ 0x5eed))
+	s, _, _ := spineScorers(r, m, cfg)
+	exclude, k := map[string]bool{}, 1+r.Intn(len(m.order))
+	o := Options{Exclude: exclude, Parallelism: cfg.par}
+	first := head(m.rank(s, exclude), k)
+	before := db.PruneStats()
+	c.eq("repeat_first", TopK(db, s, k, o), first)
+	member, sameKey := first[r.Intn(len(first))].ID, true
+	switch variant := r.Intn(4); variant {
+	case 0, 1:
+		change := spineOp{kind: "du"[variant], id: member}
+		if change.kind == 'u' {
+			change.row = (&spineGen{r: r, cfg: cfg}).row(m, "r")
+		}
+		m.apply(change, cfg.dim)
+		if err := change.apply(db, cfg.dim); err != nil {
+			c.failf("repeat_change", "%v: %v", change, err)
+		}
+	case 2:
+		exclude[member], sameKey = true, false
+	case 3:
+		if k > 1 && r.Intn(2) == 0 {
+			k--
+		} else {
+			k++
+		}
+		sameKey = false
+	}
+	again := head(m.rank(s, exclude), k)
+	c.eq("repeat_again", TopK(db, s, k, o), again)
+	var want [2]int64
+	if seed := first[len(first)-1].Dist; sameKey && seed > 0 && !math.IsInf(seed, 1) {
+		want[0] = 1
+		if len(again) < k || again[k-1].Dist > seed {
+			want[1] = 1
+		}
+	}
+	after := db.PruneStats()
+	c.eq("repeat_counters", [2]int64{after.Seeded - before.Seeded, after.Rescans - before.Rescans}, want)
 }
 
 // partition splits the model over two fresh databases and answers one

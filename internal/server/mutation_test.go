@@ -2,11 +2,17 @@ package server
 
 import (
 	"bytes"
+	"compress/zlib"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"image/png"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"milret"
@@ -169,5 +175,83 @@ func TestHealthReportsVerification(t *testing.T) {
 	}
 	if got["data"] != "verified" {
 		t.Fatalf("in-memory database health data = %v", got["data"])
+	}
+}
+
+// hugeBlankPNG writes an all-zero RGBA PNG of side × side pixels chunk by
+// chunk, streaming its rows through zlib, so the test never holds the image:
+// at 4096 it is ≈65 KB of file declaring 64 MB of pixels.
+func hugeBlankPNG(t *testing.T, side int) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	out.WriteString("\x89PNG\r\n\x1a\n")
+	chunk := func(kind string, data []byte) {
+		var n [4]byte
+		binary.BigEndian.PutUint32(n[:], uint32(len(data)))
+		out.Write(n[:])
+		crc := crc32.NewIEEE()
+		crc.Write([]byte(kind))
+		crc.Write(data)
+		out.WriteString(kind)
+		out.Write(data)
+		binary.BigEndian.PutUint32(n[:], crc.Sum32())
+		out.Write(n[:])
+	}
+	ihdr := make([]byte, 13)
+	binary.BigEndian.PutUint32(ihdr[0:], uint32(side))
+	binary.BigEndian.PutUint32(ihdr[4:], uint32(side))
+	ihdr[8], ihdr[9] = 8, 6 // 8-bit RGBA
+	chunk("IHDR", ihdr)
+	var idat bytes.Buffer
+	zw := zlib.NewWriter(&idat)
+	row := make([]byte, 1+4*side) // filter byte 0, then the pixels
+	for y := 0; y < side; y++ {
+		if _, err := zw.Write(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	chunk("IDAT", idat.Bytes())
+	chunk("IEND", nil)
+	return out.Bytes()
+}
+
+// TestOversizedImageRefusedBeforeDecode: a small PNG that declares
+// 4096 × 4096 pixels is refused with 413 from its header alone — the whole
+// request allocates under 1 MB, where decoding it would allocate ≈670 MB —
+// and the stored image is untouched.
+func TestOversizedImageRefusedBeforeDecode(t *testing.T) {
+	s, db := testServer(t)
+	raw := hugeBlankPNG(t, 4096)
+	if cfg, err := png.DecodeConfig(bytes.NewReader(raw)); err != nil || cfg.Width != 4096 || cfg.Height != 4096 {
+		t.Fatalf("crafted PNG header: %+v, %v", cfg, err)
+	}
+	body, err := json.Marshal(UpdateImageRequest{Label: "x", PNGBase64: base64.StdEncoding.EncodeToString(raw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPut, "/v1/images/object-car-00", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("refusing a %d-byte PNG allocated %d bytes", len(raw), alloc)
+	}
+	if lb, _ := db.Label("object-car-00"); lb != "car" {
+		t.Fatalf("label after a refused PUT: %q", lb)
+	}
+	// At the cap an image decodes; one pixel past it is refused.
+	if _, err := DecodePNG(hugeBlankPNG(t, 1024)); err != nil {
+		t.Fatalf("1024 × 1024: %v", err)
+	}
+	if _, err := DecodePNG(hugeBlankPNG(t, 1025)); !errors.Is(err, ErrImageTooLarge) {
+		t.Fatalf("1025 × 1025: %v, want ErrImageTooLarge", err)
 	}
 }

@@ -63,7 +63,33 @@ const (
 	// maxBatchConcepts bounds how many concepts one /v1/retrieve/batch
 	// request may carry.
 	maxBatchConcepts = 64
+	// maxImagePixels bounds an ingested image's width × height. Decoding
+	// and featurizing an image allocate ≈40 bytes a pixel — a few KB of
+	// all-zero PNG can declare hundreds of MB of them — so DecodePNG reads
+	// the header first and refuses a larger image before allocating any
+	// (≈42 MB at the cap; the served images are about 100 pixels wide).
+	maxImagePixels = 1 << 20
 )
+
+// ErrImageTooLarge marks an image refused by DecodePNG for its declared
+// size; PUT /v1/images/{id} answers it with 413.
+var ErrImageTooLarge = errors.New("image too large")
+
+// DecodePNG decodes a PNG after reading its header, and refuses one that
+// declares more than maxImagePixels pixels with an error wrapping
+// ErrImageTooLarge, before decoding any pixel. Every path that ingests
+// pixels — the update handler and the CLI's directory build — decodes
+// through it.
+func DecodePNG(raw []byte) (image.Image, error) {
+	cfg, err := png.DecodeConfig(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	if px := int64(cfg.Width) * int64(cfg.Height); px > maxImagePixels {
+		return nil, fmt.Errorf("%w: %d × %d pixels, the limit is %d", ErrImageTooLarge, cfg.Width, cfg.Height, maxImagePixels)
+	}
+	return png.Decode(bytes.NewReader(raw))
+}
 
 // Server serves a Backend over HTTP, including its mutation lifecycle.
 type Server struct {
@@ -342,8 +368,12 @@ func (s *Server) handleUpdateImage(w http.ResponseWriter, r *http.Request, id st
 			writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad png_base64: %v", err)})
 			return
 		}
-		if img, err = png.Decode(bytes.NewReader(raw)); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad PNG: %v", err)})
+		if img, err = DecodePNG(raw); err != nil {
+			status := http.StatusBadRequest
+			if errors.Is(err, ErrImageTooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, errorBody{fmt.Sprintf("bad PNG: %v", err)})
 			return
 		}
 	}

@@ -226,7 +226,17 @@ func TestStatsGolden(t *testing.T) {
 			addObjects(t, db)
 			db.Retrieve(trainVia(t, db, carQuery, nil, false), 3)
 			return server.New(db)
-		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":1,"unarmed":0,"screened":4,"admitted":2,"rejected":2,"rows":180,"offers":4}}`},
+		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":1,"unarmed":0,"screened":4,"admitted":2,"rejected":2,"rows":180,"offers":4,"seeded":0,"rescans":0}}`},
+
+		// The repeat starts from the first answer's k-th best distance.
+		{"one training, the same top-k scan twice", func(t *testing.T) http.Handler {
+			db := newDB(t, fastOpts)
+			addObjects(t, db)
+			c := trainVia(t, db, carQuery, nil, false)
+			db.Retrieve(c, 3)
+			db.Retrieve(c, 3)
+			return server.New(db)
+		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":12,"instances":216,"index_bytes":62208}],"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":2,"unarmed":0,"screened":16,"admitted":12,"rejected":4,"rows":360,"offers":8,"seeded":1,"rescans":0}}`},
 
 		// The screen and work counts are masked: they depend on whether one
 		// partition's reply tightens the coordinator's cutoff before the
@@ -236,7 +246,21 @@ func TestStatsGolden(t *testing.T) {
 			_, err := coord.Retrieve(context.Background(), trainVia(t, coord, carQuery, nil, false), 3, nil, 0)
 			must(t, err)
 			return server.NewBackend(coord)
-		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":6,"instances":108,"index_bytes":31104},{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":2,"unarmed":0,"screened":N,"admitted":A,"rejected":R,"rows":W,"offers":O},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":true,"images":6}],"partial_policy":"degrade"}`},
+		}, `{"images":12,"instances":216,"dim":36,"index_bytes":62208,"shards":[{"images":6,"instances":108,"index_bytes":31104},{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":2,"unarmed":0,"screened":N,"admitted":A,"rejected":R,"rows":W,"offers":O,"seeded":0,"rescans":0},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":true,"images":6}],"partial_policy":"degrade"}`},
+
+		// Deleting the first answer's third best pushes the repeat's k-th
+		// best past the remembered bound: the coordinator fans it out
+		// again, unseeded. Screen and work counts are masked as below.
+		{"coordinator, one query, a top-k member deleted, the query again", func(t *testing.T) http.Handler {
+			coord, _ := fleet(t, "degrade")
+			c := trainVia(t, coord, carQuery, nil, false)
+			res, err := coord.Retrieve(context.Background(), c, 3, nil, 0)
+			must(t, err)
+			must(t, coord.DeleteImage(res[2].ID))
+			_, err = coord.Retrieve(context.Background(), c, 3, nil, 0)
+			must(t, err)
+			return server.NewBackend(coord)
+		}, `{"images":11,"instances":198,"dim":36,"index_bytes":62208,"dead_images":1,"dead_instances":18,"wal_mutations":1,"shards":[{"images":6,"instances":108,"index_bytes":31104},{"images":5,"instances":90,"index_bytes":31104,"dead_images":1,"dead_instances":18,"wal_mutations":1}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":6,"unarmed":0,"screened":N,"admitted":A,"rejected":R,"rows":W,"offers":O,"seeded":1,"rescans":1},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":true,"images":5}],"partial_policy":"degrade"}`},
 
 		{"coordinator, degrade, one partition down", func(t *testing.T) http.Handler {
 			coord, stops := fleet(t, "degrade")
@@ -245,7 +269,7 @@ func TestStatsGolden(t *testing.T) {
 			_, err := coord.Retrieve(context.Background(), c, 3, nil, 0)
 			must(t, err)
 			return server.NewBackend(coord)
-		}, `{"images":6,"instances":108,"dim":36,"index_bytes":31104,"shards":[{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":1,"unarmed":0,"screened":0,"admitted":0,"rejected":0,"rows":108,"offers":4},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":false,"last_error":"remote: partition http://127.0.0.1:PORT: Post \"http://127.0.0.1:PORT/rpc\": dial tcp 127.0.0.1:PORT: connect: connection refused: milret: partition unavailable","images":6}],"partial_policy":"degrade","degraded_queries":1}`},
+		}, `{"images":6,"instances":108,"dim":36,"index_bytes":31104,"shards":[{"images":6,"instances":108,"index_bytes":31104}],"cache":{"capacity_bytes":8388608,"bytes":768,"entries":1,"hits":0,"misses":1,"coalesced":0},"train":{"evals":E,"starts":S,"starts_capped":C,"starts_pruned":P},"prune":{"scans":1,"unarmed":0,"screened":0,"admitted":0,"rejected":0,"rows":108,"offers":4,"seeded":0,"rescans":0},"partitions":[{"name":"p0","addr":"http://127.0.0.1:PORT","healthy":true,"images":6},{"name":"p1","addr":"http://127.0.0.1:PORT","healthy":false,"last_error":"remote: partition http://127.0.0.1:PORT: Post \"http://127.0.0.1:PORT/rpc\": dial tcp 127.0.0.1:PORT: connect: connection refused: milret: partition unavailable","images":6}],"partial_policy":"degrade","degraded_queries":1}`},
 
 		{"coordinator, degrade, all partitions down", func(t *testing.T) http.Handler {
 			coord, stops := fleet(t, "degrade")

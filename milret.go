@@ -709,6 +709,8 @@ type Result struct {
 type RetrieveOption func(*retrieveConfig)
 
 type retrieveConfig struct {
+	// seed is the caller's cutoff seed: zero for a whole query, non-zero
+	// (+Inf when it bounds nothing) for a partition scan.
 	seed float64
 }
 
@@ -719,13 +721,22 @@ func WithRecall(float64) RetrieveOption {
 	return func(*retrieveConfig) {}
 }
 
-// WithCutoffSeed pre-tightens the top-k cutoff before the scan starts.
-// The caller asserts d upper-bounds the k-th best distance of the whole
-// logical query this scan is a partition of; a stale (too-loose) seed
-// only weakens pruning, never correctness. Non-positive seeds are
-// ignored.
+// WithCutoffSeed marks the scan as one partition of a larger logical
+// query — how a shard server scans its part of a coordinator's query — and
+// pre-tightens its top-k cutoff to d before the scan starts. The caller
+// asserts d upper-bounds the k-th best distance of the whole logical query;
+// a stale (too-loose) seed only weakens pruning, never correctness.
+// Non-positive seeds pre-tighten nothing. A scan without this option is a
+// whole query, and seeds itself from the last answer to the same query
+// (see retrieval.TopK); a partition scan neither reads nor writes that
+// memory.
 func WithCutoffSeed(d float64) RetrieveOption {
-	return func(cfg *retrieveConfig) { cfg.seed = d }
+	return func(cfg *retrieveConfig) {
+		if !(d > 0) {
+			d = math.Inf(1) // seeds nothing, and still marks a partition scan
+		}
+		cfg.seed = d
+	}
 }
 
 // Retrieve returns the k best matches for the concept, nearest first.
@@ -1023,7 +1034,10 @@ type (
 	// exact scan or Rejected on its bounding-box bound alone.
 	// Screened = Admitted + Rejected. Rows counts the instance rows the
 	// exact kernel was handed and Offers the scored bags offered to a
-	// best-k heap — the scans' work, as counts.
+	// best-k heap — the scans' work, as counts. Seeded counts the whole
+	// queries that started from the k-th-best distance of the last answer
+	// to the same query, and Rescans those whose data had moved past it, so
+	// that they were scanned again without it.
 	PruneStats = index.PruneSnapshot
 	// TrainStats counts this process's Diverse Density training work; every
 	// trainer in the process — cache misses, uncached Train calls, a
@@ -1115,6 +1129,8 @@ func (s *Stats) Merge(part Stats) {
 	s.Prune.Rejected += part.Prune.Rejected
 	s.Prune.Rows += part.Prune.Rows
 	s.Prune.Offers += part.Prune.Offers
+	s.Prune.Seeded += part.Prune.Seeded
+	s.Prune.Rescans += part.Prune.Rescans
 }
 
 // Stats reports the size of the underlying flat scoring indexes and the
